@@ -7,8 +7,8 @@
 //
 // Microbenchmarks for the building blocks whose throughput bounds the whole
 // system: the interpreter (every synthesis oracle evaluation), the
-// bottom-up enumerator, the rewrite engine, and the runtime's reduce
-// skeleton.
+// bottom-up enumerator, the sketch search, the rewrite engine, and the
+// runtime's reduce skeleton.
 //
 //===----------------------------------------------------------------------===//
 
@@ -19,6 +19,7 @@
 #include "suite/Benchmarks.h"
 #include "suite/Kernels.h"
 #include "synth/Enumerator.h"
+#include "synth/JoinSynth.h"
 
 #include <benchmark/benchmark.h>
 
@@ -48,6 +49,7 @@ void BM_EnumeratorGrow(benchmark::State &State) {
       {{"a_l", Type::Int}, {"a_r", Type::Int}, {"b_l", Type::Int},
        {"b_r", Type::Int}},
       64, R);
+  size_t Kept = 0;
   for (auto _ : State) {
     EnumeratorOptions Opts;
     Opts.MaxSize = static_cast<unsigned>(State.range(0));
@@ -62,9 +64,30 @@ void BM_EnumeratorGrow(benchmark::State &State) {
     benchmark::DoNotOptimize(E.totalCandidates());
     State.counters["candidates"] =
         static_cast<double>(E.totalCandidates());
+    Kept += E.totalCandidates();
   }
+  // Retained (observationally distinct) candidates per second.
+  State.counters["candidates/s"] = benchmark::Counter(
+      static_cast<double>(Kept), benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_EnumeratorGrow)->Arg(3)->Arg(5)->Arg(7);
+
+// The sketch search alone: mts's original loop has no join over its own
+// state, so synthesis sweeps every sketch tier before failing. Oracle set-up
+// and enumeration are a small share; sketch assignments dominate.
+void BM_SketchSearchMts(benchmark::State &State) {
+  Loop L = parseBenchmark(*findBenchmark("mts"));
+  uint64_t Assignments = 0;
+  for (auto _ : State) {
+    JoinResult R = synthesizeJoin(L);
+    if (R.Success)
+      State.SkipWithError("mts has no join without an auxiliary");
+    Assignments += R.Stats.SketchAssignmentsTried;
+  }
+  State.counters["assignments/s"] = benchmark::Counter(
+      static_cast<double>(Assignments), benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_SketchSearchMts)->Unit(benchmark::kMillisecond);
 
 void BM_NormalizeMtsUnfolding(benchmark::State &State) {
   ExprRef U = unknownVar("mts@0");

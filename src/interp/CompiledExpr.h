@@ -1,0 +1,82 @@
+//===- interp/CompiledExpr.h - Slot-compiled evaluator ----------*- C++ -*-===//
+//
+// Part of Parsynt-CXX, a reproduction of "Synthesis of Divide and Conquer
+// Parallelism for Loops" (PLDI 2017).
+//
+//===----------------------------------------------------------------------===//
+///
+/// \file
+/// The evaluator of the join-search hot path. An expression is lowered once
+/// into a flat post-order program over a dense register file:
+///
+///   [ inputs | constants | one register per instruction ]
+///
+/// Variables are resolved to input registers at compile time, so evaluation
+/// does no name lookups and no allocation: the caller writes the raw input
+/// payloads (bools as 0/1) into the first registers, one per input name in
+/// order, and calls run(). Operators follow interp/OpSemantics.h, so run()
+/// agrees with evalExpr on every well-typed expression. `ite`, `&&` and `||`
+/// evaluate both sides: every operator is total and side-effect free, so
+/// this yields the same value as evalExpr's short-circuiting.
+///
+/// Sequence accesses are not supported; the evaluator serves join-side
+/// expressions, which range over split states and parameters only.
+///
+//===----------------------------------------------------------------------===//
+
+#ifndef PARSYNT_INTERP_COMPILEDEXPR_H
+#define PARSYNT_INTERP_COMPILEDEXPR_H
+
+#include "ir/Expr.h"
+
+#include <cstdint>
+#include <string>
+#include <vector>
+
+namespace parsynt {
+
+class CompiledExpr {
+public:
+  CompiledExpr() = default;
+  /// Lowers \p E with the variable named Inputs[I] in input register I.
+  /// Variables of \p E missing from \p Inputs are appended to it first, in
+  /// order of first occurrence.
+  CompiledExpr(const ExprRef &E, std::vector<std::string> &Inputs);
+
+  /// A register file for run(): inputs zeroed, constants loaded.
+  std::vector<int64_t> makeRegisters() const;
+
+  /// Evaluates the program over \p Regs (from makeRegisters(), inputs
+  /// written by the caller) and returns the raw result.
+  int64_t run(int64_t *Regs) const;
+
+private:
+  /// A BinaryOp's value for a binary operator, else one of the unary and
+  /// ternary forms, numbered after BinaryOp::Or.
+  enum class Opcode : uint8_t {
+    Neg = static_cast<uint8_t>(BinaryOp::Or) + 1,
+    Not,
+    Ite
+  };
+  struct Instr {
+    Opcode Op;
+    uint32_t A, B, C;
+  };
+
+  /// Marks an instruction index during lowering, before temporaries are
+  /// placed after the constants.
+  static constexpr uint32_t TempBit = 1u << 31;
+
+  uint32_t lower(const ExprRef &E, const std::vector<std::string> &Inputs,
+                 std::vector<std::pair<const Expr *, uint32_t>> &Done);
+
+  unsigned NumInputs = 0;
+  std::vector<int64_t> Constants;
+  std::vector<Instr> Code;
+  uint32_t FirstTemp = 0;
+  uint32_t Result = 0;
+};
+
+} // namespace parsynt
+
+#endif // PARSYNT_INTERP_COMPILEDEXPR_H

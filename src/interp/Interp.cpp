@@ -6,66 +6,11 @@
 //===----------------------------------------------------------------------===//
 
 #include "interp/Interp.h"
+#include "interp/OpSemantics.h"
 
 #include <sstream>
 
 using namespace parsynt;
-
-namespace {
-
-int64_t evalArith(BinaryOp Op, int64_t L, int64_t R) {
-  // Add/Sub/Mul wrap in two's complement (computed over uint64_t to stay
-  // defined behaviour): synthesis candidates are evaluated on arbitrary
-  // environments and must never trip UB, only produce wrong values that the
-  // oracle rejects.
-  switch (Op) {
-  case BinaryOp::Add:
-    return static_cast<int64_t>(static_cast<uint64_t>(L) +
-                                static_cast<uint64_t>(R));
-  case BinaryOp::Sub:
-    return static_cast<int64_t>(static_cast<uint64_t>(L) -
-                                static_cast<uint64_t>(R));
-  case BinaryOp::Mul:
-    return static_cast<int64_t>(static_cast<uint64_t>(L) *
-                                static_cast<uint64_t>(R));
-  case BinaryOp::Div:
-    // Total division: x/0 == 0 (see header). Also avoid INT64_MIN / -1 UB.
-    if (R == 0)
-      return 0;
-    if (L == INT64_MIN && R == -1)
-      return INT64_MIN;
-    return L / R;
-  case BinaryOp::Min:
-    return L < R ? L : R;
-  case BinaryOp::Max:
-    return L > R ? L : R;
-  default:
-    assert(false && "not an arithmetic operator");
-    return 0;
-  }
-}
-
-bool evalCompare(BinaryOp Op, const Value &L, const Value &R) {
-  switch (Op) {
-  case BinaryOp::Lt:
-    return L.asInt() < R.asInt();
-  case BinaryOp::Le:
-    return L.asInt() <= R.asInt();
-  case BinaryOp::Gt:
-    return L.asInt() > R.asInt();
-  case BinaryOp::Ge:
-    return L.asInt() >= R.asInt();
-  case BinaryOp::Eq:
-    return L == R;
-  case BinaryOp::Ne:
-    return L != R;
-  default:
-    assert(false && "not a comparison operator");
-    return false;
-  }
-}
-
-} // namespace
 
 Value parsynt::evalExpr(const ExprRef &E, const Env &Vars, const SeqEnv &Seqs) {
   switch (E->kind()) {
@@ -94,9 +39,8 @@ Value parsynt::evalExpr(const ExprRef &E, const Env &Vars, const SeqEnv &Seqs) {
     const auto *U = cast<UnaryExpr>(E);
     Value Operand = evalExpr(U->operand(), Vars, Seqs);
     if (U->op() == UnaryOp::Neg)
-      return Value::ofInt(static_cast<int64_t>(
-          0 - static_cast<uint64_t>(Operand.asInt())));
-    return Value::ofBool(!Operand.asBool());
+      return Value::ofInt(ops::neg(Operand.asInt()));
+    return Value::ofBool(ops::logicalNot(Operand.asBool()));
   }
   case ExprKind::Binary: {
     const auto *B = cast<BinaryExpr>(E);
@@ -113,9 +57,11 @@ Value parsynt::evalExpr(const ExprRef &E, const Env &Vars, const SeqEnv &Seqs) {
     }
     Value L = evalExpr(B->lhs(), Vars, Seqs);
     Value R = evalExpr(B->rhs(), Vars, Seqs);
+    assert(L.type() == R.type() && "ill-typed binary operands");
+    int64_t Result = ops::applyBinary(B->op(), L.raw(), R.raw());
     if (isArithOp(B->op()))
-      return Value::ofInt(evalArith(B->op(), L.asInt(), R.asInt()));
-    return Value::ofBool(evalCompare(B->op(), L, R));
+      return Value::ofInt(Result);
+    return Value::ofBool(Result != 0);
   }
   case ExprKind::Ite: {
     const auto *I = cast<IteExpr>(E);

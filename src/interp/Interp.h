@@ -36,10 +36,11 @@ using SeqEnv = std::map<std::string, std::vector<Value>>;
 
 /// Evaluates \p E under variable bindings \p Vars and sequence contents
 /// \p Seqs. All referenced variables/sequences must be bound; out-of-range
-/// sequence accesses are a programmatic error (asserted). Division by zero
-/// yields 0 (total semantics, mirroring solver-friendly SMT division; the
-/// same convention is used consistently by the synthesis oracle and the
-/// runtime so candidates are judged under the semantics they will run with).
+/// sequence accesses are a programmatic error (asserted). Operators follow
+/// interp/OpSemantics.h (wrapping arithmetic, total division with x/0 == 0),
+/// the one definition shared by the synthesis oracle, the enumerator and the
+/// compiled evaluator, so candidates are judged under the semantics they
+/// will run with.
 Value evalExpr(const ExprRef &E, const Env &Vars, const SeqEnv &Seqs);
 
 /// Convenience overload for expressions with no sequence accesses.

@@ -6,112 +6,133 @@
 //===----------------------------------------------------------------------===//
 //
 // Performance note: combined candidates compute their value vectors
-// elementwise from their operands' cached vectors, so cost per candidate is
-// O(#tests) regardless of term size; only leaves walk the interpreter.
-// Per-size buckets make each term constructible exactly once.
+// elementwise from their operands' cached columns, so cost per candidate is
+// O(#tests) regardless of term size; only leaves walk the interpreter. Every
+// combination is evaluated into one reusable scratch column and hashed in
+// the same pass, with the operator resolved outside the per-test loop; the
+// expression node and its own column are allocated only for a combination
+// that survives deduplication (nearly all are observational twins). Per-size
+// buckets make each term constructible exactly once.
 //
 //===----------------------------------------------------------------------===//
 
 #include "synth/Enumerator.h"
+#include "interp/OpSemantics.h"
+
+#include <algorithm>
 
 using namespace parsynt;
 
 namespace {
 
-int64_t wrap(uint64_t V) { return static_cast<int64_t>(V); }
-
-Value applyBinary(BinaryOp Op, const Value &A, const Value &B) {
-  switch (Op) {
-  case BinaryOp::Add:
-    return Value::ofInt(wrap(static_cast<uint64_t>(A.asInt()) +
-                             static_cast<uint64_t>(B.asInt())));
-  case BinaryOp::Sub:
-    return Value::ofInt(wrap(static_cast<uint64_t>(A.asInt()) -
-                             static_cast<uint64_t>(B.asInt())));
-  case BinaryOp::Mul:
-    return Value::ofInt(wrap(static_cast<uint64_t>(A.asInt()) *
-                             static_cast<uint64_t>(B.asInt())));
-  case BinaryOp::Div:
-    if (B.asInt() == 0)
-      return Value::ofInt(0);
-    if (A.asInt() == INT64_MIN && B.asInt() == -1)
-      return Value::ofInt(INT64_MIN);
-    return Value::ofInt(A.asInt() / B.asInt());
-  case BinaryOp::Min:
-    return Value::ofInt(std::min(A.asInt(), B.asInt()));
-  case BinaryOp::Max:
-    return Value::ofInt(std::max(A.asInt(), B.asInt()));
-  case BinaryOp::Lt:
-    return Value::ofBool(A.asInt() < B.asInt());
-  case BinaryOp::Le:
-    return Value::ofBool(A.asInt() <= B.asInt());
-  case BinaryOp::Gt:
-    return Value::ofBool(A.asInt() > B.asInt());
-  case BinaryOp::Ge:
-    return Value::ofBool(A.asInt() >= B.asInt());
-  case BinaryOp::Eq:
-    return Value::ofBool(A == B);
-  case BinaryOp::Ne:
-    return Value::ofBool(A != B);
-  case BinaryOp::And:
-    return Value::ofBool(A.asBool() && B.asBool());
-  case BinaryOp::Or:
-    return Value::ofBool(A.asBool() || B.asBool());
-  }
-  return Value();
+uint64_t mixSig(uint64_t H, int64_t V) {
+  return H ^ (static_cast<uint64_t>(V) + 0x9e3779b97f4a7c15ull + (H << 6) +
+              (H >> 2));
 }
+
+/// Signature of the column Value(0..N-1): four interleaved mixing chains,
+/// so the per-element work is not one serial dependency chain.
+template <typename ValueAt> uint64_t hashColumn(size_t N, ValueAt Value) {
+  uint64_t H0 = 0x9e3779b97f4a7c15ull, H1 = 1, H2 = 2, H3 = 3;
+  size_t T = 0;
+  for (; T + 4 <= N; T += 4) {
+    H0 = mixSig(H0, Value(T));
+    H1 = mixSig(H1, Value(T + 1));
+    H2 = mixSig(H2, Value(T + 2));
+    H3 = mixSig(H3, Value(T + 3));
+  }
+  for (; T != N; ++T)
+    H0 = mixSig(H0, Value(T));
+  return mixSig(mixSig(mixSig(H0, H1), H2), H3);
+}
+
+/// Fibonacci hashing: the top bits of Sig * 2^64/phi pick the slot.
+size_t slotOf(uint64_t Sig, size_t Mask) {
+  return static_cast<size_t>((Sig * 0x9e3779b97f4a7c15ull) >> 32) & Mask;
+}
+
+uint64_t signatureOf(const std::vector<int64_t> &Values) {
+  return hashColumn(Values.size(), [&](size_t T) { return Values[T]; });
+}
+
+Type resultType(BinaryOp Op) { return isArithOp(Op) ? Type::Int : Type::Bool; }
 
 } // namespace
 
 Enumerator::Enumerator(std::vector<Env> TestEnvs, EnumeratorOptions Options)
-    : Envs(std::move(TestEnvs)), Options(Options) {
+    : Envs(std::move(TestEnvs)), Options(Options), Scratch(Envs.size()) {
   assert(!Envs.empty() && "enumeration needs at least one test environment");
 }
 
-uint64_t Enumerator::signatureOf(const std::vector<Value> &Values) const {
-  uint64_t H = 0x9e3779b97f4a7c15ull;
-  for (const Value &V : Values) {
-    H ^= static_cast<uint64_t>(V.raw()) + 0x9e3779b97f4a7c15ull + (H << 6) +
-         (H >> 2);
+const Candidate *Enumerator::Pool::find(uint64_t Sig,
+                                        const std::vector<int64_t> &Values,
+                                        size_t &Slot) const {
+  if (Index.empty())
+    return nullptr;
+  size_t Mask = Index.size() - 1;
+  for (Slot = slotOf(Sig, Mask); Index[Slot]; Slot = (Slot + 1) & Mask) {
+    const size_t I = Index[Slot] - 1;
+    if (Sigs[I] == Sig && Cands[I].Values == Values)
+      return &Cands[I];
   }
-  return H;
+  return nullptr;
 }
 
-bool Enumerator::insertWithValues(const ExprRef &E,
-                                  std::vector<Value> Values) {
-  std::vector<Candidate> &Pool = E->type() == Type::Int ? Ints : Bools;
-  auto &Sigs = E->type() == Type::Int ? IntSigs : BoolSigs;
-  if (Pool.size() >= Options.MaxPerType)
-    return false;
-
-  uint64_t Sig = signatureOf(Values);
-  auto It = Sigs.find(Sig);
-  if (It != Sigs.end()) {
-    for (size_t Index : It->second)
-      if (Pool[Index].Values == Values)
-        return false; // observational twin; the earlier (smaller) one wins
+void Enumerator::Pool::add(Candidate C, uint64_t Sig, size_t Slot) {
+  if (2 * (Cands.size() + 1) > Index.size()) {
+    // Grow and re-place every candidate; the new one probes afresh.
+    Index.assign(std::max<size_t>(64, 2 * Index.size()), 0);
+    size_t Mask = Index.size() - 1;
+    for (size_t I = 0; I <= Cands.size(); ++I) {
+      uint64_t S = I < Cands.size() ? Sigs[I] : Sig;
+      size_t At = slotOf(S, Mask);
+      while (Index[At])
+        At = (At + 1) & Mask;
+      Index[At] = static_cast<uint32_t>(I + 1);
+    }
+  } else {
+    Index[Slot] = static_cast<uint32_t>(Cands.size() + 1);
   }
-  Sigs[Sig].push_back(Pool.size());
-  auto &Buckets = E->type() == Type::Int ? IntBySize : BoolBySize;
-  if (Buckets.size() <= E->size())
-    Buckets.resize(E->size() + 1);
-  Buckets[E->size()].push_back(Pool.size());
-  Pool.push_back({E, std::move(Values)});
-  return true;
+  const unsigned Size = C.E->size();
+  if (BySize.size() <= Size)
+    BySize.resize(Size + 1);
+  BySize[Size].push_back(Cands.size());
+  Sigs.push_back(Sig);
+  Cands.push_back(std::move(C));
 }
 
-bool Enumerator::insert(const ExprRef &E) {
-  std::vector<Value> Values;
-  Values.reserve(Envs.size());
-  for (const Env &TestEnv : Envs)
-    Values.push_back(evalExpr(E, TestEnv));
-  return insertWithValues(E, std::move(Values));
+template <typename Fn, typename... Columns>
+uint64_t Enumerator::fillScratch(Fn F, const Columns *...Operands) {
+  int64_t *Out = Scratch.data();
+  return hashColumn(Scratch.size(), [&](size_t T) {
+    return Out[T] = F(Operands[T]...);
+  });
 }
 
-void Enumerator::addLeaf(const ExprRef &E) { insert(E); }
+template <typename MakeExpr>
+void Enumerator::insertScratch(Type Ty, uint64_t Sig, MakeExpr Make) {
+  if (full(Ty))
+    return;
+  Pool &P = pool(Ty);
+  size_t Slot = 0;
+  if (P.find(Sig, Scratch, Slot))
+    return; // observational twin; the earlier (smaller) one wins
+  ExprRef E = Make();
+  assert(E->type() == Ty && "candidate inserted into the wrong pool");
+  P.add({std::move(E), Scratch}, Sig, Slot);
+}
+
+void Enumerator::addLeaf(const ExprRef &E) {
+  for (size_t T = 0; T != Envs.size(); ++T)
+    Scratch[T] = evalExpr(E, Envs[T]).raw();
+  insertScratch(E->type(), signatureOf(Scratch), [&] { return E; });
+}
 
 void Enumerator::run() {
-  const size_t NumTests = Envs.size();
+  std::vector<Candidate> &Ints = IntPool.Cands;
+  std::vector<Candidate> &Bools = BoolPool.Cands;
+  const auto &IntBySize = IntPool.BySize;
+  const auto &BoolBySize = BoolPool.BySize;
 
   auto bucket = [](const std::vector<std::vector<size_t>> &Buckets,
                    unsigned Size) -> const std::vector<size_t> * {
@@ -119,18 +140,35 @@ void Enumerator::run() {
   };
 
   // Note: insertions may reallocate the pools, so operands are re-indexed on
-  // every call rather than held by reference across inserts.
-  auto combineInts = [&](BinaryOp Op, size_t I, size_t J) {
-    std::vector<Value> Values(NumTests);
-    for (size_t T = 0; T != NumTests; ++T)
-      Values[T] = applyBinary(Op, Ints[I].Values[T], Ints[J].Values[T]);
-    insertWithValues(binary(Op, Ints[I].E, Ints[J].E), std::move(Values));
+  // every call rather than held by reference across inserts. (Their value
+  // columns are heap buffers that move with them, so the column pointers
+  // taken below stay valid.)
+  auto combine = [&](BinaryOp Op, std::vector<Candidate> &Operands, size_t I,
+                     size_t J) {
+    Type Ty = resultType(Op);
+    if (full(Ty))
+      return;
+    const int64_t *A = Operands[I].Values.data();
+    const int64_t *B = Operands[J].Values.data();
+    uint64_t Sig = ops::visitBinary(
+        Op, [&](auto F) { return fillScratch(F, A, B); });
+    insertScratch(Ty, Sig,
+                  [&] { return binary(Op, Operands[I].E, Operands[J].E); });
   };
-  auto combineBools = [&](BinaryOp Op, size_t I, size_t J) {
-    std::vector<Value> Values(NumTests);
-    for (size_t T = 0; T != NumTests; ++T)
-      Values[T] = applyBinary(Op, Bools[I].Values[T], Bools[J].Values[T]);
-    insertWithValues(binary(Op, Bools[I].E, Bools[J].E), std::move(Values));
+  auto combineIte = [&](std::vector<Candidate> &Branches, size_t C, size_t I,
+                        size_t J) {
+    Type Ty = Branches[I].E->type();
+    if (full(Ty))
+      return;
+    uint64_t Sig = fillScratch(
+        [](int64_t Cond, int64_t Then, int64_t Else) {
+          return Cond ? Then : Else;
+        },
+        Bools[C].Values.data(), Branches[I].Values.data(),
+        Branches[J].Values.data());
+    insertScratch(Ty, Sig, [&] {
+      return ite(Bools[C].E, Branches[I].E, Branches[J].E);
+    });
   };
 
   // Cooperative cancellation: an early return leaves BuiltSize at the last
@@ -148,20 +186,22 @@ void Enumerator::run() {
       // must not iterate while growing).
       std::vector<size_t> Fixed = *Ops;
       for (size_t I : Fixed) {
-        std::vector<Value> Values(NumTests);
-        for (size_t T = 0; T != NumTests; ++T)
-          Values[T] = Value::ofInt(
-              wrap(0 - static_cast<uint64_t>(Ints[I].Values[T].asInt())));
-        insertWithValues(neg(Ints[I].E), std::move(Values));
+        if (full(Type::Int))
+          break;
+        uint64_t Sig = fillScratch([](int64_t V) { return ops::neg(V); },
+                                   Ints[I].Values.data());
+        insertScratch(Type::Int, Sig, [&] { return neg(Ints[I].E); });
       }
     }
     if (const auto *Ops = bucket(BoolBySize, Size - 1)) {
       std::vector<size_t> Fixed = *Ops;
       for (size_t I : Fixed) {
-        std::vector<Value> Values(NumTests);
-        for (size_t T = 0; T != NumTests; ++T)
-          Values[T] = Value::ofBool(!Bools[I].Values[T].asBool());
-        insertWithValues(notE(Bools[I].E), std::move(Values));
+        if (full(Type::Bool))
+          break;
+        uint64_t Sig =
+            fillScratch([](int64_t V) { return ops::logicalNot(V); },
+                        Bools[I].Values.data());
+        insertScratch(Type::Bool, Sig, [&] { return notE(Bools[I].E); });
       }
     }
 
@@ -176,17 +216,17 @@ void Enumerator::run() {
           if (DL.expired())
             return;
           for (size_t J : FixedB) {
-            combineInts(BinaryOp::Add, I, J);
-            combineInts(BinaryOp::Sub, I, J);
-            combineInts(BinaryOp::Min, I, J);
-            combineInts(BinaryOp::Max, I, J);
+            combine(BinaryOp::Add, Ints, I, J);
+            combine(BinaryOp::Sub, Ints, I, J);
+            combine(BinaryOp::Min, Ints, I, J);
+            combine(BinaryOp::Max, Ints, I, J);
             if (Options.EnableMulDiv) {
-              combineInts(BinaryOp::Mul, I, J);
-              combineInts(BinaryOp::Div, I, J);
+              combine(BinaryOp::Mul, Ints, I, J);
+              combine(BinaryOp::Div, Ints, I, J);
             }
-            combineInts(BinaryOp::Lt, I, J);
-            combineInts(BinaryOp::Le, I, J);
-            combineInts(BinaryOp::Eq, I, J);
+            combine(BinaryOp::Lt, Ints, I, J);
+            combine(BinaryOp::Le, Ints, I, J);
+            combine(BinaryOp::Eq, Ints, I, J);
             // Gt/Ge/Ne are the swapped/negated forms; the deduplication
             // would drop them anyway, so skip the evaluation work.
           }
@@ -198,8 +238,8 @@ void Enumerator::run() {
         std::vector<size_t> FixedA = *BoolsA, FixedB = *BoolsB;
         for (size_t I : FixedA) {
           for (size_t J : FixedB) {
-            combineBools(BinaryOp::And, I, J);
-            combineBools(BinaryOp::Or, I, J);
+            combine(BinaryOp::And, Bools, I, J);
+            combine(BinaryOp::Or, Bools, I, J);
           }
         }
       }
@@ -222,17 +262,9 @@ void Enumerator::run() {
             for (size_t C : FixedC) {
               if (DL.expired())
                 return;
-              for (size_t I : FixedT) {
-                for (size_t J : FixedE) {
-                  std::vector<Value> Values(NumTests);
-                  for (size_t T = 0; T != NumTests; ++T)
-                    Values[T] = Bools[C].Values[T].asBool()
-                                    ? Ints[I].Values[T]
-                                    : Ints[J].Values[T];
-                  insertWithValues(ite(Bools[C].E, Ints[I].E, Ints[J].E),
-                                   std::move(Values));
-                }
-              }
+              for (size_t I : FixedT)
+                for (size_t J : FixedE)
+                  combineIte(Ints, C, I, J);
             }
           }
           const auto *BThens = bucket(BoolBySize, SizeT);
@@ -242,17 +274,9 @@ void Enumerator::run() {
             for (size_t C : FixedC) {
               if (DL.expired())
                 return;
-              for (size_t I : FixedT) {
-                for (size_t J : FixedE) {
-                  std::vector<Value> Values(NumTests);
-                  for (size_t T = 0; T != NumTests; ++T)
-                    Values[T] = Bools[C].Values[T].asBool()
-                                    ? Bools[I].Values[T]
-                                    : Bools[J].Values[T];
-                  insertWithValues(ite(Bools[C].E, Bools[I].E, Bools[J].E),
-                                   std::move(Values));
-                }
-              }
+              for (size_t I : FixedT)
+                for (size_t J : FixedE)
+                  combineIte(Bools, C, I, J);
             }
           }
         }
@@ -265,23 +289,15 @@ void Enumerator::run() {
 std::vector<const Candidate *>
 Enumerator::candidatesUpTo(Type Ty, unsigned MaxSize) const {
   std::vector<const Candidate *> Result;
-  const auto &Buckets = Ty == Type::Int ? IntBySize : BoolBySize;
-  const auto &Pool = candidates(Ty);
-  for (unsigned Size = 1; Size <= MaxSize && Size < Buckets.size(); ++Size)
-    for (size_t Index : Buckets[Size])
-      Result.push_back(&Pool[Index]);
+  const Pool &P = pool(Ty);
+  for (unsigned Size = 1; Size <= MaxSize && Size < P.BySize.size(); ++Size)
+    for (size_t Index : P.BySize[Size])
+      Result.push_back(&P.Cands[Index]);
   return Result;
 }
 
 const Candidate *
-Enumerator::findMatching(Type Ty, const std::vector<Value> &Target) const {
-  const auto &Sigs = Ty == Type::Int ? IntSigs : BoolSigs;
-  const auto &Pool = Ty == Type::Int ? Ints : Bools;
-  auto It = Sigs.find(signatureOf(Target));
-  if (It == Sigs.end())
-    return nullptr;
-  for (size_t Index : It->second)
-    if (Pool[Index].Values == Target)
-      return &Pool[Index];
-  return nullptr;
+Enumerator::findMatching(Type Ty, const std::vector<int64_t> &Target) const {
+  size_t Slot = 0;
+  return pool(Ty).find(signatureOf(Target), Target, Slot);
 }

@@ -26,15 +26,16 @@
 #include "ir/Expr.h"
 #include "support/Deadline.h"
 
-#include <unordered_map>
 #include <vector>
 
 namespace parsynt {
 
-/// An enumerated expression with its evaluation on every test environment.
+/// An enumerated expression with its evaluation on every test environment,
+/// as raw payloads (bools as 0/1; the pool a candidate lives in fixes its
+/// type).
 struct Candidate {
   ExprRef E;
-  std::vector<Value> Values;
+  std::vector<int64_t> Values;
 };
 
 /// Knobs bounding the enumeration.
@@ -68,36 +69,66 @@ public:
   void run();
 
   const std::vector<Candidate> &candidates(Type Ty) const {
-    return Ty == Type::Int ? Ints : Bools;
+    return pool(Ty).Cands;
   }
 
   /// Candidates of the given type with term size <= MaxSize, in size order.
   std::vector<const Candidate *> candidatesUpTo(Type Ty,
                                                 unsigned MaxSize) const;
 
-  /// Finds a candidate observationally equal to \p Target values (type
-  /// \p Ty), or null.
+  /// Finds a candidate observationally equal to the raw \p Target values
+  /// (type \p Ty), or null.
   const Candidate *findMatching(Type Ty,
-                                const std::vector<Value> &Target) const;
+                                const std::vector<int64_t> &Target) const;
 
   EnumeratorOptions &options() { return Options; }
   const std::vector<Env> &testEnvs() const { return Envs; }
-  size_t totalCandidates() const { return Ints.size() + Bools.size(); }
+  size_t totalCandidates() const {
+    return IntPool.Cands.size() + BoolPool.Cands.size();
+  }
 
 private:
-  /// Evaluates and inserts \p E unless an observational twin exists.
-  bool insert(const ExprRef &E);
-  /// Inserts \p E with a precomputed value vector (combination fast path).
-  bool insertWithValues(const ExprRef &E, std::vector<Value> Values);
-  uint64_t signatureOf(const std::vector<Value> &Values) const;
+  /// One typed pool: the candidates, their value signatures, an
+  /// open-addressing index over the signatures for deduplication, and the
+  /// candidates bucketed by term size.
+  struct Pool {
+    std::vector<Candidate> Cands;
+    std::vector<uint64_t> Sigs;
+    /// Candidate index + 1 per slot (0: empty); a power-of-two size kept at
+    /// most half full.
+    std::vector<uint32_t> Index;
+    std::vector<std::vector<size_t>> BySize;
+
+    /// The candidate with signature \p Sig and exactly \p Values, or null.
+    /// On a miss, \p Slot is the free slot that ends the probe.
+    const Candidate *find(uint64_t Sig, const std::vector<int64_t> &Values,
+                          size_t &Slot) const;
+    /// Appends a candidate that find() missed at \p Slot.
+    void add(Candidate C, uint64_t Sig, size_t Slot);
+  };
+
+  /// Evaluates \p Fn elementwise over the operand columns into Scratch and
+  /// returns the signature of the result, hashed in the same pass.
+  template <typename Fn, typename... Columns>
+  uint64_t fillScratch(Fn F, const Columns *...Operands);
+  /// Keeps the value vector in Scratch (signature \p Sig) as a new type-
+  /// \p Ty candidate unless an observational twin exists or the pool is
+  /// full. The expression is built by \p Make only for a kept candidate.
+  template <typename MakeExpr>
+  void insertScratch(Type Ty, uint64_t Sig, MakeExpr Make);
+  bool full(Type Ty) const {
+    return candidates(Ty).size() >= Options.MaxPerType;
+  }
+  Pool &pool(Type Ty) { return Ty == Type::Int ? IntPool : BoolPool; }
+  const Pool &pool(Type Ty) const {
+    return Ty == Type::Int ? IntPool : BoolPool;
+  }
 
   std::vector<Env> Envs;
   EnumeratorOptions Options;
-  std::vector<Candidate> Ints, Bools;
-  /// Value-vector signature -> candidate indices (per type) for dedup.
-  std::unordered_map<uint64_t, std::vector<size_t>> IntSigs, BoolSigs;
-  /// Candidate indices bucketed by term size (per type).
-  std::vector<std::vector<size_t>> IntBySize, BoolBySize;
+  Pool IntPool, BoolPool;
+  /// Reusable value column every combination is evaluated into.
+  std::vector<int64_t> Scratch;
   /// Largest size already built.
   unsigned BuiltSize = 0;
 };

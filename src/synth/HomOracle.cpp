@@ -31,6 +31,14 @@ SeqEnv concatSeqs(const SeqEnv &A, const SeqEnv &B) {
 
 HomOracle::HomOracle(const Loop &L, OracleOptions Options)
     : L(L), Options(Options), R(Options.Seed) {
+  // Split-state names shadow parameters, as in combinedEnv().
+  for (size_t I = 0; I != L.Equations.size(); ++I) {
+    Slots[L.Equations[I].Name + "_l"] = static_cast<unsigned>(2 * I);
+    Slots[L.Equations[I].Name + "_r"] = static_cast<unsigned>(2 * I + 1);
+  }
+  for (size_t P = 0; P != L.Params.size(); ++P)
+    Slots.emplace(L.Params[P].Name,
+                  static_cast<unsigned>(2 * L.Equations.size() + P));
   // Element pool: the option values plus every integer constant appearing in
   // an update (and its neighbours), so equality tests against characters or
   // thresholds are exercised on both sides.
@@ -149,8 +157,7 @@ void HomOracle::buildInitialTests() {
     for (const auto &RightChunk : Chunks) {
       if (Tests.size() >= Options.MaxTests)
         break;
-      Tests.push_back(
-          makeExample(chunkToSeqs(LeftChunk), chunkToSeqs(RightChunk), P0));
+      addTest(makeExample(chunkToSeqs(LeftChunk), chunkToSeqs(RightChunk), P0));
     }
   }
 
@@ -174,7 +181,7 @@ void HomOracle::buildInitialTests() {
                       UseFocused ? Focused : Pool, R);
     Example.Params = P;
     // Recompute with the chosen parameters.
-    Tests.push_back(makeExample(Example.LeftSeqs, Example.RightSeqs, P));
+    addTest(makeExample(Example.LeftSeqs, Example.RightSeqs, P));
   }
 }
 
@@ -210,14 +217,31 @@ Env HomOracle::combinedEnv(const JoinExample &Example) const {
   return Result;
 }
 
+unsigned HomOracle::combinedSlot(const std::string &Name) const {
+  auto It = Slots.find(Name);
+  assert(It != Slots.end() && "not a combined-environment name");
+  return It == Slots.end() ? 0 : It->second;
+}
+
+void HomOracle::combinedRow(const JoinExample &Example, int64_t *Out) const {
+  for (size_t I = 0; I != L.Equations.size(); ++I) {
+    *Out++ = Example.Left[I].raw();
+    *Out++ = Example.Right[I].raw();
+  }
+  for (const ParamDecl &P : L.Params) {
+    auto It = Example.Params.find(P.Name);
+    assert(It != Example.Params.end() && "unbound parameter");
+    *Out++ = It->second.raw();
+  }
+}
+
 std::optional<size_t>
 HomOracle::firstFailure(const ExprRef &JoinComponent,
                         size_t EquationIndex) const {
-  for (size_t T = 0; T != Tests.size(); ++T) {
-    Env E = combinedEnv(Tests[T]);
-    if (evalExpr(JoinComponent, E) != Tests[T].Expected[EquationIndex])
+  CompiledJoinExpr Component(JoinComponent, *this);
+  for (size_t T = 0; T != Tests.size(); ++T)
+    if (Component.eval(testRow(T)) != Tests[T].Expected[EquationIndex].raw())
       return T;
-  }
   return std::nullopt;
 }
 
@@ -232,6 +256,11 @@ HomOracle::findCounterexample(const std::vector<ExprRef> &Join,
   Wide.push_back(17);
   Wide.push_back(-23);
   Wide.push_back(100);
+  std::vector<CompiledJoinExpr> Components;
+  Components.reserve(Join.size());
+  for (const ExprRef &Component : Join)
+    Components.emplace_back(Component, *this);
+  std::vector<int64_t> Row(combinedWidth());
   for (unsigned Round = 0; Round != Rounds; ++Round) {
     // Deadline expiry returns "no counterexample found"; callers that care
     // about the distinction re-check expired() — a timed-out validation
@@ -241,9 +270,9 @@ HomOracle::findCounterexample(const std::vector<ExprRef> &Join,
     unsigned MaxLen = 1 + Round % 12;
     JoinExample Example =
         randomExample(MaxLen, Round % 2 ? Focused : Wide, R);
-    Env E = combinedEnv(Example);
+    combinedRow(Example, Row.data());
     for (size_t I = 0; I != Join.size(); ++I) {
-      if (evalExpr(Join[I], E) != Example.Expected[I]) {
+      if (Components[I].eval(Row.data()) != Example.Expected[I].raw()) {
         CexSpan.attr("found", true);
         CexSpan.attr("at_round", uint64_t(Round));
         MetricsRegistry::global().counter("oracle.counterexamples").inc();
@@ -256,5 +285,15 @@ HomOracle::findCounterexample(const std::vector<ExprRef> &Join,
 }
 
 void HomOracle::addTest(JoinExample Example) {
+  Rows.resize(Rows.size() + combinedWidth());
+  combinedRow(Example, Rows.data() + Rows.size() - combinedWidth());
   Tests.push_back(std::move(Example));
+}
+
+CompiledJoinExpr::CompiledJoinExpr(const ExprRef &E, const HomOracle &Oracle) {
+  std::vector<std::string> Names;
+  Code = CompiledExpr(E, Names);
+  for (const std::string &Name : Names)
+    Loads.push_back(Oracle.combinedSlot(Name));
+  Regs = Code.makeRegisters();
 }

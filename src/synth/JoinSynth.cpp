@@ -14,9 +14,11 @@
 #include "synth/Enumerator.h"
 #include "synth/Sketch.h"
 
+#include <algorithm>
 #include <chrono>
 #include <map>
 #include <memory>
+#include <numeric>
 #include <set>
 #include <sstream>
 
@@ -62,27 +64,37 @@ HolePool makePool(const Enumerator &E, Type Ty, unsigned MaxSize) {
 }
 
 /// Exact-total-weight product search over the sketch's holes with early-exit
-/// evaluation against the expected outputs.
+/// evaluation against the expected outputs. The sketch body is compiled once
+/// per search: hole registers read the assigned candidate's cached value
+/// column, every other variable a column built here from the oracle's
+/// combined rows, so checking an assignment does no lookups and no
+/// allocation and stops at the first failing test.
 class SketchSearch {
 public:
   SketchSearch(const Sketch &S, std::vector<HolePool> Pools,
                const HomOracle &Oracle, size_t EquationIndex,
                uint64_t Budget, uint64_t &TotalTried, Deadline DL)
-      : S(S), Pools(std::move(Pools)), Oracle(Oracle),
-        EquationIndex(EquationIndex), Budget(Budget),
-        TotalTried(TotalTried), DL(DL) {
-    // Pre-build one mutable environment per test with hole slots installed;
-    // assignments overwrite the slots in place.
-    for (const JoinExample &Example : Oracle.tests()) {
-      Envs.push_back(Oracle.combinedEnv(Example));
-      Env &E = Envs.back();
-      for (const Hole &H : S.Holes)
-        E[H.Name] = H.Ty == Type::Int ? Value::ofInt(0) : Value::ofBool(false);
+      : S(S), Pools(std::move(Pools)), Budget(Budget),
+        TotalTried(TotalTried), DL(DL),
+        NumTests(Oracle.tests().size()) {
+    // Inputs: the holes first, then the body's other variables.
+    std::vector<std::string> Names;
+    for (const Hole &H : S.Holes)
+      Names.push_back(H.Name);
+    Body = CompiledExpr(S.Body, Names);
+    Regs = Body.makeRegisters();
+    Columns.assign(Names.size(), nullptr);
+    VarColumns.resize(Names.size() - S.Holes.size());
+    for (size_t V = 0; V != VarColumns.size(); ++V) {
+      unsigned Slot = Oracle.combinedSlot(Names[S.Holes.size() + V]);
+      for (size_t T = 0; T != NumTests; ++T)
+        VarColumns[V].push_back(Oracle.testRow(T)[Slot]);
+      Columns[S.Holes.size() + V] = VarColumns[V].data();
     }
-    Slots.resize(Envs.size());
-    for (size_t T = 0; T != Envs.size(); ++T)
-      for (const Hole &H : S.Holes)
-        Slots[T].push_back(&Envs[T].at(H.Name));
+    for (const JoinExample &Example : Oracle.tests())
+      Expected.push_back(Example.Expected[EquationIndex].raw());
+    Order.resize(NumTests);
+    std::iota(Order.begin(), Order.end(), size_t(0));
     Assignment.resize(S.Holes.size(), nullptr);
   }
 
@@ -101,20 +113,25 @@ public:
     }
     unsigned MaxTotal = static_cast<unsigned>(NumHoles) * MaxHoleSize;
     ExprRef Found;
-    for (unsigned W = MinTotal; W <= MaxTotal && !Found && Tried < Budget;
-         ++W)
+    for (unsigned W = MinTotal;
+         W <= MaxTotal && !Found && !Expired && Tried < Budget; ++W)
       Found = assign(0, W);
     TotalTried += Tried;
     return Found;
   }
 
 private:
+  /// Deadline poll amortized over ~256 calls. Expiry is latched, so every
+  /// frame of the search unwinds; it reads as "not found" and the caller
+  /// classifies via expired().
+  bool timedOut() {
+    if (!Expired && (++Polls & 255u) == 0 && DL.expired())
+      Expired = true;
+    return Expired;
+  }
+
   ExprRef assign(size_t HoleIdx, unsigned Remaining) {
-    if (Tried >= Budget)
-      return nullptr;
-    // Deadline poll amortized over ~256 assignments; an expired search
-    // reads as "not found" and the caller classifies via expired().
-    if ((Tried & 255u) == 255u && DL.expired())
+    if (Tried >= Budget || timedOut())
       return nullptr;
     const HolePool &Pool = Pools[HoleIdx];
     bool Last = HoleIdx + 1 == Pools.size();
@@ -129,15 +146,18 @@ private:
         continue;
       for (const Candidate *C : Pool.BySize[Size]) {
         Assignment[HoleIdx] = C;
+        Columns[HoleIdx] = C->Values.data();
         if (Last) {
           ++Tried;
           if (checkCurrent())
             return materialize();
-          if (Tried >= Budget)
+          if (Tried >= Budget || timedOut())
             return nullptr;
         } else {
           if (ExprRef Found = assign(HoleIdx + 1, Remaining - Size))
             return Found;
+          if (Expired)
+            return nullptr;
         }
       }
     }
@@ -145,12 +165,18 @@ private:
   }
 
   bool checkCurrent() {
-    const auto &Tests = Oracle.tests();
-    for (size_t T = 0; T != Tests.size(); ++T) {
-      for (size_t H = 0; H != Assignment.size(); ++H)
-        *Slots[T][H] = Assignment[H]->Values[T];
-      if (evalExpr(S.Body, Envs[T]) != Tests[T].Expected[EquationIndex])
+    const size_t NumInputs = Columns.size();
+    for (size_t K = 0; K != NumTests; ++K) {
+      const size_t T = Order[K];
+      for (size_t I = 0; I != NumInputs; ++I)
+        Regs[I] = Columns[I][T];
+      if (Body.run(Regs.data()) != Expected[T]) {
+        // A test that refutes one assignment tends to refute its neighbours
+        // too: move it to the front. Acceptance needs every test to pass, so
+        // the order changes only how soon a miss is found.
+        std::rotate(Order.begin(), Order.begin() + K, Order.begin() + K + 1);
         return false;
+      }
     }
     // Fault point: force rejection of an otherwise-accepted candidate to
     // exercise the search's failure tail (PARSYNT_FAULT=synth.reject).
@@ -166,16 +192,24 @@ private:
 
   const Sketch &S;
   std::vector<HolePool> Pools;
-  const HomOracle &Oracle;
-  size_t EquationIndex;
   uint64_t Budget;
   uint64_t &TotalTried;
   Deadline DL;
+  size_t NumTests;
   /// Per-search counter; Budget bounds each search independently, while
   /// TotalTried accumulates across searches for the statistics.
   uint64_t Tried = 0;
-  std::vector<Env> Envs;
-  std::vector<std::vector<Value *>> Slots;
+  uint64_t Polls = 0;
+  bool Expired = false;
+  CompiledExpr Body;
+  std::vector<int64_t> Regs;
+  /// Per input register: its value column over the tests.
+  std::vector<const int64_t *> Columns;
+  std::vector<std::vector<int64_t>> VarColumns;
+  /// The equation's expected output per test.
+  std::vector<int64_t> Expected;
+  /// The order tests are checked in: most recently failing first.
+  std::vector<size_t> Order;
   std::vector<const Candidate *> Assignment;
 };
 
@@ -221,11 +255,9 @@ JoinResult parsynt::synthesizeJoin(const Loop &L,
                                        RoundCandidatesBase);
     };
 
-    // Test environments for enumeration: the combined envs of all tests.
+    // Test environments for enumeration: the combined envs of all tests,
+    // built with the first pool (rounds solved by seeds alone need none).
     std::vector<Env> CombEnvs;
-    CombEnvs.reserve(Oracle.tests().size());
-    for (const JoinExample &Example : Oracle.tests())
-      CombEnvs.push_back(Oracle.combinedEnv(Example));
 
     // Left-right and right-only candidate pools. Equations restricted by
     // the dependence guidance draw from a pool over only their closure's
@@ -273,6 +305,9 @@ JoinResult parsynt::synthesizeJoin(const Loop &L,
       auto It = Groups.find(Key);
       if (It != Groups.end())
         return *It->second;
+      if (CombEnvs.empty())
+        for (const JoinExample &Example : Oracle.tests())
+          CombEnvs.push_back(Oracle.combinedEnv(Example));
       auto G = std::make_unique<PoolGroup>(CombEnvs, MaxLR, MaxR, DL);
       for (const Equation &Eq : L.Equations) {
         if (Allowed && !Allowed->count(Eq.Name))
@@ -330,10 +365,10 @@ JoinResult parsynt::synthesizeJoin(const Loop &L,
       auto SeedIt = Options.Guidance.Seeds.find(Eq.Name);
       if (SeedIt != Options.Guidance.Seeds.end() && SeedIt->second) {
         bool Matches = true;
+        CompiledJoinExpr Seed(SeedIt->second, Oracle);
         const auto &Tests = Oracle.tests();
         for (size_t T = 0; T != Tests.size() && Matches; ++T)
-          Matches = evalExpr(SeedIt->second, CombEnvs[T]) ==
-                    Tests[T].Expected[I];
+          Matches = Seed.eval(Oracle.testRow(T)) == Tests[T].Expected[I].raw();
         // Fault point: refuse a matching seed so the equation exercises the
         // full search path (PARSYNT_FAULT=synth.reject).
         if (Matches && !FaultInjector::fires("synth.reject")) {
@@ -417,10 +452,10 @@ JoinResult parsynt::synthesizeJoin(const Loop &L,
             Result.Stats.EnumeratedCandidates +=
                 ELR.totalCandidates() - Before;
           }
-          std::vector<Value> Target;
+          std::vector<int64_t> Target;
           Target.reserve(Oracle.tests().size());
           for (const JoinExample &Example : Oracle.tests())
-            Target.push_back(Example.Expected[I]);
+            Target.push_back(Example.Expected[I].raw());
           if (const Candidate *C = ELR.findMatching(Eq.Ty, Target)) {
             // Fault point: reject the free-grammar match
             // (PARSYNT_FAULT=synth.reject).
@@ -460,11 +495,12 @@ JoinResult parsynt::synthesizeJoin(const Loop &L,
           if (!isa<IntConstExpr>(W.Init) && !isa<BoolConstExpr>(W.Init))
             continue;
           ExprRef Guard = eq(inputVar(W.Name + "_r", W.Ty), W.Init);
+          CompiledJoinExpr GuardCode(Guard, Oracle);
           Candidate C;
           C.E = Guard;
-          C.Values.reserve(CombEnvs.size());
-          for (const Env &TestEnv : CombEnvs)
-            C.Values.push_back(evalExpr(Guard, TestEnv));
+          C.Values.reserve(Oracle.tests().size());
+          for (size_t T = 0; T != Oracle.tests().size(); ++T)
+            C.Values.push_back(GuardCode.eval(Oracle.testRow(T)));
           GuardPool.push_back(std::move(C));
         }
         if (!GuardPool.empty()) {

@@ -12,6 +12,8 @@
 
 #include <gtest/gtest.h>
 
+#include <climits>
+
 using namespace parsynt;
 using namespace parsynt::test;
 
@@ -24,10 +26,24 @@ std::vector<Env> smallEnvs() {
 }
 
 TEST(Enumerator, BuildsBySizeWithDedup) {
-  Enumerator E(smallEnvs());
+  // Edge points on top of the random ones: overflowing sums and products,
+  // INT64_MIN / -1, and division by zero.
+  std::vector<Env> Envs = smallEnvs();
+  for (auto [X, Y] : {std::pair<int64_t, int64_t>{INT64_MIN, -1},
+                      {INT64_MAX, INT64_MAX},
+                      {INT64_MIN, INT64_MAX},
+                      {5, 0}}) {
+    Env Edge;
+    Edge["x"] = Value::ofInt(X);
+    Edge["y"] = Value::ofInt(Y);
+    Edge["p"] = Value::ofBool(X < Y);
+    Envs.push_back(std::move(Edge));
+  }
+  Enumerator E(Envs);
   E.addLeaf(inputVar("x"));
   E.addLeaf(inputVar("y"));
   E.addLeaf(intConst(0));
+  E.addLeaf(inputVar("p", Type::Bool));
   E.options().MaxSize = 3;
   E.run();
   // x + 0 is observationally x: never kept as a separate class.
@@ -39,6 +55,19 @@ TEST(Enumerator, BuildsBySizeWithDedup) {
     if (exprToString(C->E) == "(x + y)")
       Found = true;
   EXPECT_TRUE(Found);
+
+  // Every retained candidate's cached column is its expression's value,
+  // through size 5 (unary, binary and ite combinations of both types).
+  E.options().MaxSize = 5;
+  E.run();
+  for (Type Ty : {Type::Int, Type::Bool}) {
+    for (const Candidate *C : E.candidatesUpTo(Ty, 5)) {
+      ASSERT_EQ(C->Values.size(), Envs.size());
+      for (size_t T = 0; T != Envs.size(); ++T)
+        ASSERT_EQ(C->Values[T], evalExpr(C->E, Envs[T]).raw())
+            << exprToString(C->E) << " on test " << T;
+    }
+  }
 }
 
 TEST(Enumerator, FindMatchingByValueVector) {
@@ -49,9 +78,10 @@ TEST(Enumerator, FindMatchingByValueVector) {
   E.options().MaxSize = 5;
   E.run();
   // Target: max(x, y) values.
-  std::vector<Value> Target;
+  std::vector<int64_t> Target;
   for (const Env &TestEnv : Envs)
-    Target.push_back(evalExpr(maxE(inputVar("x"), inputVar("y")), TestEnv));
+    Target.push_back(
+        evalExpr(maxE(inputVar("x"), inputVar("y")), TestEnv).raw());
   const Candidate *C = E.findMatching(Type::Int, Target);
   ASSERT_NE(C, nullptr);
   expectEquivalent(C->E, maxE(inputVar("x"), inputVar("y")));

@@ -5,11 +5,15 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "interp/CompiledExpr.h"
 #include "interp/Interp.h"
+#include "interp/OpSemantics.h"
 #include "interp/SemanticEq.h"
 #include "TestUtil.h"
 
 #include <gtest/gtest.h>
+
+#include <climits>
 
 using namespace parsynt;
 using namespace parsynt::test;
@@ -132,6 +136,110 @@ TEST(SemanticEq, DistinguishesAndIdentifies) {
   EXPECT_FALSE(probablyEquivalent(X, Y, R));
   // Type mismatch is never equivalent.
   EXPECT_FALSE(probablyEquivalent(X, lt(X, Y), R));
+}
+
+//===----------------------------------------------------------------------===//
+// Compiled evaluator: differential against evalExpr.
+//===----------------------------------------------------------------------===//
+
+const std::vector<int64_t> EdgeValues = {
+    INT64_MIN, INT64_MIN + 1, -(int64_t(1) << 32), -7, -1, 0, 1, 2, 3,
+    int64_t(1) << 32, INT64_MAX - 1, INT64_MAX};
+
+/// A seeded random well-typed expression over ints x, y, z and bools p, q,
+/// covering every operator, negation and nested ite.
+ExprRef randomExpr(Rng &R, Type Ty, unsigned Depth) {
+  if (Depth == 0 || R.chance(1, 5)) {
+    if (Ty == Type::Bool)
+      return R.chance(1, 4) ? boolConst(R.flip())
+                            : inputVar(R.flip() ? "p" : "q", Type::Bool);
+    if (R.chance(1, 3))
+      return intConst(EdgeValues[R.index(EdgeValues.size())]);
+    static const char *const Ints[] = {"x", "y", "z"};
+    return inputVar(Ints[R.index(3)]);
+  }
+  auto sub = [&](Type T) { return randomExpr(R, T, Depth - 1); };
+  if (R.chance(1, 6))
+    return ite(sub(Type::Bool), sub(Ty), sub(Ty));
+  if (Ty == Type::Int) {
+    static const BinaryOp IntOps[] = {BinaryOp::Add, BinaryOp::Sub,
+                                      BinaryOp::Mul, BinaryOp::Div,
+                                      BinaryOp::Min, BinaryOp::Max};
+    if (R.chance(1, 7))
+      return neg(sub(Type::Int));
+    return binary(IntOps[R.index(6)], sub(Type::Int), sub(Type::Int));
+  }
+  static const BinaryOp CmpOps[] = {BinaryOp::Lt, BinaryOp::Le, BinaryOp::Gt,
+                                    BinaryOp::Ge, BinaryOp::Eq, BinaryOp::Ne};
+  switch (R.index(4)) {
+  case 0:
+    return notE(sub(Type::Bool));
+  case 1:
+    return binary(R.flip() ? BinaryOp::And : BinaryOp::Or, sub(Type::Bool),
+                  sub(Type::Bool));
+  case 2:
+    return binary(R.flip() ? BinaryOp::Eq : BinaryOp::Ne, sub(Type::Bool),
+                  sub(Type::Bool));
+  default:
+    return binary(CmpOps[R.index(6)], sub(Type::Int), sub(Type::Int));
+  }
+}
+
+TEST(CompiledExpr, AgreesWithEvalExprOnRandomExpressions) {
+  Rng R(0xd1ff);
+  for (unsigned Case = 0; Case != 600; ++Case) {
+    Type Ty = Case % 2 ? Type::Bool : Type::Int;
+    ExprRef E = randomExpr(R, Ty, 1 + Case % 6);
+    std::vector<std::string> Inputs = {"x", "y", "z", "p", "q"};
+    CompiledExpr Code(E, Inputs);
+    ASSERT_EQ(Inputs.size(), 5u) << "no variables beyond the given inputs";
+    std::vector<int64_t> Regs = Code.makeRegisters();
+    for (unsigned Point = 0; Point != 12; ++Point) {
+      Env Vars;
+      for (size_t I = 0; I != 3; ++I) {
+        int64_t V = R.chance(2, 3) ? EdgeValues[R.index(EdgeValues.size())]
+                                   : R.intIn(-100, 100);
+        Vars[Inputs[I]] = Value::ofInt(V);
+        Regs[I] = V;
+      }
+      for (size_t I = 3; I != 5; ++I) {
+        bool B = R.flip();
+        Vars[Inputs[I]] = Value::ofBool(B);
+        Regs[I] = B;
+      }
+      ASSERT_EQ(Code.run(Regs.data()), evalExpr(E, Vars).raw())
+          << exprToString(E) << " at case " << Case << ", point " << Point;
+    }
+  }
+}
+
+TEST(CompiledExpr, SharedSubtreesAndBareLeaves) {
+  ExprRef X = inputVar("x");
+  ExprRef Shared = mul(X, intConst(INT64_MAX));
+  ExprRef E = ite(lt(Shared, intConst(0)), Shared, neg(Shared));
+  for (const ExprRef &Root : {E, X, intConst(-5)}) {
+    std::vector<std::string> Inputs = {"x"};
+    CompiledExpr Code(Root, Inputs);
+    std::vector<int64_t> Regs = Code.makeRegisters();
+    for (int64_t V : EdgeValues) {
+      Regs[0] = V;
+      Env Vars;
+      Vars["x"] = Value::ofInt(V);
+      EXPECT_EQ(Code.run(Regs.data()), evalExpr(Root, Vars).raw())
+          << exprToString(Root) << " at x = " << V;
+    }
+  }
+}
+
+TEST(OpSemantics, EdgeCases) {
+  EXPECT_EQ(ops::Div{}(INT64_MIN, -1), INT64_MIN);
+  EXPECT_EQ(ops::Div{}(42, 0), 0);
+  EXPECT_EQ(ops::Div{}(-7, 2), -3);
+  EXPECT_EQ(ops::Add{}(INT64_MAX, 1), INT64_MIN);
+  EXPECT_EQ(ops::Mul{}(INT64_MIN, -1), INT64_MIN);
+  EXPECT_EQ(ops::neg(INT64_MIN), INT64_MIN);
+  EXPECT_EQ(ops::applyBinary(BinaryOp::Le, 3, 3), 1);
+  EXPECT_EQ(ops::logicalNot(0), 1);
 }
 
 } // namespace

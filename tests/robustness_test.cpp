@@ -20,10 +20,12 @@
 #include "support/Deadline.h"
 #include "support/Failure.h"
 #include "support/FaultInjector.h"
+#include "synth/JoinSynth.h"
 #include "TestUtil.h"
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <string>
 #include <thread>
 
@@ -347,6 +349,34 @@ TEST(TimeoutPath, JoinBudgetOnMaxBlock1) {
   PipelineResult Result = parallelizeLoop(L, Options);
   EXPECT_EQ(Result.Failure.Kind, FailureKind::Timeout) << Result.report();
   expectRunnableFallback(L, Result);
+}
+
+TEST(TimeoutPath, JoinDeadlineExpiringMidSearchStopsIt) {
+  // 0*1* has no join without an auxiliary, so synthesis sweeps every sketch
+  // tier before failing. Whatever point of that sweep a deadline expires
+  // at, the whole search must unwind within a few hundred assignments, not
+  // just the frame that noticed the expiry. (Before the fix, the tier in
+  // progress ran to exhaustion: a 0.5 s budget took 7.3 s on a 4-core
+  // x86-64 VM.) The smallest budget expires mid-search on any machine this
+  // suite runs on; larger ones may let the sweep finish first.
+  Loop L = parseBenchmark(*findBenchmark("0*1*"));
+  for (double Budget : {0.02, 0.05, 0.1, 0.2, 0.5}) {
+    JoinSynthOptions Options;
+    Options.Timeout = Deadline::after(Budget);
+    auto Start = std::chrono::steady_clock::now();
+    JoinResult Result = synthesizeJoin(L, Options);
+    double Seconds = std::chrono::duration<double>(
+                         std::chrono::steady_clock::now() - Start)
+                         .count();
+    EXPECT_FALSE(Result.Success);
+    if (Budget == 0.02) {
+      EXPECT_EQ(Result.Failure.Kind, FailureKind::Timeout)
+          << Result.Failure.str();
+      EXPECT_GT(Result.Stats.SketchAssignmentsTried, 0u);
+    }
+    EXPECT_LT(Seconds, Budget + 0.1)
+        << "the search ran on after a " << Budget << " s deadline expired";
+  }
 }
 
 TEST(TimeoutPath, LiftBudgetOnMaxBlock1) {

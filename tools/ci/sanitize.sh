@@ -22,7 +22,9 @@ JOBS="$(nproc 2>/dev/null || echo 4)"
 # CLI under injected synthesizer/runtime faults. Graceful exits only —
 # 0 (solved inside the budget), 1 (structured synthesis failure), or
 # 3 (structured timeout); crashes, sanitizer aborts, and any other code
-# fail the sweep.
+# fail the sweep. Two budgets that expire in the middle of a sketch search
+# (0*1*'s and line-sight's searches outlast 200 ms) must unwind it to a
+# structured timeout: exit 3 exactly.
 chaos_smoke() {
   local bin="$1" rc b
   for b in $("${bin}" --list | awk '{print $1}'); do
@@ -33,6 +35,15 @@ chaos_smoke() {
       *) echo "chaos smoke: '${b}' exited ${rc} under --join-timeout 1ms" >&2
          return 1 ;;
     esac
+  done
+  for b in '0*1*' line-sight; do
+    rc=0
+    "${bin}" --benchmark "${b}" --join-timeout 200ms >/dev/null 2>&1 || rc=$?
+    if [[ "${rc}" != 3 ]]; then
+      echo "chaos smoke: '${b}' exited ${rc} under --join-timeout 200ms," \
+           "want 3" >&2
+      return 1
+    fi
   done
   # Forced candidate rejections: the search must recover and still solve.
   PARSYNT_FAULT='synth.reject:limit=2' \
