@@ -13,7 +13,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "interp/Interp.h"
-#include "interp/SemanticEq.h"
 #include "normalize/Normalizer.h"
 #include "runtime/ParallelReduce.h"
 #include "suite/Benchmarks.h"
@@ -44,22 +43,30 @@ void BM_InterpRunLoop(benchmark::State &State) {
 BENCHMARK(BM_InterpRunLoop);
 
 void BM_EnumeratorGrow(benchmark::State &State) {
+  // Leaf columns over 64 tests: four variables, mostly small (where
+  // observational classes collide), and the constants 0 and 1.
+  constexpr size_t Tests = 64;
   Rng R(2);
-  std::vector<Env> Envs = sampleEnvs(
-      {{"a_l", Type::Int}, {"a_r", Type::Int}, {"b_l", Type::Int},
-       {"b_r", Type::Int}},
-      64, R);
+  std::vector<ExprRef> Leaves;
+  std::vector<std::vector<int64_t>> Columns;
+  for (const char *Name : {"a_l", "a_r", "b_l", "b_r"}) {
+    Leaves.push_back(inputVar(Name));
+    Columns.emplace_back();
+    for (size_t T = 0; T != Tests; ++T)
+      Columns.back().push_back(R.chance(1, 8) ? R.intIn(-1000000, 1000000)
+                                              : R.intIn(-4, 4));
+  }
+  for (int64_t C : {0, 1}) {
+    Leaves.push_back(intConst(C));
+    Columns.emplace_back(Tests, C);
+  }
   size_t Kept = 0;
   for (auto _ : State) {
     EnumeratorOptions Opts;
     Opts.MaxSize = static_cast<unsigned>(State.range(0));
-    Enumerator E(Envs, Opts);
-    E.addLeaf(inputVar("a_l"));
-    E.addLeaf(inputVar("a_r"));
-    E.addLeaf(inputVar("b_l"));
-    E.addLeaf(inputVar("b_r"));
-    E.addLeaf(intConst(0));
-    E.addLeaf(intConst(1));
+    Enumerator E(Tests, Opts);
+    for (size_t K = 0; K != Leaves.size(); ++K)
+      E.addLeaf(Leaves[K], Columns[K]);
     E.run();
     benchmark::DoNotOptimize(E.totalCandidates());
     State.counters["candidates"] =

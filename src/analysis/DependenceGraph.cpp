@@ -236,15 +236,16 @@ DependenceInfo parsynt::analyzeDependences(const Loop &L) {
       // The value can only ever be the init (frozen) or the update's
       // constant; the join is the left value exactly when they agree.
       if (Frozen || exprEquals(Eq.Update, Eq.Init))
-        V.TrivialJoin = inputVar(Eq.Name + "_l", Eq.Ty);
+        V.TrivialJoin = inputVar(splitName(Eq.Name, Side::Left), Eq.Ty);
       continue;
     }
     if (!ReadsOthers && !V.ReadsIndex) {
       if (auto Op = foldOperator(Eq, Eq.Update, L.IndexName)) {
         V.Class = DepClass::IndependentFold;
         if (initCompatible(*Op, Eq.Init))
-          V.TrivialJoin = binary(*Op, inputVar(Eq.Name + "_l", Eq.Ty),
-                                 inputVar(Eq.Name + "_r", Eq.Ty));
+          V.TrivialJoin =
+              binary(*Op, inputVar(splitName(Eq.Name, Side::Left), Eq.Ty),
+                     inputVar(splitName(Eq.Name, Side::Right), Eq.Ty));
         continue;
       }
       if (V.Reads.empty() && !containsIte(Eq.Update)) {

@@ -299,8 +299,8 @@ VerifierReport parsynt::verifyJoin(const Loop &L,
 
   std::set<std::string> Allowed;
   for (const Equation &Eq : L.Equations) {
-    Allowed.insert(Eq.Name + "_l");
-    Allowed.insert(Eq.Name + "_r");
+    Allowed.insert(splitName(Eq.Name, Side::Left));
+    Allowed.insert(splitName(Eq.Name, Side::Right));
   }
   for (const ParamDecl &P : L.Params)
     Allowed.insert(P.Name);

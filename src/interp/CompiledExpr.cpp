@@ -14,17 +14,31 @@
 
 using namespace parsynt;
 
-CompiledExpr::CompiledExpr(const ExprRef &E, std::vector<std::string> &Inputs) {
-  forEachNode(E, [&](const ExprRef &Node) {
-    if (const auto *V = dyn_cast<VarExpr>(Node))
-      if (std::find(Inputs.begin(), Inputs.end(), V->name()) == Inputs.end())
-        Inputs.push_back(V->name());
-  });
+std::string CompiledExpr::inputName(const Expr &Leaf) {
+  if (const auto *V = dyn_cast<VarExpr>(&Leaf))
+    return V->name();
+  const auto *S = cast<SeqAccessExpr>(&Leaf);
+  const auto *Index = dyn_cast<VarExpr>(S->index());
+  assert(Index && "compiled sequence accesses are subscripted by a variable");
+  return S->seqName() + "[" + (Index ? Index->name() : "?") + "]";
+}
+
+CompiledExpr::CompiledExpr(const std::vector<ExprRef> &Roots,
+                           std::vector<std::string> &Inputs) {
+  for (const ExprRef &Root : Roots)
+    forEachNode(Root, [&](const ExprRef &Node) {
+      if (!isa<VarExpr>(Node) && !isa<SeqAccessExpr>(Node))
+        return;
+      std::string Name = inputName(*Node);
+      if (std::find(Inputs.begin(), Inputs.end(), Name) == Inputs.end())
+        Inputs.push_back(std::move(Name));
+    });
   NumInputs = static_cast<unsigned>(Inputs.size());
   // Lowering assigns temporaries relative to the end of the constants, which
   // are only known afterwards: collect both, then rebase the temporaries.
   std::vector<std::pair<const Expr *, uint32_t>> Done;
-  uint32_t Root = lower(E, Inputs, Done);
+  for (const ExprRef &Root : Roots)
+    Results.push_back(lower(Root, Inputs, Done));
   FirstTemp = NumInputs + static_cast<uint32_t>(Constants.size());
   auto rebase = [&](uint32_t &Reg) {
     if (Reg & TempBit)
@@ -35,8 +49,8 @@ CompiledExpr::CompiledExpr(const ExprRef &E, std::vector<std::string> &Inputs) {
     rebase(I.B);
     rebase(I.C);
   }
-  rebase(Root);
-  Result = Root;
+  for (uint32_t &Reg : Results)
+    rebase(Reg);
 }
 
 std::vector<int64_t> CompiledExpr::makeRegisters() const {
@@ -48,7 +62,8 @@ std::vector<int64_t> CompiledExpr::makeRegisters() const {
 uint32_t
 CompiledExpr::lower(const ExprRef &E, const std::vector<std::string> &Inputs,
                     std::vector<std::pair<const Expr *, uint32_t>> &Done) {
-  // Shared subtrees (materialized joins reuse candidate operands) lower once.
+  // Shared subtrees (materialized joins reuse candidate operands; the
+  // updates of a loop share reads) lower once.
   for (const auto &[Node, Reg] : Done)
     if (Node == E.get())
       return Reg;
@@ -71,12 +86,10 @@ CompiledExpr::lower(const ExprRef &E, const std::vector<std::string> &Inputs,
     Reg = constant(cast<BoolConstExpr>(E)->value());
     break;
   case ExprKind::Var:
-    Reg = static_cast<uint32_t>(
-        std::find(Inputs.begin(), Inputs.end(), cast<VarExpr>(E)->name()) -
-        Inputs.begin());
-    break;
   case ExprKind::SeqAccess:
-    assert(false && "sequence accesses are not compiled");
+    Reg = static_cast<uint32_t>(
+        std::find(Inputs.begin(), Inputs.end(), inputName(*E)) -
+        Inputs.begin());
     break;
   case ExprKind::Unary: {
     const auto *U = cast<UnaryExpr>(E);
@@ -124,5 +137,5 @@ int64_t CompiledExpr::run(int64_t *Regs) const {
     }
     ++Out;
   }
-  return Regs[Result];
+  return Results.empty() ? 0 : Regs[Results.front()];
 }

@@ -6,21 +6,22 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The evaluator of the join-search hot path. An expression is lowered once
-/// into a flat post-order program over a dense register file:
+/// The evaluator the program runs on. A list of expressions (its roots) is
+/// lowered once into a flat post-order program over one dense register
+/// file:
 ///
 ///   [ inputs | constants | one register per instruction ]
 ///
 /// Variables are resolved to input registers at compile time, so evaluation
 /// does no name lookups and no allocation: the caller writes the raw input
 /// payloads (bools as 0/1) into the first registers, one per input name in
-/// order, and calls run(). Operators follow interp/OpSemantics.h, so run()
-/// agrees with evalExpr on every well-typed expression. `ite`, `&&` and `||`
-/// evaluate both sides: every operator is total and side-effect free, so
-/// this yields the same value as evalExpr's short-circuiting.
-///
-/// Sequence accesses are not supported; the evaluator serves join-side
-/// expressions, which range over split states and parameters only.
+/// order, calls run(), and reads each root with result(). Operators follow
+/// interp/OpSemantics.h, so run() agrees with evalExpr on every well-typed
+/// expression. `ite`, `&&` and `||` evaluate both sides: every operator is
+/// total and side-effect free, so this yields the same value as evalExpr's
+/// short-circuiting. A sequence access `s[i]` reads the input named "s[i]"
+/// (the verifier admits only the loop index as a subscript). A program is
+/// immutable: threads share it, each with its own register file.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -38,17 +39,27 @@ namespace parsynt {
 class CompiledExpr {
 public:
   CompiledExpr() = default;
-  /// Lowers \p E with the variable named Inputs[I] in input register I.
-  /// Variables of \p E missing from \p Inputs are appended to it first, in
-  /// order of first occurrence.
-  CompiledExpr(const ExprRef &E, std::vector<std::string> &Inputs);
+  /// Lowers \p Roots with the input named Inputs[I] in input register I.
+  /// Inputs of \p Roots missing from \p Inputs are appended to it first,
+  /// in order of first occurrence. Shared subtrees lower once.
+  CompiledExpr(const std::vector<ExprRef> &Roots,
+               std::vector<std::string> &Inputs);
+
+  /// The input name an expression leaf reads: a variable's name, or "s[i]"
+  /// for a sequence access.
+  static std::string inputName(const Expr &Leaf);
 
   /// A register file for run(): inputs zeroed, constants loaded.
   std::vector<int64_t> makeRegisters() const;
 
   /// Evaluates the program over \p Regs (from makeRegisters(), inputs
-  /// written by the caller) and returns the raw result.
+  /// written by the caller) and returns the raw result of the first root.
   int64_t run(int64_t *Regs) const;
+
+  /// The raw value of root \p Root after run() on \p Regs.
+  int64_t result(const int64_t *Regs, size_t Root) const {
+    return Regs[Results[Root]];
+  }
 
 private:
   /// A BinaryOp's value for a binary operator, else one of the unary and
@@ -74,7 +85,7 @@ private:
   std::vector<int64_t> Constants;
   std::vector<Instr> Code;
   uint32_t FirstTemp = 0;
-  uint32_t Result = 0;
+  std::vector<uint32_t> Results; ///< the register of each root
 };
 
 } // namespace parsynt

@@ -13,6 +13,10 @@
 
 using namespace parsynt;
 
+std::string parsynt::splitName(const std::string &Var, Side S) {
+  return Var + (S == Side::Left ? "_l" : "_r");
+}
+
 const Equation *Loop::findEquation(const std::string &VarName) const {
   for (const Equation &Eq : Equations)
     if (Eq.Name == VarName)

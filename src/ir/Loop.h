@@ -99,6 +99,13 @@ public:
   std::string str() const;
 };
 
+/// The two chunks a join combines: the left one and the right one.
+enum class Side { Left, Right };
+
+/// The name a join expression reads state variable \p Var of chunk \p S
+/// under: "<Var>_l" or "<Var>_r" (paper Section 4's split state).
+std::string splitName(const std::string &Var, Side S);
+
 } // namespace parsynt
 
 #endif // PARSYNT_IR_LOOP_H

@@ -603,17 +603,15 @@ LiftResult Lifter::run() {
         Ell = booleanNormalize(Tau, Unknowns);
       if (!Ell)
         Ell = normalizeExpr(Tau, Unknowns, Options.Normalize);
-      if (Options.VerifyIR) {
-        VerifierReport Report = verifyExpr(Ell, VerifyPhase::AfterNormalize,
-                                           /*AllowUnknowns=*/true);
-        if (!Report.ok()) {
-          // A rewriter bug, not a property of the input: skip the corrupt
-          // normal form rather than collecting parts from it.
-          Result.Notes.push_back("verifier rejected normal form of " +
-                                 Eq.Name + " step " + std::to_string(Step) +
-                                 ": " + Report.str());
-          continue;
-        }
+      VerifierReport Report = verifyExpr(Ell, VerifyPhase::AfterNormalize,
+                                         /*AllowUnknowns=*/true);
+      if (!Report.ok()) {
+        // A rewriter bug, not a property of the input: skip the corrupt
+        // normal form rather than collecting parts from it.
+        Result.Notes.push_back("verifier rejected normal form of " + Eq.Name +
+                               " step " + std::to_string(Step) + ": " +
+                               Report.str());
+        continue;
       }
       collectParts(Ell, Parts[Step]);
     }

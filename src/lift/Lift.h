@@ -54,11 +54,6 @@ struct LiftOptions {
   unsigned Samples = 48;
   uint64_t Seed = 0x11f7;
   InitPreference Preference = InitPreference::ZeroFirst;
-  /// Verify every normalized unfolding (type consistency, only declared
-  /// variables and split-point unknowns). A violating normal form is
-  /// skipped — its parts are never collected — instead of feeding corrupt
-  /// expressions into accumulator discovery.
-  bool VerifyIR = true;
   NormalizeOptions Normalize;
   /// Cooperative cancellation: lifting unwinds with a Timeout failure
   /// (keeping any auxiliaries already discovered) when this expires.

@@ -64,10 +64,7 @@ bool joinProven(const Loop &L, const JoinResult &Join) {
 /// Verifies \p L at pipeline phase \p Phase. On violation records the
 /// report in \p Result.Failure and returns false so the caller can fail
 /// gracefully instead of running downstream passes on corrupt IR.
-bool verifyAt(const Loop &L, VerifyPhase Phase, const PipelineOptions &Options,
-              PipelineResult &Result) {
-  if (!Options.VerifyIR)
-    return true;
+bool verifyAt(const Loop &L, VerifyPhase Phase, PipelineResult &Result) {
   VerifierReport Report = verifyLoop(L, Phase);
   if (Report.ok())
     return true;
@@ -106,13 +103,11 @@ JoinGuidance makeGuidance(const Loop &L, const DependenceInfo &Info) {
   return Guidance;
 }
 
-/// Runs join synthesis on \p W with dependence guidance (when enabled) and
-/// folds the timing / seed statistics into \p Result.
+/// Runs join synthesis on \p W with dependence guidance and folds the
+/// timing / seed statistics into \p Result.
 JoinResult runJoinSynthesis(const Loop &W, JoinSynthOptions JoinOpts,
-                            const PipelineOptions &Options,
                             PipelineResult &Result, const Deadline &DL) {
-  if (Options.UseDependenceAnalysis)
-    JoinOpts.Guidance = makeGuidance(W, analyzeDependences(W));
+  JoinOpts.Guidance = makeGuidance(W, analyzeDependences(W));
   JoinOpts.Timeout = Deadline::sooner(JoinOpts.Timeout, DL);
   JoinResult Join = synthesizeJoin(W, JoinOpts);
   Result.JoinSeconds += Join.Stats.Seconds;
@@ -154,7 +149,7 @@ PipelineResult parsynt::parallelizeLoop(const Loop &L,
 
   // The input must already be well-formed IR — catches corrupt
   // programmatically-built loops before any synthesis work.
-  if (!verifyAt(L, VerifyPhase::AfterFrontend, Options, Result)) {
+  if (!verifyAt(L, VerifyPhase::AfterFrontend, Result)) {
     Result.TotalSeconds = secondsSince(StartTime);
     return Result;
   }
@@ -172,7 +167,7 @@ PipelineResult parsynt::parallelizeLoop(const Loop &L,
   // offset-free model (see DESIGN.md).
   Loop Original = materializeIndex(L);
   Result.IndexMaterialized = Original.Equations.size() > L.Equations.size();
-  if (!verifyAt(Original, VerifyPhase::AfterNormalize, Options, Result)) {
+  if (!verifyAt(Original, VerifyPhase::AfterNormalize, Result)) {
     // Our index rewrite corrupted an otherwise-verified input: fall back to
     // executing the input loop as-is.
     Result.Final = L;
@@ -180,8 +175,7 @@ PipelineResult parsynt::parallelizeLoop(const Loop &L,
     Result.TotalSeconds = secondsSince(StartTime);
     return Result;
   }
-  if (Options.UseDependenceAnalysis)
-    Result.Dependences = analyzeDependences(Original);
+  Result.Dependences = analyzeDependences(Original);
 
   // Graceful degradation: on any failure below, hand back the verified
   // (index-materialized) input with an empty join. InterpReduce executes an
@@ -203,8 +197,7 @@ PipelineResult parsynt::parallelizeLoop(const Loop &L,
   // original form" means exactly the paper's C(E)+grammar space.
   JoinSynthOptions Phase1 = Options.Join;
   Phase1.AllowEmptyGuard = false;
-  Result.Join = runJoinSynthesis(Original, Phase1, Options, Result,
-                                 joinDeadline());
+  Result.Join = runJoinSynthesis(Original, Phase1, Result, joinDeadline());
   Loop Work = Original;
 
   if (!Result.Join.Success || !joinProven(Original, Result.Join)) {
@@ -246,12 +239,12 @@ PipelineResult parsynt::parallelizeLoop(const Loop &L,
       Result.Unresolved = Lift.Unresolved;
       Result.AuxDiscovered = Lift.auxCount();
       Work = Lift.Lifted;
-      if (!verifyAt(Work, VerifyPhase::AfterLift, Options, Result))
+      if (!verifyAt(Work, VerifyPhase::AfterLift, Result))
         continue; // skip a corrupt lift attempt, try the next one
 
       while (true) {
-        Result.Join = runJoinSynthesis(Work, Options.Join, Options, Result,
-                                       joinDeadline());
+        Result.Join =
+            runJoinSynthesis(Work, Options.Join, Result, joinDeadline());
         if (Result.Join.Success) {
           if (joinProven(Work, Result.Join)) {
             Solved = true;
@@ -299,7 +292,7 @@ PipelineResult parsynt::parallelizeLoop(const Loop &L,
 
   // Phase 3: remove-redundancies — drop each auxiliary (latest first) whose
   // removal still admits a join.
-  if (Options.RemoveRedundant && Work.auxiliaryCount() > 0) {
+  if (Work.auxiliaryCount() > 0) {
     Span Redundancy("removeRedundancies", trace::Pipeline);
     Redundancy.attr("aux_before", uint64_t(Work.auxiliaryCount()));
     std::vector<std::string> AuxNames;
@@ -314,8 +307,8 @@ PipelineResult parsynt::parallelizeLoop(const Loop &L,
       Loop Candidate = Work;
       if (!removeEquation(Candidate, *It))
         continue;
-      JoinResult Retry = runJoinSynthesis(Candidate, Options.Join, Options,
-                                          Result, joinDeadline());
+      JoinResult Retry =
+          runJoinSynthesis(Candidate, Options.Join, Result, joinDeadline());
       if (Retry.Success && joinProven(Candidate, Retry)) {
         Work = std::move(Candidate);
         Result.Join = std::move(Retry);
@@ -326,17 +319,14 @@ PipelineResult parsynt::parallelizeLoop(const Loop &L,
 
   // Final gate: the loop and its join must verify before we hand either to
   // code generation or report success.
-  if (!verifyAt(Work, VerifyPhase::BeforeCodegen, Options, Result))
+  if (!verifyAt(Work, VerifyPhase::BeforeCodegen, Result))
     return failSequential();
-  if (Options.VerifyIR) {
-    VerifierReport JoinReport = verifyJoin(Work, Result.Join.Components);
-    if (!JoinReport.ok()) {
-      Result.Failure = {FailureKind::InternalError, JoinReport.str()};
-      return failSequential();
-    }
+  VerifierReport JoinReport = verifyJoin(Work, Result.Join.Components);
+  if (!JoinReport.ok()) {
+    Result.Failure = {FailureKind::InternalError, JoinReport.str()};
+    return failSequential();
   }
-  if (Options.UseDependenceAnalysis)
-    Result.Dependences = analyzeDependences(Work);
+  Result.Dependences = analyzeDependences(Work);
 
   Result.Success = true;
   Result.Final = std::move(Work);

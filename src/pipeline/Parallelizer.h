@@ -15,6 +15,9 @@
 /// sampling-based collect step can over-approximate) are dropped the same
 /// way before declaring failure.
 ///
+/// The IR verifier runs at every phase boundary, and every join search is
+/// guided by the dependence analysis (DESIGN.md §5b).
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef PARSYNT_PIPELINE_PARALLELIZER_H
@@ -33,17 +36,6 @@ struct PipelineOptions {
   JoinSynthOptions Join;
   LiftOptions Lift;
   bool TryLift = true;
-  /// Run the remove-redundancies pass (re-synthesis without each aux).
-  bool RemoveRedundant = true;
-  /// Run the IR verifier between phases (frontend / normalize / lift /
-  /// codegen boundaries). Violations fail the pipeline gracefully instead
-  /// of corrupting downstream passes.
-  bool VerifyIR = true;
-  /// Consult the state-variable dependence analysis: synthesize joins
-  /// SCC-by-SCC in dependence order, seed trivially-homomorphic folds, and
-  /// restrict each equation's search to its dependence closure (with an
-  /// unrestricted retry, so results never change — only time).
-  bool UseDependenceAnalysis = true;
   /// Lifting attempts, in order: (unfolding depth, init preference). The
   /// init-preference retries handle init-insensitive accumulators whose
   /// empty-chunk value must be a sentinel for the join to exist.
@@ -73,8 +65,8 @@ struct PipelineResult {
   bool IndexMaterialized = false;
   std::vector<std::string> DroppedAux; ///< unjoinable or redundant
   std::vector<std::string> Unresolved; ///< lift parts without accumulators
-  /// Dependence classification of the final loop's state variables (empty
-  /// when UseDependenceAnalysis is off).
+  /// Dependence classification of Final's state variables; empty when the
+  /// input or its index rewrite fails verification.
   DependenceInfo Dependences;
   /// Join components accepted from dependence-analysis seeds, i.e. join
   /// searches skipped, summed over every synthesis call in the pipeline.

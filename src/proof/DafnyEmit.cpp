@@ -179,7 +179,8 @@ std::string parsynt::emitDafnyProof(const Loop &L,
       for (const Equation &Other : L.Equations) {
         if (Other.Name == Eq.Name)
           continue;
-        if (V == Other.Name + "_l" || V == Other.Name + "_r")
+        if (V == splitName(Other.Name, Side::Left) ||
+            V == splitName(Other.Name, Side::Right))
           Deps.insert(Other.Name);
       }
     }

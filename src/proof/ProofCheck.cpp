@@ -36,33 +36,6 @@ std::vector<int64_t> elementPool(const Loop &L) {
   return {Pool.begin(), Pool.end()};
 }
 
-/// One loop iteration on the per-sequence elements \p Elems with the local
-/// index \p Index.
-StateTuple stepOnElements(const Loop &L, const StateTuple &State,
-                          const std::map<std::string, Value> &Elems,
-                          int64_t Index, const Env &Params) {
-  SeqEnv Seqs;
-  for (const SeqDecl &S : L.Sequences)
-    Seqs[S.Name] = std::vector<Value>(static_cast<size_t>(Index) + 1,
-                                      Elems.at(S.Name));
-  return stepLoop(L, State, Seqs, Index, Params);
-}
-
-StateTuple applyJoin(const Loop &L, const std::vector<ExprRef> &Join,
-                     const StateTuple &Left, const StateTuple &Right,
-                     const Env &Params) {
-  Env E = Params;
-  for (size_t I = 0; I != L.Equations.size(); ++I) {
-    E[L.Equations[I].Name + "_l"] = Left[I];
-    E[L.Equations[I].Name + "_r"] = Right[I];
-  }
-  StateTuple Result;
-  Result.reserve(Join.size());
-  for (const ExprRef &Component : Join)
-    Result.push_back(evalExpr(Component, E));
-  return Result;
-}
-
 } // namespace
 
 ProofReport
@@ -94,6 +67,8 @@ parsynt::checkHomomorphismProof(const Loop &L,
   } Finish{ProofSpan, Report};
   Rng R(Options.Seed);
   std::vector<int64_t> Pool = elementPool(L);
+  const CompiledLoop Code(L);
+  const CompiledJoin Joiner(JoinLayout(L), Join);
 
   // Sample reachable states: (state after a random prefix, its prefix
   // length, parameters used). States must be generated and compared under
@@ -112,7 +87,7 @@ parsynt::checkHomomorphismProof(const Loop &L,
         Elems.push_back(Value::ofInt(Pool[R.index(Pool.size())]));
       Seqs[S.Name] = std::move(Elems);
     }
-    return Sample{runLoop(L, Seqs, Params), Len, Params};
+    return Sample{Code.run(Seqs, Params), Len, Params};
   };
 
   auto drawParams = [&]() {
@@ -133,10 +108,10 @@ parsynt::checkHomomorphismProof(const Loop &L,
     Env Params = drawParams();
     Sample U = drawSample(Params);
     Sample V = drawSample(Params);
-    StateTuple Init = initialState(L, Params);
+    StateTuple Init = Code.initialState(Params);
 
     // Base: join(u, init) == u.
-    StateTuple Base = applyJoin(L, Join, U.State, Init, Params);
+    StateTuple Base = Joiner.apply(U.State, Init, Params);
     ++Report.BaseChecks;
     for (size_t I = 0; I != Base.size(); ++I) {
       if (Base[I] != U.State[I]) {
@@ -155,28 +130,26 @@ parsynt::checkHomomorphismProof(const Loop &L,
     // accumulator, so any index value yields the same result — the local
     // one is used for fidelity.
     for (unsigned EIdx = 0; EIdx != Options.ElementsPerPair; ++EIdx) {
-      std::map<std::string, Value> Elems;
-      for (const SeqDecl &S : L.Sequences)
-        Elems[S.Name] = Value::ofInt(Pool[R.index(Pool.size())]);
+      std::vector<Value> Elems;
+      for (size_t K = 0; K != L.Sequences.size(); ++K)
+        Elems.push_back(Value::ofInt(Pool[R.index(Pool.size())]));
       int64_t Index = static_cast<int64_t>(V.PrefixLen);
-      StateTuple Lhs = applyJoin(
-          L, Join, U.State, stepOnElements(L, V.State, Elems, Index, Params),
-          Params);
-      StateTuple JoinedUV = applyJoin(L, Join, U.State, V.State, Params);
+      StateTuple Lhs = Joiner.apply(
+          U.State, Code.step(V.State, Elems, Index, Params), Params);
+      StateTuple JoinedUV = Joiner.apply(U.State, V.State, Params);
       // The joined state stands for the run over x • t'; its step index is
       // |x| + |t'|.
       int64_t JoinedIndex =
           static_cast<int64_t>(U.PrefixLen + V.PrefixLen);
-      StateTuple Rhs =
-          stepOnElements(L, JoinedUV, Elems, JoinedIndex, Params);
+      StateTuple Rhs = Code.step(JoinedUV, Elems, JoinedIndex, Params);
       ++Report.StepChecks;
       for (size_t I = 0; I != Lhs.size(); ++I) {
         if (Lhs[I] != Rhs[I]) {
           std::ostringstream OS;
           OS << "u = {" << stateToString(L, U.State) << "}, v = {"
              << stateToString(L, V.State) << "}, a = ";
-          for (const auto &[Name, Val] : Elems)
-            OS << Name << ":" << Val.str() << " ";
+          for (size_t K = 0; K != Elems.size(); ++K)
+            OS << L.Sequences[K].Name << ":" << Elems[K].str() << " ";
           OS << "-> lhs " << Lhs[I].str() << " vs rhs " << Rhs[I].str();
           fail("step", I, OS.str());
           break;

@@ -9,41 +9,6 @@
 
 using namespace parsynt;
 
-JoinApplier::JoinApplier(const Loop &L, const std::vector<ExprRef> &Join,
-                         const Env &Params)
-    : Components(Join), Template(Params) {
-  LeftKeys.reserve(L.Equations.size());
-  RightKeys.reserve(L.Equations.size());
-  for (const Equation &Eq : L.Equations) {
-    LeftKeys.push_back(Eq.Name + "_l");
-    RightKeys.push_back(Eq.Name + "_r");
-    Template[LeftKeys.back()] = Value();
-    Template[RightKeys.back()] = Value();
-  }
-}
-
-StateTuple JoinApplier::operator()(const StateTuple &Left,
-                                   const StateTuple &Right) const {
-  Env E = Template; // structural copy; no insertions below
-  for (size_t I = 0; I != LeftKeys.size(); ++I) {
-    E.find(LeftKeys[I])->second = Left[I];
-    E.find(RightKeys[I])->second = Right[I];
-  }
-  StateTuple Result;
-  Result.reserve(Components.size());
-  for (const ExprRef &Component : Components)
-    Result.push_back(evalExpr(Component, E));
-  return Result;
-}
-
-StateTuple parsynt::applyJoinComponents(const Loop &L,
-                                        const std::vector<ExprRef> &Join,
-                                        const StateTuple &Left,
-                                        const StateTuple &Right,
-                                        const Env &Params) {
-  return JoinApplier(L, Join, Params)(Left, Right);
-}
-
 StateTuple parsynt::parallelRunLoop(const Loop &L,
                                     const std::vector<ExprRef> &Join,
                                     const SeqEnv &Seqs, TaskPool &Pool,
@@ -55,21 +20,20 @@ StateTuple parsynt::parallelRunLoop(const Loop &L,
   if (Join.empty())
     return runLoop(L, Seqs, Params);
   size_t Length = Seqs.at(L.Sequences.front().Name).size();
+  const CompiledLoop Code(L);
+  StateTuple Init = Code.initialState(Params);
   if (Length == 0)
-    return initialState(L, Params);
+    return Init;
 
-  // Hoisted out of the per-node hot path: one applier for the whole tree.
-  JoinApplier Join2(L, Join, Params);
-  StateTuple Init = initialState(L, Params);
-
+  const CompiledJoin Joiner(JoinLayout(L), Join);
   BlockedRange Range{0, Length, std::max<size_t>(Grain, 1)};
   return parallelReduce<StateTuple>(
       Range, Pool,
       [&](size_t Begin, size_t End) {
-        return runLoopRange(L, Init, Seqs, static_cast<int64_t>(Begin),
-                            static_cast<int64_t>(End), Params);
+        return Code.run(Init, Seqs, static_cast<int64_t>(Begin),
+                        static_cast<int64_t>(End), Params);
       },
       [&](const StateTuple &Left, const StateTuple &Right) {
-        return Join2(Left, Right);
+        return Joiner.apply(Left, Right, Params);
       });
 }

@@ -6,12 +6,16 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// End-to-end execution of a parallelized loop: leaves interpret the
-/// (lifted) loop body over chunks of real data, interior nodes evaluate the
-/// synthesized join components. This is the direct analog of running the
-/// paper's generated TBB program, with the interpreter standing in for the
-/// generated C++ (the native kernels in suite/Kernels.h are the compiled
+/// End-to-end execution of a parallelized loop: leaves run the (lifted) loop
+/// body over chunks of real data, interior nodes evaluate the synthesized
+/// join components. This is the direct analog of running the paper's
+/// generated TBB program, with compiled expression programs standing in for
+/// the generated C++ (the native kernels in suite/Kernels.h are the native
 /// counterpart used for the Figure-8 performance runs).
+///
+/// The loop and the join are compiled once per call (interp/Interp.h's
+/// CompiledLoop and CompiledJoin) and shared by every pool worker; each leaf
+/// and each join node evaluates in its own register file.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -25,35 +29,6 @@
 #include <vector>
 
 namespace parsynt {
-
-/// Evaluates join components over left/right state tuples. The parameter
-/// bindings and the `<var>_l` / `<var>_r` environment keys are built once
-/// at construction; each application copies the prepared environment and
-/// only assigns the 2k state values, keeping string concatenation and
-/// parameter insertion out of the per-node hot path. Applications are
-/// const and thread-safe (interior joins run concurrently on the pool).
-class JoinApplier {
-public:
-  JoinApplier(const Loop &L, const std::vector<ExprRef> &Join,
-              const Env &Params);
-
-  StateTuple operator()(const StateTuple &Left,
-                        const StateTuple &Right) const;
-
-private:
-  std::vector<ExprRef> Components;
-  Env Template;                       ///< params + placeholder _l/_r slots
-  std::vector<std::string> LeftKeys;  ///< prebuilt "<var>_l" keys
-  std::vector<std::string> RightKeys; ///< prebuilt "<var>_r" keys
-};
-
-/// Applies the join components to two state tuples. Convenience wrapper
-/// constructing a one-shot JoinApplier; loops over many join nodes should
-/// build the applier once instead.
-StateTuple applyJoinComponents(const Loop &L,
-                               const std::vector<ExprRef> &Join,
-                               const StateTuple &Left,
-                               const StateTuple &Right, const Env &Params);
 
 /// Runs \p L over \p Seqs divide-and-conquer-style on \p Pool: leaves
 /// execute the loop body sequentially from the initial state; interior

@@ -6,6 +6,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "suite/Kernels.h"
+#include "interp/OpSemantics.h"
 
 #include <algorithm>
 #include <random>
@@ -13,20 +14,6 @@
 using namespace parsynt;
 
 namespace {
-
-// Wrapping arithmetic helpers (defined behaviour on overflow).
-int64_t wadd(int64_t A, int64_t B) {
-  return static_cast<int64_t>(static_cast<uint64_t>(A) +
-                              static_cast<uint64_t>(B));
-}
-int64_t wsub(int64_t A, int64_t B) {
-  return static_cast<int64_t>(static_cast<uint64_t>(A) -
-                              static_cast<uint64_t>(B));
-}
-int64_t wmul(int64_t A, int64_t B) {
-  return static_cast<int64_t>(static_cast<uint64_t>(A) *
-                              static_cast<uint64_t>(B));
-}
 
 constexpr int64_t Sentinel = int64_t(1) << 40; // matches MAX_INT/MIN_INT
 
@@ -37,7 +24,7 @@ constexpr int64_t Sentinel = int64_t(1) << 40; // matches MAX_INT/MIN_INT
 KState sumLeaf(const int64_t *A, const int64_t *, size_t B, size_t E) {
   KState S;
   for (size_t I = B; I != E; ++I)
-    S.V[0] = wadd(S.V[0], A[I]);
+    S.V[0] = ops::Add()(S.V[0], A[I]);
   return S;
 }
 KState sumSeq(const int64_t *A, const int64_t *B, size_t N) {
@@ -45,7 +32,7 @@ KState sumSeq(const int64_t *A, const int64_t *B, size_t N) {
 }
 KState sumJoin(const KState &L, const KState &R) {
   KState S;
-  S.V[0] = wadd(L.V[0], R.V[0]);
+  S.V[0] = ops::Add()(L.V[0], R.V[0]);
   return S;
 }
 int64_t out0(const KState &S) { return S.V[0]; }
@@ -93,7 +80,7 @@ KState maxJoin(const KState &L, const KState &R) {
 KState avgLeaf(const int64_t *A, const int64_t *, size_t B, size_t E) {
   KState S;
   for (size_t I = B; I != E; ++I) {
-    S.V[0] = wadd(S.V[0], A[I]);
+    S.V[0] = ops::Add()(S.V[0], A[I]);
     S.V[1] += 1;
   }
   return S;
@@ -103,7 +90,7 @@ KState avgSeq(const int64_t *A, const int64_t *B, size_t N) {
 }
 KState avgJoin(const KState &L, const KState &R) {
   KState S;
-  S.V[0] = wadd(L.V[0], R.V[0]);
+  S.V[0] = ops::Add()(L.V[0], R.V[0]);
   S.V[1] = L.V[1] + R.V[1];
   return S;
 }
@@ -168,7 +155,7 @@ int64_t out1(const KState &S) { return S.V[1]; }
 KState mpsLeaf(const int64_t *A, const int64_t *, size_t B, size_t E) {
   KState S;
   for (size_t I = B; I != E; ++I) {
-    S.V[0] = wadd(S.V[0], A[I]);
+    S.V[0] = ops::Add()(S.V[0], A[I]);
     S.V[1] = std::max(S.V[1], S.V[0]);
   }
   return S;
@@ -178,8 +165,8 @@ KState mpsSeq(const int64_t *A, const int64_t *B, size_t N) {
 }
 KState mpsJoin(const KState &L, const KState &R) {
   KState S;
-  S.V[0] = wadd(L.V[0], R.V[0]);
-  S.V[1] = std::max(L.V[1], wadd(L.V[0], R.V[1]));
+  S.V[0] = ops::Add()(L.V[0], R.V[0]);
+  S.V[1] = std::max(L.V[1], ops::Add()(L.V[0], R.V[1]));
   return S;
 }
 
@@ -190,21 +177,21 @@ KState mpsJoin(const KState &L, const KState &R) {
 KState mtsSeq(const int64_t *A, const int64_t *, size_t N) {
   KState S;
   for (size_t I = 0; I != N; ++I)
-    S.V[0] = std::max(wadd(S.V[0], A[I]), int64_t(0));
+    S.V[0] = std::max(ops::Add()(S.V[0], A[I]), int64_t(0));
   return S;
 }
 KState mtsLeaf(const int64_t *A, const int64_t *, size_t B, size_t E) {
   KState S;
   for (size_t I = B; I != E; ++I) {
-    S.V[0] = std::max(wadd(S.V[0], A[I]), int64_t(0));
-    S.V[1] = wadd(S.V[1], A[I]);
+    S.V[0] = std::max(ops::Add()(S.V[0], A[I]), int64_t(0));
+    S.V[1] = ops::Add()(S.V[1], A[I]);
   }
   return S;
 }
 KState mtsJoin(const KState &L, const KState &R) {
   KState S;
-  S.V[0] = std::max(R.V[0], wadd(L.V[0], R.V[1]));
-  S.V[1] = wadd(L.V[1], R.V[1]);
+  S.V[0] = std::max(R.V[0], ops::Add()(L.V[0], R.V[1]));
+  S.V[1] = ops::Add()(L.V[1], R.V[1]);
   return S;
 }
 
@@ -215,27 +202,27 @@ KState mtsJoin(const KState &L, const KState &R) {
 KState mssSeq(const int64_t *A, const int64_t *, size_t N) {
   KState S;
   for (size_t I = 0; I != N; ++I) {
-    S.V[0] = std::max(S.V[0], wadd(S.V[1], A[I]));
-    S.V[1] = std::max(wadd(S.V[1], A[I]), int64_t(0));
+    S.V[0] = std::max(S.V[0], ops::Add()(S.V[1], A[I]));
+    S.V[1] = std::max(ops::Add()(S.V[1], A[I]), int64_t(0));
   }
   return S;
 }
 KState mssLeaf(const int64_t *A, const int64_t *, size_t B, size_t E) {
   KState S;
   for (size_t I = B; I != E; ++I) {
-    S.V[0] = std::max(S.V[0], wadd(S.V[1], A[I]));
-    S.V[1] = std::max(wadd(S.V[1], A[I]), int64_t(0));
-    S.V[2] = wadd(S.V[2], A[I]);
+    S.V[0] = std::max(S.V[0], ops::Add()(S.V[1], A[I]));
+    S.V[1] = std::max(ops::Add()(S.V[1], A[I]), int64_t(0));
+    S.V[2] = ops::Add()(S.V[2], A[I]);
     S.V[3] = std::max(S.V[3], S.V[2]);
   }
   return S;
 }
 KState mssJoin(const KState &L, const KState &R) {
   KState S;
-  S.V[0] = std::max(std::max(L.V[0], R.V[0]), wadd(L.V[1], R.V[3]));
-  S.V[1] = std::max(R.V[1], wadd(L.V[1], R.V[2]));
-  S.V[2] = wadd(L.V[2], R.V[2]);
-  S.V[3] = std::max(L.V[3], wadd(L.V[2], R.V[3]));
+  S.V[0] = std::max(std::max(L.V[0], R.V[0]), ops::Add()(L.V[1], R.V[3]));
+  S.V[1] = std::max(R.V[1], ops::Add()(L.V[1], R.V[2]));
+  S.V[2] = ops::Add()(L.V[2], R.V[2]);
+  S.V[3] = std::max(L.V[3], ops::Add()(L.V[2], R.V[3]));
   return S;
 }
 
@@ -246,8 +233,8 @@ KState mssJoin(const KState &L, const KState &R) {
 KState mtspSeq(const int64_t *A, const int64_t *, size_t N) {
   KState S;
   for (size_t I = 0; I != N; ++I) {
-    S.V[0] = std::max(wadd(S.V[0], A[I]), int64_t(0));
-    S.V[1] = wadd(S.V[1], A[I]);
+    S.V[0] = std::max(ops::Add()(S.V[0], A[I]), int64_t(0));
+    S.V[1] = ops::Add()(S.V[1], A[I]);
     if (S.V[0] == 0)
       S.V[2] = static_cast<int64_t>(I) + 1;
   }
@@ -260,12 +247,13 @@ KState mtspLeaf(const int64_t *A, const int64_t *B, size_t Begin, size_t E) {
 }
 KState mtspJoin(const KState &L, const KState &R) {
   KState S;
-  S.V[0] = std::max(R.V[0], wadd(L.V[0], R.V[1]));
-  S.V[1] = wadd(L.V[1], R.V[1]);
+  S.V[0] = std::max(R.V[0], ops::Add()(L.V[0], R.V[1]));
+  S.V[1] = ops::Add()(L.V[1], R.V[1]);
   // The tail crosses into the left part iff no combined reset happens in
   // the right part, i.e. mts_l + (sum_r - mts_r) > 0 (see DESIGN.md).
-  S.V[2] = (wadd(L.V[0], wsub(R.V[1], R.V[0])) <= 0) ? L.V[3] + R.V[2]
-                                                     : L.V[2];
+  S.V[2] = (ops::Add()(L.V[0], ops::Sub()(R.V[1], R.V[0])) <= 0)
+               ? L.V[3] + R.V[2]
+               : L.V[2];
   S.V[3] = L.V[3] + R.V[3];
   return S;
 }
@@ -278,7 +266,7 @@ int64_t out2(const KState &S) { return S.V[2]; }
 KState mpspSeq(const int64_t *A, const int64_t *, size_t N) {
   KState S;
   for (size_t I = 0; I != N; ++I) {
-    S.V[0] = wadd(S.V[0], A[I]);
+    S.V[0] = ops::Add()(S.V[0], A[I]);
     if (S.V[0] > S.V[1]) {
       S.V[1] = S.V[0];
       S.V[2] = static_cast<int64_t>(I) + 1;
@@ -292,9 +280,9 @@ KState mpspLeaf(const int64_t *A, const int64_t *B, size_t Begin, size_t E) {
 }
 KState mpspJoin(const KState &L, const KState &R) {
   KState S;
-  S.V[0] = wadd(L.V[0], R.V[0]);
-  if (wadd(L.V[0], R.V[1]) > L.V[1]) {
-    S.V[1] = wadd(L.V[0], R.V[1]);
+  S.V[0] = ops::Add()(L.V[0], R.V[0]);
+  if (ops::Add()(L.V[0], R.V[1]) > L.V[1]) {
+    S.V[1] = ops::Add()(L.V[0], R.V[1]);
     S.V[2] = L.V[3] + R.V[2];
   } else {
     S.V[1] = L.V[1];
@@ -314,8 +302,8 @@ KState polyLeaf(const int64_t *A, const int64_t *, size_t B, size_t E) {
   KState S;
   S.V[1] = 1;
   for (size_t I = B; I != E; ++I) {
-    S.V[0] = wadd(S.V[0], wmul(A[I], S.V[1]));
-    S.V[1] = wmul(S.V[1], PolyX);
+    S.V[0] = ops::Add()(S.V[0], ops::Mul()(A[I], S.V[1]));
+    S.V[1] = ops::Mul()(S.V[1], PolyX);
   }
   return S;
 }
@@ -324,8 +312,8 @@ KState polySeq(const int64_t *A, const int64_t *B, size_t N) {
 }
 KState polyJoin(const KState &L, const KState &R) {
   KState S;
-  S.V[0] = wadd(L.V[0], wmul(L.V[1], R.V[0]));
-  S.V[1] = wmul(L.V[1], R.V[1]);
+  S.V[0] = ops::Add()(L.V[0], ops::Mul()(L.V[1], R.V[0]));
+  S.V[1] = ops::Mul()(L.V[1], R.V[1]);
   return S;
 }
 
@@ -365,22 +353,22 @@ KState sortedJoin(const KState &L, const KState &R) {
 KState atoiSeq(const int64_t *A, const int64_t *, size_t N) {
   KState S;
   for (size_t I = 0; I != N; ++I)
-    S.V[0] = wadd(wmul(S.V[0], 10), A[I] - '0');
+    S.V[0] = ops::Add()(ops::Mul()(S.V[0], 10), A[I] - '0');
   return S;
 }
 KState atoiLeaf(const int64_t *A, const int64_t *, size_t B, size_t E) {
   KState S;
   S.V[1] = 1;
   for (size_t I = B; I != E; ++I) {
-    S.V[0] = wadd(wmul(S.V[0], 10), A[I] - '0');
-    S.V[1] = wmul(S.V[1], 10);
+    S.V[0] = ops::Add()(ops::Mul()(S.V[0], 10), A[I] - '0');
+    S.V[1] = ops::Mul()(S.V[1], 10);
   }
   return S;
 }
 KState atoiJoin(const KState &L, const KState &R) {
   KState S;
-  S.V[0] = wadd(wmul(L.V[0], R.V[1]), R.V[0]);
-  S.V[1] = wmul(L.V[1], R.V[1]);
+  S.V[0] = ops::Add()(ops::Mul()(L.V[0], R.V[1]), R.V[0]);
+  S.V[1] = ops::Mul()(L.V[1], R.V[1]);
   return S;
 }
 

@@ -7,7 +7,7 @@
 //
 // Performance note: combined candidates compute their value vectors
 // elementwise from their operands' cached columns, so cost per candidate is
-// O(#tests) regardless of term size; only leaves walk the interpreter. Every
+// O(#tests) regardless of term size; leaves arrive with their values. Every
 // combination is evaluated into one reusable scratch column and hashed in
 // the same pass, with the operator resolved outside the per-test loop; the
 // expression node and its own column are allocated only for a combination
@@ -59,9 +59,9 @@ Type resultType(BinaryOp Op) { return isArithOp(Op) ? Type::Int : Type::Bool; }
 
 } // namespace
 
-Enumerator::Enumerator(std::vector<Env> TestEnvs, EnumeratorOptions Options)
-    : Envs(std::move(TestEnvs)), Options(Options), Scratch(Envs.size()) {
-  assert(!Envs.empty() && "enumeration needs at least one test environment");
+Enumerator::Enumerator(size_t NumTests, EnumeratorOptions Options)
+    : Options(Options), Scratch(NumTests) {
+  assert(NumTests != 0 && "enumeration needs at least one test");
 }
 
 const Candidate *Enumerator::Pool::find(uint64_t Sig,
@@ -122,9 +122,10 @@ void Enumerator::insertScratch(Type Ty, uint64_t Sig, MakeExpr Make) {
   P.add({std::move(E), Scratch}, Sig, Slot);
 }
 
-void Enumerator::addLeaf(const ExprRef &E) {
-  for (size_t T = 0; T != Envs.size(); ++T)
-    Scratch[T] = evalExpr(E, Envs[T]).raw();
+void Enumerator::addLeaf(const ExprRef &E,
+                         const std::vector<int64_t> &Values) {
+  assert(Values.size() == Scratch.size() && "one value per test");
+  std::copy(Values.begin(), Values.end(), Scratch.begin());
   insertScratch(E->type(), signatureOf(Scratch), [&] { return E; });
 }
 
@@ -220,10 +221,8 @@ void Enumerator::run() {
             combine(BinaryOp::Sub, Ints, I, J);
             combine(BinaryOp::Min, Ints, I, J);
             combine(BinaryOp::Max, Ints, I, J);
-            if (Options.EnableMulDiv) {
-              combine(BinaryOp::Mul, Ints, I, J);
-              combine(BinaryOp::Div, Ints, I, J);
-            }
+            combine(BinaryOp::Mul, Ints, I, J);
+            combine(BinaryOp::Div, Ints, I, J);
             combine(BinaryOp::Lt, Ints, I, J);
             combine(BinaryOp::Le, Ints, I, J);
             combine(BinaryOp::Eq, Ints, I, J);
@@ -247,37 +246,35 @@ void Enumerator::run() {
 
     // Conditionals: |cond| + |then| + |else| + 1 == Size, int- and
     // bool-typed branches.
-    if (Options.EnableIte) {
-      for (unsigned SizeC = 1; SizeC + 3 <= Size; ++SizeC) {
-        const auto *Conds = bucket(BoolBySize, SizeC);
-        if (!Conds)
-          continue;
-        std::vector<size_t> FixedC = *Conds;
-        for (unsigned SizeT = 1; SizeC + SizeT + 2 <= Size; ++SizeT) {
-          unsigned SizeE = Size - 1 - SizeC - SizeT;
-          const auto *Thens = bucket(IntBySize, SizeT);
-          const auto *Elses = bucket(IntBySize, SizeE);
-          if (Thens && Elses) {
-            std::vector<size_t> FixedT = *Thens, FixedE = *Elses;
-            for (size_t C : FixedC) {
-              if (DL.expired())
-                return;
-              for (size_t I : FixedT)
-                for (size_t J : FixedE)
-                  combineIte(Ints, C, I, J);
-            }
+    for (unsigned SizeC = 1; SizeC + 3 <= Size; ++SizeC) {
+      const auto *Conds = bucket(BoolBySize, SizeC);
+      if (!Conds)
+        continue;
+      std::vector<size_t> FixedC = *Conds;
+      for (unsigned SizeT = 1; SizeC + SizeT + 2 <= Size; ++SizeT) {
+        unsigned SizeE = Size - 1 - SizeC - SizeT;
+        const auto *Thens = bucket(IntBySize, SizeT);
+        const auto *Elses = bucket(IntBySize, SizeE);
+        if (Thens && Elses) {
+          std::vector<size_t> FixedT = *Thens, FixedE = *Elses;
+          for (size_t C : FixedC) {
+            if (DL.expired())
+              return;
+            for (size_t I : FixedT)
+              for (size_t J : FixedE)
+                combineIte(Ints, C, I, J);
           }
-          const auto *BThens = bucket(BoolBySize, SizeT);
-          const auto *BElses = bucket(BoolBySize, SizeE);
-          if (BThens && BElses) {
-            std::vector<size_t> FixedT = *BThens, FixedE = *BElses;
-            for (size_t C : FixedC) {
-              if (DL.expired())
-                return;
-              for (size_t I : FixedT)
-                for (size_t J : FixedE)
-                  combineIte(Bools, C, I, J);
-            }
+        }
+        const auto *BThens = bucket(BoolBySize, SizeT);
+        const auto *BElses = bucket(BoolBySize, SizeE);
+        if (BThens && BElses) {
+          std::vector<size_t> FixedT = *BThens, FixedE = *BElses;
+          for (size_t C : FixedC) {
+            if (DL.expired())
+              return;
+            for (size_t I : FixedT)
+              for (size_t J : FixedE)
+                combineIte(Bools, C, I, J);
           }
         }
       }

@@ -8,8 +8,8 @@
 /// \file
 /// Typed bottom-up enumeration of the Figure-4 expression grammar with
 /// observational-equivalence pruning: two candidate expressions that agree
-/// on every test environment are interchangeable for the bounded synthesis
-/// oracle, so only the smaller is kept. Candidates are produced in order of
+/// on every test are interchangeable for the bounded synthesis oracle, so
+/// only the smaller is kept. Candidates are produced in order of
 /// term size, which realizes the paper's "expression depth d is gradually
 /// increased until a solution is found" as iterative deepening on size.
 ///
@@ -22,7 +22,6 @@
 #ifndef PARSYNT_SYNTH_ENUMERATOR_H
 #define PARSYNT_SYNTH_ENUMERATOR_H
 
-#include "interp/Interp.h"
 #include "ir/Expr.h"
 #include "support/Deadline.h"
 
@@ -30,8 +29,8 @@
 
 namespace parsynt {
 
-/// An enumerated expression with its evaluation on every test environment,
-/// as raw payloads (bools as 0/1; the pool a candidate lives in fixes its
+/// An enumerated expression with its evaluation on every test, as raw
+/// payloads (bools as 0/1; the pool a candidate lives in fixes its
 /// type).
 struct Candidate {
   ExprRef E;
@@ -44,23 +43,22 @@ struct EnumeratorOptions {
   unsigned MaxSize = 7;
   /// Cap on retained candidates per type (observational classes).
   size_t MaxPerType = 20000;
-  /// Whether to build ite terms (they cube the combination count).
-  bool EnableIte = true;
-  /// Whether to build * and / terms (rarely useful, often noisy).
-  bool EnableMulDiv = true;
   /// Cooperative cancellation: run() stops early (keeping what was built)
   /// once this expires. Unarmed by default.
   Deadline Timeout;
 };
 
-/// Bottom-up enumerator over a fixed set of test environments.
+/// Bottom-up enumerator over a fixed number of tests. The enumerator
+/// evaluates nothing itself: each leaf comes with its values on the tests
+/// (for joins, HomOracle::column over the oracle's rows), and combinations
+/// are computed from their operands' values.
 class Enumerator {
 public:
-  Enumerator(std::vector<Env> TestEnvs, EnumeratorOptions Options = {});
+  explicit Enumerator(size_t NumTests, EnumeratorOptions Options = {});
 
-  /// Registers a leaf (variable or constant; any expression works). Leaves
-  /// count with their real term size.
-  void addLeaf(const ExprRef &E);
+  /// Registers leaf \p E (variable or constant; any expression works) with
+  /// its raw value on every test. Leaves count with their real term size.
+  void addLeaf(const ExprRef &E, const std::vector<int64_t> &Values);
 
   /// Builds all candidates of size <= Options.MaxSize. Safe to call again
   /// after raising MaxSize via options(); already-built sizes are kept.
@@ -82,7 +80,6 @@ public:
                                 const std::vector<int64_t> &Target) const;
 
   EnumeratorOptions &options() { return Options; }
-  const std::vector<Env> &testEnvs() const { return Envs; }
   size_t totalCandidates() const {
     return IntPool.Cands.size() + BoolPool.Cands.size();
   }
@@ -124,7 +121,6 @@ private:
     return Ty == Type::Int ? IntPool : BoolPool;
   }
 
-  std::vector<Env> Envs;
   EnumeratorOptions Options;
   Pool IntPool, BoolPool;
   /// Reusable value column every combination is evaluated into.

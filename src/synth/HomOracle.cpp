@@ -30,15 +30,7 @@ SeqEnv concatSeqs(const SeqEnv &A, const SeqEnv &B) {
 } // namespace
 
 HomOracle::HomOracle(const Loop &L, OracleOptions Options)
-    : L(L), Options(Options), R(Options.Seed) {
-  // Split-state names shadow parameters, as in combinedEnv().
-  for (size_t I = 0; I != L.Equations.size(); ++I) {
-    Slots[L.Equations[I].Name + "_l"] = static_cast<unsigned>(2 * I);
-    Slots[L.Equations[I].Name + "_r"] = static_cast<unsigned>(2 * I + 1);
-  }
-  for (size_t P = 0; P != L.Params.size(); ++P)
-    Slots.emplace(L.Params[P].Name,
-                  static_cast<unsigned>(2 * L.Equations.size() + P));
+    : L(L), Options(Options), Code(L), Layout(L), R(Options.Seed) {
   // Element pool: the option values plus every integer constant appearing in
   // an update (and its neighbours), so equality tests against characters or
   // thresholds are exercised on both sides.
@@ -80,9 +72,9 @@ JoinExample HomOracle::makeExample(const SeqEnv &LeftSeqs,
   Example.LeftSeqs = LeftSeqs;
   Example.RightSeqs = RightSeqs;
   Example.Params = Params;
-  Example.Left = runLoop(L, LeftSeqs, Params);
-  Example.Right = runLoop(L, RightSeqs, Params);
-  Example.Expected = runLoop(L, concatSeqs(LeftSeqs, RightSeqs), Params);
+  Example.Left = Code.run(LeftSeqs, Params);
+  Example.Right = Code.run(RightSeqs, Params);
+  Example.Expected = Code.run(concatSeqs(LeftSeqs, RightSeqs), Params);
   return Example;
 }
 
@@ -208,39 +200,24 @@ JoinExample HomOracle::randomExample(unsigned MaxLen,
   return makeExample(randomSeqs(LeftLen), randomSeqs(RightLen), Params);
 }
 
-Env HomOracle::combinedEnv(const JoinExample &Example) const {
-  Env Result = Example.Params;
-  for (size_t I = 0; I != L.Equations.size(); ++I) {
-    Result[L.Equations[I].Name + "_l"] = Example.Left[I];
-    Result[L.Equations[I].Name + "_r"] = Example.Right[I];
+std::vector<int64_t> HomOracle::column(const ExprRef &E) const {
+  CompiledJoin Expr(Layout, {E});
+  std::vector<int64_t> Regs = Expr.makeRegisters();
+  std::vector<int64_t> Values;
+  Values.reserve(Tests.size());
+  for (size_t T = 0; T != Tests.size(); ++T) {
+    Expr.eval(testRow(T), Regs.data());
+    Values.push_back(Expr.value(Regs.data(), 0));
   }
-  return Result;
-}
-
-unsigned HomOracle::combinedSlot(const std::string &Name) const {
-  auto It = Slots.find(Name);
-  assert(It != Slots.end() && "not a combined-environment name");
-  return It == Slots.end() ? 0 : It->second;
-}
-
-void HomOracle::combinedRow(const JoinExample &Example, int64_t *Out) const {
-  for (size_t I = 0; I != L.Equations.size(); ++I) {
-    *Out++ = Example.Left[I].raw();
-    *Out++ = Example.Right[I].raw();
-  }
-  for (const ParamDecl &P : L.Params) {
-    auto It = Example.Params.find(P.Name);
-    assert(It != Example.Params.end() && "unbound parameter");
-    *Out++ = It->second.raw();
-  }
+  return Values;
 }
 
 std::optional<size_t>
 HomOracle::firstFailure(const ExprRef &JoinComponent,
                         size_t EquationIndex) const {
-  CompiledJoinExpr Component(JoinComponent, *this);
+  std::vector<int64_t> Values = column(JoinComponent);
   for (size_t T = 0; T != Tests.size(); ++T)
-    if (Component.eval(testRow(T)) != Tests[T].Expected[EquationIndex].raw())
+    if (Values[T] != Tests[T].Expected[EquationIndex].raw())
       return T;
   return std::nullopt;
 }
@@ -256,11 +233,7 @@ HomOracle::findCounterexample(const std::vector<ExprRef> &Join,
   Wide.push_back(17);
   Wide.push_back(-23);
   Wide.push_back(100);
-  std::vector<CompiledJoinExpr> Components;
-  Components.reserve(Join.size());
-  for (const ExprRef &Component : Join)
-    Components.emplace_back(Component, *this);
-  std::vector<int64_t> Row(combinedWidth());
+  const CompiledJoin Joiner(Layout, Join);
   for (unsigned Round = 0; Round != Rounds; ++Round) {
     // Deadline expiry returns "no counterexample found"; callers that care
     // about the distinction re-check expired() — a timed-out validation
@@ -270,9 +243,10 @@ HomOracle::findCounterexample(const std::vector<ExprRef> &Join,
     unsigned MaxLen = 1 + Round % 12;
     JoinExample Example =
         randomExample(MaxLen, Round % 2 ? Focused : Wide, R);
-    combinedRow(Example, Row.data());
+    StateTuple Joined =
+        Joiner.apply(Example.Left, Example.Right, Example.Params);
     for (size_t I = 0; I != Join.size(); ++I) {
-      if (Components[I].eval(Row.data()) != Example.Expected[I].raw()) {
+      if (Joined[I].raw() != Example.Expected[I].raw()) {
         CexSpan.attr("found", true);
         CexSpan.attr("at_round", uint64_t(Round));
         MetricsRegistry::global().counter("oracle.counterexamples").inc();
@@ -285,15 +259,8 @@ HomOracle::findCounterexample(const std::vector<ExprRef> &Join,
 }
 
 void HomOracle::addTest(JoinExample Example) {
-  Rows.resize(Rows.size() + combinedWidth());
-  combinedRow(Example, Rows.data() + Rows.size() - combinedWidth());
+  Rows.resize(Rows.size() + Layout.width());
+  Layout.writeRow(Example.Left, Example.Right, Example.Params,
+                  Rows.data() + Rows.size() - Layout.width());
   Tests.push_back(std::move(Example));
-}
-
-CompiledJoinExpr::CompiledJoinExpr(const ExprRef &E, const HomOracle &Oracle) {
-  std::vector<std::string> Names;
-  Code = CompiledExpr(E, Names);
-  for (const std::string &Name : Names)
-    Loads.push_back(Oracle.combinedSlot(Name));
-  Regs = Code.makeRegisters();
 }

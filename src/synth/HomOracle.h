@@ -19,13 +19,11 @@
 #ifndef PARSYNT_SYNTH_HOMORACLE_H
 #define PARSYNT_SYNTH_HOMORACLE_H
 
-#include "interp/CompiledExpr.h"
 #include "interp/Interp.h"
 #include "ir/Loop.h"
 #include "support/Deadline.h"
 #include "support/Random.h"
 
-#include <map>
 #include <optional>
 #include <vector>
 
@@ -74,24 +72,14 @@ public:
   /// character-comparison benchmarks exercise both branches.
   const std::vector<int64_t> &elementPool() const { return Pool; }
 
-  /// Builds the combined environment a join expression is evaluated in:
-  /// v_l / v_r for every state variable, plus parameters.
-  Env combinedEnv(const JoinExample &Example) const;
-
-  /// The dense layout of the combined environment: v_l and v_r for every
-  /// state variable in equation order, then the parameters in declaration
-  /// order. combinedWidth() slots per example.
-  size_t combinedWidth() const {
-    return 2 * L.Equations.size() + L.Params.size();
-  }
-  /// The slot of a combined-environment name (asserted to exist).
-  unsigned combinedSlot(const std::string &Name) const;
-  /// Writes the raw payloads of \p Example in combined layout to \p Out.
-  void combinedRow(const JoinExample &Example, int64_t *Out) const;
-  /// The combined row of test \p T, kept in step with tests().
+  /// The split-state layout of the test rows (interp/Interp.h).
+  const JoinLayout &layout() const { return Layout; }
+  /// The row of test \p T in layout(), kept in step with tests().
   const int64_t *testRow(size_t T) const {
-    return Rows.data() + T * combinedWidth();
+    return Rows.data() + T * Layout.width();
   }
+  /// The raw values of join-side expression \p E on every test, in order.
+  std::vector<int64_t> column(const ExprRef &E) const;
 
   /// Evaluates component \p EquationIndex of candidate \p Join on every
   /// test; returns the index of the first failing test, or nullopt.
@@ -119,9 +107,10 @@ private:
 
   const Loop &L;
   OracleOptions Options;
-  /// Combined-environment name -> slot.
-  std::map<std::string, unsigned> Slots;
-  /// tests() in combined layout, one combinedWidth()-wide row per test.
+  /// The loop, compiled once for every example this oracle builds.
+  CompiledLoop Code;
+  JoinLayout Layout;
+  /// tests() in layout(), one row per test.
   std::vector<int64_t> Rows;
   std::vector<int64_t> Pool;
   /// Loop-comparison constants only (see the constructor): used for the
@@ -129,27 +118,6 @@ private:
   std::vector<int64_t> Focused;
   std::vector<JoinExample> Tests;
   Rng R;
-};
-
-/// A join-side expression compiled against an oracle's combined layout:
-/// evaluates on a combined row (HomOracle::testRow / combinedRow) without
-/// building an environment.
-class CompiledJoinExpr {
-public:
-  CompiledJoinExpr(const ExprRef &E, const HomOracle &Oracle);
-
-  /// The raw value of the expression on combined row \p Row.
-  int64_t eval(const int64_t *Row) {
-    for (size_t I = 0; I != Loads.size(); ++I)
-      Regs[I] = Row[Loads[I]];
-    return Code.run(Regs.data());
-  }
-
-private:
-  CompiledExpr Code;
-  /// Input register I reads combined slot Loads[I].
-  std::vector<unsigned> Loads;
-  std::vector<int64_t> Regs;
 };
 
 } // namespace parsynt

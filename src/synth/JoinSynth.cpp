@@ -67,7 +67,7 @@ HolePool makePool(const Enumerator &E, Type Ty, unsigned MaxSize) {
 /// evaluation against the expected outputs. The sketch body is compiled once
 /// per search: hole registers read the assigned candidate's cached value
 /// column, every other variable a column built here from the oracle's
-/// combined rows, so checking an assignment does no lookups and no
+/// test rows, so checking an assignment does no lookups and no
 /// allocation and stops at the first failing test.
 class SketchSearch {
 public:
@@ -81,12 +81,12 @@ public:
     std::vector<std::string> Names;
     for (const Hole &H : S.Holes)
       Names.push_back(H.Name);
-    Body = CompiledExpr(S.Body, Names);
+    Body = CompiledExpr({S.Body}, Names);
     Regs = Body.makeRegisters();
     Columns.assign(Names.size(), nullptr);
     VarColumns.resize(Names.size() - S.Holes.size());
     for (size_t V = 0; V != VarColumns.size(); ++V) {
-      unsigned Slot = Oracle.combinedSlot(Names[S.Holes.size() + V]);
+      unsigned Slot = Oracle.layout().slot(Names[S.Holes.size() + V]);
       for (size_t T = 0; T != NumTests; ++T)
         VarColumns[V].push_back(Oracle.testRow(T)[Slot]);
       Columns[S.Holes.size() + V] = VarColumns[V].data();
@@ -255,10 +255,6 @@ JoinResult parsynt::synthesizeJoin(const Loop &L,
                                        RoundCandidatesBase);
     };
 
-    // Test environments for enumeration: the combined envs of all tests,
-    // built with the first pool (rounds solved by seeds alone need none).
-    std::vector<Env> CombEnvs;
-
     // Left-right and right-only candidate pools. Equations restricted by
     // the dependence guidance draw from a pool over only their closure's
     // split values; unrestricted equations share the full pool. Pools are
@@ -278,15 +274,15 @@ JoinResult parsynt::synthesizeJoin(const Loop &L,
     struct PoolGroup {
       Enumerator ELR;
       Enumerator ER;
-      PoolGroup(const std::vector<Env> &Envs, unsigned MaxLR, unsigned MaxR,
+      PoolGroup(size_t NumTests, unsigned MaxLR, unsigned MaxR,
                 const Deadline &DL)
-          : ELR(Envs, [&] {
+          : ELR(NumTests, [&] {
               EnumeratorOptions O;
               O.MaxSize = MaxLR;
               O.Timeout = DL;
               return O;
             }()),
-            ER(Envs, [&] {
+            ER(NumTests, [&] {
               EnumeratorOptions O;
               O.MaxSize = MaxR;
               O.Timeout = DL;
@@ -305,29 +301,28 @@ JoinResult parsynt::synthesizeJoin(const Loop &L,
       auto It = Groups.find(Key);
       if (It != Groups.end())
         return *It->second;
-      if (CombEnvs.empty())
-        for (const JoinExample &Example : Oracle.tests())
-          CombEnvs.push_back(Oracle.combinedEnv(Example));
-      auto G = std::make_unique<PoolGroup>(CombEnvs, MaxLR, MaxR, DL);
+      auto G = std::make_unique<PoolGroup>(Oracle.tests().size(), MaxLR, MaxR,
+                                           DL);
+      // Leaves take their values from the oracle's test rows; ??R holes
+      // draw from every leaf but the left split values.
+      auto leaf = [&](const ExprRef &E, bool RightToo) {
+        std::vector<int64_t> Values = Oracle.column(E);
+        G->ELR.addLeaf(E, Values);
+        if (RightToo)
+          G->ER.addLeaf(E, Values);
+      };
       for (const Equation &Eq : L.Equations) {
         if (Allowed && !Allowed->count(Eq.Name))
           continue;
-        G->ELR.addLeaf(inputVar(Eq.Name + "_l", Eq.Ty));
-        G->ELR.addLeaf(inputVar(Eq.Name + "_r", Eq.Ty));
-        G->ER.addLeaf(inputVar(Eq.Name + "_r", Eq.Ty));
+        leaf(inputVar(splitName(Eq.Name, Side::Left), Eq.Ty), false);
+        leaf(inputVar(splitName(Eq.Name, Side::Right), Eq.Ty), true);
       }
-      for (const ParamDecl &P : L.Params) {
-        G->ELR.addLeaf(inputVar(P.Name, P.Ty));
-        G->ER.addLeaf(inputVar(P.Name, P.Ty));
-      }
-      for (int64_t C : Constants) {
-        G->ELR.addLeaf(intConst(C));
-        G->ER.addLeaf(intConst(C));
-      }
-      G->ELR.addLeaf(boolConst(true));
-      G->ELR.addLeaf(boolConst(false));
-      G->ER.addLeaf(boolConst(true));
-      G->ER.addLeaf(boolConst(false));
+      for (const ParamDecl &P : L.Params)
+        leaf(inputVar(P.Name, P.Ty), true);
+      for (int64_t C : Constants)
+        leaf(intConst(C), true);
+      leaf(boolConst(true), true);
+      leaf(boolConst(false), true);
       G->ELR.run();
       G->ER.run();
       Result.Stats.EnumeratedCandidates +=
@@ -364,11 +359,7 @@ JoinResult parsynt::synthesizeJoin(const Loop &L,
       // seed costs one round and then falls back to the search.)
       auto SeedIt = Options.Guidance.Seeds.find(Eq.Name);
       if (SeedIt != Options.Guidance.Seeds.end() && SeedIt->second) {
-        bool Matches = true;
-        CompiledJoinExpr Seed(SeedIt->second, Oracle);
-        const auto &Tests = Oracle.tests();
-        for (size_t T = 0; T != Tests.size() && Matches; ++T)
-          Matches = Seed.eval(Oracle.testRow(T)) == Tests[T].Expected[I].raw();
+        bool Matches = !Oracle.firstFailure(SeedIt->second, I);
         // Fault point: refuse a matching seed so the equation exercises the
         // full search path (PARSYNT_FAULT=synth.reject).
         if (Matches && !FaultInjector::fires("synth.reject")) {
@@ -427,8 +418,10 @@ JoinResult parsynt::synthesizeJoin(const Loop &L,
           Corr.Holes.push_back({"?c0", Type::Bool, /*RightOnly=*/false});
           Corr.Holes.push_back({"?c1", Type::Int, /*RightOnly=*/true});
           Corr.Holes.push_back({"?c2", Type::Int, /*RightOnly=*/true});
-          Corr.Body = add(add(inputVar(Eq.Name + "_l", Type::Int),
-                              inputVar(Eq.Name + "_r", Type::Int)),
+          Corr.Body = add(add(inputVar(splitName(Eq.Name, Side::Left),
+                                       Type::Int),
+                              inputVar(splitName(Eq.Name, Side::Right),
+                                       Type::Int)),
                           ite(inputVar("?c0", Type::Bool),
                               inputVar("?c1", Type::Int),
                               inputVar("?c2", Type::Int)));
@@ -494,14 +487,9 @@ JoinResult parsynt::synthesizeJoin(const Loop &L,
         for (const Equation &W : L.Equations) {
           if (!isa<IntConstExpr>(W.Init) && !isa<BoolConstExpr>(W.Init))
             continue;
-          ExprRef Guard = eq(inputVar(W.Name + "_r", W.Ty), W.Init);
-          CompiledJoinExpr GuardCode(Guard, Oracle);
-          Candidate C;
-          C.E = Guard;
-          C.Values.reserve(Oracle.tests().size());
-          for (size_t T = 0; T != Oracle.tests().size(); ++T)
-            C.Values.push_back(GuardCode.eval(Oracle.testRow(T)));
-          GuardPool.push_back(std::move(C));
+          ExprRef Guard =
+              eq(inputVar(splitName(W.Name, Side::Right), W.Ty), W.Init);
+          GuardPool.push_back({Guard, Oracle.column(Guard)});
         }
         if (!GuardPool.empty()) {
           Sketch Guarded = compileSketch(Eq);
@@ -510,8 +498,10 @@ JoinResult parsynt::synthesizeJoin(const Loop &L,
           size_t GuardIndex = Guarded.Holes.size();
           Guarded.Holes.push_back({GuardName, Type::Bool,
                                    /*RightOnly=*/true});
-          Guarded.Body = ite(inputVar(GuardName, Type::Bool),
-                             inputVar(Eq.Name + "_l", Eq.Ty), Guarded.Body);
+          Guarded.Body =
+              ite(inputVar(GuardName, Type::Bool),
+                  inputVar(splitName(Eq.Name, Side::Left), Eq.Ty),
+                  Guarded.Body);
           for (const auto &[SizeLR, SizeR] : Options.SketchTiers) {
             std::vector<HolePool> Pools;
             Pools.reserve(Guarded.Holes.size());
@@ -593,10 +583,10 @@ JoinResult parsynt::synthesizeJoin(const Loop &L,
       // Name the still-disagreeing equation: evaluate each component on the
       // final counterexample, like the per-variable failure path does.
       std::string Culprit;
-      Env CexEnv = Oracle.combinedEnv(*Cex);
+      StateTuple Joined = CompiledJoin(Oracle.layout(), Result.Components)
+                              .apply(Cex->Left, Cex->Right, Cex->Params);
       for (size_t I = 0; I != Result.Components.size(); ++I) {
-        if (Result.Components[I] &&
-            evalExpr(Result.Components[I], CexEnv) != Cex->Expected[I]) {
+        if (Joined[I] != Cex->Expected[I]) {
           Culprit = L.Equations[I].Name;
           break;
         }

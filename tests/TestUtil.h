@@ -10,11 +10,13 @@
 
 #include "frontend/Convert.h"
 #include "interp/Interp.h"
-#include "interp/SemanticEq.h"
 #include "ir/ExprOps.h"
+#include "runtime/ParallelReduce.h"
 #include "support/Random.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 namespace parsynt {
 namespace test {
@@ -107,6 +109,63 @@ inline std::vector<std::pair<std::string, Type>> standardVars() {
           {"p", Type::Bool}, {"q", Type::Bool}};
 }
 
+//===----------------------------------------------------------------------===//
+// Sampling-based semantic equivalence of expressions, for the property
+// tests of the rewrite engine and the enumerator.
+//===----------------------------------------------------------------------===//
+
+/// Draws \p Count random environments binding every variable in \p Vars
+/// (ints from a mixed small/large distribution, bools uniform). The first
+/// environments enumerate structured corners (all zero, all one, all minus
+/// one, ...) before random draws.
+inline std::vector<Env>
+sampleEnvs(const std::vector<std::pair<std::string, Type>> &Vars,
+           size_t Count, Rng &R) {
+  std::vector<Env> Envs;
+  // Structured corners first: they catch identity/absorption mistakes that
+  // random draws miss with noticeable probability.
+  for (int64_t Corner : {0, 1, -1, 2, -2}) {
+    if (Envs.size() >= Count)
+      break;
+    Env E;
+    for (const auto &[Name, Ty] : Vars)
+      E[Name] = Ty == Type::Int ? Value::ofInt(Corner)
+                                : Value::ofBool(Corner % 2 != 0);
+    Envs.push_back(std::move(E));
+  }
+  while (Envs.size() < Count) {
+    Env E;
+    for (const auto &[Name, Ty] : Vars) {
+      // Mostly small magnitudes (where algebraic corner cases live), with
+      // an occasional large draw to expose scale-dependent coincidences.
+      E[Name] = Ty == Type::Bool ? Value::ofBool(R.flip())
+                                 : Value::ofInt(R.chance(1, 8)
+                                                    ? R.intIn(-1000000, 1000000)
+                                                    : R.intIn(-4, 4));
+    }
+    Envs.push_back(std::move(E));
+  }
+  return Envs;
+}
+
+/// Sampling-based equivalence over the free variables of both expressions:
+/// \p Samples environments (structured corners, then random draws).
+inline bool probablyEquivalent(const ExprRef &A, const ExprRef &B, Rng &R,
+                               size_t Samples = 48) {
+  if (A->type() != B->type())
+    return false;
+  auto VarsA = collectTypedVars(A);
+  auto VarsB = collectTypedVars(B);
+  std::vector<std::pair<std::string, Type>> Vars;
+  std::merge(VarsA.begin(), VarsA.end(), VarsB.begin(), VarsB.end(),
+             std::back_inserter(Vars));
+  Vars.erase(std::unique(Vars.begin(), Vars.end()), Vars.end());
+  for (const Env &E : sampleEnvs(Vars, Samples, R))
+    if (evalExpr(A, E) != evalExpr(B, E))
+      return false;
+  return true;
+}
+
 /// Asserts that two expressions agree on many sampled environments, with a
 /// readable message when they do not.
 inline void expectEquivalent(const ExprRef &A, const ExprRef &B,
@@ -114,6 +173,105 @@ inline void expectEquivalent(const ExprRef &A, const ExprRef &B,
   Rng R(Seed);
   EXPECT_TRUE(probablyEquivalent(A, B, R, 64))
       << "A: " << exprToString(A) << "\nB: " << exprToString(B);
+}
+
+//===----------------------------------------------------------------------===//
+// The reference semantics: evalExpr over name -> value maps, against which
+// the compiled loop and join programs are differentially tested.
+//===----------------------------------------------------------------------===//
+
+/// Runs the iterations [Begin, End) of \p L over \p Seqs from \p State.
+inline StateTuple referenceRunRange(const Loop &L, StateTuple State,
+                                    const SeqEnv &Seqs, int64_t Begin,
+                                    int64_t End, const Env &Params = {}) {
+  Env Vars = Params;
+  for (int64_t Index = Begin; Index < End; ++Index) {
+    for (size_t I = 0; I != L.Equations.size(); ++I)
+      Vars[L.Equations[I].Name] = State[I];
+    Vars[L.IndexName] = Value::ofInt(Index);
+    StateTuple Next;
+    for (const Equation &Eq : L.Equations)
+      Next.push_back(evalExpr(Eq.Update, Vars, Seqs));
+    State = std::move(Next);
+  }
+  return State;
+}
+
+inline StateTuple referenceInitialState(const Loop &L,
+                                        const Env &Params = {}) {
+  StateTuple State;
+  for (const Equation &Eq : L.Equations)
+    State.push_back(evalExpr(Eq.Init, Params));
+  return State;
+}
+
+/// fE over the whole of \p Seqs.
+inline StateTuple referenceRunLoop(const Loop &L, const SeqEnv &Seqs,
+                                   const Env &Params = {}) {
+  int64_t Length = L.Sequences.empty()
+                       ? 0
+                       : static_cast<int64_t>(
+                             Seqs.at(L.Sequences.front().Name).size());
+  return referenceRunRange(L, referenceInitialState(L, Params), Seqs, 0,
+                           Length, Params);
+}
+
+/// The join components \p Join applied to split states \p Left, \p Right.
+inline StateTuple referenceJoin(const Loop &L, const std::vector<ExprRef> &Join,
+                                const StateTuple &Left,
+                                const StateTuple &Right,
+                                const Env &Params = {}) {
+  Env Vars = Params;
+  for (size_t I = 0; I != L.Equations.size(); ++I) {
+    Vars[splitName(L.Equations[I].Name, Side::Left)] = Left[I];
+    Vars[splitName(L.Equations[I].Name, Side::Right)] = Right[I];
+  }
+  StateTuple Result;
+  for (const ExprRef &Component : Join)
+    Result.push_back(evalExpr(Component, Vars));
+  return Result;
+}
+
+/// The divide-and-conquer run of parallelRunLoop over the identical join
+/// tree, evaluated sequentially by the reference semantics. An empty join
+/// is the sequential fallback: plain fE.
+inline StateTuple referenceParallelRun(const Loop &L,
+                                       const std::vector<ExprRef> &Join,
+                                       const SeqEnv &Seqs, size_t Grain,
+                                       const Env &Params = {}) {
+  size_t Length = Seqs.at(L.Sequences.front().Name).size();
+  if (Join.empty() || Length == 0)
+    return referenceRunLoop(L, Seqs, Params);
+  StateTuple Init = referenceInitialState(L, Params);
+  return sequentialReduce<StateTuple>(
+      BlockedRange{0, Length, std::max<size_t>(Grain, 1)},
+      [&](size_t Begin, size_t End) {
+        return referenceRunRange(L, Init, Seqs, static_cast<int64_t>(Begin),
+                                 static_cast<int64_t>(End), Params);
+      },
+      [&](const StateTuple &Left, const StateTuple &Right) {
+        return referenceJoin(L, Join, Left, Right, Params);
+      });
+}
+
+/// Seeded contents for every sequence of \p L: \p Length elements, a
+/// quarter of them the wrap-around edges INT64_MIN, INT64_MAX, -1 and 0,
+/// the rest drawn from \p Pool (bool sequences take the low bit).
+inline SeqEnv edgeInputs(const Loop &L, size_t Length,
+                         const std::vector<int64_t> &Pool, Rng &R) {
+  static const int64_t Edges[] = {INT64_MIN, INT64_MAX, -1, 0};
+  SeqEnv Seqs;
+  for (const SeqDecl &S : L.Sequences) {
+    std::vector<Value> Elems;
+    for (size_t I = 0; I != Length; ++I) {
+      int64_t V = R.chance(1, 4) ? Edges[R.index(4)]
+                                 : Pool[R.index(Pool.size())];
+      Elems.push_back(S.ElemTy == Type::Bool ? Value::ofBool(V & 1)
+                                             : Value::ofInt(V));
+    }
+    Seqs[S.Name] = std::move(Elems);
+  }
+  return Seqs;
 }
 
 } // namespace test

@@ -55,9 +55,29 @@ TEST(EmitCpp, ParametersBecomeGlobals) {
   EXPECT_NE(Code.find("x = 3;"), std::string::npos);
 }
 
-/// Emits, compiles (g++), and runs the generated program; its exit status
-/// is the self-check verdict. Parameterized over a representative slice of
-/// the suite (one plain, one lifted-arithmetic, one lifted-boolean, one
+/// Compiles (g++, with UBSan aborting on the first report) and runs an
+/// emitted program named \p Name; its exit status is the self-check
+/// verdict. The program includes the shared header-only runtime, so it
+/// compiles (as C++17) against the parsynt src tree.
+void compileAndRun(const std::string &Name, const std::string &Code) {
+  std::string Base = std::string(::testing::TempDir()) + "/parsynt_emit_";
+  for (char C : Name)
+    Base += std::isalnum(static_cast<unsigned char>(C)) ? C : '_';
+  std::string Src = Base + ".cpp", Bin = Base + ".bin";
+  {
+    std::ofstream Out(Src);
+    Out << Code;
+  }
+  std::string Compile = "g++ -O1 -std=c++17 -pthread -fsanitize=undefined "
+                        "-fno-sanitize-recover=undefined -I " PARSYNT_SRC_DIR
+                        " -o " + Bin + " " + Src + " 2>&1";
+  ASSERT_EQ(std::system(Compile.c_str()), 0) << "compile failed:\n" << Code;
+  ASSERT_EQ(std::system((Bin + " > /dev/null").c_str()), 0)
+      << "generated self-check failed for " << Name << ":\n" << Code;
+}
+
+/// Emits and runs the generated program for a representative slice of the
+/// suite (one plain, one lifted-arithmetic, one lifted-boolean, one
 /// index-dependent, one two-sequence).
 class EmittedProgram : public ::testing::TestWithParam<const char *> {};
 
@@ -67,23 +87,23 @@ TEST_P(EmittedProgram, CompilesAndSelfChecks) {
   EmitCppOptions Opts;
   Opts.Grain = 4096;
   Opts.SelfCheckElements = 200000;
-  std::string Code = emitParallelCpp(R.Final, R.Join.Components, Opts);
+  compileAndRun(Name, emitParallelCpp(R.Final, R.Join.Components, Opts));
+}
 
-  std::string Base = std::string(::testing::TempDir()) + "/parsynt_emit_";
-  for (const char *C = Name; *C; ++C)
-    Base += std::isalnum(static_cast<unsigned char>(*C)) ? *C : '_';
-  std::string Src = Base + ".cpp", Bin = Base + ".bin";
-  {
-    std::ofstream Out(Src);
-    Out << Code;
-  }
-  // The emitted program includes the shared header-only runtime, so it
-  // compiles (as C++17) against the parsynt src tree.
-  std::string Compile = "g++ -O1 -std=c++17 -pthread -I " PARSYNT_SRC_DIR
-                        " -o " + Bin + " " + Src + " 2>&1";
-  ASSERT_EQ(std::system(Compile.c_str()), 0) << "compile failed:\n" << Code;
-  ASSERT_EQ(std::system((Bin + " > /dev/null").c_str()), 0)
-      << "generated self-check failed for " << Name;
+TEST(EmitCpp, WrappingOperatorsHaveNoUndefinedBehaviour) {
+  // p doubles until it wraps through INT64_MIN: negating it and dividing
+  // it by -1 there are defined (wrapping) in the synthesis semantics and
+  // must be in the emitted program too.
+  Loop L = mustParse("p = 1;\nn = 0;\nd = 0;\n"
+                     "for (i = 0; i < |s|; i++) {\n"
+                     "  p = p * 2 + s[i] * 0;\n"
+                     "  n = -p;\n"
+                     "  d = p / (0 - 1);\n"
+                     "}",
+                     "wrap");
+  EmitCppOptions Opts;
+  Opts.SelfCheckElements = 1000;
+  compileAndRun("wrap", emitParallelCpp(L, {}, Opts));
 }
 
 INSTANTIATE_TEST_SUITE_P(Representative, EmittedProgram,

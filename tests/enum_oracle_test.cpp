@@ -25,6 +25,24 @@ std::vector<Env> smallEnvs() {
                     24, R);
 }
 
+/// The raw values of \p E on every environment of \p Envs.
+std::vector<int64_t> column(const ExprRef &E, const std::vector<Env> &Envs) {
+  std::vector<int64_t> Values;
+  for (const Env &TestEnv : Envs)
+    Values.push_back(evalExpr(E, TestEnv).raw());
+  return Values;
+}
+
+/// An enumerator over \p Envs with the given leaves.
+Enumerator enumeratorOver(const std::vector<Env> &Envs,
+                          const std::vector<ExprRef> &Leaves,
+                          EnumeratorOptions Opts = {}) {
+  Enumerator E(Envs.size(), Opts);
+  for (const ExprRef &Leaf : Leaves)
+    E.addLeaf(Leaf, column(Leaf, Envs));
+  return E;
+}
+
 TEST(Enumerator, BuildsBySizeWithDedup) {
   // Edge points on top of the random ones: overflowing sums and products,
   // INT64_MIN / -1, and division by zero.
@@ -39,11 +57,8 @@ TEST(Enumerator, BuildsBySizeWithDedup) {
     Edge["p"] = Value::ofBool(X < Y);
     Envs.push_back(std::move(Edge));
   }
-  Enumerator E(Envs);
-  E.addLeaf(inputVar("x"));
-  E.addLeaf(inputVar("y"));
-  E.addLeaf(intConst(0));
-  E.addLeaf(inputVar("p", Type::Bool));
+  Enumerator E = enumeratorOver(Envs, {inputVar("x"), inputVar("y"),
+                                       intConst(0), inputVar("p", Type::Bool)});
   E.options().MaxSize = 3;
   E.run();
   // x + 0 is observationally x: never kept as a separate class.
@@ -72,25 +87,17 @@ TEST(Enumerator, BuildsBySizeWithDedup) {
 
 TEST(Enumerator, FindMatchingByValueVector) {
   std::vector<Env> Envs = smallEnvs();
-  Enumerator E(Envs);
-  E.addLeaf(inputVar("x"));
-  E.addLeaf(inputVar("y"));
+  Enumerator E = enumeratorOver(Envs, {inputVar("x"), inputVar("y")});
   E.options().MaxSize = 5;
   E.run();
-  // Target: max(x, y) values.
-  std::vector<int64_t> Target;
-  for (const Env &TestEnv : Envs)
-    Target.push_back(
-        evalExpr(maxE(inputVar("x"), inputVar("y")), TestEnv).raw());
-  const Candidate *C = E.findMatching(Type::Int, Target);
+  const Candidate *C = E.findMatching(
+      Type::Int, column(maxE(inputVar("x"), inputVar("y")), Envs));
   ASSERT_NE(C, nullptr);
   expectEquivalent(C->E, maxE(inputVar("x"), inputVar("y")));
 }
 
 TEST(Enumerator, IncrementalGrowth) {
-  Enumerator E(smallEnvs());
-  E.addLeaf(inputVar("x"));
-  E.addLeaf(inputVar("y"));
+  Enumerator E = enumeratorOver(smallEnvs(), {inputVar("x"), inputVar("y")});
   E.options().MaxSize = 3;
   E.run();
   size_t After3 = E.totalCandidates();
@@ -103,10 +110,8 @@ TEST(Enumerator, RespectsCaps) {
   EnumeratorOptions Opts;
   Opts.MaxSize = 7;
   Opts.MaxPerType = 50;
-  Enumerator E(smallEnvs(), Opts);
-  E.addLeaf(inputVar("x"));
-  E.addLeaf(inputVar("y"));
-  E.addLeaf(intConst(1));
+  Enumerator E = enumeratorOver(
+      smallEnvs(), {inputVar("x"), inputVar("y"), intConst(1)}, Opts);
   E.run();
   EXPECT_LE(E.candidates(Type::Int).size(), 50u);
 }

@@ -8,7 +8,6 @@
 #include "interp/CompiledExpr.h"
 #include "interp/Interp.h"
 #include "interp/OpSemantics.h"
-#include "interp/SemanticEq.h"
 #include "TestUtil.h"
 
 #include <gtest/gtest.h>
@@ -110,7 +109,7 @@ TEST(Interp, StepLoopIsSimultaneous) {
   ASSERT_FALSE(L.validate().has_value());
   SeqEnv Seqs;
   Seqs["s"] = {Value::ofInt(0)};
-  StateTuple S = stepLoop(L, initialState(L), Seqs, 0);
+  StateTuple S = runLoopRange(L, initialState(L), Seqs, 0, 1);
   EXPECT_EQ(S[0].asInt(), 2);
   EXPECT_EQ(S[1].asInt(), 1);
 }
@@ -191,7 +190,7 @@ TEST(CompiledExpr, AgreesWithEvalExprOnRandomExpressions) {
     Type Ty = Case % 2 ? Type::Bool : Type::Int;
     ExprRef E = randomExpr(R, Ty, 1 + Case % 6);
     std::vector<std::string> Inputs = {"x", "y", "z", "p", "q"};
-    CompiledExpr Code(E, Inputs);
+    CompiledExpr Code({E}, Inputs);
     ASSERT_EQ(Inputs.size(), 5u) << "no variables beyond the given inputs";
     std::vector<int64_t> Regs = Code.makeRegisters();
     for (unsigned Point = 0; Point != 12; ++Point) {
@@ -214,20 +213,23 @@ TEST(CompiledExpr, AgreesWithEvalExprOnRandomExpressions) {
 }
 
 TEST(CompiledExpr, SharedSubtreesAndBareLeaves) {
+  // One program, several roots over one register file: a root sharing a
+  // subtree with another, a bare input and a bare constant.
   ExprRef X = inputVar("x");
   ExprRef Shared = mul(X, intConst(INT64_MAX));
   ExprRef E = ite(lt(Shared, intConst(0)), Shared, neg(Shared));
-  for (const ExprRef &Root : {E, X, intConst(-5)}) {
-    std::vector<std::string> Inputs = {"x"};
-    CompiledExpr Code(Root, Inputs);
-    std::vector<int64_t> Regs = Code.makeRegisters();
-    for (int64_t V : EdgeValues) {
-      Regs[0] = V;
-      Env Vars;
-      Vars["x"] = Value::ofInt(V);
-      EXPECT_EQ(Code.run(Regs.data()), evalExpr(Root, Vars).raw())
-          << exprToString(Root) << " at x = " << V;
-    }
+  const std::vector<ExprRef> Roots = {E, Shared, X, intConst(-5)};
+  std::vector<std::string> Inputs = {"x"};
+  CompiledExpr Code(Roots, Inputs);
+  std::vector<int64_t> Regs = Code.makeRegisters();
+  for (int64_t V : EdgeValues) {
+    Regs[0] = V;
+    Env Vars;
+    Vars["x"] = Value::ofInt(V);
+    EXPECT_EQ(Code.run(Regs.data()), evalExpr(E, Vars).raw());
+    for (size_t K = 0; K != Roots.size(); ++K)
+      EXPECT_EQ(Code.result(Regs.data(), K), evalExpr(Roots[K], Vars).raw())
+          << exprToString(Roots[K]) << " at x = " << V;
   }
 }
 

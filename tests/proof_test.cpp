@@ -63,6 +63,31 @@ TEST(ProofCheck, RejectsTheClassicSecondMinMistake) {
   EXPECT_TRUE(checkHomomorphismProof(L, Right).Verified);
 }
 
+TEST(ProofCheck, RejectsTheMtsJoinWithSidesSwapped) {
+  // mts lifted with its running sum: the join is not symmetric, so
+  // exchanging every _l and _r operand must fail an obligation.
+  Loop L = mustParse("mts = 0;\nsum = 0;\n"
+                     "for (i = 0; i < |s|; i++) {\n"
+                     "  mts = max(mts + s[i], 0);\n"
+                     "  sum = sum + s[i];\n"
+                     "}",
+                     "mts");
+  auto join = [](Side A, Side B) {
+    auto v = [](const char *Var, Side S) {
+      return inputVar(splitName(Var, S));
+    };
+    return std::vector<ExprRef>{
+        maxE(add(v("mts", A), v("sum", B)), v("mts", B)),
+        add(v("sum", A), v("sum", B))};
+  };
+  EXPECT_TRUE(
+      checkHomomorphismProof(L, join(Side::Left, Side::Right)).Verified);
+  ProofReport Swapped =
+      checkHomomorphismProof(L, join(Side::Right, Side::Left));
+  ASSERT_FALSE(Swapped.Verified);
+  EXPECT_EQ(Swapped.Failure->StateVar, "mts") << Swapped.str();
+}
+
 /// Property sweep: for every benchmark the pipeline parallelizes, the
 /// synthesized join passes the proof obligations.
 class ProofSweep : public ::testing::TestWithParam<size_t> {};

@@ -324,6 +324,56 @@ TEST(InterpReduce, RunsSynthesizedJoinOnData) {
   }
 }
 
+TEST(InterpReduce, CompiledRunMatchesReferenceOnSharedPrograms) {
+  // Hand-written joins (no synthesis, so the test stays fast under TSan):
+  // an auxiliary-lifted fold, a parameterized one, a boolean one, a
+  // two-sequence one, and one reading the loop index. Four workers share
+  // each compiled loop and join; the result must equal the evalExpr
+  // reference over the same join tree, on wrap-around edge inputs.
+  struct Case {
+    const char *Source;
+    std::vector<ExprRef> Join;
+  };
+  auto v = [](const char *Name, Type Ty = Type::Int) {
+    return inputVar(Name, Ty);
+  };
+  const Case Cases[] = {
+      {"mts = 0;\nsum = 0;\nfor (i = 0; i < |s|; i++) {\n"
+       "  mts = max(mts + s[i], 0);\n  sum = sum + s[i];\n}",
+       {maxE(add(v("mts_l"), v("sum_r")), v("mts_r")),
+        add(v("sum_l"), v("sum_r"))}},
+      {"res = 0;\np = 1;\nfor (i = 0; i < |s|; i++) {\n"
+       "  res = res + s[i] * p;\n  p = p * x;\n}",
+       {add(v("res_l"), mul(v("res_r"), v("p_l"))), mul(v("p_l"), v("p_r"))}},
+      {"any = false;\nall = true;\nfor (i = 0; i < |s|; i++) {\n"
+       "  any = any || s[i] == 0;\n  all = all && s[i] != 1;\n}",
+       {orE(v("any_l", Type::Bool), v("any_r", Type::Bool)),
+        andE(v("all_l", Type::Bool), v("all_r", Type::Bool))}},
+      {"ham = 0;\nfor (i = 0; i < |s|; i++) {\n"
+       "  if (s[i] != t[i]) { ham = ham + 1; }\n}",
+       {add(v("ham_l"), v("ham_r"))}},
+      {"last = -1;\nfor (i = 0; i < |s|; i++) {\n"
+       "  if (s[i] == 0) { last = i; }\n}",
+       {ite(eq(v("last_r"), intConst(-1)), v("last_l"), v("last_r"))}},
+  };
+  TaskPool Pool(4);
+  Rng R(0x5eed);
+  for (const Case &C : Cases) {
+    Loop L = mustParse(C.Source);
+    for (unsigned Round = 0; Round != 8; ++Round) {
+      SeqEnv Seqs = edgeInputs(L, static_cast<size_t>(R.intIn(0, 3000)),
+                               {-3, -2, 1, 2, 5, 1000}, R);
+      Env Params;
+      for (const ParamDecl &P : L.Params)
+        Params[P.Name] = Value::ofInt(Round % 2 ? INT64_MIN : -1);
+      size_t Grain = static_cast<size_t>(R.intIn(1, 64));
+      EXPECT_EQ(parallelRunLoop(L, C.Join, Seqs, Pool, Grain, Params),
+                referenceParallelRun(L, C.Join, Seqs, Grain, Params))
+          << C.Source << "\nround " << Round << ", grain " << Grain;
+    }
+  }
+}
+
 TEST(InterpReduce, EmptyInput) {
   Loop L = mustParse("sum = 0;\n"
                      "for (i = 0; i < |s|; i++) { sum = sum + s[i]; }");

@@ -9,6 +9,7 @@
 #include "interp/Interp.h"
 #include "support/Random.h"
 #include "synth/JoinSynth.h"
+#include "TestUtil.h"
 
 #include <gtest/gtest.h>
 
@@ -48,16 +49,12 @@ void expectJoinCorrect(const Loop &L, const JoinResult &Join,
     Env Params;
     for (const ParamDecl &P : L.Params)
       Params[P.Name] = Value::ofInt(R.intIn(-3, 3));
-    StateTuple Lt = runLoop(L, Left, Params);
-    StateTuple Rt = runLoop(L, Right, Params);
+    StateTuple Joined =
+        test::referenceJoin(L, Join.Components, runLoop(L, Left, Params),
+                      runLoop(L, Right, Params), Params);
     StateTuple Expected = runLoop(L, Whole, Params);
-    Env E = Params;
-    for (size_t I = 0; I != L.Equations.size(); ++I) {
-      E[L.Equations[I].Name + "_l"] = Lt[I];
-      E[L.Equations[I].Name + "_r"] = Rt[I];
-    }
     for (size_t I = 0; I != L.Equations.size(); ++I)
-      ASSERT_EQ(evalExpr(Join.Components[I], E), Expected[I])
+      ASSERT_EQ(Joined[I], Expected[I])
           << "component " << L.Equations[I].Name << " = "
           << exprToString(Join.Components[I]);
   }

@@ -100,6 +100,9 @@ cmake --build "${PREFIX}-tsan" -j "${JOBS}"
 # is prohibitively slow). runtime_test carries the work-stealing pool's
 # dedicated races: grain-1 recursion at 2-64 threads, oversubscribed
 # nested waits, concurrent external drivers, and the park/wake handshake.
+# InterpReduce.CompiledRunMatchesReferenceOnSharedPrograms runs compiled
+# loop and join programs shared by four workers: the race check for the
+# runtime's one-compile-per-call evaluator.
 # The observe suites join them: per-thread trace buffers are drained while
 # pool workers publish spans, and the metrics counters are hammered from
 # eight threads at once.
