@@ -13,6 +13,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "interp/Interp.h"
+#include "lift/Unfold.h"
 #include "normalize/Normalizer.h"
 #include "runtime/ParallelReduce.h"
 #include "suite/Benchmarks.h"
@@ -107,6 +108,34 @@ void BM_NormalizeMtsUnfolding(benchmark::State &State) {
   }
 }
 BENCHMARK(BM_NormalizeMtsUnfolding)->Arg(2)->Arg(3);
+
+// The path lifting actually takes through the generic normalizer. The
+// pipeline sends mts through tropicalNormalize; line-sight's vis
+// unfoldings at k = 3 fit neither canonical normal form, so they go to the
+// best-first search, and two of the three run to the 4000-expansion cap.
+void BM_NormalizeLineSightUnfolding(benchmark::State &State) {
+  Loop L = materializeIndex(parseBenchmark(*findBenchmark("line-sight")));
+  const unsigned K = 3;
+  Unfolding U = unfoldLoop(L, K, /*FromUnknowns=*/true);
+  std::set<std::string> Unknowns;
+  for (const Equation &Eq : L.Equations)
+    Unknowns.insert(unknownName(Eq.Name));
+  const std::vector<ExprRef> &Vis = U.ValuesAtStep.at("vis");
+  uint64_t Expanded = 0;
+  for (auto _ : State) {
+    for (unsigned Step = 1; Step <= K; ++Step) {
+      NormalizeStats Stats;
+      ExprRef Ell = normalizeExpr(Vis[Step], Unknowns, {}, &Stats);
+      benchmark::DoNotOptimize(Ell);
+      Expanded += Stats.Expanded;
+    }
+  }
+  State.counters["expanded"] =
+      static_cast<double>(Expanded) / static_cast<double>(State.iterations());
+  State.counters["expansions/s"] = benchmark::Counter(
+      static_cast<double>(Expanded), benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_NormalizeLineSightUnfolding)->Unit(benchmark::kMillisecond);
 
 void BM_ParallelReduceSum(benchmark::State &State) {
   const NativeKernel &K = *findKernel("sum");

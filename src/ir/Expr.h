@@ -290,6 +290,21 @@ template <typename T> const T *dyn_cast(const ExprRef &E) {
 /// Structural equality (hash fast path + recursive compare).
 bool exprEquals(const ExprRef &A, const ExprRef &B);
 
+/// Hash and equality functors keying unordered containers by structure:
+/// the cached hash() and exprEquals(). Structural equality coincides with
+/// equality of exprToString() renderings on well-typed terms, without
+/// printing anything.
+struct ExprHash {
+  size_t operator()(const ExprRef &E) const {
+    return static_cast<size_t>(E->hash());
+  }
+};
+struct ExprEqual {
+  bool operator()(const ExprRef &A, const ExprRef &B) const {
+    return exprEquals(A, B);
+  }
+};
+
 /// Renders the expression in source syntax, fully parenthesized where the
 /// structure is not obvious.
 std::string exprToString(const ExprRef &E);

@@ -207,34 +207,56 @@ bool parsynt::containsVar(const ExprRef &E, const std::string &Name) {
   return false;
 }
 
-unsigned parsynt::countOccurrences(const ExprRef &E,
-                                   const std::set<std::string> &Names) {
-  unsigned Count = 0;
-  forEachNode(E, [&](const ExprRef &Node) {
-    if (const auto *V = dyn_cast<VarExpr>(Node))
-      if (Names.count(V->name()))
-        ++Count;
-  });
-  return Count;
-}
-
-static unsigned maxVarDepthImpl(const ExprRef &E,
-                                const std::set<std::string> &Names,
-                                unsigned Depth) {
-  if (const auto *V = dyn_cast<VarExpr>(E))
-    return Names.count(V->name()) ? Depth : 0;
-  unsigned Best = 0;
-  for (const ExprRef &Child : children(E))
-    Best = std::max(Best, maxVarDepthImpl(Child, Names, Depth + 1));
-  return Best;
-}
-
-unsigned parsynt::maxVarDepth(const ExprRef &E,
-                              const std::set<std::string> &Names) {
-  return maxVarDepthImpl(E, Names, 0);
+/// One pre-order walk accumulating both halves of CostV; \p Depth counts
+/// from the root (depth 0).
+static void exprCostImpl(const Expr *E, const std::set<std::string> &Names,
+                         unsigned Depth, ExprCost &Cost) {
+  switch (E->kind()) {
+  case ExprKind::IntConst:
+  case ExprKind::BoolConst:
+    return;
+  case ExprKind::Var:
+    if (Names.count(cast<VarExpr>(E)->name())) {
+      Cost.MaxDepth = std::max(Cost.MaxDepth, Depth);
+      ++Cost.Occurrences;
+    }
+    return;
+  case ExprKind::SeqAccess:
+    exprCostImpl(cast<SeqAccessExpr>(E)->index().get(), Names, Depth + 1,
+                 Cost);
+    return;
+  case ExprKind::Unary:
+    exprCostImpl(cast<UnaryExpr>(E)->operand().get(), Names, Depth + 1, Cost);
+    return;
+  case ExprKind::Binary: {
+    const auto *B = cast<BinaryExpr>(E);
+    exprCostImpl(B->lhs().get(), Names, Depth + 1, Cost);
+    exprCostImpl(B->rhs().get(), Names, Depth + 1, Cost);
+    return;
+  }
+  case ExprKind::Ite: {
+    const auto *I = cast<IteExpr>(E);
+    exprCostImpl(I->cond().get(), Names, Depth + 1, Cost);
+    exprCostImpl(I->thenExpr().get(), Names, Depth + 1, Cost);
+    exprCostImpl(I->elseExpr().get(), Names, Depth + 1, Cost);
+    return;
+  }
+  }
 }
 
 ExprCost parsynt::exprCost(const ExprRef &E,
                            const std::set<std::string> &Names) {
-  return {maxVarDepth(E, Names), countOccurrences(E, Names)};
+  ExprCost Cost;
+  exprCostImpl(E.get(), Names, 0, Cost);
+  return Cost;
+}
+
+unsigned parsynt::countOccurrences(const ExprRef &E,
+                                   const std::set<std::string> &Names) {
+  return exprCost(E, Names).Occurrences;
+}
+
+unsigned parsynt::maxVarDepth(const ExprRef &E,
+                              const std::set<std::string> &Names) {
+  return exprCost(E, Names).MaxDepth;
 }

@@ -587,22 +587,30 @@ LiftResult Lifter::run() {
     NormSpan.attr("equation", Eq.Name);
     NormSpan.attr("steps", uint64_t(K));
     std::vector<std::vector<ExprRef>> Parts(K + 1);
+    auto normalizeTimedOut = [&] {
+      Result.Failure = {FailureKind::Timeout,
+                        "lifting deadline expired while normalizing the "
+                        "unfoldings of '" +
+                            Eq.Name + "'"};
+      return finish();
+    };
     for (unsigned Step = 1; Step <= K; ++Step) {
-      if (Options.Timeout.expired()) {
-        Result.Failure = {FailureKind::Timeout,
-                          "lifting deadline expired while normalizing the "
-                          "unfoldings of '" +
-                              Eq.Name + "'"};
-        return finish();
-      }
+      if (Options.Timeout.expired())
+        return normalizeTimedOut();
       ExprRef Tau = FromUnknown.ValuesAtStep.at(Eq.Name)[Step];
       // Canonical domain-specific normal forms first; the generic
       // cost-directed search is the fallback.
       ExprRef Ell = tropicalNormalize(Tau, Unknowns);
       if (!Ell)
         Ell = booleanNormalize(Tau, Unknowns);
-      if (!Ell)
-        Ell = normalizeExpr(Tau, Unknowns, Options.Normalize);
+      if (!Ell) {
+        NormalizeOptions NormOpts;
+        NormOpts.Timeout = Options.Timeout;
+        NormalizeStats NormStats;
+        Ell = normalizeExpr(Tau, Unknowns, NormOpts, &NormStats);
+        if (NormStats.TimedOut)
+          return normalizeTimedOut();
+      }
       VerifierReport Report = verifyExpr(Ell, VerifyPhase::AfterNormalize,
                                          /*AllowUnknowns=*/true);
       if (!Report.ok()) {

@@ -54,9 +54,9 @@ struct LiftOptions {
   unsigned Samples = 48;
   uint64_t Seed = 0x11f7;
   InitPreference Preference = InitPreference::ZeroFirst;
-  NormalizeOptions Normalize;
   /// Cooperative cancellation: lifting unwinds with a Timeout failure
-  /// (keeping any auxiliaries already discovered) when this expires.
+  /// (keeping any auxiliaries already discovered) when this expires. The
+  /// normalizer polls it once per expansion.
   Deadline Timeout;
   /// Node-count ceiling handed to the unfolder (see UnfoldLimits): an
   /// unfolding whose next step would exceed it aborts the lift attempt

@@ -17,6 +17,10 @@ using namespace parsynt;
 
 namespace {
 
+/// Candidates larger than SizeFactor * |input| + SizeSlack are pruned.
+constexpr unsigned SizeFactor = 3;
+constexpr unsigned SizeSlack = 24;
+
 /// Search node ordering: cost first (Definition 6.1), then size, so that of
 /// two expressions with the unknowns equally placed, the shorter is
 /// preferred.
@@ -42,7 +46,7 @@ ExprRef parsynt::normalizeExpr(const ExprRef &E,
                                NormalizeStats *Stats) {
   const std::vector<RewriteRule> &Rules = figure6Rules();
   ExprRef Start = simplify(E);
-  unsigned SizeCap = Start->size() * Options.SizeFactor + Options.SizeSlack;
+  unsigned SizeCap = Start->size() * SizeFactor + SizeSlack;
 
   Span BatchSpan("normalizeExpr", trace::Normalize);
   BatchSpan.attr("input_size", uint64_t(Start->size()));
@@ -52,33 +56,37 @@ ExprRef parsynt::normalizeExpr(const ExprRef &E,
   std::vector<uint64_t> RuleHits(Rules.size(), 0);
 
   std::priority_queue<Node, std::vector<Node>, NodeWorse> Frontier;
-  std::unordered_set<std::string> Seen;
+  std::unordered_set<ExprRef, ExprHash, ExprEqual> Seen;
   Frontier.push({Start, exprCost(Start, Unknowns), Start->size()});
-  Seen.insert(exprToString(Start));
+  Seen.insert(Start);
 
   Node Best = Frontier.top();
   if (Stats) {
     Stats->InitialCost = Best.Cost;
     Stats->Expanded = 0;
     Stats->Generated = 1;
+    Stats->TimedOut = false;
   }
 
   unsigned Expanded = 0;
   while (!Frontier.empty() && Expanded < Options.MaxExpansions) {
+    if (Options.Timeout.expired()) {
+      if (Stats)
+        Stats->TimedOut = true;
+      BatchSpan.attr("timed_out", true);
+      break;
+    }
     Node Current = Frontier.top();
     Frontier.pop();
     ++Expanded;
     if (Current.Cost < Best.Cost ||
         (Current.Cost == Best.Cost && Current.Size < Best.Size))
       Best = Current;
-    for (ExprRef &Neighbor : allRewrites(Current.E, Rules, RuleHits)) {
-      if (Neighbor->size() > SizeCap)
-        continue;
-      std::string Key = exprToString(Neighbor);
-      if (!Seen.insert(std::move(Key)).second)
+    for (ExprRef &Neighbor : allRewrites(Current.E, Rules, &RuleHits)) {
+      unsigned Size = Neighbor->size();
+      if (Size > SizeCap || !Seen.insert(Neighbor).second)
         continue;
       ExprCost Cost = exprCost(Neighbor, Unknowns);
-      unsigned Size = Neighbor->size();
       if (Stats)
         ++Stats->Generated;
       Frontier.push({std::move(Neighbor), Cost, Size});

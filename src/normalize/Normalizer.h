@@ -11,7 +11,8 @@
 /// the CostV function of Definition 6.1 — lexicographically (max depth of
 /// the unknowns, number of unknown occurrences), tie-broken by term size.
 /// A closed set and a node budget keep the search finitary, as the paper
-/// prescribes.
+/// prescribes. The closed set is keyed structurally (ExprHash/ExprEqual),
+/// so no search node is ever printed.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -21,6 +22,7 @@
 #include "ir/Expr.h"
 #include "ir/ExprOps.h"
 #include "normalize/Rules.h"
+#include "support/Deadline.h"
 
 #include <set>
 #include <string>
@@ -32,17 +34,21 @@ namespace parsynt {
 struct NormalizeOptions {
   /// Maximum number of nodes popped from the frontier.
   unsigned MaxExpansions = 4000;
-  /// Candidates larger than SizeFactor * |input| + SizeSlack are pruned.
-  unsigned SizeFactor = 3;
-  unsigned SizeSlack = 24;
+  /// Cooperative cancellation, polled once per expansion: when it expires
+  /// the search stops and returns the best form found so far. Unarmed by
+  /// default.
+  Deadline Timeout;
 };
 
-/// Statistics reported by a normalization run (used by the ablation bench).
+/// Statistics reported by a normalization run (read by lifting and the
+/// ablation bench).
 struct NormalizeStats {
   unsigned Expanded = 0;
   unsigned Generated = 0;
   ExprCost InitialCost;
   ExprCost FinalCost;
+  /// True when Options.Timeout stopped the search.
+  bool TimedOut = false;
 };
 
 /// Returns the lowest-cost expression (w.r.t. \p Unknowns) reachable from

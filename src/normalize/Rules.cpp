@@ -6,7 +6,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "normalize/Rules.h"
-#include "ir/ExprOps.h"
 #include "normalize/Simplify.h"
 
 #include <unordered_set>
@@ -564,25 +563,67 @@ ExprRef replaceChild(const ExprRef &E, size_t Index, const ExprRef &NewChild) {
   }
 }
 
-void collectRewrites(const ExprRef &E, const std::vector<RewriteRule> &Rules,
-                     std::vector<ExprRef> &Out,
-                     std::vector<uint64_t> *RuleHits) {
-  for (size_t R = 0; R != Rules.size(); ++R) {
-    size_t Before = Out.size();
-    Rules[R].Apply(E, Out);
-    if (RuleHits)
-      (*RuleHits)[R] += Out.size() - Before;
+/// Collects the raw rewrites of one expression into a single buffer: every
+/// rule at every position, positions in pre-order. A rewrite found below
+/// the root is rebuilt into a whole expression by replacing the child taken
+/// at each ancestor on the way down, innermost first.
+class RewriteCollector {
+public:
+  RewriteCollector(const std::vector<RewriteRule> &Rules,
+                   std::vector<uint64_t> *RuleHits, std::vector<ExprRef> &Out)
+      : Rules(Rules), RuleHits(RuleHits), Out(Out) {}
+
+  void visit(const ExprRef &E) {
+    size_t Start = Out.size();
+    for (size_t R = 0; R != Rules.size(); ++R) {
+      size_t Before = Out.size();
+      Rules[R].Apply(E, Out);
+      if (RuleHits)
+        (*RuleHits)[R] += Out.size() - Before;
+    }
+    for (size_t K = Start; K != Out.size(); ++K)
+      for (auto Step = Path.rbegin(); Step != Path.rend(); ++Step)
+        Out[K] = replaceChild(*Step->first, Step->second, Out[K]);
+
+    switch (E->kind()) {
+    case ExprKind::SeqAccess:
+      descend(E, 0, cast<SeqAccessExpr>(E)->index());
+      break;
+    case ExprKind::Unary:
+      descend(E, 0, cast<UnaryExpr>(E)->operand());
+      break;
+    case ExprKind::Binary: {
+      const auto *B = cast<BinaryExpr>(E);
+      descend(E, 0, B->lhs());
+      descend(E, 1, B->rhs());
+      break;
+    }
+    case ExprKind::Ite: {
+      const auto *I = cast<IteExpr>(E);
+      descend(E, 0, I->cond());
+      descend(E, 1, I->thenExpr());
+      descend(E, 2, I->elseExpr());
+      break;
+    }
+    default:
+      break;
+    }
   }
-  std::vector<ExprRef> Kids = children(E);
-  for (size_t I = 0; I != Kids.size(); ++I) {
-    std::vector<ExprRef> ChildRewrites;
-    // Rule attribution happens at the child's own root; the parent wrap
-    // below is not a fresh application.
-    collectRewrites(Kids[I], Rules, ChildRewrites, RuleHits);
-    for (const ExprRef &NewChild : ChildRewrites)
-      Out.push_back(replaceChild(E, I, NewChild));
+
+private:
+  void descend(const ExprRef &Parent, size_t Index, const ExprRef &Child) {
+    Path.emplace_back(&Parent, Index);
+    visit(Child);
+    Path.pop_back();
   }
-}
+
+  const std::vector<RewriteRule> &Rules;
+  std::vector<uint64_t> *RuleHits;
+  std::vector<ExprRef> &Out;
+  /// Ancestors of the position being visited, root first, each with the
+  /// index of the child the walk descended into.
+  std::vector<std::pair<const ExprRef *, size_t>> Path;
+};
 
 } // namespace
 
@@ -610,33 +651,20 @@ const std::vector<RewriteRule> &parsynt::figure6Rules() {
   return Rules;
 }
 
-std::vector<ExprRef>
-parsynt::allRewrites(const ExprRef &E, const std::vector<RewriteRule> &Rules) {
-  std::vector<ExprRef> Raw;
-  collectRewrites(E, Rules, Raw, /*RuleHits=*/nullptr);
-  std::vector<ExprRef> Result;
-  std::unordered_set<std::string> Seen;
-  Result.reserve(Raw.size());
-  for (const ExprRef &Candidate : Raw) {
-    ExprRef Simplified = simplify(Candidate);
-    if (Seen.insert(exprToString(Simplified)).second)
-      Result.push_back(std::move(Simplified));
+std::vector<ExprRef> parsynt::allRewrites(const ExprRef &E,
+                                          const std::vector<RewriteRule> &Rules,
+                                          std::vector<uint64_t> *RuleHits) {
+  std::vector<ExprRef> Out;
+  RewriteCollector(Rules, RuleHits, Out).visit(E);
+  // Simplify and deduplicate in place, keeping first occurrences.
+  std::unordered_set<ExprRef, ExprHash, ExprEqual> Seen;
+  Seen.reserve(Out.size());
+  size_t Kept = 0;
+  for (size_t K = 0; K != Out.size(); ++K) {
+    ExprRef Simplified = simplify(Out[K]);
+    if (Seen.insert(Simplified).second)
+      Out[Kept++] = std::move(Simplified);
   }
-  return Result;
-}
-
-std::vector<ExprRef>
-parsynt::allRewrites(const ExprRef &E, const std::vector<RewriteRule> &Rules,
-                     std::vector<uint64_t> &RuleHits) {
-  std::vector<ExprRef> Raw;
-  collectRewrites(E, Rules, Raw, &RuleHits);
-  std::vector<ExprRef> Result;
-  std::unordered_set<std::string> Seen;
-  Result.reserve(Raw.size());
-  for (const ExprRef &Candidate : Raw) {
-    ExprRef Simplified = simplify(Candidate);
-    if (Seen.insert(exprToString(Simplified)).second)
-      Result.push_back(std::move(Simplified));
-  }
-  return Result;
+  Out.resize(Kept);
+  return Out;
 }

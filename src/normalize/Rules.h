@@ -38,19 +38,16 @@ struct RewriteRule {
 /// The full Figure-6 rule set.
 const std::vector<RewriteRule> &figure6Rules();
 
-/// All single-step rewrites of \p E: every rule at every position. Results
-/// are simplified (normalize/Simplify.h) and deduplicated.
-std::vector<ExprRef> allRewrites(const ExprRef &E,
-                                 const std::vector<RewriteRule> &Rules);
-
-/// As above, additionally attributing raw (pre-dedup) rewrite productions
-/// to rules: RuleHits[i] is incremented once per rewriting produced by
-/// Rules[i] at any position. \p RuleHits must be sized to Rules.size();
-/// the normalizer aggregates these into per-rule metrics and span
-/// attributes.
+/// All single-step rewrites of \p E: every rule at every position,
+/// positions in pre-order and rules in \p Rules order at each position.
+/// Results are simplified (normalize/Simplify.h) and deduplicated
+/// structurally, keeping first occurrences. When \p RuleHits is given
+/// (sized to Rules.size()), RuleHits[i] is incremented once per raw
+/// (pre-dedup) rewriting produced by Rules[i] at any position; the
+/// normalizer aggregates these into per-rule metrics and span attributes.
 std::vector<ExprRef> allRewrites(const ExprRef &E,
                                  const std::vector<RewriteRule> &Rules,
-                                 std::vector<uint64_t> &RuleHits);
+                                 std::vector<uint64_t> *RuleHits = nullptr);
 
 } // namespace parsynt
 

@@ -6,7 +6,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "normalize/Simplify.h"
-#include "ir/ExprOps.h"
+#include "interp/OpSemantics.h"
 
 using namespace parsynt;
 
@@ -22,84 +22,28 @@ bool isBoolConst(const ExprRef &E, bool V) {
   return C && C->value() == V;
 }
 
-int64_t wrapAdd(int64_t A, int64_t B) {
-  return static_cast<int64_t>(static_cast<uint64_t>(A) +
-                              static_cast<uint64_t>(B));
-}
-int64_t wrapSub(int64_t A, int64_t B) {
-  return static_cast<int64_t>(static_cast<uint64_t>(A) -
-                              static_cast<uint64_t>(B));
-}
-int64_t wrapMul(int64_t A, int64_t B) {
-  return static_cast<int64_t>(static_cast<uint64_t>(A) *
-                              static_cast<uint64_t>(B));
-}
-int64_t wrapNeg(int64_t A) {
-  return static_cast<int64_t>(0 - static_cast<uint64_t>(A));
+/// The raw payload parsynt::ops computes on (booleans as 0/1), for a
+/// literal; false for anything else.
+bool literalPayload(const ExprRef &E, int64_t &Payload) {
+  if (const auto *C = dyn_cast<IntConstExpr>(E)) {
+    Payload = C->value();
+    return true;
+  }
+  if (const auto *C = dyn_cast<BoolConstExpr>(E)) {
+    Payload = C->value();
+    return true;
+  }
+  return false;
 }
 
+/// Constant folding under the operator semantics every evaluator shares
+/// (interp/OpSemantics.h). Typing guarantees both literals suit \p Op.
 ExprRef foldBinary(BinaryOp Op, const ExprRef &L, const ExprRef &R) {
-  const auto *LC = dyn_cast<IntConstExpr>(L);
-  const auto *RC = dyn_cast<IntConstExpr>(R);
-  if (isArithOp(Op) && LC && RC) {
-    int64_t A = LC->value(), B = RC->value();
-    switch (Op) {
-    case BinaryOp::Add:
-      return intConst(wrapAdd(A, B));
-    case BinaryOp::Sub:
-      return intConst(wrapSub(A, B));
-    case BinaryOp::Mul:
-      return intConst(wrapMul(A, B));
-    case BinaryOp::Div:
-      if (B == 0)
-        return intConst(0);
-      if (A == INT64_MIN && B == -1)
-        return intConst(INT64_MIN);
-      return intConst(A / B);
-    case BinaryOp::Min:
-      return intConst(A < B ? A : B);
-    case BinaryOp::Max:
-      return intConst(A > B ? A : B);
-    default:
-      break;
-    }
-  }
-  if (isCompareOp(Op) && LC && RC) {
-    int64_t A = LC->value(), B = RC->value();
-    switch (Op) {
-    case BinaryOp::Lt:
-      return boolConst(A < B);
-    case BinaryOp::Le:
-      return boolConst(A <= B);
-    case BinaryOp::Gt:
-      return boolConst(A > B);
-    case BinaryOp::Ge:
-      return boolConst(A >= B);
-    case BinaryOp::Eq:
-      return boolConst(A == B);
-    case BinaryOp::Ne:
-      return boolConst(A != B);
-    default:
-      break;
-    }
-  }
-  const auto *LB = dyn_cast<BoolConstExpr>(L);
-  const auto *RB = dyn_cast<BoolConstExpr>(R);
-  if (LB && RB) {
-    switch (Op) {
-    case BinaryOp::And:
-      return boolConst(LB->value() && RB->value());
-    case BinaryOp::Or:
-      return boolConst(LB->value() || RB->value());
-    case BinaryOp::Eq:
-      return boolConst(LB->value() == RB->value());
-    case BinaryOp::Ne:
-      return boolConst(LB->value() != RB->value());
-    default:
-      break;
-    }
-  }
-  return nullptr;
+  int64_t A, B;
+  if (!literalPayload(L, A) || !literalPayload(R, B))
+    return nullptr;
+  int64_t V = ops::applyBinary(Op, A, B);
+  return binaryResultType(Op) == Type::Int ? intConst(V) : boolConst(V != 0);
 }
 
 /// Identity/absorption rules for a binary node whose children are already
@@ -199,13 +143,13 @@ ExprRef parsynt::simplify(const ExprRef &E) {
     ExprRef Operand = simplify(U->operand());
     if (U->op() == UnaryOp::Neg) {
       if (const auto *C = dyn_cast<IntConstExpr>(Operand))
-        return intConst(wrapNeg(C->value()));
+        return intConst(ops::neg(C->value()));
       if (const auto *Inner = dyn_cast<UnaryExpr>(Operand))
         if (Inner->op() == UnaryOp::Neg)
           return Inner->operand();
     } else {
       if (const auto *C = dyn_cast<BoolConstExpr>(Operand))
-        return boolConst(!C->value());
+        return boolConst(ops::logicalNot(C->value()) != 0);
       if (const auto *Inner = dyn_cast<UnaryExpr>(Operand))
         if (Inner->op() == UnaryOp::Not)
           return Inner->operand();

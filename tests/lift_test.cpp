@@ -8,9 +8,14 @@
 #include "lift/Lift.h"
 #include "lift/NormalForms.h"
 #include "lift/Unfold.h"
+#include "observe/Metrics.h"
+#include "support/FaultInjector.h"
 #include "TestUtil.h"
 
 #include <gtest/gtest.h>
+
+#include <chrono>
+#include <thread>
 
 using namespace parsynt;
 using namespace parsynt::test;
@@ -201,17 +206,47 @@ TEST(Lift, AtoiDiscoversTheConstantFamily) {
   EXPECT_TRUE(exprEquals(R.Auxiliaries[0].Init, intConst(1)));
 }
 
+Loop maxBlock1() {
+  return mustParse("best = 0;\ncur = 0;\n"
+                   "for (i = 0; i < |s|; i++) {\n"
+                   "  if (s[i] == 1) { cur = cur + 1; } else { cur = 0; }\n"
+                   "  best = max(best, cur);\n"
+                   "}",
+                   "max-block-1");
+}
+
 TEST(Lift, MaxBlock1ReproducesThePaperFailure) {
-  Loop L = mustParse("best = 0;\ncur = 0;\n"
-                     "for (i = 0; i < |s|; i++) {\n"
-                     "  if (s[i] == 1) { cur = cur + 1; } else { cur = 0; }\n"
-                     "  best = max(best, cur);\n"
-                     "}",
-                     "max-block-1");
-  LiftResult R = liftLoop(L);
+  LiftResult R = liftLoop(maxBlock1());
   // Table 1's footnote: the rule set cannot resolve all of max-block-1's
   // needed accumulators; some collected parts stay unresolved.
   EXPECT_FALSE(R.Unresolved.empty());
+}
+
+TEST(Lift, ExpiredDeadlineReportsTimeout) {
+  LiftOptions Options;
+  Options.Timeout = Deadline::after(1e-9);
+  std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  LiftResult R = liftLoop(maxBlock1(), Options);
+  EXPECT_EQ(R.Failure.Kind, FailureKind::Timeout) << R.Failure.str();
+}
+
+TEST(Lift, DeadlineIsPolledInsideNormalization) {
+  // max-block-1's unfoldings go to the generic normalizer, each search
+  // running to its 4000-expansion budget. Forcing the 100th deadline poll
+  // to report expiry must stop lifting inside the first such search, not
+  // after it.
+  MetricsRegistry &M = MetricsRegistry::global();
+  uint64_t Before = M.counter("normalize.expanded").value();
+  LiftResult R;
+  {
+    FaultScope Scope("deadline.expire:after=100");
+    R = liftLoop(maxBlock1());
+  }
+  uint64_t Expanded = M.counter("normalize.expanded").value() - Before;
+  EXPECT_EQ(R.Failure.Kind, FailureKind::Timeout) << R.Failure.str();
+  EXPECT_NE(R.Failure.Message.find("normalizing"), std::string::npos)
+      << R.Failure.str();
+  EXPECT_LT(Expanded, 4000u);
 }
 
 } // namespace

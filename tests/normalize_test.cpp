@@ -5,12 +5,19 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "interp/OpSemantics.h"
+#include "lift/Unfold.h"
 #include "normalize/Normalizer.h"
 #include "normalize/Rules.h"
 #include "normalize/Simplify.h"
+#include "suite/Benchmarks.h"
 #include "TestUtil.h"
 
 #include <gtest/gtest.h>
+
+#include <chrono>
+#include <thread>
+#include <unordered_map>
 
 using namespace parsynt;
 using namespace parsynt::test;
@@ -40,6 +47,49 @@ TEST(Simplify, FoldsAndReduces) {
             "x");
   EXPECT_EQ(exprToString(simplify(le(inputVar("x"), inputVar("x")))), "true");
   EXPECT_EQ(exprToString(simplify(minE(inputVar("x"), inputVar("x")))), "x");
+}
+
+/// The payload of a literal in parsynt::ops' representation (booleans as
+/// 0/1).
+int64_t literalPayload(const ExprRef &E) {
+  if (const auto *C = dyn_cast<IntConstExpr>(E))
+    return C->value();
+  if (const auto *C = dyn_cast<BoolConstExpr>(E))
+    return C->value();
+  ADD_FAILURE() << "not folded to a literal: " << exprToString(E);
+  return 0;
+}
+
+TEST(Simplify, FoldsUnderTheSharedOperatorSemantics) {
+  // The constant folder must agree with the evaluators on the wrap-around
+  // and total-division edge cases.
+  const int64_t Edges[] = {INT64_MIN, -1, 0, 1, INT64_MAX};
+  const BinaryOp IntOps[] = {BinaryOp::Add, BinaryOp::Sub, BinaryOp::Mul,
+                             BinaryOp::Div, BinaryOp::Min, BinaryOp::Max,
+                             BinaryOp::Lt,  BinaryOp::Le,  BinaryOp::Gt,
+                             BinaryOp::Ge,  BinaryOp::Eq,  BinaryOp::Ne};
+  for (BinaryOp Op : IntOps)
+    for (int64_t A : Edges)
+      for (int64_t B : Edges) {
+        ExprRef Folded = simplify(binary(Op, intConst(A), intConst(B)));
+        EXPECT_EQ(Folded->type(), binaryResultType(Op));
+        EXPECT_EQ(literalPayload(Folded), ops::applyBinary(Op, A, B))
+            << A << " " << binaryOpName(Op) << " " << B;
+      }
+  for (BinaryOp Op : {BinaryOp::And, BinaryOp::Or, BinaryOp::Eq,
+                      BinaryOp::Ne})
+    for (bool A : {false, true})
+      for (bool B : {false, true}) {
+        ExprRef Folded = simplify(binary(Op, boolConst(A), boolConst(B)));
+        EXPECT_EQ(literalPayload(Folded), ops::applyBinary(Op, A, B))
+            << A << " " << binaryOpName(Op) << " " << B;
+      }
+  for (int64_t A : Edges)
+    EXPECT_EQ(literalPayload(simplify(neg(intConst(A)))), ops::neg(A)) << A;
+  for (bool A : {false, true})
+    EXPECT_EQ(literalPayload(simplify(notE(boolConst(A)))),
+              ops::logicalNot(A))
+        << A;
 }
 
 /// Property: simplification preserves semantics on random expressions.
@@ -157,6 +207,60 @@ TEST(Normalizer, BalancedParensFactorsTheBound) {
   ExprRef Ell = normalizeExpr(Tau, Unknowns);
   EXPECT_EQ(exprCost(Ell, Unknowns).Occurrences, 2u);
   expectEquivalent(Tau, Ell);
+}
+
+TEST(Normalizer, ExpiredDeadlineStopsTheSearch) {
+  // The deadline is polled once per expansion; once it has expired the
+  // search returns the best form found so far.
+  NormalizeOptions Opts;
+  Opts.Timeout = Deadline::after(1e-9);
+  std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  ASSERT_TRUE(Opts.Timeout.expired());
+  ExprRef U = unknownVar("u");
+  ExprRef Tau = maxE(add(maxE(add(U, inputVar("a")), intConst(0)),
+                         inputVar("b")),
+                     intConst(0));
+  NormalizeStats Stats;
+  ExprRef Ell = normalizeExpr(Tau, {"u"}, Opts, &Stats);
+  EXPECT_LE(Stats.Expanded, 1u);
+  EXPECT_TRUE(Stats.TimedOut);
+  expectEquivalent(Tau, Ell);
+}
+
+TEST(ExprKeys, StructuralEqualityMatchesPrintedEquality) {
+  // The normalizer's closed set and allRewrites' dedup are keyed by
+  // ExprHash/ExprEqual. That keeps every search bit-identical to keying by
+  // exprToString only if the two equalities coincide; check it on the
+  // rewrite neighbourhoods, two steps deep, of every Table-1 unfolding
+  // lifting inspects.
+  size_t Checked = 0;
+  for (const Benchmark &B : allBenchmarks()) {
+    Loop L = materializeIndex(parseBenchmark(B));
+    Unfolding U = unfoldLoop(L, 3, /*FromUnknowns=*/true);
+    std::unordered_map<ExprRef, std::string, ExprHash, ExprEqual> PrintedOf;
+    std::unordered_map<std::string, ExprRef> TermOf;
+    auto check = [&](const ExprRef &E) {
+      std::string Printed = exprToString(E);
+      auto Structural = PrintedOf.emplace(E, Printed).first;
+      EXPECT_EQ(Structural->second, Printed)
+          << B.Name << ": structurally equal terms print differently";
+      auto Textual = TermOf.emplace(Printed, E).first;
+      EXPECT_TRUE(exprEquals(Textual->second, E))
+          << B.Name << ": distinct terms both print as " << Printed;
+      ++Checked;
+    };
+    for (const auto &[Var, Steps] : U.ValuesAtStep)
+      for (size_t Step = 1; Step < Steps.size(); ++Step) {
+        ExprRef Tau = simplify(Steps[Step]);
+        check(Tau);
+        for (const ExprRef &N : allRewrites(Tau, figure6Rules())) {
+          check(N);
+          for (const ExprRef &N2 : allRewrites(N, figure6Rules()))
+            check(N2);
+        }
+      }
+  }
+  EXPECT_GT(Checked, 10000u);
 }
 
 TEST(Normalizer, RespectsBudget) {

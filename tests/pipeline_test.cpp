@@ -13,6 +13,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "observe/Report.h"
 #include "pipeline/Parallelizer.h"
 #include "runtime/InterpReduce.h"
 #include "suite/Benchmarks.h"
@@ -26,114 +27,142 @@ using namespace parsynt::test;
 namespace {
 
 /// The final join and the exact search counters of its synthesis call, per
-/// Table-1 loop. Evaluator and enumerator changes must keep the enumeration
-/// order and the first match, so all three stay identical. (max-block-1
-/// fails as in the paper: an empty join, the failing call's counters.)
+/// Table-1 loop, plus the rewriter's work over the whole pipeline call and
+/// the auxiliary count. Evaluator and enumerator changes must keep the
+/// enumeration order and the first match; rewriter changes must keep the
+/// Figure-6 search order and its closed set; so every field stays
+/// identical. (max-block-1 fails as in the paper: an empty join, the
+/// failing call's counters.)
 struct JoinGolden {
   const char *Name;
   const char *Join;
   uint64_t SketchAssignments;
   uint64_t EnumeratedCandidates;
+  uint64_t NormalizeExpanded;
+  uint64_t NormalizeRuleHits;
+  unsigned AuxCount;
 };
 
 const JoinGolden Goldens[] = {
     {"sum",
      "sum = (sum_l + sum_r)\n",
-     0, 0},
+     0, 0,
+     0, 0, 0},
     {"min",
      "m = min(m_l, m_r)\n",
-     0, 0},
+     0, 0,
+     0, 0, 0},
     {"max",
      "m = max(m_l, m_r)\n",
-     0, 0},
+     0, 0,
+     0, 0, 0},
     {"average",
      "sum = (sum_l + sum_r)\n"
      "cnt = (cnt_l + cnt_r)\n",
-     0, 0},
+     0, 0,
+     0, 0, 0},
     {"hamming",
      "ham = ((ham_r != -1) ? (ham_l + ham_r) : ham_l)\n",
-     101, 548},
+     101, 548,
+     0, 0, 0},
     {"length",
      "len = (len_l + len_r)\n",
-     0, 0},
+     0, 0,
+     0, 0, 0},
     {"2nd-min",
      "m2 = min(m2_l, max(min(m2_r, m_l), m_r))\n"
      "m = min(m_l, m_r)\n",
-     1673, 5292},
+     1673, 5292,
+     0, 0, 0},
     {"mps",
      "sum = (sum_l + sum_r)\n"
      "mps = max(mps_l, (sum_l + mps_r))\n",
-     72, 3727},
+     72, 3727,
+     0, 0, 0},
     {"mts",
      "mts = max((mts_l + aux0_r), mts_r)\n"
      "aux0 = (aux0_l + aux0_r)\n",
-     6, 3651},
+     6, 3651,
+     0, 0, 1},
     {"mss",
      "mss = max(max(mss_l, mss_r), (mts_l + aux1_r))\n"
      "mts = max((mts_l + aux0_r), mts_r)\n"
      "aux0 = (aux0_l + aux0_r)\n"
      "aux1 = max(aux1_l, (aux0_l + aux1_r))\n",
-     41592, 31167},
+     41592, 31167,
+     0, 0, 2},
     {"mts-p",
      "mts = max((mts_l + sum_r), mts_r)\n"
      "sum = (sum_l + sum_r)\n"
      "pos = ((max((mts_l + sum_r), mts_r) == mts_r) ? (_pos_l + pos_r) : "
      "pos_l)\n"
      "_pos = (_pos_l + _pos_r)\n",
-     3576157, 26398},
+     3576157, 26398,
+     0, 0, 1},
     {"mps-p",
      "sum = (sum_l + sum_r)\n"
      "mps = (((sum_l + mps_r) > mps_l) ? (sum_l + mps_r) : mps_l)\n"
      "pos = (((sum_l + mps_r) > mps_l) ? (_pos_l + pos_r) : pos_l)\n"
      "_pos = (_pos_l + _pos_r)\n",
-     22525, 22326},
+     22525, 22326,
+     0, 0, 1},
     {"poly",
      "res = (res_l + (res_r * p_l))\n"
      "p = (p_l * p_r)\n",
-     3, 7405},
+     3, 7405,
+     0, 0, 0},
     {"is-sorted",
      "sorted = ((prev_r == -1099511627776) ? sorted_l : "
      "((sorted_l && sorted_r) && (prev_l <= aux0_r)))\n"
      "prev = ((prev_r <= -1099511627776) ? prev_l : prev_r)\n"
      "aux0 = ((prev_l == -1099511627776) ? aux0_r : aux0_l)\n",
-     7429813, 80150},
+     7429813, 80150,
+     1012, 7928, 1},
     {"atoi",
      "res = ((res_l * aux0_r) + res_r)\n"
      "aux0 = (aux0_l * aux0_r)\n",
-     53, 6976},
+     53, 6976,
+     0, 0, 1},
     {"dropwhile",
      "cnt = (((cnt_l == _pos_l) && (cnt_r > -1)) ? (cnt_l + cnt_r) : cnt_l)\n"
      "_pos = (_pos_l + _pos_r)\n",
-     12741, 2909},
+     12741, 2909,
+     0, 0, 1},
     {"balanced-()",
      "ofs = (ofs_l + ofs_r)\n"
      "bal = (bal_l && (ofs_l >= aux0_r))\n"
      "aux0 = max(aux0_l, (aux0_r - ofs_l))\n",
-     42440, 10399},
+     42440, 10399,
+     20016, 369094, 1},
     {"0*1*",
      "ok = (seen1_l ? (ok_l && aux0_r) : ok_r)\n"
      "seen1 = (seen1_l || seen1_r)\n"
      "aux0 = (aux0_l && aux0_r)\n",
-     43162, 634},
+     43162, 634,
+     0, 0, 1},
     {"count-1's",
      "cnt = ((cnt_l + cnt_r) + ((prev1_l && aux1_r) ? -1 : 0))\n"
      "prev1 = ((_pos_r <= 0) ? prev1_l : prev1_r)\n"
      "_pos = (_pos_l + _pos_r)\n"
      "aux1 = (((aux1_r ? _pos_l : -1) == 0) ? true : aux1_l)\n",
-     8223180, 40755},
+     8223180, 40755,
+     12000, 259621, 2},
     {"line-sight",
      "vis = ((m_r == -1099511627776) ? vis_l : "
      "(m_r >= (vis_r ? m_l : 1099511627776)))\n"
      "m = max(m_l, m_r)\n",
-     46465, 23395},
+     46465, 23395,
+     8002, 116111, 0},
     {"0after1",
      "res = ((res_l || res_r) || (seen1_l && aux0_r))\n"
      "seen1 = (seen1_l || seen1_r)\n"
      "aux0 = (aux0_l || aux0_r)\n",
-     10532, 1148},
+     10532, 1148,
+     0, 0, 1},
     {"max-block-1",
      "",
-     14978666, 40083},
+     14978666, 40083,
+     88016, 1637748, 3},
 };
 
 const JoinGolden *goldenFor(const std::string &Name) {
@@ -148,7 +177,16 @@ class PipelineSweep : public ::testing::TestWithParam<size_t> {};
 TEST_P(PipelineSweep, MatchesPaperExpectations) {
   const Benchmark &B = allBenchmarks()[GetParam()];
   Loop L = parseBenchmark(B);
+  MetricsRegistry::Snapshot Before = MetricsRegistry::global().snapshot();
   PipelineResult Result = parallelizeLoop(L);
+  auto Deltas =
+      counterDeltas(Before, MetricsRegistry::global().snapshot());
+  auto deltaOf = [&](const std::string &Name) -> uint64_t {
+    for (const auto &KV : Deltas)
+      if (KV.first == Name)
+        return KV.second;
+    return 0;
+  };
 
   const JoinGolden *Golden = goldenFor(B.Name);
   ASSERT_NE(Golden, nullptr) << "no golden join for " << B.Name;
@@ -157,6 +195,9 @@ TEST_P(PipelineSweep, MatchesPaperExpectations) {
             Golden->SketchAssignments);
   EXPECT_EQ(Result.Join.Stats.EnumeratedCandidates,
             Golden->EnumeratedCandidates);
+  EXPECT_EQ(deltaOf("normalize.expanded"), Golden->NormalizeExpanded);
+  EXPECT_EQ(deltaOf("normalize.rule_hits"), Golden->NormalizeRuleHits);
+  EXPECT_EQ(Result.AuxCount, Golden->AuxCount);
 
   // The compiled runtime against the evalExpr reference, on wrap-around
   // edge inputs: the original loop sequentially, the final loop in
