@@ -10,11 +10,13 @@
 // measurement (slowdown mean ~1.0, sigma ~0.04 in the paper).
 //
 // The paper runs 2-billion-element arrays with grain 50k on a 64-core
-// Proliant; this harness defaults to 2^24 elements (override with
+// Proliant; this harness defaults to 2^26 elements (override with
 // PARSYNT_FIG8_ELEMS) and sweeps thread counts up to the machine's core
 // count, or up to PARSYNT_FIG8_THREADS to probe oversubscription (the
 // shape — near-linear scaling to the core count, ~1.0 one-core overhead —
-// is the reproduction target; see EXPERIMENTS.md).
+// is the reproduction target; see EXPERIMENTS.md). Every thread first
+// spins for 2 s so that no timed run meets a cold virtual CPU, and each
+// time reported is the median of its repetitions.
 //
 // `--report json` prints the machine-readable run report
 // (observe/Report.h) on stdout with the human table moved to stderr; CI
@@ -47,15 +49,30 @@ double now() {
       .count();
 }
 
-/// Best-of-N timing to suppress scheduler noise on small machines.
-template <typename Fn> double bestOf(unsigned Reps, Fn &&Body) {
-  double Best = 1e100;
+/// The median wall time of \p Reps runs of \p Body.
+template <typename Fn> double medianOf(unsigned Reps, Fn &&Body) {
+  std::vector<double> Times;
   for (unsigned Rep = 0; Rep != Reps; ++Rep) {
     double Start = now();
     Body();
-    Best = std::min(Best, now() - Start);
+    Times.push_back(now() - Start);
   }
-  return Best;
+  std::nth_element(Times.begin(), Times.begin() + Reps / 2, Times.end());
+  return Times[Reps / 2];
+}
+
+/// Keeps \p Threads threads busy for \p Seconds. Virtual CPUs that have
+/// been idle run at a fraction of their speed for several seconds.
+void warmUp(unsigned Threads, double Seconds) {
+  const double Start = now();
+  std::vector<std::thread> Spinners;
+  for (unsigned T = 0; T != Threads; ++T)
+    Spinners.emplace_back([Start, Seconds] {
+      while (now() - Start < Seconds) {
+      }
+    });
+  for (std::thread &S : Spinners)
+    S.join();
 }
 
 } // namespace
@@ -90,7 +107,7 @@ int main(int argc, char **argv) {
     ThreadCounts.push_back(T);
   if (ThreadCounts.back() != Cores)
     ThreadCounts.push_back(Cores);
-  const unsigned Reps = 3;
+  const unsigned Reps = 5;
 
   std::fprintf(HumanOut,
                "Figure 8: speedup of the synthesized divide-and-conquer "
@@ -104,6 +121,7 @@ int main(int argc, char **argv) {
     std::fprintf(HumanOut, "  x%-5u", T);
   std::fprintf(HumanOut, "   (speedup per thread count)\n");
 
+  warmUp(std::max(Cores, defaultThreadCount()), 2.0);
   RunReport Report;
   Report.Tool = "fig8";
   std::vector<double> OneThreadSlowdowns;
@@ -114,7 +132,7 @@ int main(int argc, char **argv) {
     const int64_t *PB = K.TwoSequences ? B.data() : nullptr;
 
     volatile int64_t Sink = 0;
-    double SeqTime = bestOf(Reps, [&] {
+    double SeqTime = medianOf(Reps, [&] {
       KState S = K.Sequential(A.data(), PB, N);
       Sink = K.Output(S);
     });
@@ -131,7 +149,7 @@ int main(int argc, char **argv) {
       TaskPool Pool(T);
       Pool.setTimingEnabled(Stats);
       int64_t ParOut = 0;
-      double ParTime = bestOf(Reps, [&] {
+      double ParTime = medianOf(Reps, [&] {
         KState S = parallelReduce<KState>(
             BlockedRange{0, N, Grain}, Pool,
             [&](size_t Begin, size_t End) {

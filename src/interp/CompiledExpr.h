@@ -16,12 +16,13 @@
 /// does no name lookups and no allocation: the caller writes the raw input
 /// payloads (bools as 0/1) into the first registers, one per input name in
 /// order, calls run(), and reads each root with result(). Operators follow
-/// interp/OpSemantics.h, so run() agrees with evalExpr on every well-typed
-/// expression. `ite`, `&&` and `||` evaluate both sides: every operator is
-/// total and side-effect free, so this yields the same value as evalExpr's
-/// short-circuiting. A sequence access `s[i]` reads the input named "s[i]"
-/// (the verifier admits only the loop index as a subscript). A program is
-/// immutable: threads share it, each with its own register file.
+/// interp/OpSemantics.h, so run() agrees with the tree-walking reference
+/// (tests/TestUtil.h) on every well-typed expression. `ite`, `&&` and `||`
+/// evaluate both sides: every operator is total and side-effect free, so
+/// this yields the same value as the reference's short-circuiting. A
+/// sequence access `s[i]` reads the input named "s[i]" (the verifier admits
+/// only the loop index as a subscript). A program is immutable: threads
+/// share it, each with its own register file.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -6,7 +6,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "interp/Interp.h"
-#include "interp/OpSemantics.h"
 
 #include <algorithm>
 #include <sstream>
@@ -39,73 +38,6 @@ int64_t *loadParams(NameIt Begin, NameIt End, const Env &Params,
 }
 
 } // namespace
-
-Value parsynt::evalExpr(const ExprRef &E, const Env &Vars, const SeqEnv &Seqs) {
-  switch (E->kind()) {
-  case ExprKind::IntConst:
-    return Value::ofInt(cast<IntConstExpr>(E)->value());
-  case ExprKind::BoolConst:
-    return Value::ofBool(cast<BoolConstExpr>(E)->value());
-  case ExprKind::Var: {
-    const auto *V = cast<VarExpr>(E);
-    auto It = Vars.find(V->name());
-    assert(It != Vars.end() && "unbound variable");
-    assert(It->second.type() == V->type() && "environment type mismatch");
-    return It->second;
-  }
-  case ExprKind::SeqAccess: {
-    const auto *S = cast<SeqAccessExpr>(E);
-    auto It = Seqs.find(S->seqName());
-    assert(It != Seqs.end() && "unbound sequence");
-    int64_t Index = evalExpr(S->index(), Vars, Seqs).asInt();
-    assert(Index >= 0 &&
-           static_cast<size_t>(Index) < It->second.size() &&
-           "sequence access out of range");
-    return It->second[static_cast<size_t>(Index)];
-  }
-  case ExprKind::Unary: {
-    const auto *U = cast<UnaryExpr>(E);
-    Value Operand = evalExpr(U->operand(), Vars, Seqs);
-    if (U->op() == UnaryOp::Neg)
-      return Value::ofInt(ops::neg(Operand.asInt()));
-    return Value::ofBool(ops::logicalNot(Operand.asBool()));
-  }
-  case ExprKind::Binary: {
-    const auto *B = cast<BinaryExpr>(E);
-    // Short-circuit boolean operators so candidates behave like source code.
-    if (B->op() == BinaryOp::And) {
-      if (!evalExpr(B->lhs(), Vars, Seqs).asBool())
-        return Value::ofBool(false);
-      return evalExpr(B->rhs(), Vars, Seqs);
-    }
-    if (B->op() == BinaryOp::Or) {
-      if (evalExpr(B->lhs(), Vars, Seqs).asBool())
-        return Value::ofBool(true);
-      return evalExpr(B->rhs(), Vars, Seqs);
-    }
-    Value L = evalExpr(B->lhs(), Vars, Seqs);
-    Value R = evalExpr(B->rhs(), Vars, Seqs);
-    assert(L.type() == R.type() && "ill-typed binary operands");
-    int64_t Result = ops::applyBinary(B->op(), L.raw(), R.raw());
-    if (isArithOp(B->op()))
-      return Value::ofInt(Result);
-    return Value::ofBool(Result != 0);
-  }
-  case ExprKind::Ite: {
-    const auto *I = cast<IteExpr>(E);
-    if (evalExpr(I->cond(), Vars, Seqs).asBool())
-      return evalExpr(I->thenExpr(), Vars, Seqs);
-    return evalExpr(I->elseExpr(), Vars, Seqs);
-  }
-  }
-  assert(false && "unknown expression kind");
-  return Value();
-}
-
-Value parsynt::evalExpr(const ExprRef &E, const Env &Vars) {
-  static const SeqEnv Empty;
-  return evalExpr(E, Vars, Empty);
-}
 
 CompiledLoop::CompiledLoop(const Loop &L) {
   std::vector<std::string> Layout;
@@ -173,6 +105,30 @@ StateTuple CompiledLoop::step(const StateTuple &State,
   for (const Value &Element : Elements)
     Columns.push_back(&Element);
   return iterate(State, std::move(Columns), 0, Index, Index + 1, Params);
+}
+
+void CompiledLoop::runRaw(const int64_t *Row, size_t Length,
+                          int64_t *Out) const {
+  const size_t N = Types.size(), NumParams = ParamNames.size();
+  std::vector<int64_t> Regs = Init.makeRegisters();
+  std::copy_n(Row, NumParams, Regs.begin() + N + 1);
+  Init.run(Regs.data());
+  for (size_t I = 0; I != N; ++I)
+    Out[I] = Init.result(Regs.data(), I);
+  Regs = Update.makeRegisters();
+  std::copy_n(Out, N, Regs.begin());
+  std::copy_n(Row, NumParams, Regs.begin() + N + 1);
+  const int64_t *Elements = Row + NumParams;
+  for (size_t J = 0; J != Length; ++J) {
+    Regs[N] = static_cast<int64_t>(J);
+    for (size_t K = 0; K != SeqNames.size(); ++K)
+      Regs[N + 1 + NumParams + K] = Elements[K * Length + J];
+    Update.run(Regs.data());
+    Out += N;
+    for (size_t I = 0; I != N; ++I)
+      Out[I] = Update.result(Regs.data(), I);
+    std::copy_n(Out, N, Regs.begin());
+  }
 }
 
 StateTuple CompiledLoop::iterate(const StateTuple &State,

@@ -6,12 +6,12 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The executable semantics fE of paper Section 4.1. evalExpr walks the
-/// tree over name -> value maps: the tests' reference, and lifting's
-/// evaluator. Everything else runs interp/CompiledExpr.h programs over the
-/// loop layout (CompiledLoop) or the split-state join layout (JoinLayout,
-/// CompiledJoin), compiled once per consumer (runLoop and friends compile
-/// per call) and shared across threads, each run in its own registers.
+/// The executable semantics fE of paper Section 4.1. Every evaluation runs
+/// interp/CompiledExpr.h programs over the loop layout (CompiledLoop) or
+/// the split-state join layout (JoinLayout, CompiledJoin), compiled once
+/// per consumer (runLoop and friends compile per call) and shared across
+/// threads, each run in its own registers. The tree-walking reference they
+/// are tested against lives with the tests (tests/TestUtil.h).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -29,25 +29,12 @@
 
 namespace parsynt {
 
-/// A variable environment: name -> value. Used for state variables,
-/// parameters, the loop index, and the fresh symbolic inputs of lifting.
+/// A variable environment: name -> value. Binds the parameters of a run.
 using Env = std::map<std::string, Value>;
 
 /// Concrete contents of the input sequences: name -> element values. All
 /// sequences of a loop must have the same length (lockstep traversal).
 using SeqEnv = std::map<std::string, std::vector<Value>>;
-
-/// Evaluates \p E under variable bindings \p Vars and sequence contents
-/// \p Seqs. All referenced variables/sequences must be bound; out-of-range
-/// sequence accesses are a programmatic error (asserted). Operators follow
-/// interp/OpSemantics.h (wrapping arithmetic, total division with x/0 == 0),
-/// the one definition shared by the synthesis oracle, the enumerator and the
-/// compiled evaluator, so candidates are judged under the semantics they
-/// will run with.
-Value evalExpr(const ExprRef &E, const Env &Vars, const SeqEnv &Seqs);
-
-/// Convenience overload for expressions with no sequence accesses.
-Value evalExpr(const ExprRef &E, const Env &Vars);
 
 /// The state tuple of a loop: values of the state variables, in equation
 /// order.
@@ -72,6 +59,12 @@ public:
   /// \p Elements[K].
   StateTuple step(const StateTuple &State, const std::vector<Value> &Elements,
                   int64_t Index, const Env &Params) const;
+  /// The raw form, for callers that keep their inputs in rows: \p Row holds
+  /// the parameters in declaration order, then the \p Length elements of
+  /// each sequence in declaration order. Runs the whole row from the
+  /// initial state and writes the raw state after 0..Length iterations to
+  /// \p Out, one state (equation order) per iteration count.
+  void runRaw(const int64_t *Row, size_t Length, int64_t *Out) const;
 
 private:
   /// Runs the iterations [Begin, End) from \p State; Columns[K] points at

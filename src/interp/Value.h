@@ -6,10 +6,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Runtime scalar values for the interpreter. Integers are 64-bit; the
-/// paper's scalars are mathematical integers and the synthesis oracles keep
-/// magnitudes small enough that 64-bit wrap-around never triggers for the
-/// benchmark suite (asserted in debug builds where cheap).
+/// Runtime scalar values for the interpreter. The paper's scalars are
+/// mathematical integers; ours are 64-bit and wrap modulo 2^64, the defined
+/// semantics of interp/OpSemantics.h that synthesis, the runtime and
+/// emitted programs share.
 ///
 //===----------------------------------------------------------------------===//
 

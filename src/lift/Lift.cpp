@@ -8,6 +8,7 @@
 #include "lift/Lift.h"
 #include "analysis/Verifier.h"
 #include "frontend/Convert.h"
+#include "interp/CompiledExpr.h"
 #include "interp/Interp.h"
 #include "ir/ExprOps.h"
 #include "lift/NormalForms.h"
@@ -18,7 +19,7 @@
 #include "support/Random.h"
 
 #include <algorithm>
-
+#include <cassert>
 #include <chrono>
 #include <set>
 #include <sstream>
@@ -26,6 +27,10 @@
 using namespace parsynt;
 
 namespace {
+
+/// The frames: how many, and the seed they are drawn from.
+constexpr unsigned FrameSamples = 48;
+constexpr uint64_t FrameSeed = 0x11f7;
 
 /// True if \p E references any symbolic unknown ("v@0").
 bool hasUnknown(const ExprRef &E) {
@@ -67,33 +72,22 @@ bool partPresent(const ExprRef &Part, const std::vector<ExprRef> &Parts) {
   return false;
 }
 
-/// One sampled concrete scenario: parameter values plus K elements per
-/// sequence, with the derived bindings for the per-step input variables.
-struct Frame {
-  Env Bindings; ///< params + every "<seq>@k"
-  SeqEnv Seqs;  ///< the same elements as indexable sequences
-  Env Params;
-};
-
 /// The lifting engine. Owns the unfoldings, the sampled frames, and the
 /// evolving lifted loop.
 class Lifter {
 public:
   Lifter(const Loop &Input, const LiftOptions &Options)
-      : Options(Options), R(Options.Seed) {
-    Work = materializeIndex(Input);
+      : Options(Options), Work(materializeIndex(Input)),
+        K(Options.Unfoldings), Frames(Work, K) {
     Result.IndexMaterialized = Work.Equations.size() > Input.Equations.size();
     if (Result.IndexMaterialized)
       Result.Notes.push_back(
           "loop reads its index; materialized position accumulator '_pos'");
-    K = Options.Unfoldings;
-    buildElementPool();
-    buildFrames();
     {
       Span U("unfold", trace::Lift);
       U.attr("from", "init");
       U.attr("depth", uint64_t(K));
-      FromInit = unfoldLoop(Work, K, /*FromUnknowns=*/false, limits());
+      FromInit = unfoldLoop(Work, K, /*FromUnknowns=*/false);
       U.attr("exceeded", FromInit.Exceeded);
     }
     noteIfExceeded("from-initialization");
@@ -102,11 +96,6 @@ public:
   LiftResult run();
 
 private:
-  void buildElementPool();
-  void buildFrames();
-
-  UnfoldLimits limits() const { return {Options.MaxExprNodes}; }
-
   /// Records a BudgetExhausted failure (and aborts further discovery) when
   /// the last unfolding hit the node ceiling.
   void noteIfExceeded(const char *Which) {
@@ -116,25 +105,15 @@ private:
     Result.Failure = {
         FailureKind::BudgetExhausted,
         std::string("unfolding (") + Which + ") exceeded the " +
-            std::to_string(Options.MaxExprNodes) +
+            std::to_string(UnfoldNodeCeiling) +
             "-node expression ceiling at step " +
             std::to_string(FromInit.Steps + 1) +
             "; the loop's updates grow too fast to lift at this depth"};
   }
 
-  /// Evaluates \p E (over step inputs + params) in frame \p F.
-  Value evalInFrame(const ExprRef &E, const Frame &F) const {
-    return evalExpr(E, F.Bindings);
-  }
-
   /// Semantic equality of two step-input expressions over all frames.
   bool equivOnFrames(const ExprRef &A, const ExprRef &B) const {
-    if (A->type() != B->type())
-      return false;
-    for (const Frame &F : Frames)
-      if (evalInFrame(A, F) != evalInFrame(B, F))
-        return false;
-    return true;
+    return A->type() == B->type() && Frames.column(A) == Frames.column(B);
   }
 
   /// True if \p Part is semantically the step-\p Step value of an existing
@@ -177,20 +156,22 @@ private:
                    const ExprRef &Init);
 
   LiftOptions Options;
-  Rng R;
   Loop Work; ///< input + materialized index + discovered auxiliaries
+  unsigned K;
+  /// Over Work's parameters and sequences, which adding an auxiliary never
+  /// changes.
+  LiftFrames Frames;
   /// Set when an unfolding hit the node ceiling; discovery stops.
   bool Aborted = false;
-  unsigned K = 3;
-  std::vector<int64_t> Pool;
-  std::vector<Frame> Frames;
   Unfolding FromInit; ///< of Work, refreshed when an auxiliary is added
   LiftResult Result;
 };
 
-void Lifter::buildElementPool() {
+} // namespace
+
+LiftFrames::LiftFrames(const Loop &L, unsigned K) {
   std::set<int64_t> PoolSet = {-2, -1, 0, 1, 2, 3};
-  for (const Equation &Eq : Work.Equations) {
+  for (const Equation &Eq : L.Equations) {
     forEachNode(Eq.Update, [&](const ExprRef &Node) {
       if (const auto *C = dyn_cast<IntConstExpr>(Node)) {
         if (std::abs(C->value()) > 1000)
@@ -201,30 +182,37 @@ void Lifter::buildElementPool() {
       }
     });
   }
-  Pool.assign(PoolSet.begin(), PoolSet.end());
-}
-
-void Lifter::buildFrames() {
-  for (unsigned N = 0; N != Options.Samples; ++N) {
-    Frame F;
-    for (const ParamDecl &P : Work.Params) {
-      Value V = P.Ty == Type::Int ? Value::ofInt(R.intIn(-3, 3))
-                                  : Value::ofBool(R.flip());
-      F.Params[P.Name] = V;
-      F.Bindings[P.Name] = V;
-    }
-    for (const SeqDecl &S : Work.Sequences) {
-      std::vector<Value> Elems;
-      for (unsigned Step = 1; Step <= K; ++Step) {
-        Value V = Value::ofInt(Pool[R.index(Pool.size())]);
-        Elems.push_back(V);
-        F.Bindings[stepInputName(S.Name, Step)] = V;
-      }
-      F.Seqs[S.Name] = std::move(Elems);
-    }
-    Frames.push_back(std::move(F));
+  std::vector<int64_t> Pool(PoolSet.begin(), PoolSet.end());
+  for (const ParamDecl &P : L.Params)
+    Names.push_back(P.Name);
+  for (const SeqDecl &S : L.Sequences)
+    for (unsigned Step = 1; Step <= K; ++Step)
+      Names.push_back(stepInputName(S.Name, Step));
+  NumFrames = FrameSamples;
+  Rows.reserve(NumFrames * Names.size());
+  Rng R(FrameSeed);
+  for (size_t F = 0; F != NumFrames; ++F) {
+    for (const ParamDecl &P : L.Params)
+      Rows.push_back(P.Ty == Type::Int ? R.intIn(-3, 3) : R.flip());
+    for (size_t E = 0; E != L.Sequences.size() * K; ++E)
+      Rows.push_back(Pool[R.index(Pool.size())]);
   }
 }
+
+std::vector<int64_t> LiftFrames::column(const ExprRef &E) const {
+  std::vector<std::string> Inputs = Names;
+  CompiledExpr Code({E}, Inputs);
+  assert(Inputs.size() == Names.size() &&
+         "a frame expression reads parameters and step inputs only");
+  std::vector<int64_t> Regs = Code.makeRegisters(), Values(NumFrames);
+  for (size_t F = 0; F != NumFrames; ++F) {
+    std::copy_n(row(F), Names.size(), Regs.begin());
+    Values[F] = Code.run(Regs.data());
+  }
+  return Values;
+}
+
+namespace {
 
 bool Lifter::isCovered(const ExprRef &Part, unsigned Step) const {
   for (const Equation &Eq : Work.Equations) {
@@ -310,42 +298,37 @@ bool Lifter::validateAccumulator(const ExprRef &G, const ExprRef &C,
                                  const ExprRef &Part, unsigned Step,
                                  const ExprRef &Prev,
                                  const std::vector<ExprRef> &PartsAtK) const {
-  // Future-consistency candidates: the accumulator's step-K value must
-  // match the *same* step-K part on every frame.
-  std::vector<const ExprRef *> FutureCandidates;
-  if (Step < K)
-    for (const ExprRef &P : PartsAtK)
-      if (P->type() == Part->type())
-        FutureCandidates.push_back(&P);
-
-  for (const Frame &F : Frames) {
-    // Run the loop (with the candidate accumulator alongside) on the frame.
-    Env Vars = F.Params;
-    for (const Equation &Eq : Work.Equations)
-      Vars[Eq.Name] = evalExpr(Eq.Init, F.Params);
-    Vars["?aux"] = evalExpr(C, F.Params);
-    for (unsigned J = 1; J <= K; ++J) {
-      Vars[Work.IndexName] = Value::ofInt(J - 1);
-      Env Next = Vars;
-      for (const Equation &Eq : Work.Equations)
-        Next[Eq.Name] = evalExpr(Eq.Update, Vars, F.Seqs);
-      Next["?aux"] = evalExpr(G, Vars, F.Seqs);
-      Vars = std::move(Next);
-      if (J == Step - 1 && Prev && Vars.at("?aux") != evalInFrame(Prev, F))
-        return false;
-      if (J == Step && Vars.at("?aux") != evalInFrame(Part, F))
-        return false;
-      if (J == K && Step < K) {
-        const Value &AtK = Vars.at("?aux");
-        std::erase_if(FutureCandidates, [&](const ExprRef *Candidate) {
-          return evalInFrame(*Candidate, F) != AtK;
-        });
-        if (FutureCandidates.empty())
-          return false;
-      }
-    }
+  // Run the loop with the candidate accumulator alongside on every frame.
+  Loop Candidate = Work;
+  Candidate.Equations.push_back({"?aux", Part->type(), C, G});
+  const CompiledLoop Code(Candidate);
+  const size_t Width = Candidate.Equations.size();
+  std::vector<int64_t> States((K + 1) * Width);
+  // AuxAt[J * Frames.size() + F]: the accumulator after J iterations of
+  // frame F.
+  std::vector<int64_t> AuxAt((K + 1) * Frames.size());
+  for (size_t F = 0; F != Frames.size(); ++F) {
+    Code.runRaw(Frames.row(F), K, States.data());
+    for (unsigned J = 0; J <= K; ++J)
+      AuxAt[J * Frames.size() + F] = States[J * Width + Width - 1];
   }
-  return true;
+  auto reproduces = [&](const ExprRef &E, unsigned J) {
+    std::vector<int64_t> Expected = Frames.column(E);
+    return std::equal(Expected.begin(), Expected.end(),
+                      AuxAt.begin() + J * Frames.size());
+  };
+  if (Prev && Step > 1 && !reproduces(Prev, Step - 1))
+    return false;
+  if (!reproduces(Part, Step))
+    return false;
+  if (Step == K)
+    return true;
+  // Future consistency: the accumulator's step-K value must match the
+  // *same* step-K part on every frame.
+  for (const ExprRef &P : PartsAtK)
+    if (P->type() == Part->type() && reproduces(P, K))
+      return true;
+  return false;
 }
 
 ExprRef Lifter::guardedUpdate(const ExprRef &G, const ExprRef &Part,
@@ -400,7 +383,7 @@ ExprRef Lifter::guardedUpdate(const ExprRef &G, const ExprRef &Part,
     Pos.Update = add(stateVar("_pos", Type::Int), intConst(1));
     Pos.IsAuxiliary = true;
     Work.Equations.push_back(std::move(Pos));
-    FromInit = unfoldLoop(Work, K, /*FromUnknowns=*/false, limits());
+    FromInit = unfoldLoop(Work, K, /*FromUnknowns=*/false);
     noteIfExceeded("position-guard refresh");
     Result.Notes.push_back("materialized '_pos' for a start-guarded "
                            "accumulator");
@@ -411,7 +394,7 @@ ExprRef Lifter::guardedUpdate(const ExprRef &G, const ExprRef &Part,
       return Candidate;
     // Undo: the guard did not validate.
     Work.Equations.pop_back();
-    FromInit = unfoldLoop(Work, K, /*FromUnknowns=*/false, limits());
+    FromInit = unfoldLoop(Work, K, /*FromUnknowns=*/false);
     Result.Notes.pop_back();
   }
   return nullptr;
@@ -440,7 +423,7 @@ void Lifter::registerAux(const ExprRef &Definition, const ExprRef &Update,
     U.attr("from", "aux-refresh");
     U.attr("aux", Name);
     U.attr("depth", uint64_t(K));
-    FromInit = unfoldLoop(Work, K, /*FromUnknowns=*/false, limits());
+    FromInit = unfoldLoop(Work, K, /*FromUnknowns=*/false);
     U.attr("exceeded", FromInit.Exceeded);
   }
   noteIfExceeded("auxiliary refresh");
@@ -542,14 +525,14 @@ LiftResult Lifter::run() {
     Span U("unfold", trace::Lift);
     U.attr("from", "unknowns");
     U.attr("depth", uint64_t(K));
-    FromUnknown = unfoldLoop(Work, K, /*FromUnknowns=*/true, limits());
+    FromUnknown = unfoldLoop(Work, K, /*FromUnknowns=*/true);
     U.attr("exceeded", FromUnknown.Exceeded);
   }
   if (FromUnknown.Exceeded) {
     Result.Failure = {
         FailureKind::BudgetExhausted,
         "unfolding (from split unknowns) exceeded the " +
-            std::to_string(Options.MaxExprNodes) +
+            std::to_string(UnfoldNodeCeiling) +
             "-node expression ceiling at step " +
             std::to_string(FromUnknown.Steps + 1) +
             "; the loop's updates grow too fast to lift at this depth"};

@@ -35,6 +35,7 @@
 #include "support/Deadline.h"
 #include "support/Failure.h"
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -50,18 +51,41 @@ struct LiftOptions {
   /// Number of unfoldings inspected (the paper's k; 3 suffices for every
   /// Table-1 benchmark, the pipeline retries with 4 on failure).
   unsigned Unfoldings = 3;
-  /// Sampling width for the semantic coverage / validation checks.
-  unsigned Samples = 48;
-  uint64_t Seed = 0x11f7;
   InitPreference Preference = InitPreference::ZeroFirst;
   /// Cooperative cancellation: lifting unwinds with a Timeout failure
   /// (keeping any auxiliaries already discovered) when this expires. The
   /// normalizer polls it once per expansion.
   Deadline Timeout;
-  /// Node-count ceiling handed to the unfolder (see UnfoldLimits): an
-  /// unfolding whose next step would exceed it aborts the lift attempt
-  /// with a BudgetExhausted diagnostic instead of exhausting memory.
-  uint64_t MaxExprNodes = 200000;
+};
+
+/// The sampled concrete scenarios lifting decides semantic equality on (the
+/// coverage, fold-back and validation checks): a fixed number of seeded
+/// frames, each a row of one compiled layout
+///
+///   [ params | s@1 .. s@K of each sequence ]
+///
+/// with parameters and sequences in declaration order. Integer parameters
+/// are drawn from [-3, 3]; elements from small integers plus the loop's
+/// constants and their neighbours. A row is also the raw input of
+/// CompiledLoop::runRaw over K iterations.
+class LiftFrames {
+public:
+  LiftFrames(const Loop &L, unsigned K);
+
+  /// The input names of the layout, in register order.
+  const std::vector<std::string> &names() const { return Names; }
+  size_t size() const { return NumFrames; }
+  const int64_t *row(size_t Frame) const {
+    return Rows.data() + Frame * Names.size();
+  }
+  /// The raw value of \p E, an expression over parameters and step inputs,
+  /// in every frame.
+  std::vector<int64_t> column(const ExprRef &E) const;
+
+private:
+  std::vector<std::string> Names;
+  size_t NumFrames = 0;
+  std::vector<int64_t> Rows;
 };
 
 /// A discovered auxiliary accumulator.

@@ -92,8 +92,7 @@ uint64_t countVarUses(const ExprRef &E, const std::string &Name) {
 
 } // namespace
 
-Unfolding parsynt::unfoldLoop(const Loop &L, unsigned K, bool FromUnknowns,
-                              const UnfoldLimits &Limits) {
+Unfolding parsynt::unfoldLoop(const Loop &L, unsigned K, bool FromUnknowns) {
   assert(!readsIndex(L) &&
          "materializeIndex must be applied before unfolding");
   Unfolding Result;
@@ -127,7 +126,7 @@ Unfolding parsynt::unfoldLoop(const Loop &L, unsigned K, bool FromUnknowns,
       }
       StepNodes += Estimate;
     }
-    if (StepNodes > Limits.MaxExprNodes) {
+    if (StepNodes > UnfoldNodeCeiling) {
       Result.Steps = Step - 1;
       Result.Exceeded = true;
       return Result;

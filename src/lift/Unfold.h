@@ -25,6 +25,7 @@
 
 #include "ir/Loop.h"
 
+#include <cstdint>
 #include <map>
 #include <string>
 #include <vector>
@@ -48,25 +49,21 @@ struct Unfolding {
   bool Exceeded = false;
 };
 
-/// Growth ceilings for the unfolding. Substitution of step-(k-1) values
-/// into the update multiplies expression sizes, so adversarial updates
-/// (e.g. v*v) grow doubly-exponentially in k; the ceiling turns "exhaust
-/// memory" into a diagnosable abort.
-struct UnfoldLimits {
-  /// Total node budget across all state variables for one step's
-  /// expressions (pre-simplification estimate).
-  uint64_t MaxExprNodes = 200000;
-};
+/// Growth ceiling of the unfolding: the total node budget across all state
+/// variables for one step's expressions (pre-simplification estimate).
+/// Substitution of step-(k-1) values into the update multiplies expression
+/// sizes, so adversarial updates (e.g. v*v) grow doubly-exponentially in k;
+/// the ceiling turns "exhaust memory" into a diagnosable abort.
+inline constexpr uint64_t UnfoldNodeCeiling = 200000;
 
 /// Unfolds \p L for \p K steps. If \p FromUnknowns, the state starts at the
 /// symbolic unknowns (continuing the left thread across the split);
 /// otherwise at the loop's initialization expressions (the right thread's
 /// own run). The loop must not read its index variable (see
 /// materializeIndex). A step whose estimated size exceeds
-/// \p Limits.MaxExprNodes is not built: the result is truncated at the
-/// previous step with Exceeded set.
-Unfolding unfoldLoop(const Loop &L, unsigned K, bool FromUnknowns,
-                     const UnfoldLimits &Limits = {});
+/// UnfoldNodeCeiling is not built: the result is truncated at the previous
+/// step with Exceeded set.
+Unfolding unfoldLoop(const Loop &L, unsigned K, bool FromUnknowns);
 
 /// If any update of \p L reads the loop index, returns a rewritten loop with
 /// an explicit position accumulator "_pos" (init 0, update _pos + 1,

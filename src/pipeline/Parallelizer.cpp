@@ -21,6 +21,15 @@ using namespace parsynt;
 
 namespace {
 
+/// Lifting attempts, in order: (unfolding depth, init preference). The
+/// init-preference retries handle init-insensitive accumulators whose
+/// empty-chunk value must be a sentinel for the join to exist.
+constexpr std::pair<unsigned, InitPreference> LiftLadder[] = {
+    {3, InitPreference::ZeroFirst},
+    {3, InitPreference::MaxFirst},
+    {3, InitPreference::MinFirst},
+    {4, InitPreference::ZeroFirst}};
+
 double secondsSince(std::chrono::steady_clock::time_point Start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                        Start)
@@ -105,10 +114,12 @@ JoinGuidance makeGuidance(const Loop &L, const DependenceInfo &Info) {
 
 /// Runs join synthesis on \p W with dependence guidance and folds the
 /// timing / seed statistics into \p Result.
-JoinResult runJoinSynthesis(const Loop &W, JoinSynthOptions JoinOpts,
+JoinResult runJoinSynthesis(const Loop &W, bool AllowEmptyGuard,
                             PipelineResult &Result, const Deadline &DL) {
+  JoinSynthOptions JoinOpts;
+  JoinOpts.AllowEmptyGuard = AllowEmptyGuard;
   JoinOpts.Guidance = makeGuidance(W, analyzeDependences(W));
-  JoinOpts.Timeout = Deadline::sooner(JoinOpts.Timeout, DL);
+  JoinOpts.Timeout = DL;
   JoinResult Join = synthesizeJoin(W, JoinOpts);
   Result.JoinSeconds += Join.Stats.Seconds;
   Result.SeedsAccepted += Join.Stats.SeedsAccepted;
@@ -195,9 +206,8 @@ PipelineResult parsynt::parallelizeLoop(const Loop &L,
   // Phase 1: join synthesis on the (index-materialized) original loop. The
   // empty-guard sketch extension stays off here so "parallelizable in
   // original form" means exactly the paper's C(E)+grammar space.
-  JoinSynthOptions Phase1 = Options.Join;
-  Phase1.AllowEmptyGuard = false;
-  Result.Join = runJoinSynthesis(Original, Phase1, Result, joinDeadline());
+  Result.Join = runJoinSynthesis(Original, /*AllowEmptyGuard=*/false, Result,
+                                 joinDeadline());
   Loop Work = Original;
 
   if (!Result.Join.Success || !joinProven(Original, Result.Join)) {
@@ -222,14 +232,14 @@ PipelineResult parsynt::parallelizeLoop(const Loop &L,
 
     // Phase 2: lift, then re-synthesize; drop unjoinable conjectures.
     bool Solved = false;
-    for (const auto &[Depth, Preference] : Options.LiftAttempts) {
+    for (const auto &[Depth, Preference] : LiftLadder) {
       if (Overall.expired()) {
         Result.Failure = {FailureKind::Timeout,
                           "pipeline deadline expired during lifting"};
         break;
       }
       MetricsRegistry::global().counter("pipeline.lift_attempts").inc();
-      LiftOptions LiftOpts = Options.Lift;
+      LiftOptions LiftOpts;
       LiftOpts.Unfoldings = Depth;
       LiftOpts.Preference = Preference;
       LiftOpts.Timeout = Deadline::sooner(
@@ -243,8 +253,8 @@ PipelineResult parsynt::parallelizeLoop(const Loop &L,
         continue; // skip a corrupt lift attempt, try the next one
 
       while (true) {
-        Result.Join =
-            runJoinSynthesis(Work, Options.Join, Result, joinDeadline());
+        Result.Join = runJoinSynthesis(Work, /*AllowEmptyGuard=*/true, Result,
+                                       joinDeadline());
         if (Result.Join.Success) {
           if (joinProven(Work, Result.Join)) {
             Solved = true;
@@ -269,6 +279,13 @@ PipelineResult parsynt::parallelizeLoop(const Loop &L,
       }
       if (Solved)
         break;
+      // A lift that stopped on its node ceiling or its deadline would stop
+      // again on every later rung, which unfolds as deep or deeper: report
+      // the lift's failure instead of the join's.
+      if (!Lift.Failure.empty()) {
+        Result.Failure = Lift.Failure;
+        break;
+      }
       // A join timeout on this lifted loop would repeat on every other
       // attempt (same searches, same budget): stop retrying.
       if (Result.Join.Failure.Kind == FailureKind::Timeout)
@@ -307,8 +324,8 @@ PipelineResult parsynt::parallelizeLoop(const Loop &L,
       Loop Candidate = Work;
       if (!removeEquation(Candidate, *It))
         continue;
-      JoinResult Retry =
-          runJoinSynthesis(Candidate, Options.Join, Result, joinDeadline());
+      JoinResult Retry = runJoinSynthesis(Candidate, /*AllowEmptyGuard=*/true,
+                                          Result, joinDeadline());
       if (Retry.Success && joinProven(Candidate, Retry)) {
         Work = std::move(Candidate);
         Result.Join = std::move(Retry);

@@ -33,17 +33,9 @@
 namespace parsynt {
 
 struct PipelineOptions {
-  JoinSynthOptions Join;
-  LiftOptions Lift;
+  /// Lift when the original loop has no join; when off, the pipeline stops
+  /// after phase 1.
   bool TryLift = true;
-  /// Lifting attempts, in order: (unfolding depth, init preference). The
-  /// init-preference retries handle init-insensitive accumulators whose
-  /// empty-chunk value must be a sentinel for the join to exist.
-  std::vector<std::pair<unsigned, InitPreference>> LiftAttempts = {
-      {3, InitPreference::ZeroFirst},
-      {3, InitPreference::MaxFirst},
-      {3, InitPreference::MinFirst},
-      {4, InitPreference::ZeroFirst}};
   /// Wall-clock budgets in seconds; 0 (the default) means unbounded. The
   /// whole-loop budget caps everything; the per-phase budgets additionally
   /// cap each join-synthesis / lift call, so a single runaway phase cannot

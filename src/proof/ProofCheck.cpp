@@ -19,6 +19,16 @@ using namespace parsynt;
 
 namespace {
 
+/// Reachable-state samples for u and v. Short prefixes dominate: the
+/// states that refute coincidental joins (near-initial, boundary-valued)
+/// live there.
+constexpr unsigned StateSamples = 800;
+/// Prefix length bound used to generate reachable states.
+constexpr unsigned MaxPrefixLen = 10;
+/// Elements per (u, v) pair tried in the step obligation.
+constexpr unsigned ElementsPerPair = 6;
+constexpr uint64_t Seed = 0xBEEF;
+
 /// Element pool mirroring the oracle's: small values plus loop constants.
 std::vector<int64_t> elementPool(const Loop &L) {
   std::set<int64_t> Pool = {-2, -1, 0, 1, 2, 3, 7, -11};
@@ -40,8 +50,7 @@ std::vector<int64_t> elementPool(const Loop &L) {
 
 ProofReport
 parsynt::checkHomomorphismProof(const Loop &L,
-                                const std::vector<ExprRef> &Join,
-                                const ProofOptions &Options) {
+                                const std::vector<ExprRef> &Join) {
   auto StartTime = std::chrono::steady_clock::now();
   ProofReport Report;
   Span ProofSpan("checkHomomorphismProof", trace::Proof);
@@ -65,7 +74,7 @@ parsynt::checkHomomorphismProof(const Loop &L,
           static_cast<uint64_t>(R.Seconds * 1e3));
     }
   } Finish{ProofSpan, Report};
-  Rng R(Options.Seed);
+  Rng R(Seed);
   std::vector<int64_t> Pool = elementPool(L);
   const CompiledLoop Code(L);
   const CompiledJoin Joiner(JoinLayout(L), Join);
@@ -79,7 +88,7 @@ parsynt::checkHomomorphismProof(const Loop &L,
     Env Params;
   };
   auto drawSample = [&](const Env &Params) {
-    size_t Len = static_cast<size_t>(R.intIn(0, Options.MaxPrefixLen));
+    size_t Len = static_cast<size_t>(R.intIn(0, MaxPrefixLen));
     SeqEnv Seqs;
     for (const SeqDecl &S : L.Sequences) {
       std::vector<Value> Elems;
@@ -104,7 +113,7 @@ parsynt::checkHomomorphismProof(const Loop &L,
                                   Details};
   };
 
-  for (unsigned N = 0; N != Options.StateSamples && !Report.Failure; ++N) {
+  for (unsigned N = 0; N != StateSamples && !Report.Failure; ++N) {
     Env Params = drawParams();
     Sample U = drawSample(Params);
     Sample V = drawSample(Params);
@@ -129,7 +138,7 @@ parsynt::checkHomomorphismProof(const Loop &L,
     // model read the index only through the materialized position
     // accumulator, so any index value yields the same result — the local
     // one is used for fidelity.
-    for (unsigned EIdx = 0; EIdx != Options.ElementsPerPair; ++EIdx) {
+    for (unsigned EIdx = 0; EIdx != ElementsPerPair; ++EIdx) {
       std::vector<Value> Elems;
       for (size_t K = 0; K != L.Sequences.size(); ++K)
         Elems.push_back(Value::ofInt(Pool[R.index(Pool.size())]));

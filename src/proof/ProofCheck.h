@@ -35,18 +35,6 @@
 
 namespace parsynt {
 
-struct ProofOptions {
-  /// Reachable-state samples for u and v. Short prefixes dominate: the
-  /// states that refute coincidental joins (near-initial, boundary-valued)
-  /// live there.
-  unsigned StateSamples = 800;
-  /// Prefix length bound used to generate reachable states.
-  unsigned MaxPrefixLen = 10;
-  /// Elements per (u, v) pair tried in the step obligation.
-  unsigned ElementsPerPair = 6;
-  uint64_t Seed = 0xBEEF;
-};
-
 /// A failed obligation, with the witnessing values.
 struct ProofFailure {
   std::string Obligation; ///< "base" or "step"
@@ -67,8 +55,7 @@ struct ProofReport {
 /// Checks the two induction obligations for \p Join (one component per
 /// equation of \p L) over sampled reachable states.
 ProofReport checkHomomorphismProof(const Loop &L,
-                                   const std::vector<ExprRef> &Join,
-                                   const ProofOptions &Options = {});
+                                   const std::vector<ExprRef> &Join);
 
 } // namespace parsynt
 

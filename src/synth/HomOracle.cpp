@@ -17,6 +17,18 @@ using namespace parsynt;
 
 namespace {
 
+// The bounded specification's fixed shape.
+/// Max chunk length in the exhaustive phase.
+constexpr unsigned ExhaustiveLen = 2;
+/// Element values of the exhaustive phase (beyond the loop's constants).
+constexpr int64_t ExhaustiveValues[] = {-1, 0, 1};
+/// Random tests in the initial set, and their max chunk length.
+constexpr unsigned RandomTests = 64;
+constexpr unsigned RandomLen = 5;
+/// Cap on the initial test count.
+constexpr size_t MaxTests = 300;
+constexpr uint64_t Seed = 0x5eed;
+
 /// Concatenates the per-sequence contents of two chunks.
 SeqEnv concatSeqs(const SeqEnv &A, const SeqEnv &B) {
   SeqEnv Result = A;
@@ -29,13 +41,13 @@ SeqEnv concatSeqs(const SeqEnv &A, const SeqEnv &B) {
 
 } // namespace
 
-HomOracle::HomOracle(const Loop &L, OracleOptions Options)
-    : L(L), Options(Options), Code(L), Layout(L), R(Options.Seed) {
-  // Element pool: the option values plus every integer constant appearing in
-  // an update (and its neighbours), so equality tests against characters or
-  // thresholds are exercised on both sides.
-  std::set<int64_t> PoolSet(Options.ExhaustiveValues.begin(),
-                            Options.ExhaustiveValues.end());
+HomOracle::HomOracle(const Loop &L, Deadline Timeout)
+    : L(L), Timeout(Timeout), Code(L), Layout(L), R(Seed) {
+  // Element pool: the exhaustive values plus every integer constant
+  // appearing in an update (and its neighbours), so equality tests against
+  // characters or thresholds are exercised on both sides.
+  std::set<int64_t> PoolSet(std::begin(ExhaustiveValues),
+                            std::end(ExhaustiveValues));
   for (const Equation &Eq : L.Equations) {
     forEachNode(Eq.Update, [&](const ExprRef &Node) {
       if (const auto *C = dyn_cast<IntConstExpr>(Node)) {
@@ -115,7 +127,7 @@ void HomOracle::buildInitialTests() {
   std::vector<std::vector<int64_t>> Chunks;
   Chunks.push_back({});
   size_t TierBegin = 0;
-  for (unsigned Len = 1; Len <= Options.ExhaustiveLen; ++Len) {
+  for (unsigned Len = 1; Len <= ExhaustiveLen; ++Len) {
     size_t TierEnd = Chunks.size();
     for (size_t I = TierBegin; I != TierEnd; ++I) {
       for (int64_t V : Reduced) {
@@ -144,24 +156,22 @@ void HomOracle::buildInitialTests() {
   // bounded specification just gets weaker, and accepted joins still face
   // the CEGIS re-validation and the proof gate.
   for (const auto &LeftChunk : Chunks) {
-    if (Options.Timeout.expired())
+    if (Timeout.expired())
       break;
     for (const auto &RightChunk : Chunks) {
-      if (Tests.size() >= Options.MaxTests)
+      if (Tests.size() >= MaxTests)
         break;
       addTest(makeExample(chunkToSeqs(LeftChunk), chunkToSeqs(RightChunk), P0));
     }
   }
 
-  if (Options.Timeout.expired())
+  if (Timeout.expired())
     return;
 
   // Random phase: longer chunks, full pool, varied parameters, and (for
   // multi-sequence loops) per-sequence independent contents.
-  for (unsigned T = 0; T != Options.RandomTests && Tests.size() <
-                                                       Options.MaxTests;
-       ++T) {
-    if (Options.Timeout.expired())
+  for (unsigned T = 0; T != RandomTests && Tests.size() < MaxTests; ++T) {
+    if (Timeout.expired())
       return;
     Env P = ParamDraws.empty() ? Env()
                                : ParamDraws[R.index(ParamDraws.size())];
@@ -169,7 +179,7 @@ void HomOracle::buildInitialTests() {
     // chunks so multi-block patterns appear.
     bool UseFocused = T % 2 == 1;
     JoinExample Example =
-        randomExample(UseFocused ? Options.RandomLen + 3 : Options.RandomLen,
+        randomExample(UseFocused ? RandomLen + 3 : RandomLen,
                       UseFocused ? Focused : Pool, R);
     Example.Params = P;
     // Recompute with the chosen parameters.
@@ -238,7 +248,7 @@ HomOracle::findCounterexample(const std::vector<ExprRef> &Join,
     // Deadline expiry returns "no counterexample found"; callers that care
     // about the distinction re-check expired() — a timed-out validation
     // must never be read as a passed one.
-    if (Options.Timeout.expired())
+    if (Timeout.expired())
       return std::nullopt;
     unsigned MaxLen = 1 + Round % 12;
     JoinExample Example =

@@ -40,29 +40,14 @@ struct JoinExample {
   SeqEnv LeftSeqs, RightSeqs;
 };
 
-/// Options bounding the specification.
-struct OracleOptions {
-  /// Max chunk length in the exhaustive phase.
-  unsigned ExhaustiveLen = 2;
-  /// Element values used in the exhaustive phase (beyond loop constants).
-  std::vector<int64_t> ExhaustiveValues = {-1, 0, 1};
-  /// Number of random tests in the initial set.
-  unsigned RandomTests = 64;
-  /// Max chunk length for random tests.
-  unsigned RandomLen = 5;
-  /// Cap on the initial test count.
-  size_t MaxTests = 300;
-  uint64_t Seed = 0x5eed;
-  /// Cooperative cancellation: test-set construction and counterexample
-  /// search stop early when this expires (fewer tests is sound — the
-  /// bounded spec just gets weaker and the proof gate still decides).
-  Deadline Timeout;
-};
-
 /// Builds and extends the test set, and verifies candidate joins.
 class HomOracle {
 public:
-  HomOracle(const Loop &L, OracleOptions Options = {});
+  /// Builds the initial test set of \p L. \p Timeout is cooperative
+  /// cancellation: test-set construction and counterexample search stop
+  /// early when it expires (fewer tests is sound: the bounded spec just
+  /// gets weaker and the proof gate still decides).
+  HomOracle(const Loop &L, Deadline Timeout = {});
 
   const Loop &loop() const { return L; }
   const std::vector<JoinExample> &tests() const { return Tests; }
@@ -106,7 +91,7 @@ private:
                           const Env &Params) const;
 
   const Loop &L;
-  OracleOptions Options;
+  Deadline Timeout;
   /// The loop, compiled once for every example this oracle builds.
   CompiledLoop Code;
   JoinLayout Layout;

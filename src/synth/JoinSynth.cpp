@@ -26,6 +26,20 @@ using namespace parsynt;
 
 namespace {
 
+// The search's fixed configuration.
+/// Successive (LR-hole size, R-hole size) tiers: the paper's gradually
+/// increased expression depth d.
+constexpr std::pair<unsigned, unsigned> SketchTiers[] = {
+    {1, 1}, {3, 2}, {3, 3}, {5, 3}};
+/// Term-size bound of the free-grammar fallback.
+constexpr unsigned FreeMaxSize = 7;
+/// Cap on sketch hole assignments evaluated per equation per tier.
+constexpr uint64_t ProductBudget = 2000000;
+/// Maximum CEGIS iterations (counterexample rounds).
+constexpr unsigned CegisRounds = 10;
+/// Random rounds of the final validation.
+constexpr unsigned VerifyRounds = 400;
+
 /// Collects the small integer constants appearing in the loop (candidates
 /// for ??R fills), plus the universal 0 / 1 / -1.
 std::vector<int64_t> joinConstants(const Loop &L) {
@@ -226,16 +240,13 @@ JoinResult parsynt::synthesizeJoin(const Loop &L,
   Root.attr("loop", L.Name.empty() ? "<loop>" : L.Name);
   Root.attr("equations", uint64_t(L.Equations.size()));
 
-  // One combined deadline governs the oracle, the enumerators, and every
-  // search below; unarmed inputs reproduce the un-deadlined search exactly.
-  const Deadline DL = Deadline::sooner(Options.Timeout, Options.Oracle.Timeout);
-  OracleOptions OracleOpts = Options.Oracle;
-  OracleOpts.Timeout = DL;
-
-  HomOracle Oracle(L, OracleOpts);
+  // One deadline governs the oracle, the enumerators, and every search
+  // below; an unarmed one reproduces the un-deadlined search exactly.
+  const Deadline DL = Options.Timeout;
+  HomOracle Oracle(L, DL);
   std::vector<int64_t> Constants = joinConstants(L);
 
-  for (unsigned Round = 0; Round <= Options.CegisRounds; ++Round) {
+  for (unsigned Round = 0; Round <= CegisRounds; ++Round) {
     Result.Stats.CegisIterations = Round;
     Result.Stats.TestsUsed = static_cast<unsigned>(Oracle.tests().size());
 
@@ -262,12 +273,12 @@ JoinResult parsynt::synthesizeJoin(const Loop &L,
     // only if some equation needs the free-grammar fallback.
     unsigned MaxLR = 1;
     unsigned MaxR = 1;
-    for (const auto &[SizeLR, SizeR] : Options.SketchTiers) {
+    for (const auto &[SizeLR, SizeR] : SketchTiers) {
       MaxLR = std::max(MaxLR, SizeLR);
       MaxR = std::max(MaxR, SizeR);
     }
     if (!Options.UseSketch)
-      MaxLR = std::max(MaxLR, Options.FreeMaxSize);
+      MaxLR = std::max(MaxLR, FreeMaxSize);
     MetricsRegistry::global().gauge("synth.sketch.max_lr").set(MaxLR);
     MetricsRegistry::global().gauge("synth.sketch.max_r").set(MaxR);
 
@@ -389,14 +400,14 @@ JoinResult parsynt::synthesizeJoin(const Loop &L,
         ExprRef Found;
 
         auto searchSketch = [&](const Sketch &S) -> ExprRef {
-          for (const auto &[SizeLR, SizeR] : Options.SketchTiers) {
+          for (const auto &[SizeLR, SizeR] : SketchTiers) {
             std::vector<HolePool> Pools;
             Pools.reserve(S.Holes.size());
             for (const Hole &H : S.Holes)
               Pools.push_back(H.RightOnly ? makePool(ER, H.Ty, SizeR)
                                           : makePool(ELR, H.Ty, SizeLR));
             SketchSearch Search(S, std::move(Pools), Oracle, I,
-                                Options.ProductBudget,
+                                ProductBudget,
                                 Result.Stats.SketchAssignmentsTried, DL);
             if (ExprRef F = Search.run(std::max(SizeLR, SizeR)))
               return F;
@@ -438,9 +449,9 @@ JoinResult parsynt::synthesizeJoin(const Loop &L,
           // Free-grammar search: the expected output vector indexes
           // straight into the enumerator's observational classes. Grow the
           // pool to the fallback bound on first use.
-          if (ELR.options().MaxSize < Options.FreeMaxSize) {
+          if (ELR.options().MaxSize < FreeMaxSize) {
             size_t Before = ELR.totalCandidates();
-            ELR.options().MaxSize = Options.FreeMaxSize;
+            ELR.options().MaxSize = FreeMaxSize;
             ELR.run();
             Result.Stats.EnumeratedCandidates +=
                 ELR.totalCandidates() - Before;
@@ -502,7 +513,7 @@ JoinResult parsynt::synthesizeJoin(const Loop &L,
               ite(inputVar(GuardName, Type::Bool),
                   inputVar(splitName(Eq.Name, Side::Left), Eq.Ty),
                   Guarded.Body);
-          for (const auto &[SizeLR, SizeR] : Options.SketchTiers) {
+          for (const auto &[SizeLR, SizeR] : SketchTiers) {
             std::vector<HolePool> Pools;
             Pools.reserve(Guarded.Holes.size());
             for (size_t H = 0; H != Guarded.Holes.size(); ++H) {
@@ -520,7 +531,7 @@ JoinResult parsynt::synthesizeJoin(const Loop &L,
                                            : makePool(ELR, Ho.Ty, SizeLR));
             }
             SketchSearch Search(Guarded, std::move(Pools), Oracle, I,
-                                Options.ProductBudget,
+                                ProductBudget,
                                 Result.Stats.SketchAssignmentsTried, DL);
             Component = Search.run(std::max({SizeLR, SizeR, 3u}));
             if (Component || DL.expired())
@@ -560,8 +571,7 @@ JoinResult parsynt::synthesizeJoin(const Loop &L,
     }
 
     // CEGIS validation on fresh inputs.
-    auto Cex = Oracle.findCounterexample(Result.Components,
-                                         Options.VerifyRounds);
+    auto Cex = Oracle.findCounterexample(Result.Components, VerifyRounds);
     stampRound(true);
     RoundSpan.attr("counterexample", Cex.has_value());
     if (!Cex) {
@@ -578,7 +588,7 @@ JoinResult parsynt::synthesizeJoin(const Loop &L,
       Result.Failure.clear();
       break;
     }
-    if (Round == Options.CegisRounds) {
+    if (Round == CegisRounds) {
       Result.Success = false;
       // Name the still-disagreeing equation: evaluate each component on the
       // final counterexample, like the per-variable failure path does.
@@ -592,13 +602,13 @@ JoinResult parsynt::synthesizeJoin(const Loop &L,
         }
       }
       std::ostringstream OS;
-      OS << "CEGIS budget exhausted after " << Options.CegisRounds
+      OS << "CEGIS budget exhausted after " << CegisRounds
          << " rounds";
       if (!Culprit.empty())
         OS << ": the join component for state variable '" << Culprit
            << "' still disagrees with a fresh counterexample";
       OS << " (" << Result.Stats.SketchAssignmentsTried
-         << " sketch assignments tried, budget " << Options.ProductBudget
+         << " sketch assignments tried, budget " << ProductBudget
          << " per search, " << Oracle.tests().size() << " tests)";
       Result.Failure = {FailureKind::BudgetExhausted, OS.str()};
       break;

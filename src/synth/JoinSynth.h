@@ -51,20 +51,10 @@ struct JoinGuidance {
   std::map<std::string, std::set<std::string>> AllowedVars;
 };
 
-/// Tuning for the synthesis search.
+/// Switches for the synthesis search. The search itself (hole-size tiers,
+/// free-grammar bound, assignment budget, CEGIS and validation rounds) is
+/// the fixed configuration of JoinSynth.cpp.
 struct JoinSynthOptions {
-  /// Successive (LR-hole size, R-hole size) tiers; realizes the paper's
-  /// gradually-increased expression depth d.
-  std::vector<std::pair<unsigned, unsigned>> SketchTiers = {
-      {1, 1}, {3, 2}, {3, 3}, {5, 3}};
-  /// Term-size bound for the free-grammar fallback.
-  unsigned FreeMaxSize = 7;
-  /// Cap on sketch hole assignments evaluated per equation per tier.
-  uint64_t ProductBudget = 2000000;
-  /// Maximum CEGIS iterations (counterexample rounds).
-  unsigned CegisRounds = 10;
-  /// Random rounds of final validation.
-  unsigned VerifyRounds = 400;
   bool UseSketch = true;     ///< ablation: disable the C(E) sketch
   bool AllowFallback = true; ///< ablation: disable the free fallback
   /// Enable the "empty right chunk" guarded sketch variant (an extension
@@ -74,7 +64,6 @@ struct JoinSynthOptions {
   bool AllowEmptyGuard = true;
   /// Dependence-derived ordering, seeds, and variable restrictions.
   JoinGuidance Guidance;
-  OracleOptions Oracle;
   /// Cooperative cancellation for the whole synthesis call (also handed to
   /// the oracle). On expiry the search unwinds with a Timeout failure.
   Deadline Timeout;

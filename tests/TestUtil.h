@@ -10,6 +10,7 @@
 
 #include "frontend/Convert.h"
 #include "interp/Interp.h"
+#include "interp/OpSemantics.h"
 #include "ir/ExprOps.h"
 #include "runtime/ParallelReduce.h"
 #include "support/Random.h"
@@ -21,6 +22,77 @@
 namespace parsynt {
 namespace test {
 
+/// The reference semantics of an expression: a tree walk over name -> value
+/// maps, against which every compiled evaluator is differentially tested.
+/// All referenced variables and sequences must be bound; out-of-range
+/// sequence accesses are a programmatic error (asserted). Operators follow
+/// interp/OpSemantics.h; `&&`, `||` and `ite` short-circuit.
+inline Value evalExpr(const ExprRef &E, const Env &Vars, const SeqEnv &Seqs) {
+  switch (E->kind()) {
+  case ExprKind::IntConst:
+    return Value::ofInt(cast<IntConstExpr>(E)->value());
+  case ExprKind::BoolConst:
+    return Value::ofBool(cast<BoolConstExpr>(E)->value());
+  case ExprKind::Var: {
+    const auto *V = cast<VarExpr>(E);
+    auto It = Vars.find(V->name());
+    assert(It != Vars.end() && "unbound variable");
+    assert(It->second.type() == V->type() && "environment type mismatch");
+    return It->second;
+  }
+  case ExprKind::SeqAccess: {
+    const auto *S = cast<SeqAccessExpr>(E);
+    auto It = Seqs.find(S->seqName());
+    assert(It != Seqs.end() && "unbound sequence");
+    int64_t Index = evalExpr(S->index(), Vars, Seqs).asInt();
+    assert(Index >= 0 && static_cast<size_t>(Index) < It->second.size() &&
+           "sequence access out of range");
+    return It->second[static_cast<size_t>(Index)];
+  }
+  case ExprKind::Unary: {
+    const auto *U = cast<UnaryExpr>(E);
+    Value Operand = evalExpr(U->operand(), Vars, Seqs);
+    if (U->op() == UnaryOp::Neg)
+      return Value::ofInt(ops::neg(Operand.asInt()));
+    return Value::ofBool(ops::logicalNot(Operand.asBool()));
+  }
+  case ExprKind::Binary: {
+    const auto *B = cast<BinaryExpr>(E);
+    if (B->op() == BinaryOp::And) {
+      if (!evalExpr(B->lhs(), Vars, Seqs).asBool())
+        return Value::ofBool(false);
+      return evalExpr(B->rhs(), Vars, Seqs);
+    }
+    if (B->op() == BinaryOp::Or) {
+      if (evalExpr(B->lhs(), Vars, Seqs).asBool())
+        return Value::ofBool(true);
+      return evalExpr(B->rhs(), Vars, Seqs);
+    }
+    Value L = evalExpr(B->lhs(), Vars, Seqs);
+    Value R = evalExpr(B->rhs(), Vars, Seqs);
+    assert(L.type() == R.type() && "ill-typed binary operands");
+    int64_t Result = ops::applyBinary(B->op(), L.raw(), R.raw());
+    if (isArithOp(B->op()))
+      return Value::ofInt(Result);
+    return Value::ofBool(Result != 0);
+  }
+  case ExprKind::Ite: {
+    const auto *I = cast<IteExpr>(E);
+    if (evalExpr(I->cond(), Vars, Seqs).asBool())
+      return evalExpr(I->thenExpr(), Vars, Seqs);
+    return evalExpr(I->elseExpr(), Vars, Seqs);
+  }
+  }
+  assert(false && "unknown expression kind");
+  return Value();
+}
+
+/// evalExpr for expressions with no sequence accesses.
+inline Value evalExpr(const ExprRef &E, const Env &Vars) {
+  static const SeqEnv Empty;
+  return evalExpr(E, Vars, Empty);
+}
+
 /// Parses a loop or fails the test.
 inline Loop mustParse(const std::string &Source,
                       const std::string &Name = "test") {
@@ -28,6 +100,23 @@ inline Loop mustParse(const std::string &Source,
   auto L = parseLoop(Source, Name, Diags);
   EXPECT_TRUE(L.has_value()) << Diags.str();
   return L ? *L : Loop();
+}
+
+/// A loop whose unfolding outgrows the node ceiling (lift/Unfold.h): `a`
+/// raises itself to the 64th power every step, so its from-unknowns
+/// unfolding passes 200k nodes at step 3. `b` squares itself as well, so
+/// no join exists without lifting.
+inline Loop nodeCeilingLoop() {
+  std::string Power = "a";
+  for (int I = 1; I != 64; ++I)
+    Power += " * a";
+  return mustParse("a = 0;\n"
+                   "b = 0;\n"
+                   "for (i = 0; i < |s|; i++) {\n"
+                   "  b = b * b + s[i];\n"
+                   "  a = " + Power + " + s[i];\n"
+                   "}",
+                   "node-ceiling");
 }
 
 /// Generates a random well-typed expression over the given variables.
@@ -176,8 +265,8 @@ inline void expectEquivalent(const ExprRef &A, const ExprRef &B,
 }
 
 //===----------------------------------------------------------------------===//
-// The reference semantics: evalExpr over name -> value maps, against which
-// the compiled loop and join programs are differentially tested.
+// Loops and joins under the reference semantics, against which the compiled
+// loop and join programs are differentially tested.
 //===----------------------------------------------------------------------===//
 
 /// Runs the iterations [Begin, End) of \p L over \p Seqs from \p State.

@@ -8,6 +8,7 @@
 #include "interp/CompiledExpr.h"
 #include "interp/Interp.h"
 #include "interp/OpSemantics.h"
+#include "suite/Benchmarks.h"
 #include "TestUtil.h"
 
 #include <gtest/gtest.h>
@@ -230,6 +231,54 @@ TEST(CompiledExpr, SharedSubtreesAndBareLeaves) {
     for (size_t K = 0; K != Roots.size(); ++K)
       EXPECT_EQ(Code.result(Regs.data(), K), evalExpr(Roots[K], Vars).raw())
           << exprToString(Roots[K]) << " at x = " << V;
+  }
+}
+
+TEST(CompiledLoop, RawRunMatchesTheReferenceAfterEveryIteration) {
+  // runRaw reads one row [params | each sequence's elements] and writes the
+  // state after every iteration; each must equal the reference run of that
+  // many iterations. Elements come from the loop's own constants and their
+  // neighbours, so that comparisons (and hamming's two sequences) go both
+  // ways.
+  Rng R(0x7a11);
+  const size_t Length = 8;
+  for (const Benchmark &B : allBenchmarks()) {
+    Loop L = parseBenchmark(B);
+    std::vector<int64_t> Pool = {-1, 0, 1};
+    for (const Equation &Eq : L.Equations)
+      forEachNode(Eq.Update, [&](const ExprRef &Node) {
+        if (const auto *C = dyn_cast<IntConstExpr>(Node))
+          if (std::abs(C->value()) <= 1000)
+            Pool.insert(Pool.end(), {C->value() - 1, C->value()});
+      });
+    std::vector<int64_t> Row;
+    Env Params;
+    for (const ParamDecl &P : L.Params) {
+      Row.push_back(P.Ty == Type::Int ? R.intIn(-3, 3) : R.flip());
+      Params[P.Name] = P.Ty == Type::Int ? Value::ofInt(Row.back())
+                                         : Value::ofBool(Row.back() != 0);
+    }
+    SeqEnv Seqs;
+    for (const SeqDecl &S : L.Sequences)
+      for (size_t J = 0; J != Length; ++J) {
+        Row.push_back(S.ElemTy == Type::Int ? Pool[R.index(Pool.size())]
+                                            : R.flip());
+        Seqs[S.Name].push_back(S.ElemTy == Type::Int
+                                   ? Value::ofInt(Row.back())
+                                   : Value::ofBool(Row.back() != 0));
+      }
+    const size_t N = L.Equations.size();
+    std::vector<int64_t> States((Length + 1) * N);
+    CompiledLoop(L).runRaw(Row.data(), Length, States.data());
+    StateTuple Init = referenceInitialState(L, Params);
+    for (size_t J = 0; J <= Length; ++J) {
+      StateTuple Expected = referenceRunRange(L, Init, Seqs, 0,
+                                              static_cast<int64_t>(J), Params);
+      for (size_t I = 0; I != N; ++I)
+        EXPECT_EQ(States[J * N + I], Expected[I].raw())
+            << B.Name << ": " << L.Equations[I].Name << " after " << J
+            << " iterations";
+    }
   }
 }
 

@@ -8,13 +8,17 @@
 #include "lift/Lift.h"
 #include "lift/NormalForms.h"
 #include "lift/Unfold.h"
+#include "normalize/Normalizer.h"
 #include "observe/Metrics.h"
+#include "suite/Benchmarks.h"
 #include "support/FaultInjector.h"
 #include "TestUtil.h"
 
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <chrono>
+#include <set>
 #include <thread>
 
 using namespace parsynt;
@@ -39,6 +43,15 @@ TEST(Unfold, FromInitEvaluatesConcretely) {
   // Step 0 is the init; the simplifier folds 0 + s@1.
   EXPECT_EQ(exprToString(U.ValuesAtStep.at("sum")[0]), "0");
   EXPECT_EQ(exprToString(U.ValuesAtStep.at("sum")[1]), "s@1");
+}
+
+TEST(Unfold, NodeCeilingTruncatesTheUnfolding) {
+  // Step 3 of the from-unknowns unfolding would pass the ceiling: the
+  // result stops at step 2 instead of exhausting memory.
+  Unfolding U = unfoldLoop(nodeCeilingLoop(), 3, /*FromUnknowns=*/true);
+  EXPECT_TRUE(U.Exceeded);
+  EXPECT_EQ(U.Steps, 2u);
+  EXPECT_EQ(U.ValuesAtStep.at("a").size(), 3u);
 }
 
 TEST(Unfold, MaterializeIndexOnlyWhenRead) {
@@ -222,6 +235,15 @@ TEST(Lift, MaxBlock1ReproducesThePaperFailure) {
   EXPECT_FALSE(R.Unresolved.empty());
 }
 
+TEST(Lift, NodeCeilingReportsBudgetExhausted) {
+  LiftResult R = liftLoop(nodeCeilingLoop());
+  EXPECT_EQ(R.Failure.Kind, FailureKind::BudgetExhausted) << R.Failure.str();
+  EXPECT_NE(R.Failure.Message.find(std::to_string(UnfoldNodeCeiling)),
+            std::string::npos)
+      << R.Failure.Message;
+  EXPECT_TRUE(R.Auxiliaries.empty());
+}
+
 TEST(Lift, ExpiredDeadlineReportsTimeout) {
   LiftOptions Options;
   Options.Timeout = Deadline::after(1e-9);
@@ -248,5 +270,113 @@ TEST(Lift, DeadlineIsPolledInsideNormalization) {
       << R.Failure.str();
   EXPECT_LT(Expanded, 4000u);
 }
+
+//===----------------------------------------------------------------------===//
+// Lifting's frames: compiled columns against the reference semantics.
+//===----------------------------------------------------------------------===//
+
+/// The bindings of frame \p F of \p Frames, laid out over \p L's parameters
+/// and the step inputs of its sequences up to step \p K.
+Env frameEnv(const Loop &L, const LiftFrames &Frames, unsigned K, size_t F) {
+  auto typed = [](Type Ty, int64_t Raw) {
+    return Ty == Type::Int ? Value::ofInt(Raw) : Value::ofBool(Raw != 0);
+  };
+  const int64_t *Row = Frames.row(F);
+  Env Vars;
+  for (const ParamDecl &P : L.Params)
+    Vars[P.Name] = typed(P.Ty, *Row++);
+  for (const SeqDecl &S : L.Sequences)
+    for (unsigned Step = 1; Step <= K; ++Step)
+      Vars[stepInputName(S.Name, Step)] = typed(S.ElemTy, *Row++);
+  return Vars;
+}
+
+/// The maximal unknown-free subterms of \p E: every part lifting collects
+/// from a normal form is one of them.
+void unknownFreeSubterms(const ExprRef &E, std::vector<ExprRef> &Out) {
+  if (!containsVarClass(E, VarClass::Unknown)) {
+    Out.push_back(E);
+    return;
+  }
+  for (const ExprRef &Child : children(E))
+    unknownFreeSubterms(Child, Out);
+}
+
+class LiftFrameColumns : public ::testing::TestWithParam<size_t> {};
+
+TEST_P(LiftFrameColumns, MatchTheReferenceFrameByFrame) {
+  // Lifting decides coverage, fold-back and validation on compiled columns
+  // over [params | s@1..s@K]. Every expression it evaluates there (the
+  // parts of each normalized unfolding, and each from-initialization value
+  // of the lifted loop) must agree with the reference in every frame.
+  const Benchmark &B = allBenchmarks()[GetParam()];
+  const unsigned K = 3;
+  Loop Work = materializeIndex(parseBenchmark(B));
+  LiftFrames Frames(Work, K);
+  ASSERT_EQ(Frames.names().size(),
+            Work.Params.size() + K * Work.Sequences.size());
+  std::vector<Env> Envs;
+  for (size_t F = 0; F != Frames.size(); ++F)
+    Envs.push_back(frameEnv(Work, Frames, K, F));
+  size_t Checked = 0;
+  auto expectReference = [&](const ExprRef &E) {
+    std::vector<int64_t> Column = Frames.column(E);
+    ASSERT_EQ(Column.size(), Frames.size());
+    for (size_t F = 0; F != Frames.size(); ++F)
+      ASSERT_EQ(Column[F], evalExpr(E, Envs[F]).raw())
+          << B.Name << ": " << exprToString(E) << " in frame " << F;
+    ++Checked;
+  };
+
+  Unfolding FromInit =
+      unfoldLoop(liftLoop(parseBenchmark(B)).Lifted, K, /*FromUnknowns=*/false);
+  for (const auto &[Var, Steps] : FromInit.ValuesAtStep)
+    for (const ExprRef &E : Steps)
+      expectReference(E);
+
+  Unfolding FromUnknown = unfoldLoop(Work, K, /*FromUnknowns=*/true);
+  std::set<std::string> Unknowns;
+  for (const Equation &Eq : Work.Equations)
+    Unknowns.insert(unknownName(Eq.Name));
+  for (const Equation &Eq : Work.Equations) {
+    if (Eq.IsAuxiliary)
+      continue;
+    for (unsigned Step = 1; Step <= K; ++Step) {
+      ExprRef Tau = FromUnknown.ValuesAtStep.at(Eq.Name)[Step];
+      ExprRef Ell = tropicalNormalize(Tau, Unknowns);
+      if (!Ell)
+        Ell = booleanNormalize(Tau, Unknowns);
+      if (!Ell)
+        Ell = normalizeExpr(Tau, Unknowns);
+      std::vector<ExprRef> Parts;
+      unknownFreeSubterms(Ell, Parts);
+      for (const ExprRef &Part : Parts)
+        expectReference(Part);
+    }
+  }
+  EXPECT_GT(Checked, 0u);
+}
+
+/// The Table-1 loops the pipeline lifts: those that need an auxiliary
+/// beyond the materialized index (whose loops phase 1 already joins).
+std::vector<size_t> liftingBenchmarks() {
+  std::vector<size_t> Indices;
+  for (size_t I = 0; I != allBenchmarks().size(); ++I)
+    if (allBenchmarks()[I].ExpectAuxRequired &&
+        !readsIndex(parseBenchmark(allBenchmarks()[I])))
+      Indices.push_back(I);
+  return Indices;
+}
+
+std::string benchmarkName(const ::testing::TestParamInfo<size_t> &Info) {
+  std::string Clean;
+  for (char C : allBenchmarks()[Info.param].Name)
+    Clean += std::isalnum(static_cast<unsigned char>(C)) ? C : '_';
+  return Clean;
+}
+
+INSTANTIATE_TEST_SUITE_P(Table1, LiftFrameColumns,
+                         ::testing::ValuesIn(liftingBenchmarks()),
+                         benchmarkName);
 
 } // namespace

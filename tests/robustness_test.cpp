@@ -14,6 +14,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "codegen/EmitCpp.h"
+#include "observe/Metrics.h"
 #include "pipeline/Parallelizer.h"
 #include "runtime/InterpReduce.h"
 #include "suite/Benchmarks.h"
@@ -399,6 +400,21 @@ TEST(TimeoutPath, DefaultBudgetsAreUnbounded) {
   EXPECT_TRUE(Result.Success) << Result.report();
   EXPECT_TRUE(Result.Failure.empty());
   EXPECT_FALSE(Result.SequentialFallback);
+}
+
+TEST(BudgetPath, LiftNodeCeilingEndsTheLadder) {
+  // Every rung of the lifting ladder unfolds the same loop as deep or
+  // deeper, so once a lift stops on its node ceiling the pipeline must not
+  // retry it: one lift attempt, then the lift's own failure, not the
+  // join's.
+  Loop L = nodeCeilingLoop();
+  MetricsRegistry &M = MetricsRegistry::global();
+  uint64_t Before = M.counter("pipeline.lift_attempts").value();
+  PipelineResult Result = parallelizeLoop(L);
+  EXPECT_EQ(M.counter("pipeline.lift_attempts").value() - Before, 1u);
+  EXPECT_EQ(Result.Failure.Kind, FailureKind::BudgetExhausted)
+      << Result.report();
+  expectRunnableFallback(L, Result);
 }
 
 //===----------------------------------------------------------------------===//

@@ -2,7 +2,9 @@
 # Benchmark report CI: builds Release, runs both bench harnesses in
 # `--report json` mode, validates the documents against the
 # parsynt-run-report schema, and archives them at the repository root as
-# BENCH_table1.json and BENCH_fig8.json.
+# BENCH_table1.json and BENCH_fig8.json. Then builds the standalone
+# perfbench project in Release and requires a short quick-loops run of
+# the repository benchmark to report a correct result.
 #
 # Usage: tools/ci/bench_report.sh [build-dir]
 #   (default build dir: build-bench)
@@ -14,7 +16,7 @@
 set -euo pipefail
 
 if [[ "${1:-}" == -* ]]; then
-  sed -n '2,12p' "$0" | sed 's/^# \{0,1\}//'
+  sed -n '2,14p' "$0" | sed 's/^# \{0,1\}//'
   exit 2
 fi
 
@@ -62,5 +64,25 @@ EOF
 
 validate BENCH_table1.json table1 22
 validate BENCH_fig8.json fig8 22
+
+# perfbench is a standalone CMake project over the same sources, and the
+# tier-1 build never compiles it: build it here so that a change to an API
+# it calls fails CI. run.py reuses this build tree (it builds into
+# $CARGO_TARGET_DIR/perfbench-<type>), checks every output against
+# perfbench/golden.json, and prints its result as the last line.
+PERFBENCH_BUILD="${BUILD}/perfbench-Release"
+cmake -S perfbench -B "${PERFBENCH_BUILD}" -DCMAKE_BUILD_TYPE=Release
+cmake --build "${PERFBENCH_BUILD}" -j "${JOBS}"
+CARGO_TARGET_DIR="$(cd "${BUILD}" && pwd)" python3 perfbench/run.py \
+  --build-type Release --workload quick-loops --seconds 1 --trace 1 \
+  > "${BUILD}/perfbench-quick-loops.txt"
+python3 - "${BUILD}/perfbench-quick-loops.txt" <<'EOF'
+import json, sys
+path = sys.argv[1]
+result = json.loads(open(path).read().strip().splitlines()[-1])
+assert result["correct"] is True, f"{path}: perfbench quick-loops is not correct"
+print(f"{path}: perfbench quick-loops correct "
+      f"({result['attempted']} operations)")
+EOF
 
 echo "bench_report.sh: reports archived"
