@@ -112,14 +112,17 @@ inline std::string poolTable(const StatsSnapshot &S) {
   Out += Buf;
   for (size_t I = 0; I != S.Workers.size(); ++I) {
     const WorkerStatsRow &W = S.Workers[I];
-    std::string Label = I == 0                    ? "caller"
-                        : I + 1 == S.Workers.size() ? "external"
-                                                    : "w" + std::to_string(I);
     // The trailing "external" row only exists for unregistered threads;
     // in the common single-caller case Workers.size() == pool size and
-    // the last dedicated worker keeps its wN label.
-    if (I != 0 && I + 1 == S.Workers.size() && !S.ExternalRow)
-      Label = "w" + std::to_string(I);
+    // the last dedicated worker keeps its wN label. (Appending to "w"
+    // rather than writing "w" + to_string(I) sidesteps a GCC 12 -Wrestrict
+    // false positive where this is inlined.)
+    std::string Label = "w";
+    Label += std::to_string(I);
+    if (I == 0)
+      Label = "caller";
+    else if (I + 1 == S.Workers.size() && S.ExternalRow)
+      Label = "external";
     std::snprintf(Buf, sizeof(Buf),
                   "%-8s %10llu %10llu %10llu %12llu %8llu %8llu\n",
                   Label.c_str(), (unsigned long long)W.Spawned,

@@ -6,6 +6,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "observe/TraceExport.h"
+#include "observe/Metrics.h"
 
 #include <algorithm>
 #include <cstdio>
@@ -93,6 +94,51 @@ std::string phaseReport(const std::vector<TraceEvent> &Events) {
   return Out;
 }
 
-std::string phaseReport() { return phaseReport(Tracer::instance().drain()); }
+namespace {
+
+/// The join search's split from the metric registry's synth counters:
+/// wall time in enumeration, sketch evaluation and the oracle, and the
+/// share of combinations and assignments in work large enough to run on
+/// the task pool. Empty when no join search ran.
+std::string joinSearchSplit(const MetricsRegistry::Snapshot &Metrics) {
+  auto Get = [&](const char *Name) { return Metrics.counterOr0(Name); };
+  if (Get("synth.calls") == 0)
+    return "";
+  auto Share = [](uint64_t Part, uint64_t Total) {
+    return Total ? 100.0 * static_cast<double>(Part) /
+                       static_cast<double>(Total)
+                 : 0.0;
+  };
+  char Buf[256];
+  std::string Out = "join search split:\n";
+  std::snprintf(Buf, sizeof(Buf),
+                "  %-28s %10.3f ms\n  %-28s %10.3f ms\n  %-28s %10.3f ms\n",
+                "enumerate", Get("synth.join.enumerate_ns") / 1e6,
+                "sketch-eval", Get("synth.join.sketch_ns") / 1e6,
+                "oracle/validate", Get("synth.join.oracle_ns") / 1e6);
+  Out += Buf;
+  uint64_t Combinations = Get("synth.enum.combinations");
+  uint64_t Assignments = Get("synth.sketch.assignments");
+  std::snprintf(Buf, sizeof(Buf),
+                "  %-28s %llu of %llu (%.1f%%)\n  %-28s %llu of %llu "
+                "(%.1f%%)\n",
+                "pool-sized combinations",
+                (unsigned long long)Get("synth.enum.combinations_parallel"),
+                (unsigned long long)Combinations,
+                Share(Get("synth.enum.combinations_parallel"), Combinations),
+                "pool-sized assignments",
+                (unsigned long long)Get("synth.sketch.assignments_parallel"),
+                (unsigned long long)Assignments,
+                Share(Get("synth.sketch.assignments_parallel"), Assignments));
+  Out += Buf;
+  return Out;
+}
+
+} // namespace
+
+std::string phaseReport() {
+  return phaseReport(Tracer::instance().drain()) +
+         joinSearchSplit(MetricsRegistry::global().snapshot());
+}
 
 } // namespace parsynt

@@ -46,7 +46,8 @@ std::vector<PhaseRow> aggregatePhases(const std::vector<TraceEvent> &Events);
 /// (wall time, span count), then the top-5 hottest individual spans.
 std::string phaseReport(const std::vector<TraceEvent> &Events);
 
-/// Convenience: phase report over the process tracer's current contents.
+/// Convenience: phase report over the process tracer's current contents,
+/// followed by the join search's split.
 std::string phaseReport();
 
 } // namespace parsynt

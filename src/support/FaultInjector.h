@@ -41,10 +41,11 @@
 /// degradation path).
 ///
 /// Thread-safety: `fires()` is safe from any thread (atomic counters, so
-/// the harness is exercisable under ThreadSanitizer). `configure()` /
-/// `reset()` must not race active polls: call them while no worker threads
-/// are running (in tests: configure before constructing a TaskPool, reset
-/// after destroying it).
+/// the harness is exercisable under ThreadSanitizer). `configure()` and
+/// `reset()` publish a whole configuration with one atomic store and keep
+/// every configuration they ever installed until exit, so a poll racing
+/// them sees the old or the new configuration, never freed memory. They
+/// must not race each other.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -70,59 +71,51 @@ public:
   }
 
   /// Poll a fault point. Returns true when the configured fault fires. The
-  /// unarmed fast path is one relaxed atomic load.
+  /// unarmed fast path is one atomic load.
   static bool fires(const char *Point) {
-    FaultInjector &I = instance();
-    if (!I.Armed.load(std::memory_order_relaxed))
-      return false;
-    return I.shouldFire(Point);
+    const Config *C = instance().Active.load(std::memory_order_acquire);
+    return C && shouldFire(*C, Point);
   }
 
   /// Parses \p Spec and installs it, replacing any prior configuration.
   /// An empty spec disarms the injector. Returns false (and fills \p Error
   /// when given) on a malformed spec, leaving the injector disarmed.
   bool configure(const std::string &Spec, std::string *Error = nullptr) {
-    Points.clear();
-    Armed.store(false, std::memory_order_relaxed);
+    reset();
     if (Spec.empty())
       return true;
+    auto C = std::make_unique<Config>();
     size_t Begin = 0;
     while (Begin <= Spec.size()) {
       size_t End = Spec.find(',', Begin);
       if (End == std::string::npos)
         End = Spec.size();
-      if (!parseClause(Spec.substr(Begin, End - Begin), Error)) {
-        Points.clear();
+      if (!parseClause(Spec.substr(Begin, End - Begin), *C, Error))
         return false;
-      }
       Begin = End + 1;
     }
-    Armed.store(!Points.empty(), std::memory_order_relaxed);
+    Active.store(C.get(), std::memory_order_release);
+    Installed.push_back(std::move(C));
     return true;
   }
 
   /// Disarms the injector and drops all per-point counters.
-  void reset() {
-    Points.clear();
-    Armed.store(false, std::memory_order_relaxed);
-  }
+  void reset() { Active.store(nullptr, std::memory_order_release); }
 
-  bool armed() const { return Armed.load(std::memory_order_relaxed); }
+  bool armed() const {
+    return Active.load(std::memory_order_acquire) != nullptr;
+  }
 
   /// Faults fired so far at \p Point (0 for unconfigured points).
   uint64_t fireCount(const std::string &Point) const {
-    for (const auto &P : Points)
-      if (P->Name == Point)
-        return P->Fires.load(std::memory_order_relaxed);
-    return 0;
+    const PointState *P = find(Point);
+    return P ? P->Fires.load(std::memory_order_relaxed) : 0;
   }
 
   /// Polls observed so far at \p Point (0 for unconfigured points).
   uint64_t pollCount(const std::string &Point) const {
-    for (const auto &P : Points)
-      if (P->Name == Point)
-        return P->Polls.load(std::memory_order_relaxed);
-    return 0;
+    const PointState *P = find(Point);
+    return P ? P->Polls.load(std::memory_order_relaxed) : 0;
   }
 
   /// A point-in-time view of one configured fault point.
@@ -135,14 +128,13 @@ public:
   /// Every configured point with its counters, in configuration order —
   /// lets the run report record fault firings without knowing the point
   /// names in advance. Safe to call while polls are in flight (counters
-  /// are atomics; the Points vector only changes via configure()/reset(),
-  /// which already must not race polls).
+  /// are atomics and an installed configuration never changes).
   std::vector<PointSnapshot> pointSnapshots() const {
     std::vector<PointSnapshot> Out;
-    Out.reserve(Points.size());
-    for (const auto &P : Points)
-      Out.push_back({P->Name, P->Polls.load(std::memory_order_relaxed),
-                     P->Fires.load(std::memory_order_relaxed)});
+    if (const Config *C = Active.load(std::memory_order_acquire))
+      for (const auto &P : C->Points)
+        Out.push_back({P->Name, P->Polls.load(std::memory_order_relaxed),
+                       P->Fires.load(std::memory_order_relaxed)});
     return Out;
   }
 
@@ -157,6 +149,19 @@ private:
     std::atomic<uint64_t> Polls{0};
     std::atomic<uint64_t> Fires{0};
   };
+
+  /// One installed spec; immutable once published, except its counters.
+  struct Config {
+    std::vector<std::unique_ptr<PointState>> Points;
+  };
+
+  const PointState *find(const std::string &Point) const {
+    if (const Config *C = Active.load(std::memory_order_acquire))
+      for (const auto &P : C->Points)
+        if (P->Name == Point)
+          return P.get();
+    return nullptr;
+  }
 
   FaultInjector() {
     if (const char *Env = std::getenv("PARSYNT_FAULT")) {
@@ -177,8 +182,8 @@ private:
     return X ^ (X >> 31);
   }
 
-  bool shouldFire(const char *Point) {
-    for (const auto &P : Points) {
+  static bool shouldFire(const Config &C, const char *Point) {
+    for (const auto &P : C.Points) {
       if (P->Name != Point)
         continue;
       uint64_t N = P->Polls.fetch_add(1, std::memory_order_relaxed);
@@ -199,7 +204,8 @@ private:
     return false;
   }
 
-  bool parseClause(const std::string &Clause, std::string *Error) {
+  bool parseClause(const std::string &Clause, Config &Into,
+                   std::string *Error) {
     auto Fail = [&](const std::string &Message) {
       if (Error)
         *Error = Message + " in fault clause '" + Clause + "'";
@@ -245,12 +251,14 @@ private:
       else
         return Fail("unknown key '" + Key + "'");
     }
-    Points.push_back(std::move(P));
+    Into.Points.push_back(std::move(P));
     return true;
   }
 
-  std::vector<std::unique_ptr<PointState>> Points;
-  std::atomic<bool> Armed{false};
+  /// The configuration polls read; null when disarmed.
+  std::atomic<const Config *> Active{nullptr};
+  /// Every configuration ever installed (owner of what Active points to).
+  std::vector<std::unique_ptr<Config>> Installed;
 };
 
 /// RAII configuration for tests: installs a spec on construction, disarms

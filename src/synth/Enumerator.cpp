@@ -14,12 +14,24 @@
 // that survives deduplication (nearly all are observational twins). Per-size
 // buckets make each term constructible exactly once.
 //
+// A size level is a fixed sequence of combinations (its operands are all
+// smaller, so they do not change while it is built). Large levels are cut
+// into chunks evaluated on the shared task pool in bounded waves: a chunk
+// drops what the pool held when its wave began and what repeats earlier in
+// the chunk, and the calling thread then feeds the survivors, in sequential
+// order, through the same insertScratch the sequential loop used. Every
+// candidate column and expression is allocated on the calling thread, and
+// the pools come out identical to the sequential order's.
+//
 //===----------------------------------------------------------------------===//
 
 #include "synth/Enumerator.h"
 #include "interp/OpSemantics.h"
+#include "runtime/SharedPool.h"
 
 #include <algorithm>
+#include <atomic>
+#include <tuple>
 
 using namespace parsynt;
 
@@ -57,6 +69,54 @@ uint64_t signatureOf(const std::vector<int64_t> &Values) {
 
 Type resultType(BinaryOp Op) { return isArithOp(Op) ? Type::Int : Type::Bool; }
 
+/// Evaluates \p F elementwise over the operand columns into \p Out and
+/// returns the signature of the result, hashed in the same pass.
+template <typename Fn, typename... Columns>
+uint64_t fillColumn(int64_t *Out, size_t N, Fn F,
+                    const Columns *...Operands) {
+  return hashColumn(N, [&](size_t T) { return Out[T] = F(Operands[T]...); });
+}
+
+/// The binary operators combined per operand pair, in evaluation order.
+/// Gt/Ge/Ne are the swapped/negated forms of Lt/Le/Eq; the deduplication
+/// would drop them anyway, so they are not evaluated.
+constexpr BinaryOp IntOps[] = {BinaryOp::Add, BinaryOp::Sub, BinaryOp::Min,
+                               BinaryOp::Max, BinaryOp::Mul, BinaryOp::Div,
+                               BinaryOp::Lt,  BinaryOp::Le,  BinaryOp::Eq};
+constexpr BinaryOp BoolOps[] = {BinaryOp::And, BinaryOp::Or};
+
+bool commutative(BinaryOp Op) {
+  switch (Op) {
+  case BinaryOp::Add:
+  case BinaryOp::Min:
+  case BinaryOp::Max:
+  case BinaryOp::Mul:
+  case BinaryOp::Eq:
+  case BinaryOp::And:
+  case BinaryOp::Or:
+    return true;
+  default:
+    return false;
+  }
+}
+
+/// Slots of a chunk-local index over \p Entries survivors: a power of two,
+/// kept at most half full.
+size_t tableSizeFor(uint64_t Entries) {
+  size_t Size = 64;
+  while (Size < 2 * Entries)
+    Size *= 2;
+  return Size;
+}
+
+/// Combinations per chunk of a parallel size level.
+constexpr uint64_t ChunkCombinations = 512;
+/// Levels with fewer combinations run as one chunk on the calling thread.
+constexpr uint64_t InlineCombinations = 8192;
+/// Chunks per wave: bounds the survivor data in flight between the
+/// workers' filtering and the caller's in-order insertion.
+constexpr size_t WaveChunks = 16;
+
 } // namespace
 
 Enumerator::Enumerator(size_t NumTests, EnumeratorOptions Options)
@@ -67,31 +127,54 @@ Enumerator::Enumerator(size_t NumTests, EnumeratorOptions Options)
 const Candidate *Enumerator::Pool::find(uint64_t Sig,
                                         const std::vector<int64_t> &Values,
                                         size_t &Slot) const {
-  if (Index.empty())
+  if (IndexSize == 0)
     return nullptr;
-  size_t Mask = Index.size() - 1;
-  for (Slot = slotOf(Sig, Mask); Index[Slot]; Slot = (Slot + 1) & Mask) {
-    const size_t I = Index[Slot] - 1;
+  size_t Mask = IndexSize - 1;
+  for (Slot = slotOf(Sig, Mask);; Slot = (Slot + 1) & Mask) {
+    uint32_t Entry = Index[Slot].load(std::memory_order_acquire);
+    if (!Entry)
+      return nullptr;
+    const size_t I = Entry - 1;
     if (Sigs[I] == Sig && Cands[I].Values == Values)
       return &Cands[I];
   }
-  return nullptr;
+}
+
+void Enumerator::Pool::rehash(size_t Size) {
+  Index = std::make_unique<std::atomic<uint32_t>[]>(Size);
+  IndexSize = Size;
+  size_t Mask = Size - 1;
+  for (size_t I = 0; I != Cands.size(); ++I) {
+    size_t At = slotOf(Sigs[I], Mask);
+    while (Index[At].load(std::memory_order_relaxed))
+      At = (At + 1) & Mask;
+    Index[At].store(static_cast<uint32_t>(I + 1), std::memory_order_relaxed);
+  }
+}
+
+void Enumerator::Pool::reserve(size_t Extra) {
+  size_t Need = Cands.size() + Extra;
+  if (Cands.capacity() < Need) {
+    size_t Capacity = std::max(Need, 2 * Cands.capacity());
+    Cands.reserve(Capacity);
+    Sigs.reserve(Capacity);
+  }
+  if (2 * Need > IndexSize) {
+    size_t Size = std::max<size_t>(64, IndexSize);
+    while (2 * Need > Size)
+      Size *= 2;
+    rehash(Size);
+  }
 }
 
 void Enumerator::Pool::add(Candidate C, uint64_t Sig, size_t Slot) {
-  if (2 * (Cands.size() + 1) > Index.size()) {
-    // Grow and re-place every candidate; the new one probes afresh.
-    Index.assign(std::max<size_t>(64, 2 * Index.size()), 0);
-    size_t Mask = Index.size() - 1;
-    for (size_t I = 0; I <= Cands.size(); ++I) {
-      uint64_t S = I < Cands.size() ? Sigs[I] : Sig;
-      size_t At = slotOf(S, Mask);
-      while (Index[At])
-        At = (At + 1) & Mask;
-      Index[At] = static_cast<uint32_t>(I + 1);
-    }
-  } else {
-    Index[Slot] = static_cast<uint32_t>(Cands.size() + 1);
+  if (2 * (Cands.size() + 1) > IndexSize) {
+    // Grow; the new candidate probes afresh.
+    reserve(1);
+    for (Slot = slotOf(Sig, IndexSize - 1);
+         Index[Slot].load(std::memory_order_relaxed);
+         Slot = (Slot + 1) & (IndexSize - 1))
+      ;
   }
   const unsigned Size = C.E->size();
   if (BySize.size() <= Size)
@@ -99,14 +182,10 @@ void Enumerator::Pool::add(Candidate C, uint64_t Sig, size_t Slot) {
   BySize[Size].push_back(Cands.size());
   Sigs.push_back(Sig);
   Cands.push_back(std::move(C));
-}
-
-template <typename Fn, typename... Columns>
-uint64_t Enumerator::fillScratch(Fn F, const Columns *...Operands) {
-  int64_t *Out = Scratch.data();
-  return hashColumn(Scratch.size(), [&](size_t T) {
-    return Out[T] = F(Operands[T]...);
-  });
+  // Publish last: a concurrent find() sees the candidate complete or not at
+  // all.
+  Index[Slot].store(static_cast<uint32_t>(Cands.size()),
+                    std::memory_order_release);
 }
 
 template <typename MakeExpr>
@@ -129,155 +208,373 @@ void Enumerator::addLeaf(const ExprRef &E,
   insertScratch(E->type(), signatureOf(Scratch), [&] { return E; });
 }
 
-void Enumerator::run() {
-  std::vector<Candidate> &Ints = IntPool.Cands;
-  std::vector<Candidate> &Bools = BoolPool.Cands;
+/// A run of one level's combinations with one shape over fixed operand
+/// buckets, in the order of the sequential nested loops. Digit D[i] ranges
+/// over Radix[i]: unary {operand, -, -}; pairs {lhs, rhs, operator};
+/// conditionals {condition, then, else}.
+struct Enumerator::Block {
+  enum Shape : uint8_t { Neg, Not, IntPair, BoolPair, IntIte, BoolIte };
+  Shape Kind;
+  /// Candidate indices of each operand bucket.
+  const size_t *Operands[3] = {nullptr, nullptr, nullptr};
+  Digits Radix = {1, 1, 1};
+  /// Index of the block's first combination in its level.
+  uint64_t Begin = 0;
+  /// Pairs: a commutative combination's mirror came earlier in the level:
+  /// always (left operands larger than right ones), or, for equal sizes,
+  /// when the right operand's position is below the left's.
+  bool MirrorAlwaysEarlier = false;
+  bool SameSize = false;
+
+  uint64_t count() const { return Radix[0] * Radix[1] * Radix[2]; }
+  Digits digits(uint64_t K) const {
+    Digits D;
+    D[2] = K % Radix[2];
+    K /= Radix[2];
+    D[1] = K % Radix[1];
+    D[0] = K / Radix[1];
+    return D;
+  }
+  void advance(Digits &D) const {
+    if (++D[2] != Radix[2])
+      return;
+    D[2] = 0;
+    if (++D[1] != Radix[1])
+      return;
+    D[1] = 0;
+    ++D[0];
+  }
+};
+
+/// One size level: its blocks in sequential order, plus the state its
+/// chunks read while a wave is in flight.
+struct Enumerator::Level {
+  std::vector<Block> Blocks;
+  uint64_t Count = 0;
+  /// Per type (Int, Bool): the pool was full when the wave began.
+  bool Full[2] = {false, false};
+  /// Latched by any chunk whose deadline poll saw expiry.
+  std::atomic<bool> *Expired = nullptr;
+
+  size_t blockIndex(uint64_t K) const {
+    auto It = std::upper_bound(
+        Blocks.begin(), Blocks.end(), K,
+        [](uint64_t Key, const Block &B) { return Key < B.Begin; });
+    return static_cast<size_t>(It - Blocks.begin()) - 1;
+  }
+};
+
+/// One chunk's buffers, sized by the calling thread before the wave and
+/// reused across waves and levels. Slots sit on cache lines of their own.
+struct alignas(64) Enumerator::ChunkSlot {
+  std::vector<int64_t> Column, Twin;
+  /// The chunk's survivors in order: level index << 1 | (type is Bool).
+  std::vector<uint64_t> Kept;
+  std::vector<uint64_t> KeptSigs;
+  size_t NumKept = 0;
+  /// Chunk-local open-addressing index over the survivors (position + 1).
+  std::vector<uint32_t> Table;
+  uint64_t Polls = 0;
+
+  void reserve(size_t NumTests, uint64_t Combinations) {
+    // Spare capacity keeps the columns every combination writes off the
+    // cache lines of the next slot's buffers.
+    Column.reserve(NumTests + 8);
+    Column.resize(NumTests);
+    Twin.resize(NumTests);
+    if (Kept.size() < Combinations) {
+      Kept.resize(Combinations);
+      KeptSigs.resize(Combinations);
+      Table.assign(tableSizeFor(Combinations), 0);
+    }
+  }
+};
+
+Enumerator::Level Enumerator::planLevel(unsigned Size) {
+  // Sized up front, so no insertion of this level moves the lower buckets
+  // the blocks point into.
+  for (Pool *P : {&IntPool, &BoolPool})
+    if (P->BySize.size() <= Size)
+      P->BySize.resize(Size + 1);
   const auto &IntBySize = IntPool.BySize;
   const auto &BoolBySize = BoolPool.BySize;
 
-  auto bucket = [](const std::vector<std::vector<size_t>> &Buckets,
-                   unsigned Size) -> const std::vector<size_t> * {
-    return Size < Buckets.size() ? &Buckets[Size] : nullptr;
+  Level L;
+  using Bucket = const std::vector<size_t> *;
+  auto add = [&](Block::Shape Kind, std::initializer_list<Bucket> Buckets,
+                 uint64_t NumOps = 1) -> Block * {
+    Block B;
+    B.Kind = Kind;
+    size_t I = 0;
+    for (Bucket Operands : Buckets) {
+      B.Operands[I] = Operands->data();
+      B.Radix[I++] = Operands->size();
+    }
+    if (NumOps != 1)
+      B.Radix[2] = NumOps;
+    B.Begin = L.Count;
+    if (B.count() == 0)
+      return nullptr;
+    L.Count += B.count();
+    L.Blocks.push_back(B);
+    return &L.Blocks.back();
   };
 
-  // Note: insertions may reallocate the pools, so operands are re-indexed on
-  // every call rather than held by reference across inserts. (Their value
-  // columns are heap buffers that move with them, so the column pointers
-  // taken below stay valid.)
-  auto combine = [&](BinaryOp Op, std::vector<Candidate> &Operands, size_t I,
-                     size_t J) {
-    Type Ty = resultType(Op);
-    if (full(Ty))
-      return;
-    const int64_t *A = Operands[I].Values.data();
-    const int64_t *B = Operands[J].Values.data();
-    uint64_t Sig = ops::visitBinary(
-        Op, [&](auto F) { return fillScratch(F, A, B); });
-    insertScratch(Ty, Sig,
-                  [&] { return binary(Op, Operands[I].E, Operands[J].E); });
+  // Unary: operand of size Size-1.
+  add(Block::Neg, {&IntBySize[Size - 1]});
+  add(Block::Not, {&BoolBySize[Size - 1]});
+
+  // Binary: |lhs| + |rhs| + 1 == Size.
+  for (unsigned SizeA = 1; SizeA + 2 <= Size; ++SizeA) {
+    unsigned SizeB = Size - 1 - SizeA;
+    for (auto [Kind, BySize, NumOps] :
+         {std::tuple{Block::IntPair, &IntBySize, std::size(IntOps)},
+          std::tuple{Block::BoolPair, &BoolBySize, std::size(BoolOps)}}) {
+      if (Block *B = add(Kind, {&(*BySize)[SizeA], &(*BySize)[SizeB]},
+                         NumOps)) {
+        B->MirrorAlwaysEarlier = SizeA > SizeB;
+        B->SameSize = SizeA == SizeB;
+      }
+    }
+  }
+
+  // Conditionals: |cond| + |then| + |else| + 1 == Size, int- and
+  // bool-typed branches.
+  for (unsigned SizeC = 1; SizeC + 3 <= Size; ++SizeC) {
+    for (unsigned SizeT = 1; SizeC + SizeT + 2 <= Size; ++SizeT) {
+      unsigned SizeE = Size - 1 - SizeC - SizeT;
+      add(Block::IntIte,
+          {&BoolBySize[SizeC], &IntBySize[SizeT], &IntBySize[SizeE]});
+      add(Block::BoolIte,
+          {&BoolBySize[SizeC], &BoolBySize[SizeT], &BoolBySize[SizeE]});
+    }
+  }
+  return L;
+}
+
+bool Enumerator::skipped(const Level &L, const Block &B,
+                         const Digits &D) const {
+  switch (B.Kind) {
+  case Block::Neg:
+  case Block::IntIte:
+    return L.Full[0];
+  case Block::Not:
+  case Block::BoolIte:
+    return L.Full[1];
+  case Block::IntPair:
+  case Block::BoolPair: {
+    BinaryOp Op = B.Kind == Block::IntPair ? IntOps[D[2]] : BoolOps[D[2]];
+    if (L.Full[resultType(Op) == Type::Bool])
+      return true;
+    // The mirrored order of a commutative operator evaluates to the same
+    // column as the earlier one, which was kept, was a twin, or met a full
+    // pool: it can never be kept.
+    return commutative(Op) &&
+           (B.MirrorAlwaysEarlier || (B.SameSize && D[1] < D[0]));
+  }
+  }
+  return false;
+}
+
+Type Enumerator::evaluate(const Block &B, const Digits &D, int64_t *Out,
+                          uint64_t &Sig) const {
+  const size_t N = Scratch.size();
+  auto column = [&](const Pool &P, size_t Digit) {
+    return P.Cands[B.Operands[Digit][D[Digit]]].Values.data();
   };
-  auto combineIte = [&](std::vector<Candidate> &Branches, size_t C, size_t I,
-                        size_t J) {
-    Type Ty = Branches[I].E->type();
-    if (full(Ty))
-      return;
-    uint64_t Sig = fillScratch(
+  switch (B.Kind) {
+  case Block::Neg:
+    Sig = fillColumn(Out, N, [](int64_t V) { return ops::neg(V); },
+                     column(IntPool, 0));
+    return Type::Int;
+  case Block::Not:
+    Sig = fillColumn(Out, N, [](int64_t V) { return ops::logicalNot(V); },
+                     column(BoolPool, 0));
+    return Type::Bool;
+  case Block::IntPair:
+  case Block::BoolPair: {
+    const Pool &P = B.Kind == Block::IntPair ? IntPool : BoolPool;
+    BinaryOp Op = B.Kind == Block::IntPair ? IntOps[D[2]] : BoolOps[D[2]];
+    const int64_t *Lhs = column(P, 0);
+    const int64_t *Rhs = column(P, 1);
+    Sig = ops::visitBinary(
+        Op, [&](auto F) { return fillColumn(Out, N, F, Lhs, Rhs); });
+    return resultType(Op);
+  }
+  case Block::IntIte:
+  case Block::BoolIte: {
+    const Pool &P = B.Kind == Block::IntIte ? IntPool : BoolPool;
+    Sig = fillColumn(
+        Out, N,
         [](int64_t Cond, int64_t Then, int64_t Else) {
           return Cond ? Then : Else;
         },
-        Bools[C].Values.data(), Branches[I].Values.data(),
-        Branches[J].Values.data());
-    insertScratch(Ty, Sig, [&] {
-      return ite(Bools[C].E, Branches[I].E, Branches[J].E);
-    });
-  };
+        column(BoolPool, 0), column(P, 1), column(P, 2));
+    return B.Kind == Block::IntIte ? Type::Int : Type::Bool;
+  }
+  }
+  return Type::Int;
+}
 
+ExprRef Enumerator::build(const Block &B, const Digits &D) const {
+  auto expr = [&](const Pool &P, size_t Digit) -> const ExprRef & {
+    return P.Cands[B.Operands[Digit][D[Digit]]].E;
+  };
+  switch (B.Kind) {
+  case Block::Neg:
+    return neg(expr(IntPool, 0));
+  case Block::Not:
+    return notE(expr(BoolPool, 0));
+  case Block::IntPair:
+    return binary(IntOps[D[2]], expr(IntPool, 0), expr(IntPool, 1));
+  case Block::BoolPair:
+    return binary(BoolOps[D[2]], expr(BoolPool, 0), expr(BoolPool, 1));
+  case Block::IntIte:
+    return ite(expr(BoolPool, 0), expr(IntPool, 1), expr(IntPool, 2));
+  case Block::BoolIte:
+    return ite(expr(BoolPool, 0), expr(BoolPool, 1), expr(BoolPool, 2));
+  }
+  return nullptr;
+}
+
+void Enumerator::runChunk(const Level &L, uint64_t Begin, uint64_t End,
+                          ChunkSlot &Slot) const {
+  Slot.NumKept = 0;
+  const size_t TableSize = tableSizeFor(End - Begin);
+  std::fill(Slot.Table.begin(), Slot.Table.begin() + TableSize, 0u);
+  const size_t Mask = TableSize - 1;
+  const Deadline &DL = Options.Timeout;
+
+  for (size_t BI = L.blockIndex(Begin);
+       BI != L.Blocks.size() && L.Blocks[BI].Begin < End; ++BI) {
+    const Block &B = L.Blocks[BI];
+    uint64_t From = std::max(Begin, B.Begin) - B.Begin;
+    uint64_t To = std::min(End, B.Begin + B.count()) - B.Begin;
+    Digits D = B.digits(From);
+    for (uint64_t K = From; K != To; ++K, B.advance(D)) {
+      if ((++Slot.Polls & 255u) == 0 && DL.expired())
+        L.Expired->store(true, std::memory_order_relaxed);
+      if (L.Expired->load(std::memory_order_relaxed))
+        return;
+      if (skipped(L, B, D))
+        continue;
+      uint64_t Sig = 0;
+      Type Ty = evaluate(B, D, Slot.Column.data(), Sig);
+      size_t Ignored = 0;
+      if (pool(Ty).find(Sig, Slot.Column, Ignored))
+        continue; // a twin was in the pool when the wave began
+      const uint64_t TypeBit = Ty == Type::Bool;
+      size_t At = slotOf(Sig, Mask);
+      bool Repeat = false;
+      for (; Slot.Table[At] && !Repeat; At = (At + 1) & Mask) {
+        size_t I = Slot.Table[At] - 1;
+        if (Slot.KeptSigs[I] != Sig || (Slot.Kept[I] & 1) != TypeBit)
+          continue;
+        // Same type and signature: re-evaluate the earlier survivor to
+        // compare the columns exactly.
+        uint64_t EarlierK = Slot.Kept[I] >> 1;
+        const Block &EB = L.Blocks[L.blockIndex(EarlierK)];
+        uint64_t EarlierSig = 0;
+        evaluate(EB, EB.digits(EarlierK - EB.Begin), Slot.Twin.data(),
+                 EarlierSig);
+        Repeat = Slot.Twin == Slot.Column;
+      }
+      if (Repeat)
+        continue;
+      Slot.Table[At] = static_cast<uint32_t>(Slot.NumKept + 1);
+      Slot.Kept[Slot.NumKept] = (B.Begin + K) << 1 | TypeBit;
+      Slot.KeptSigs[Slot.NumKept] = Sig;
+      ++Slot.NumKept;
+    }
+  }
+}
+
+void Enumerator::run() {
   // Cooperative cancellation: an early return leaves BuiltSize at the last
   // fully-built size, so the pool stays usable (and resumable) with every
   // size completed so far.
   const Deadline &DL = Options.Timeout;
+  std::atomic<bool> Expired{false};
+  // Two sets of chunk buffers: the chunks of one wave fill a set while this
+  // thread inserts the previous wave's survivors from the other.
+  std::vector<ChunkSlot> Slots;
+  TaskGroup Groups[2];
+  size_t NumChunks[2] = {0, 0};
 
   for (unsigned Size = std::max(2u, BuiltSize + 1); Size <= Options.MaxSize;
        ++Size) {
     if (DL.expired())
       return;
-    // Unary: operand of size Size-1.
-    if (const auto *Ops = bucket(IntBySize, Size - 1)) {
-      // Copy: insertions extend the pool (into this size's bucket, which we
-      // must not iterate while growing).
-      std::vector<size_t> Fixed = *Ops;
-      for (size_t I : Fixed) {
-        if (full(Type::Int))
-          break;
-        uint64_t Sig = fillScratch([](int64_t V) { return ops::neg(V); },
-                                   Ints[I].Values.data());
-        insertScratch(Type::Int, Sig, [&] { return neg(Ints[I].E); });
-      }
-    }
-    if (const auto *Ops = bucket(BoolBySize, Size - 1)) {
-      std::vector<size_t> Fixed = *Ops;
-      for (size_t I : Fixed) {
-        if (full(Type::Bool))
-          break;
-        uint64_t Sig =
-            fillScratch([](int64_t V) { return ops::logicalNot(V); },
-                        Bools[I].Values.data());
-        insertScratch(Type::Bool, Sig, [&] { return notE(Bools[I].E); });
-      }
-    }
+    Level L = planLevel(Size);
+    L.Expired = &Expired;
+    Combinations += L.Count;
+    const bool Parallel = L.Count >= InlineCombinations;
+    if (Parallel)
+      ParallelCombinations += L.Count;
+    const uint64_t ChunkLen = Parallel ? ChunkCombinations : L.Count;
+    const size_t WaveLen = Parallel ? WaveChunks : 1;
+    if (Slots.size() < 2 * WaveLen)
+      Slots.resize(2 * WaveLen);
+    TaskPool *Workers = Parallel ? &sharedTaskPool() : nullptr;
 
-    // Binary: |lhs| + |rhs| + 1 == Size.
-    for (unsigned SizeA = 1; SizeA + 2 <= Size; ++SizeA) {
-      unsigned SizeB = Size - 1 - SizeA;
-      const auto *IntsA = bucket(IntBySize, SizeA);
-      const auto *IntsB = bucket(IntBySize, SizeB);
-      if (IntsA && IntsB) {
-        std::vector<size_t> FixedA = *IntsA, FixedB = *IntsB;
-        for (size_t I : FixedA) {
-          if (DL.expired())
-            return;
-          for (size_t J : FixedB) {
-            combine(BinaryOp::Add, Ints, I, J);
-            combine(BinaryOp::Sub, Ints, I, J);
-            combine(BinaryOp::Min, Ints, I, J);
-            combine(BinaryOp::Max, Ints, I, J);
-            combine(BinaryOp::Mul, Ints, I, J);
-            combine(BinaryOp::Div, Ints, I, J);
-            combine(BinaryOp::Lt, Ints, I, J);
-            combine(BinaryOp::Le, Ints, I, J);
-            combine(BinaryOp::Eq, Ints, I, J);
-            // Gt/Ge/Ne are the swapped/negated forms; the deduplication
-            // would drop them anyway, so skip the evaluation work.
-          }
-        }
+    // Starts the wave of combinations from Begin in slot set \p Set (inline
+    // for a small level) and returns where it ends. Its chunks filter
+    // against the pool as it stands while they run.
+    auto start = [&](uint64_t Begin, unsigned Set) {
+      L.Full[0] = full(Type::Int);
+      L.Full[1] = full(Type::Bool);
+      NumChunks[Set] = 0;
+      while (NumChunks[Set] != WaveLen && Begin < L.Count) {
+        uint64_t Lo = Begin, Hi = std::min(L.Count, Begin + ChunkLen);
+        ChunkSlot *Slot = &Slots[Set * WaveLen + NumChunks[Set]++];
+        Slot->reserve(Scratch.size(), ChunkLen);
+        if (Workers)
+          Workers->spawn(Groups[Set], [this, &L, Slot, Lo, Hi] {
+            runChunk(L, Lo, Hi, *Slot);
+          });
+        else
+          runChunk(L, Lo, Hi, *Slot);
+        Begin = Hi;
       }
-      const auto *BoolsA = bucket(BoolBySize, SizeA);
-      const auto *BoolsB = bucket(BoolBySize, SizeB);
-      if (BoolsA && BoolsB) {
-        std::vector<size_t> FixedA = *BoolsA, FixedB = *BoolsB;
-        for (size_t I : FixedA) {
-          for (size_t J : FixedB) {
-            combine(BinaryOp::And, Bools, I, J);
-            combine(BinaryOp::Or, Bools, I, J);
-          }
-        }
-      }
-    }
+      return Begin;
+    };
 
-    // Conditionals: |cond| + |then| + |else| + 1 == Size, int- and
-    // bool-typed branches.
-    for (unsigned SizeC = 1; SizeC + 3 <= Size; ++SizeC) {
-      const auto *Conds = bucket(BoolBySize, SizeC);
-      if (!Conds)
-        continue;
-      std::vector<size_t> FixedC = *Conds;
-      for (unsigned SizeT = 1; SizeC + SizeT + 2 <= Size; ++SizeT) {
-        unsigned SizeE = Size - 1 - SizeC - SizeT;
-        const auto *Thens = bucket(IntBySize, SizeT);
-        const auto *Elses = bucket(IntBySize, SizeE);
-        if (Thens && Elses) {
-          std::vector<size_t> FixedT = *Thens, FixedE = *Elses;
-          for (size_t C : FixedC) {
-            if (DL.expired())
-              return;
-            for (size_t I : FixedT)
-              for (size_t J : FixedE)
-                combineIte(Ints, C, I, J);
-          }
-        }
-        const auto *BThens = bucket(BoolBySize, SizeT);
-        const auto *BElses = bucket(BoolBySize, SizeE);
-        if (BThens && BElses) {
-          std::vector<size_t> FixedT = *BThens, FixedE = *BElses;
-          for (size_t C : FixedC) {
-            if (DL.expired())
-              return;
-            for (size_t I : FixedT)
-              for (size_t J : FixedE)
-                combineIte(Bools, C, I, J);
-          }
+    unsigned Set = 0;
+    uint64_t End = start(0, Set);
+    while (true) {
+      if (Workers)
+        Workers->wait(Groups[Set]);
+      if (Expired.load(std::memory_order_relaxed))
+        return;
+      // Room for every survivor, made while no chunk reads the pools, so
+      // that the next wave can probe them while this thread inserts.
+      size_t Survivors[2] = {0, 0};
+      for (size_t C = 0; C != NumChunks[Set]; ++C) {
+        const ChunkSlot &Slot = Slots[Set * WaveLen + C];
+        for (size_t I = 0; I != Slot.NumKept; ++I)
+          ++Survivors[Slot.Kept[I] & 1];
+      }
+      IntPool.reserve(Survivors[0]);
+      BoolPool.reserve(Survivors[1]);
+      const bool Last = End == L.Count;
+      if (!Last)
+        End = start(End, 1 - Set);
+
+      // Insert the survivors in sequential order.
+      for (size_t C = 0; C != NumChunks[Set]; ++C) {
+        const ChunkSlot &Slot = Slots[Set * WaveLen + C];
+        for (size_t I = 0; I != Slot.NumKept; ++I) {
+          uint64_t K = Slot.Kept[I] >> 1;
+          const Block &B = L.Blocks[L.blockIndex(K)];
+          Digits D = B.digits(K - B.Begin);
+          uint64_t Sig = 0;
+          Type Ty = evaluate(B, D, Scratch.data(), Sig);
+          insertScratch(Ty, Sig, [&] { return build(B, D); });
         }
       }
+      if (Last)
+        break;
+      Set = 1 - Set;
     }
   }
   BuiltSize = std::max(BuiltSize, Options.MaxSize);

@@ -25,6 +25,9 @@
 #include "ir/Expr.h"
 #include "support/Deadline.h"
 
+#include <array>
+#include <atomic>
+#include <memory>
 #include <vector>
 
 namespace parsynt {
@@ -52,6 +55,12 @@ struct EnumeratorOptions {
 /// evaluates nothing itself: each leaf comes with its values on the tests
 /// (for joins, HomOracle::column over the oracle's rows), and combinations
 /// are computed from their operands' values.
+///
+/// Large size levels run in parallel on the shared task pool (see
+/// runtime/SharedPool.h) with a result identical to the sequential order:
+/// chunks of the level's combinations are evaluated and filtered
+/// concurrently against the pool as it stood at the start of their wave,
+/// and the calling thread inserts the survivors in sequential order.
 class Enumerator {
 public:
   explicit Enumerator(size_t NumTests, EnumeratorOptions Options = {});
@@ -84,16 +93,32 @@ public:
     return IntPool.Cands.size() + BoolPool.Cands.size();
   }
 
+  /// Combinations of the size levels built so far, and the share of them
+  /// in levels large enough to be split over the task pool. Both depend
+  /// only on the leaves and options, never on the schedule.
+  uint64_t combinations() const { return Combinations; }
+  uint64_t parallelCombinations() const { return ParallelCombinations; }
+
 private:
+  struct Block;
+  struct Level;
+  struct ChunkSlot;
+
   /// One typed pool: the candidates, their value signatures, an
   /// open-addressing index over the signatures for deduplication, and the
   /// candidates bucketed by term size.
+  ///
+  /// Chunks of a wave call find() while the calling thread add()s the
+  /// previous wave's survivors. That is safe once reserve() has made room
+  /// for every insertion: nothing is then moved, and a candidate becomes
+  /// visible through its index slot only after it is complete.
   struct Pool {
     std::vector<Candidate> Cands;
     std::vector<uint64_t> Sigs;
     /// Candidate index + 1 per slot (0: empty); a power-of-two size kept at
     /// most half full.
-    std::vector<uint32_t> Index;
+    std::unique_ptr<std::atomic<uint32_t>[]> Index;
+    size_t IndexSize = 0;
     std::vector<std::vector<size_t>> BySize;
 
     /// The candidate with signature \p Sig and exactly \p Values, or null.
@@ -102,12 +127,30 @@ private:
                           size_t &Slot) const;
     /// Appends a candidate that find() missed at \p Slot.
     void add(Candidate C, uint64_t Sig, size_t Slot);
+    /// Makes room for \p Extra more candidates without moving any.
+    void reserve(size_t Extra);
+    /// Rebuilds the index with \p Size slots.
+    void rehash(size_t Size);
   };
 
-  /// Evaluates \p Fn elementwise over the operand columns into Scratch and
-  /// returns the signature of the result, hashed in the same pass.
-  template <typename Fn, typename... Columns>
-  uint64_t fillScratch(Fn F, const Columns *...Operands);
+  /// A combination's position inside its block: operand positions (and,
+  /// for pairs, the operator), last digit fastest.
+  using Digits = std::array<uint64_t, 3>;
+  /// Lays out the combinations of size \p Size in sequential order.
+  Level planLevel(unsigned Size);
+  /// True when the combination cannot change the pool: its type was full
+  /// when the wave began, or it mirrors an earlier commutative one.
+  bool skipped(const Level &L, const Block &B, const Digits &D) const;
+  /// Evaluates a combination into \p Out; returns its type and, in \p Sig,
+  /// the signature of its column.
+  Type evaluate(const Block &B, const Digits &D, int64_t *Out,
+                uint64_t &Sig) const;
+  ExprRef build(const Block &B, const Digits &D) const;
+  /// Evaluates combinations [Begin, End) of \p L, keeping in \p Slot those
+  /// neither in the pool nor repeated earlier in the chunk. Runs on any
+  /// thread; reads the pools only.
+  void runChunk(const Level &L, uint64_t Begin, uint64_t End,
+                ChunkSlot &Slot) const;
   /// Keeps the value vector in Scratch (signature \p Sig) as a new type-
   /// \p Ty candidate unless an observational twin exists or the pool is
   /// full. The expression is built by \p Make only for a kept candidate.
@@ -123,10 +166,13 @@ private:
 
   EnumeratorOptions Options;
   Pool IntPool, BoolPool;
-  /// Reusable value column every combination is evaluated into.
+  /// The calling thread's column: leaves and kept combinations are
+  /// evaluated into it for insertScratch.
   std::vector<int64_t> Scratch;
   /// Largest size already built.
   unsigned BuiltSize = 0;
+  uint64_t Combinations = 0;
+  uint64_t ParallelCombinations = 0;
 };
 
 } // namespace parsynt

@@ -10,11 +10,13 @@
 #include "normalize/Simplify.h"
 #include "observe/Metrics.h"
 #include "observe/Tracer.h"
+#include "runtime/SharedPool.h"
 #include "support/FaultInjector.h"
 #include "synth/Enumerator.h"
 #include "synth/Sketch.h"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <map>
 #include <memory>
@@ -77,47 +79,121 @@ HolePool makePool(const Enumerator &E, Type Ty, unsigned MaxSize) {
   return Pool;
 }
 
+/// Sketch assignments per chunk of a parallel weight sweep.
+constexpr uint64_t ChunkAssignments = 4096;
+/// Sweeps with fewer assignments (after the budget cap) run as one chunk on
+/// the calling thread.
+constexpr uint64_t InlineAssignments = 16384;
+constexpr uint64_t NoIndex = UINT64_MAX;
+
+uint64_t saturatingAdd(uint64_t A, uint64_t B) {
+  return A > NoIndex - B ? NoIndex : A + B;
+}
+uint64_t saturatingMul(uint64_t A, uint64_t B) {
+  uint64_t R = 0;
+  return __builtin_mul_overflow(A, B, &R) ? NoIndex : R;
+}
+
+uint64_t nanosSince(std::chrono::steady_clock::time_point Start) {
+  return static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now() - Start)
+          .count());
+}
+
 /// Exact-total-weight product search over the sketch's holes with early-exit
 /// evaluation against the expected outputs. The sketch body is compiled once
 /// per search: hole registers read the assigned candidate's cached value
 /// column, every other variable a column built here from the oracle's
 /// test rows, so checking an assignment does no lookups and no
 /// allocation and stops at the first failing test.
+///
+/// Each weight is one sweep over the assignments in a fixed sequential
+/// order. Counting the assignments under each first-hole candidate gives
+/// every assignment its sequential index, so a large sweep is cut into
+/// index ranges that tasks on the shared pool claim in increasing order. The
+/// winner is the passing assignment with the smallest index, the budget caps
+/// the index, and the calling thread polls the synth.reject fault point once
+/// per winner, so the join and every counter equal the sequential search's.
 class SketchSearch {
 public:
   SketchSearch(const Sketch &S, std::vector<HolePool> Pools,
                const HomOracle &Oracle, size_t EquationIndex,
-               uint64_t Budget, uint64_t &TotalTried, Deadline DL)
-      : S(S), Pools(std::move(Pools)), Budget(Budget),
-        TotalTried(TotalTried), DL(DL),
+               uint64_t Budget, JoinStats &Stats, Deadline DL)
+      : S(S), Pools(std::move(Pools)), Budget(Budget), Stats(Stats), DL(DL),
         NumTests(Oracle.tests().size()) {
     // Inputs: the holes first, then the body's other variables.
     std::vector<std::string> Names;
     for (const Hole &H : S.Holes)
       Names.push_back(H.Name);
     Body = CompiledExpr({S.Body}, Names);
-    Regs = Body.makeRegisters();
-    Columns.assign(Names.size(), nullptr);
     VarColumns.resize(Names.size() - S.Holes.size());
     for (size_t V = 0; V != VarColumns.size(); ++V) {
       unsigned Slot = Oracle.layout().slot(Names[S.Holes.size() + V]);
       for (size_t T = 0; T != NumTests; ++T)
         VarColumns[V].push_back(Oracle.testRow(T)[Slot]);
-      Columns[S.Holes.size() + V] = VarColumns[V].data();
     }
     for (const JoinExample &Example : Oracle.tests())
       Expected.push_back(Example.Expected[EquationIndex].raw());
-    Order.resize(NumTests);
-    std::iota(Order.begin(), Order.end(), size_t(0));
-    Assignment.resize(S.Holes.size(), nullptr);
+    Slots.resize(1);
+    initSlot(Slots[0]);
   }
 
   /// Runs the search; returns the filled-in join component, or null.
   ExprRef run(unsigned MaxHoleSize) {
+    auto Start = std::chrono::steady_clock::now();
+    ExprRef Found = search(MaxHoleSize);
+    Stats.SketchAssignmentsTried += Tried;
+    Stats.SketchNanos += nanosSince(Start);
+    return Found;
+  }
+
+private:
+  /// One task's evaluation state. Slot 0 belongs to the calling thread;
+  /// the others are made for the first parallel sweep. Slots, and the
+  /// buffers every assignment writes, sit on cache lines of their own.
+  struct alignas(64) TaskSlot {
+    std::vector<int64_t> Regs;
+    /// Per input register: its value column over the tests.
+    std::vector<const int64_t *> Columns;
+    /// The order tests are checked in: most recently failing first.
+    std::vector<size_t> Order;
+    std::vector<const Candidate *> Assignment;
+    /// The task's first passing assignment and its sweep index.
+    std::vector<const Candidate *> Winner;
+    uint64_t WinnerIndex = NoIndex;
+    uint64_t Evaluated = 0;
+    uint64_t Polls = 0;
+  };
+
+  /// A first-hole candidate of the current sweep and the sweep index of the
+  /// first assignment under it.
+  struct FirstHole {
+    const Candidate *C;
+    unsigned Size;
+    uint64_t Start;
+  };
+
+  /// What the tasks of one round of a sweep share. Chunks tile the indices
+  /// [Resume, Limit): indices below Resume were decided by an earlier round
+  /// of the sweep, and indices from Limit on are past the budget or the
+  /// sweep.
+  struct Round {
+    unsigned Weight;
+    uint64_t Resume, Limit, ChunkLen;
+    /// The next chunk to claim.
+    std::atomic<uint64_t> Next{0};
+    /// The smallest passing index any task has found so far.
+    std::atomic<uint64_t> Best{NoIndex};
+  };
+
+  ExprRef search(unsigned MaxHoleSize) {
     size_t NumHoles = S.Holes.size();
     if (NumHoles == 0) {
       // Constant sketch (degenerate); just check the body.
-      return checkCurrent() ? S.Body : nullptr;
+      return passes(Slots[0]) && !FaultInjector::fires("synth.reject")
+                 ? S.Body
+                 : nullptr;
     }
     unsigned MinTotal = 0;
     for (const HolePool &P : Pools) {
@@ -126,78 +202,259 @@ public:
       MinTotal += P.MinSize;
     }
     unsigned MaxTotal = static_cast<unsigned>(NumHoles) * MaxHoleSize;
+    countLeaves(MaxTotal);
     ExprRef Found;
-    for (unsigned W = MinTotal;
-         W <= MaxTotal && !Found && !Expired && Tried < Budget; ++W)
-      Found = assign(0, W);
-    TotalTried += Tried;
+    for (unsigned W = MinTotal; W <= MaxTotal && !Found &&
+                                !Expired.load(std::memory_order_relaxed) &&
+                                Tried < Budget;
+         ++W)
+      Found = sweep(W);
     return Found;
   }
 
-private:
-  /// Deadline poll amortized over ~256 calls. Expiry is latched, so every
-  /// frame of the search unwinds; it reads as "not found" and the caller
-  /// classifies via expired().
-  bool timedOut() {
-    if (!Expired && (++Polls & 255u) == 0 && DL.expired())
-      Expired = true;
-    return Expired;
+  void initSlot(TaskSlot &Slot) const {
+    // Spare capacity keeps each task's registers and test order off the
+    // cache lines of the next task's.
+    Slot.Regs = Body.makeRegisters();
+    Slot.Regs.reserve(Slot.Regs.size() + 8);
+    Slot.Columns.assign(S.Holes.size(), nullptr);
+    for (const std::vector<int64_t> &Column : VarColumns)
+      Slot.Columns.push_back(Column.data());
+    Slot.Order.reserve(NumTests + 8);
+    Slot.Order.resize(NumTests);
+    std::iota(Slot.Order.begin(), Slot.Order.end(), size_t(0));
+    Slot.Assignment.assign(S.Holes.size(), nullptr);
+    Slot.Winner.assign(S.Holes.size(), nullptr);
   }
 
-  ExprRef assign(size_t HoleIdx, unsigned Remaining) {
-    if (Tried >= Budget || timedOut())
-      return nullptr;
-    const HolePool &Pool = Pools[HoleIdx];
-    bool Last = HoleIdx + 1 == Pools.size();
-    unsigned MinRest = 0;
-    for (size_t I = HoleIdx + 1; I < Pools.size(); ++I)
-      MinRest += Pools[I].MinSize;
-    unsigned MaxSizeHere =
-        Last ? Remaining : (Remaining > MinRest ? Remaining - MinRest : 0);
-    for (unsigned Size = Pool.MinSize;
-         Size <= MaxSizeHere && Size < Pool.BySize.size(); ++Size) {
-      if (Last && Size != Remaining)
-        continue;
-      for (const Candidate *C : Pool.BySize[Size]) {
-        Assignment[HoleIdx] = C;
-        Columns[HoleIdx] = C->Values.data();
-        if (Last) {
-          ++Tried;
-          if (checkCurrent())
-            return materialize();
-          if (Tried >= Budget || timedOut())
-            return nullptr;
-        } else {
-          if (ExprRef Found = assign(HoleIdx + 1, Remaining - Size))
-            return Found;
-          if (Expired)
-            return nullptr;
-        }
+  /// The sizes hole \p H may take when it and the holes after it weigh
+  /// \p Remaining in total (empty when Min > Max).
+  std::pair<unsigned, unsigned> sizeRange(size_t H, unsigned Remaining) const {
+    const bool Last = H + 1 == Pools.size();
+    unsigned Max = Last ? Remaining
+                        : (Remaining > MinRest[H] ? Remaining - MinRest[H] : 0);
+    Max = std::min<unsigned>(Max, Pools[H].BySize.size() - 1);
+    unsigned Min = Last ? std::max(Pools[H].MinSize, Remaining)
+                        : Pools[H].MinSize;
+    return {Min, Max};
+  }
+
+  /// Leaves[H][R]: the number of assignments of holes H.. weighing R,
+  /// saturated (indices past the budget are never evaluated).
+  void countLeaves(unsigned MaxTotal) {
+    size_t NumHoles = Pools.size();
+    MinRest.assign(NumHoles, 0);
+    for (size_t H = NumHoles - 1; H-- > 0;)
+      MinRest[H] = MinRest[H + 1] + Pools[H + 1].MinSize;
+    Leaves.assign(NumHoles + 1, std::vector<uint64_t>(MaxTotal + 1, 0));
+    Leaves[NumHoles][0] = 1;
+    for (size_t H = NumHoles; H-- > 0;) {
+      for (unsigned R = 0; R <= MaxTotal; ++R) {
+        auto [Min, Max] = sizeRange(H, R);
+        uint64_t N = 0;
+        for (unsigned Size = Min; Size <= Max && Size <= R; ++Size)
+          N = saturatingAdd(N, saturatingMul(Pools[H].BySize[Size].size(),
+                                             Leaves[H + 1][R - Size]));
+        Leaves[H][R] = N;
       }
     }
-    return nullptr;
   }
 
-  bool checkCurrent() {
-    const size_t NumInputs = Columns.size();
+  /// Evaluates the assignment in \p Slot on the tests.
+  bool passes(TaskSlot &Slot) const {
+    const size_t NumInputs = Slot.Columns.size();
     for (size_t K = 0; K != NumTests; ++K) {
-      const size_t T = Order[K];
+      const size_t T = Slot.Order[K];
       for (size_t I = 0; I != NumInputs; ++I)
-        Regs[I] = Columns[I][T];
-      if (Body.run(Regs.data()) != Expected[T]) {
+        Slot.Regs[I] = Slot.Columns[I][T];
+      if (Body.run(Slot.Regs.data()) != Expected[T]) {
         // A test that refutes one assignment tends to refute its neighbours
         // too: move it to the front. Acceptance needs every test to pass, so
         // the order changes only how soon a miss is found.
-        std::rotate(Order.begin(), Order.begin() + K, Order.begin() + K + 1);
+        std::rotate(Slot.Order.begin(), Slot.Order.begin() + K,
+                    Slot.Order.begin() + K + 1);
         return false;
       }
     }
-    // Fault point: force rejection of an otherwise-accepted candidate to
-    // exercise the search's failure tail (PARSYNT_FAULT=synth.reject).
-    return !FaultInjector::fires("synth.reject");
+    return true;
   }
 
-  ExprRef materialize() const {
+  /// Visits the assignments of holes H.. weighing \p Remaining whose indices
+  /// lie in [From, To), in sequential order; \p Index is the index of the
+  /// first assignment under this call. Returns true when the task is done
+  /// with the chunk: a pass was found, the bound was reached, or the search
+  /// timed out.
+  bool descend(TaskSlot &Slot, Round &Rd, size_t H, unsigned Remaining,
+               uint64_t &Index, uint64_t From, uint64_t To) {
+    auto [Min, Max] = sizeRange(H, Remaining);
+    const bool Last = H + 1 == Pools.size();
+    for (unsigned Size = Min; Size <= Max; ++Size) {
+      const uint64_t Under = Last ? 1 : Leaves[H + 1][Remaining - Size];
+      if (Under == 0)
+        continue;
+      for (const Candidate *C : Pools[H].BySize[Size]) {
+        if (Index >= std::min(To, Rd.Best.load(std::memory_order_relaxed)))
+          return true;
+        uint64_t Next = saturatingAdd(Index, Under);
+        if (Next <= From) {
+          Index = Next; // before the chunk
+          continue;
+        }
+        Slot.Assignment[H] = C;
+        Slot.Columns[H] = C->Values.data();
+        if (Last ? visit(Slot, Rd, Index)
+                 : descend(Slot, Rd, H + 1, Remaining - Size, Index, From,
+                           To))
+          return true;
+        Index = Next;
+      }
+    }
+    return false;
+  }
+
+  /// Checks the complete assignment in \p Slot, which has index \p Index.
+  /// Returns true when the task is done: it passed, or the search timed out.
+  bool visit(TaskSlot &Slot, Round &Rd, uint64_t Index) {
+    // Deadline poll amortized over ~256 assignments; expiry is latched for
+    // every task.
+    if ((++Slot.Polls & 255u) == 0 && DL.expired())
+      Expired.store(true, std::memory_order_relaxed);
+    if (Expired.load(std::memory_order_relaxed))
+      return true;
+    ++Slot.Evaluated;
+    if (!passes(Slot))
+      return false;
+    Slot.Winner = Slot.Assignment;
+    Slot.WinnerIndex = Index;
+    uint64_t Best = Rd.Best.load(std::memory_order_relaxed);
+    while (Index < Best && !Rd.Best.compare_exchange_weak(
+                               Best, Index, std::memory_order_relaxed))
+      ;
+    return true;
+  }
+
+  /// Claims chunks in increasing order until they start past the round's
+  /// bound or the task finds a pass (no later chunk can beat it).
+  void work(TaskSlot &Slot, Round &Rd) {
+    const size_t NumHoles = Pools.size();
+    while (true) {
+      uint64_t From = saturatingAdd(
+          Rd.Resume, saturatingMul(Rd.Next.fetch_add(1), Rd.ChunkLen));
+      if (From >= std::min(Rd.Limit, Rd.Best.load(std::memory_order_relaxed)) ||
+          Expired.load(std::memory_order_relaxed))
+        return;
+      uint64_t To = std::min(Rd.Limit, saturatingAdd(From, Rd.ChunkLen));
+      // The first-hole candidate holding index From.
+      size_t F = std::upper_bound(Firsts.begin(), Firsts.end(), From,
+                                  [](uint64_t Key, const FirstHole &First) {
+                                    return Key < First.Start;
+                                  }) -
+                 Firsts.begin() - 1;
+      for (; F != Firsts.size(); ++F) {
+        const FirstHole &First = Firsts[F];
+        uint64_t Index = First.Start;
+        if (Index >= std::min(To, Rd.Best.load(std::memory_order_relaxed)))
+          break;
+        Slot.Assignment[0] = First.C;
+        Slot.Columns[0] = First.C->Values.data();
+        // With one hole, the first-hole candidates are the assignments.
+        bool Done = NumHoles == 1
+                        ? Index >= From && visit(Slot, Rd, Index)
+                        : descend(Slot, Rd, 1, Rd.Weight - First.Size, Index,
+                                  From, To);
+        if (Slot.WinnerIndex != NoIndex)
+          return;
+        if (Done)
+          break;
+      }
+    }
+  }
+
+  /// The first passing assignment of weight \p W (in sequential order) that
+  /// the synth.reject fault point lets through, or null.
+  ExprRef sweep(unsigned W) {
+    Firsts.clear();
+    uint64_t Total = 0;
+    auto [Min, Max] = sizeRange(0, W);
+    for (unsigned Size = Min; Size <= Max; ++Size) {
+      uint64_t Under = Pools.size() == 1 ? 1 : Leaves[1][W - Size];
+      if (Under == 0)
+        continue;
+      for (const Candidate *C : Pools[0].BySize[Size]) {
+        Firsts.push_back({C, Size, Total});
+        Total = saturatingAdd(Total, Under);
+      }
+    }
+    Round Rd;
+    Rd.Weight = W;
+    Rd.Resume = 0;
+    Rd.Limit = std::min(Total, Budget - Tried);
+    const bool Parallel = Rd.Limit >= InlineAssignments;
+    Rd.ChunkLen = Parallel ? ChunkAssignments : std::max<uint64_t>(Rd.Limit, 1);
+    uint64_t Evaluated = 0;
+    while (true) {
+      const TaskSlot *Winner = runRound(Rd, Parallel, Evaluated);
+      if (Expired.load(std::memory_order_relaxed)) {
+        Tried += Evaluated;
+        return nullptr;
+      }
+      if (!Winner) {
+        Tried += Rd.Limit;
+        if (Parallel)
+          Stats.ParallelAssignments += Rd.Limit;
+        return nullptr;
+      }
+      const uint64_t Index = Winner->WinnerIndex;
+      // Fault point: force rejection of an otherwise-accepted candidate to
+      // exercise the search's failure tail (PARSYNT_FAULT=synth.reject).
+      if (FaultInjector::fires("synth.reject")) {
+        Rd.Resume = Index + 1;
+        continue;
+      }
+      Tried += Index + 1;
+      if (Parallel)
+        Stats.ParallelAssignments += Index + 1;
+      return materialize(Winner->Winner);
+    }
+  }
+
+  /// Runs one round of a sweep: on the calling thread, or as one task per
+  /// pool thread. Returns the slot holding the smallest-index pass, or null.
+  const TaskSlot *runRound(Round &Rd, bool Parallel, uint64_t &Evaluated) {
+    Rd.Next.store(0, std::memory_order_relaxed);
+    Rd.Best.store(NoIndex, std::memory_order_relaxed);
+    size_t NumTasks = 1;
+    if (Parallel) {
+      TaskPool &Workers = sharedTaskPool();
+      NumTasks = Workers.threadCount();
+      while (Slots.size() < NumTasks)
+        initSlot(Slots.emplace_back());
+      for (size_t T = 0; T != NumTasks; ++T) {
+        Slots[T].WinnerIndex = NoIndex;
+        Slots[T].Evaluated = 0;
+      }
+      TaskGroup Group;
+      for (size_t T = 0; T != NumTasks; ++T) {
+        TaskSlot *Slot = &Slots[T];
+        Workers.spawn(Group, [this, Slot, &Rd] { work(*Slot, Rd); });
+      }
+      Workers.wait(Group);
+    } else {
+      Slots[0].WinnerIndex = NoIndex;
+      Slots[0].Evaluated = 0;
+      work(Slots[0], Rd);
+    }
+    const TaskSlot *Winner = nullptr;
+    for (size_t T = 0; T != NumTasks; ++T) {
+      Evaluated += Slots[T].Evaluated;
+      if (Slots[T].WinnerIndex != NoIndex &&
+          (!Winner || Slots[T].WinnerIndex < Winner->WinnerIndex))
+        Winner = &Slots[T];
+    }
+    return Winner;
+  }
+
+  ExprRef materialize(const std::vector<const Candidate *> &Assignment) const {
     Substitution Subst;
     for (size_t H = 0; H != S.Holes.size(); ++H)
       Subst[S.Holes[H].Name] = Assignment[H]->E;
@@ -207,24 +464,22 @@ private:
   const Sketch &S;
   std::vector<HolePool> Pools;
   uint64_t Budget;
-  uint64_t &TotalTried;
+  JoinStats &Stats;
   Deadline DL;
   size_t NumTests;
-  /// Per-search counter; Budget bounds each search independently, while
-  /// TotalTried accumulates across searches for the statistics.
+  /// Assignments counted by this search; Budget bounds each search
+  /// independently, while Stats accumulates across searches.
   uint64_t Tried = 0;
-  uint64_t Polls = 0;
-  bool Expired = false;
+  std::atomic<bool> Expired{false};
   CompiledExpr Body;
-  std::vector<int64_t> Regs;
-  /// Per input register: its value column over the tests.
-  std::vector<const int64_t *> Columns;
   std::vector<std::vector<int64_t>> VarColumns;
   /// The equation's expected output per test.
   std::vector<int64_t> Expected;
-  /// The order tests are checked in: most recently failing first.
-  std::vector<size_t> Order;
-  std::vector<const Candidate *> Assignment;
+  /// Per hole: the least total weight of the holes after it.
+  std::vector<unsigned> MinRest;
+  std::vector<std::vector<uint64_t>> Leaves;
+  std::vector<FirstHole> Firsts;
+  std::vector<TaskSlot> Slots;
 };
 
 } // namespace
@@ -243,8 +498,21 @@ JoinResult parsynt::synthesizeJoin(const Loop &L,
   // One deadline governs the oracle, the enumerators, and every search
   // below; an unarmed one reproduces the un-deadlined search exactly.
   const Deadline DL = Options.Timeout;
+  auto OracleStart = std::chrono::steady_clock::now();
   HomOracle Oracle(L, DL);
+  Result.Stats.OracleNanos += nanosSince(OracleStart);
   std::vector<int64_t> Constants = joinConstants(L);
+
+  // Grows a candidate pool, charging its time and combinations to Stats.
+  auto grow = [&](Enumerator &E) {
+    uint64_t Combinations = E.combinations();
+    uint64_t Parallel = E.parallelCombinations();
+    auto Start = std::chrono::steady_clock::now();
+    E.run();
+    Result.Stats.EnumerateNanos += nanosSince(Start);
+    Result.Stats.EnumeratedCombinations += E.combinations() - Combinations;
+    Result.Stats.ParallelCombinations += E.parallelCombinations() - Parallel;
+  };
 
   for (unsigned Round = 0; Round <= CegisRounds; ++Round) {
     Result.Stats.CegisIterations = Round;
@@ -334,8 +602,8 @@ JoinResult parsynt::synthesizeJoin(const Loop &L,
         leaf(intConst(C), true);
       leaf(boolConst(true), true);
       leaf(boolConst(false), true);
-      G->ELR.run();
-      G->ER.run();
+      grow(G->ELR);
+      grow(G->ER);
       Result.Stats.EnumeratedCandidates +=
           G->ELR.totalCandidates() + G->ER.totalCandidates();
       return *Groups.emplace(Key, std::move(G)).first->second;
@@ -370,7 +638,9 @@ JoinResult parsynt::synthesizeJoin(const Loop &L,
       // seed costs one round and then falls back to the search.)
       auto SeedIt = Options.Guidance.Seeds.find(Eq.Name);
       if (SeedIt != Options.Guidance.Seeds.end() && SeedIt->second) {
+        auto SeedStart = std::chrono::steady_clock::now();
         bool Matches = !Oracle.firstFailure(SeedIt->second, I);
+        Result.Stats.OracleNanos += nanosSince(SeedStart);
         // Fault point: refuse a matching seed so the equation exercises the
         // full search path (PARSYNT_FAULT=synth.reject).
         if (Matches && !FaultInjector::fires("synth.reject")) {
@@ -407,8 +677,7 @@ JoinResult parsynt::synthesizeJoin(const Loop &L,
               Pools.push_back(H.RightOnly ? makePool(ER, H.Ty, SizeR)
                                           : makePool(ELR, H.Ty, SizeLR));
             SketchSearch Search(S, std::move(Pools), Oracle, I,
-                                ProductBudget,
-                                Result.Stats.SketchAssignmentsTried, DL);
+                                ProductBudget, Result.Stats, DL);
             if (ExprRef F = Search.run(std::max(SizeLR, SizeR)))
               return F;
             if (DL.expired())
@@ -452,7 +721,7 @@ JoinResult parsynt::synthesizeJoin(const Loop &L,
           if (ELR.options().MaxSize < FreeMaxSize) {
             size_t Before = ELR.totalCandidates();
             ELR.options().MaxSize = FreeMaxSize;
-            ELR.run();
+            grow(ELR);
             Result.Stats.EnumeratedCandidates +=
                 ELR.totalCandidates() - Before;
           }
@@ -531,8 +800,7 @@ JoinResult parsynt::synthesizeJoin(const Loop &L,
                                            : makePool(ELR, Ho.Ty, SizeLR));
             }
             SketchSearch Search(Guarded, std::move(Pools), Oracle, I,
-                                ProductBudget,
-                                Result.Stats.SketchAssignmentsTried, DL);
+                                ProductBudget, Result.Stats, DL);
             Component = Search.run(std::max({SizeLR, SizeR, 3u}));
             if (Component || DL.expired())
               break;
@@ -571,7 +839,9 @@ JoinResult parsynt::synthesizeJoin(const Loop &L,
     }
 
     // CEGIS validation on fresh inputs.
+    auto ValidateStart = std::chrono::steady_clock::now();
     auto Cex = Oracle.findCounterexample(Result.Components, VerifyRounds);
+    Result.Stats.OracleNanos += nanosSince(ValidateStart);
     stampRound(true);
     RoundSpan.attr("counterexample", Cex.has_value());
     if (!Cex) {
@@ -640,6 +910,17 @@ JoinResult parsynt::synthesizeJoin(const Loop &L,
   M.counter("synth.seeds.accepted").add(Result.Stats.SeedsAccepted);
   M.counter("synth.restriction.retries")
       .add(Result.Stats.RestrictionRetries);
+  // The search's split: phase wall times, and the work in enumeration
+  // levels and sketch sweeps large enough to run on the task pool.
+  M.counter("synth.join.enumerate_ns").add(Result.Stats.EnumerateNanos);
+  M.counter("synth.join.sketch_ns").add(Result.Stats.SketchNanos);
+  M.counter("synth.join.oracle_ns").add(Result.Stats.OracleNanos);
+  M.counter("synth.enum.combinations")
+      .add(Result.Stats.EnumeratedCombinations);
+  M.counter("synth.enum.combinations_parallel")
+      .add(Result.Stats.ParallelCombinations);
+  M.counter("synth.sketch.assignments_parallel")
+      .add(Result.Stats.ParallelAssignments);
   M.histogram("synth.join.millis")
       .observe(static_cast<uint64_t>(Result.Stats.Seconds * 1e3));
   return Result;

@@ -81,7 +81,20 @@ struct JoinStats {
   /// Equations whose dependence-restricted search failed and was retried
   /// over the full variable set.
   unsigned RestrictionRetries = 0;
+  /// Combinations the enumerators evaluated or skipped, and the part of
+  /// them in size levels large enough to run on the task pool.
+  uint64_t EnumeratedCombinations = 0;
+  uint64_t ParallelCombinations = 0;
+  /// The part of SketchAssignmentsTried in sweeps large enough to run on
+  /// the task pool.
+  uint64_t ParallelAssignments = 0;
   double Seconds = 0.0;
+  /// Wall time of the search's phases: growing the candidate pools,
+  /// sketch-hole evaluation, and the oracle (test building, seed checks,
+  /// CEGIS validation).
+  uint64_t EnumerateNanos = 0;
+  uint64_t SketchNanos = 0;
+  uint64_t OracleNanos = 0;
 };
 
 /// The synthesized join: one expression per equation over the variables

@@ -14,10 +14,12 @@
 #include "ir/ExprOps.h"
 #include "runtime/ParallelReduce.h"
 #include "support/Random.h"
+#include "synth/Enumerator.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <unordered_set>
 
 namespace parsynt {
 namespace test {
@@ -362,6 +364,153 @@ inline SeqEnv edgeInputs(const Loop &L, size_t Length,
   }
   return Seqs;
 }
+
+/// The sequential bottom-up enumeration that the Enumerator's chunked,
+/// parallel size levels replaced: the same nested loops in the same order,
+/// both operand orders of every operator included, deduplicating on exact
+/// value columns. The Enumerator's pools must equal this one's candidate by
+/// candidate.
+class ReferenceEnumerator {
+public:
+  explicit ReferenceEnumerator(EnumeratorOptions Options)
+      : Options(Options) {}
+
+  void addLeaf(const ExprRef &E, const std::vector<int64_t> &Values) {
+    insert(E->type(), Values, [&] { return E; });
+  }
+
+  void run() {
+    const BinaryOp IntOps[] = {BinaryOp::Add, BinaryOp::Sub, BinaryOp::Min,
+                               BinaryOp::Max, BinaryOp::Mul, BinaryOp::Div,
+                               BinaryOp::Lt,  BinaryOp::Le,  BinaryOp::Eq};
+    const BinaryOp BoolOps[] = {BinaryOp::And, BinaryOp::Or};
+    // Copies: insertions extend the pools (into this size's bucket).
+    auto bucket = [&](Type Ty, unsigned Size) {
+      const Pool &P = pool(Ty);
+      return Size < P.BySize.size() ? P.BySize[Size] : std::vector<size_t>{};
+    };
+    auto values = [&](Type Ty, size_t I) -> const std::vector<int64_t> & {
+      return pool(Ty).Cands[I].Values;
+    };
+    auto expr = [&](Type Ty, size_t I) { return pool(Ty).Cands[I].E; };
+    auto combine = [&](BinaryOp Op, Type Operands, size_t I, size_t J) {
+      Type Ty = isArithOp(Op) ? Type::Int : Type::Bool;
+      if (full(Ty))
+        return;
+      const std::vector<int64_t> &A = values(Operands, I);
+      const std::vector<int64_t> &B = values(Operands, J);
+      Column.resize(A.size());
+      for (size_t T = 0; T != A.size(); ++T)
+        Column[T] = ops::applyBinary(Op, A[T], B[T]);
+      insert(Ty, Column, [&] {
+        return binary(Op, expr(Operands, I), expr(Operands, J));
+      });
+    };
+    auto combineIte = [&](Type Ty, size_t C, size_t I, size_t J) {
+      if (full(Ty))
+        return;
+      const std::vector<int64_t> &Cond = values(Type::Bool, C);
+      const std::vector<int64_t> &Then = values(Ty, I);
+      const std::vector<int64_t> &Else = values(Ty, J);
+      Column.resize(Cond.size());
+      for (size_t T = 0; T != Cond.size(); ++T)
+        Column[T] = Cond[T] ? Then[T] : Else[T];
+      insert(Ty, Column, [&] {
+        return ite(expr(Type::Bool, C), expr(Ty, I), expr(Ty, J));
+      });
+    };
+
+    for (unsigned Size = std::max(2u, BuiltSize + 1); Size <= Options.MaxSize;
+         ++Size) {
+      for (size_t I : bucket(Type::Int, Size - 1)) {
+        if (full(Type::Int))
+          break;
+        Column = values(Type::Int, I);
+        for (int64_t &V : Column)
+          V = ops::neg(V);
+        insert(Type::Int, Column, [&] { return neg(expr(Type::Int, I)); });
+      }
+      for (size_t I : bucket(Type::Bool, Size - 1)) {
+        if (full(Type::Bool))
+          break;
+        Column = values(Type::Bool, I);
+        for (int64_t &V : Column)
+          V = ops::logicalNot(V);
+        insert(Type::Bool, Column,
+               [&] { return notE(expr(Type::Bool, I)); });
+      }
+      for (unsigned SizeA = 1; SizeA + 2 <= Size; ++SizeA) {
+        unsigned SizeB = Size - 1 - SizeA;
+        for (size_t I : bucket(Type::Int, SizeA))
+          for (size_t J : bucket(Type::Int, SizeB))
+            for (BinaryOp Op : IntOps)
+              combine(Op, Type::Int, I, J);
+        for (size_t I : bucket(Type::Bool, SizeA))
+          for (size_t J : bucket(Type::Bool, SizeB))
+            for (BinaryOp Op : BoolOps)
+              combine(Op, Type::Bool, I, J);
+      }
+      for (unsigned SizeC = 1; SizeC + 3 <= Size; ++SizeC) {
+        for (unsigned SizeT = 1; SizeC + SizeT + 2 <= Size; ++SizeT) {
+          unsigned SizeE = Size - 1 - SizeC - SizeT;
+          for (Type Ty : {Type::Int, Type::Bool})
+            for (size_t C : bucket(Type::Bool, SizeC))
+              for (size_t I : bucket(Ty, SizeT))
+                for (size_t J : bucket(Ty, SizeE))
+                  combineIte(Ty, C, I, J);
+        }
+      }
+    }
+    BuiltSize = std::max(BuiltSize, Options.MaxSize);
+  }
+
+  EnumeratorOptions &options() { return Options; }
+  const std::vector<Candidate> &candidates(Type Ty) const {
+    return pool(Ty).Cands;
+  }
+
+private:
+  struct ColumnHash {
+    size_t operator()(const std::vector<int64_t> &Values) const {
+      uint64_t H = 0;
+      for (int64_t V : Values)
+        H = (H ^ static_cast<uint64_t>(V)) * 0x100000001b3ull;
+      return static_cast<size_t>(H ^ (H >> 32));
+    }
+  };
+  struct Pool {
+    std::vector<Candidate> Cands;
+    std::unordered_set<std::vector<int64_t>, ColumnHash> Seen;
+    std::vector<std::vector<size_t>> BySize;
+  };
+
+  /// Keeps \p Values as a new candidate unless the pool is full or holds
+  /// an observational twin (the earlier, smaller one wins).
+  template <typename MakeExpr>
+  void insert(Type Ty, const std::vector<int64_t> &Values, MakeExpr Make) {
+    Pool &P = pool(Ty);
+    if (full(Ty) || !P.Seen.insert(Values).second)
+      return;
+    ExprRef E = Make();
+    unsigned Size = E->size();
+    if (P.BySize.size() <= Size)
+      P.BySize.resize(Size + 1);
+    P.BySize[Size].push_back(P.Cands.size());
+    P.Cands.push_back({std::move(E), Values});
+  }
+  bool full(Type Ty) const {
+    return pool(Ty).Cands.size() >= Options.MaxPerType;
+  }
+  Pool &pool(Type Ty) { return Ty == Type::Int ? IntPool : BoolPool; }
+  const Pool &pool(Type Ty) const {
+    return Ty == Type::Int ? IntPool : BoolPool;
+  }
+
+  EnumeratorOptions Options;
+  Pool IntPool, BoolPool;
+  std::vector<int64_t> Column;
+  unsigned BuiltSize = 0;
+};
 
 } // namespace test
 } // namespace parsynt

@@ -1,0 +1,221 @@
+//===- tests/parallel_synth_test.cpp - Schedule-independent join synthesis ===//
+//
+// Part of Parsynt-CXX, a reproduction of "Synthesis of Divide and Conquer
+// Parallelism for Loops" (PLDI 2017).
+//
+//===----------------------------------------------------------------------===//
+//
+// The join search runs its large enumeration levels and sketch sweeps on the
+// shared task pool. These tests pin its results to the sequential search:
+// candidate pools equal the reference enumeration candidate by candidate,
+// and joins and counters equal the figures of the sequential search. Every
+// case runs under three schedules made with the existing fault points: the
+// default, every spawn degraded to an inline call on the calling thread
+// (pool.alloc), and every third steal attempt failing (pool.steal).
+//
+//===----------------------------------------------------------------------===//
+
+#include "TestUtil.h"
+#include "suite/Benchmarks.h"
+#include "support/FaultInjector.h"
+#include "synth/HomOracle.h"
+#include "synth/JoinSynth.h"
+
+#include <gtest/gtest.h>
+
+#include <set>
+
+using namespace parsynt;
+using namespace parsynt::test;
+
+namespace {
+
+struct Schedule {
+  const char *Name;
+  const char *Faults;
+};
+
+const Schedule Schedules[] = {
+    {"default", ""},
+    {"inline", "pool.alloc"},
+    {"steal3", "pool.steal:every=3"},
+};
+
+void PrintTo(const Schedule &S, std::ostream *OS) { *OS << S.Name; }
+
+/// The fault spec of \p S plus \p Extra clauses.
+std::string faultSpec(const Schedule &S, const std::string &Extra = "") {
+  std::string Spec = S.Faults;
+  if (!Extra.empty())
+    Spec = Spec.empty() ? Extra : Extra + "," + Spec;
+  return Spec;
+}
+
+/// Feeds \p Into the left-right leaves synthesis gives a join's pool group
+/// for \p L: both split values of every state variable, the parameters, the
+/// loop's integer constants with 0 / 1 / -1, and the booleans.
+template <typename EnumeratorT>
+void addJoinLeaves(const Loop &L, const HomOracle &Oracle,
+                   EnumeratorT &Into) {
+  std::vector<ExprRef> Leaves;
+  for (const Equation &Eq : L.Equations) {
+    Leaves.push_back(inputVar(splitName(Eq.Name, Side::Left), Eq.Ty));
+    Leaves.push_back(inputVar(splitName(Eq.Name, Side::Right), Eq.Ty));
+  }
+  for (const ParamDecl &P : L.Params)
+    Leaves.push_back(inputVar(P.Name, P.Ty));
+  std::set<int64_t> Constants = {0, 1, -1};
+  for (const Equation &Eq : L.Equations)
+    for (const ExprRef &Root : {Eq.Update, Eq.Init})
+      forEachNode(Root, [&](const ExprRef &Node) {
+        if (const auto *C = dyn_cast<IntConstExpr>(Node))
+          Constants.insert(C->value());
+      });
+  for (int64_t C : Constants)
+    Leaves.push_back(intConst(C));
+  Leaves.push_back(boolConst(true));
+  Leaves.push_back(boolConst(false));
+  for (const ExprRef &Leaf : Leaves)
+    Into.addLeaf(Leaf, Oracle.column(Leaf));
+}
+
+void expectSamePools(const Enumerator &E, const ReferenceEnumerator &R,
+                     const std::string &What) {
+  for (Type Ty : {Type::Int, Type::Bool}) {
+    const std::vector<Candidate> &Got = E.candidates(Ty);
+    const std::vector<Candidate> &Want = R.candidates(Ty);
+    ASSERT_EQ(Got.size(), Want.size()) << What << ": pool size";
+    for (size_t I = 0; I != Want.size(); ++I) {
+      ASSERT_EQ(exprToString(Got[I].E), exprToString(Want[I].E))
+          << What << ": candidate " << I;
+      ASSERT_EQ(Got[I].Values, Want[I].Values)
+          << What << ": column of candidate " << I;
+    }
+  }
+}
+
+/// Grows both enumerators the way synthesis grows a pool group: to the
+/// sketch tiers' size 5, then to the free grammar's size 7. Returns the
+/// integer pool's size after each step.
+std::vector<size_t> growAndCompare(const std::string &Benchmark,
+                                   size_t MaxPerType) {
+  Loop L = parseBenchmark(*findBenchmark(Benchmark));
+  HomOracle Oracle(L);
+  EnumeratorOptions Options;
+  Options.MaxPerType = MaxPerType;
+  Options.MaxSize = 5;
+  Enumerator E(Oracle.tests().size(), Options);
+  ReferenceEnumerator R(Options);
+  addJoinLeaves(L, Oracle, E);
+  addJoinLeaves(L, Oracle, R);
+  std::vector<size_t> IntPoolSizes;
+  for (unsigned MaxSize : {5u, 7u}) {
+    E.options().MaxSize = MaxSize;
+    R.options().MaxSize = MaxSize;
+    E.run();
+    R.run();
+    expectSamePools(E, R,
+                    Benchmark + " up to size " + std::to_string(MaxSize));
+    IntPoolSizes.push_back(E.candidates(Type::Int).size());
+  }
+  // The comparison covered levels large enough to be split over the pool.
+  EXPECT_GT(E.parallelCombinations(), 0u) << Benchmark;
+  EXPECT_LE(E.parallelCombinations(), E.combinations()) << Benchmark;
+  return IntPoolSizes;
+}
+
+class ParallelEnumerator : public ::testing::TestWithParam<Schedule> {};
+
+TEST_P(ParallelEnumerator, PoolsMatchSequentialReference) {
+  FaultScope Scope(faultSpec(GetParam()));
+  for (const char *Benchmark : {"mts", "mts-p", "line-sight"})
+    growAndCompare(Benchmark, EnumeratorOptions().MaxPerType);
+}
+
+TEST_P(ParallelEnumerator, CapFallingMidWaveMatchesReference) {
+  // mts's size-7 level (42 356 combinations, split over the pool) brings the
+  // integer pool from 636 candidates to far more than this cap admits, so
+  // the cap is reached while the caller inserts one wave's survivors, and
+  // the later waves skip integer combinations.
+  FaultScope Scope(faultSpec(GetParam()));
+  std::vector<size_t> IntPoolSizes = growAndCompare("mts", 1500);
+  EXPECT_LT(IntPoolSizes[0], 1500u);
+  EXPECT_EQ(IntPoolSizes[1], 1500u);
+}
+
+/// The figures of the sequential search for one synthesizeJoin call.
+struct Expected {
+  const char *Benchmark;
+  const char *Join;
+  uint64_t SketchAssignments;
+  uint64_t EnumeratedCandidates;
+  unsigned CegisIterations;
+  unsigned TestsUsed;
+  /// Schedule-independent split counters of the parallel search.
+  uint64_t Combinations, ParallelCombinations, ParallelAssignments;
+};
+
+void expectStats(const JoinResult &R, const Loop &L, const Expected &X) {
+  EXPECT_EQ(joinToString(L, R.Components), X.Join) << X.Benchmark;
+  EXPECT_EQ(R.Stats.SketchAssignmentsTried, X.SketchAssignments)
+      << X.Benchmark;
+  EXPECT_EQ(R.Stats.EnumeratedCandidates, X.EnumeratedCandidates)
+      << X.Benchmark;
+  EXPECT_EQ(R.Stats.CegisIterations, X.CegisIterations) << X.Benchmark;
+  EXPECT_EQ(R.Stats.TestsUsed, X.TestsUsed) << X.Benchmark;
+  EXPECT_EQ(R.Stats.EnumeratedCombinations, X.Combinations) << X.Benchmark;
+  EXPECT_EQ(R.Stats.ParallelCombinations, X.ParallelCombinations)
+      << X.Benchmark;
+  EXPECT_EQ(R.Stats.ParallelAssignments, X.ParallelAssignments)
+      << X.Benchmark;
+}
+
+class ParallelJoinSynth : public ::testing::TestWithParam<Schedule> {};
+
+TEST_P(ParallelJoinSynth, JoinsAndStatsMatchSequentialSearch) {
+  // The original loops, before lifting: mts and mts-p have no join for one
+  // of their variables, and mts-p's failing searches end in sweeps capped
+  // at the 2,000,000-assignment budget. The figures are the sequential
+  // search's.
+  const Expected Cases[] = {
+      {"mts", "mts = <unsolved>\n", 294357, 6082, 0, 233, 49946, 42356,
+       176566},
+      {"mts-p",
+       "mts = max((mts_l + sum_r), mts_r)\nsum = (sum_l + sum_r)\n"
+       "pos = <unsolved>\n",
+       17051182, 40103, 0, 233, 1701831, 1699293, 17019004},
+      {"line-sight",
+       "vis = ((m_r == -1099511627776) ? vis_l : (m_r >= (vis_r ? m_l : "
+       "1099511627776)))\nm = max(m_l, m_r)\n",
+       46466, 23395, 0, 233, 174076, 166205, 23348},
+  };
+  FaultScope Scope(faultSpec(GetParam()));
+  for (const Expected &X : Cases) {
+    Loop L = parseBenchmark(*findBenchmark(X.Benchmark));
+    expectStats(synthesizeJoin(L), L, X);
+  }
+}
+
+TEST_P(ParallelJoinSynth, RejectedWinnersResumeTheSweep) {
+  // The first three passing assignments are refused; each sweep resumes
+  // after its refused winner, exactly where the sequential search went on.
+  // line-sight's refused winners lie in sweeps that run on the pool, which
+  // the larger share of pool-sized assignments shows (70044 vs 23348).
+  const Expected X = {"line-sight", "vis = <unsolved>\nm = <unsolved>\n",
+                      112173, 23395, 0, 233, 174076, 166205, 70044};
+  FaultScope Scope(faultSpec(GetParam(), "synth.reject:limit=3"));
+  Loop L = parseBenchmark(*findBenchmark(X.Benchmark));
+  expectStats(synthesizeJoin(L), L, X);
+  EXPECT_EQ(FaultInjector::instance().fireCount("synth.reject"), 3u);
+}
+
+std::string scheduleName(const ::testing::TestParamInfo<Schedule> &Info) {
+  return Info.param.Name;
+}
+
+INSTANTIATE_TEST_SUITE_P(Schedules, ParallelEnumerator,
+                         ::testing::ValuesIn(Schedules), scheduleName);
+INSTANTIATE_TEST_SUITE_P(Schedules, ParallelJoinSynth,
+                         ::testing::ValuesIn(Schedules), scheduleName);
+
+} // namespace

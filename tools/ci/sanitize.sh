@@ -95,11 +95,16 @@ cmake -B "${PREFIX}-tsan" -S . \
   -DPARSYNT_WERROR=ON \
   -DPARSYNT_TEST_TIMEOUT=3600
 cmake --build "${PREFIX}-tsan" -j "${JOBS}"
-# The parallel runtime is the only component that spawns threads; limit
-# the TSan pass to the tests that exercise it (full synthesis under TSan
-# is prohibitively slow). runtime_test carries the work-stealing pool's
-# dedicated races: grain-1 recursion at 2-64 threads, oversubscribed
-# nested waits, concurrent external drivers, and the park/wake handshake.
+# Threads come from the work-stealing runtime: the pools the runtime
+# tests build, and the process-wide pool the join synthesizer runs its
+# enumeration levels and sketch sweeps on. Limit the TSan pass to the tests
+# that exercise them (a full synthesis sweep under TSan is prohibitively
+# slow). ParallelEnumerator / ParallelJoinSynth run the parallel join
+# search on mts, mts-p and line-sight under three pool schedules and
+# compare it with the sequential figures. runtime_test carries the
+# work-stealing pool's dedicated races: grain-1 recursion at 2-64 threads,
+# oversubscribed nested waits, concurrent external callers, and the
+# park/wake handshake.
 # InterpReduce.CompiledRunMatchesReferenceOnSharedPrograms runs compiled
 # loop and join programs shared by four workers: the race check for the
 # runtime's one-compile-per-call evaluator.
@@ -109,7 +114,7 @@ cmake --build "${PREFIX}-tsan" -j "${JOBS}"
 TSAN_OPTIONS=halt_on_error=1 \
   ctest --test-dir "${PREFIX}-tsan" --output-on-failure -j "${JOBS}" \
   --no-tests=error \
-  -R '^(TaskPool|ParallelReduce|SequentialReduce|InterpReduce|EmitCpp|Representative|Tracer|TracerOff|TraceExport|Metrics|PoolMetrics|Report)'
+  -R '^(TaskPool|ParallelReduce|SequentialReduce|InterpReduce|EmitCpp|Representative|Tracer|TracerOff|TraceExport|Metrics|PoolMetrics|Report|Schedules/ParallelEnumerator|Schedules/ParallelJoinSynth)'
 # Scheduler smoke under TSan as well (all 22 kernels through the pool).
 PARSYNT_FIG8_ELEMS=200000 TSAN_OPTIONS=halt_on_error=1 \
   "${PREFIX}-tsan/bench/fig8" --stats > /dev/null

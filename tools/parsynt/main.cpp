@@ -57,6 +57,7 @@
 #include "proof/DafnyEmit.h"
 #include "proof/ProofCheck.h"
 #include "runtime/InterpReduce.h"
+#include "runtime/SharedPool.h"
 #include "suite/Benchmarks.h"
 #include "support/Random.h"
 
@@ -123,7 +124,10 @@ double parseDuration(const std::string &Spec) {
 
 bool runSelfTest(const PipelineResult &Result, bool RuntimeStats) {
   const Loop &L = Result.Final;
-  TaskPool Pool(defaultThreadCount());
+  // The process's one pool, which synthesis has already used: clear its
+  // counters so --runtime-stats reports the self-test alone.
+  TaskPool &Pool = sharedTaskPool();
+  Pool.resetStats();
   Pool.setTimingEnabled(RuntimeStats);
   Rng R(0x7357);
   for (unsigned Round = 0; Round != 20; ++Round) {
