@@ -14,7 +14,8 @@
 // PARSYNT_FIG8_ELEMS) and sweeps thread counts up to the machine's core
 // count, or up to PARSYNT_FIG8_THREADS to probe oversubscription (the
 // shape — near-linear scaling to the core count, ~1.0 one-core overhead —
-// is the reproduction target; see EXPERIMENTS.md). Every thread first
+// is the reproduction target; see EXPERIMENTS.md). Either variable, when
+// set, must be a positive integer, or fig8 exits 2. Every thread first
 // spins for 2 s so that no timed run meets a cold virtual CPU, and each
 // time reported is the median of its repetitions.
 //
@@ -31,8 +32,12 @@
 #include "suite/Kernels.h"
 
 #include <algorithm>
+#include <cctype>
+#include <cerrno>
 #include <chrono>
+#include <climits>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -59,6 +64,25 @@ template <typename Fn> double medianOf(unsigned Reps, Fn &&Body) {
   }
   std::nth_element(Times.begin(), Times.begin() + Reps / 2, Times.end());
   return Times[Reps / 2];
+}
+
+/// Reads environment variable \p Name, when set, into \p Out. Returns
+/// false, with a message, unless it is a positive decimal integer that fits.
+bool positiveFromEnv(const char *Name, size_t Max, size_t &Out) {
+  const char *Env = std::getenv(Name);
+  if (!Env)
+    return true;
+  char *End = nullptr;
+  errno = 0;
+  unsigned long long V = std::strtoull(Env, &End, 10);
+  if (!std::isdigit(static_cast<unsigned char>(Env[0])) || *End != '\0' ||
+      errno == ERANGE || V == 0 || V > Max) {
+    std::fprintf(stderr, "fig8: %s must be a positive integer (got '%s')\n",
+                 Name, Env);
+    return false;
+  }
+  Out = static_cast<size_t>(V);
+  return true;
 }
 
 /// Keeps \p Threads threads busy for \p Seconds. Virtual CPUs that have
@@ -94,14 +118,14 @@ int main(int argc, char **argv) {
   // In report mode the JSON document owns stdout.
   FILE *HumanOut = ReportJson ? stderr : stdout;
   size_t N = size_t(1) << 26;
-  if (const char *Env = std::getenv("PARSYNT_FIG8_ELEMS"))
-    N = static_cast<size_t>(std::atoll(Env));
   const size_t Grain = 50000; // the paper's grain size
   // PARSYNT_FIG8_THREADS extends the sweep past the core count so the
   // scheduler's oversubscription behaviour is measurable on small machines.
-  unsigned Cores = defaultThreadCount();
-  if (const char *Env = std::getenv("PARSYNT_FIG8_THREADS"))
-    Cores = std::max(1u, static_cast<unsigned>(std::atoi(Env)));
+  size_t Threads = defaultThreadCount();
+  if (!positiveFromEnv("PARSYNT_FIG8_ELEMS", SIZE_MAX, N) ||
+      !positiveFromEnv("PARSYNT_FIG8_THREADS", UINT_MAX, Threads))
+    return 2;
+  const unsigned Cores = static_cast<unsigned>(Threads);
   std::vector<unsigned> ThreadCounts;
   for (unsigned T = 1; T <= Cores; T *= 2)
     ThreadCounts.push_back(T);
@@ -194,19 +218,24 @@ int main(int argc, char **argv) {
   }
 
   // Section 8.2: single-core overhead of the runtime + lifted leaves.
-  double Mean = 0;
-  for (double S : OneThreadSlowdowns)
-    Mean += S;
-  Mean /= OneThreadSlowdowns.size();
-  double Var = 0;
-  for (double S : OneThreadSlowdowns)
-    Var += (S - Mean) * (S - Mean);
-  double Sigma = std::sqrt(Var / OneThreadSlowdowns.size());
-  std::fprintf(HumanOut,
-               "\nSingle-core slowdown of the parallel version (paper: mean "
-               "~1.0, sigma ~0.04):\n  mean %.3f, sigma %.3f over %zu "
-               "benchmarks (degenerate seq<1ms rows excluded)\n",
-               Mean, Sigma, OneThreadSlowdowns.size());
+  std::fprintf(HumanOut, "\nSingle-core slowdown of the parallel version "
+                         "(paper: mean ~1.0, sigma ~0.04):\n");
+  if (OneThreadSlowdowns.empty()) {
+    std::fprintf(HumanOut, "  none: no sequential loop ran for 1 ms\n");
+  } else {
+    double Mean = 0;
+    for (double S : OneThreadSlowdowns)
+      Mean += S;
+    Mean /= OneThreadSlowdowns.size();
+    double Var = 0;
+    for (double S : OneThreadSlowdowns)
+      Var += (S - Mean) * (S - Mean);
+    double Sigma = std::sqrt(Var / OneThreadSlowdowns.size());
+    std::fprintf(HumanOut,
+                 "  mean %.3f, sigma %.3f over %zu benchmarks (degenerate "
+                 "seq<1ms rows excluded)\n",
+                 Mean, Sigma, OneThreadSlowdowns.size());
+  }
 
   bool AllOk = true;
   for (const BenchmarkEntry &E : Report.Benchmarks)

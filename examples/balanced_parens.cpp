@@ -42,8 +42,9 @@ int main() {
   if (!Result.Success)
     return 1;
 
-  // 2. Run the native transcription of the synthesized program on a large
-  //    string and compare against the sequential baseline.
+  // 2. Run the native kernel emitted from this loop and join
+  //    (src/suite/generated/) on a large string and compare against the
+  //    sequential baseline.
   const NativeKernel &K = *findKernel("balanced-()");
   const size_t N = size_t(1) << 24;
   const size_t Grain = 50000; // the paper's Figure-8 grain size

@@ -10,6 +10,9 @@
 #include "observe/Metrics.h"
 #include "observe/Tracer.h"
 
+#include <cctype>
+#include <map>
+#include <set>
 #include <sstream>
 
 using namespace parsynt;
@@ -82,6 +85,106 @@ public:
   }
 };
 
+/// The `, const int64_t *seq_<name>` parameter list of \p L's sequences; a
+/// sequence outside \p Used (when given) is left unnamed.
+std::string seqParams(const Loop &L,
+                      const std::set<std::string> *Used = nullptr) {
+  std::string Params;
+  for (const SeqDecl &S : L.Sequences)
+    Params += ", const int64_t *" + (!Used || Used->count(S.Name)
+                                         ? "seq_" + S.Name
+                                         : std::string());
+  return Params;
+}
+
+std::string seqArgs(const Loop &L) {
+  std::string Args;
+  for (const SeqDecl &S : L.Sequences)
+    Args += ", seq_" + S.Name;
+  return Args;
+}
+
+/// Prints what the standalone program and the native kernel share for \p L:
+/// the `State` struct, `init()`, `step()`, `leaf()` and, unless \p Join is
+/// empty (the sequential fallback), `join()`.
+void printLoopFunctions(std::ostream &OS, const Loop &L,
+                        const std::vector<ExprRef> &Join) {
+  // State struct.
+  OS << "struct State {\n";
+  for (const Equation &Eq : L.Equations)
+    OS << "  " << cppType(Eq.Ty) << " " << Eq.Name << ";\n";
+  OS << "};\n\n";
+
+  // init().
+  {
+    CppPrinter P;
+    P.VarRef = [](const std::string &Name) { return Name; }; // params only
+    P.SeqElem = [](const SeqAccessExpr &) { return std::string("0"); };
+    OS << "static State init() {\n  State st;\n";
+    for (const Equation &Eq : L.Equations)
+      OS << "  st." << Eq.Name << " = " << P.print(Eq.Init) << ";\n";
+    OS << "  return st;\n}\n\n";
+  }
+
+  // step(): one iteration with simultaneous-assignment semantics. The index
+  // is an Int of the loop language, so it is passed as int64_t; an index or
+  // sequence the updates never read is left unnamed.
+  {
+    std::set<std::string> Read;
+    for (const Equation &Eq : L.Equations) {
+      for (const std::string &Name : collectAllVars(Eq.Update))
+        Read.insert(Name);
+      for (const std::string &Name : collectSeqNames(Eq.Update))
+        Read.insert(Name);
+    }
+    CppPrinter P;
+    P.VarRef = [&](const std::string &Name) {
+      if (L.findEquation(Name))
+        return "st." + Name;
+      return Name; // parameter or the index variable
+    };
+    P.SeqElem = [&](const SeqAccessExpr &Access) {
+      CppPrinter Index = P;
+      return "seq_" + Access.seqName() + "[" + Index.print(Access.index()) + "]";
+    };
+    OS << "static inline void step(State &st, int64_t"
+       << (Read.count(L.IndexName) ? " " + L.IndexName : std::string())
+       << seqParams(L, &Read) << ") {\n";
+    OS << "  State n = st;\n";
+    for (size_t I = 0; I != L.Equations.size(); ++I)
+      OS << "  n." << L.Equations[I].Name << " = "
+         << P.print(L.Equations[I].Update) << ";\n";
+    OS << "  st = n;\n}\n\n";
+  }
+
+  // leaf(): the sequential run over [first, last).
+  OS << "static State leaf(size_t first, size_t last" << seqParams(L)
+     << ") {\n  State st = init();\n"
+        "  for (size_t i = first; i < last; ++i)\n    step(st, i"
+     << seqArgs(L) << ");\n  return st;\n}\n\n";
+
+  // join(): the synthesized operator.
+  if (!Join.empty()) {
+    CppPrinter P;
+    P.VarRef = [&](const std::string &Name) -> std::string {
+      for (const Equation &Eq : L.Equations) {
+        if (Name == splitName(Eq.Name, Side::Left))
+          return "l." + Eq.Name;
+        if (Name == splitName(Eq.Name, Side::Right))
+          return "r." + Eq.Name;
+      }
+      return Name; // parameter
+    };
+    P.SeqElem = [](const SeqAccessExpr &) { return std::string("0"); };
+    OS << "static State join(const State &l, const State &r) {\n  State "
+          "st;\n";
+    for (size_t I = 0; I != L.Equations.size(); ++I)
+      OS << "  st." << L.Equations[I].Name << " = " << P.print(Join[I])
+         << ";\n";
+    OS << "  return st;\n}\n\n";
+  }
+}
+
 } // namespace
 
 std::string parsynt::emitParallelCpp(const Loop &L,
@@ -130,77 +233,8 @@ std::string parsynt::emitParallelCpp(const Loop &L,
   if (!L.Params.empty())
     OS << "\n";
 
-  // State struct.
-  OS << "struct State {\n";
-  for (const Equation &Eq : L.Equations)
-    OS << "  " << cppType(Eq.Ty) << " " << Eq.Name << ";\n";
-  OS << "};\n\n";
-
-  // init().
-  {
-    CppPrinter P;
-    P.VarRef = [](const std::string &Name) { return Name; }; // params only
-    P.SeqElem = [](const SeqAccessExpr &) { return std::string("0"); };
-    OS << "static State init() {\n  State st;\n";
-    for (const Equation &Eq : L.Equations)
-      OS << "  st." << Eq.Name << " = " << P.print(Eq.Init) << ";\n";
-    OS << "  return st;\n}\n\n";
-  }
-
-  // Sequence argument list shared by step/leaf.
-  std::string SeqParams, SeqArgs;
-  for (const SeqDecl &S : L.Sequences) {
-    SeqParams += ", const int64_t *seq_" + S.Name;
-    SeqArgs += ", seq_" + S.Name;
-  }
-
-  // step(): one iteration with simultaneous-assignment semantics.
-  {
-    CppPrinter P;
-    P.VarRef = [&](const std::string &Name) {
-      if (L.findEquation(Name))
-        return "st." + Name;
-      return Name; // parameter or the index variable
-    };
-    P.SeqElem = [&](const SeqAccessExpr &Access) {
-      CppPrinter Index = P;
-      return "seq_" + Access.seqName() + "[" + Index.print(Access.index()) + "]";
-    };
-    OS << "static inline void step(State &st, size_t " << L.IndexName
-       << SeqParams << ") {\n";
-    OS << "  State n = st;\n";
-    for (size_t I = 0; I != L.Equations.size(); ++I)
-      OS << "  n." << L.Equations[I].Name << " = "
-         << P.print(L.Equations[I].Update) << ";\n";
-    OS << "  st = n;\n}\n\n";
-  }
-
-  // leaf(): the sequential run over [first, last).
-  OS << "static State leaf(size_t first, size_t last" << SeqParams
-     << ") {\n  State st = init();\n"
-        "  for (size_t i = first; i < last; ++i)\n    step(st, i"
-     << SeqArgs << ");\n  return st;\n}\n\n";
-
-  // join(): the synthesized operator.
-  if (!Sequential) {
-    CppPrinter P;
-    P.VarRef = [&](const std::string &Name) -> std::string {
-      for (const Equation &Eq : L.Equations) {
-        if (Name == splitName(Eq.Name, Side::Left))
-          return "l." + Eq.Name;
-        if (Name == splitName(Eq.Name, Side::Right))
-          return "r." + Eq.Name;
-      }
-      return Name; // parameter
-    };
-    P.SeqElem = [](const SeqAccessExpr &) { return std::string("0"); };
-    OS << "static State join(const State &l, const State &r) {\n  State "
-          "st;\n";
-    for (size_t I = 0; I != L.Equations.size(); ++I)
-      OS << "  st." << L.Equations[I].Name << " = " << P.print(Join[I])
-         << ";\n";
-    OS << "  return st;\n}\n\n";
-  }
+  printLoopFunctions(OS, L, Join);
+  const std::string SeqParams = seqParams(L), SeqArgs = seqArgs(L);
 
   if (Sequential) {
     // No join: the whole range is one leaf, run on the calling thread.
@@ -258,5 +292,122 @@ std::string parsynt::emitParallelCpp(const Loop &L,
      << (Sequential ? "\"sequential fallback ok\"" : "\"parallel == sequential\"")
      << " : \"MISMATCH\");\n";
   OS << "  return ok ? 0 : 1;\n}\n";
+  return OS.str();
+}
+
+std::string parsynt::kernelIdentifier(const std::string &Name) {
+  std::string Id;
+  for (size_t I = 0; I != Name.size(); ++I) {
+    char C = Name[I];
+    if (C == '\'')
+      continue;
+    if (Name.compare(I, 2, "()") == 0) {
+      Id += "parens";
+      ++I;
+    } else if (C == '*') {
+      Id += "star";
+    } else {
+      Id += std::isalnum(static_cast<unsigned char>(C)) ? C : '_';
+    }
+  }
+  return Id;
+}
+
+namespace {
+
+/// Prints `pack()` (State -> KState) and, for the lifted loop, `unpack()`,
+/// with \p Slot giving each state variable's KState slot.
+void printSlotMapping(std::ostream &OS, const Loop &L,
+                      const std::map<std::string, size_t> &Slot,
+                      bool WithUnpack) {
+  OS << "static_assert(" << L.Equations.size()
+     << " <= parsynt::KState::Capacity, \"state wider than KState\");\n\n";
+  OS << "static parsynt::KState pack(const State &st) {\n"
+        "  parsynt::KState k;\n";
+  for (const Equation &Eq : L.Equations)
+    OS << "  k.V[" << Slot.at(Eq.Name) << "] = st." << Eq.Name << ";\n";
+  OS << "  return k;\n}\n\n";
+  if (!WithUnpack)
+    return;
+  OS << "static State unpack(const parsynt::KState &k) {\n  State st;\n";
+  for (const Equation &Eq : L.Equations)
+    OS << "  st." << Eq.Name << " = k.V[" << Slot.at(Eq.Name) << "]"
+       << (Eq.Ty == Type::Bool ? " != 0" : "") << ";\n";
+  OS << "  return st;\n}\n\n";
+}
+
+/// The `const int64_t *A, const int64_t *B` pair of a NativeKernel function,
+/// named after \p L's (at most two) sequences.
+std::string kernelSeqParams(const Loop &L) {
+  assert(L.Sequences.size() <= 2 && "a native kernel reads at most two "
+                                    "sequences");
+  std::string Params = "const int64_t *";
+  if (!L.Sequences.empty())
+    Params += "seq_" + L.Sequences[0].Name;
+  Params += ", const int64_t *";
+  if (L.Sequences.size() > 1)
+    Params += "seq_" + L.Sequences[1].Name;
+  return Params;
+}
+
+} // namespace
+
+std::string parsynt::emitNativeKernel(const Loop &Original, const Loop &Lifted,
+                                      const std::vector<ExprRef> &Join,
+                                      const std::string &ResultVar) {
+  assert(Join.size() == Lifted.Equations.size() && "join arity mismatch");
+  // Each original variable keeps its slot; the lifted loop's auxiliaries
+  // take the slots after them, in the lifted loop's order.
+  std::map<std::string, size_t> Slot;
+  for (const Equation &Eq : Original.Equations)
+    Slot.emplace(Eq.Name, Slot.size());
+  for (const Equation &Eq : Lifted.Equations)
+    Slot.emplace(Eq.Name, Slot.size());
+  assert(Slot.size() == Lifted.Equations.size() &&
+         "the lifted loop drops an original variable");
+  assert(Original.findEquation(ResultVar) && "result is not a state variable");
+
+  std::ostringstream OS;
+  std::vector<std::string> BySlot(Slot.size());
+  for (const auto &KV : Slot)
+    BySlot[KV.second] = KV.first;
+  OS << "// Generated by parsynt-cxx from benchmark '" << Original.Name
+     << "' (its Figure-8 kernel).\n"
+        "// Do not edit: regenerate with tools/ci/regen_kernels.sh.\n"
+        "// sequential: the original loop; leaf, join: the lifted loop and "
+        "its join;\n// output: '"
+     << ResultVar << "'. KState slots:";
+  for (size_t I = 0; I != BySlot.size(); ++I)
+    OS << (I ? ", " : " ") << I << " " << BySlot[I];
+  OS << ".\n\nnamespace kernel_" << kernelIdentifier(Original.Name)
+     << " {\n\n";
+  // Parameters at the value the self-checking programs bind them to.
+  for (const ParamDecl &P : Lifted.Params)
+    OS << "constexpr " << cppType(P.Ty) << " " << P.Name << " = 3;\n";
+  if (!Lifted.Params.empty())
+    OS << "\n";
+
+  OS << "namespace original {\n\n";
+  printLoopFunctions(OS, Original, {});
+  printSlotMapping(OS, Original, Slot, /*WithUnpack=*/false);
+  OS << "} // namespace original\n\nnamespace lifted {\n\n";
+  printLoopFunctions(OS, Lifted, Join);
+  printSlotMapping(OS, Lifted, Slot, /*WithUnpack=*/true);
+  OS << "} // namespace lifted\n\n";
+
+  OS << "parsynt::KState sequential(" << kernelSeqParams(Original)
+     << ", size_t n) {\n  return original::pack(original::leaf(0, n"
+     << seqArgs(Original) << "));\n}\n\n";
+  OS << "parsynt::KState leaf(" << kernelSeqParams(Lifted)
+     << ", size_t first, size_t last) {\n"
+        "  return lifted::pack(lifted::leaf(first, last"
+     << seqArgs(Lifted) << "));\n}\n\n";
+  OS << "parsynt::KState join(const parsynt::KState &l, const "
+        "parsynt::KState &r) {\n"
+        "  return lifted::pack(lifted::join(lifted::unpack(l), "
+        "lifted::unpack(r)));\n}\n\n";
+  OS << "int64_t output(const parsynt::KState &k) { return k.V["
+     << Slot.at(ResultVar) << "]; }\n\n";
+  OS << "} // namespace kernel_" << kernelIdentifier(Original.Name) << "\n";
   return OS.str();
 }

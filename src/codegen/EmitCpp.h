@@ -26,6 +26,11 @@
 /// headers on the include path:
 ///   g++ -O2 -std=c++17 -pthread -I <parsynt>/src out.cpp
 ///
+/// The same printer renders the Figure-8 kernels (emitNativeKernel): the
+/// `src/suite/generated/*.inc` fragments that suite/Kernels.cpp includes,
+/// one per benchmark, wrapping the original loop's and the lifted loop's
+/// `State`/`init`/`step`/`leaf` and the join as the NativeKernel functions.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef PARSYNT_CODEGEN_EMITCPP_H
@@ -49,6 +54,23 @@ struct EmitCppOptions {
 /// \p Join components.
 std::string emitParallelCpp(const Loop &L, const std::vector<ExprRef> &Join,
                             const EmitCppOptions &Options = {});
+
+/// Renders the native kernel of benchmark \p Original (suite/Kernels.h) as
+/// a fragment defining `sequential`, `leaf`, `join` and `output` in
+/// namespace `kernel_<kernelIdentifier(Original.Name)>`: `sequential` runs
+/// \p Original, `leaf` runs \p Lifted, `join` applies \p Join (one
+/// component per equation of \p Lifted), and `output` reads \p ResultVar.
+/// KState slots follow variable names: each original variable keeps its
+/// slot in the lifted state, and the auxiliaries follow. Parameters are
+/// bound to 3, as in the standalone program's self-check.
+std::string emitNativeKernel(const Loop &Original, const Loop &Lifted,
+                             const std::vector<ExprRef> &Join,
+                             const std::string &ResultVar);
+
+/// The C++ identifier of benchmark \p Name's kernel, also the stem of its
+/// file under src/suite/generated/: count-1's -> count_1s, 0*1* ->
+/// 0star1star, balanced-() -> balanced_parens.
+std::string kernelIdentifier(const std::string &Name);
 
 } // namespace parsynt
 

@@ -10,7 +10,8 @@
 /// body over chunks of real data, interior nodes evaluate the synthesized
 /// join components. This is the direct analog of running the paper's
 /// generated TBB program, with compiled expression programs standing in for
-/// the generated C++ (the native kernels in suite/Kernels.h are the native
+/// the generated C++ (the native kernels in suite/Kernels.h, emitted by
+/// codegen/EmitCpp from the same loops and joins, are the native
 /// counterpart used for the Figure-8 performance runs).
 ///
 /// The loop and the join are compiled once per call (interp/Interp.h's

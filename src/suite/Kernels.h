@@ -6,25 +6,30 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Hand-transcribed native (compiled C++) versions of the synthesized
-/// parallel programs for all 22 Table-1 benchmarks — the counterpart of the
-/// paper's generated TBB code, used by the Figure-8 performance harness
-/// where interpreting the loop bodies would dominate the measurement.
+/// Native (compiled C++) versions of the parallel programs for all 22
+/// Table-1 benchmarks — the counterpart of the paper's generated TBB code,
+/// used by the Figure-8 performance harness where interpreting the loop
+/// bodies would dominate the measurement.
 ///
-/// Every kernel carries: the *original* sequential loop (the baseline the
-/// paper's Figure 8 normalizes against — note it is cheaper per iteration
-/// than the lifted leaf whenever auxiliaries were added), the lifted leaf,
-/// the synthesized join, and an input generator producing workload-
-/// appropriate data. Tests cross-check each kernel against the interpreted
-/// loop semantics and each parallel run against the sequential baseline.
+/// Every kernel function is generated: codegen/EmitCpp's emitNativeKernel
+/// renders the original loop (the baseline the paper's Figure 8 normalizes
+/// against — cheaper per iteration than the lifted leaf whenever auxiliaries
+/// were added), the pipeline's lifted loop as the leaf and its synthesized
+/// join, into src/suite/generated/ (tools/ci/regen_kernels.sh rewrites
+/// them; the pipeline sweep fails when they drift). max-block-1, which the
+/// pipeline cannot parallelize, uses its hand lifting (suite/Benchmarks.h).
+/// Tests cross-check each kernel against the interpreted loop semantics and
+/// each parallel run against the sequential baseline.
 ///
-/// Arithmetic wraps modulo 2^64 (computed over uint64_t), matching the
+/// Arithmetic wraps modulo 2^64 (interp/OpSemantics.h), matching the
 /// interpreter's total semantics.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef PARSYNT_SUITE_KERNELS_H
 #define PARSYNT_SUITE_KERNELS_H
+
+#include "suite/Benchmarks.h"
 
 #include <array>
 #include <cstdint>
@@ -33,8 +38,9 @@
 
 namespace parsynt {
 
-/// Fixed-capacity state tuple for native kernels; slot meaning is
-/// kernel-specific (booleans stored as 0/1).
+/// Fixed-capacity state tuple for native kernels (booleans stored as 0/1).
+/// Slots follow variable names: the original loop's variables in order,
+/// then the lifted loop's auxiliaries.
 struct KState {
   static constexpr size_t Capacity = 6;
   std::array<int64_t, Capacity> V{};
@@ -42,17 +48,6 @@ struct KState {
   friend bool operator==(const KState &A, const KState &B) {
     return A.V == B.V;
   }
-};
-
-/// Workload family for the input generator.
-enum class InputKind {
-  Random,     ///< ints in [-100, 100]
-  Bits,       ///< 0/1
-  Parens,     ///< '(' / ')' with balanced bias
-  Digits,     ///< '0'..'9'
-  NearSorted, ///< ascending with rare dips
-  Heights,    ///< positive building heights
-  DropPrefix, ///< positive prefix, then mixed
 };
 
 /// A native benchmark kernel.
@@ -68,8 +63,8 @@ struct NativeKernel {
                  size_t End);
   /// The synthesized join.
   KState (*Join)(const KState &L, const KState &R);
-  /// Scalar result extracted from a final state (same slot layout for the
-  /// sequential and lifted states).
+  /// The benchmark's result variable (Benchmark::Result) in a final state
+  /// (same slot for the sequential and lifted states).
   int64_t (*Output)(const KState &S);
 };
 

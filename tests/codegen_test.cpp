@@ -55,10 +55,11 @@ TEST(EmitCpp, ParametersBecomeGlobals) {
   EXPECT_NE(Code.find("x = 3;"), std::string::npos);
 }
 
-/// Compiles (g++, with UBSan aborting on the first report) and runs an
-/// emitted program named \p Name; its exit status is the self-check
-/// verdict. The program includes the shared header-only runtime, so it
-/// compiles (as C++17) against the parsynt src tree.
+/// Compiles (g++, warning-free under -Wall -Wextra, with UBSan aborting on
+/// the first report) and runs an emitted program named \p Name; its exit
+/// status is the self-check verdict. The program includes the shared
+/// header-only runtime, so it compiles (as C++17) against the parsynt src
+/// tree.
 void compileAndRun(const std::string &Name, const std::string &Code) {
   std::string Base = std::string(::testing::TempDir()) + "/parsynt_emit_";
   for (char C : Name)
@@ -68,7 +69,8 @@ void compileAndRun(const std::string &Name, const std::string &Code) {
     std::ofstream Out(Src);
     Out << Code;
   }
-  std::string Compile = "g++ -O1 -std=c++17 -pthread -fsanitize=undefined "
+  std::string Compile = "g++ -O1 -std=c++17 -pthread -Wall -Wextra -Werror "
+                        "-fsanitize=undefined "
                         "-fno-sanitize-recover=undefined -I " PARSYNT_SRC_DIR
                         " -o " + Bin + " " + Src + " 2>&1";
   ASSERT_EQ(std::system(Compile.c_str()), 0) << "compile failed:\n" << Code;

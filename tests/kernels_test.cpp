@@ -5,11 +5,12 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// Two properties per kernel, swept over all 22:
+// Three properties per kernel, swept over all 22:
 //   1. divide-and-conquer (leaf + join over any split tree) reproduces the
 //      sequential baseline's output, on random data and adversarial splits;
 //   2. the sequential baseline agrees with the interpreted benchmark loop
-//      (i.e. the native code really implements the Table-1 benchmark).
+//      (i.e. the native code really implements the Table-1 benchmark);
+//   3. the lifted leaf keeps every original variable in its slot.
 //
 //===----------------------------------------------------------------------===//
 
@@ -78,21 +79,6 @@ TEST_P(KernelSweep, SequentialMatchesInterpretedLoop) {
   ASSERT_NE(B, nullptr) << K.Name;
   Loop L = parseBenchmark(*B);
 
-  // The interpreted loop's output variable: by convention the benchmark's
-  // result is a designated state variable; map it per benchmark.
-  std::map<std::string, std::string> OutputVar = {
-      {"sum", "sum"},       {"min", "m"},         {"max", "m"},
-      {"average", "sum"},   {"hamming", "ham"},   {"length", "len"},
-      {"2nd-min", "m2"},    {"mps", "mps"},       {"mts", "mts"},
-      {"mss", "mss"},       {"mts-p", "pos"},     {"mps-p", "pos"},
-      {"poly", "res"},      {"is-sorted", "sorted"}, {"atoi", "res"},
-      {"dropwhile", "cnt"}, {"balanced-()", "bal"},  {"0*1*", "ok"},
-      {"count-1's", "cnt"}, {"line-sight", "vis"},   {"0after1", "res"},
-      {"max-block-1", "best"}};
-  // average's native output is the mean, the loop's is the sum: compare
-  // sums by using the state directly (native slot V0 is the sum).
-  std::string Var = OutputVar.at(K.Name);
-
   Rng R(GetParam() * 31 + 5);
   for (int Round = 0; Round != 40; ++Round) {
     size_t N = static_cast<size_t>(R.intIn(0, 300));
@@ -116,16 +102,34 @@ TEST_P(KernelSweep, SequentialMatchesInterpretedLoop) {
       Params[P.Name] = Value::ofInt(3); // poly's fixed evaluation point
 
     Env Final = stateToEnv(L, runLoop(L, Seqs, Params));
-    Value Interp = Final.at(Var);
+    Value Interp = Final.at(B->Result);
     int64_t Expected =
         Interp.type() == Type::Bool ? (Interp.asBool() ? 1 : 0)
                                     : Interp.asInt();
 
     KState Native =
         K.Sequential(A.data(), K.TwoSequences ? Bv.data() : nullptr, N);
-    int64_t Got =
-        K.Name == "average" ? Native.V[0] : K.Output(Native);
-    ASSERT_EQ(Got, Expected) << K.Name << " N=" << N;
+    ASSERT_EQ(K.Output(Native), Expected) << K.Name << " N=" << N;
+  }
+}
+
+// Output reads one slot, so only this catches a lifted state that moves or
+// drops an original variable: a leaf over the whole input must agree with
+// the sequential loop on every original variable.
+TEST_P(KernelSweep, LeafKeepsEveryOriginalSlot) {
+  const NativeKernel &K = nativeKernels()[GetParam()];
+  const size_t Originals =
+      parseBenchmark(*findBenchmark(K.Name)).Equations.size();
+  for (size_t N : {0, 1, 2, 7, 100, 1000}) {
+    std::vector<int64_t> A = generateInput(K.Kind, N, N + 3);
+    std::vector<int64_t> B = K.TwoSequences ? generateInput(K.Kind, N, N + 4)
+                                            : std::vector<int64_t>();
+    const int64_t *PB = K.TwoSequences ? B.data() : nullptr;
+    KState Seq = K.Sequential(A.data(), PB, N);
+    KState Leaf = K.Leaf(A.data(), PB, 0, N);
+    for (size_t Slot = 0; Slot != Originals; ++Slot)
+      EXPECT_EQ(Leaf.V[Slot], Seq.V[Slot])
+          << K.Name << " slot " << Slot << " N=" << N;
   }
 }
 

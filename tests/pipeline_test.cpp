@@ -8,18 +8,25 @@
 // The integration test of record: every Table-1 benchmark runs through the
 // complete pipeline (join synthesis -> lifting -> join synthesis ->
 // redundancy removal), the outcome is checked against the paper's
-// qualitative claims, and every synthesized join is re-validated on fresh
-// random inputs far beyond the synthesis bound.
+// qualitative claims, every synthesized join is re-validated on fresh
+// random inputs far beyond the synthesis bound, and every checked-in
+// Figure-8 kernel (src/suite/generated/) must equal the emitter's output for
+// the result.
 //
 //===----------------------------------------------------------------------===//
 
+#include "codegen/EmitCpp.h"
 #include "observe/Report.h"
 #include "pipeline/Parallelizer.h"
+#include "proof/ProofCheck.h"
 #include "runtime/InterpReduce.h"
 #include "suite/Benchmarks.h"
 #include "TestUtil.h"
 
 #include <gtest/gtest.h>
+
+#include <fstream>
+#include <sstream>
 
 using namespace parsynt;
 using namespace parsynt::test;
@@ -172,6 +179,22 @@ const JoinGolden *goldenFor(const std::string &Name) {
   return nullptr;
 }
 
+/// Checks that \p B's checked-in Figure-8 kernel is what the emitter
+/// writes for \p Original, \p Lifted and \p Join.
+void expectKernelUpToDate(const Benchmark &B, const Loop &Original,
+                          const Loop &Lifted,
+                          const std::vector<ExprRef> &Join) {
+  std::string Path = std::string(PARSYNT_SRC_DIR "/suite/generated/") +
+                     kernelIdentifier(B.Name) + ".inc";
+  std::ifstream In(Path);
+  std::ostringstream CheckedIn;
+  CheckedIn << In.rdbuf();
+  EXPECT_TRUE(CheckedIn.str() ==
+              emitNativeKernel(Original, Lifted, Join, B.Result))
+      << Path << " differs from the emitter's output for " << B.Name
+      << "; regenerate it with tools/ci/regen_kernels.sh";
+}
+
 class PipelineSweep : public ::testing::TestWithParam<size_t> {};
 
 TEST_P(PipelineSweep, MatchesPaperExpectations) {
@@ -228,8 +251,16 @@ TEST_P(PipelineSweep, MatchesPaperExpectations) {
     EXPECT_FALSE(Result.Success) << Result.report();
     EXPECT_TRUE(Result.AuxRequired);
     EXPECT_GE(Result.AuxDiscovered, 1u);
+    // Its Figure-8 kernel comes from the hand lifting, whose join must
+    // discharge both proof obligations.
+    std::optional<HandLifting> Hand = handLifting(B);
+    ASSERT_TRUE(Hand.has_value());
+    ProofReport Proof = checkHomomorphismProof(Hand->Lifted, Hand->Join);
+    EXPECT_TRUE(Proof.Verified) << Proof.str();
+    expectKernelUpToDate(B, L, Hand->Lifted, Hand->Join);
     return;
   }
+  expectKernelUpToDate(B, L, Result.Final, Result.Join.Components);
 
   ASSERT_TRUE(Result.Success) << Result.report();
   EXPECT_EQ(Result.AuxRequired, B.ExpectAuxRequired) << Result.report();

@@ -15,6 +15,11 @@
 //   Flags: --emit-dafny <path>    write the Figure-7 proof artifact
 //          --emit-cpp <path>      write the parallel C++ program (or the
 //                                 sequential fallback when synthesis fails)
+//          --emit-kernel <path>   with --benchmark: write the benchmark's
+//                                 Figure-8 kernel (src/suite/generated/;
+//                                 tools/ci/regen_kernels.sh rewrites them
+//                                 all), from the benchmark's hand lifting
+//                                 when synthesis fails
 //          --check-proof          check the induction obligations
 //          --selftest             run the join on random data in parallel
 //                                 and compare with the sequential loop
@@ -65,6 +70,7 @@
 #include <cstdlib>
 #include <exception>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 
@@ -86,6 +92,7 @@ int usage() {
                "usage: parsynt [<file> | --benchmark <name> | --list]\n"
                "               [--analyze] [--emit-dafny <path>] "
                "[--emit-cpp <path>]\n"
+               "               [--emit-kernel <path>]\n"
                "               [--check-proof] [--selftest] "
                "[--runtime-stats]\n"
                "               [--trace <path>] [--phase-report] "
@@ -167,7 +174,7 @@ bool runSelfTest(const PipelineResult &Result, bool RuntimeStats) {
 }
 
 int run(int argc, char **argv, std::string &CurrentInput) {
-  std::string File, BenchmarkName, DafnyPath, CppPath, TracePath;
+  std::string File, BenchmarkName, DafnyPath, CppPath, KernelPath, TracePath;
   bool CheckProof = false, SelfTest = false, List = false, Analyze = false;
   bool RuntimeStats = false, PhaseReport = false, ReportJson = false;
   PipelineOptions Options;
@@ -180,6 +187,8 @@ int run(int argc, char **argv, std::string &CurrentInput) {
       DafnyPath = argv[++I];
     else if (Arg == "--emit-cpp" && I + 1 < argc)
       CppPath = argv[++I];
+    else if (Arg == "--emit-kernel" && I + 1 < argc)
+      KernelPath = argv[++I];
     else if (Arg == "--trace" && I + 1 < argc)
       TracePath = argv[++I];
     else if (Arg == "--phase-report")
@@ -226,6 +235,10 @@ int run(int argc, char **argv, std::string &CurrentInput) {
       File = Arg;
   }
 
+  if (!KernelPath.empty() && BenchmarkName.empty()) {
+    std::fprintf(stderr, "error: --emit-kernel needs --benchmark\n");
+    return ExitUsage;
+  }
   if (ReportJson)
     HumanOut = stderr;
   if (PhaseReport || !TracePath.empty())
@@ -238,9 +251,10 @@ int run(int argc, char **argv, std::string &CurrentInput) {
   }
 
   Loop L;
+  const Benchmark *B = nullptr;
   if (!BenchmarkName.empty()) {
     CurrentInput = "benchmark '" + BenchmarkName + "'";
-    const Benchmark *B = findBenchmark(BenchmarkName);
+    B = findBenchmark(BenchmarkName);
     if (!B) {
       std::fprintf(stderr, "error: unknown benchmark '%s' (try --list)\n",
                    BenchmarkName.c_str());
@@ -303,6 +317,24 @@ int run(int argc, char **argv, std::string &CurrentInput) {
     }
     return Code;
   };
+
+  // The Figure-8 kernel: from the pipeline's lifted loop and join, or from
+  // the benchmark's hand lifting when synthesis fails.
+  if (!KernelPath.empty()) {
+    std::optional<HandLifting> Hand;
+    if (!Result.Success)
+      Hand = handLifting(*B);
+    if (Result.Success || Hand) {
+      std::ofstream Out(KernelPath);
+      Out << (Hand ? emitNativeKernel(L, Hand->Lifted, Hand->Join, B->Result)
+                   : emitNativeKernel(L, Result.Final, Result.Join.Components,
+                                      B->Result));
+      std::fprintf(HumanOut, "wrote native kernel%s to %s\n",
+                   Hand ? " (hand lifting)" : "", KernelPath.c_str());
+    } else {
+      std::fprintf(HumanOut, "no native kernel written: synthesis failed\n");
+    }
+  }
 
   if (!Result.Success) {
     // Graceful degradation: the sequential fallback is still emittable
