@@ -14,13 +14,15 @@
 ///
 ///   - a `State` struct (one field per (lifted) state variable),
 ///   - `init()`, `step(State&, ...)` (one loop iteration),
-///   - `leaf(first, last, ...)` (the sequential run over a chunk),
+///   - `run(first, last, ...)` (the sequential run over a chunk, one chain),
 ///   - `join(const State&, const State&)` (the synthesized operator),
+///   - `leaf(first, last, ...)` (a chunk as four interleaved chains over its
+///     quarters, combined with `join`),
 ///   - `parallel_run(...)` — the divide-and-conquer driver, running on the
 ///     same header-only work-stealing runtime (`runtime/ParallelReduce.h`)
 ///     as `InterpReduce` and the benchmarks, and
-///   - a `main` that checks the parallel result against the sequential
-///     loop on random data.
+///   - a `main` that checks the parallel result against `run` over the
+///     whole input, which never calls `join`, on random data.
 ///
 /// The generated file compiles with any C++17 compiler given the parsynt
 /// headers on the include path:
@@ -29,7 +31,8 @@
 /// The same printer renders the Figure-8 kernels (emitNativeKernel): the
 /// `src/suite/generated/*.inc` fragments that suite/Kernels.cpp includes,
 /// one per benchmark, wrapping the original loop's and the lifted loop's
-/// `State`/`init`/`step`/`leaf` and the join as the NativeKernel functions.
+/// `State`/`init`/`step`/`run`/`leaf` and the join as the NativeKernel
+/// functions.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -58,7 +61,8 @@ std::string emitParallelCpp(const Loop &L, const std::vector<ExprRef> &Join,
 /// Renders the native kernel of benchmark \p Original (suite/Kernels.h) as
 /// a fragment defining `sequential`, `leaf`, `join` and `output` in
 /// namespace `kernel_<kernelIdentifier(Original.Name)>`: `sequential` runs
-/// \p Original, `leaf` runs \p Lifted, `join` applies \p Join (one
+/// \p Original as one chain, `leaf` runs \p Lifted as interleaved chains
+/// combined by \p Join, `join` applies \p Join (one
 /// component per equation of \p Lifted), and `output` reads \p ResultVar.
 /// KState slots follow variable names: each original variable keeps its
 /// slot in the lifted state, and the auxiliaries follow. Parameters are

@@ -96,6 +96,19 @@ struct Or {
   int64_t operator()(int64_t L, int64_t R) const { return L != 0 || R != 0; }
 };
 
+/// `C ? T : F`, `L && R` and `L || R` over operands that are already
+/// evaluated, written with masks and bitwise operators so the compiler has
+/// no jump to keep: the emitted programs use them where a jump on the data
+/// would be mispredicted (codegen/EmitCpp).
+inline int64_t select(bool C, int64_t T, int64_t F) {
+  uint64_t Mask = 0 - static_cast<uint64_t>(C);
+  return wrap((static_cast<uint64_t>(T) & Mask) |
+              (static_cast<uint64_t>(F) & ~Mask));
+}
+inline bool select(bool C, bool T, bool F) { return (C & T) | (!C & F); }
+inline bool both(bool L, bool R) { return L & R; }
+inline bool either(bool L, bool R) { return L | R; }
+
 /// Calls \p V with the function object of \p Op and returns its result.
 template <typename Visitor>
 decltype(auto) visitBinary(BinaryOp Op, Visitor &&V) {

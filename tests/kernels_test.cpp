@@ -5,12 +5,14 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// Three properties per kernel, swept over all 22:
+// Four properties per kernel, swept over all 22:
 //   1. divide-and-conquer (leaf + join over any split tree) reproduces the
 //      sequential baseline's output, on random data and adversarial splits;
 //   2. the sequential baseline agrees with the interpreted benchmark loop
 //      (i.e. the native code really implements the Table-1 benchmark);
-//   3. the lifted leaf keeps every original variable in its slot.
+//   3. the lifted leaf keeps every original variable in its slot;
+//   4. the leaf's split into chains joined by the synthesized join agrees
+//      with the sequential loop on every short sub-range.
 //
 //===----------------------------------------------------------------------===//
 
@@ -130,6 +132,34 @@ TEST_P(KernelSweep, LeafKeepsEveryOriginalSlot) {
     for (size_t Slot = 0; Slot != Originals; ++Slot)
       EXPECT_EQ(Leaf.V[Slot], Seq.V[Slot])
           << K.Name << " slot " << Slot << " N=" << N;
+  }
+}
+
+// A leaf runs its range as interleaved chains over contiguous sub-ranges and
+// joins them; a range too short to give every chain an element runs as one
+// chain. Every length 0-19 covers each remainder of the split and the
+// too-short path, and the offsets check that each chain starts at its own
+// sub-range: the leaf over [First, First + Len) must agree with the
+// sequential loop over the same elements on every original variable.
+TEST_P(KernelSweep, LeafMatchesSequentialOnEverySubRange) {
+  const NativeKernel &K = nativeKernels()[GetParam()];
+  const size_t Originals =
+      parseBenchmark(*findBenchmark(K.Name)).Equations.size();
+  constexpr size_t Total = 64;
+  for (uint64_t Seed = 1; Seed != 4; ++Seed) {
+    std::vector<int64_t> A = generateInput(K.Kind, Total, GetParam() + Seed);
+    std::vector<int64_t> B = generateInput(K.Kind, Total, ~Seed);
+    const int64_t *PB = K.TwoSequences ? B.data() : nullptr;
+    for (size_t First : {0, 1, 2, 3, 5, 23, 44})
+      for (size_t Len = 0; Len != 20; ++Len) {
+        KState Seq = K.Sequential(A.data() + First,
+                                  PB ? PB + First : nullptr, Len);
+        KState Leaf = K.Leaf(A.data(), PB, First, First + Len);
+        for (size_t Slot = 0; Slot != Originals; ++Slot)
+          ASSERT_EQ(Leaf.V[Slot], Seq.V[Slot])
+              << K.Name << " slot " << Slot << " first=" << First
+              << " len=" << Len << " seed=" << Seed;
+      }
   }
 }
 

@@ -6,8 +6,10 @@
 # perfbench project in Release and requires a short quick-loops run of
 # the repository benchmark to report a correct result.
 #
-# Usage: tools/ci/bench_report.sh [build-dir]
-#   (default build dir: build-bench)
+# Usage: tools/ci/bench_report.sh [build-dir] [baseline]
+#   (default build dir: build-bench). baseline: the perfbench output of
+#   the same quick-loops run at the parent commit; tools/ci/bench_diff.py
+#   then prints every metric of the two runs side by side.
 #
 # Environment: PARSYNT_FIG8_ELEMS / PARSYNT_FIG8_THREADS pass through to
 # the Figure-8 harness; CI boxes with few cores should set a reduced
@@ -16,7 +18,7 @@
 set -euo pipefail
 
 if [[ "${1:-}" == -* ]]; then
-  sed -n '2,14p' "$0" | sed 's/^# \{0,1\}//'
+  sed -n '2,17p' "$0" | sed 's/^# \{0,1\}//'
   exit 2
 fi
 
@@ -84,5 +86,9 @@ assert result["correct"] is True, f"{path}: perfbench quick-loops is not correct
 print(f"{path}: perfbench quick-loops correct "
       f"({result['attempted']} operations)")
 EOF
+
+if [[ -n "${2:-}" ]]; then
+  python3 tools/ci/bench_diff.py "$2" "${BUILD}/perfbench-quick-loops.txt"
+fi
 
 echo "bench_report.sh: reports archived"
