@@ -15,10 +15,13 @@
 #include "interp/Interp.h"
 #include "lift/Unfold.h"
 #include "normalize/Normalizer.h"
+#include "pipeline/Parallelizer.h"
+#include "proof/ProofCheck.h"
 #include "runtime/ParallelReduce.h"
 #include "suite/Benchmarks.h"
 #include "suite/Kernels.h"
 #include "synth/Enumerator.h"
+#include "synth/HomOracle.h"
 #include "synth/JoinSynth.h"
 
 #include <benchmark/benchmark.h>
@@ -98,6 +101,41 @@ void BM_SketchSearchMts(benchmark::State &State) {
       static_cast<double>(Assignments), benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_SketchSearchMts)->Unit(benchmark::kMillisecond)->UseRealTime();
+
+// The proof gate on mts-p's lifted loop and join, synthesized once before
+// timing: 800 sampled state pairs, each with one base and six step
+// obligations.
+void BM_ProofCheck(benchmark::State &State) {
+  PipelineResult P = parallelizeLoop(parseBenchmark(*findBenchmark("mts-p")));
+  if (!P.Success) {
+    State.SkipWithError("mts-p did not parallelize");
+    return;
+  }
+  for (auto _ : State) {
+    ProofReport R = checkHomomorphismProof(P.Final, P.Join.Components);
+    if (!R.Verified)
+      State.SkipWithError("mts-p's join failed its proof");
+    benchmark::DoNotOptimize(R);
+  }
+}
+BENCHMARK(BM_ProofCheck)->Unit(benchmark::kMillisecond);
+
+// The oracle on mts's lifted loop: building the initial test set, then one
+// CEGIS validation of the synthesized join that passes all 400 rounds.
+void BM_OracleBuild(benchmark::State &State) {
+  PipelineResult P = parallelizeLoop(parseBenchmark(*findBenchmark("mts")));
+  if (!P.Success) {
+    State.SkipWithError("mts did not parallelize");
+    return;
+  }
+  for (auto _ : State) {
+    HomOracle Oracle(P.Final);
+    if (Oracle.findCounterexample(P.Join.Components, 400))
+      State.SkipWithError("mts's join has a counterexample");
+    benchmark::DoNotOptimize(Oracle.tests().data());
+  }
+}
+BENCHMARK(BM_OracleBuild)->Unit(benchmark::kMillisecond);
 
 void BM_NormalizeMtsUnfolding(benchmark::State &State) {
   ExprRef U = unknownVar("mts@0");

@@ -19,8 +19,7 @@ template <typename RawAt>
 StateTuple stateOf(const std::vector<Type> &Types, RawAt Raw) {
   StateTuple State;
   for (size_t I = 0; I != Types.size(); ++I)
-    State.push_back(Types[I] == Type::Int ? Value::ofInt(Raw(I))
-                                          : Value::ofBool(Raw(I) != 0));
+    State.push_back(Value::ofRaw(Types[I], Raw(I)));
   return State;
 }
 
@@ -94,46 +93,53 @@ StateTuple CompiledLoop::run(const StateTuple &State, const SeqEnv &Seqs,
     assert(Column.size() >= size_t(End) && "sequence shorter than the range");
     Columns.push_back(Column.data() + Begin);
   }
-  return iterate(State, std::move(Columns), 1, Begin, End, Params);
+  return iterate(State, std::move(Columns), Begin, End, Params);
 }
 
-StateTuple CompiledLoop::step(const StateTuple &State,
-                              const std::vector<Value> &Elements,
-                              int64_t Index, const Env &Params) const {
-  assert(Elements.size() == SeqNames.size() && "one element per sequence");
-  std::vector<const Value *> Columns;
-  for (const Value &Element : Elements)
-    Columns.push_back(&Element);
-  return iterate(State, std::move(Columns), 0, Index, Index + 1, Params);
-}
-
-void CompiledLoop::runRaw(const int64_t *Row, size_t Length,
-                          int64_t *Out) const {
-  const size_t N = Types.size(), NumParams = ParamNames.size();
-  std::vector<int64_t> Regs = Init.makeRegisters();
-  std::copy_n(Row, NumParams, Regs.begin() + N + 1);
-  Init.run(Regs.data());
+void CompiledLoop::initRaw(const int64_t *Params, int64_t *Out,
+                           Registers &Regs) const {
+  const size_t N = Types.size();
+  std::copy_n(Params, ParamNames.size(), Regs.Init.begin() + N + 1);
+  Init.run(Regs.Init.data());
   for (size_t I = 0; I != N; ++I)
-    Out[I] = Init.result(Regs.data(), I);
-  Regs = Update.makeRegisters();
-  std::copy_n(Out, N, Regs.begin());
-  std::copy_n(Row, NumParams, Regs.begin() + N + 1);
+    Out[I] = Init.result(Regs.Init.data(), I);
+}
+
+void CompiledLoop::stepRaw(const int64_t *State, const int64_t *Row,
+                           int64_t Index, int64_t *Out,
+                           Registers &Regs) const {
+  const size_t N = Types.size();
+  int64_t *R = Regs.Update.data();
+  std::copy_n(State, N, R);
+  R[N] = Index;
+  std::copy_n(Row, ParamNames.size() + SeqNames.size(), R + N + 1);
+  Update.run(R);
+  for (size_t I = 0; I != N; ++I)
+    Out[I] = Update.result(R, I);
+}
+
+void CompiledLoop::runRaw(const int64_t *Row, size_t Length, int64_t *Out,
+                          Registers &Regs) const {
+  const size_t N = Types.size(), NumParams = ParamNames.size();
+  initRaw(Row, Out, Regs);
+  int64_t *R = Regs.Update.data();
+  std::copy_n(Row, NumParams, R + N + 1);
   const int64_t *Elements = Row + NumParams;
   for (size_t J = 0; J != Length; ++J) {
-    Regs[N] = static_cast<int64_t>(J);
+    std::copy_n(Out, N, R);
+    R[N] = static_cast<int64_t>(J);
     for (size_t K = 0; K != SeqNames.size(); ++K)
-      Regs[N + 1 + NumParams + K] = Elements[K * Length + J];
-    Update.run(Regs.data());
+      R[N + 1 + NumParams + K] = Elements[K * Length + J];
+    Update.run(R);
     Out += N;
     for (size_t I = 0; I != N; ++I)
-      Out[I] = Update.result(Regs.data(), I);
-    std::copy_n(Out, N, Regs.begin());
+      Out[I] = Update.result(R, I);
   }
 }
 
 StateTuple CompiledLoop::iterate(const StateTuple &State,
                                  std::vector<const Value *> Columns,
-                                 size_t Stride, int64_t Begin, int64_t End,
+                                 int64_t Begin, int64_t End,
                                  const Env &Params) const {
   assert(State.size() == Types.size() && "state arity mismatch");
   const size_t N = Types.size();
@@ -144,10 +150,8 @@ StateTuple CompiledLoop::iterate(const StateTuple &State,
                                  Params, Regs.data() + N + 1);
   for (int64_t Index = Begin; Index < End; ++Index) {
     Regs[N] = Index;
-    for (size_t K = 0; K != Columns.size(); ++K) {
-      Elements[K] = Columns[K]->raw();
-      Columns[K] += Stride;
-    }
+    for (size_t K = 0; K != Columns.size(); ++K)
+      Elements[K] = (Columns[K]++)->raw();
     // Every update reads the start-of-iteration state: all of them are
     // computed before any state register is overwritten.
     Update.run(Regs.data());
@@ -158,7 +162,7 @@ StateTuple CompiledLoop::iterate(const StateTuple &State,
   return stateOf(Types, [&](size_t I) { return Regs[I]; });
 }
 
-JoinLayout::JoinLayout(const Loop &L) {
+JoinLayout::JoinLayout(const Loop &L) : NumStates(L.Equations.size()) {
   for (const Equation &Eq : L.Equations) {
     Names.push_back(splitName(Eq.Name, Side::Left));
     Names.push_back(splitName(Eq.Name, Side::Right));
@@ -182,6 +186,15 @@ void JoinLayout::writeRow(const StateTuple &Left, const StateTuple &Right,
     *Out++ = Right[I].raw();
   }
   loadParams(Names.begin() + 2 * Left.size(), Names.end(), Params, Out);
+}
+
+void JoinLayout::writeRow(const int64_t *Left, const int64_t *Right,
+                          const int64_t *Params, int64_t *Out) const {
+  for (size_t I = 0; I != NumStates; ++I) {
+    *Out++ = Left[I];
+    *Out++ = Right[I];
+  }
+  std::copy_n(Params, Names.size() - 2 * NumStates, Out);
 }
 
 CompiledJoin::CompiledJoin(const JoinLayout &Layout,
@@ -222,6 +235,13 @@ StateTuple parsynt::runLoopRange(const Loop &L, StateTuple State,
 StateTuple parsynt::runLoop(const Loop &L, const SeqEnv &Seqs,
                             const Env &Params) {
   return CompiledLoop(L).run(Seqs, Params);
+}
+
+StateTuple parsynt::rawToState(const Loop &L, const int64_t *Raw) {
+  StateTuple State;
+  for (size_t I = 0; I != L.Equations.size(); ++I)
+    State.push_back(Value::ofRaw(L.Equations[I].Ty, Raw[I]));
+  return State;
 }
 
 Env parsynt::stateToEnv(const Loop &L, const StateTuple &State) {

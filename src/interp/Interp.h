@@ -44,9 +44,24 @@ using StateTuple = std::vector<Value>;
 /// in equation order, the loop index, the parameters in declaration order,
 /// and the current element of each sequence in declaration order. The
 /// initial values and the updates are one program each.
+///
+/// The raw calls take their inputs as rows: a row holds the parameters in
+/// declaration order, then the elements of each sequence in declaration
+/// order (all of one sequence, then all of the next). They write raw states
+/// (equation order, bools as 0/1) and run in a caller-owned register file,
+/// so a caller that samples many inputs allocates nothing per sample.
 class CompiledLoop {
 public:
   explicit CompiledLoop(const Loop &L);
+
+  /// The register files of the raw calls: one per program. Make one with
+  /// makeRegisters() per thread and reuse it across calls.
+  struct Registers {
+    std::vector<int64_t> Init, Update;
+  };
+  Registers makeRegisters() const {
+    return {Init.makeRegisters(), Update.makeRegisters()};
+  }
 
   /// The initial state under parameter bindings \p Params.
   StateTuple initialState(const Env &Params) const;
@@ -55,23 +70,26 @@ public:
   /// Runs the iterations [Begin, End) over \p Seqs from \p State.
   StateTuple run(const StateTuple &State, const SeqEnv &Seqs, int64_t Begin,
                  int64_t End, const Env &Params) const;
-  /// Runs one iteration at index \p Index whose element of sequence K is
-  /// \p Elements[K].
-  StateTuple step(const StateTuple &State, const std::vector<Value> &Elements,
-                  int64_t Index, const Env &Params) const;
-  /// The raw form, for callers that keep their inputs in rows: \p Row holds
-  /// the parameters in declaration order, then the \p Length elements of
-  /// each sequence in declaration order. Runs the whole row from the
-  /// initial state and writes the raw state after 0..Length iterations to
-  /// \p Out, one state (equation order) per iteration count.
-  void runRaw(const int64_t *Row, size_t Length, int64_t *Out) const;
+  /// The raw initial state under the raw parameters \p Params (declaration
+  /// order), written to \p Out.
+  void initRaw(const int64_t *Params, int64_t *Out, Registers &Regs) const;
+  /// One iteration at index \p Index from the raw state \p State, on a row
+  /// of length 1 (the parameters, then one element per sequence); writes the
+  /// next state to \p Out, which may be \p State.
+  void stepRaw(const int64_t *State, const int64_t *Row, int64_t Index,
+               int64_t *Out, Registers &Regs) const;
+  /// fE over a row of \p Length elements per sequence: writes the raw
+  /// state after 0..Length iterations to \p Out, one state per iteration
+  /// count.
+  void runRaw(const int64_t *Row, size_t Length, int64_t *Out,
+              Registers &Regs) const;
 
 private:
   /// Runs the iterations [Begin, End) from \p State; Columns[K] points at
-  /// the element of sequence K at Begin and moves \p Stride per iteration.
+  /// the element of sequence K at Begin.
   StateTuple iterate(const StateTuple &State,
-                     std::vector<const Value *> Columns, size_t Stride,
-                     int64_t Begin, int64_t End, const Env &Params) const;
+                     std::vector<const Value *> Columns, int64_t Begin,
+                     int64_t End, const Env &Params) const;
 
   std::vector<Type> Types;
   std::vector<std::string> ParamNames, SeqNames;
@@ -93,8 +111,13 @@ public:
   /// \p Out.
   void writeRow(const StateTuple &Left, const StateTuple &Right,
                 const Env &Params, int64_t *Out) const;
+  /// The raw form: \p Left and \p Right are raw states, \p Params the raw
+  /// parameters in declaration order.
+  void writeRow(const int64_t *Left, const int64_t *Right,
+                const int64_t *Params, int64_t *Out) const;
 
 private:
+  size_t NumStates;
   std::vector<std::string> Names;
 };
 
@@ -132,6 +155,9 @@ StateTuple runLoopRange(const Loop &L, StateTuple State, const SeqEnv &Seqs,
 
 /// Computes fE over the full sequences.
 StateTuple runLoop(const Loop &L, const SeqEnv &Seqs, const Env &Params = {});
+
+/// Boxes the raw state \p Raw of \p L (equation order).
+StateTuple rawToState(const Loop &L, const int64_t *Raw);
 
 /// Converts a state tuple to an environment keyed by state-variable name.
 Env stateToEnv(const Loop &L, const StateTuple &State);

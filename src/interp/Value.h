@@ -41,6 +41,12 @@ public:
     return Result;
   }
 
+  /// The value of type \p Ty whose raw payload is \p Raw (bools: nonzero
+  /// is true).
+  static Value ofRaw(Type Ty, int64_t Raw) {
+    return Ty == Type::Int ? ofInt(Raw) : ofBool(Raw != 0);
+  }
+
   Type type() const { return Ty; }
   int64_t asInt() const {
     assert(Ty == Type::Int && "not an int");

@@ -302,13 +302,14 @@ bool Lifter::validateAccumulator(const ExprRef &G, const ExprRef &C,
   Loop Candidate = Work;
   Candidate.Equations.push_back({"?aux", Part->type(), C, G});
   const CompiledLoop Code(Candidate);
+  CompiledLoop::Registers Regs = Code.makeRegisters();
   const size_t Width = Candidate.Equations.size();
   std::vector<int64_t> States((K + 1) * Width);
   // AuxAt[J * Frames.size() + F]: the accumulator after J iterations of
   // frame F.
   std::vector<int64_t> AuxAt((K + 1) * Frames.size());
   for (size_t F = 0; F != Frames.size(); ++F) {
-    Code.runRaw(Frames.row(F), K, States.data());
+    Code.runRaw(Frames.row(F), K, States.data(), Regs);
     for (unsigned J = 0; J <= K; ++J)
       AuxAt[J * Frames.size() + F] = States[J * Width + Width - 1];
   }

@@ -77,56 +77,86 @@ parsynt::checkHomomorphismProof(const Loop &L,
   Rng R(Seed);
   std::vector<int64_t> Pool = elementPool(L);
   const CompiledLoop Code(L);
-  const CompiledJoin Joiner(JoinLayout(L), Join);
+  const JoinLayout Layout(L);
+  const CompiledJoin Joiner(Layout, Join);
 
-  // Sample reachable states: (state after a random prefix, its prefix
-  // length, parameters used). States must be generated and compared under
-  // consistent parameter bindings, so parameters are drawn per sample pair.
+  // Every sample lives in raw rows (bools as 0/1) and every obligation runs
+  // in these register files; values are boxed only to render a witness.
+  const size_t N = L.Equations.size(), NumParams = L.Params.size(),
+               NumSeqs = L.Sequences.size();
+  assert(Join.size() == N && "one join component per state variable");
+  CompiledLoop::Registers Regs = Code.makeRegisters();
+  std::vector<int64_t> JoinRegs = Joiner.makeRegisters();
+  // A sample's row: the parameters, then each sequence's prefix. The step
+  // row is the same parameters and one element per sequence.
+  std::vector<int64_t> Row(NumParams + NumSeqs * MaxPrefixLen),
+      StepRow(NumParams + NumSeqs), States((MaxPrefixLen + 1) * N),
+      JoinRow(Layout.width());
+
+  // Reachable-state samples: the state after a random prefix, and the
+  // prefix length. States must be generated and compared under consistent
+  // parameter bindings, so parameters are drawn per sample pair (into both
+  // rows' leading words).
   struct Sample {
-    StateTuple State;
-    size_t PrefixLen;
-    Env Params;
+    std::vector<int64_t> State;
+    size_t PrefixLen = 0;
   };
-  auto drawSample = [&](const Env &Params) {
+  auto drawSample = [&](Sample &Out) {
     size_t Len = static_cast<size_t>(R.intIn(0, MaxPrefixLen));
-    SeqEnv Seqs;
-    for (const SeqDecl &S : L.Sequences) {
-      std::vector<Value> Elems;
+    for (size_t K = 0; K != NumSeqs; ++K)
       for (size_t I = 0; I != Len; ++I)
-        Elems.push_back(Value::ofInt(Pool[R.index(Pool.size())]));
-      Seqs[S.Name] = std::move(Elems);
-    }
-    return Sample{Code.run(Seqs, Params), Len, Params};
+        Row[NumParams + K * Len + I] = Pool[R.index(Pool.size())];
+    Code.runRaw(Row.data(), Len, States.data(), Regs);
+    Out.State.assign(States.begin() + Len * N, States.begin() + (Len + 1) * N);
+    Out.PrefixLen = Len;
   };
-
   auto drawParams = [&]() {
-    Env Params;
-    for (const ParamDecl &P : L.Params)
-      Params[P.Name] = P.Ty == Type::Int ? Value::ofInt(R.intIn(-3, 3))
-                                         : Value::ofBool(R.flip());
-    return Params;
+    for (size_t P = 0; P != NumParams; ++P)
+      Row[P] = StepRow[P] =
+          L.Params[P].Ty == Type::Int ? R.intIn(-3, 3) : R.flip();
   };
-
+  // join(Left, Right) under the drawn parameters, into \p Out.
+  auto join = [&](const int64_t *Left, const int64_t *Right, int64_t *Out) {
+    Layout.writeRow(Left, Right, Row.data(), JoinRow.data());
+    Joiner.eval(JoinRow.data(), JoinRegs.data());
+    for (size_t I = 0; I != N; ++I)
+      Out[I] = Joiner.value(JoinRegs.data(), I);
+  };
+  // A join component equals a state value when both its type and its
+  // payload do.
+  auto differs = [&](size_t I, int64_t Joined, int64_t Stepped) {
+    return Join[I]->type() != L.Equations[I].Ty || Joined != Stepped;
+  };
+  auto joinedStr = [&](size_t I, int64_t Raw) {
+    return Value::ofRaw(Join[I]->type(), Raw).str();
+  };
+  auto stateStr = [&](const std::vector<int64_t> &State) {
+    return stateToString(L, rawToState(L, State.data()));
+  };
   auto fail = [&](const char *Obligation, size_t Component,
                   const std::string &Details) {
     Report.Failure = ProofFailure{Obligation, L.Equations[Component].Name,
                                   Details};
   };
 
-  for (unsigned N = 0; N != StateSamples && !Report.Failure; ++N) {
-    Env Params = drawParams();
-    Sample U = drawSample(Params);
-    Sample V = drawSample(Params);
-    StateTuple Init = Code.initialState(Params);
+  Sample U, V;
+  std::vector<int64_t> Init(N), Base(N), StepV(N), Lhs(N), JoinedUV(N),
+      Rhs(N);
+  for (unsigned Sampled = 0; Sampled != StateSamples && !Report.Failure;
+       ++Sampled) {
+    drawParams();
+    drawSample(U);
+    drawSample(V);
+    Code.initRaw(Row.data(), Init.data(), Regs);
 
     // Base: join(u, init) == u.
-    StateTuple Base = Joiner.apply(U.State, Init, Params);
+    join(U.State.data(), Init.data(), Base.data());
     ++Report.BaseChecks;
-    for (size_t I = 0; I != Base.size(); ++I) {
-      if (Base[I] != U.State[I]) {
+    for (size_t I = 0; I != N; ++I) {
+      if (differs(I, Base[I], U.State[I])) {
         fail("base", I,
-             "u = {" + stateToString(L, U.State) + "}, join(u, init) gave " +
-                 Base[I].str());
+             "u = {" + stateStr(U.State) + "}, join(u, init) gave " +
+                 joinedStr(I, Base[I]));
         break;
       }
     }
@@ -137,29 +167,29 @@ parsynt::checkHomomorphismProof(const Loop &L,
     // seen by the step is v's own local position (|t'|); the loops in this
     // model read the index only through the materialized position
     // accumulator, so any index value yields the same result — the local
-    // one is used for fidelity.
+    // one is used for fidelity. The joined state stands for the run over
+    // x • t'; its step index is |x| + |t'|.
+    join(U.State.data(), V.State.data(), JoinedUV.data());
+    const int64_t Index = static_cast<int64_t>(V.PrefixLen);
+    const int64_t JoinedIndex =
+        static_cast<int64_t>(U.PrefixLen + V.PrefixLen);
     for (unsigned EIdx = 0; EIdx != ElementsPerPair; ++EIdx) {
-      std::vector<Value> Elems;
-      for (size_t K = 0; K != L.Sequences.size(); ++K)
-        Elems.push_back(Value::ofInt(Pool[R.index(Pool.size())]));
-      int64_t Index = static_cast<int64_t>(V.PrefixLen);
-      StateTuple Lhs = Joiner.apply(
-          U.State, Code.step(V.State, Elems, Index, Params), Params);
-      StateTuple JoinedUV = Joiner.apply(U.State, V.State, Params);
-      // The joined state stands for the run over x • t'; its step index is
-      // |x| + |t'|.
-      int64_t JoinedIndex =
-          static_cast<int64_t>(U.PrefixLen + V.PrefixLen);
-      StateTuple Rhs = Code.step(JoinedUV, Elems, JoinedIndex, Params);
+      for (size_t K = 0; K != NumSeqs; ++K)
+        StepRow[NumParams + K] = Pool[R.index(Pool.size())];
+      Code.stepRaw(V.State.data(), StepRow.data(), Index, StepV.data(), Regs);
+      join(U.State.data(), StepV.data(), Lhs.data());
+      Code.stepRaw(JoinedUV.data(), StepRow.data(), JoinedIndex, Rhs.data(),
+                   Regs);
       ++Report.StepChecks;
-      for (size_t I = 0; I != Lhs.size(); ++I) {
-        if (Lhs[I] != Rhs[I]) {
+      for (size_t I = 0; I != N; ++I) {
+        if (differs(I, Lhs[I], Rhs[I])) {
           std::ostringstream OS;
-          OS << "u = {" << stateToString(L, U.State) << "}, v = {"
-             << stateToString(L, V.State) << "}, a = ";
-          for (size_t K = 0; K != Elems.size(); ++K)
-            OS << L.Sequences[K].Name << ":" << Elems[K].str() << " ";
-          OS << "-> lhs " << Lhs[I].str() << " vs rhs " << Rhs[I].str();
+          OS << "u = {" << stateStr(U.State) << "}, v = {"
+             << stateStr(V.State) << "}, a = ";
+          for (size_t K = 0; K != NumSeqs; ++K)
+            OS << L.Sequences[K].Name << ":" << StepRow[NumParams + K] << " ";
+          OS << "-> lhs " << joinedStr(I, Lhs[I]) << " vs rhs "
+             << Value::ofRaw(L.Equations[I].Ty, Rhs[I]).str();
           fail("step", I, OS.str());
           break;
         }

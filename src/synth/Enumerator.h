@@ -13,9 +13,10 @@
 /// term size, which realizes the paper's "expression depth d is gradually
 /// increased until a solution is found" as iterative deepening on size.
 ///
-/// The enumerator fills three roles: the per-hole candidate pools of the
-/// sketch search, the free-grammar fallback of Section 6.3, and the
-/// accumulator-update search of the lifting algorithm.
+/// The enumerator fills two roles, both in join synthesis: the per-hole
+/// candidate pools of the sketch search, and the free-grammar fallback of
+/// Section 6.3. Lifting does not enumerate: it derives each accumulator's
+/// update by folding its normalized unfoldings back (lift/Lift.h).
 ///
 //===----------------------------------------------------------------------===//
 

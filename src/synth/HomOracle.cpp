@@ -29,16 +29,6 @@ constexpr unsigned RandomLen = 5;
 constexpr size_t MaxTests = 300;
 constexpr uint64_t Seed = 0x5eed;
 
-/// Concatenates the per-sequence contents of two chunks.
-SeqEnv concatSeqs(const SeqEnv &A, const SeqEnv &B) {
-  SeqEnv Result = A;
-  for (const auto &[Name, Values] : B) {
-    auto &Out = Result[Name];
-    Out.insert(Out.end(), Values.begin(), Values.end());
-  }
-  return Result;
-}
-
 } // namespace
 
 HomOracle::HomOracle(const Loop &L, Deadline Timeout)
@@ -77,17 +67,99 @@ HomOracle::HomOracle(const Loop &L, Deadline Timeout)
   buildInitialTests();
 }
 
-JoinExample HomOracle::makeExample(const SeqEnv &LeftSeqs,
-                                   const SeqEnv &RightSeqs,
-                                   const Env &Params) const {
+struct HomOracle::RawExample {
+  explicit RawExample(const HomOracle &O)
+      : Params(O.L.Params.size()), JoinRow(O.Layout.width()),
+        Regs(O.Code.makeRegisters()) {}
+
+  /// The chunk lengths |x| and |y|.
+  size_t LeftLen = 0, RightLen = 0;
+  /// The parameters in declaration order, and the chunks: Left[K * LeftLen
+  /// + J] is element J of sequence K in x, and likewise for y.
+  std::vector<int64_t> Params, Left, Right;
+  /// The rows of x • y and of y for CompiledLoop::runRaw, and the states
+  /// it wrote after every iteration.
+  std::vector<int64_t> WholeRow, RightRow, WholeStates, RightStates;
+  /// The join row of (fE(x), fE(y)), written by evaluate().
+  std::vector<int64_t> JoinRow;
+  CompiledLoop::Registers Regs;
+
+  /// fE(x), fE(y) and fE(x • y) after evaluate(), for \p N state variables.
+  const int64_t *left(size_t N) const {
+    return WholeStates.data() + LeftLen * N;
+  }
+  const int64_t *right(size_t N) const {
+    return RightStates.data() + RightLen * N;
+  }
+  const int64_t *expected(size_t N) const {
+    return WholeStates.data() + (LeftLen + RightLen) * N;
+  }
+};
+
+void HomOracle::drawRandom(unsigned MaxLen, const std::vector<int64_t> &From,
+                           RawExample &Ex) {
+  Ex.LeftLen = static_cast<size_t>(R.intIn(0, MaxLen));
+  Ex.RightLen = static_cast<size_t>(R.intIn(0, MaxLen));
+  for (size_t P = 0; P != L.Params.size(); ++P)
+    Ex.Params[P] = L.Params[P].Ty == Type::Int ? R.intIn(-3, 3) : R.flip();
+  auto drawChunk = [&](std::vector<int64_t> &Chunk, size_t Len) {
+    Chunk.resize(L.Sequences.size() * Len);
+    for (int64_t &Element : Chunk)
+      Element = From[R.index(From.size())];
+  };
+  // The right chunk is drawn first: the test set, and with it every join
+  // and search counter, was fixed in this order.
+  drawChunk(Ex.Right, Ex.RightLen);
+  drawChunk(Ex.Left, Ex.LeftLen);
+}
+
+void HomOracle::evaluate(RawExample &Ex) const {
+  const size_t N = L.Equations.size();
+  // One run over x • y yields fE(x) after |x| iterations and fE(x • y)
+  // after all of them; a second run over y yields fE(y).
+  Ex.WholeRow = Ex.Params;
+  Ex.RightRow = Ex.Params;
+  for (size_t K = 0; K != L.Sequences.size(); ++K) {
+    auto X = Ex.Left.begin() + K * Ex.LeftLen;
+    auto Y = Ex.Right.begin() + K * Ex.RightLen;
+    Ex.WholeRow.insert(Ex.WholeRow.end(), X, X + Ex.LeftLen);
+    Ex.WholeRow.insert(Ex.WholeRow.end(), Y, Y + Ex.RightLen);
+    Ex.RightRow.insert(Ex.RightRow.end(), Y, Y + Ex.RightLen);
+  }
+  Ex.WholeStates.resize((Ex.LeftLen + Ex.RightLen + 1) * N);
+  Ex.RightStates.resize((Ex.RightLen + 1) * N);
+  Code.runRaw(Ex.WholeRow.data(), Ex.LeftLen + Ex.RightLen,
+              Ex.WholeStates.data(), Ex.Regs);
+  Code.runRaw(Ex.RightRow.data(), Ex.RightLen, Ex.RightStates.data(), Ex.Regs);
+  Layout.writeRow(Ex.left(N), Ex.right(N), Ex.Params.data(), Ex.JoinRow.data());
+}
+
+JoinExample HomOracle::box(const RawExample &Ex) const {
+  const size_t N = L.Equations.size();
   JoinExample Example;
-  Example.LeftSeqs = LeftSeqs;
-  Example.RightSeqs = RightSeqs;
-  Example.Params = Params;
-  Example.Left = Code.run(LeftSeqs, Params);
-  Example.Right = Code.run(RightSeqs, Params);
-  Example.Expected = Code.run(concatSeqs(LeftSeqs, RightSeqs), Params);
+  Example.Left = rawToState(L, Ex.left(N));
+  Example.Right = rawToState(L, Ex.right(N));
+  Example.Expected = rawToState(L, Ex.expected(N));
+  for (size_t P = 0; P != L.Params.size(); ++P)
+    Example.Params[L.Params[P].Name] =
+        Value::ofRaw(L.Params[P].Ty, Ex.Params[P]);
+  for (size_t K = 0; K != L.Sequences.size(); ++K) {
+    auto boxChunk = [&](const std::vector<int64_t> &Chunk, size_t Len) {
+      std::vector<Value> Values;
+      Values.reserve(Len);
+      for (size_t J = 0; J != Len; ++J)
+        Values.push_back(Value::ofInt(Chunk[K * Len + J]));
+      return Values;
+    };
+    Example.LeftSeqs[L.Sequences[K].Name] = boxChunk(Ex.Left, Ex.LeftLen);
+    Example.RightSeqs[L.Sequences[K].Name] = boxChunk(Ex.Right, Ex.RightLen);
+  }
   return Example;
+}
+
+void HomOracle::keep(const RawExample &Ex) {
+  Rows.insert(Rows.end(), Ex.JoinRow.begin(), Ex.JoinRow.end());
+  Tests.push_back(box(Ex));
 }
 
 void HomOracle::buildInitialTests() {
@@ -97,15 +169,15 @@ void HomOracle::buildInitialTests() {
     const std::vector<JoinExample> &Tests;
     ~TestFinisher() { S.attr("tests", uint64_t(Tests.size())); }
   } Finish{TestSpan, Tests};
-  // Parameter bindings: a few fixed draws reused across the exhaustive part
-  // so parameterized loops (poly) see more than one evaluation point.
-  std::vector<Env> ParamDraws;
-  for (int Draw = 0; Draw != 3; ++Draw) {
-    Env P;
+  // Parameter bindings (raw, in declaration order): a few fixed draws
+  // reused across the exhaustive part so parameterized loops (poly) see
+  // more than one evaluation point.
+  std::vector<std::vector<int64_t>> ParamDraws;
+  for (int Binding = 0; Binding != 3; ++Binding) {
+    std::vector<int64_t> P;
     for (const ParamDecl &Param : L.Params)
-      P[Param.Name] = Param.Ty == Type::Int
-                          ? Value::ofInt(Draw == 0 ? 2 : R.intIn(-3, 3))
-                          : Value::ofBool(R.flip());
+      P.push_back(Param.Ty == Type::Int ? (Binding == 0 ? 2 : R.intIn(-3, 3))
+                                        : R.flip());
     ParamDraws.push_back(std::move(P));
     if (L.Params.empty())
       break;
@@ -139,19 +211,16 @@ void HomOracle::buildInitialTests() {
     TierBegin = TierEnd;
   }
 
-  auto chunkToSeqs = [&](const std::vector<int64_t> &Chunk) {
-    SeqEnv Seqs;
-    for (const SeqDecl &S : L.Sequences) {
-      std::vector<Value> Values;
-      Values.reserve(Chunk.size());
-      for (int64_t V : Chunk)
-        Values.push_back(Value::ofInt(V));
-      Seqs[S.Name] = std::move(Values);
-    }
-    return Seqs;
+  RawExample Ex(*this);
+  // Every sequence of a chunk pair gets the same contents.
+  auto setChunk = [&](std::vector<int64_t> &Out, size_t &Len,
+                      const std::vector<int64_t> &Chunk) {
+    Len = Chunk.size();
+    Out.clear();
+    for (size_t K = 0; K != L.Sequences.size(); ++K)
+      Out.insert(Out.end(), Chunk.begin(), Chunk.end());
   };
-
-  Env P0 = ParamDraws.empty() ? Env() : ParamDraws.front();
+  Ex.Params = ParamDraws.front();
   // Stopping the test-set build early on deadline expiry is sound: the
   // bounded specification just gets weaker, and accepted joins still face
   // the CEGIS re-validation and the proof gate.
@@ -161,7 +230,10 @@ void HomOracle::buildInitialTests() {
     for (const auto &RightChunk : Chunks) {
       if (Tests.size() >= MaxTests)
         break;
-      addTest(makeExample(chunkToSeqs(LeftChunk), chunkToSeqs(RightChunk), P0));
+      setChunk(Ex.Left, Ex.LeftLen, LeftChunk);
+      setChunk(Ex.Right, Ex.RightLen, RightChunk);
+      evaluate(Ex);
+      keep(Ex);
     }
   }
 
@@ -173,41 +245,17 @@ void HomOracle::buildInitialTests() {
   for (unsigned T = 0; T != RandomTests && Tests.size() < MaxTests; ++T) {
     if (Timeout.expired())
       return;
-    Env P = ParamDraws.empty() ? Env()
-                               : ParamDraws[R.index(ParamDraws.size())];
+    const std::vector<int64_t> &P = ParamDraws[R.index(ParamDraws.size())];
     // Alternate the diffuse and the focused pool; focused draws use longer
     // chunks so multi-block patterns appear.
     bool UseFocused = T % 2 == 1;
-    JoinExample Example =
-        randomExample(UseFocused ? RandomLen + 3 : RandomLen,
-                      UseFocused ? Focused : Pool, R);
-    Example.Params = P;
-    // Recompute with the chosen parameters.
-    addTest(makeExample(Example.LeftSeqs, Example.RightSeqs, P));
+    drawRandom(UseFocused ? RandomLen + 3 : RandomLen,
+               UseFocused ? Focused : Pool, Ex);
+    // The test runs under the chosen binding, not the drawn one.
+    Ex.Params = P;
+    evaluate(Ex);
+    keep(Ex);
   }
-}
-
-JoinExample HomOracle::randomExample(unsigned MaxLen,
-                                     const std::vector<int64_t> &From,
-                                     Rng &Random) const {
-  auto randomSeqs = [&](size_t Len) {
-    SeqEnv Seqs;
-    for (const SeqDecl &S : L.Sequences) {
-      std::vector<Value> Values;
-      Values.reserve(Len);
-      for (size_t I = 0; I != Len; ++I)
-        Values.push_back(Value::ofInt(From[Random.index(From.size())]));
-      Seqs[S.Name] = std::move(Values);
-    }
-    return Seqs;
-  };
-  size_t LeftLen = static_cast<size_t>(Random.intIn(0, MaxLen));
-  size_t RightLen = static_cast<size_t>(Random.intIn(0, MaxLen));
-  Env Params;
-  for (const ParamDecl &Param : L.Params)
-    Params[Param.Name] = Param.Ty == Type::Int ? Value::ofInt(Random.intIn(-3, 3))
-                                               : Value::ofBool(Random.flip());
-  return makeExample(randomSeqs(LeftLen), randomSeqs(RightLen), Params);
 }
 
 std::vector<int64_t> HomOracle::column(const ExprRef &E) const {
@@ -244,6 +292,9 @@ HomOracle::findCounterexample(const std::vector<ExprRef> &Join,
   Wide.push_back(-23);
   Wide.push_back(100);
   const CompiledJoin Joiner(Layout, Join);
+  std::vector<int64_t> JoinRegs = Joiner.makeRegisters();
+  const size_t N = L.Equations.size();
+  RawExample Ex(*this);
   for (unsigned Round = 0; Round != Rounds; ++Round) {
     // Deadline expiry returns "no counterexample found"; callers that care
     // about the distinction re-check expired() — a timed-out validation
@@ -251,16 +302,15 @@ HomOracle::findCounterexample(const std::vector<ExprRef> &Join,
     if (Timeout.expired())
       return std::nullopt;
     unsigned MaxLen = 1 + Round % 12;
-    JoinExample Example =
-        randomExample(MaxLen, Round % 2 ? Focused : Wide, R);
-    StateTuple Joined =
-        Joiner.apply(Example.Left, Example.Right, Example.Params);
-    for (size_t I = 0; I != Join.size(); ++I) {
-      if (Joined[I].raw() != Example.Expected[I].raw()) {
+    drawRandom(MaxLen, Round % 2 ? Focused : Wide, Ex);
+    evaluate(Ex);
+    Joiner.eval(Ex.JoinRow.data(), JoinRegs.data());
+    for (size_t I = 0; I != N; ++I) {
+      if (Joiner.value(JoinRegs.data(), I) != Ex.expected(N)[I]) {
         CexSpan.attr("found", true);
         CexSpan.attr("at_round", uint64_t(Round));
         MetricsRegistry::global().counter("oracle.counterexamples").inc();
-        return Example;
+        return box(Ex);
       }
     }
   }

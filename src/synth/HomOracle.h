@@ -80,15 +80,21 @@ public:
   /// Appends a (counter)example to the test set.
   void addTest(JoinExample Example);
 
-  /// Creates one random example with the given chunk-length bound and
-  /// element pool.
-  JoinExample randomExample(unsigned MaxLen, const std::vector<int64_t> &From,
-                            Rng &R) const;
-
 private:
+  /// One example in raw form, and the buffers that evaluate it; made once
+  /// per public call and reused for every example it draws.
+  struct RawExample;
+  /// Draws the chunk lengths, parameters and elements of one random example
+  /// with chunks of at most \p MaxLen elements from \p From.
+  void drawRandom(unsigned MaxLen, const std::vector<int64_t> &From,
+                  RawExample &Ex);
+  /// Runs the loop on \p Ex's chunks: fills its three states and join row.
+  void evaluate(RawExample &Ex) const;
+  /// The boxed example of an evaluated \p Ex.
+  JoinExample box(const RawExample &Ex) const;
+  /// Appends the evaluated \p Ex to the test set.
+  void keep(const RawExample &Ex);
   void buildInitialTests();
-  JoinExample makeExample(const SeqEnv &LeftSeqs, const SeqEnv &RightSeqs,
-                          const Env &Params) const;
 
   const Loop &L;
   Deadline Timeout;

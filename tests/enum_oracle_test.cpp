@@ -5,6 +5,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "suite/Benchmarks.h"
 #include "synth/Enumerator.h"
 #include "synth/HomOracle.h"
 #include "synth/Sketch.h"
@@ -153,19 +154,52 @@ TEST(Sketch, HolesAreTyped) {
   EXPECT_EQ(S.Holes[0].Ty, Type::Bool);
 }
 
+/// Checks \p T of \p Oracle against the reference semantics: each state is
+/// the tree-walking run of its chunks, and \p Row is the test's join row.
+void expectMatchesReference(const HomOracle &Oracle, const JoinExample &T,
+                            const int64_t *Row) {
+  const Loop &L = Oracle.loop();
+  EXPECT_EQ(T.Left, referenceRunLoop(L, T.LeftSeqs, T.Params));
+  EXPECT_EQ(T.Right, referenceRunLoop(L, T.RightSeqs, T.Params));
+  SeqEnv Whole = T.LeftSeqs;
+  for (const auto &[Name, Values] : T.RightSeqs) {
+    auto &Out = Whole[Name];
+    Out.insert(Out.end(), Values.begin(), Values.end());
+  }
+  EXPECT_EQ(T.Expected, referenceRunLoop(L, Whole, T.Params));
+  const JoinLayout &Layout = Oracle.layout();
+  std::vector<int64_t> Boxed(Layout.width());
+  Layout.writeRow(T.Left, T.Right, T.Params, Boxed.data());
+  EXPECT_EQ(std::vector<int64_t>(Row, Row + Layout.width()), Boxed);
+}
+
+/// The join that keeps every left state: wrong for every loop whose state
+/// depends on its input.
+std::vector<ExprRef> leftOnlyJoin(const Loop &L) {
+  std::vector<ExprRef> Join;
+  for (const Equation &Eq : L.Equations)
+    Join.push_back(inputVar(splitName(Eq.Name, Side::Left), Eq.Ty));
+  return Join;
+}
+
+/// Every test is a point of the bounded specification: its states are the
+/// reference runs of its chunks and of their concatenation, on every
+/// Table-1 loop.
 TEST(Oracle, SpecMatchesDefinition) {
-  Loop L = mustParse("sum = 0;\n"
-                     "for (i = 0; i < |s|; i++) { sum = sum + s[i]; }");
-  HomOracle Oracle(L);
-  ASSERT_FALSE(Oracle.tests().empty());
-  for (const JoinExample &T : Oracle.tests()) {
-    // Expected really is fE(x • y).
-    SeqEnv Whole = T.LeftSeqs;
-    for (const auto &[Name, Values] : T.RightSeqs) {
-      auto &Out = Whole[Name];
-      Out.insert(Out.end(), Values.begin(), Values.end());
-    }
-    EXPECT_EQ(runLoop(L, Whole, T.Params), T.Expected);
+  for (const Benchmark &B : allBenchmarks()) {
+    SCOPED_TRACE(B.Name);
+    Loop L = parseBenchmark(B);
+    HomOracle Oracle(L);
+    ASSERT_FALSE(Oracle.tests().empty());
+    for (size_t T = 0; T != Oracle.tests().size(); ++T)
+      expectMatchesReference(Oracle, Oracle.tests()[T], Oracle.testRow(T));
+    // A returned counterexample is built the same way.
+    std::optional<JoinExample> Cex =
+        Oracle.findCounterexample(leftOnlyJoin(L), 50);
+    ASSERT_TRUE(Cex.has_value());
+    Oracle.addTest(*Cex);
+    size_t Last = Oracle.tests().size() - 1;
+    expectMatchesReference(Oracle, Oracle.tests()[Last], Oracle.testRow(Last));
   }
 }
 
@@ -180,6 +214,77 @@ TEST(Oracle, AcceptsCorrectRejectsWrong) {
 
   EXPECT_FALSE(Oracle.firstFailure(Good[0], 0).has_value());
   EXPECT_TRUE(Oracle.firstFailure(Bad[0], 0).has_value());
+}
+
+/// FNV-1a over the raw payloads of \p Values.
+uint64_t fnv(uint64_t Hash, const std::vector<Value> &Values) {
+  for (const Value &V : Values) {
+    Hash ^= static_cast<uint64_t>(V.raw());
+    Hash *= 0x100000001b3ull;
+  }
+  return Hash;
+}
+
+/// A digest of everything an example holds: chunks, parameters, states.
+uint64_t digest(uint64_t Hash, const JoinExample &T) {
+  for (const SeqEnv *Seqs : {&T.LeftSeqs, &T.RightSeqs})
+    for (const auto &[Name, Values] : *Seqs)
+      Hash = fnv(Hash, Values);
+  for (const auto &[Name, V] : T.Params)
+    Hash = fnv(Hash, {V});
+  Hash = fnv(Hash, T.Left);
+  Hash = fnv(Hash, T.Right);
+  return fnv(Hash, T.Expected);
+}
+
+/// The oracle's draws are part of its contract: the test set (and so every
+/// synthesized join and counter) and the counterexamples it returns are
+/// fixed by its seed. These digests pin them for loops with one and two
+/// sequences, with parameters, and with bool state.
+TEST(Oracle, DrawsArePinned) {
+  struct Pin {
+    const char *Name;
+    uint64_t Tests, Counterexample;
+  };
+  const Pin Pins[] = {
+      {"mts", 0x1cf235ff6deb061cull, 0x8b7201a374997501ull},
+      {"poly", 0xde9e7cf41f92a9cdull, 0xa73de96e08495abbull},
+      {"balanced-()", 0x2a70f63193d29142ull, 0xa964125d8e72d317ull},
+      {"line-sight", 0x73d064bfde5ee9b9ull, 0x31ed11fb5f65f311ull},
+      {"is-sorted", 0x006a9fcd2b864331ull, 0x31ed11fb5f65f311ull},
+      {"dot", 0x3bbba76234d716afull, 0xb28473fc877c5ca9ull},
+  };
+  const uint64_t Basis = 0xcbf29ce484222325ull;
+  for (const Pin &P : Pins) {
+    SCOPED_TRACE(P.Name);
+    // Two sequences: each chunk draws s's elements, then t's.
+    Loop L = std::string(P.Name) == "dot"
+                 ? mustParse("d = 0;\nfor (i = 0; i < |s|; i++) "
+                             "{ d = d + s[i] * t[i]; }")
+                 : parseBenchmark(*findBenchmark(P.Name));
+    HomOracle Oracle(L);
+    EXPECT_EQ(Oracle.tests().size(), 233u);
+    uint64_t Tests = Basis;
+    for (const JoinExample &T : Oracle.tests())
+      Tests = digest(Tests, T);
+    EXPECT_EQ(Tests, P.Tests);
+    std::optional<JoinExample> Cex =
+        Oracle.findCounterexample(leftOnlyJoin(L), 400);
+    ASSERT_TRUE(Cex.has_value());
+    EXPECT_EQ(digest(Basis, *Cex), P.Counterexample);
+  }
+  // A passing validation draws all of its rounds: the counterexample after
+  // it depends on every one of them.
+  Loop Poly = parseBenchmark(*findBenchmark("poly"));
+  HomOracle Oracle(Poly);
+  auto v = [](const char *Name) { return inputVar(Name); };
+  std::vector<ExprRef> Join = {add(v("res_l"), mul(v("res_r"), v("p_l"))),
+                               mul(v("p_l"), v("p_r"))};
+  EXPECT_FALSE(Oracle.findCounterexample(Join, 400).has_value());
+  std::optional<JoinExample> Cex =
+      Oracle.findCounterexample(leftOnlyJoin(Poly), 400);
+  ASSERT_TRUE(Cex.has_value());
+  EXPECT_EQ(digest(Basis, *Cex), 0x69919ee4701432a5ull);
 }
 
 TEST(Oracle, ElementPoolContainsLoopConstants) {

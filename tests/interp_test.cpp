@@ -269,7 +269,9 @@ TEST(CompiledLoop, RawRunMatchesTheReferenceAfterEveryIteration) {
       }
     const size_t N = L.Equations.size();
     std::vector<int64_t> States((Length + 1) * N);
-    CompiledLoop(L).runRaw(Row.data(), Length, States.data());
+    CompiledLoop Code(L);
+    CompiledLoop::Registers Regs = Code.makeRegisters();
+    Code.runRaw(Row.data(), Length, States.data(), Regs);
     StateTuple Init = referenceInitialState(L, Params);
     for (size_t J = 0; J <= Length; ++J) {
       StateTuple Expected = referenceRunRange(L, Init, Seqs, 0,
@@ -278,6 +280,30 @@ TEST(CompiledLoop, RawRunMatchesTheReferenceAfterEveryIteration) {
         EXPECT_EQ(States[J * N + I], Expected[I].raw())
             << B.Name << ": " << L.Equations[I].Name << " after " << J
             << " iterations";
+    }
+
+    // initRaw and stepRaw take the same row format, one element per
+    // sequence; stepping the reference's state J at index J gives state
+    // J + 1.
+    std::vector<int64_t> Raw(N);
+    Code.initRaw(Row.data(), Raw.data(), Regs);
+    EXPECT_EQ(Raw, std::vector<int64_t>(States.begin(), States.begin() + N))
+        << B.Name;
+    std::vector<int64_t> StepRow(Row.begin(), Row.begin() + L.Params.size());
+    StepRow.resize(L.Params.size() + L.Sequences.size());
+    for (size_t J = 0; J != Length; ++J) {
+      for (size_t K = 0; K != L.Sequences.size(); ++K)
+        StepRow[L.Params.size() + K] = Row[L.Params.size() + K * Length + J];
+      const int64_t *Before = States.data() + J * N;
+      Code.stepRaw(Before, StepRow.data(), static_cast<int64_t>(J),
+                   Raw.data(), Regs);
+      StateTuple Expected =
+          referenceRunRange(L, rawToState(L, Before), Seqs,
+                            static_cast<int64_t>(J),
+                            static_cast<int64_t>(J + 1), Params);
+      for (size_t I = 0; I != N; ++I)
+        EXPECT_EQ(Raw[I], Expected[I].raw())
+            << B.Name << ": " << L.Equations[I].Name << " stepped at " << J;
     }
   }
 }

@@ -264,6 +264,10 @@ TEST_P(PipelineSweep, MatchesPaperExpectations) {
 
   ASSERT_TRUE(Result.Success) << Result.report();
   EXPECT_EQ(Result.AuxRequired, B.ExpectAuxRequired) << Result.report();
+  // The synthesized join discharges both proof obligations.
+  ProofReport Proof =
+      checkHomomorphismProof(Result.Final, Result.Join.Components);
+  EXPECT_TRUE(Proof.Verified) << B.Name << ": " << Proof.str();
   if (B.ExpectedAux >= 0) {
     EXPECT_EQ(Result.AuxCount, static_cast<unsigned>(B.ExpectedAux))
         << Result.report();

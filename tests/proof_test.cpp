@@ -18,6 +18,14 @@ using namespace parsynt::test;
 
 namespace {
 
+/// The state variables of \p L in equation order, space-separated.
+std::string equationNames(const Loop &L) {
+  std::string Names;
+  for (const Equation &Eq : L.Equations)
+    Names += (Names.empty() ? "" : " ") + Eq.Name;
+  return Names;
+}
+
 Loop sumLoop() {
   return mustParse("sum = 0;\n"
                    "for (i = 0; i < |s|; i++) { sum = sum + s[i]; }",
@@ -39,7 +47,11 @@ TEST(ProofCheck, RejectsWrongJoinWithWitness) {
   ProofReport Report = checkHomomorphismProof(L, Join);
   ASSERT_FALSE(Report.Verified);
   EXPECT_EQ(Report.Failure->StateVar, "sum");
-  EXPECT_FALSE(Report.Failure->Details.empty());
+  // The sampler is deterministic: the first sample refutes the base case.
+  EXPECT_EQ(Report.Failure->Obligation, "base");
+  EXPECT_EQ(Report.Failure->Details, "u = {sum=-24}, join(u, init) gave 0");
+  EXPECT_EQ(Report.BaseChecks, 1u);
+  EXPECT_EQ(Report.StepChecks, 0u);
 }
 
 TEST(ProofCheck, RejectsTheClassicSecondMinMistake) {
@@ -86,6 +98,80 @@ TEST(ProofCheck, RejectsTheMtsJoinWithSidesSwapped) {
       checkHomomorphismProof(L, join(Side::Right, Side::Left));
   ASSERT_FALSE(Swapped.Verified);
   EXPECT_EQ(Swapped.Failure->StateVar, "mts") << Swapped.str();
+  EXPECT_EQ(Swapped.Failure->Obligation, "step");
+  EXPECT_EQ(Swapped.Failure->Details, "u = {mts=0, sum=-24}, v = {mts=0, "
+                                      "sum=-12}, a = s:1 -> lhs 0 vs rhs 1");
+  EXPECT_EQ(Swapped.BaseChecks, 1u);
+  EXPECT_EQ(Swapped.StepChecks, 1u);
+}
+
+/// The exact witnesses of refutations found further into the sample
+/// stream: bool-valued state, parameters, sentinel initial values and two
+/// sequences. Any change to the order or the values of the sampler's draws
+/// shows here.
+TEST(ProofCheck, WitnessesArePinned) {
+  struct Case {
+    const char *What;
+    ProofReport Report;
+    const char *Obligation, *StateVar, *Details;
+    uint64_t BaseChecks, StepChecks;
+  };
+  Loop SecondMin = parseBenchmark(*findBenchmark("2nd-min"));
+  Loop Sorted = parseBenchmark(*findBenchmark("is-sorted"));
+  Loop Poly = parseBenchmark(*findBenchmark("poly"));
+  Loop Dot = mustParse("d = 0;\n"
+                       "for (i = 0; i < |s|; i++) { d = d + s[i] * t[i]; }");
+  ASSERT_EQ(equationNames(SecondMin), "m2 m");
+  ASSERT_EQ(equationNames(Sorted), "sorted prev");
+  ASSERT_EQ(equationNames(Poly), "res p");
+  auto v = [](const char *Name, Type Ty = Type::Int) {
+    return inputVar(Name, Ty);
+  };
+  const Case Cases[] = {
+      {"2nd-min, the novice join",
+       checkHomomorphismProof(SecondMin, {minE(v("m2_l"), v("m2_r")),
+                                          minE(v("m_l"), v("m_r"))}),
+       "step", "m2",
+       "u = {m2=-2, m=-11}, v = {m2=1099511627776, m=3}, a = s:-11 -> lhs "
+       "-2 vs rhs -11",
+       8, 44},
+      {"is-sorted, prev joined from the right alone",
+       checkHomomorphismProof(
+           Sorted, {andE(v("sorted_l", Type::Bool), v("sorted_r", Type::Bool)),
+                    v("prev_r")}),
+       "base", "prev",
+       "u = {sorted=false, prev=-11}, join(u, init) gave -1099511627776", 1,
+       0},
+      {"poly, res without the power of x",
+       checkHomomorphismProof(Poly, {add(v("res_l"), v("res_r")),
+                                     mul(v("p_l"), v("p_r"))}),
+       "step", "res",
+       "u = {res=-297, p=81}, v = {res=-13, p=27}, a = s:-11 -> lhs -607 vs "
+       "rhs -24367",
+       1, 1},
+      {"poly, p clamped from below",
+       checkHomomorphismProof(
+           Poly, {add(v("res_l"), mul(v("res_r"), v("p_l"))),
+                  maxE(mul(v("p_l"), v("p_r")), intConst(-100))}),
+       "step", "p",
+       "u = {res=210455, p=59049}, v = {res=0, p=1}, a = s:0 -> lhs -100 vs "
+       "rhs -177147",
+       4, 19},
+      {"dot product, clamped from below",
+       checkHomomorphismProof(Dot,
+                              {maxE(add(v("d_l"), v("d_r")), intConst(-60))}),
+       "step", "d",
+       "u = {d=-56}, v = {d=-27}, a = s:3 t:3 -> lhs -60 vs rhs -51", 1, 1},
+  };
+  for (const Case &C : Cases) {
+    SCOPED_TRACE(C.What);
+    ASSERT_FALSE(C.Report.Verified);
+    EXPECT_EQ(C.Report.Failure->Obligation, C.Obligation);
+    EXPECT_EQ(C.Report.Failure->StateVar, C.StateVar);
+    EXPECT_EQ(C.Report.Failure->Details, C.Details);
+    EXPECT_EQ(C.Report.BaseChecks, C.BaseChecks);
+    EXPECT_EQ(C.Report.StepChecks, C.StepChecks);
+  }
 }
 
 /// Property sweep: for every benchmark the pipeline parallelizes, the
