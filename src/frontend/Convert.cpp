@@ -392,12 +392,8 @@ std::optional<Loop> Converter::run() {
     Eq.Update = Cur.at(Name);
     Result.Equations.push_back(std::move(Eq));
   }
-  if (auto Problem = Result.validate()) {
-    Diags.error("conversion produced an invalid loop: " + *Problem);
-    return std::nullopt;
-  }
   // Phase contract: the converter hands the pipeline a fully well-formed
-  // equation system. The IR verifier re-derives that claim node by node.
+  // equation system. The IR verifier checks that claim node by node.
   VerifierReport Verified = verifyLoop(Result, VerifyPhase::AfterFrontend);
   if (!Verified.ok()) {
     for (const std::string &V : Verified.Violations)

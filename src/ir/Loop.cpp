@@ -73,55 +73,6 @@ std::vector<std::string> Loop::outputNames() const {
   return stateVarNames();
 }
 
-std::optional<std::string> Loop::validate() const {
-  std::set<std::string> Seen;
-  for (const SeqDecl &S : Sequences)
-    if (!Seen.insert(S.Name).second)
-      return "duplicate sequence name '" + S.Name + "'";
-  for (const ParamDecl &P : Params)
-    if (!Seen.insert(P.Name).second)
-      return "duplicate parameter name '" + P.Name + "'";
-  if (!Seen.insert(IndexName).second)
-    return "index name '" + IndexName + "' clashes with another declaration";
-  for (const Equation &Eq : Equations)
-    if (!Seen.insert(Eq.Name).second)
-      return "duplicate state variable '" + Eq.Name + "'";
-
-  std::set<std::string> StateNames;
-  for (const Equation &Eq : Equations)
-    StateNames.insert(Eq.Name);
-  std::set<std::string> ParamNames;
-  for (const ParamDecl &P : Params)
-    ParamNames.insert(P.Name);
-
-  for (const Equation &Eq : Equations) {
-    if (!Eq.Init || !Eq.Update)
-      return "equation '" + Eq.Name + "' has a null init or update";
-    if (Eq.Init->type() != Eq.Ty || Eq.Update->type() != Eq.Ty)
-      return "equation '" + Eq.Name + "' is ill typed";
-    // Inits may only mention parameters.
-    for (const std::string &V : collectAllVars(Eq.Init))
-      if (!ParamNames.count(V))
-        return "init of '" + Eq.Name + "' references non-parameter '" + V +
-               "'";
-    if (!collectSeqNames(Eq.Init).empty())
-      return "init of '" + Eq.Name + "' reads a sequence";
-    // Updates may mention state vars, params, and the index.
-    for (const std::string &V : collectAllVars(Eq.Update))
-      if (!StateNames.count(V) && !ParamNames.count(V) && V != IndexName)
-        return "update of '" + Eq.Name + "' references undeclared '" + V +
-               "'";
-    for (const std::string &S : collectSeqNames(Eq.Update))
-      if (!hasSequence(S))
-        return "update of '" + Eq.Name + "' reads undeclared sequence '" + S +
-               "'";
-  }
-  for (const std::string &Out : Outputs)
-    if (!StateNames.count(Out))
-      return "output '" + Out + "' is not a state variable";
-  return std::nullopt;
-}
-
 std::string Loop::str() const {
   std::ostringstream OS;
   OS << "loop " << (Name.empty() ? "<anonymous>" : Name) << " over";

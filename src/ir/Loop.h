@@ -90,11 +90,6 @@ public:
   /// Output variable names (Outputs if set, otherwise all state vars).
   std::vector<std::string> outputNames() const;
 
-  /// Structural sanity checks: unique names, inits free of state/sequence
-  /// references, updates referencing only declared names. Returns an error
-  /// description, or nullopt if the loop is well formed.
-  std::optional<std::string> validate() const;
-
   /// Pretty-prints the equation system.
   std::string str() const;
 };

@@ -13,8 +13,7 @@
 namespace parsynt {
 
 BenchmarkEntry makeBenchmarkEntry(const std::string &Name,
-                                  const PipelineResult &Result,
-                                  double ProofSeconds) {
+                                  const PipelineResult &Result) {
   BenchmarkEntry E;
   E.Name = Name;
   E.Success = Result.Success;
@@ -27,7 +26,7 @@ BenchmarkEntry makeBenchmarkEntry(const std::string &Name,
   E.RestrictionRetries = Result.RestrictionRetries;
   E.JoinSeconds = Result.JoinSeconds;
   E.LiftSeconds = Result.LiftSeconds;
-  E.ProofSeconds = ProofSeconds < 0 ? 0 : ProofSeconds;
+  E.ProofSeconds = Result.Proof.Seconds;
   E.TotalSeconds = Result.TotalSeconds;
   return E;
 }

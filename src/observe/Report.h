@@ -77,12 +77,11 @@ struct RunReport {
   std::string toJson() const;
 };
 
-/// Builds a report entry from a pipeline result. Pass ProofSeconds < 0
-/// when no proof check ran (serialized as 0 with the phase still present —
+/// Builds a report entry from a pipeline result. The proof phase is the
+/// pipeline's own check of the join it returns (0 when none was accepted;
 /// the schema's phase_seconds object always has all four keys).
 BenchmarkEntry makeBenchmarkEntry(const std::string &Name,
-                                  const PipelineResult &Result,
-                                  double ProofSeconds = -1);
+                                  const PipelineResult &Result);
 
 /// Counter deltas After - Before, dropping zero deltas — the per-benchmark
 /// metrics attribution used by the bench drivers (snapshot the global

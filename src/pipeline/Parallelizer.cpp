@@ -64,10 +64,12 @@ bool removeEquation(Loop &L, const std::string &Name) {
 /// bounded synthesis oracle can be fooled by coincidental agreements (the
 /// paper relies on its proof step for exactly this reason); the obligations
 /// quantify over single-step extensions and catch such joins cheaply.
-bool joinProven(const Loop &L, const JoinResult &Join) {
+/// The report of the accepted join is the one PipelineResult::Proof
+/// carries; a failed search yields an unverified report with no checks.
+ProofReport proveJoin(const Loop &L, const JoinResult &Join) {
   if (!Join.Success)
-    return false;
-  return checkHomomorphismProof(L, Join.Components).Verified;
+    return {};
+  return checkHomomorphismProof(L, Join.Components);
 }
 
 /// Verifies \p L at pipeline phase \p Phase. On violation records the
@@ -198,6 +200,7 @@ PipelineResult parsynt::parallelizeLoop(const Loop &L,
     Result.Join.Success = false;
     Result.Join.Components.clear();
     Result.Join.FromFallback.clear();
+    Result.Proof = {};
     Result.SequentialFallback = true;
     Result.TotalSeconds = secondsSince(StartTime);
     return Result;
@@ -208,9 +211,10 @@ PipelineResult parsynt::parallelizeLoop(const Loop &L,
   // original form" means exactly the paper's C(E)+grammar space.
   Result.Join = runJoinSynthesis(Original, /*AllowEmptyGuard=*/false, Result,
                                  joinDeadline());
+  Result.Proof = proveJoin(Original, Result.Join);
   Loop Work = Original;
 
-  if (!Result.Join.Success || !joinProven(Original, Result.Join)) {
+  if (!Result.Proof.Verified) {
     // A timed-out phase 1 is not evidence that auxiliaries are required,
     // and every lifted loop is strictly larger than the original — its
     // join searches would time out too. Fail fast to honour the budget.
@@ -256,7 +260,8 @@ PipelineResult parsynt::parallelizeLoop(const Loop &L,
         Result.Join = runJoinSynthesis(Work, /*AllowEmptyGuard=*/true, Result,
                                        joinDeadline());
         if (Result.Join.Success) {
-          if (joinProven(Work, Result.Join)) {
+          Result.Proof = proveJoin(Work, Result.Join);
+          if (Result.Proof.Verified) {
             Solved = true;
             break;
           }
@@ -326,9 +331,11 @@ PipelineResult parsynt::parallelizeLoop(const Loop &L,
         continue;
       JoinResult Retry = runJoinSynthesis(Candidate, /*AllowEmptyGuard=*/true,
                                           Result, joinDeadline());
-      if (Retry.Success && joinProven(Candidate, Retry)) {
+      ProofReport RetryProof = proveJoin(Candidate, Retry);
+      if (RetryProof.Verified) {
         Work = std::move(Candidate);
         Result.Join = std::move(Retry);
+        Result.Proof = std::move(RetryProof);
         Result.DroppedAux.push_back(*It + " (redundant)");
       }
     }

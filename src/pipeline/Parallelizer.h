@@ -25,6 +25,7 @@
 
 #include "analysis/DependenceGraph.h"
 #include "lift/Lift.h"
+#include "proof/ProofCheck.h"
 #include "synth/JoinSynth.h"
 
 #include <string>
@@ -52,6 +53,9 @@ struct PipelineResult {
   bool AuxRequired = false;
   Loop Final;      ///< the loop actually parallelized (possibly lifted)
   JoinResult Join; ///< join for Final
+  /// The Section-7 proof report of Join, from the check that accepted it;
+  /// unverified with zero checks when no join was accepted.
+  ProofReport Proof;
   unsigned AuxCount = 0;      ///< auxiliaries in Final (Table 1's "#Aux")
   unsigned AuxDiscovered = 0; ///< before redundancy removal
   bool IndexMaterialized = false;

@@ -212,6 +212,8 @@ std::string ProofReport::str() const {
   if (Verified) {
     OS << "proof obligations verified (" << BaseChecks << " base + "
        << StepChecks << " step checks, " << Seconds << "s)";
+  } else if (!Failure) {
+    OS << "proof not checked";
   } else {
     OS << "proof FAILED [" << Failure->Obligation << ", "
        << Failure->StateVar << "]: " << Failure->Details;

@@ -663,31 +663,41 @@ JoinResult parsynt::synthesizeJoin(const Loop &L,
           AllowIt->second.size() * 2 <= L.Equations.size())
         Allowed = &AllowIt->second;
 
+      // Searches sketch \p S tier by tier over \p G's pools. A non-null
+      // \p Guard is the fixed pool of the sketch's last hole; the hole
+      // sizes of every tier then reach at least the guard's size.
+      auto searchSketch = [&](const Sketch &S, PoolGroup &G,
+                              const HolePool *Guard = nullptr) -> ExprRef {
+        for (const auto &[SizeLR, SizeR] : SketchTiers) {
+          std::vector<HolePool> Pools;
+          Pools.reserve(S.Holes.size());
+          for (const Hole &H : S.Holes) {
+            if (Guard && &H == &S.Holes.back())
+              Pools.push_back(*Guard);
+            else
+              Pools.push_back(H.RightOnly ? makePool(G.ER, H.Ty, SizeR)
+                                          : makePool(G.ELR, H.Ty, SizeLR));
+          }
+          unsigned MaxHoleSize = std::max(SizeLR, SizeR);
+          if (Guard)
+            MaxHoleSize = std::max(MaxHoleSize, Guard->MinSize);
+          SketchSearch Search(S, std::move(Pools), Oracle, I, ProductBudget,
+                              Result.Stats, DL);
+          if (ExprRef F = Search.run(MaxHoleSize))
+            return F;
+          if (DL.expired())
+            return nullptr;
+        }
+        return nullptr;
+      };
+
       auto solveWith = [&](PoolGroup &G, bool Restricted) -> ExprRef {
         Fallback = false;
         Enumerator &ELR = G.ELR;
-        Enumerator &ER = G.ER;
         ExprRef Found;
 
-        auto searchSketch = [&](const Sketch &S) -> ExprRef {
-          for (const auto &[SizeLR, SizeR] : SketchTiers) {
-            std::vector<HolePool> Pools;
-            Pools.reserve(S.Holes.size());
-            for (const Hole &H : S.Holes)
-              Pools.push_back(H.RightOnly ? makePool(ER, H.Ty, SizeR)
-                                          : makePool(ELR, H.Ty, SizeLR));
-            SketchSearch Search(S, std::move(Pools), Oracle, I,
-                                ProductBudget, Result.Stats, DL);
-            if (ExprRef F = Search.run(std::max(SizeLR, SizeR)))
-              return F;
-            if (DL.expired())
-              return nullptr;
-          }
-          return nullptr;
-        };
-
         if (Options.UseSketch)
-          Found = searchSketch(compileSketch(Eq));
+          Found = searchSketch(compileSketch(Eq), G);
 
         if (!Found && Options.UseSketch && Eq.Ty == Type::Int) {
           // Additive-correction sketch: v_l + v_r + ite(??LR, ??R, ??R).
@@ -705,7 +715,7 @@ JoinResult parsynt::synthesizeJoin(const Loop &L,
                           ite(inputVar("?c0", Type::Bool),
                               inputVar("?c1", Type::Int),
                               inputVar("?c2", Type::Int)));
-          Found = searchSketch(Corr);
+          Found = searchSketch(Corr, G);
         }
 
         // The free-grammar fallback only runs unrestricted: growing and
@@ -754,8 +764,6 @@ JoinResult parsynt::synthesizeJoin(const Loop &L,
       }
 
       if (!Component && Options.UseSketch && Options.AllowEmptyGuard) {
-        Enumerator &ELR = getGroup(nullptr).ELR;
-        Enumerator &ER = getGroup(nullptr).ER;
         // Last resort: C(E) wrapped in an "empty right chunk" guard —
         // ite(<right state at init>, v_l, C(E)) — the homomorphism base
         // case fE(x • []) = fE(x) made syntactic. Joins that must
@@ -772,39 +780,21 @@ JoinResult parsynt::synthesizeJoin(const Loop &L,
           GuardPool.push_back({Guard, Oracle.column(Guard)});
         }
         if (!GuardPool.empty()) {
+          HolePool Guard;
+          Guard.BySize.resize(4);
+          Guard.MinSize = 3; // eq(var, const) has term size 3
+          for (const Candidate &C : GuardPool)
+            Guard.BySize[3].push_back(&C);
           Sketch Guarded = compileSketch(Eq);
           std::string GuardName =
               "?g" + std::to_string(Guarded.Holes.size());
-          size_t GuardIndex = Guarded.Holes.size();
           Guarded.Holes.push_back({GuardName, Type::Bool,
                                    /*RightOnly=*/true});
           Guarded.Body =
               ite(inputVar(GuardName, Type::Bool),
                   inputVar(splitName(Eq.Name, Side::Left), Eq.Ty),
                   Guarded.Body);
-          for (const auto &[SizeLR, SizeR] : SketchTiers) {
-            std::vector<HolePool> Pools;
-            Pools.reserve(Guarded.Holes.size());
-            for (size_t H = 0; H != Guarded.Holes.size(); ++H) {
-              if (H == GuardIndex) {
-                HolePool Pool;
-                Pool.BySize.resize(4);
-                Pool.MinSize = 3; // eq(var, const) has term size 3
-                for (const Candidate &C : GuardPool)
-                  Pool.BySize[3].push_back(&C);
-                Pools.push_back(std::move(Pool));
-                continue;
-              }
-              const Hole &Ho = Guarded.Holes[H];
-              Pools.push_back(Ho.RightOnly ? makePool(ER, Ho.Ty, SizeR)
-                                           : makePool(ELR, Ho.Ty, SizeLR));
-            }
-            SketchSearch Search(Guarded, std::move(Pools), Oracle, I,
-                                ProductBudget, Result.Stats, DL);
-            Component = Search.run(std::max({SizeLR, SizeR, 3u}));
-            if (Component || DL.expired())
-              break;
-          }
+          Component = searchSketch(Guarded, getGroup(nullptr), &Guard);
         }
       }
 

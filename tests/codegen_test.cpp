@@ -10,6 +10,12 @@
 // let its built-in self-check (parallel vs sequential on random data)
 // decide.
 //
+// Every program is compiled by one g++ call: EmittedPrograms.CompileInOneCall
+// emits them all and builds one executable, and each test that checks a
+// program runs it in a process of its own. ctest runs the build first (a
+// fixture the runs require, see tests/CMakeLists.txt); a plain run of this
+// binary does too, since it is the first test defined.
+//
 //===----------------------------------------------------------------------===//
 
 #include "codegen/EmitCpp.h"
@@ -23,18 +29,139 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <set>
+#include <sstream>
 #include <sys/wait.h>
+#include <unistd.h>
 
 using namespace parsynt;
 using namespace parsynt::test;
 
 namespace {
 
+/// The executable EmittedPrograms.CompileInOneCall builds.
+const std::string EmittedBin = PARSYNT_EMITTED_BIN;
+
+/// One emitted program: the name that selects it on the command line (no
+/// quotes or backslashes) and its source.
+struct EmittedSource {
+  std::string Name;
+  std::string Code;
+};
+
+/// Compiles \p Programs (g++, warning-free under -Wall -Wextra, with UBSan
+/// aborting on the first report) into one executable \p Bin, in a single
+/// compiler call, and returns the compiler's exit status. `Bin <name>` runs
+/// the program <name> and exits with its status, its self-check verdict.
+///
+/// The translation unit includes every header the programs include once,
+/// then each program inside a namespace of its own with its main renamed;
+/// the include guards make the programs' own includes no-ops. The programs
+/// include the shared header-only runtime, so they compile (as C++17)
+/// against the parsynt src tree.
+int buildProgramBatch(const std::vector<EmittedSource> &Programs,
+                      const std::string &Bin) {
+  std::ostringstream TU;
+  std::set<std::string> Includes;
+  for (const EmittedSource &P : Programs) {
+    std::istringstream Lines(P.Code);
+    for (std::string Line; std::getline(Lines, Line);)
+      if (Line.rfind("#include", 0) == 0 && Includes.insert(Line).second)
+        TU << Line << "\n";
+  }
+  TU << "#include <cstdio>\n#include <cstring>\n";
+  for (size_t I = 0; I != Programs.size(); ++I)
+    TU << "\nnamespace program" << I << " {\n#define main main_\n"
+       << Programs[I].Code << "\n#undef main\n} // namespace program" << I
+       << "\n";
+  TU << "\nint main(int argc, char **argv) {\n";
+  for (size_t I = 0; I != Programs.size(); ++I)
+    TU << "  if (argc == 2 && std::strcmp(argv[1], \"" << Programs[I].Name
+       << "\") == 0)\n    return program" << I << "::main_();\n";
+  TU << "  std::fprintf(stderr, \"usage: %s <program>\\n\", argv[0]);\n"
+        "  return 2;\n}\n";
+
+  std::string Src = Bin + ".cpp";
+  {
+    std::ofstream Out(Src);
+    Out << TU.str();
+  }
+  std::remove(Bin.c_str());
+  std::string Compile = "g++ -O1 -std=c++17 -pthread -Wall -Wextra -Werror "
+                        "-fsanitize=undefined "
+                        "-fno-sanitize-recover=undefined -I " PARSYNT_SRC_DIR
+                        " -o " + Bin + " " + Src + " 2>&1";
+  return std::system(Compile.c_str());
+}
+
+/// Runs program \p Name of the batch executable in a process of its own and
+/// returns its wait status.
+int runEmitted(const std::string &Name) {
+  if (access(EmittedBin.c_str(), X_OK) != 0) {
+    ADD_FAILURE() << EmittedBin
+                  << " is missing; EmittedPrograms.CompileInOneCall builds it";
+    return -1;
+  }
+  return std::system((EmittedBin + " '" + Name + "' > /dev/null").c_str());
+}
+
 PipelineResult parallelized(const char *Name) {
   Loop L = parseBenchmark(*findBenchmark(Name));
   PipelineResult R = parallelizeLoop(L);
   EXPECT_TRUE(R.Success) << R.report();
   return R;
+}
+
+/// A representative slice of the suite (one plain, one lifted-arithmetic,
+/// one lifted-boolean, one index-dependent, one two-sequence).
+const char *const Representative[] = {"sum",       "2nd-min",  "mts",
+                                      "balanced-()", "dropwhile", "hamming",
+                                      "poly"};
+
+TEST(EmittedPrograms, CompileInOneCall) {
+  EmitCppOptions Opts;
+  Opts.Grain = 4096;
+  Opts.SelfCheckElements = 200000;
+  std::vector<EmittedSource> Programs;
+  for (const char *Name : Representative) {
+    PipelineResult R = parallelized(Name);
+    Programs.push_back({Name, emitParallelCpp(R.Final, R.Join.Components,
+                                              Opts)});
+    if (std::string(Name) != "mts")
+      continue;
+    // The program's leaf() joins its chains with the emitted join, so the
+    // self-check compares parallel_run with the join-free run(): mts's join
+    // with every left and right operand exchanged must fail it.
+    Substitution Swap;
+    for (const Equation &Eq : R.Final.Equations) {
+      Swap[splitName(Eq.Name, Side::Left)] =
+          inputVar(splitName(Eq.Name, Side::Right), Eq.Ty);
+      Swap[splitName(Eq.Name, Side::Right)] =
+          inputVar(splitName(Eq.Name, Side::Left), Eq.Ty);
+    }
+    std::vector<ExprRef> Wrong;
+    for (const ExprRef &C : R.Join.Components)
+      Wrong.push_back(substitute(C, Swap));
+    Programs.push_back({"mts_wrong_join",
+                        emitParallelCpp(R.Final, Wrong, Opts)});
+  }
+
+  // p doubles until it wraps through INT64_MIN: negating it and dividing
+  // it by -1 there are defined (wrapping) in the synthesis semantics and
+  // must be in the emitted program too.
+  Loop Wrap = mustParse("p = 1;\nn = 0;\nd = 0;\n"
+                        "for (i = 0; i < |s|; i++) {\n"
+                        "  p = p * 2 + s[i] * 0;\n"
+                        "  n = -p;\n"
+                        "  d = p / (0 - 1);\n"
+                        "}",
+                        "wrap");
+  EmitCppOptions WrapOpts;
+  WrapOpts.SelfCheckElements = 1000;
+  Programs.push_back({"wrap", emitParallelCpp(Wrap, {}, WrapOpts)});
+
+  ASSERT_EQ(buildProgramBatch(Programs, EmittedBin), 0)
+      << "compile failed: " << EmittedBin << ".cpp";
 }
 
 TEST(EmitCpp, ContainsTheExpectedStructure) {
@@ -57,96 +184,27 @@ TEST(EmitCpp, ParametersBecomeGlobals) {
   EXPECT_NE(Code.find("x = 3;"), std::string::npos);
 }
 
-/// Compiles (g++, warning-free under -Wall -Wextra, with UBSan aborting on
-/// the first report) and runs an emitted program named \p Name, returning
-/// its exit status, the self-check verdict. The program includes the shared
-/// header-only runtime, so it compiles (as C++17) against the parsynt src
-/// tree.
-int compileAndRunStatus(const std::string &Name, const std::string &Code) {
-  std::string Base = std::string(::testing::TempDir()) + "/parsynt_emit_";
-  for (char C : Name)
-    Base += std::isalnum(static_cast<unsigned char>(C)) ? C : '_';
-  std::string Src = Base + ".cpp", Bin = Base + ".bin";
-  {
-    std::ofstream Out(Src);
-    Out << Code;
-  }
-  std::string Compile = "g++ -O1 -std=c++17 -pthread -Wall -Wextra -Werror "
-                        "-fsanitize=undefined "
-                        "-fno-sanitize-recover=undefined -I " PARSYNT_SRC_DIR
-                        " -o " + Bin + " " + Src + " 2>&1";
-  int Compiled = std::system(Compile.c_str());
-  EXPECT_EQ(Compiled, 0) << "compile failed:\n" << Code;
-  if (Compiled != 0)
-    return -1;
-  return std::system((Bin + " > /dev/null").c_str());
-}
-
-/// Compiles and runs an emitted program, which must pass its self-check.
-void compileAndRun(const std::string &Name, const std::string &Code) {
-  EXPECT_EQ(compileAndRunStatus(Name, Code), 0)
-      << "generated self-check failed for " << Name << ":\n" << Code;
-}
-
-/// Emits and runs the generated program for a representative slice of the
-/// suite (one plain, one lifted-arithmetic, one lifted-boolean, one
-/// index-dependent, one two-sequence).
+/// Each representative program passes its self-check.
 class EmittedProgram : public ::testing::TestWithParam<const char *> {};
 
 TEST_P(EmittedProgram, CompilesAndSelfChecks) {
-  const char *Name = GetParam();
-  PipelineResult R = parallelized(Name);
-  EmitCppOptions Opts;
-  Opts.Grain = 4096;
-  Opts.SelfCheckElements = 200000;
-  compileAndRun(Name, emitParallelCpp(R.Final, R.Join.Components, Opts));
+  EXPECT_EQ(runEmitted(GetParam()), 0)
+      << "generated self-check failed for " << GetParam();
 }
 
 TEST(EmitCpp, WrappingOperatorsHaveNoUndefinedBehaviour) {
-  // p doubles until it wraps through INT64_MIN: negating it and dividing
-  // it by -1 there are defined (wrapping) in the synthesis semantics and
-  // must be in the emitted program too.
-  Loop L = mustParse("p = 1;\nn = 0;\nd = 0;\n"
-                     "for (i = 0; i < |s|; i++) {\n"
-                     "  p = p * 2 + s[i] * 0;\n"
-                     "  n = -p;\n"
-                     "  d = p / (0 - 1);\n"
-                     "}",
-                     "wrap");
-  EmitCppOptions Opts;
-  Opts.SelfCheckElements = 1000;
-  compileAndRun("wrap", emitParallelCpp(L, {}, Opts));
+  EXPECT_EQ(runEmitted("wrap"), 0);
 }
 
 TEST(EmitCpp, SelfCheckRejectsAWrongJoin) {
-  // The program's leaf() joins its chains with the emitted join, so the
-  // self-check compares parallel_run with the join-free run(): mts's join
-  // with every left and right operand exchanged must fail it.
-  PipelineResult R = parallelized("mts");
-  Substitution Swap;
-  for (const Equation &Eq : R.Final.Equations) {
-    Swap[splitName(Eq.Name, Side::Left)] =
-        inputVar(splitName(Eq.Name, Side::Right), Eq.Ty);
-    Swap[splitName(Eq.Name, Side::Right)] =
-        inputVar(splitName(Eq.Name, Side::Left), Eq.Ty);
-  }
-  std::vector<ExprRef> Wrong;
-  for (const ExprRef &C : R.Join.Components)
-    Wrong.push_back(substitute(C, Swap));
-  EmitCppOptions Opts;
-  Opts.Grain = 4096;
-  Opts.SelfCheckElements = 200000;
   // The emitted main returns 1 on a MISMATCH; a crash or a sanitizer
   // abort is no rejection.
-  int Status = compileAndRunStatus("mts_wrong_join",
-                                   emitParallelCpp(R.Final, Wrong, Opts));
+  int Status = runEmitted("mts_wrong_join");
   ASSERT_TRUE(WIFEXITED(Status)) << "status " << Status;
   EXPECT_EQ(WEXITSTATUS(Status), 1);
 }
 
 INSTANTIATE_TEST_SUITE_P(Representative, EmittedProgram,
-                         ::testing::Values("sum", "2nd-min", "mts",
-                                           "balanced-()", "dropwhile",
-                                           "hamming", "poly"));
+                         ::testing::ValuesIn(Representative));
 
 } // namespace

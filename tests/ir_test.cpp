@@ -5,6 +5,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "analysis/Verifier.h"
 #include "ir/Expr.h"
 #include "ir/ExprOps.h"
 #include "ir/Loop.h"
@@ -123,17 +124,17 @@ TEST(ExprOps, MaxVarDepthAndOccurrences) {
 TEST(Loop, ValidationCatchesErrors) {
   Loop L = mustParse("sum = 0;\n"
                      "for (i = 0; i < |s|; i++) { sum = sum + s[i]; }");
-  EXPECT_FALSE(L.validate().has_value());
+  EXPECT_TRUE(verifyLoop(L, VerifyPhase::AfterFrontend).ok());
 
   // Duplicate state name.
   Loop Bad = L;
   Bad.Equations.push_back(Bad.Equations[0]);
-  EXPECT_TRUE(Bad.validate().has_value());
+  EXPECT_FALSE(verifyLoop(Bad, VerifyPhase::AfterFrontend).ok());
 
   // Init reading a sequence.
   Loop Bad2 = L;
   Bad2.Equations[0].Init = seqAccess("s", intConst(0));
-  EXPECT_TRUE(Bad2.validate().has_value());
+  EXPECT_FALSE(verifyLoop(Bad2, VerifyPhase::AfterFrontend).ok());
 }
 
 TEST(Loop, Accessors) {

@@ -174,33 +174,45 @@ TEST(ProofCheck, WitnessesArePinned) {
   }
 }
 
-/// Property sweep: for every benchmark the pipeline parallelizes, the
-/// synthesized join passes the proof obligations.
-class ProofSweep : public ::testing::TestWithParam<size_t> {};
-
-TEST_P(ProofSweep, SynthesizedJoinsVerify) {
-  const Benchmark &B = allBenchmarks()[GetParam()];
-  if (!B.ExpectFullSuccess)
-    GTEST_SKIP() << "paper-known lifting failure";
-  Loop L = parseBenchmark(B);
-  PipelineResult Result = parallelizeLoop(L);
-  ASSERT_TRUE(Result.Success) << Result.report();
-  ProofReport Report =
-      checkHomomorphismProof(Result.Final, Result.Join.Components);
-  EXPECT_TRUE(Report.Verified) << B.Name << ": " << Report.str();
+/// The pipeline's proof report is the check of the join it returns: a
+/// lifted loop's, the report of the redundancy-removal retry that was
+/// accepted last (line-sight drops two auxiliaries), and none at all for a
+/// sequential fallback.
+TEST(ProofCheck, PipelineReportsTheAcceptedJoinsProof) {
+  PipelineOptions NoLift;
+  NoLift.TryLift = false;
+  struct Case {
+    const char *Name;
+    PipelineOptions Options;
+    bool Verified;
+    size_t Redundant;
+  };
+  const Case Cases[] = {{"mts", {}, true, 0},
+                        {"line-sight", {}, true, 2},
+                        {"mts", NoLift, false, 0}};
+  for (const Case &C : Cases) {
+    SCOPED_TRACE(C.Name);
+    PipelineResult Result =
+        parallelizeLoop(parseBenchmark(*findBenchmark(C.Name)), C.Options);
+    size_t Redundant = 0;
+    for (const std::string &Dropped : Result.DroppedAux)
+      Redundant += Dropped.find("(redundant)") != std::string::npos;
+    EXPECT_EQ(Redundant, C.Redundant) << Result.report();
+    if (!C.Verified) {
+      EXPECT_TRUE(Result.SequentialFallback);
+      EXPECT_FALSE(Result.Proof.Verified);
+      EXPECT_EQ(Result.Proof.BaseChecks, 0u);
+      EXPECT_EQ(Result.Proof.StepChecks, 0u);
+      continue;
+    }
+    ProofReport Fresh =
+        checkHomomorphismProof(Result.Final, Result.Join.Components);
+    EXPECT_TRUE(Result.Proof.Verified) << Result.Proof.str();
+    EXPECT_EQ(Result.Proof.Verified, Fresh.Verified);
+    EXPECT_EQ(Result.Proof.BaseChecks, Fresh.BaseChecks);
+    EXPECT_EQ(Result.Proof.StepChecks, Fresh.StepChecks);
+  }
 }
-
-std::string proofName(const ::testing::TestParamInfo<size_t> &Info) {
-  std::string Name = allBenchmarks()[Info.param].Name;
-  std::string Clean;
-  for (char C : Name)
-    Clean += std::isalnum(static_cast<unsigned char>(C)) ? C : '_';
-  return Clean;
-}
-
-INSTANTIATE_TEST_SUITE_P(Table1, ProofSweep,
-                         ::testing::Range<size_t>(0, allBenchmarks().size()),
-                         proofName);
 
 TEST(DafnyEmit, MatchesFigure7Structure) {
   Loop L = mustParse("mts = 0;\nsum = 0;\n"

@@ -122,7 +122,7 @@ cmake --build "${PREFIX}-tsan" -j "${JOBS}"
 TSAN_OPTIONS=halt_on_error=1 \
   ctest --test-dir "${PREFIX}-tsan" --output-on-failure -j "${JOBS}" \
   --no-tests=error \
-  -R '^(TaskPool|ParallelReduce|SequentialReduce|InterpReduce|EmitCpp|Representative|Tracer|TracerOff|TraceExport|Metrics|PoolMetrics|Report|Schedules/ParallelEnumerator|Schedules/ParallelJoinSynth)'
+  -R '^(TaskPool|ParallelReduce|SequentialReduce|InterpReduce|EmitCpp|EmittedPrograms|Tracer|TracerOff|TraceExport|Metrics|PoolMetrics|Report|Schedules/ParallelEnumerator|Schedules/ParallelJoinSynth)'
 # Scheduler smoke under TSan as well (all 22 kernels through the pool).
 PARSYNT_FIG8_ELEMS=200000 TSAN_OPTIONS=halt_on_error=1 \
   "${PREFIX}-tsan/bench/fig8" --stats > /dev/null

@@ -20,7 +20,6 @@
 //                                 tools/ci/regen_kernels.sh rewrites them
 //                                 all), from the benchmark's hand lifting
 //                                 when synthesis fails
-//          --check-proof          check the induction obligations
 //          --selftest             run the join on random data in parallel
 //                                 and compare with the sequential loop
 //          --runtime-stats        with --selftest: print the scheduler's
@@ -60,7 +59,6 @@
 #include "observe/Tracer.h"
 #include "pipeline/Parallelizer.h"
 #include "proof/DafnyEmit.h"
-#include "proof/ProofCheck.h"
 #include "runtime/InterpReduce.h"
 #include "runtime/SharedPool.h"
 #include "suite/Benchmarks.h"
@@ -93,8 +91,7 @@ int usage() {
                "               [--analyze] [--emit-dafny <path>] "
                "[--emit-cpp <path>]\n"
                "               [--emit-kernel <path>]\n"
-               "               [--check-proof] [--selftest] "
-               "[--runtime-stats]\n"
+               "               [--selftest] [--runtime-stats]\n"
                "               [--trace <path>] [--phase-report] "
                "[--report json]\n"
                "               [--timeout <dur>] [--join-timeout <dur>] "
@@ -175,7 +172,7 @@ bool runSelfTest(const PipelineResult &Result, bool RuntimeStats) {
 
 int run(int argc, char **argv, std::string &CurrentInput) {
   std::string File, BenchmarkName, DafnyPath, CppPath, KernelPath, TracePath;
-  bool CheckProof = false, SelfTest = false, List = false, Analyze = false;
+  bool SelfTest = false, List = false, Analyze = false;
   bool RuntimeStats = false, PhaseReport = false, ReportJson = false;
   PipelineOptions Options;
 
@@ -221,8 +218,6 @@ int run(int argc, char **argv, std::string &CurrentInput) {
         Options.LiftTimeoutSeconds = Seconds;
     } else if (Arg == "--analyze")
       Analyze = true;
-    else if (Arg == "--check-proof")
-      CheckProof = true;
     else if (Arg == "--selftest")
       SelfTest = true;
     else if (Arg == "--runtime-stats")
@@ -304,7 +299,6 @@ int run(int argc, char **argv, std::string &CurrentInput) {
 
   // Every post-pipeline exit goes through here so `--report json` covers
   // failures and timeouts with the same schema as successes.
-  double ProofSeconds = -1;
   const std::string ReportName =
       !BenchmarkName.empty() ? BenchmarkName : File;
   auto finish = [&](int Code) {
@@ -312,7 +306,7 @@ int run(int argc, char **argv, std::string &CurrentInput) {
       RunReport Report;
       Report.Tool = "parsynt";
       Report.Benchmarks.push_back(
-          makeBenchmarkEntry(ReportName, Result, ProofSeconds));
+          makeBenchmarkEntry(ReportName, Result));
       std::printf("%s", Report.toJson().c_str());
     }
     return Code;
@@ -355,14 +349,8 @@ int run(int argc, char **argv, std::string &CurrentInput) {
                       : ExitSynthFailure);
   }
 
-  if (CheckProof) {
-    ProofReport Proof =
-        checkHomomorphismProof(Result.Final, Result.Join.Components);
-    ProofSeconds = Proof.Seconds;
-    std::fprintf(HumanOut, "%s\n", Proof.str().c_str());
-    if (!Proof.Verified)
-      return finish(ExitSynthFailure);
-  }
+  // The pipeline accepts only a join whose proof obligations hold.
+  std::fprintf(HumanOut, "%s\n", Result.Proof.str().c_str());
   if (!DafnyPath.empty()) {
     std::ofstream Out(DafnyPath);
     Out << emitDafnyProof(Result.Final, Result.Join.Components);
