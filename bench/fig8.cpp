@@ -16,8 +16,10 @@
 // shape — near-linear scaling to the core count, ~1.0 one-core overhead —
 // is the reproduction target; see EXPERIMENTS.md). Either variable, when
 // set, must be a positive integer, or fig8 exits 2. Every thread first
-// spins for 2 s so that no timed run meets a cold virtual CPU, and each
-// time reported is the median of its repetitions.
+// spins so that no timed run meets a cold virtual CPU: 2 s at 2^26
+// elements or more, proportionally less on a smaller input, whose timed
+// runs are that much shorter. Each time reported is the median of its
+// repetitions.
 //
 // `--report json` prints the machine-readable run report
 // (observe/Report.h) on stdout with the human table moved to stderr; CI
@@ -117,7 +119,8 @@ int main(int argc, char **argv) {
   }
   // In report mode the JSON document owns stdout.
   FILE *HumanOut = ReportJson ? stderr : stdout;
-  size_t N = size_t(1) << 26;
+  const size_t DefaultN = size_t(1) << 26;
+  size_t N = DefaultN;
   const size_t Grain = 50000; // the paper's grain size
   // PARSYNT_FIG8_THREADS extends the sweep past the core count so the
   // scheduler's oversubscription behaviour is measurable on small machines.
@@ -145,7 +148,8 @@ int main(int argc, char **argv) {
     std::fprintf(HumanOut, "  x%-5u", T);
   std::fprintf(HumanOut, "   (speedup per thread count)\n");
 
-  warmUp(std::max(Cores, defaultThreadCount()), 2.0);
+  warmUp(std::max(Cores, defaultThreadCount()),
+         2.0 * std::min(1.0, double(N) / double(DefaultN)));
   RunReport Report;
   Report.Tool = "fig8";
   std::vector<double> OneThreadSlowdowns;

@@ -31,6 +31,8 @@ namespace {
 /// The frames: how many, and the seed they are drawn from.
 constexpr unsigned FrameSamples = 48;
 constexpr uint64_t FrameSeed = 0x11f7;
+/// The unfolding depth (the paper's k): 3 suffices for every Table-1 loop.
+constexpr unsigned K = 3;
 
 /// True if \p E references any symbolic unknown ("v@0").
 bool hasUnknown(const ExprRef &E) {
@@ -76,9 +78,8 @@ bool partPresent(const ExprRef &Part, const std::vector<ExprRef> &Parts) {
 /// evolving lifted loop.
 class Lifter {
 public:
-  Lifter(const Loop &Input, const LiftOptions &Options)
-      : Options(Options), Work(materializeIndex(Input)),
-        K(Options.Unfoldings), Frames(Work, K) {
+  Lifter(const Loop &Input, const Deadline &Timeout)
+      : Timeout(Timeout), Work(materializeIndex(Input)), Frames(Work, K) {
     Result.IndexMaterialized = Work.Equations.size() > Input.Equations.size();
     if (Result.IndexMaterialized)
       Result.Notes.push_back(
@@ -155,9 +156,10 @@ private:
   void registerAux(const ExprRef &Definition, const ExprRef &Update,
                    const ExprRef &Init);
 
-  LiftOptions Options;
+  /// Cooperative cancellation, polled per unfolding step and per
+  /// fixpoint equation, and by the normalizer once per expansion.
+  Deadline Timeout;
   Loop Work; ///< input + materialized index + discovered auxiliaries
-  unsigned K;
   /// Over Work's parameters and sequences, which adding an auxiliary never
   /// changes.
   LiftFrames Frames;
@@ -470,24 +472,11 @@ bool Lifter::deriveAccumulator(const ExprRef &Part, unsigned Step,
   // neutral constants; the menu covers the identities of the operators in
   // the grammar).
   std::vector<ExprRef> InitMenu;
-  if (Part->type() == Type::Int) {
-    switch (Options.Preference) {
-    case InitPreference::ZeroFirst:
-      InitMenu = {intConst(0), intConst(1), intConst(-1),
-                  intConst(MinIntSentinel), intConst(MaxIntSentinel)};
-      break;
-    case InitPreference::MaxFirst:
-      InitMenu = {intConst(MaxIntSentinel), intConst(MinIntSentinel),
-                  intConst(0), intConst(1), intConst(-1)};
-      break;
-    case InitPreference::MinFirst:
-      InitMenu = {intConst(MinIntSentinel), intConst(MaxIntSentinel),
-                  intConst(0), intConst(1), intConst(-1)};
-      break;
-    }
-  } else {
+  if (Part->type() == Type::Int)
+    InitMenu = {intConst(0), intConst(1), intConst(-1),
+                intConst(MinIntSentinel), intConst(MaxIntSentinel)};
+  else
     InitMenu = {boolConst(false), boolConst(true)};
-  }
   for (const ExprRef &C : InitMenu) {
     if (validateAccumulator(G, C, Part, Step, MatchedPrev, PartsAtK)) {
       registerAux(Part, G, C);
@@ -579,7 +568,7 @@ LiftResult Lifter::run() {
       return finish();
     };
     for (unsigned Step = 1; Step <= K; ++Step) {
-      if (Options.Timeout.expired())
+      if (Timeout.expired())
         return normalizeTimedOut();
       ExprRef Tau = FromUnknown.ValuesAtStep.at(Eq.Name)[Step];
       // Canonical domain-specific normal forms first; the generic
@@ -589,7 +578,7 @@ LiftResult Lifter::run() {
         Ell = booleanNormalize(Tau, Unknowns);
       if (!Ell) {
         NormalizeOptions NormOpts;
-        NormOpts.Timeout = Options.Timeout;
+        NormOpts.Timeout = Timeout;
         NormalizeStats NormStats;
         Ell = normalizeExpr(Tau, Unknowns, NormOpts, &NormStats);
         if (NormStats.TimedOut)
@@ -622,7 +611,7 @@ LiftResult Lifter::run() {
     Result.Unresolved.clear();
     bool Changed = false;
     for (const Equation &Eq : OriginalEqs) {
-      if (Options.Timeout.expired()) {
+      if (Timeout.expired()) {
         // Keep whatever auxiliaries are already registered: a partially
         // lifted loop is still a valid loop.
         Result.Failure = {FailureKind::Timeout,
@@ -669,16 +658,11 @@ LiftResult Lifter::run() {
 
 } // namespace
 
-LiftResult parsynt::liftLoop(const Loop &L, const LiftOptions &Options) {
+LiftResult parsynt::liftLoop(const Loop &L, const Deadline &Timeout) {
   Span Root("liftLoop", trace::Lift);
   Root.attr("loop", L.Name.empty() ? "<loop>" : L.Name);
-  Root.attr("depth", uint64_t(Options.Unfoldings));
-  Root.attr("preference", Options.Preference == InitPreference::ZeroFirst
-                              ? "zero-first"
-                              : Options.Preference == InitPreference::MaxFirst
-                                    ? "max-first"
-                                    : "min-first");
-  Lifter Engine(L, Options);
+  Root.attr("depth", uint64_t(K));
+  Lifter Engine(L, Timeout);
   LiftResult Result = Engine.run();
   Root.attr("aux_discovered", uint64_t(Result.auxCount()));
   Root.attr("unresolved", uint64_t(Result.Unresolved.size()));

@@ -20,10 +20,15 @@
 /// expression are matched (again semantically) against the step-(k-1)
 /// auxiliary value, the current element, and the step-(k-1)/step-k values of
 /// the state variables, producing an update over {aux, state, s[i]}. The
-/// initial value is synthesized from a small constant menu and the whole
-/// accumulator is validated by simulation; a guarded first-step form
-/// (ite(<at-start>, e1, g)) covers initialization-dependent accumulators
-/// such as "first element".
+/// initial value is the first of a small constant menu (0, 1, -1, then the
+/// MIN/MAX sentinels) with which the whole accumulator validates by
+/// simulation; a guarded first-step form (ite(<at-start>, e1, g)) covers
+/// initialization-dependent accumulators such as "first element".
+///
+/// Lifting runs once per loop, to its fixpoint, at one unfolding depth
+/// (k = 3, enough for every Table-1 loop that lifts). A loop it does not
+/// lift to a joinable one is a failure of the pipeline, not a reason to
+/// unfold deeper or to try another initial value first.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -40,23 +45,6 @@
 #include <vector>
 
 namespace parsynt {
-
-/// Which initial value to prefer for accumulators that validate with more
-/// than one (e.g. "last element", whose behaviour on nonempty chunks never
-/// depends on the init). The empty-chunk value is what a join sees for an
-/// empty divide, so a sentinel init often makes the join expressible.
-enum class InitPreference { ZeroFirst, MaxFirst, MinFirst };
-
-struct LiftOptions {
-  /// Number of unfoldings inspected (the paper's k; 3 suffices for every
-  /// Table-1 benchmark, the pipeline retries with 4 on failure).
-  unsigned Unfoldings = 3;
-  InitPreference Preference = InitPreference::ZeroFirst;
-  /// Cooperative cancellation: lifting unwinds with a Timeout failure
-  /// (keeping any auxiliaries already discovered) when this expires. The
-  /// normalizer polls it once per expansion.
-  Deadline Timeout;
-};
 
 /// The sampled concrete scenarios lifting decides semantic equality on (the
 /// coverage, fold-back and validation checks): a fixed number of seeded
@@ -118,8 +106,10 @@ struct LiftResult {
   unsigned auxCount() const { return Lifted.auxiliaryCount(); }
 };
 
-/// Runs Algorithm 1 on \p L.
-LiftResult liftLoop(const Loop &L, const LiftOptions &Options = {});
+/// Runs Algorithm 1 on \p L, once, at unfolding depth 3. Lifting unwinds
+/// with a Timeout failure (keeping any auxiliaries already discovered) when
+/// \p Timeout expires; the normalizer polls it once per expansion.
+LiftResult liftLoop(const Loop &L, const Deadline &Timeout = {});
 
 } // namespace parsynt
 

@@ -21,15 +21,6 @@ using namespace parsynt;
 
 namespace {
 
-/// Lifting attempts, in order: (unfolding depth, init preference). The
-/// init-preference retries handle init-insensitive accumulators whose
-/// empty-chunk value must be a sentinel for the join to exist.
-constexpr std::pair<unsigned, InitPreference> LiftLadder[] = {
-    {3, InitPreference::ZeroFirst},
-    {3, InitPreference::MaxFirst},
-    {3, InitPreference::MinFirst},
-    {4, InitPreference::ZeroFirst}};
-
 double secondsSince(std::chrono::steady_clock::time_point Start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                        Start)
@@ -234,75 +225,36 @@ PipelineResult parsynt::parallelizeLoop(const Loop &L,
       return failSequential();
     }
 
-    // Phase 2: lift, then re-synthesize; drop unjoinable conjectures.
-    bool Solved = false;
-    for (const auto &[Depth, Preference] : LiftLadder) {
-      if (Overall.expired()) {
-        Result.Failure = {FailureKind::Timeout,
-                          "pipeline deadline expired during lifting"};
-        break;
-      }
-      MetricsRegistry::global().counter("pipeline.lift_attempts").inc();
-      LiftOptions LiftOpts;
-      LiftOpts.Unfoldings = Depth;
-      LiftOpts.Preference = Preference;
-      LiftOpts.Timeout = Deadline::sooner(
-          Overall, Deadline::after(Options.LiftTimeoutSeconds));
-      LiftResult Lift = liftLoop(L, LiftOpts);
-      Result.LiftSeconds += Lift.Seconds;
-      Result.Unresolved = Lift.Unresolved;
-      Result.AuxDiscovered = Lift.auxCount();
-      Work = Lift.Lifted;
-      if (!verifyAt(Work, VerifyPhase::AfterLift, Result))
-        continue; // skip a corrupt lift attempt, try the next one
-
-      while (true) {
-        Result.Join = runJoinSynthesis(Work, /*AllowEmptyGuard=*/true, Result,
-                                       joinDeadline());
-        if (Result.Join.Success) {
-          Result.Proof = proveJoin(Work, Result.Join);
-          if (Result.Proof.Verified) {
-            Solved = true;
-            break;
-          }
-          // A proof-refuted join: the bounded oracle was fooled; move on
-          // to the next lifting attempt rather than trusting it.
-          Result.Join.Success = false;
-          break;
-        }
-        // If a conjectured auxiliary is itself unjoinable, it was an
-        // artifact of the sampling-based collect step: drop it and retry.
-        // (A timed-out synthesis leaves FailedEquation empty, so timeouts
-        // never drop auxiliaries.)
-        const std::string &Failed = Result.Join.FailedEquation;
-        const Equation *FailedEq =
-            Failed.empty() ? nullptr : Work.findEquation(Failed);
-        if (!FailedEq || !FailedEq->IsAuxiliary || Failed == "_pos" ||
-            !removeEquation(Work, Failed))
-          break;
-        Result.DroppedAux.push_back(Failed + " (unjoinable conjecture)");
-      }
-      if (Solved)
-        break;
-      // A lift that stopped on its node ceiling or its deadline would stop
-      // again on every later rung, which unfolds as deep or deeper: report
-      // the lift's failure instead of the join's.
-      if (!Lift.Failure.empty()) {
-        Result.Failure = Lift.Failure;
-        break;
-      }
-      // A join timeout on this lifted loop would repeat on every other
-      // attempt (same searches, same budget): stop retrying.
-      if (Result.Join.Failure.Kind == FailureKind::Timeout)
-        break;
+    // Phase 2: one lift, one join search on the lifted loop, one proof.
+    if (Overall.expired()) {
+      Result.Failure = {FailureKind::Timeout,
+                        "pipeline deadline expired during lifting"};
+      return failSequential();
     }
-    if (!Solved) {
-      if (Result.Failure.empty())
-        Result.Failure =
-            Result.Join.Failure.empty()
-                ? FailureInfo{FailureKind::NotHomomorphic,
-                              "lifting did not produce a joinable loop"}
-                : Result.Join.Failure;
+    MetricsRegistry::global().counter("pipeline.lift_attempts").inc();
+    LiftResult Lift = liftLoop(
+        L, Deadline::sooner(Overall,
+                            Deadline::after(Options.LiftTimeoutSeconds)));
+    Result.LiftSeconds = Lift.Seconds;
+    Result.Unresolved = Lift.Unresolved;
+    Result.AuxDiscovered = Lift.auxCount();
+    Work = std::move(Lift.Lifted);
+    if (!verifyAt(Work, VerifyPhase::AfterLift, Result))
+      return failSequential();
+    Result.Join = runJoinSynthesis(Work, /*AllowEmptyGuard=*/true, Result,
+                                   joinDeadline());
+    // A join the proof refutes fooled the bounded oracle: it is no join.
+    Result.Proof = proveJoin(Work, Result.Join);
+    if (!Result.Proof.Verified) {
+      // A lift that stopped on its node ceiling or its deadline explains
+      // the failure better than the join search on what it lifted.
+      if (!Lift.Failure.empty())
+        Result.Failure = Lift.Failure;
+      else if (!Result.Join.Failure.empty())
+        Result.Failure = Result.Join.Failure;
+      else
+        Result.Failure = {FailureKind::NotHomomorphic,
+                          "lifting did not produce a joinable loop"};
       // Keep the lifted loop's auxiliary figures for Table 1 even though
       // the runnable fallback is the original loop.
       Result.AuxCount = Work.auxiliaryCount();

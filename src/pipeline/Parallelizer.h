@@ -7,13 +7,12 @@
 ///
 /// \file
 /// The end-to-end PARSYNT pipeline: join synthesis on the original loop
-/// (Section 4); if no join exists, homomorphic lifting (Section 6) followed
-/// by join synthesis on the lifted loop; finally the remove-redundancies
-/// step of Algorithm 1, realized as "drop an auxiliary and re-synthesize" —
-/// any auxiliary whose removal still leaves a synthesizable join is
-/// redundant. Conjectured auxiliaries that are themselves unjoinable (the
-/// sampling-based collect step can over-approximate) are dropped the same
-/// way before declaring failure.
+/// (Section 4); if no join exists, one homomorphic lift (Section 6) followed
+/// by one join search on the lifted loop, which fails the pipeline unless
+/// it finds a join that passes the proof gate; finally the
+/// remove-redundancies step of Algorithm 1, realized as "drop an auxiliary
+/// and re-synthesize" — any auxiliary whose removal still leaves a
+/// synthesizable join is redundant.
 ///
 /// The IR verifier runs at every phase boundary, and every join search is
 /// guided by the dependence analysis (DESIGN.md §5b).
@@ -43,7 +42,7 @@ struct PipelineOptions {
   /// starve the rest of the pipeline.
   double TimeoutSeconds = 0;     ///< whole parallelizeLoop call
   double JoinTimeoutSeconds = 0; ///< each join-synthesis call
-  double LiftTimeoutSeconds = 0; ///< each lifting attempt
+  double LiftTimeoutSeconds = 0; ///< the lift
 };
 
 struct PipelineResult {
@@ -59,7 +58,7 @@ struct PipelineResult {
   unsigned AuxCount = 0;      ///< auxiliaries in Final (Table 1's "#Aux")
   unsigned AuxDiscovered = 0; ///< before redundancy removal
   bool IndexMaterialized = false;
-  std::vector<std::string> DroppedAux; ///< unjoinable or redundant
+  std::vector<std::string> DroppedAux; ///< redundant auxiliaries
   std::vector<std::string> Unresolved; ///< lift parts without accumulators
   /// Dependence classification of Final's state variables; empty when the
   /// input or its index rewrite fails verification.

@@ -802,9 +802,6 @@ JoinResult parsynt::synthesizeJoin(const Loop &L,
         EqSpan.attr("solved", false);
         AllSolved = false;
         if (DL.expired()) {
-          // FailedEquation stays empty: a timed-out equation is not
-          // evidence of an unjoinable auxiliary, so the pipeline must not
-          // drop it.
           Result.Failure = {FailureKind::Timeout,
                             "join synthesis deadline expired while solving "
                             "state variable '" +
@@ -813,7 +810,6 @@ JoinResult parsynt::synthesizeJoin(const Loop &L,
           Result.Failure = {FailureKind::NotHomomorphic,
                             "no join component found for state variable '" +
                                 Eq.Name + "'"};
-          Result.FailedEquation = Eq.Name;
         }
         break;
       }

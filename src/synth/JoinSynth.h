@@ -15,7 +15,10 @@
 /// fresh random inputs and folds counterexamples back into the test set.
 ///
 /// Joins are synthesized per state variable (modularly), mirroring the
-/// modular per-variable proof decomposition of Section 7.
+/// modular per-variable proof decomposition of Section 7. A failed search
+/// stops at the first state variable it cannot join and names it in its
+/// failure; the pipeline answers a failure on the original loop by lifting
+/// it once (pipeline/Parallelizer.h).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -104,12 +107,10 @@ struct JoinResult {
   std::vector<ExprRef> Components;
   std::vector<bool> FromFallback; ///< per equation: free grammar used
   JoinStats Stats;
-  /// Structured failure (NotHomomorphic / BudgetExhausted / Timeout).
+  /// Structured failure (NotHomomorphic / BudgetExhausted / Timeout); a
+  /// NotHomomorphic message names the first state variable no component was
+  /// found for.
   FailureInfo Failure;
-  /// Name of the first state variable no component was found for (empty on
-  /// success, CEGIS exhaustion, or timeout). The pipeline uses this to drop
-  /// unjoinable junk auxiliaries.
-  std::string FailedEquation;
 };
 
 /// Synthesizes a join for \p L. On failure (no join found at any tier —

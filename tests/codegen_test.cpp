@@ -8,7 +8,8 @@
 // The strongest possible test of the code generator: emit the parallel
 // program for a benchmark, compile it with the system compiler, run it, and
 // let its built-in self-check (parallel vs sequential on random data)
-// decide.
+// decide. The programs are emitted from the golden joins and final loops
+// of tests/Goldens.h, so no test here synthesizes.
 //
 // Every program is compiled by one g++ call: EmittedPrograms.CompileInOneCall
 // emits them all and builds one executable, and each test that checks a
@@ -20,8 +21,8 @@
 
 #include "codegen/EmitCpp.h"
 #include "ir/ExprOps.h"
-#include "pipeline/Parallelizer.h"
 #include "suite/Benchmarks.h"
+#include "Goldens.h"
 #include "TestUtil.h"
 
 #include <gtest/gtest.h>
@@ -105,13 +106,6 @@ int runEmitted(const std::string &Name) {
   return std::system((EmittedBin + " '" + Name + "' > /dev/null").c_str());
 }
 
-PipelineResult parallelized(const char *Name) {
-  Loop L = parseBenchmark(*findBenchmark(Name));
-  PipelineResult R = parallelizeLoop(L);
-  EXPECT_TRUE(R.Success) << R.report();
-  return R;
-}
-
 /// A representative slice of the suite (one plain, one lifted-arithmetic,
 /// one lifted-boolean, one index-dependent, one two-sequence).
 const char *const Representative[] = {"sum",       "2nd-min",  "mts",
@@ -124,9 +118,8 @@ TEST(EmittedPrograms, CompileInOneCall) {
   Opts.SelfCheckElements = 200000;
   std::vector<EmittedSource> Programs;
   for (const char *Name : Representative) {
-    PipelineResult R = parallelized(Name);
-    Programs.push_back({Name, emitParallelCpp(R.Final, R.Join.Components,
-                                              Opts)});
+    GoldenParallelization R = goldenParallelization(*findBenchmark(Name));
+    Programs.push_back({Name, emitParallelCpp(R.Final, R.Join, Opts)});
     if (std::string(Name) != "mts")
       continue;
     // The program's leaf() joins its chains with the emitted join, so the
@@ -140,7 +133,7 @@ TEST(EmittedPrograms, CompileInOneCall) {
           inputVar(splitName(Eq.Name, Side::Left), Eq.Ty);
     }
     std::vector<ExprRef> Wrong;
-    for (const ExprRef &C : R.Join.Components)
+    for (const ExprRef &C : R.Join)
       Wrong.push_back(substitute(C, Swap));
     Programs.push_back({"mts_wrong_join",
                         emitParallelCpp(R.Final, Wrong, Opts)});
@@ -165,8 +158,8 @@ TEST(EmittedPrograms, CompileInOneCall) {
 }
 
 TEST(EmitCpp, ContainsTheExpectedStructure) {
-  PipelineResult R = parallelized("mts");
-  std::string Code = emitParallelCpp(R.Final, R.Join.Components);
+  GoldenParallelization R = goldenParallelization(*findBenchmark("mts"));
+  std::string Code = emitParallelCpp(R.Final, R.Join);
   EXPECT_NE(Code.find("struct State {"), std::string::npos);
   EXPECT_NE(Code.find("int64_t mts;"), std::string::npos);
   EXPECT_NE(Code.find("static State join(const State &l, const State &r)"),
@@ -178,8 +171,8 @@ TEST(EmitCpp, ContainsTheExpectedStructure) {
 }
 
 TEST(EmitCpp, ParametersBecomeGlobals) {
-  PipelineResult R = parallelized("poly");
-  std::string Code = emitParallelCpp(R.Final, R.Join.Components);
+  GoldenParallelization R = goldenParallelization(*findBenchmark("poly"));
+  std::string Code = emitParallelCpp(R.Final, R.Join);
   EXPECT_NE(Code.find("static int64_t x;"), std::string::npos);
   EXPECT_NE(Code.find("x = 3;"), std::string::npos);
 }

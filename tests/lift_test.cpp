@@ -245,10 +245,9 @@ TEST(Lift, NodeCeilingReportsBudgetExhausted) {
 }
 
 TEST(Lift, ExpiredDeadlineReportsTimeout) {
-  LiftOptions Options;
-  Options.Timeout = Deadline::after(1e-9);
+  Deadline Timeout = Deadline::after(1e-9);
   std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  LiftResult R = liftLoop(maxBlock1(), Options);
+  LiftResult R = liftLoop(maxBlock1(), Timeout);
   EXPECT_EQ(R.Failure.Kind, FailureKind::Timeout) << R.Failure.str();
 }
 

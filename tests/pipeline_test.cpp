@@ -22,164 +22,18 @@
 #include "proof/ProofCheck.h"
 #include "runtime/InterpReduce.h"
 #include "suite/Benchmarks.h"
+#include "Goldens.h"
 #include "TestUtil.h"
 
 #include <gtest/gtest.h>
 
 #include <fstream>
-#include <map>
 #include <sstream>
 
 using namespace parsynt;
 using namespace parsynt::test;
 
 namespace {
-
-/// The final join and the exact search counters of its synthesis call, per
-/// Table-1 loop, plus the rewriter's work over the whole pipeline call and
-/// the auxiliary count. Evaluator and enumerator changes must keep the
-/// enumeration order and the first match; rewriter changes must keep the
-/// Figure-6 search order and its closed set; so every field stays
-/// identical. (max-block-1 fails as in the paper: an empty join, the
-/// failing call's counters.)
-struct JoinGolden {
-  const char *Name;
-  const char *Join;
-  uint64_t SketchAssignments;
-  uint64_t EnumeratedCandidates;
-  uint64_t NormalizeExpanded;
-  uint64_t NormalizeRuleHits;
-  unsigned AuxCount;
-};
-
-const JoinGolden Goldens[] = {
-    {"sum",
-     "sum = (sum_l + sum_r)\n",
-     0, 0,
-     0, 0, 0},
-    {"min",
-     "m = min(m_l, m_r)\n",
-     0, 0,
-     0, 0, 0},
-    {"max",
-     "m = max(m_l, m_r)\n",
-     0, 0,
-     0, 0, 0},
-    {"average",
-     "sum = (sum_l + sum_r)\n"
-     "cnt = (cnt_l + cnt_r)\n",
-     0, 0,
-     0, 0, 0},
-    {"hamming",
-     "ham = ((ham_r != -1) ? (ham_l + ham_r) : ham_l)\n",
-     101, 548,
-     0, 0, 0},
-    {"length",
-     "len = (len_l + len_r)\n",
-     0, 0,
-     0, 0, 0},
-    {"2nd-min",
-     "m2 = min(m2_l, max(min(m2_r, m_l), m_r))\n"
-     "m = min(m_l, m_r)\n",
-     1673, 5292,
-     0, 0, 0},
-    {"mps",
-     "sum = (sum_l + sum_r)\n"
-     "mps = max(mps_l, (sum_l + mps_r))\n",
-     72, 3727,
-     0, 0, 0},
-    {"mts",
-     "mts = max((mts_l + aux0_r), mts_r)\n"
-     "aux0 = (aux0_l + aux0_r)\n",
-     6, 3651,
-     0, 0, 1},
-    {"mss",
-     "mss = max(max(mss_l, mss_r), (mts_l + aux1_r))\n"
-     "mts = max((mts_l + aux0_r), mts_r)\n"
-     "aux0 = (aux0_l + aux0_r)\n"
-     "aux1 = max(aux1_l, (aux0_l + aux1_r))\n",
-     41592, 31167,
-     0, 0, 2},
-    {"mts-p",
-     "mts = max((mts_l + sum_r), mts_r)\n"
-     "sum = (sum_l + sum_r)\n"
-     "pos = ((max((mts_l + sum_r), mts_r) == mts_r) ? (_pos_l + pos_r) : "
-     "pos_l)\n"
-     "_pos = (_pos_l + _pos_r)\n",
-     3576157, 26398,
-     0, 0, 1},
-    {"mps-p",
-     "sum = (sum_l + sum_r)\n"
-     "mps = (((sum_l + mps_r) > mps_l) ? (sum_l + mps_r) : mps_l)\n"
-     "pos = (((sum_l + mps_r) > mps_l) ? (_pos_l + pos_r) : pos_l)\n"
-     "_pos = (_pos_l + _pos_r)\n",
-     22525, 22326,
-     0, 0, 1},
-    {"poly",
-     "res = (res_l + (res_r * p_l))\n"
-     "p = (p_l * p_r)\n",
-     3, 7405,
-     0, 0, 0},
-    {"is-sorted",
-     "sorted = ((prev_r == -1099511627776) ? sorted_l : "
-     "((sorted_l && sorted_r) && (prev_l <= aux0_r)))\n"
-     "prev = ((prev_r <= -1099511627776) ? prev_l : prev_r)\n"
-     "aux0 = ((prev_l == -1099511627776) ? aux0_r : aux0_l)\n",
-     7429813, 80150,
-     1012, 7928, 1},
-    {"atoi",
-     "res = ((res_l * aux0_r) + res_r)\n"
-     "aux0 = (aux0_l * aux0_r)\n",
-     53, 6976,
-     0, 0, 1},
-    {"dropwhile",
-     "cnt = (((cnt_l == _pos_l) && (cnt_r > -1)) ? (cnt_l + cnt_r) : cnt_l)\n"
-     "_pos = (_pos_l + _pos_r)\n",
-     12741, 2909,
-     0, 0, 1},
-    {"balanced-()",
-     "ofs = (ofs_l + ofs_r)\n"
-     "bal = (bal_l && (ofs_l >= aux0_r))\n"
-     "aux0 = max(aux0_l, (aux0_r - ofs_l))\n",
-     42440, 10399,
-     20016, 369094, 1},
-    {"0*1*",
-     "ok = (seen1_l ? (ok_l && aux0_r) : ok_r)\n"
-     "seen1 = (seen1_l || seen1_r)\n"
-     "aux0 = (aux0_l && aux0_r)\n",
-     43162, 634,
-     0, 0, 1},
-    {"count-1's",
-     "cnt = ((cnt_l + cnt_r) + ((prev1_l && aux1_r) ? -1 : 0))\n"
-     "prev1 = ((_pos_r <= 0) ? prev1_l : prev1_r)\n"
-     "_pos = (_pos_l + _pos_r)\n"
-     "aux1 = (((aux1_r ? _pos_l : -1) == 0) ? true : aux1_l)\n",
-     8223180, 40755,
-     12000, 259621, 2},
-    {"line-sight",
-     "vis = ((m_r == -1099511627776) ? vis_l : "
-     "(m_r >= (vis_r ? m_l : 1099511627776)))\n"
-     "m = max(m_l, m_r)\n",
-     46465, 23395,
-     8002, 116111, 0},
-    {"0after1",
-     "res = ((res_l || res_r) || (seen1_l && aux0_r))\n"
-     "seen1 = (seen1_l || seen1_r)\n"
-     "aux0 = (aux0_l || aux0_r)\n",
-     10532, 1148,
-     0, 0, 1},
-    {"max-block-1",
-     "",
-     14978666, 40083,
-     88016, 1637748, 3},
-};
-
-const JoinGolden *goldenFor(const std::string &Name) {
-  for (const JoinGolden &G : Goldens)
-    if (Name == G.Name)
-      return &G;
-  return nullptr;
-}
 
 /// Checks that \p B's checked-in Figure-8 kernel is what the emitter
 /// writes for \p Original, \p Lifted and \p Join.
@@ -223,6 +77,7 @@ TEST_P(PipelineSweep, MatchesPaperExpectations) {
   EXPECT_EQ(deltaOf("normalize.expanded"), Golden->NormalizeExpanded);
   EXPECT_EQ(deltaOf("normalize.rule_hits"), Golden->NormalizeRuleHits);
   EXPECT_EQ(Result.AuxCount, Golden->AuxCount);
+  EXPECT_EQ(deltaOf("pipeline.lift_attempts"), Golden->LiftAttempts);
 
   // The compiled runtime against the evalExpr reference, on wrap-around
   // edge inputs: the original loop sequentially, the final loop in
@@ -322,89 +177,6 @@ INSTANTIATE_TEST_SUITE_P(Table1, PipelineSweep,
                          ::testing::Range<size_t>(0, allBenchmarks().size()),
                          sweepName);
 
-/// The final loop of each benchmark the pipeline lifts, with the auxiliary
-/// names it gives them (a loop reading its index reads `_pos` instead);
-/// every other benchmark's final loop is its own source.
-const std::map<std::string, const char *> LiftedSources = {
-    {"mts", "mts = 0;\naux0 = 0;\nfor (i = 0; i < |s|; i++) {\n"
-            "  mts = max(mts + s[i], 0);\n  aux0 = aux0 + s[i];\n}\n"},
-    {"mss", "mss = 0;\nmts = 0;\naux0 = 0;\naux1 = MIN_INT;\n"
-            "for (i = 0; i < |s|; i++) {\n"
-            "  mss = max(mss, mts + s[i]);\n  mts = max(mts + s[i], 0);\n"
-            "  aux1 = max(aux1, aux0 + s[i]);\n  aux0 = aux0 + s[i];\n}\n"},
-    {"mts-p", "mts = 0;\nsum = 0;\npos = 0;\n_pos = 0;\n"
-              "for (i = 0; i < |s|; i++) {\n"
-              "  mts = max(mts + s[i], 0);\n  sum = sum + s[i];\n"
-              "  if (mts == 0) { pos = _pos + 1; }\n  _pos = _pos + 1;\n}\n"},
-    {"mps-p", "sum = 0;\nmps = 0;\npos = 0;\n_pos = 0;\n"
-              "for (i = 0; i < |s|; i++) {\n  sum = sum + s[i];\n"
-              "  if (sum > mps) { mps = sum; pos = _pos + 1; }\n"
-              "  _pos = _pos + 1;\n}\n"},
-    {"is-sorted", "sorted = true;\nprev = MIN_INT;\naux0 = 0;\n"
-                  "for (i = 0; i < |s|; i++) {\n"
-                  "  sorted = sorted && (prev <= s[i]);\n"
-                  "  if (prev == MIN_INT) { aux0 = s[i]; }\n"
-                  "  prev = s[i];\n}\n"},
-    {"atoi", "res = 0;\naux0 = 1;\nfor (i = 0; i < |s|; i++) {\n"
-             "  res = res * 10 + (s[i] - '0');\n  aux0 = aux0 * 10;\n}\n"},
-    {"dropwhile", "cnt = 0;\n_pos = 0;\nfor (i = 0; i < |s|; i++) {\n"
-                  "  if (cnt == _pos && s[i] > 0) { cnt = cnt + 1; }\n"
-                  "  _pos = _pos + 1;\n}\n"},
-    {"balanced-()", "ofs = 0;\nbal = true;\naux0 = -1;\n"
-                    "for (i = 0; i < |s|; i++) {\n"
-                    "  aux0 = max(aux0, (40 == s[i] ? -1 : 1) - ofs);\n"
-                    "  ofs = s[i] == 40 ? ofs + 1 : ofs - 1;\n"
-                    "  bal = bal && ofs >= 0;\n}\n"},
-    {"0*1*", "ok = true;\nseen1 = false;\naux0 = true;\n"
-             "for (i = 0; i < |s|; i++) {\n"
-             "  if (seen1 && s[i] == 0) { ok = false; }\n"
-             "  if (s[i] == 1) { seen1 = true; }\n"
-             "  aux0 = !(s[i] == 0) && (aux0 || s[i] == 0);\n}\n"},
-    {"count-1's", "cnt = 0;\nprev1 = false;\n_pos = 0;\naux1 = false;\n"
-                  "for (i = 0; i < |s|; i++) {\n"
-                  "  if (s[i] == 1 && !prev1) { cnt = cnt + 1; }\n"
-                  "  prev1 = s[i] == 1;\n"
-                  "  if (_pos == 0) { aux1 = s[i] == 1; }\n"
-                  "  _pos = _pos + 1;\n}\n"},
-    {"0after1", "seen1 = false;\nres = false;\naux0 = false;\n"
-                "for (i = 0; i < |s|; i++) {\n"
-                "  res = res || (seen1 && s[i] == 0);\n"
-                "  seen1 = seen1 || s[i] == 1;\n"
-                "  aux0 = aux0 || s[i] == 0;\n}\n"},
-};
-
-/// Parses \p Join, one `x = <expr>` line per state variable of \p L as
-/// joinToString prints it, into join components in \p L's equation order.
-/// The lines become the body of a loop over the split state (x_l, x_r,
-/// each assigned itself afterwards so that it stays state), so each x's
-/// update is its join component, read as state variables.
-std::vector<ExprRef> parseJoin(const Loop &L, const std::string &Join) {
-  std::string Inits, Body;
-  Substitution Split;
-  for (const Equation &Eq : L.Equations) {
-    const char *Init = Eq.Ty == Type::Bool ? " = false;\n" : " = 0;\n";
-    for (Side S : {Side::Left, Side::Right}) {
-      std::string Name = splitName(Eq.Name, S);
-      Inits += Name + Init;
-      Body += Name + " = " + Name + ";\n";
-      Split[Name] = inputVar(Name, Eq.Ty);
-    }
-    Inits += Eq.Name + Init;
-  }
-  std::string Source = Inits + "for (i = 0; i < |s|; i++) {\n";
-  for (char C : Join)
-    Source += C == '\n' ? std::string(";\n") : std::string(1, C);
-  Loop Parsed = mustParse(Source + Body + "}\n");
-  std::vector<ExprRef> Components;
-  for (const Equation &Eq : L.Equations) {
-    const Equation *Component = Parsed.findEquation(Eq.Name);
-    EXPECT_NE(Component, nullptr) << Eq.Name << " has no join component";
-    if (Component)
-      Components.push_back(substitute(Component->Update, Split));
-  }
-  return Components;
-}
-
 /// Property sweep: every golden join passes the proof obligations on its
 /// final loop. No synthesis runs here: PipelineSweep checks that the
 /// pipeline synthesizes these joins and that its own proof accepted them.
@@ -414,14 +186,9 @@ TEST_P(ProofSweep, SynthesizedJoinsVerify) {
   const Benchmark &B = allBenchmarks()[GetParam()];
   if (!B.ExpectFullSuccess)
     GTEST_SKIP() << "paper-known lifting failure";
-  auto Lifted = LiftedSources.find(B.Name);
-  Loop L = Lifted == LiftedSources.end() ? parseBenchmark(B)
-                                         : mustParse(Lifted->second, B.Name);
-  const JoinGolden *Golden = goldenFor(B.Name);
-  ASSERT_NE(Golden, nullptr) << "no golden join for " << B.Name;
-  std::vector<ExprRef> Join = parseJoin(L, Golden->Join);
-  ASSERT_EQ(Join.size(), L.Equations.size());
-  ProofReport Report = checkHomomorphismProof(L, Join);
+  GoldenParallelization Golden = goldenParallelization(B);
+  ASSERT_EQ(Golden.Join.size(), Golden.Final.Equations.size());
+  ProofReport Report = checkHomomorphismProof(Golden.Final, Golden.Join);
   EXPECT_TRUE(Report.Verified) << B.Name << ": " << Report.str();
 }
 

@@ -403,10 +403,9 @@ TEST(TimeoutPath, DefaultBudgetsAreUnbounded) {
 }
 
 TEST(BudgetPath, LiftNodeCeilingEndsTheLadder) {
-  // Every rung of the lifting ladder unfolds the same loop as deep or
-  // deeper, so once a lift stops on its node ceiling the pipeline must not
-  // retry it: one lift attempt, then the lift's own failure, not the
-  // join's.
+  // The pipeline lifts once; a lift that stops on its node ceiling is
+  // reported as the lift's own failure, not as the join search's on what
+  // it lifted.
   Loop L = nodeCeilingLoop();
   MetricsRegistry &M = MetricsRegistry::global();
   uint64_t Before = M.counter("pipeline.lift_attempts").value();

@@ -109,10 +109,15 @@ cmake --build "${PREFIX}-tsan" -j "${JOBS}"
 # that exercise them (a full synthesis sweep under TSan is prohibitively
 # slow). ParallelEnumerator / ParallelJoinSynth run the parallel join
 # search on mts, mts-p and line-sight under three pool schedules and
-# compare it with the sequential figures. runtime_test carries the
-# work-stealing pool's dedicated races: grain-1 recursion at 2-64 threads,
-# oversubscribed nested waits, concurrent external callers, and the
-# park/wake handshake.
+# compare it with the sequential figures. Two PipelineSweep cases run the
+# whole pipeline (join search, lift, join search on the lifted loop, proof)
+# on the shared pool: mts, and line-sight, whose lift normalizes with the
+# Figure-6 rewriter; the trailing space or end anchor keeps mts from also
+# selecting mts_p. The EmitCpp tests (and the EmittedPrograms build that
+# their fixture pulls in) emit from golden joins and synthesize nothing.
+# runtime_test carries the work-stealing pool's dedicated races: grain-1
+# recursion at 2-64 threads, oversubscribed nested waits, concurrent
+# external callers, and the park/wake handshake.
 # InterpReduce.CompiledRunMatchesReferenceOnSharedPrograms runs compiled
 # loop and join programs shared by four workers: the race check for the
 # runtime's one-compile-per-call evaluator.
@@ -122,7 +127,7 @@ cmake --build "${PREFIX}-tsan" -j "${JOBS}"
 TSAN_OPTIONS=halt_on_error=1 \
   ctest --test-dir "${PREFIX}-tsan" --output-on-failure -j "${JOBS}" \
   --no-tests=error \
-  -R '^(TaskPool|ParallelReduce|SequentialReduce|InterpReduce|EmitCpp|EmittedPrograms|Tracer|TracerOff|TraceExport|Metrics|PoolMetrics|Report|Schedules/ParallelEnumerator|Schedules/ParallelJoinSynth)'
+  -R '^(TaskPool|ParallelReduce|SequentialReduce|InterpReduce|EmitCpp|Table1/PipelineSweep\.MatchesPaperExpectations/(mts|line_sight)( |$)|Tracer|TracerOff|TraceExport|Metrics|PoolMetrics|Report|Schedules/ParallelEnumerator|Schedules/ParallelJoinSynth)'
 # Scheduler smoke under TSan as well (all 22 kernels through the pool).
 PARSYNT_FIG8_ELEMS=200000 TSAN_OPTIONS=halt_on_error=1 \
   "${PREFIX}-tsan/bench/fig8" --stats > /dev/null

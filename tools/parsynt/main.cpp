@@ -35,7 +35,7 @@
 //                                 human-readable output moves to stderr
 //          --timeout <dur>        whole-loop wall-clock budget
 //          --join-timeout <dur>   budget for each join-synthesis call
-//          --lift-timeout <dur>   budget for each lifting attempt
+//          --lift-timeout <dur>   budget for the lift
 //                                 (<dur> is e.g. '500ms', '2s', '1m', or a
 //                                 plain number of seconds)
 //
