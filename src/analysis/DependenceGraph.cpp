@@ -63,9 +63,9 @@ std::optional<BinaryOp> foldOperator(const Equation &Eq, const ExprRef &Update,
   if (!B || !isAssociative(B->op()))
     return std::nullopt;
   ExprRef Self = stateVar(Eq.Name, Eq.Ty);
-  const ExprRef &Other = exprEquals(B->lhs(), Self)   ? B->rhs()
-                         : exprEquals(B->rhs(), Self) ? B->lhs()
-                                                      : nullptr;
+  const ExprRef &Other = B->lhs() == Self   ? B->rhs()
+                         : B->rhs() == Self ? B->lhs()
+                                            : nullptr;
   if (!Other || !collectVars(Other, VarClass::State).empty() ||
       readsIndexVar(Other, Index))
     return std::nullopt;
@@ -83,9 +83,9 @@ bool initCompatible(BinaryOp Op, const ExprRef &Init) {
   case BinaryOp::Or:
     return true; // idempotent: the doubled init collapses
   case BinaryOp::Add:
-    return exprEquals(Init, intConst(0));
+    return Init == intConst(0);
   case BinaryOp::Mul:
-    return exprEquals(Init, intConst(1));
+    return Init == intConst(1);
   default:
     return false;
   }
@@ -228,14 +228,14 @@ DependenceInfo parsynt::analyzeDependences(const Loop &L) {
       ReadsOthers |= Read != Eq.Name;
 
     ExprRef Self = stateVar(Eq.Name, Eq.Ty);
-    bool Frozen = exprEquals(Eq.Update, Self);
+    bool Frozen = Eq.Update == Self;
     bool ReadsNothing = V.Reads.empty() && !V.ReadsIndex &&
                         collectSeqNames(Eq.Update).empty();
     if (Frozen || ReadsNothing) {
       V.Class = DepClass::Constant;
       // The value can only ever be the init (frozen) or the update's
       // constant; the join is the left value exactly when they agree.
-      if (Frozen || exprEquals(Eq.Update, Eq.Init))
+      if (Frozen || Eq.Update == Eq.Init)
         V.TrivialJoin = inputVar(splitName(Eq.Name, Side::Left), Eq.Ty);
       continue;
     }

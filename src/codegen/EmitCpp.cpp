@@ -149,8 +149,7 @@ private:
       // c ? x + e : x adds the selected increment: x + (c ? e : 0), which
       // GCC turns into an add of the condition (DESIGN.md §5i).
       const auto *Inc = dyn_cast<BinaryExpr>(I->thenExpr());
-      if (Inc && Inc->op() == BinaryOp::Add &&
-          exprEquals(Inc->lhs(), I->elseExpr()))
+      if (Inc && Inc->op() == BinaryOp::Add && Inc->lhs() == I->elseExpr())
         return "parsynt::ops::Add()(" + sub(Inc->lhs()) +
                ", parsynt::ops::select(" + sub(I->cond()) + ", " +
                sub(Inc->rhs()) + ", INT64_C(0)))";

@@ -313,7 +313,7 @@ bool Converter::convertStmts(const std::vector<SStmt> &Stmts,
     for (const std::string &Name : StateNames) {
       const ExprRef &ThenVal = ThenCur.at(Name);
       const ExprRef &ElseVal = ElseCur.at(Name);
-      if (exprEquals(ThenVal, ElseVal))
+      if (ThenVal == ElseVal)
         Cur[Name] = ThenVal;
       else
         Cur[Name] = ite(Cond, ThenVal, ElseVal);

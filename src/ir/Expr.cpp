@@ -121,7 +121,7 @@ const char *parsynt::unaryOpName(UnaryOp Op) {
 }
 
 //===----------------------------------------------------------------------===//
-// Hashing.
+// Hashing and interning.
 //===----------------------------------------------------------------------===//
 
 namespace {
@@ -135,30 +135,88 @@ uint64_t hashString(const std::string &S) {
   return std::hash<std::string>{}(S);
 }
 
-} // namespace
+/// The intern table: weak (a node leaves it with its last handle),
+/// process-wide, and never destroyed, so that handles dropped during static
+/// destruction still find it. Each bucket chains its nodes through
+/// Expr::NextInBucket.
+struct InternTable {
+  std::vector<const Expr *> Buckets = std::vector<const Expr *>(1024);
+  size_t Live = 0;
 
-/// Grants the static get() factories access to the private constructors
-/// without befriending std::make_shared's internals.
-struct parsynt::ExprFactory {
-  template <typename T, typename... Args> static ExprRef make(Args &&...A) {
-    return ExprRef(new T(std::forward<Args>(A)...));
+  const Expr *&bucket(uint64_t H) {
+    return Buckets[(H * 0x9e3779b97f4a7c15ull) >> 32 & (Buckets.size() - 1)];
   }
 };
 
+InternTable &internTable() {
+  static InternTable *Table = new InternTable;
+  return *Table;
+}
+
+} // namespace
+
+/// Grants the static get() factories access to the private constructors,
+/// and keeps the intern table.
+struct parsynt::ExprFactory {
+  /// The live node of kind T with hash \p H for which \p Same holds, or a
+  /// new one built from \p A.
+  template <typename T, typename SameFn, typename... Args>
+  static ExprRef intern(uint64_t H, SameFn Same, Args &&...A) {
+    InternTable &Table = internTable();
+    for (const Expr *N = Table.bucket(H); N; N = N->NextInBucket)
+      if (N->hash() == H && isa<T>(N) && Same(*cast<T>(N)))
+        return ExprRef(N);
+    if (Table.Live == Table.Buckets.size()) {
+      std::vector<const Expr *> Old(2 * Table.Live, nullptr);
+      Old.swap(Table.Buckets);
+      for (const Expr *N : Old)
+        for (const Expr *Next; N; N = Next) {
+          Next = N->NextInBucket;
+          N->NextInBucket = Table.bucket(N->hash());
+          Table.bucket(N->hash()) = N;
+        }
+    }
+    T *Node = new T(std::forward<Args>(A)...);
+    Node->NextInBucket = Table.bucket(H);
+    Table.bucket(H) = Node;
+    ++Table.Live;
+    return ExprRef(Node);
+  }
+};
+
+void ExprRef::destroy(const Expr *E) {
+  InternTable &Table = internTable();
+  const Expr **Link = &Table.bucket(E->hash());
+  while (*Link != E)
+    Link = &(*Link)->NextInBucket;
+  *Link = E->NextInBucket;
+  --Table.Live;
+  delete E;
+}
+
+size_t parsynt::liveExprCount() { return internTable().Live; }
+
 ExprRef IntConstExpr::get(int64_t Value) {
   uint64_t H = hashCombine(1, static_cast<uint64_t>(Value));
-  return ExprFactory::make<IntConstExpr>(Value, H);
+  return ExprFactory::intern<IntConstExpr>(
+      H, [&](const IntConstExpr &N) { return N.Value == Value; }, Value, H);
 }
 
 ExprRef BoolConstExpr::get(bool Value) {
   uint64_t H = hashCombine(2, Value ? 0xb5ull : 0x5bull);
-  return ExprFactory::make<BoolConstExpr>(Value, H);
+  return ExprFactory::intern<BoolConstExpr>(
+      H, [&](const BoolConstExpr &N) { return N.Value == Value; }, Value, H);
 }
 
 ExprRef VarExpr::get(std::string Name, Type Ty, VarClass Class) {
   uint64_t H = hashCombine(3, hashString(Name));
   H = hashCombine(H, static_cast<uint64_t>(Ty));
-  return ExprFactory::make<VarExpr>(std::move(Name), Ty, Class, H);
+  return ExprFactory::intern<VarExpr>(
+      H,
+      [&](const VarExpr &N) {
+        return N.Class == Class && N.type() == Ty && N.Name == Name;
+      },
+      std::move(Name), Ty, Class, H);
 }
 
 ExprRef SeqAccessExpr::get(std::string SeqName, Type ElemTy, ExprRef Index) {
@@ -167,8 +225,12 @@ ExprRef SeqAccessExpr::get(std::string SeqName, Type ElemTy, ExprRef Index) {
   H = hashCombine(H, Index->hash());
   unsigned Depth = Index->depth() + 1;
   unsigned Size = Index->size() + 1;
-  return ExprFactory::make<SeqAccessExpr>(std::move(SeqName), ElemTy,
-                                          std::move(Index), H, Depth, Size);
+  return ExprFactory::intern<SeqAccessExpr>(
+      H,
+      [&](const SeqAccessExpr &N) {
+        return N.Index == Index && N.type() == ElemTy && N.SeqName == SeqName;
+      },
+      std::move(SeqName), ElemTy, std::move(Index), H, Depth, Size);
 }
 
 ExprRef UnaryExpr::get(UnaryOp Op, ExprRef Operand) {
@@ -180,7 +242,10 @@ ExprRef UnaryExpr::get(UnaryOp Op, ExprRef Operand) {
   H = hashCombine(H, Operand->hash());
   unsigned Depth = Operand->depth() + 1;
   unsigned Size = Operand->size() + 1;
-  return ExprFactory::make<UnaryExpr>(Op, std::move(Operand), H, Depth, Size);
+  return ExprFactory::intern<UnaryExpr>(
+      H,
+      [&](const UnaryExpr &N) { return N.Op == Op && N.Operand == Operand; },
+      Op, std::move(Operand), H, Depth, Size);
 }
 
 ExprRef BinaryExpr::get(BinaryOp Op, ExprRef Lhs, ExprRef Rhs) {
@@ -199,8 +264,12 @@ ExprRef BinaryExpr::get(BinaryOp Op, ExprRef Lhs, ExprRef Rhs) {
   H = hashCombine(H, Rhs->hash());
   unsigned Depth = std::max(Lhs->depth(), Rhs->depth()) + 1;
   unsigned Size = Lhs->size() + Rhs->size() + 1;
-  return ExprFactory::make<BinaryExpr>(Op, std::move(Lhs), std::move(Rhs), H,
-                                       Depth, Size);
+  return ExprFactory::intern<BinaryExpr>(
+      H,
+      [&](const BinaryExpr &N) {
+        return N.Op == Op && N.Lhs == Lhs && N.Rhs == Rhs;
+      },
+      Op, std::move(Lhs), std::move(Rhs), H, Depth, Size);
 }
 
 ExprRef IteExpr::get(ExprRef Cond, ExprRef Then, ExprRef Else) {
@@ -213,55 +282,12 @@ ExprRef IteExpr::get(ExprRef Cond, ExprRef Then, ExprRef Else) {
   unsigned Depth =
       std::max(Cond->depth(), std::max(Then->depth(), Else->depth())) + 1;
   unsigned Size = Cond->size() + Then->size() + Else->size() + 1;
-  return ExprFactory::make<IteExpr>(std::move(Cond), std::move(Then),
-                                    std::move(Else), H, Depth, Size);
-}
-
-//===----------------------------------------------------------------------===//
-// Structural equality.
-//===----------------------------------------------------------------------===//
-
-bool parsynt::exprEquals(const ExprRef &A, const ExprRef &B) {
-  if (A.get() == B.get())
-    return true;
-  if (!A || !B)
-    return false;
-  if (A->hash() != B->hash() || A->kind() != B->kind() ||
-      A->type() != B->type() || A->size() != B->size())
-    return false;
-  switch (A->kind()) {
-  case ExprKind::IntConst:
-    return cast<IntConstExpr>(A)->value() == cast<IntConstExpr>(B)->value();
-  case ExprKind::BoolConst:
-    return cast<BoolConstExpr>(A)->value() == cast<BoolConstExpr>(B)->value();
-  case ExprKind::Var:
-    return cast<VarExpr>(A)->name() == cast<VarExpr>(B)->name();
-  case ExprKind::SeqAccess: {
-    const auto *SA = cast<SeqAccessExpr>(A);
-    const auto *SB = cast<SeqAccessExpr>(B);
-    return SA->seqName() == SB->seqName() &&
-           exprEquals(SA->index(), SB->index());
-  }
-  case ExprKind::Unary: {
-    const auto *UA = cast<UnaryExpr>(A);
-    const auto *UB = cast<UnaryExpr>(B);
-    return UA->op() == UB->op() && exprEquals(UA->operand(), UB->operand());
-  }
-  case ExprKind::Binary: {
-    const auto *BA = cast<BinaryExpr>(A);
-    const auto *BB = cast<BinaryExpr>(B);
-    return BA->op() == BB->op() && exprEquals(BA->lhs(), BB->lhs()) &&
-           exprEquals(BA->rhs(), BB->rhs());
-  }
-  case ExprKind::Ite: {
-    const auto *IA = cast<IteExpr>(A);
-    const auto *IB = cast<IteExpr>(B);
-    return exprEquals(IA->cond(), IB->cond()) &&
-           exprEquals(IA->thenExpr(), IB->thenExpr()) &&
-           exprEquals(IA->elseExpr(), IB->elseExpr());
-  }
-  }
-  return false;
+  return ExprFactory::intern<IteExpr>(
+      H,
+      [&](const IteExpr &N) {
+        return N.Cond == Cond && N.Then == Then && N.Else == Else;
+      },
+      std::move(Cond), std::move(Then), std::move(Else), H, Depth, Size);
 }
 
 //===----------------------------------------------------------------------===//

@@ -11,11 +11,14 @@
 /// by Algorithm 1, the rewrite engine's terms, and the candidate expressions
 /// produced by join synthesis.
 ///
-/// Expressions are immutable, heap-allocated nodes reachable through
-/// std::shared_ptr<const Expr> (ExprRef). Every node caches its structural
-/// hash, depth and size at construction, so equality checks (hash fast path +
-/// recursive compare) and the cost function of Definition 6.1 are cheap.
-/// LLVM-style isa<>/cast<>/dyn_cast<> dispatch is provided through kind tags.
+/// Expressions are immutable and hash-consed: a process-wide intern table
+/// holds one node per distinct term, so structural equality is pointer
+/// equality. ExprRef is an intrusive handle with a non-atomic count; nodes
+/// are built, copied and released on the caller thread only, and a node is
+/// freed (and leaves the table) with its last handle. Every node caches its
+/// structural hash, depth and size, and carries the memos of simplify() and
+/// exprCost() (DESIGN.md §5j). LLVM-style isa<>/cast<>/dyn_cast<> dispatch is
+/// provided through kind tags.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -26,18 +29,65 @@
 
 #include <cassert>
 #include <cstdint>
-#include <memory>
+#include <functional>
 #include <string>
 #include <vector>
 
 namespace parsynt {
 
 class Expr;
-using ExprRef = std::shared_ptr<const Expr>;
 
 /// Internal factory granting the static get() functions access to the
-/// private node constructors (defined in Expr.cpp).
+/// private node constructors and the intern table (defined in Expr.cpp).
 struct ExprFactory;
+
+/// An owning handle to an interned node. Copies count references without
+/// atomics, so a handle must never be copied or dropped off the thread that
+/// builds expressions. Two handles are equal exactly when their terms are.
+class ExprRef {
+public:
+  ExprRef() = default;
+  ExprRef(std::nullptr_t) {}
+  /// Takes a new reference to \p E (null allowed).
+  explicit ExprRef(const Expr *E);
+  ExprRef(const ExprRef &O) : ExprRef(O.P) {}
+  ExprRef(ExprRef &&O) noexcept : P(O.P) { O.P = nullptr; }
+  ExprRef &operator=(ExprRef O) noexcept {
+    std::swap(P, O.P);
+    return *this;
+  }
+  ~ExprRef();
+
+  const Expr *get() const { return P; }
+  const Expr *operator->() const { return P; }
+  const Expr &operator*() const { return *P; }
+  explicit operator bool() const { return P != nullptr; }
+  friend bool operator==(const ExprRef &A, const ExprRef &B) {
+    return A.P == B.P;
+  }
+
+private:
+  /// Unlinks a node from the intern table and frees it.
+  static void destroy(const Expr *E);
+  const Expr *P = nullptr;
+};
+
+/// The cost of Definition 6.1: (max depth of any unknown, counted from the
+/// root at depth 0; total occurrences of unknowns). Compared
+/// lexicographically.
+struct ExprCost {
+  unsigned MaxDepth = 0;
+  unsigned Occurrences = 0;
+
+  friend bool operator<(const ExprCost &A, const ExprCost &B) {
+    if (A.MaxDepth != B.MaxDepth)
+      return A.MaxDepth < B.MaxDepth;
+    return A.Occurrences < B.Occurrences;
+  }
+  friend bool operator==(const ExprCost &A, const ExprCost &B) {
+    return A.MaxDepth == B.MaxDepth && A.Occurrences == B.Occurrences;
+  }
+};
 
 /// Discriminator for the Expr class hierarchy.
 enum class ExprKind {
@@ -108,20 +158,52 @@ public:
   uint64_t hash() const { return Hash; }
   /// Height of the expression tree; leaves have depth 1.
   unsigned depth() const { return Depth; }
-  /// Total number of nodes.
+  /// Total number of nodes of the tree.
   unsigned size() const { return Size; }
+
+  /// Memos of pure functions of the term, written on the caller thread and
+  /// freed with the node.
+  struct Memo {
+    /// simplify(this) once computed, unless it is this node (SelfSimple).
+    ExprRef Simplified;
+    bool SelfSimple = false;
+    /// exprCost(this, Names) for the unknown set of epoch CostEpoch (0: none).
+    uint32_t CostEpoch = 0;
+    ExprCost Cost;
+  };
+  Memo &memo() const { return Memos; }
 
 protected:
   Expr(ExprKind Kind, Type Ty, uint64_t Hash, unsigned Depth, unsigned Size)
       : Kind(Kind), Ty(Ty), Hash(Hash), Depth(Depth), Size(Size) {}
 
 private:
+  friend class ExprRef;
+  friend struct ExprFactory;
   ExprKind Kind;
   Type Ty;
+  mutable uint32_t Refs = 0;
   uint64_t Hash;
   unsigned Depth;
   unsigned Size;
+  /// The next node of this node's intern-table bucket.
+  mutable const Expr *NextInBucket = nullptr;
+  mutable Memo Memos;
 };
+
+inline ExprRef::ExprRef(const Expr *E) : P(E) {
+  if (P)
+    ++P->Refs;
+}
+
+inline ExprRef::~ExprRef() {
+  if (P && --P->Refs == 0)
+    destroy(P);
+}
+
+/// The number of live interned nodes, for tests that check that nodes and
+/// their memos are freed.
+size_t liveExprCount();
 
 /// An integer literal.
 class IntConstExpr : public Expr {
@@ -155,8 +237,11 @@ private:
   bool Value;
 };
 
-/// A scalar variable reference. Identity is (name); the class records the
-/// variable's role for sketch compilation and unfolding.
+/// A scalar variable reference. Identity is (name, type, class); the class
+/// records the variable's role for sketch compilation and unfolding, and
+/// is part of the key so that a name built in two roles keeps both (a
+/// test helper parses a join's `x_l` as state while it is also an input).
+/// The hash leaves the class out.
 class VarExpr : public Expr {
 public:
   const std::string &name() const { return Name; }
@@ -287,24 +372,6 @@ template <typename T> const T *dyn_cast(const ExprRef &E) {
 // Structural operations.
 //===----------------------------------------------------------------------===//
 
-/// Structural equality (hash fast path + recursive compare).
-bool exprEquals(const ExprRef &A, const ExprRef &B);
-
-/// Hash and equality functors keying unordered containers by structure:
-/// the cached hash() and exprEquals(). Structural equality coincides with
-/// equality of exprToString() renderings on well-typed terms, without
-/// printing anything.
-struct ExprHash {
-  size_t operator()(const ExprRef &E) const {
-    return static_cast<size_t>(E->hash());
-  }
-};
-struct ExprEqual {
-  bool operator()(const ExprRef &A, const ExprRef &B) const {
-    return exprEquals(A, B);
-  }
-};
-
 /// Renders the expression in source syntax, fully parenthesized where the
 /// structure is not obvious.
 std::string exprToString(const ExprRef &E);
@@ -377,5 +444,13 @@ inline ExprRef ite(ExprRef C, ExprRef T, ExprRef E) {
 }
 
 } // namespace parsynt
+
+/// Unordered containers key handles by the structural hash, so they iterate
+/// the same in every run; equality is the pointer compare above.
+template <> struct std::hash<parsynt::ExprRef> {
+  size_t operator()(const parsynt::ExprRef &E) const {
+    return static_cast<size_t>(E->hash());
+  }
+};
 
 #endif // PARSYNT_IR_EXPR_H

@@ -10,88 +10,24 @@
 using namespace parsynt;
 
 ExprRef parsynt::substitute(const ExprRef &E, const Substitution &Subst) {
-  switch (E->kind()) {
-  case ExprKind::IntConst:
-  case ExprKind::BoolConst:
-    return E;
-  case ExprKind::Var: {
-    const auto *V = cast<VarExpr>(E);
+  if (const auto *V = dyn_cast<VarExpr>(E)) {
     auto It = Subst.find(V->name());
     if (It == Subst.end())
       return E;
     assert(It->second->type() == V->type() && "ill-typed substitution");
     return It->second;
   }
-  case ExprKind::SeqAccess: {
-    const auto *S = cast<SeqAccessExpr>(E);
-    ExprRef NewIndex = substitute(S->index(), Subst);
-    if (NewIndex.get() == S->index().get())
-      return E;
-    return SeqAccessExpr::get(S->seqName(), S->type(), std::move(NewIndex));
-  }
-  case ExprKind::Unary: {
-    const auto *U = cast<UnaryExpr>(E);
-    ExprRef NewOp = substitute(U->operand(), Subst);
-    if (NewOp.get() == U->operand().get())
-      return E;
-    return UnaryExpr::get(U->op(), std::move(NewOp));
-  }
-  case ExprKind::Binary: {
-    const auto *B = cast<BinaryExpr>(E);
-    ExprRef NewL = substitute(B->lhs(), Subst);
-    ExprRef NewR = substitute(B->rhs(), Subst);
-    if (NewL.get() == B->lhs().get() && NewR.get() == B->rhs().get())
-      return E;
-    return BinaryExpr::get(B->op(), std::move(NewL), std::move(NewR));
-  }
-  case ExprKind::Ite: {
-    const auto *I = cast<IteExpr>(E);
-    ExprRef NewC = substitute(I->cond(), Subst);
-    ExprRef NewT = substitute(I->thenExpr(), Subst);
-    ExprRef NewE = substitute(I->elseExpr(), Subst);
-    if (NewC.get() == I->cond().get() && NewT.get() == I->thenExpr().get() &&
-        NewE.get() == I->elseExpr().get())
-      return E;
-    return IteExpr::get(std::move(NewC), std::move(NewT), std::move(NewE));
-  }
-  }
-  return E;
+  return mapChildren(E, [&](const ExprRef &C) { return substitute(C, Subst); });
 }
 
 ExprRef parsynt::rewriteSeqAccesses(
     const ExprRef &E,
     const std::function<ExprRef(const SeqAccessExpr &)> &Fn) {
-  switch (E->kind()) {
-  case ExprKind::IntConst:
-  case ExprKind::BoolConst:
-  case ExprKind::Var:
-    return E;
-  case ExprKind::SeqAccess: {
-    const auto *S = cast<SeqAccessExpr>(E);
+  if (const auto *S = dyn_cast<SeqAccessExpr>(E))
     if (ExprRef Replacement = Fn(*S))
       return Replacement;
-    ExprRef NewIndex = rewriteSeqAccesses(S->index(), Fn);
-    if (NewIndex.get() == S->index().get())
-      return E;
-    return SeqAccessExpr::get(S->seqName(), S->type(), std::move(NewIndex));
-  }
-  case ExprKind::Unary: {
-    const auto *U = cast<UnaryExpr>(E);
-    return UnaryExpr::get(U->op(), rewriteSeqAccesses(U->operand(), Fn));
-  }
-  case ExprKind::Binary: {
-    const auto *B = cast<BinaryExpr>(E);
-    return BinaryExpr::get(B->op(), rewriteSeqAccesses(B->lhs(), Fn),
-                           rewriteSeqAccesses(B->rhs(), Fn));
-  }
-  case ExprKind::Ite: {
-    const auto *I = cast<IteExpr>(E);
-    return IteExpr::get(rewriteSeqAccesses(I->cond(), Fn),
-                        rewriteSeqAccesses(I->thenExpr(), Fn),
-                        rewriteSeqAccesses(I->elseExpr(), Fn));
-  }
-  }
-  return E;
+  return mapChildren(
+      E, [&](const ExprRef &C) { return rewriteSeqAccesses(C, Fn); });
 }
 
 ExprRef
@@ -207,56 +143,35 @@ bool parsynt::containsVar(const ExprRef &E, const std::string &Name) {
   return false;
 }
 
-/// One pre-order walk accumulating both halves of CostV; \p Depth counts
-/// from the root (depth 0).
-static void exprCostImpl(const Expr *E, const std::set<std::string> &Names,
-                         unsigned Depth, ExprCost &Cost) {
-  switch (E->kind()) {
-  case ExprKind::IntConst:
-  case ExprKind::BoolConst:
-    return;
-  case ExprKind::Var:
-    if (Names.count(cast<VarExpr>(E)->name())) {
-      Cost.MaxDepth = std::max(Cost.MaxDepth, Depth);
-      ++Cost.Occurrences;
-    }
-    return;
-  case ExprKind::SeqAccess:
-    exprCostImpl(cast<SeqAccessExpr>(E)->index().get(), Names, Depth + 1,
-                 Cost);
-    return;
-  case ExprKind::Unary:
-    exprCostImpl(cast<UnaryExpr>(E)->operand().get(), Names, Depth + 1, Cost);
-    return;
-  case ExprKind::Binary: {
-    const auto *B = cast<BinaryExpr>(E);
-    exprCostImpl(B->lhs().get(), Names, Depth + 1, Cost);
-    exprCostImpl(B->rhs().get(), Names, Depth + 1, Cost);
-    return;
+/// CostV of \p E for the unknown set of \p Epoch: a node's unknowns sit one
+/// level deeper than its children's.
+static ExprCost costOf(const Expr *E, const std::set<std::string> &Names,
+                       uint32_t Epoch) {
+  Expr::Memo &M = E->memo();
+  if (M.CostEpoch == Epoch)
+    return M.Cost;
+  ExprCost Cost;
+  if (const auto *V = dyn_cast<VarExpr>(E))
+    Cost.Occurrences = Names.count(V->name());
+  for (const ExprRef &Child : children(ExprRef(E))) {
+    ExprCost C = costOf(Child.get(), Names, Epoch);
+    if (C.Occurrences)
+      Cost.MaxDepth = std::max(Cost.MaxDepth, C.MaxDepth + 1);
+    Cost.Occurrences += C.Occurrences;
   }
-  case ExprKind::Ite: {
-    const auto *I = cast<IteExpr>(E);
-    exprCostImpl(I->cond().get(), Names, Depth + 1, Cost);
-    exprCostImpl(I->thenExpr().get(), Names, Depth + 1, Cost);
-    exprCostImpl(I->elseExpr().get(), Names, Depth + 1, Cost);
-    return;
-  }
-  }
+  M.CostEpoch = Epoch;
+  M.Cost = Cost;
+  return Cost;
 }
 
 ExprCost parsynt::exprCost(const ExprRef &E,
                            const std::set<std::string> &Names) {
-  ExprCost Cost;
-  exprCostImpl(E.get(), Names, 0, Cost);
-  return Cost;
-}
-
-unsigned parsynt::countOccurrences(const ExprRef &E,
-                                   const std::set<std::string> &Names) {
-  return exprCost(E, Names).Occurrences;
-}
-
-unsigned parsynt::maxVarDepth(const ExprRef &E,
-                              const std::set<std::string> &Names) {
-  return exprCost(E, Names).MaxDepth;
+  // The memo is valid for one set: a new set starts a new epoch.
+  static std::set<std::string> EpochNames;
+  static uint32_t Epoch = 0;
+  if (Epoch == 0 || Names != EpochNames) {
+    EpochNames = Names;
+    ++Epoch;
+  }
+  return costOf(E.get(), Names, Epoch);
 }

@@ -69,30 +69,8 @@ bool containsVarClass(const ExprRef &E, VarClass Class);
 /// True if a variable with name \p Name occurs in \p E.
 bool containsVar(const ExprRef &E, const std::string &Name);
 
-/// Number of occurrences of variables whose names are in \p Names.
-unsigned countOccurrences(const ExprRef &E, const std::set<std::string> &Names);
-
-/// Depth of the deepest occurrence of any variable in \p Names, counted from
-/// the root (the root has depth 0). Returns 0 if no such variable occurs.
-unsigned maxVarDepth(const ExprRef &E, const std::set<std::string> &Names);
-
-/// The cost of Definition 6.1: (max depth of any unknown, total occurrences
-/// of unknowns). Compared lexicographically.
-struct ExprCost {
-  unsigned MaxDepth = 0;
-  unsigned Occurrences = 0;
-
-  friend bool operator<(const ExprCost &A, const ExprCost &B) {
-    if (A.MaxDepth != B.MaxDepth)
-      return A.MaxDepth < B.MaxDepth;
-    return A.Occurrences < B.Occurrences;
-  }
-  friend bool operator==(const ExprCost &A, const ExprCost &B) {
-    return A.MaxDepth == B.MaxDepth && A.Occurrences == B.Occurrences;
-  }
-};
-
-/// Computes CostV(E) for the variable set \p Names.
+/// Computes CostV(E) (ExprCost, ir/Expr.h) for the variable set \p Names.
+/// Memoized per node for the last set passed.
 ExprCost exprCost(const ExprRef &E, const std::set<std::string> &Names);
 
 } // namespace parsynt

@@ -34,11 +34,6 @@ constexpr uint64_t FrameSeed = 0x11f7;
 /// The unfolding depth (the paper's k): 3 suffices for every Table-1 loop.
 constexpr unsigned K = 3;
 
-/// True if \p E references any symbolic unknown ("v@0").
-bool hasUnknown(const ExprRef &E) {
-  return containsVarClass(E, VarClass::Unknown);
-}
-
 /// True if \p E references a per-step input ("s@k").
 bool hasStepInput(const ExprRef &E) {
   bool Found = false;
@@ -51,27 +46,25 @@ bool hasStepInput(const ExprRef &E) {
   return Found;
 }
 
+/// True if \p Part occurs in \p Parts.
+bool partPresent(const ExprRef &Part, const std::vector<ExprRef> &Parts) {
+  return std::find(Parts.begin(), Parts.end(), Part) != Parts.end();
+}
+
 /// Collects the maximal unknown-free subexpressions of \p E that read at
 /// least one per-step input (the 'collect' of Algorithm 1). Integer
 /// literals adjacent to unknowns are also collected: a literal that varies
 /// across unfoldings is a constant-family accumulator (atoi's power of the
-/// base); non-varying literals are filtered by the caller.
+/// base); non-varying literals are filtered by the caller. A part that
+/// occurs twice is kept once, at its first occurrence.
 void collectParts(const ExprRef &E, std::vector<ExprRef> &Out) {
-  if (!hasUnknown(E)) {
-    if (hasStepInput(E) || isa<IntConstExpr>(E))
+  if (!containsVarClass(E, VarClass::Unknown)) {
+    if ((hasStepInput(E) || isa<IntConstExpr>(E)) && !partPresent(E, Out))
       Out.push_back(E);
     return;
   }
   for (const ExprRef &Child : children(E))
     collectParts(Child, Out);
-}
-
-/// True if \p Part occurs (structurally) in \p Parts.
-bool partPresent(const ExprRef &Part, const std::vector<ExprRef> &Parts) {
-  for (const ExprRef &P : Parts)
-    if (exprEquals(Part, P))
-      return true;
-  return false;
 }
 
 /// The lifting engine. Owns the unfoldings, the sampled frames, and the

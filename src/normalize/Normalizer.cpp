@@ -56,7 +56,7 @@ ExprRef parsynt::normalizeExpr(const ExprRef &E,
   std::vector<uint64_t> RuleHits(Rules.size(), 0);
 
   std::priority_queue<Node, std::vector<Node>, NodeWorse> Frontier;
-  std::unordered_set<ExprRef, ExprHash, ExprEqual> Seen;
+  std::unordered_set<ExprRef> Seen;
   Frontier.push({Start, exprCost(Start, Unknowns), Start->size()});
   Seen.insert(Start);
 

@@ -11,8 +11,9 @@
 /// the CostV function of Definition 6.1 — lexicographically (max depth of
 /// the unknowns, number of unknown occurrences), tie-broken by term size.
 /// A closed set and a node budget keep the search finitary, as the paper
-/// prescribes. The closed set is keyed structurally (ExprHash/ExprEqual),
-/// so no search node is ever printed.
+/// prescribes. Terms are interned, so the closed set holds node handles
+/// compared by pointer, and no search node is ever printed or walked to
+/// test membership.
 ///
 //===----------------------------------------------------------------------===//
 

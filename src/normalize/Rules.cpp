@@ -158,11 +158,11 @@ void ruleFactorAddOutOfMinMax(const ExprRef &E, std::vector<ExprRef> &Out) {
   if (L->op() != BinaryOp::Add && L->op() != BinaryOp::Sub)
     return;
   // minmax(a + c, b + c) -> minmax(a, b) + c   (same for -)
-  if (exprEquals(L->rhs(), R->rhs()))
+  if (L->rhs() == R->rhs())
     Out.push_back(binary(L->op(), binary(B->op(), L->lhs(), R->lhs()),
                          L->rhs()));
   // max(c + a, c + b) -> c + max(a, b)
-  if (L->op() == BinaryOp::Add && exprEquals(L->lhs(), R->lhs()))
+  if (L->op() == BinaryOp::Add && L->lhs() == R->lhs())
     Out.push_back(add(L->lhs(), binary(B->op(), L->rhs(), R->rhs())));
 }
 
@@ -188,13 +188,13 @@ void ruleDistributeMul(const ExprRef &E, std::vector<ExprRef> &Out) {
   if (!L || !R)
     return;
   // a*c +- b*c -> (a +- b) * c, and the three operand-order variants.
-  if (exprEquals(L->rhs(), R->rhs()))
+  if (L->rhs() == R->rhs())
     Out.push_back(mul(binary(S->op(), L->lhs(), R->lhs()), L->rhs()));
-  if (exprEquals(L->lhs(), R->lhs()))
+  if (L->lhs() == R->lhs())
     Out.push_back(mul(L->lhs(), binary(S->op(), L->rhs(), R->rhs())));
-  if (exprEquals(L->lhs(), R->rhs()))
+  if (L->lhs() == R->rhs())
     Out.push_back(mul(L->lhs(), binary(S->op(), L->rhs(), R->lhs())));
-  if (exprEquals(L->rhs(), R->lhs()))
+  if (L->rhs() == R->lhs())
     Out.push_back(mul(binary(S->op(), L->lhs(), R->rhs()), L->rhs()));
 }
 
@@ -216,10 +216,10 @@ void ruleBoolDistribute(const ExprRef &E, std::vector<ExprRef> &Out) {
   const auto *L = asBinary(B->lhs(), Dual);
   const auto *R2 = asBinary(B->rhs(), Dual);
   if (L && R2) {
-    if (exprEquals(L->lhs(), R2->lhs()))
+    if (L->lhs() == R2->lhs())
       Out.push_back(binary(Dual, L->lhs(),
                            binary(Op, L->rhs(), R2->rhs())));
-    if (exprEquals(L->rhs(), R2->rhs()))
+    if (L->rhs() == R2->rhs())
       Out.push_back(binary(Dual, binary(Op, L->lhs(), R2->lhs()),
                            L->rhs()));
   }
@@ -354,14 +354,14 @@ void ruleCompareMinMaxFactor(const ExprRef &E, std::vector<ExprRef> &Out) {
   bool IsAnd = B->op() == BinaryOp::And;
   // x cmp a && x cmp b -> x cmp minmax(a,b): for >= under &&, x must clear
   // both bounds, so the combined bound is max; under ||, min. Lt/Le dual.
-  if (exprEquals(L->lhs(), R->lhs())) {
+  if (L->lhs() == R->lhs()) {
     BinaryOp Combine = (isGeLike(Cmp) == IsAnd) ? BinaryOp::Max
                                                 : BinaryOp::Min;
     Out.push_back(binary(Cmp, L->lhs(), binary(Combine, L->rhs(), R->rhs())));
   }
   // a cmp x && b cmp x -> minmax(a,b) cmp x: for >= under &&, both bounds
   // must clear x, so combine with min. Dual cases accordingly.
-  if (exprEquals(L->rhs(), R->rhs())) {
+  if (L->rhs() == R->rhs()) {
     BinaryOp Combine = (isGeLike(Cmp) == IsAnd) ? BinaryOp::Min
                                                 : BinaryOp::Max;
     Out.push_back(binary(Cmp, binary(Combine, L->lhs(), R->lhs()), L->rhs()));
@@ -420,11 +420,11 @@ void ruleIteFactor(const ExprRef &E, std::vector<ExprRef> &Out) {
   const auto *EB = dyn_cast<BinaryExpr>(I->elseExpr());
   if (TB && EB && TB->op() == EB->op()) {
     // c ? (x op z) : (y op z) -> (c ? x : y) op z
-    if (exprEquals(TB->rhs(), EB->rhs()))
+    if (TB->rhs() == EB->rhs())
       Out.push_back(binary(TB->op(), ite(I->cond(), TB->lhs(), EB->lhs()),
                            TB->rhs()));
     // c ? (z op x) : (z op y) -> z op (c ? x : y)
-    if (exprEquals(TB->lhs(), EB->lhs()))
+    if (TB->lhs() == EB->lhs())
       Out.push_back(binary(TB->op(), TB->lhs(),
                            ite(I->cond(), TB->rhs(), EB->rhs())));
   }
@@ -472,9 +472,9 @@ void ruleIteAddBare(const ExprRef &E, std::vector<ExprRef> &Out) {
                               : ite(I->cond(), intConst(0), Guarded);
       Out.push_back(add(Common, Inc));
     };
-    if (exprEquals(A->lhs(), BareSide))
+    if (A->lhs() == BareSide)
       emit(A->lhs(), A->rhs());
-    if (exprEquals(A->rhs(), BareSide))
+    if (A->rhs() == BareSide)
       emit(A->rhs(), A->lhs());
   };
   tryArm(I->thenExpr(), I->elseExpr(), /*AddIsThen=*/true);
@@ -511,12 +511,10 @@ void ruleMinMaxOfIte(const ExprRef &E, std::vector<ExprRef> &Out) {
     if (!C || !isOrderCompare(C->op()) || I->type() != Type::Int)
       return;
     bool CondSelectsGreater = isGeLike(C->op());
-    if (exprEquals(C->lhs(), I->thenExpr()) &&
-        exprEquals(C->rhs(), I->elseExpr()))
+    if (C->lhs() == I->thenExpr() && C->rhs() == I->elseExpr())
       Out.push_back(binary(CondSelectsGreater ? BinaryOp::Max : BinaryOp::Min,
                            I->thenExpr(), I->elseExpr()));
-    if (exprEquals(C->lhs(), I->elseExpr()) &&
-        exprEquals(C->rhs(), I->thenExpr()))
+    if (C->lhs() == I->elseExpr() && C->rhs() == I->thenExpr())
       Out.push_back(binary(CondSelectsGreater ? BinaryOp::Min : BinaryOp::Max,
                            I->thenExpr(), I->elseExpr()));
     return;
@@ -657,12 +655,12 @@ std::vector<ExprRef> parsynt::allRewrites(const ExprRef &E,
   std::vector<ExprRef> Out;
   RewriteCollector(Rules, RuleHits, Out).visit(E);
   // Simplify and deduplicate in place, keeping first occurrences.
-  std::unordered_set<ExprRef, ExprHash, ExprEqual> Seen;
+  std::unordered_set<const Expr *> Seen;
   Seen.reserve(Out.size());
   size_t Kept = 0;
   for (size_t K = 0; K != Out.size(); ++K) {
     ExprRef Simplified = simplify(Out[K]);
-    if (Seen.insert(Simplified).second)
+    if (Seen.insert(Simplified.get()).second)
       Out[Kept++] = std::move(Simplified);
   }
   Out.resize(Kept);

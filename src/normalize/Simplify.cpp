@@ -62,7 +62,7 @@ ExprRef reduceBinary(BinaryOp Op, const ExprRef &L, const ExprRef &R) {
       return L;
     if (isIntConst(L, 0))
       return neg(R);
-    if (exprEquals(L, R))
+    if (L == R)
       return intConst(0);
     break;
   case BinaryOp::Mul:
@@ -81,22 +81,22 @@ ExprRef reduceBinary(BinaryOp Op, const ExprRef &L, const ExprRef &R) {
     break;
   case BinaryOp::Min:
   case BinaryOp::Max:
-    if (exprEquals(L, R))
+    if (L == R)
       return L;
     break;
   case BinaryOp::Lt:
   case BinaryOp::Ne:
-    if (exprEquals(L, R))
+    if (L == R)
       return boolConst(false);
     break;
   case BinaryOp::Gt:
-    if (exprEquals(L, R))
+    if (L == R)
       return boolConst(false);
     break;
   case BinaryOp::Le:
   case BinaryOp::Ge:
   case BinaryOp::Eq:
-    if (exprEquals(L, R))
+    if (L == R)
       return boolConst(true);
     break;
   case BinaryOp::And:
@@ -106,7 +106,7 @@ ExprRef reduceBinary(BinaryOp Op, const ExprRef &L, const ExprRef &R) {
       return L;
     if (isBoolConst(L, false) || isBoolConst(R, false))
       return boolConst(false);
-    if (exprEquals(L, R))
+    if (L == R)
       return L;
     break;
   case BinaryOp::Or:
@@ -116,16 +116,17 @@ ExprRef reduceBinary(BinaryOp Op, const ExprRef &L, const ExprRef &R) {
       return L;
     if (isBoolConst(L, true) || isBoolConst(R, true))
       return boolConst(true);
-    if (exprEquals(L, R))
+    if (L == R)
       return L;
     break;
   }
   return nullptr;
 }
 
-} // namespace
-
-ExprRef parsynt::simplify(const ExprRef &E) {
+/// simplify() without the memo at the root: \p E rebuilt from its simplified
+/// children (the same node when none changes), with the identities applied
+/// at the root.
+ExprRef simplifyNode(const ExprRef &E) {
   switch (E->kind()) {
   case ExprKind::IntConst:
   case ExprKind::BoolConst:
@@ -133,10 +134,7 @@ ExprRef parsynt::simplify(const ExprRef &E) {
     return E;
   case ExprKind::SeqAccess: {
     const auto *S = cast<SeqAccessExpr>(E);
-    ExprRef Index = simplify(S->index());
-    if (Index.get() == S->index().get())
-      return E;
-    return SeqAccessExpr::get(S->seqName(), S->type(), std::move(Index));
+    return SeqAccessExpr::get(S->seqName(), S->type(), simplify(S->index()));
   }
   case ExprKind::Unary: {
     const auto *U = cast<UnaryExpr>(E);
@@ -154,8 +152,6 @@ ExprRef parsynt::simplify(const ExprRef &E) {
         if (Inner->op() == UnaryOp::Not)
           return Inner->operand();
     }
-    if (Operand.get() == U->operand().get())
-      return E;
     return UnaryExpr::get(U->op(), std::move(Operand));
   }
   case ExprKind::Binary: {
@@ -166,8 +162,6 @@ ExprRef parsynt::simplify(const ExprRef &E) {
       return Folded;
     if (ExprRef Reduced = reduceBinary(B->op(), L, R))
       return Reduced;
-    if (L.get() == B->lhs().get() && R.get() == B->rhs().get())
-      return E;
     return BinaryExpr::get(B->op(), std::move(L), std::move(R));
   }
   case ExprKind::Ite: {
@@ -177,7 +171,7 @@ ExprRef parsynt::simplify(const ExprRef &E) {
       return C->value() ? simplify(I->thenExpr()) : simplify(I->elseExpr());
     ExprRef Then = simplify(I->thenExpr());
     ExprRef Else = simplify(I->elseExpr());
-    if (exprEquals(Then, Else))
+    if (Then == Else)
       return Then;
     // ite(!c, a, b) -> ite(c, b, a)
     if (const auto *NotCond = dyn_cast<UnaryExpr>(Cond))
@@ -189,11 +183,25 @@ ExprRef parsynt::simplify(const ExprRef &E) {
       return Cond;
     if (isBoolConst(Then, false) && isBoolConst(Else, true))
       return notE(Cond);
-    if (Cond.get() == I->cond().get() && Then.get() == I->thenExpr().get() &&
-        Else.get() == I->elseExpr().get())
-      return E;
     return IteExpr::get(std::move(Cond), std::move(Then), std::move(Else));
   }
   }
   return E;
+}
+
+} // namespace
+
+ExprRef parsynt::simplify(const ExprRef &E) {
+  Expr::Memo &M = E->memo();
+  if (M.SelfSimple)
+    return E;
+  if (!M.Simplified) {
+    ExprRef S = simplifyNode(E);
+    if (S == E) {
+      M.SelfSimple = true;
+      return E;
+    }
+    M.Simplified = std::move(S);
+  }
+  return M.Simplified;
 }

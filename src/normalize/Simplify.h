@@ -23,7 +23,8 @@
 namespace parsynt {
 
 /// Returns a simplified expression equivalent to \p E under the total
-/// interpreter semantics (wrap-around arithmetic, x/0 == 0).
+/// interpreter semantics (wrap-around arithmetic, x/0 == 0). Memoized per
+/// node (Expr::Memo): a second call on the same term is a field read.
 ExprRef simplify(const ExprRef &E);
 
 } // namespace parsynt

@@ -9,6 +9,11 @@
 #include "ir/Expr.h"
 #include "ir/ExprOps.h"
 #include "ir/Loop.h"
+#include "lift/Lift.h"
+#include "lift/Unfold.h"
+#include "normalize/Rules.h"
+#include "normalize/Simplify.h"
+#include "suite/Benchmarks.h"
 #include "TestUtil.h"
 
 #include <gtest/gtest.h>
@@ -53,9 +58,96 @@ TEST(Expr, StructuralEquality) {
   ExprRef A = add(inputVar("x"), intConst(1));
   ExprRef B = add(inputVar("x"), intConst(1));
   ExprRef C = add(inputVar("x"), intConst(2));
-  EXPECT_TRUE(exprEquals(A, B));
-  EXPECT_FALSE(exprEquals(A, C));
+  EXPECT_TRUE(A == B);
+  EXPECT_FALSE(A == C);
   EXPECT_EQ(A->hash(), B->hash());
+}
+
+TEST(Interning, EqualBuildsOfEveryKindAreOneNode) {
+  auto build = [] {
+    ExprRef B = inputVar("b", Type::Bool);
+    return std::vector<ExprRef>{
+        intConst(7),
+        boolConst(true),
+        stateVar("x"),
+        B,
+        unknownVar("x@0"),
+        seqAccess("s", inputVar("i")),
+        neg(inputVar("i")),
+        notE(B),
+        add(stateVar("x"), intConst(7)),
+        ite(B, stateVar("x"), intConst(7))};
+  };
+  std::vector<ExprRef> First = build(), Second = build();
+  for (size_t K = 0; K != First.size(); ++K)
+    EXPECT_EQ(First[K].get(), Second[K].get()) << exprToString(First[K]);
+
+  // Every part of the key separates nodes, the variable's class included.
+  ExprRef X = stateVar("x"), Y = stateVar("y");
+  EXPECT_FALSE(intConst(7) == intConst(8));
+  EXPECT_FALSE(boolConst(true) == boolConst(false));
+  EXPECT_FALSE(X == stateVar("x", Type::Bool));
+  EXPECT_FALSE(X == inputVar("x"));
+  EXPECT_FALSE(seqAccess("s", X) == seqAccess("t", X));
+  EXPECT_FALSE(seqAccess("s", X) == seqAccess("s", X, Type::Bool));
+  EXPECT_FALSE(neg(X) == neg(Y));
+  EXPECT_FALSE(sub(X, Y) == sub(Y, X));
+  EXPECT_FALSE(sub(X, Y) == add(X, Y));
+  ExprRef C = inputVar("c", Type::Bool);
+  EXPECT_FALSE(ite(C, X, Y) == ite(C, Y, X));
+}
+
+TEST(Interning, HashKeepsItsStructuralValues) {
+  // The values every earlier build computed: unordered containers keyed by
+  // the hash iterate as they always did. The class is not hashed.
+  EXPECT_EQ(intConst(0)->hash(), 0x9e3779b97f4a8c14ull);
+  EXPECT_EQ(intConst(-7)->hash(), 0x9e3779b97f4a8c0full);
+  EXPECT_EQ(boolConst(true)->hash(), 0x9e3779b97f4a9cc8ull);
+  EXPECT_EQ(stateVar("mts")->hash(), 0x75c6f218ad2a237bull);
+  EXPECT_EQ(inputVar("mts")->hash(), stateVar("mts")->hash());
+  EXPECT_EQ(seqAccess("s", inputVar("i"))->hash(), 0x3399b9920189bcc1ull);
+  EXPECT_EQ(neg(unknownVar("s@0"))->hash(), 0xd5764d982f65134bull);
+  EXPECT_EQ(notE(boolConst(false))->hash(), 0x23d97aba3c00395bull);
+  EXPECT_EQ(maxE(add(stateVar("mts"), seqAccess("s", inputVar("i"))),
+                 intConst(0))
+                ->hash(),
+            0xb3cac54619610e5dull);
+  EXPECT_EQ(ite(lt(inputVar("x"), intConst(0)), neg(inputVar("x")),
+                inputVar("x"))
+                ->hash(),
+            0xd4e7dbab1261961aull);
+}
+
+TEST(Interning, SimplifyIsAFixpointOfItsOwnResult) {
+  // On every unfolding lifting normalizes, and on each of its rewrites.
+  size_t Checked = 0;
+  for (const char *Name : {"mss", "line-sight", "balanced-()"}) {
+    Loop L = materializeIndex(parseBenchmark(*findBenchmark(Name)));
+    Unfolding U = unfoldLoop(L, 3, /*FromUnknowns=*/true);
+    for (const auto &[Var, Steps] : U.ValuesAtStep)
+      for (const ExprRef &Tau : Steps) {
+        std::vector<ExprRef> Terms = allRewrites(Tau, figure6Rules());
+        Terms.push_back(Tau);
+        for (const ExprRef &E : Terms) {
+          ExprRef S = simplify(E);
+          EXPECT_EQ(simplify(E).get(), S.get());
+          EXPECT_EQ(simplify(S).get(), S.get()) << exprToString(S);
+          ++Checked;
+        }
+      }
+  }
+  EXPECT_GT(Checked, 100u);
+}
+
+TEST(Interning, LiftingFreesEveryNodeItBuilds) {
+  // No leak, and no memo or cache outlives the nodes it belongs to.
+  size_t Before = liveExprCount();
+  {
+    Loop L = parseBenchmark(*findBenchmark("line-sight"));
+    LiftResult R = liftLoop(L);
+    EXPECT_GT(liveExprCount(), Before);
+  }
+  EXPECT_EQ(liveExprCount(), Before);
 }
 
 TEST(Expr, Printing) {
@@ -116,9 +208,9 @@ TEST(ExprOps, CostFunction) {
 TEST(ExprOps, MaxVarDepthAndOccurrences) {
   ExprRef U = unknownVar("u");
   ExprRef E = add(U, mul(U, intConst(2)));
-  EXPECT_EQ(countOccurrences(E, {"u"}), 2u);
-  EXPECT_EQ(maxVarDepth(E, {"u"}), 2u);
-  EXPECT_EQ(maxVarDepth(E, {"missing"}), 0u);
+  EXPECT_EQ(exprCost(E, {"u"}).Occurrences, 2u);
+  EXPECT_EQ(exprCost(E, {"u"}).MaxDepth, 2u);
+  EXPECT_EQ(exprCost(E, {"missing"}).MaxDepth, 0u);
 }
 
 TEST(Loop, ValidationCatchesErrors) {

@@ -228,16 +228,16 @@ TEST(Normalizer, ExpiredDeadlineStopsTheSearch) {
 }
 
 TEST(ExprKeys, StructuralEqualityMatchesPrintedEquality) {
-  // The normalizer's closed set and allRewrites' dedup are keyed by
-  // ExprHash/ExprEqual. That keeps every search bit-identical to keying by
-  // exprToString only if the two equalities coincide; check it on the
-  // rewrite neighbourhoods, two steps deep, of every Table-1 unfolding
-  // lifting inspects.
+  // The normalizer's closed set and allRewrites' dedup are keyed by node
+  // (terms are interned). That keeps every search bit-identical to keying
+  // by exprToString only if node identity and printed equality coincide;
+  // check it on the rewrite neighbourhoods, two steps deep, of every
+  // Table-1 unfolding lifting inspects.
   size_t Checked = 0;
   for (const Benchmark &B : allBenchmarks()) {
     Loop L = materializeIndex(parseBenchmark(B));
     Unfolding U = unfoldLoop(L, 3, /*FromUnknowns=*/true);
-    std::unordered_map<ExprRef, std::string, ExprHash, ExprEqual> PrintedOf;
+    std::unordered_map<ExprRef, std::string> PrintedOf;
     std::unordered_map<std::string, ExprRef> TermOf;
     auto check = [&](const ExprRef &E) {
       std::string Printed = exprToString(E);
@@ -245,7 +245,7 @@ TEST(ExprKeys, StructuralEqualityMatchesPrintedEquality) {
       EXPECT_EQ(Structural->second, Printed)
           << B.Name << ": structurally equal terms print differently";
       auto Textual = TermOf.emplace(Printed, E).first;
-      EXPECT_TRUE(exprEquals(Textual->second, E))
+      EXPECT_TRUE(Textual->second == E)
           << B.Name << ": distinct terms both print as " << Printed;
       ++Checked;
     };
