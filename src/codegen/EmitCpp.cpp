@@ -19,80 +19,39 @@ using namespace parsynt;
 
 namespace {
 
-/// Chains a leaf with a join runs side by side (DESIGN.md §5i): enough
-/// independent loop-carried chains to hide a step's latency, few enough
-/// that four copies of a state stay mostly in registers.
-constexpr int LeafChains = 4;
-
-/// The test a short-circuit condition jumps on first: the leftmost operand
-/// under `&&`, `||` and `!`.
-const ExprRef &leadingTest(const ExprRef &E) {
-  if (const auto *B = dyn_cast<BinaryExpr>(E))
-    if (B->op() == BinaryOp::And || B->op() == BinaryOp::Or)
-      return leadingTest(B->lhs());
-  if (const auto *U = dyn_cast<UnaryExpr>(E))
-    if (U->op() == UnaryOp::Not)
-      return leadingTest(U->operand());
-  return E;
-}
-
-bool isShortCircuit(const ExprRef &E) {
-  const auto *B = dyn_cast<BinaryExpr>(E);
-  return B && (B->op() == BinaryOp::And || B->op() == BinaryOp::Or);
-}
+/// The lanes of one `parsynt::ops::Lanes` vector (256 bits of 64-bit
+/// values), and the vectors a lane leaf steps side by side: two, so that a
+/// step's loop-carried latency (a compare and a blend for `max`) is hidden
+/// (DESIGN.md §5i). A leaf runs LaneWidth * LaneVectors blocks.
+constexpr int LaneWidth = 4;
+constexpr int LaneVectors = 2;
 
 bool readsSequence(const ExprRef &E) { return !collectSeqNames(E).empty(); }
 
 std::string cppType(Type Ty) { return Ty == Type::Int ? "int64_t" : "bool"; }
 
+std::string intLiteral(const IntConstExpr &C) {
+  return "INT64_C(" + std::to_string(C.value()) + ")";
+}
+
 /// Renders an expression as C++. \p VarRef maps variable names (state
 /// variables to struct accesses, join variables to left/right accesses);
 /// sequence reads render through \p SeqElem.
 ///
-/// Conditionals and short-circuit operators become branch-free
-/// `parsynt::ops::select`, `both` and `either` calls where a jump would be
-/// mispredicted or, in a chained leaf, would stop the compiler from
-/// interleaving the chains (DESIGN.md §5i). Every expression is pure and total (wrapping
-/// arithmetic, total division, reads at the loop index), so evaluating
-/// both arms is exact.
+/// Conditionals become branch-free `parsynt::ops::select` calls where a
+/// jump would be mispredicted (DESIGN.md §5i). Every expression is pure and
+/// total (wrapping arithmetic, total division, reads at the loop index), so
+/// evaluating both arms is exact.
 class CppPrinter {
 public:
   std::function<std::string(const std::string &)> VarRef;
   std::function<std::string(const SeqAccessExpr &)> SeqElem;
-  /// The expression is a step of a loop whose leaf runs interleaved
-  /// chains.
-  bool Chained = false;
 
-  std::string print(const ExprRef &E) const { return print(E, false); }
-
-private:
-  /// Whether `c ? t : f` stays a conditional jump. Only a conditional
-  /// update `c ? e : x` of a variable x does. A bool update keeps it while
-  /// c reads only state (a position test is predicted; a select costs ops on
-  /// every element). An int update keeps it, which the compiler turns into
-  /// a cmov, an add of the condition or a predicted jump on a flag, except
-  /// in a chained step when c is a short-circuit test that jumps first on a
-  /// sequence element: across chains the compiler keeps that jump.
-  bool keepsJump(const IteExpr &I) const {
-    if (!isa<VarExpr>(I.thenExpr()) && !isa<VarExpr>(I.elseExpr()))
-      return false;
-    if (I.type() == Type::Bool)
-      return !readsSequence(I.cond());
-    return !(Chained && isShortCircuit(I.cond()) &&
-             readsSequence(leadingTest(I.cond())));
-  }
-
-  /// \p InJumpCond: \p E is part of the condition of a conditional update
-  /// that keeps its jump.
-  std::string print(const ExprRef &E, bool InJumpCond) const {
-    auto sub = [&](const ExprRef &Child) { return print(Child, InJumpCond); };
+  std::string print(const ExprRef &E) const {
+    auto sub = [&](const ExprRef &Child) { return print(Child); };
     switch (E->kind()) {
-    case ExprKind::IntConst: {
-      int64_t V = cast<IntConstExpr>(E)->value();
-      std::ostringstream OS;
-      OS << "INT64_C(" << V << ")";
-      return OS.str();
-    }
+    case ExprKind::IntConst:
+      return intLiteral(*cast<IntConstExpr>(E));
     case ExprKind::BoolConst:
       return cast<BoolConstExpr>(E)->value() ? "true" : "false";
     case ExprKind::Var:
@@ -126,16 +85,6 @@ private:
         return call("parsynt::ops::Mul()");
       case BinaryOp::Div:
         return call("parsynt::ops::Div()");
-      case BinaryOp::And:
-      case BinaryOp::Or:
-        // In one chain a jump on a flag lets the loop skip the rest of the
-        // condition, and the compiler if-converts the others. Across
-        // chains it builds a tree of jumps instead; only a jump on a state
-        // flag that guards a kept conditional update still pays there.
-        if (Chained && (!InJumpCond || readsSequence(leadingTest(E))))
-          return call(B->op() == BinaryOp::And ? "parsynt::ops::both"
-                                               : "parsynt::ops::either");
-        [[fallthrough]];
       default:
         return "(" + sub(B->lhs()) + " " + binaryOpName(B->op()) + " " +
                sub(B->rhs()) + ")";
@@ -144,21 +93,127 @@ private:
     case ExprKind::Ite: {
       const auto *I = cast<IteExpr>(E);
       if (keepsJump(*I))
-        return "(" + print(I->cond(), true) + " ? " + sub(I->thenExpr()) +
-               " : " + sub(I->elseExpr()) + ")";
-      // c ? x + e : x adds the selected increment: x + (c ? e : 0), which
-      // GCC turns into an add of the condition (DESIGN.md §5i).
-      const auto *Inc = dyn_cast<BinaryExpr>(I->thenExpr());
-      if (Inc && Inc->op() == BinaryOp::Add && Inc->lhs() == I->elseExpr())
-        return "parsynt::ops::Add()(" + sub(Inc->lhs()) +
-               ", parsynt::ops::select(" + sub(I->cond()) + ", " +
-               sub(Inc->rhs()) + ", INT64_C(0)))";
+        return "(" + sub(I->cond()) + " ? " + sub(I->thenExpr()) + " : " +
+               sub(I->elseExpr()) + ")";
       return "parsynt::ops::select(" + sub(I->cond()) + ", " +
              sub(I->thenExpr()) + ", " + sub(I->elseExpr()) + ")";
     }
     }
     return "/*?*/0";
   }
+
+private:
+  /// Whether `c ? t : f` stays a conditional jump. Only a conditional
+  /// update `c ? e : x` of a variable x does. A bool update keeps it while
+  /// c reads only state (a position test is predicted; a select costs ops on
+  /// every element). An int update keeps it, which the compiler turns into
+  /// a cmov, an add of the condition or a predicted jump on a flag.
+  static bool keepsJump(const IteExpr &I) {
+    if (!isa<VarExpr>(I.thenExpr()) && !isa<VarExpr>(I.elseExpr()))
+      return false;
+    return I.type() == Type::Int || !readsSequence(I.cond());
+  }
+};
+
+/// `parsynt::ops::Lanes` holding \p Scalar, a value of type \p Ty, in every
+/// lane: a bool as the mask 0 or -1.
+std::string splat(const std::string &Scalar, Type Ty) {
+  return std::string("(Lanes{} ") + (Ty == Type::Int ? "+ " : "- ") + Scalar +
+         ")";
+}
+
+/// Renders an expression as C++ over `parsynt::ops::Lanes` vectors, one
+/// lane per block of a lane leaf (DESIGN.md §5i). An int is a lane value, a
+/// bool a mask of 0 or -1 per lane, so comparisons, `&&`, `||`, `!` and
+/// conditionals are vector compares, bitwise operators and selects, with no
+/// jump. `+ - *` and negation run on `ULanes`, so they wrap as
+/// `parsynt::ops` does; `/` applies `parsynt::ops::Div` lane by lane.
+/// \p VarRef maps a variable name to a vector; sequence reads render
+/// through \p SeqElem. An operand that the rendering reads more than once
+/// is bound to a temporary first, declared in \p Temps.
+class LanePrinter {
+public:
+  std::function<std::string(const std::string &)> VarRef;
+  std::function<std::string(const SeqAccessExpr &)> SeqElem;
+  /// `const Lanes tN = ...;` lines, in dependency order.
+  std::string Temps;
+
+  std::string print(const ExprRef &E) {
+    auto sub = [&](const ExprRef &Child) { return print(Child); };
+    switch (E->kind()) {
+    case ExprKind::IntConst:
+      return splat(intLiteral(*cast<IntConstExpr>(E)), Type::Int);
+    case ExprKind::BoolConst:
+      return cast<BoolConstExpr>(E)->value() ? "~Lanes{}" : "Lanes{}";
+    case ExprKind::Var:
+      return VarRef(cast<VarExpr>(E)->name());
+    case ExprKind::SeqAccess:
+      return SeqElem(*cast<SeqAccessExpr>(E));
+    case ExprKind::Unary: {
+      const auto *U = cast<UnaryExpr>(E);
+      if (U->op() == UnaryOp::Neg)
+        return "Lanes(-ULanes(" + sub(U->operand()) + "))";
+      return "(~" + sub(U->operand()) + ")";
+    }
+    case ExprKind::Binary: {
+      const auto *B = cast<BinaryExpr>(E);
+      switch (B->op()) {
+      case BinaryOp::Min:
+      case BinaryOp::Max: {
+        std::string L = temp(B->lhs()), R = temp(B->rhs());
+        return "(" + L + (B->op() == BinaryOp::Min ? " < " : " > ") + R +
+               " ? " + L + " : " + R + ")";
+      }
+      case BinaryOp::Add:
+      case BinaryOp::Sub:
+      case BinaryOp::Mul:
+        return "Lanes(ULanes(" + sub(B->lhs()) + ") " +
+               binaryOpName(B->op()) + " ULanes(" + sub(B->rhs()) + "))";
+      case BinaryOp::Div: {
+        std::string L = temp(B->lhs()), R = temp(B->rhs()), Quotients;
+        for (int K = 0; K != LaneWidth; ++K)
+          Quotients += std::string(K ? ", " : "") + "parsynt::ops::Div()(" +
+                       L + "[" + std::to_string(K) + "], " + R + "[" +
+                       std::to_string(K) + "])";
+        return "Lanes{" + Quotients + "}";
+      }
+      case BinaryOp::And:
+      case BinaryOp::Or:
+        return "(" + sub(B->lhs()) +
+               (B->op() == BinaryOp::And ? " & " : " | ") + sub(B->rhs()) +
+               ")";
+      default:
+        return "(" + sub(B->lhs()) + " " + binaryOpName(B->op()) + " " +
+               sub(B->rhs()) + ")";
+      }
+    }
+    case ExprKind::Ite: {
+      const auto *I = cast<IteExpr>(E);
+      return "(" + sub(I->cond()) + " ? " + sub(I->thenExpr()) + " : " +
+             sub(I->elseExpr()) + ")";
+    }
+    }
+    return "/*?*/Lanes{}";
+  }
+
+private:
+  /// A name for \p E: itself if it is a variable, a constant or an element,
+  /// else a temporary holding it (one per distinct node).
+  std::string temp(const ExprRef &E) {
+    if (isa<VarExpr>(E) || isa<IntConstExpr>(E) || isa<BoolConstExpr>(E) ||
+        isa<SeqAccessExpr>(E))
+      return print(E);
+    auto It = Named.find(E.get());
+    if (It != Named.end())
+      return It->second;
+    std::string Value = print(E);
+    std::string Name = "t" + std::to_string(Named.size());
+    Temps += "      const Lanes " + Name + " = " + Value + ";\n";
+    Named.emplace(E.get(), Name);
+    return Name;
+  }
+
+  std::map<const Expr *, std::string> Named;
 };
 
 /// The `, const int64_t *seq_<name>` parameter list of \p L's sequences; a
@@ -180,10 +235,98 @@ std::string seqArgs(const Loop &L) {
   return Args;
 }
 
+/// Prints `leaf(first, last)` for \p L, whose `State`, `init()`, `step()`,
+/// `run()` and `join()` are already printed: the range as LaneVectors
+/// vector states of LaneWidth lanes each, one lane per contiguous,
+/// non-empty block, unpacked into `State`s and folded with `join()` in
+/// block order, as parallelReduce combines leaves (DESIGN.md §5i). The
+/// last block takes the remainder, through `step()`; a range too short to
+/// give every lane an element runs as `run()`.
+void printLaneLeaf(std::ostream &OS, const Loop &L) {
+  std::set<std::string> SeqsRead;
+  for (const Equation &Eq : L.Equations)
+    for (const std::string &Name : collectSeqNames(Eq.Update))
+      SeqsRead.insert(Name);
+  // Whether an update reads the index other than as a subscript.
+  bool IndexRead = false;
+  LanePrinter P;
+  P.VarRef = [&](const std::string &Name) -> std::string {
+    if (L.findEquation(Name))
+      return "st[h]." + Name;
+    if (Name == L.IndexName) {
+      IndexRead = true;
+      return "ix[h]";
+    }
+    for (const ParamDecl &Param : L.Params)
+      if (Param.Name == Name)
+        return splat(Name, Param.Ty);
+    return Name;
+  };
+  P.SeqElem = [](const SeqAccessExpr &Access) {
+    return "el_" + Access.seqName();
+  };
+  std::vector<std::string> Updates;
+  for (const Equation &Eq : L.Equations)
+    Updates.push_back(P.print(Eq.Update));
+
+  const std::string W = std::to_string(LaneWidth),
+                    V = std::to_string(LaneVectors),
+                    Blocks = std::to_string(LaneWidth * LaneVectors),
+                    EachVector = "for (int h = 0; h != " + V + "; ++h)";
+  // {Base + W * h * Step<Close>, Base + (W * h + 1) * Step<Close>, ...}:
+  // the value at Base in each lane's block of vector h.
+  auto lanes = [&](const std::string &Base, const std::string &Step,
+                   const std::string &Close) {
+    std::string List = Base + " + " + W + " * h * " + Step + Close;
+    for (int K = 1; K != LaneWidth; ++K)
+      List += ", " + Base + " + (" + W + " * h + " + std::to_string(K) +
+              ") * " + Step + Close;
+    return "{" + List + "}";
+  };
+  OS << "PARSYNT_LANE_CLONES\nstatic State leaf(size_t first, size_t last"
+     << seqParams(L) << ") {\n"
+     << "  using parsynt::ops::Lanes;\n  using parsynt::ops::ULanes;\n"
+     << "  const size_t q = (last - first) / " << Blocks << ";\n"
+     << "  if (q == 0)\n    return run(first, last" << seqArgs(L) << ");\n"
+     << "  struct LaneState {\n";
+  for (const Equation &Eq : L.Equations)
+    OS << "    Lanes " << Eq.Name << ";\n";
+  OS << "  };\n  const State s0 = init();\n  LaneState st[" << V << "];\n";
+  if (IndexRead)
+    OS << "  const int64_t i0 = static_cast<int64_t>(first), q0 = "
+          "static_cast<int64_t>(q);\n  Lanes ix[" << V << "];\n";
+  OS << "  " << EachVector << " {\n";
+  for (const Equation &Eq : L.Equations)
+    OS << "    st[h]." << Eq.Name << " = " << splat("s0." + Eq.Name, Eq.Ty)
+       << ";\n";
+  if (IndexRead)
+    OS << "    ix[h] = Lanes" << lanes("i0", "q0", "") << ";\n";
+  OS << "  }\n  for (size_t i = first; i != first + q; ++i) {\n"
+     << "#pragma GCC unroll " << V << "\n    " << EachVector << " {\n";
+  for (const std::string &Seq : SeqsRead)
+    OS << "      const Lanes el_" << Seq << " = "
+       << lanes("seq_" + Seq + "[i", "q", "]") << ";\n";
+  OS << P.Temps << "      LaneState n;\n";
+  for (size_t I = 0; I != L.Equations.size(); ++I)
+    OS << "      n." << L.Equations[I].Name << " = " << Updates[I] << ";\n";
+  OS << "      st[h] = n;\n"
+     << (IndexRead ? "      ix[h] += 1;\n" : "") << "    }\n  }\n"
+     << "  State c[" << Blocks << "];\n  " << EachVector
+     << "\n    for (int k = 0; k != " << W << "; ++k) {\n";
+  for (const Equation &Eq : L.Equations)
+    OS << "      c[" << W << " * h + k]." << Eq.Name << " = st[h]."
+       << Eq.Name << "[k]" << (Eq.Ty == Type::Bool ? " != 0" : "") << ";\n";
+  OS << "    }\n  for (size_t i = first + " << Blocks
+     << " * q; i < last; ++i)\n    step(c[" << LaneWidth * LaneVectors - 1
+     << "], i" << seqArgs(L) << ");\n"
+     << "  State r = c[0];\n  for (int k = 1; k != " << Blocks
+     << "; ++k)\n    r = join(r, c[k]);\n  return r;\n}\n\n";
+}
+
 /// Prints what the standalone program and the native kernel share for \p L:
 /// the `State` struct, `init()`, `step()`, the single-chain `run()` and,
 /// unless \p Join is empty (the sequential fallback), `join()` and the
-/// chained `leaf()`.
+/// lane `leaf()`.
 void printLoopFunctions(std::ostream &OS, const Loop &L,
                         const std::vector<ExprRef> &Join) {
   // State struct.
@@ -215,7 +358,6 @@ void printLoopFunctions(std::ostream &OS, const Loop &L,
         Read.insert(Name);
     }
     CppPrinter P;
-    P.Chained = !Join.empty();
     P.VarRef = [&](const std::string &Name) {
       if (L.findEquation(Name))
         return "st." + Name;
@@ -259,27 +401,7 @@ void printLoopFunctions(std::ostream &OS, const Loop &L,
       OS << "  st." << L.Equations[I].Name << " = " << P.print(Join[I])
          << ";\n";
     OS << "  return st;\n}\n\n";
-
-    // leaf(): [first, last) as LeafChains interleaved chains over
-    // contiguous sub-ranges, combined with join() as parallelReduce combines
-    // leaves; a range too short to give every chain an element is one chain.
-    const std::string Args = seqArgs(L);
-    OS << "static State leaf(size_t first, size_t last" << seqParams(L)
-       << ") {\n  const size_t q = (last - first) / " << LeafChains
-       << ";\n  if (q == 0)\n    return run(first, last" << Args << ");\n";
-    for (int C = 0; C != LeafChains; ++C)
-      OS << "  State c" << C << " = init();\n";
-    OS << "  for (size_t i = first; i < first + q; ++i) {\n";
-    for (int C = 0; C != LeafChains; ++C)
-      OS << "    step(c" << C << ", i"
-         << (C ? " + " + std::to_string(C) + " * q" : std::string()) << Args
-         << ");\n";
-    OS << "  }\n  for (size_t i = first + " << LeafChains
-       << " * q; i < last; ++i)\n    step(c" << LeafChains - 1 << ", i"
-       << Args << ");\n  State st = c0;\n";
-    for (int C = 1; C != LeafChains; ++C)
-      OS << "  st = join(st, c" << C << ");\n";
-    OS << "  return st;\n}\n\n";
+    printLaneLeaf(OS, L);
   }
 }
 

@@ -14,10 +14,10 @@
 ///
 ///   - a `State` struct (one field per (lifted) state variable),
 ///   - `init()`, `step(State&, ...)` (one loop iteration),
-///   - `run(first, last, ...)` (the sequential run over a chunk, one chain),
+///   - `run(first, last, ...)` (the sequential run over a chunk, one state),
 ///   - `join(const State&, const State&)` (the synthesized operator),
-///   - `leaf(first, last, ...)` (a chunk as four interleaved chains over its
-///     quarters, combined with `join`),
+///   - `leaf(first, last, ...)` (a chunk on eight vector lanes over its
+///     eighths, folded with `join` in order),
 ///   - `parallel_run(...)` — the divide-and-conquer driver, running on the
 ///     same header-only work-stealing runtime (`runtime/ParallelReduce.h`)
 ///     as `InterpReduce` and the benchmarks, and
@@ -61,8 +61,8 @@ std::string emitParallelCpp(const Loop &L, const std::vector<ExprRef> &Join,
 /// Renders the native kernel of benchmark \p Original (suite/Kernels.h) as
 /// a fragment defining `sequential`, `leaf`, `join` and `output` in
 /// namespace `kernel_<kernelIdentifier(Original.Name)>`: `sequential` runs
-/// \p Original as one chain, `leaf` runs \p Lifted as interleaved chains
-/// combined by \p Join, `join` applies \p Join (one
+/// \p Original with one state, `leaf` runs \p Lifted on vector lanes
+/// folded by \p Join, `join` applies \p Join (one
 /// component per equation of \p Lifted), and `output` reads \p ResultVar.
 /// KState slots follow variable names: each original variable keeps its
 /// slot in the lifted state, and the auxiliaries follow. Parameters are

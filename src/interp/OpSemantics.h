@@ -22,6 +22,10 @@
 /// visitBinary() maps a runtime BinaryOp onto it, so column loops can hoist
 /// the operator switch out of the per-element loop.
 ///
+/// The emitted programs and kernels include this header too: for them it
+/// also defines the vector lanes of a leaf and the macro that clones it
+/// per instruction set.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef PARSYNT_INTERP_OPSEMANTICS_H
@@ -96,18 +100,22 @@ struct Or {
   int64_t operator()(int64_t L, int64_t R) const { return L != 0 || R != 0; }
 };
 
-/// `C ? T : F`, `L && R` and `L || R` over operands that are already
-/// evaluated, written with masks and bitwise operators so the compiler has
-/// no jump to keep: the emitted programs use them where a jump on the data
-/// would be mispredicted (codegen/EmitCpp).
+/// `C ? T : F` over operands that are already evaluated, written with a
+/// mask so the compiler has no jump to keep: the emitted programs use it
+/// where a jump on the data would be mispredicted (codegen/EmitCpp).
 inline int64_t select(bool C, int64_t T, int64_t F) {
   uint64_t Mask = 0 - static_cast<uint64_t>(C);
   return wrap((static_cast<uint64_t>(T) & Mask) |
               (static_cast<uint64_t>(F) & ~Mask));
 }
 inline bool select(bool C, bool T, bool F) { return (C & T) | (!C & F); }
-inline bool both(bool L, bool R) { return L & R; }
-inline bool either(bool L, bool R) { return L | R; }
+
+/// The four lanes of an emitted lane leaf (codegen/EmitCpp, DESIGN.md §5i),
+/// as GCC vector extensions: one value of each of four contiguous blocks,
+/// a bool as the mask 0 or -1. `+ - *` and negation run on ULanes, where
+/// they wrap as above; a signed lane overflow would be UB.
+typedef int64_t Lanes __attribute__((vector_size(32)));
+typedef uint64_t ULanes __attribute__((vector_size(32)));
 
 /// Calls \p V with the function object of \p Op and returns its result.
 template <typename Visitor>
@@ -153,5 +161,17 @@ inline int64_t applyBinary(BinaryOp Op, int64_t L, int64_t R) {
 
 } // namespace ops
 } // namespace parsynt
+
+/// Marks a lane leaf: on x86-64 it is compiled twice, for AVX2 (x86-64-v3)
+/// and for the baseline, and the loader picks the clone the CPU runs. Not
+/// under ThreadSanitizer: GCC's clone resolver runs at load time, before
+/// the TSan runtime is set up, and crashes the process (GCC 12), so a TSan
+/// build runs the baseline code only.
+#if defined(__x86_64__) && defined(__GNUC__) && !defined(__SANITIZE_THREAD__)
+#define PARSYNT_LANE_CLONES                                                    \
+  __attribute__((target_clones("arch=x86-64-v3", "default")))
+#else
+#define PARSYNT_LANE_CLONES
+#endif
 
 #endif // PARSYNT_INTERP_OPSEMANTICS_H

@@ -122,7 +122,7 @@ TEST(EmittedPrograms, CompileInOneCall) {
     Programs.push_back({Name, emitParallelCpp(R.Final, R.Join, Opts)});
     if (std::string(Name) != "mts")
       continue;
-    // The program's leaf() joins its chains with the emitted join, so the
+    // The program's leaf() joins its lanes with the emitted join, so the
     // self-check compares parallel_run with the join-free run(): mts's join
     // with every left and right operand exchanged must fail it.
     Substitution Swap;
@@ -152,6 +152,23 @@ TEST(EmittedPrograms, CompileInOneCall) {
   EmitCppOptions WrapOpts;
   WrapOpts.SelfCheckElements = 1000;
   Programs.push_back({"wrap", emitParallelCpp(Wrap, {}, WrapOpts)});
+  // The same wrapping in a lane leaf: x, y and d step through INT64_MIN with
+  // +, -, negation and *, and d divides INT64_MIN by -1 (s[i] == -2) and by
+  // 0 (s[i] == -1), lane by lane; x also reads the index.
+  Loop LaneWrap =
+      mustParse("x = 0;\ny = 0;\nd = 0;\n"
+                "for (i = 0; i < |s|; i++) {\n"
+                "  x = x + s[i] * 4611686018427387904 + i;\n"
+                "  y = y - -(s[i] * 4611686018427387904);\n"
+                "  d = d + s[i] * 4611686018427387904 / (s[i] + 1);\n"
+                "}",
+                "lane_wrap");
+  Programs.push_back(
+      {"lane_wrap",
+       emitParallelCpp(LaneWrap,
+                       parseJoin(LaneWrap, "x = (x_l + x_r)\ny = (y_l + y_r)\n"
+                                           "d = (d_l + d_r)\n"),
+                       Opts)});
 
   ASSERT_EQ(buildProgramBatch(Programs, EmittedBin), 0)
       << "compile failed: " << EmittedBin << ".cpp";
@@ -168,6 +185,15 @@ TEST(EmitCpp, ContainsTheExpectedStructure) {
   // The synthesized join body references left/right fields.
   EXPECT_NE(Code.find("l.mts"), std::string::npos);
   EXPECT_NE(Code.find("r.mts"), std::string::npos);
+  // The leaf runs on vector lanes, in one clone per instruction set, and
+  // folds the lanes' states with the join in block order.
+  EXPECT_NE(Code.find("PARSYNT_LANE_CLONES\nstatic State leaf(size_t first, "
+                      "size_t last, const int64_t *seq_s) {"),
+            std::string::npos);
+  EXPECT_NE(Code.find("    Lanes mts;\n"), std::string::npos);
+  EXPECT_NE(Code.find("  State r = c[0];\n  for (int k = 1; k != 8; ++k)\n"
+                      "    r = join(r, c[k]);\n  return r;\n"),
+            std::string::npos);
 }
 
 TEST(EmitCpp, ParametersBecomeGlobals) {
@@ -187,6 +213,7 @@ TEST_P(EmittedProgram, CompilesAndSelfChecks) {
 
 TEST(EmitCpp, WrappingOperatorsHaveNoUndefinedBehaviour) {
   EXPECT_EQ(runEmitted("wrap"), 0);
+  EXPECT_EQ(runEmitted("lane_wrap"), 0);
 }
 
 TEST(EmitCpp, SelfCheckRejectsAWrongJoin) {

@@ -11,8 +11,8 @@
 //   2. the sequential baseline agrees with the interpreted benchmark loop
 //      (i.e. the native code really implements the Table-1 benchmark);
 //   3. the lifted leaf keeps every original variable in its slot;
-//   4. the leaf's split into chains joined by the synthesized join agrees
-//      with the sequential loop on every short sub-range.
+//   4. the leaf's split into vector lanes folded by the synthesized join
+//      agrees with the sequential loop on every short sub-range.
 //
 //===----------------------------------------------------------------------===//
 
@@ -135,23 +135,25 @@ TEST_P(KernelSweep, LeafKeepsEveryOriginalSlot) {
   }
 }
 
-// A leaf runs its range as interleaved chains over contiguous sub-ranges and
-// joins them; a range too short to give every chain an element runs as one
-// chain. Every length 0-19 covers each remainder of the split and the
-// too-short path, and the offsets check that each chain starts at its own
-// sub-range: the leaf over [First, First + Len) must agree with the
-// sequential loop over the same elements on every original variable.
+// A leaf runs its range on eight vector lanes (two vectors of four) over
+// contiguous blocks, the last taking the remainder, and folds the lanes with
+// the join in block order; a range too short to give every lane an element
+// runs as one scalar loop. Lengths 0-47 cover the too-short path and, for
+// block lengths 1-5, every remainder of the split, and the offsets check
+// that each lane starts at its own block: the leaf over [First, First + Len)
+// must agree with the sequential loop over the same elements on every
+// original variable.
 TEST_P(KernelSweep, LeafMatchesSequentialOnEverySubRange) {
   const NativeKernel &K = nativeKernels()[GetParam()];
   const size_t Originals =
       parseBenchmark(*findBenchmark(K.Name)).Equations.size();
-  constexpr size_t Total = 64;
+  constexpr size_t Total = 96;
   for (uint64_t Seed = 1; Seed != 4; ++Seed) {
     std::vector<int64_t> A = generateInput(K.Kind, Total, GetParam() + Seed);
     std::vector<int64_t> B = generateInput(K.Kind, Total, ~Seed);
     const int64_t *PB = K.TwoSequences ? B.data() : nullptr;
     for (size_t First : {0, 1, 2, 3, 5, 23, 44})
-      for (size_t Len = 0; Len != 20; ++Len) {
+      for (size_t Len = 0; Len != 48; ++Len) {
         KState Seq = K.Sequential(A.data() + First,
                                   PB ? PB + First : nullptr, Len);
         KState Leaf = K.Leaf(A.data(), PB, First, First + Len);
