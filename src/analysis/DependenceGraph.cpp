@@ -305,12 +305,13 @@ std::string DependenceInfo::table() const {
     }
     if (V.ReadsIndex)
       Deps += Deps.empty() ? "index" : ",index";
-    if (Deps.empty())
-      Deps = "-";
+    // Printed as "-" when empty; assigning "-" to Deps set off a GCC 12
+    // -Wrestrict false positive in a Release build.
     char Line[256];
     std::snprintf(Line, sizeof(Line),
                   "%-14s | %-4s | %-16s | %3u | %-20s | %s\n", V.Name.c_str(),
-                  typeName(V.Ty), depClassName(V.Class), V.SccId, Deps.c_str(),
+                  typeName(V.Ty), depClassName(V.Class), V.SccId,
+                  Deps.empty() ? "-" : Deps.c_str(),
                   V.TrivialJoin ? exprToString(V.TrivialJoin).c_str()
                                 : "synthesized");
     OS << Line;

@@ -97,7 +97,8 @@ std::string phaseReport(const std::vector<TraceEvent> &Events) {
 namespace {
 
 /// The join search's split from the metric registry's synth counters:
-/// wall time in enumeration, sketch evaluation and the oracle, and the
+/// wall time in enumeration (and the serial in-order merge inside it),
+/// sketch evaluation and the oracle, and the
 /// share of combinations and assignments in work large enough to run on
 /// the task pool. Empty when no join search ran.
 std::string joinSearchSplit(const MetricsRegistry::Snapshot &Metrics) {
@@ -112,8 +113,10 @@ std::string joinSearchSplit(const MetricsRegistry::Snapshot &Metrics) {
   char Buf[256];
   std::string Out = "join search split:\n";
   std::snprintf(Buf, sizeof(Buf),
-                "  %-28s %10.3f ms\n  %-28s %10.3f ms\n  %-28s %10.3f ms\n",
+                "  %-28s %10.3f ms\n  %-28s %10.3f ms\n  %-28s %10.3f ms\n"
+                "  %-28s %10.3f ms\n",
                 "enumerate", Get("synth.join.enumerate_ns") / 1e6,
+                "  in-order merge", Get("synth.enum.merge_ns") / 1e6,
                 "sketch-eval", Get("synth.join.sketch_ns") / 1e6,
                 "oracle/validate", Get("synth.join.oracle_ns") / 1e6);
   Out += Buf;

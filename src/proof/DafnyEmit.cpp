@@ -59,8 +59,16 @@ public:
       if (B->op() == BinaryOp::Min || B->op() == BinaryOp::Max)
         return std::string(B->op() == BinaryOp::Min ? "MinI" : "MaxI") + "(" +
                print(B->lhs()) + ", " + print(B->rhs()) + ")";
-      return "(" + print(B->lhs()) + " " + binaryOpName(B->op()) + " " +
-             print(B->rhs()) + ")";
+      // Appended piece by piece: GCC 12 reports a false -Wrestrict overlap
+      // on the inlined `"(" + std::string&&` in a Release build.
+      std::string Out = "(";
+      Out += print(B->lhs());
+      Out += " ";
+      Out += binaryOpName(B->op());
+      Out += " ";
+      Out += print(B->rhs());
+      Out += ")";
+      return Out;
     }
     case ExprKind::Ite: {
       const auto *I = cast<IteExpr>(E);

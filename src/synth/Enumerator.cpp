@@ -6,22 +6,24 @@
 //===----------------------------------------------------------------------===//
 //
 // Performance note: combined candidates compute their value vectors
-// elementwise from their operands' cached columns, so cost per candidate is
+// elementwise from their operands' columns, so cost per candidate is
 // O(#tests) regardless of term size; leaves arrive with their values. Every
-// combination is evaluated into one reusable scratch column and hashed in
-// the same pass, with the operator resolved outside the per-test loop; the
-// expression node and its own column are allocated only for a combination
-// that survives deduplication (nearly all are observational twins). Per-size
-// buckets make each term constructible exactly once.
+// combination is evaluated and hashed in one pass, with the operator
+// resolved outside the per-test loop. Nearly all combinations are
+// observational twins; a survivor costs a column copy into its pool's slabs
+// and a compact recipe, never an expression node (those are built on demand
+// by expr()). Per-size buckets make each term constructible exactly once.
 //
 // A size level is a fixed sequence of combinations (its operands are all
-// smaller, so they do not change while it is built). Large levels are cut
-// into chunks evaluated on the shared task pool in bounded waves: a chunk
-// drops what the pool held when its wave began and what repeats earlier in
-// the chunk, and the calling thread then feeds the survivors, in sequential
-// order, through the same insertScratch the sequential loop used. Every
-// candidate column and expression is allocated on the calling thread, and
-// the pools come out identical to the sequential order's.
+// smaller, so they do not change while it is built), cut into chunks. Large
+// levels run their chunks on the shared task pool in bounded waves, small
+// ones inline on the calling thread. A chunk drops what the pool held when
+// its wave began and what repeats earlier in the chunk, and keeps its
+// survivors' columns in a fixed buffer; the calling thread then merges the
+// survivors in sequential order: a full-pool check, a dedup probe and a
+// copy each (a survivor beyond its chunk's buffer is evaluated again).
+// Chunks shrink where survivors are dense, so that few overflow. Pools,
+// columns and recipes come out identical to the sequential order's.
 //
 //===----------------------------------------------------------------------===//
 
@@ -31,6 +33,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <cstring>
 #include <tuple>
 
 using namespace parsynt;
@@ -61,6 +65,10 @@ template <typename ValueAt> uint64_t hashColumn(size_t N, ValueAt Value) {
 /// Fibonacci hashing: the top bits of Sig * 2^64/phi pick the slot.
 size_t slotOf(uint64_t Sig, size_t Mask) {
   return static_cast<size_t>((Sig * 0x9e3779b97f4a7c15ull) >> 32) & Mask;
+}
+
+bool sameColumn(const int64_t *A, const int64_t *B, size_t N) {
+  return std::memcmp(A, B, N * sizeof(int64_t)) == 0;
 }
 
 uint64_t signatureOf(const std::vector<int64_t> &Values) {
@@ -109,23 +117,33 @@ size_t tableSizeFor(uint64_t Entries) {
   return Size;
 }
 
-/// Combinations per chunk of a parallel size level.
+/// Combinations per chunk of a size level: at most, and at least.
 constexpr uint64_t ChunkCombinations = 512;
-/// Levels with fewer combinations run as one chunk on the calling thread.
+constexpr uint64_t MinChunkCombinations = 16;
+/// Levels with fewer combinations run their chunks one at a time on the
+/// calling thread.
 constexpr uint64_t InlineCombinations = 8192;
 /// Chunks per wave: bounds the survivor data in flight between the
-/// workers' filtering and the caller's in-order insertion.
+/// workers' filtering and the caller's in-order merge.
 constexpr size_t WaveChunks = 16;
+/// Bytes per slab of a pool's columns (at least one column), and per chunk
+/// buffer of survivor columns (at least two). Both stay below glibc's
+/// default mmap threshold (128 KiB): freed, they go back to the heap whole
+/// for the next pools, and they do not raise the threshold.
+constexpr size_t SlabBytes = 64 * 1024;
+constexpr size_t KeptBytes = 120 * 1024;
 
 } // namespace
 
 Enumerator::Enumerator(size_t NumTests, EnumeratorOptions Options)
-    : Options(Options), Scratch(NumTests) {
+    : Options(Options), NumTests(NumTests),
+      SlabColumns(std::max<size_t>(1, SlabBytes / (NumTests * 8))),
+      KeptColumns(std::max<size_t>(2, KeptBytes / (NumTests * 8)) - 1),
+      IntPool(NumTests, SlabColumns), BoolPool(NumTests, SlabColumns) {
   assert(NumTests != 0 && "enumeration needs at least one test");
 }
 
-const Candidate *Enumerator::Pool::find(uint64_t Sig,
-                                        const std::vector<int64_t> &Values,
+const Candidate *Enumerator::Pool::find(uint64_t Sig, const int64_t *Values,
                                         size_t &Slot) const {
   if (IndexSize == 0)
     return nullptr;
@@ -135,7 +153,7 @@ const Candidate *Enumerator::Pool::find(uint64_t Sig,
     if (!Entry)
       return nullptr;
     const size_t I = Entry - 1;
-    if (Sigs[I] == Sig && Cands[I].Values == Values)
+    if (Sigs[I] == Sig && sameColumn(Cands[I].Values, Values, NumTests))
       return &Cands[I];
   }
 }
@@ -167,7 +185,8 @@ void Enumerator::Pool::reserve(size_t Extra) {
   }
 }
 
-void Enumerator::Pool::add(Candidate C, uint64_t Sig, size_t Slot) {
+void Enumerator::Pool::add(Candidate C, const int64_t *Values, uint64_t Sig,
+                           size_t Slot) {
   if (2 * (Cands.size() + 1) > IndexSize) {
     // Grow; the new candidate probes afresh.
     reserve(1);
@@ -176,36 +195,44 @@ void Enumerator::Pool::add(Candidate C, uint64_t Sig, size_t Slot) {
          Slot = (Slot + 1) & (IndexSize - 1))
       ;
   }
-  const unsigned Size = C.E->size();
-  if (BySize.size() <= Size)
-    BySize.resize(Size + 1);
-  BySize[Size].push_back(Cands.size());
+  const size_t InSlab = Cands.size() % SlabColumns;
+  if (InSlab == 0)
+    Slabs.emplace_back(new int64_t[SlabColumns * NumTests]);
+  int64_t *Column = Slabs.back().get() + InSlab * NumTests;
+  std::copy(Values, Values + NumTests, Column);
+  C.Values = Column;
+  if (BySize.size() <= C.Size)
+    BySize.resize(C.Size + 1);
+  BySize[C.Size].push_back(Cands.size());
   Sigs.push_back(Sig);
   Cands.push_back(std::move(C));
-  // Publish last: a concurrent find() sees the candidate complete or not at
-  // all.
+  // Publish last: a concurrent find() sees the candidate and its column
+  // complete or not at all.
   Index[Slot].store(static_cast<uint32_t>(Cands.size()),
                     std::memory_order_release);
 }
 
-template <typename MakeExpr>
-void Enumerator::insertScratch(Type Ty, uint64_t Sig, MakeExpr Make) {
+template <typename MakeRecipe>
+void Enumerator::insert(Type Ty, const int64_t *Values, uint64_t Sig,
+                        MakeRecipe Make) {
   if (full(Ty))
     return;
   Pool &P = pool(Ty);
   size_t Slot = 0;
-  if (P.find(Sig, Scratch, Slot))
+  if (P.find(Sig, Values, Slot))
     return; // observational twin; the earlier (smaller) one wins
-  ExprRef E = Make();
-  assert(E->type() == Ty && "candidate inserted into the wrong pool");
-  P.add({std::move(E), Scratch}, Sig, Slot);
+  P.add(Make(), Values, Sig, Slot);
 }
 
 void Enumerator::addLeaf(const ExprRef &E,
                          const std::vector<int64_t> &Values) {
-  assert(Values.size() == Scratch.size() && "one value per test");
-  std::copy(Values.begin(), Values.end(), Scratch.begin());
-  insertScratch(E->type(), signatureOf(Scratch), [&] { return E; });
+  assert(Values.size() == NumTests && "one value per test");
+  insert(E->type(), Values.data(), signatureOf(Values), [&] {
+    Candidate C;
+    C.Size = E->size();
+    C.LeafExpr = E;
+    return C;
+  });
 }
 
 /// A run of one level's combinations with one shape over fixed operand
@@ -213,8 +240,7 @@ void Enumerator::addLeaf(const ExprRef &E,
 /// over Radix[i]: unary {operand, -, -}; pairs {lhs, rhs, operator};
 /// conditionals {condition, then, else}.
 struct Enumerator::Block {
-  enum Shape : uint8_t { Neg, Not, IntPair, BoolPair, IntIte, BoolIte };
-  Shape Kind;
+  Candidate::Shape Kind;
   /// Candidate indices of each operand bucket.
   const size_t *Operands[3] = {nullptr, nullptr, nullptr};
   Digits Radix = {1, 1, 1};
@@ -244,12 +270,24 @@ struct Enumerator::Block {
     D[1] = 0;
     ++D[0];
   }
+  /// The recipe of the combination at \p D, of term size \p Size.
+  Candidate recipe(const Digits &D, unsigned Size) const {
+    Candidate C;
+    C.Size = Size;
+    C.Kind = Kind;
+    if (Kind == Candidate::IntPair || Kind == Candidate::BoolPair)
+      C.Op = Kind == Candidate::IntPair ? IntOps[D[2]] : BoolOps[D[2]];
+    for (size_t I = 0; I != 3 && Operands[I]; ++I)
+      C.Operands[I] = static_cast<uint32_t>(Operands[I][D[I]]);
+    return C;
+  }
 };
 
 /// One size level: its blocks in sequential order, plus the state its
 /// chunks read while a wave is in flight.
 struct Enumerator::Level {
   std::vector<Block> Blocks;
+  unsigned Size = 0;
   uint64_t Count = 0;
   /// Per type (Int, Bool): the pool was full when the wave began.
   bool Full[2] = {false, false};
@@ -264,29 +302,25 @@ struct Enumerator::Level {
   }
 };
 
-/// One chunk's buffers, sized by the calling thread before the wave and
-/// reused across waves and levels. Slots sit on cache lines of their own.
+/// One chunk's buffers, allocated by the calling thread and reused across
+/// waves and levels. Slots sit on cache lines of their own.
 struct alignas(64) Enumerator::ChunkSlot {
-  std::vector<int64_t> Column, Twin;
-  /// The chunk's survivors in order: level index << 1 | (type is Bool).
+  /// The chunk's survivors in order: level index << 1 | (type is Bool),
+  /// and their signatures.
   std::vector<uint64_t> Kept;
   std::vector<uint64_t> KeptSigs;
-  size_t NumKept = 0;
+  /// The columns of the first KeptColumns survivors, then one column that
+  /// every later combination is evaluated into.
+  std::unique_ptr<int64_t[]> Columns;
   /// Chunk-local open-addressing index over the survivors (position + 1).
   std::vector<uint32_t> Table;
   uint64_t Polls = 0;
 
-  void reserve(size_t NumTests, uint64_t Combinations) {
-    // Spare capacity keeps the columns every combination writes off the
-    // cache lines of the next slot's buffers.
-    Column.reserve(NumTests + 8);
-    Column.resize(NumTests);
-    Twin.resize(NumTests);
-    if (Kept.size() < Combinations) {
-      Kept.resize(Combinations);
-      KeptSigs.resize(Combinations);
-      Table.assign(tableSizeFor(Combinations), 0);
-    }
+  ChunkSlot(size_t NumTests, size_t KeptColumns)
+      : Columns(new int64_t[(KeptColumns + 1) * NumTests]) {
+    Kept.reserve(ChunkCombinations);
+    KeptSigs.reserve(ChunkCombinations);
+    Table.reserve(tableSizeFor(ChunkCombinations));
   }
 };
 
@@ -300,8 +334,9 @@ Enumerator::Level Enumerator::planLevel(unsigned Size) {
   const auto &BoolBySize = BoolPool.BySize;
 
   Level L;
+  L.Size = Size;
   using Bucket = const std::vector<size_t> *;
-  auto add = [&](Block::Shape Kind, std::initializer_list<Bucket> Buckets,
+  auto add = [&](Candidate::Shape Kind, std::initializer_list<Bucket> Buckets,
                  uint64_t NumOps = 1) -> Block * {
     Block B;
     B.Kind = Kind;
@@ -321,15 +356,15 @@ Enumerator::Level Enumerator::planLevel(unsigned Size) {
   };
 
   // Unary: operand of size Size-1.
-  add(Block::Neg, {&IntBySize[Size - 1]});
-  add(Block::Not, {&BoolBySize[Size - 1]});
+  add(Candidate::Neg, {&IntBySize[Size - 1]});
+  add(Candidate::Not, {&BoolBySize[Size - 1]});
 
   // Binary: |lhs| + |rhs| + 1 == Size.
   for (unsigned SizeA = 1; SizeA + 2 <= Size; ++SizeA) {
     unsigned SizeB = Size - 1 - SizeA;
     for (auto [Kind, BySize, NumOps] :
-         {std::tuple{Block::IntPair, &IntBySize, std::size(IntOps)},
-          std::tuple{Block::BoolPair, &BoolBySize, std::size(BoolOps)}}) {
+         {std::tuple{Candidate::IntPair, &IntBySize, std::size(IntOps)},
+          std::tuple{Candidate::BoolPair, &BoolBySize, std::size(BoolOps)}}) {
       if (Block *B = add(Kind, {&(*BySize)[SizeA], &(*BySize)[SizeB]},
                          NumOps)) {
         B->MirrorAlwaysEarlier = SizeA > SizeB;
@@ -343,9 +378,9 @@ Enumerator::Level Enumerator::planLevel(unsigned Size) {
   for (unsigned SizeC = 1; SizeC + 3 <= Size; ++SizeC) {
     for (unsigned SizeT = 1; SizeC + SizeT + 2 <= Size; ++SizeT) {
       unsigned SizeE = Size - 1 - SizeC - SizeT;
-      add(Block::IntIte,
+      add(Candidate::IntIte,
           {&BoolBySize[SizeC], &IntBySize[SizeT], &IntBySize[SizeE]});
-      add(Block::BoolIte,
+      add(Candidate::BoolIte,
           {&BoolBySize[SizeC], &BoolBySize[SizeT], &BoolBySize[SizeE]});
     }
   }
@@ -355,15 +390,17 @@ Enumerator::Level Enumerator::planLevel(unsigned Size) {
 bool Enumerator::skipped(const Level &L, const Block &B,
                          const Digits &D) const {
   switch (B.Kind) {
-  case Block::Neg:
-  case Block::IntIte:
+  case Candidate::Leaf: // blocks hold combinations only
+    break;
+  case Candidate::Neg:
+  case Candidate::IntIte:
     return L.Full[0];
-  case Block::Not:
-  case Block::BoolIte:
+  case Candidate::Not:
+  case Candidate::BoolIte:
     return L.Full[1];
-  case Block::IntPair:
-  case Block::BoolPair: {
-    BinaryOp Op = B.Kind == Block::IntPair ? IntOps[D[2]] : BoolOps[D[2]];
+  case Candidate::IntPair:
+  case Candidate::BoolPair: {
+    BinaryOp Op = B.Kind == Candidate::IntPair ? IntOps[D[2]] : BoolOps[D[2]];
     if (L.Full[resultType(Op) == Type::Bool])
       return true;
     // The mirrored order of a commutative operator evaluates to the same
@@ -378,71 +415,53 @@ bool Enumerator::skipped(const Level &L, const Block &B,
 
 Type Enumerator::evaluate(const Block &B, const Digits &D, int64_t *Out,
                           uint64_t &Sig) const {
-  const size_t N = Scratch.size();
+  const size_t N = NumTests;
   auto column = [&](const Pool &P, size_t Digit) {
-    return P.Cands[B.Operands[Digit][D[Digit]]].Values.data();
+    return P.Cands[B.Operands[Digit][D[Digit]]].Values;
   };
   switch (B.Kind) {
-  case Block::Neg:
+  case Candidate::Leaf:
+    break;
+  case Candidate::Neg:
     Sig = fillColumn(Out, N, [](int64_t V) { return ops::neg(V); },
                      column(IntPool, 0));
     return Type::Int;
-  case Block::Not:
+  case Candidate::Not:
     Sig = fillColumn(Out, N, [](int64_t V) { return ops::logicalNot(V); },
                      column(BoolPool, 0));
     return Type::Bool;
-  case Block::IntPair:
-  case Block::BoolPair: {
-    const Pool &P = B.Kind == Block::IntPair ? IntPool : BoolPool;
-    BinaryOp Op = B.Kind == Block::IntPair ? IntOps[D[2]] : BoolOps[D[2]];
+  case Candidate::IntPair:
+  case Candidate::BoolPair: {
+    const Pool &P = B.Kind == Candidate::IntPair ? IntPool : BoolPool;
+    BinaryOp Op = B.Kind == Candidate::IntPair ? IntOps[D[2]] : BoolOps[D[2]];
     const int64_t *Lhs = column(P, 0);
     const int64_t *Rhs = column(P, 1);
     Sig = ops::visitBinary(
         Op, [&](auto F) { return fillColumn(Out, N, F, Lhs, Rhs); });
     return resultType(Op);
   }
-  case Block::IntIte:
-  case Block::BoolIte: {
-    const Pool &P = B.Kind == Block::IntIte ? IntPool : BoolPool;
+  case Candidate::IntIte:
+  case Candidate::BoolIte: {
+    const Pool &P = B.Kind == Candidate::IntIte ? IntPool : BoolPool;
     Sig = fillColumn(
         Out, N,
         [](int64_t Cond, int64_t Then, int64_t Else) {
           return Cond ? Then : Else;
         },
         column(BoolPool, 0), column(P, 1), column(P, 2));
-    return B.Kind == Block::IntIte ? Type::Int : Type::Bool;
+    return B.Kind == Candidate::IntIte ? Type::Int : Type::Bool;
   }
   }
   return Type::Int;
 }
 
-ExprRef Enumerator::build(const Block &B, const Digits &D) const {
-  auto expr = [&](const Pool &P, size_t Digit) -> const ExprRef & {
-    return P.Cands[B.Operands[Digit][D[Digit]]].E;
-  };
-  switch (B.Kind) {
-  case Block::Neg:
-    return neg(expr(IntPool, 0));
-  case Block::Not:
-    return notE(expr(BoolPool, 0));
-  case Block::IntPair:
-    return binary(IntOps[D[2]], expr(IntPool, 0), expr(IntPool, 1));
-  case Block::BoolPair:
-    return binary(BoolOps[D[2]], expr(BoolPool, 0), expr(BoolPool, 1));
-  case Block::IntIte:
-    return ite(expr(BoolPool, 0), expr(IntPool, 1), expr(IntPool, 2));
-  case Block::BoolIte:
-    return ite(expr(BoolPool, 0), expr(BoolPool, 1), expr(BoolPool, 2));
-  }
-  return nullptr;
-}
-
 void Enumerator::runChunk(const Level &L, uint64_t Begin, uint64_t End,
                           ChunkSlot &Slot) const {
-  Slot.NumKept = 0;
-  const size_t TableSize = tableSizeFor(End - Begin);
-  std::fill(Slot.Table.begin(), Slot.Table.begin() + TableSize, 0u);
-  const size_t Mask = TableSize - 1;
+  Slot.Kept.clear();
+  Slot.KeptSigs.clear();
+  Slot.Table.assign(tableSizeFor(End - Begin), 0u);
+  const size_t Mask = Slot.Table.size() - 1;
+  const size_t N = NumTests;
   const Deadline &DL = Options.Timeout;
 
   for (size_t BI = L.blockIndex(Begin);
@@ -458,33 +477,30 @@ void Enumerator::runChunk(const Level &L, uint64_t Begin, uint64_t End,
         return;
       if (skipped(L, B, D))
         continue;
+      // Evaluate into the next survivor's place while the buffer has room;
+      // a dropped combination's column is overwritten by the next one.
+      const size_t NumKept = Slot.Kept.size();
+      int64_t *Column =
+          Slot.Columns.get() + std::min(NumKept, KeptColumns) * N;
       uint64_t Sig = 0;
-      Type Ty = evaluate(B, D, Slot.Column.data(), Sig);
+      Type Ty = evaluate(B, D, Column, Sig);
       size_t Ignored = 0;
-      if (pool(Ty).find(Sig, Slot.Column, Ignored))
+      if (pool(Ty).find(Sig, Column, Ignored))
         continue; // a twin was in the pool when the wave began
       const uint64_t TypeBit = Ty == Type::Bool;
       size_t At = slotOf(Sig, Mask);
       bool Repeat = false;
       for (; Slot.Table[At] && !Repeat; At = (At + 1) & Mask) {
         size_t I = Slot.Table[At] - 1;
-        if (Slot.KeptSigs[I] != Sig || (Slot.Kept[I] & 1) != TypeBit)
-          continue;
-        // Same type and signature: re-evaluate the earlier survivor to
-        // compare the columns exactly.
-        uint64_t EarlierK = Slot.Kept[I] >> 1;
-        const Block &EB = L.Blocks[L.blockIndex(EarlierK)];
-        uint64_t EarlierSig = 0;
-        evaluate(EB, EB.digits(EarlierK - EB.Begin), Slot.Twin.data(),
-                 EarlierSig);
-        Repeat = Slot.Twin == Slot.Column;
+        Repeat = I < KeptColumns && Slot.KeptSigs[I] == Sig &&
+                 (Slot.Kept[I] & 1) == TypeBit &&
+                 sameColumn(Slot.Columns.get() + I * N, Column, N);
       }
       if (Repeat)
         continue;
-      Slot.Table[At] = static_cast<uint32_t>(Slot.NumKept + 1);
-      Slot.Kept[Slot.NumKept] = (B.Begin + K) << 1 | TypeBit;
-      Slot.KeptSigs[Slot.NumKept] = Sig;
-      ++Slot.NumKept;
+      Slot.Table[At] = static_cast<uint32_t>(NumKept + 1);
+      Slot.Kept.push_back((B.Begin + K) << 1 | TypeBit);
+      Slot.KeptSigs.push_back(Sig);
     }
   }
 }
@@ -496,10 +512,17 @@ void Enumerator::run() {
   const Deadline &DL = Options.Timeout;
   std::atomic<bool> Expired{false};
   // Two sets of chunk buffers: the chunks of one wave fill a set while this
-  // thread inserts the previous wave's survivors from the other.
+  // thread merges the previous wave's survivors from the other.
   std::vector<ChunkSlot> Slots;
+  std::vector<int64_t> Scratch(NumTests);
   TaskGroup Groups[2];
   size_t NumChunks[2] = {0, 0};
+  auto since = [](std::chrono::steady_clock::time_point Start) {
+    return static_cast<uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now() - Start)
+            .count());
+  };
 
   for (unsigned Size = std::max(2u, BuiltSize + 1); Size <= Options.MaxSize;
        ++Size) {
@@ -511,10 +534,13 @@ void Enumerator::run() {
     const bool Parallel = L.Count >= InlineCombinations;
     if (Parallel)
       ParallelCombinations += L.Count;
-    const uint64_t ChunkLen = Parallel ? ChunkCombinations : L.Count;
     const size_t WaveLen = Parallel ? WaveChunks : 1;
-    if (Slots.size() < 2 * WaveLen)
-      Slots.resize(2 * WaveLen);
+    // A level's first chunks are short: its first blocks, over the newest
+    // operands, are where survivors are densest.
+    uint64_t ChunkLen = MinChunkCombinations;
+    uint64_t WaveCombinations[2] = {0, 0};
+    while (Slots.size() < 2 * WaveLen)
+      Slots.emplace_back(NumTests, KeptColumns);
     TaskPool *Workers = Parallel ? &sharedTaskPool() : nullptr;
 
     // Starts the wave of combinations from Begin in slot set \p Set (inline
@@ -524,10 +550,17 @@ void Enumerator::run() {
       L.Full[0] = full(Type::Int);
       L.Full[1] = full(Type::Bool);
       NumChunks[Set] = 0;
+      const uint64_t WaveBegin = Begin;
       while (NumChunks[Set] != WaveLen && Begin < L.Count) {
         uint64_t Lo = Begin, Hi = std::min(L.Count, Begin + ChunkLen);
+        // A chunk ends with its block, and the next block starts with short
+        // chunks: its survivors may be far denser.
+        const Block &B = L.Blocks[L.blockIndex(Lo)];
+        if (Hi >= B.Begin + B.count()) {
+          Hi = B.Begin + B.count();
+          ChunkLen = MinChunkCombinations;
+        }
         ChunkSlot *Slot = &Slots[Set * WaveLen + NumChunks[Set]++];
-        Slot->reserve(Scratch.size(), ChunkLen);
         if (Workers)
           Workers->spawn(Groups[Set], [this, &L, Slot, Lo, Hi] {
             runChunk(L, Lo, Hi, *Slot);
@@ -536,6 +569,7 @@ void Enumerator::run() {
           runChunk(L, Lo, Hi, *Slot);
         Begin = Hi;
       }
+      WaveCombinations[Set] = Begin - WaveBegin;
       return Begin;
     };
 
@@ -547,31 +581,45 @@ void Enumerator::run() {
       if (Expired.load(std::memory_order_relaxed))
         return;
       // Room for every survivor, made while no chunk reads the pools, so
-      // that the next wave can probe them while this thread inserts.
+      // that the next wave can probe them while this thread merges.
+      auto MergeStart = std::chrono::steady_clock::now();
       size_t Survivors[2] = {0, 0};
-      for (size_t C = 0; C != NumChunks[Set]; ++C) {
-        const ChunkSlot &Slot = Slots[Set * WaveLen + C];
-        for (size_t I = 0; I != Slot.NumKept; ++I)
-          ++Survivors[Slot.Kept[I] & 1];
-      }
+      for (size_t C = 0; C != NumChunks[Set]; ++C)
+        for (uint64_t Kept : Slots[Set * WaveLen + C].Kept)
+          ++Survivors[Kept & 1];
       IntPool.reserve(Survivors[0]);
       BoolPool.reserve(Survivors[1]);
+      MergeNanos += since(MergeStart);
+      // Chunks aim at a quarter of their buffer, at the last wave's rate.
+      if (const uint64_t Kept = Survivors[0] + Survivors[1])
+        ChunkLen = std::clamp(WaveCombinations[Set] * KeptColumns / 4 / Kept,
+                              MinChunkCombinations, ChunkCombinations);
+      else
+        ChunkLen = ChunkCombinations;
       const bool Last = End == L.Count;
       if (!Last)
         End = start(End, 1 - Set);
 
-      // Insert the survivors in sequential order.
+      // Merge the survivors in sequential order.
+      MergeStart = std::chrono::steady_clock::now();
       for (size_t C = 0; C != NumChunks[Set]; ++C) {
-        const ChunkSlot &Slot = Slots[Set * WaveLen + C];
-        for (size_t I = 0; I != Slot.NumKept; ++I) {
-          uint64_t K = Slot.Kept[I] >> 1;
+        ChunkSlot &Slot = Slots[Set * WaveLen + C];
+        for (size_t I = 0; I != Slot.Kept.size(); ++I) {
+          const uint64_t K = Slot.Kept[I] >> 1;
           const Block &B = L.Blocks[L.blockIndex(K)];
-          Digits D = B.digits(K - B.Begin);
-          uint64_t Sig = 0;
-          Type Ty = evaluate(B, D, Scratch.data(), Sig);
-          insertScratch(Ty, Sig, [&] { return build(B, D); });
+          const Digits D = B.digits(K - B.Begin);
+          const int64_t *Column = Slot.Columns.get() + I * NumTests;
+          if (I >= KeptColumns) {
+            // Beyond the chunk's buffer: evaluate the survivor again.
+            uint64_t Sig = 0;
+            evaluate(B, D, Scratch.data(), Sig);
+            Column = Scratch.data();
+          }
+          insert(Slot.Kept[I] & 1 ? Type::Bool : Type::Int, Column,
+                 Slot.KeptSigs[I], [&] { return B.recipe(D, L.Size); });
         }
       }
+      MergeNanos += since(MergeStart);
       if (Last)
         break;
       Set = 1 - Set;
@@ -592,6 +640,32 @@ Enumerator::candidatesUpTo(Type Ty, unsigned MaxSize) const {
 
 const Candidate *
 Enumerator::findMatching(Type Ty, const std::vector<int64_t> &Target) const {
+  assert(Target.size() == NumTests && "one value per test");
   size_t Slot = 0;
-  return pool(Ty).find(signatureOf(Target), Target, Slot);
+  return pool(Ty).find(signatureOf(Target), Target.data(), Slot);
+}
+
+ExprRef Enumerator::expr(const Candidate &C) const {
+  auto operand = [&](Type Ty, size_t I) {
+    return expr(pool(Ty).Cands[C.Operands[I]]);
+  };
+  switch (C.Kind) {
+  case Candidate::Leaf:
+    return C.LeafExpr;
+  case Candidate::Neg:
+    return neg(operand(Type::Int, 0));
+  case Candidate::Not:
+    return notE(operand(Type::Bool, 0));
+  case Candidate::IntPair:
+    return binary(C.Op, operand(Type::Int, 0), operand(Type::Int, 1));
+  case Candidate::BoolPair:
+    return binary(C.Op, operand(Type::Bool, 0), operand(Type::Bool, 1));
+  case Candidate::IntIte:
+    return ite(operand(Type::Bool, 0), operand(Type::Int, 1),
+               operand(Type::Int, 2));
+  case Candidate::BoolIte:
+    return ite(operand(Type::Bool, 0), operand(Type::Bool, 1),
+               operand(Type::Bool, 2));
+  }
+  return nullptr;
 }

@@ -13,6 +13,11 @@
 /// term size, which realizes the paper's "expression depth d is gradually
 /// increased until a solution is found" as iterative deepening on size.
 ///
+/// A candidate is its column, its term size and a recipe (a leaf's
+/// expression, or a shape and operator over operand candidates); the
+/// expression is built only when a caller asks for it (Enumerator::expr),
+/// so a pool of tens of thousands of candidates holds no expression nodes.
+///
 /// The enumerator fills two roles, both in join synthesis: the per-hole
 /// candidate pools of the sketch search, and the free-grammar fallback of
 /// Section 6.3. Lifting does not enumerate: it derives each accumulator's
@@ -33,12 +38,24 @@
 
 namespace parsynt {
 
-/// An enumerated expression with its evaluation on every test, as raw
-/// payloads (bools as 0/1; the pool a candidate lives in fixes its
-/// type).
+/// An enumerated expression: its evaluation on every test, as raw payloads
+/// (bools as 0/1; the pool a candidate lives in fixes its type), its term
+/// size, and the recipe Enumerator::expr builds the expression from. The
+/// column lives in the enumerator's slabs and never moves.
 struct Candidate {
-  ExprRef E;
-  std::vector<int64_t> Values;
+  enum Shape : uint8_t { Leaf, Neg, Not, IntPair, BoolPair, IntIte, BoolIte };
+  const int64_t *Values = nullptr;
+  unsigned Size = 0;
+  Shape Kind = Leaf;
+  /// Pairs: the operator.
+  BinaryOp Op = BinaryOp::Add;
+  /// Candidate indices of the operands in their pools: the operand of a
+  /// negation (int) or a not (bool); a pair's left and right operand (int
+  /// or bool, as its shape says); a conditional's condition (bool) and
+  /// branches (the shape's type).
+  uint32_t Operands[3] = {0, 0, 0};
+  /// Leaves: the expression.
+  ExprRef LeafExpr;
 };
 
 /// Knobs bounding the enumeration.
@@ -61,7 +78,8 @@ struct EnumeratorOptions {
 /// runtime/SharedPool.h) with a result identical to the sequential order:
 /// chunks of the level's combinations are evaluated and filtered
 /// concurrently against the pool as it stood at the start of their wave,
-/// and the calling thread inserts the survivors in sequential order.
+/// keeping their survivors' columns, and the calling thread merges the
+/// survivors in sequential order with one probe and one copy each.
 class Enumerator {
 public:
   explicit Enumerator(size_t NumTests, EnumeratorOptions Options = {});
@@ -71,7 +89,8 @@ public:
   void addLeaf(const ExprRef &E, const std::vector<int64_t> &Values);
 
   /// Builds all candidates of size <= Options.MaxSize. Safe to call again
-  /// after raising MaxSize via options(); already-built sizes are kept.
+  /// after raising MaxSize via options(); already-built sizes are kept, and
+  /// so are their columns, at the same addresses.
   /// Stops early when Options.Timeout expires: the pool stays usable with
   /// whatever sizes were completed.
   void run();
@@ -89,7 +108,12 @@ public:
   const Candidate *findMatching(Type Ty,
                                 const std::vector<int64_t> &Target) const;
 
+  /// The expression of \p C, a candidate of this enumerator, built from its
+  /// recipe. Interns nodes: call it on the calling thread only.
+  ExprRef expr(const Candidate &C) const;
+
   EnumeratorOptions &options() { return Options; }
+  size_t numTests() const { return NumTests; }
   size_t totalCandidates() const {
     return IntPool.Cands.size() + BoolPool.Cands.size();
   }
@@ -99,35 +123,47 @@ public:
   /// only on the leaves and options, never on the schedule.
   uint64_t combinations() const { return Combinations; }
   uint64_t parallelCombinations() const { return ParallelCombinations; }
+  /// Wall time the calling thread spent merging survivors into the pools.
+  uint64_t mergeNanos() const { return MergeNanos; }
 
 private:
   struct Block;
   struct Level;
   struct ChunkSlot;
 
-  /// One typed pool: the candidates, their value signatures, an
-  /// open-addressing index over the signatures for deduplication, and the
-  /// candidates bucketed by term size.
+  /// One typed pool: the candidates, their value signatures, their columns
+  /// in slabs (filled in order, never moved), an open-addressing index over
+  /// the signatures for deduplication, and the candidates bucketed by term
+  /// size.
   ///
   /// Chunks of a wave call find() while the calling thread add()s the
   /// previous wave's survivors. That is safe once reserve() has made room
-  /// for every insertion: nothing is then moved, and a candidate becomes
-  /// visible through its index slot only after it is complete.
+  /// for every insertion: no candidate or column then moves, and a
+  /// candidate becomes visible through its index slot only after it and
+  /// its column are complete.
   struct Pool {
+    Pool(size_t NumTests, size_t SlabColumns)
+        : NumTests(NumTests), SlabColumns(SlabColumns) {}
+
+    size_t NumTests, SlabColumns;
     std::vector<Candidate> Cands;
     std::vector<uint64_t> Sigs;
+    /// SlabColumns columns each, filled in candidate order.
+    std::vector<std::unique_ptr<int64_t[]>> Slabs;
     /// Candidate index + 1 per slot (0: empty); a power-of-two size kept at
     /// most half full.
     std::unique_ptr<std::atomic<uint32_t>[]> Index;
     size_t IndexSize = 0;
     std::vector<std::vector<size_t>> BySize;
 
-    /// The candidate with signature \p Sig and exactly \p Values, or null.
-    /// On a miss, \p Slot is the free slot that ends the probe.
-    const Candidate *find(uint64_t Sig, const std::vector<int64_t> &Values,
+    /// The candidate with signature \p Sig and exactly the column \p
+    /// Values, or null. On a miss, \p Slot is the free slot that ends the
+    /// probe.
+    const Candidate *find(uint64_t Sig, const int64_t *Values,
                           size_t &Slot) const;
-    /// Appends a candidate that find() missed at \p Slot.
-    void add(Candidate C, uint64_t Sig, size_t Slot);
+    /// Appends \p C, which find() missed at \p Slot, with a copy of the
+    /// column \p Values.
+    void add(Candidate C, const int64_t *Values, uint64_t Sig, size_t Slot);
     /// Makes room for \p Extra more candidates without moving any.
     void reserve(size_t Extra);
     /// Rebuilds the index with \p Size slots.
@@ -146,17 +182,17 @@ private:
   /// the signature of its column.
   Type evaluate(const Block &B, const Digits &D, int64_t *Out,
                 uint64_t &Sig) const;
-  ExprRef build(const Block &B, const Digits &D) const;
   /// Evaluates combinations [Begin, End) of \p L, keeping in \p Slot those
-  /// neither in the pool nor repeated earlier in the chunk. Runs on any
-  /// thread; reads the pools only.
+  /// neither in the pool nor repeated earlier in the chunk, with their
+  /// columns. Runs on any thread; reads the pools only.
   void runChunk(const Level &L, uint64_t Begin, uint64_t End,
                 ChunkSlot &Slot) const;
-  /// Keeps the value vector in Scratch (signature \p Sig) as a new type-
-  /// \p Ty candidate unless an observational twin exists or the pool is
-  /// full. The expression is built by \p Make only for a kept candidate.
-  template <typename MakeExpr>
-  void insertScratch(Type Ty, uint64_t Sig, MakeExpr Make);
+  /// Keeps the column \p Values (signature \p Sig) as a new type-\p Ty
+  /// candidate unless an observational twin exists or the pool is full.
+  /// The recipe is made by \p Make only for a kept candidate.
+  template <typename MakeRecipe>
+  void insert(Type Ty, const int64_t *Values, uint64_t Sig,
+              MakeRecipe Make);
   bool full(Type Ty) const {
     return candidates(Ty).size() >= Options.MaxPerType;
   }
@@ -166,14 +202,15 @@ private:
   }
 
   EnumeratorOptions Options;
+  size_t NumTests;
+  /// Columns per slab of a pool, and per chunk's survivor buffer.
+  size_t SlabColumns, KeptColumns;
   Pool IntPool, BoolPool;
-  /// The calling thread's column: leaves and kept combinations are
-  /// evaluated into it for insertScratch.
-  std::vector<int64_t> Scratch;
   /// Largest size already built.
   unsigned BuiltSize = 0;
   uint64_t Combinations = 0;
   uint64_t ParallelCombinations = 0;
+  uint64_t MergeNanos = 0;
 };
 
 } // namespace parsynt

@@ -63,13 +63,16 @@ std::vector<int64_t> joinConstants(const Loop &L) {
 struct HolePool {
   std::vector<std::vector<const Candidate *>> BySize; // index = size
   unsigned MinSize = 0;
+  /// The enumerator whose candidates these are; null for a pool of leaves.
+  const Enumerator *Source = nullptr;
 };
 
 HolePool makePool(const Enumerator &E, Type Ty, unsigned MaxSize) {
   HolePool Pool;
+  Pool.Source = &E;
   Pool.BySize.resize(MaxSize + 1);
   for (const Candidate *C : E.candidatesUpTo(Ty, MaxSize))
-    Pool.BySize[C->E->size()].push_back(C);
+    Pool.BySize[C->Size].push_back(C);
   for (unsigned S = 1; S <= MaxSize; ++S) {
     if (!Pool.BySize[S].empty()) {
       Pool.MinSize = S;
@@ -301,7 +304,7 @@ private:
           continue;
         }
         Slot.Assignment[H] = C;
-        Slot.Columns[H] = C->Values.data();
+        Slot.Columns[H] = C->Values;
         if (Last ? visit(Slot, Rd, Index)
                  : descend(Slot, Rd, H + 1, Remaining - Size, Index, From,
                            To))
@@ -356,7 +359,7 @@ private:
         if (Index >= std::min(To, Rd.Best.load(std::memory_order_relaxed)))
           break;
         Slot.Assignment[0] = First.C;
-        Slot.Columns[0] = First.C->Values.data();
+        Slot.Columns[0] = First.C->Values;
         // With one hole, the first-hole candidates are the assignments.
         bool Done = NumHoles == 1
                         ? Index >= From && visit(Slot, Rd, Index)
@@ -456,8 +459,11 @@ private:
 
   ExprRef materialize(const std::vector<const Candidate *> &Assignment) const {
     Substitution Subst;
-    for (size_t H = 0; H != S.Holes.size(); ++H)
-      Subst[S.Holes[H].Name] = Assignment[H]->E;
+    for (size_t H = 0; H != S.Holes.size(); ++H) {
+      const Enumerator *Source = Pools[H].Source;
+      Subst[S.Holes[H].Name] =
+          Source ? Source->expr(*Assignment[H]) : Assignment[H]->LeafExpr;
+    }
     return simplify(substitute(S.Body, Subst));
   }
 
@@ -507,9 +513,11 @@ JoinResult parsynt::synthesizeJoin(const Loop &L,
   auto grow = [&](Enumerator &E) {
     uint64_t Combinations = E.combinations();
     uint64_t Parallel = E.parallelCombinations();
+    uint64_t Merge = E.mergeNanos();
     auto Start = std::chrono::steady_clock::now();
     E.run();
     Result.Stats.EnumerateNanos += nanosSince(Start);
+    Result.Stats.MergeNanos += E.mergeNanos() - Merge;
     Result.Stats.EnumeratedCombinations += E.combinations() - Combinations;
     Result.Stats.ParallelCombinations += E.parallelCombinations() - Parallel;
   };
@@ -743,7 +751,7 @@ JoinResult parsynt::synthesizeJoin(const Loop &L,
             // Fault point: reject the free-grammar match
             // (PARSYNT_FAULT=synth.reject).
             if (!FaultInjector::fires("synth.reject")) {
-              Found = C->E;
+              Found = ELR.expr(*C);
               Fallback = true;
             }
           }
@@ -772,12 +780,17 @@ JoinResult parsynt::synthesizeJoin(const Loop &L,
         // dedicated tiny pool: "w_r == <literal init>" for every state
         // variable with a literal initial value.
         std::vector<Candidate> GuardPool;
+        std::vector<std::vector<int64_t>> GuardColumns;
         for (const Equation &W : L.Equations) {
           if (!isa<IntConstExpr>(W.Init) && !isa<BoolConstExpr>(W.Init))
             continue;
-          ExprRef Guard =
+          Candidate Guard;
+          Guard.LeafExpr =
               eq(inputVar(splitName(W.Name, Side::Right), W.Ty), W.Init);
-          GuardPool.push_back({Guard, Oracle.column(Guard)});
+          Guard.Size = Guard.LeafExpr->size();
+          GuardColumns.push_back(Oracle.column(Guard.LeafExpr));
+          Guard.Values = GuardColumns.back().data();
+          GuardPool.push_back(std::move(Guard));
         }
         if (!GuardPool.empty()) {
           HolePool Guard;
@@ -901,6 +914,7 @@ JoinResult parsynt::synthesizeJoin(const Loop &L,
   M.counter("synth.join.enumerate_ns").add(Result.Stats.EnumerateNanos);
   M.counter("synth.join.sketch_ns").add(Result.Stats.SketchNanos);
   M.counter("synth.join.oracle_ns").add(Result.Stats.OracleNanos);
+  M.counter("synth.enum.merge_ns").add(Result.Stats.MergeNanos);
   M.counter("synth.enum.combinations")
       .add(Result.Stats.EnumeratedCombinations);
   M.counter("synth.enum.combinations_parallel")

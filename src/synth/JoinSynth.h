@@ -98,6 +98,9 @@ struct JoinStats {
   uint64_t EnumerateNanos = 0;
   uint64_t SketchNanos = 0;
   uint64_t OracleNanos = 0;
+  /// The part of EnumerateNanos the calling thread spent merging chunk
+  /// survivors into the pools in sequential order (the serial share).
+  uint64_t MergeNanos = 0;
 };
 
 /// The synthesized join: one expression per equation over the variables

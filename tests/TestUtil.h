@@ -464,8 +464,14 @@ public:
     BuiltSize = std::max(BuiltSize, Options.MaxSize);
   }
 
+  /// A kept candidate: its expression and its column.
+  struct Entry {
+    ExprRef E;
+    std::vector<int64_t> Values;
+  };
+
   EnumeratorOptions &options() { return Options; }
-  const std::vector<Candidate> &candidates(Type Ty) const {
+  const std::vector<Entry> &candidates(Type Ty) const {
     return pool(Ty).Cands;
   }
 
@@ -479,7 +485,7 @@ private:
     }
   };
   struct Pool {
-    std::vector<Candidate> Cands;
+    std::vector<Entry> Cands;
     std::unordered_set<std::vector<int64_t>, ColumnHash> Seen;
     std::vector<std::vector<size_t>> BySize;
   };

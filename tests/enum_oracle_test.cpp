@@ -64,11 +64,11 @@ TEST(Enumerator, BuildsBySizeWithDedup) {
   E.run();
   // x + 0 is observationally x: never kept as a separate class.
   for (const Candidate *C : E.candidatesUpTo(Type::Int, 3))
-    EXPECT_NE(exprToString(C->E), "(x + 0)");
+    EXPECT_NE(exprToString(E.expr(*C)), "(x + 0)");
   // x + y exists.
   bool Found = false;
   for (const Candidate *C : E.candidatesUpTo(Type::Int, 3))
-    if (exprToString(C->E) == "(x + y)")
+    if (exprToString(E.expr(*C)) == "(x + y)")
       Found = true;
   EXPECT_TRUE(Found);
 
@@ -78,10 +78,12 @@ TEST(Enumerator, BuildsBySizeWithDedup) {
   E.run();
   for (Type Ty : {Type::Int, Type::Bool}) {
     for (const Candidate *C : E.candidatesUpTo(Ty, 5)) {
-      ASSERT_EQ(C->Values.size(), Envs.size());
+      ASSERT_EQ(E.numTests(), Envs.size());
+      const ExprRef Expr = E.expr(*C);
+      ASSERT_EQ(Expr->size(), C->Size);
       for (size_t T = 0; T != Envs.size(); ++T)
-        ASSERT_EQ(C->Values[T], evalExpr(C->E, Envs[T]).raw())
-            << exprToString(C->E) << " on test " << T;
+        ASSERT_EQ(C->Values[T], evalExpr(Expr, Envs[T]).raw())
+            << exprToString(Expr) << " on test " << T;
     }
   }
 }
@@ -94,7 +96,7 @@ TEST(Enumerator, FindMatchingByValueVector) {
   const Candidate *C = E.findMatching(
       Type::Int, column(maxE(inputVar("x"), inputVar("y")), Envs));
   ASSERT_NE(C, nullptr);
-  expectEquivalent(C->E, maxE(inputVar("x"), inputVar("y")));
+  expectEquivalent(E.expr(*C), maxE(inputVar("x"), inputVar("y")));
 }
 
 TEST(Enumerator, IncrementalGrowth) {

@@ -83,12 +83,14 @@ void expectSamePools(const Enumerator &E, const ReferenceEnumerator &R,
                      const std::string &What) {
   for (Type Ty : {Type::Int, Type::Bool}) {
     const std::vector<Candidate> &Got = E.candidates(Ty);
-    const std::vector<Candidate> &Want = R.candidates(Ty);
+    const auto &Want = R.candidates(Ty);
     ASSERT_EQ(Got.size(), Want.size()) << What << ": pool size";
     for (size_t I = 0; I != Want.size(); ++I) {
-      ASSERT_EQ(exprToString(Got[I].E), exprToString(Want[I].E))
+      ASSERT_EQ(exprToString(E.expr(Got[I])), exprToString(Want[I].E))
           << What << ": candidate " << I;
-      ASSERT_EQ(Got[I].Values, Want[I].Values)
+      ASSERT_EQ(std::vector<int64_t>(Got[I].Values,
+                                     Got[I].Values + E.numTests()),
+                Want[I].Values)
           << What << ": column of candidate " << I;
     }
   }
@@ -143,6 +145,70 @@ TEST_P(ParallelEnumerator, CapFallingMidWaveMatchesReference) {
   EXPECT_EQ(IntPoolSizes[1], 1500u);
 }
 
+TEST(EnumeratorStorage, ExpressionsAreBuiltOnDemand) {
+  // Growing line-sight's pool group to the free grammar's size 7 keeps
+  // tens of thousands of candidates but interns no expression node; expr()
+  // builds each one from its recipe, as the reference printed it.
+  Loop L = parseBenchmark(*findBenchmark("line-sight"));
+  HomOracle Oracle(L);
+  EnumeratorOptions Options;
+  Enumerator E(Oracle.tests().size(), Options);
+  ReferenceEnumerator R(Options);
+  addJoinLeaves(L, Oracle, E);
+  addJoinLeaves(L, Oracle, R);
+  const size_t NodesBefore = liveExprCount();
+  E.run();
+  const size_t NodesGrown = liveExprCount() - NodesBefore;
+  EXPECT_GT(E.totalCandidates(), 10000u);
+  EXPECT_LT(NodesGrown * 100, E.totalCandidates());
+  R.run();
+  for (Type Ty : {Type::Int, Type::Bool}) {
+    const std::vector<Candidate> &Got = E.candidates(Ty);
+    const auto &Want = R.candidates(Ty);
+    ASSERT_EQ(Got.size(), Want.size());
+    for (size_t I = 0; I != Want.size(); ++I)
+      ASSERT_EQ(exprToString(E.expr(Got[I])), exprToString(Want[I].E))
+          << "candidate " << I;
+  }
+}
+
+TEST(EnumeratorStorage, ColumnsStayPutWhenGrowing) {
+  // A column taken after the size-5 run is still at the same address, with
+  // the same values, after growing to size 7 (which adds slabs and moves
+  // the candidate arrays).
+  Loop L = parseBenchmark(*findBenchmark("mts-p"));
+  HomOracle Oracle(L);
+  EnumeratorOptions Options;
+  Options.MaxSize = 5;
+  Enumerator E(Oracle.tests().size(), Options);
+  addJoinLeaves(L, Oracle, E);
+  E.run();
+  std::vector<const int64_t *> Pointers;
+  std::vector<std::vector<int64_t>> Columns;
+  for (Type Ty : {Type::Int, Type::Bool})
+    for (const Candidate &C : E.candidates(Ty)) {
+      Pointers.push_back(C.Values);
+      Columns.emplace_back(C.Values, C.Values + E.numTests());
+    }
+  const size_t Before = E.totalCandidates();
+  E.options().MaxSize = 7;
+  E.run();
+  ASSERT_GT(E.totalCandidates(), Before);
+  size_t K = 0;
+  for (Type Ty : {Type::Int, Type::Bool}) {
+    const std::vector<Candidate> &Cands = E.candidates(Ty);
+    for (size_t I = 0; K != Pointers.size() && I != Cands.size() &&
+                       Cands[I].Size <= 5;
+         ++I, ++K) {
+      ASSERT_EQ(Cands[I].Values, Pointers[K]) << "candidate " << K;
+      ASSERT_EQ(std::vector<int64_t>(Pointers[K], Pointers[K] + E.numTests()),
+                Columns[K])
+          << "candidate " << K;
+    }
+  }
+  EXPECT_EQ(K, Pointers.size());
+}
+
 /// The figures of the sequential search for one synthesizeJoin call.
 struct Expected {
   const char *Benchmark;
@@ -168,6 +234,9 @@ void expectStats(const JoinResult &R, const Loop &L, const Expected &X) {
       << X.Benchmark;
   EXPECT_EQ(R.Stats.ParallelAssignments, X.ParallelAssignments)
       << X.Benchmark;
+  // The caller's in-order merge is a part of the enumeration's wall time.
+  EXPECT_GT(R.Stats.MergeNanos, 0u) << X.Benchmark;
+  EXPECT_LE(R.Stats.MergeNanos, R.Stats.EnumerateNanos) << X.Benchmark;
 }
 
 class ParallelJoinSynth : public ::testing::TestWithParam<Schedule> {};

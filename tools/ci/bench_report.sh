@@ -26,7 +26,8 @@ cd "$(dirname "$0")/../.."
 BUILD="${1:-build-bench}"
 JOBS="$(nproc 2>/dev/null || echo 4)"
 
-cmake -B "${BUILD}" -S . -DCMAKE_BUILD_TYPE=Release
+# Warnings are errors: the Release build stays warning-clean.
+cmake -B "${BUILD}" -S . -DCMAKE_BUILD_TYPE=Release -DPARSYNT_WERROR=ON
 cmake --build "${BUILD}" -j "${JOBS}" --target table1 fig8
 
 # The JSON document owns stdout in report mode; the human tables go to

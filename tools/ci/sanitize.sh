@@ -109,7 +109,9 @@ cmake --build "${PREFIX}-tsan" -j "${JOBS}"
 # that exercise them (a full synthesis sweep under TSan is prohibitively
 # slow). ParallelEnumerator / ParallelJoinSynth run the parallel join
 # search on mts, mts-p and line-sight under three pool schedules and
-# compare it with the sequential figures. Two PipelineSweep cases run the
+# compare it with the sequential figures; EnumeratorStorage reads, on the
+# calling thread, the survivor columns pool workers wrote, and checks that
+# pool columns stay put while later levels grow. Two PipelineSweep cases run the
 # whole pipeline (join search, lift, join search on the lifted loop, proof)
 # on the shared pool: mts, and line-sight, whose lift normalizes with the
 # Figure-6 rewriter; the trailing space or end anchor keeps mts from also
@@ -131,7 +133,7 @@ cmake --build "${PREFIX}-tsan" -j "${JOBS}"
 TSAN_OPTIONS=halt_on_error=1 \
   ctest --test-dir "${PREFIX}-tsan" --output-on-failure -j "${JOBS}" \
   --no-tests=error \
-  -R '^(TaskPool|ParallelReduce|SequentialReduce|InterpReduce|EmitCpp|AllKernels/KernelSweep\.ParallelMatchesSequential|Table1/PipelineSweep\.MatchesPaperExpectations/(mts|line_sight)( |$)|Tracer|TracerOff|TraceExport|Metrics|PoolMetrics|Report|Schedules/ParallelEnumerator|Schedules/ParallelJoinSynth)'
+  -R '^(TaskPool|ParallelReduce|SequentialReduce|InterpReduce|EmitCpp|AllKernels/KernelSweep\.ParallelMatchesSequential|Table1/PipelineSweep\.MatchesPaperExpectations/(mts|line_sight)( |$)|Tracer|TracerOff|TraceExport|Metrics|PoolMetrics|Report|Schedules/ParallelEnumerator|Schedules/ParallelJoinSynth|EnumeratorStorage)'
 # Scheduler smoke under TSan as well (all 22 kernels through the pool).
 PARSYNT_FIG8_ELEMS=200000 TSAN_OPTIONS=halt_on_error=1 \
   "${PREFIX}-tsan/bench/fig8" --stats > /dev/null
