@@ -105,19 +105,40 @@ JoinGuidance makeGuidance(const Loop &L, const DependenceInfo &Info) {
   return Guidance;
 }
 
-/// Runs join synthesis on \p W with dependence guidance and folds the
-/// timing / seed statistics into \p Result.
+/// Runs join synthesis on \p W with dependence guidance, plus \p Seeds for
+/// the equations the guidance has none for, and folds the timing / seed
+/// statistics into \p Result.
 JoinResult runJoinSynthesis(const Loop &W, bool AllowEmptyGuard,
-                            PipelineResult &Result, const Deadline &DL) {
+                            PipelineResult &Result, const Deadline &DL,
+                            const std::map<std::string, ExprRef> &Seeds = {}) {
   JoinSynthOptions JoinOpts;
   JoinOpts.AllowEmptyGuard = AllowEmptyGuard;
   JoinOpts.Guidance = makeGuidance(W, analyzeDependences(W));
+  JoinOpts.Guidance.Seeds.insert(Seeds.begin(), Seeds.end());
   JoinOpts.Timeout = DL;
   JoinResult Join = synthesizeJoin(W, JoinOpts);
   Result.JoinSeconds += Join.Stats.Seconds;
   Result.SeedsAccepted += Join.Stats.SeedsAccepted;
   Result.RestrictionRetries += Join.Stats.RestrictionRetries;
+  Result.Refuted += Join.Stats.Refuted;
   return Join;
+}
+
+/// The components of \p Join, the accepted join of \p L, that read neither
+/// split value of \p Dropped: each is a join component of \p L without
+/// \p Dropped, unless the smaller loop's tests or proof say otherwise.
+std::map<std::string, ExprRef> keptComponents(const Loop &L,
+                                              const std::vector<ExprRef> &Join,
+                                              const std::string &Dropped) {
+  std::map<std::string, ExprRef> Kept;
+  for (size_t I = 0; I != L.Equations.size(); ++I) {
+    const std::string &Name = L.Equations[I].Name;
+    if (Name != Dropped &&
+        !containsVar(Join[I], splitName(Dropped, Side::Left)) &&
+        !containsVar(Join[I], splitName(Dropped, Side::Right)))
+      Kept[Name] = Join[I];
+  }
+  return Kept;
 }
 
 } // namespace
@@ -241,6 +262,10 @@ PipelineResult parsynt::parallelizeLoop(const Loop &L,
     Work = std::move(Lift.Lifted);
     if (!verifyAt(Work, VerifyPhase::AfterLift, Result))
       return failSequential();
+    // A phase-1 witness says why the original loop has no join; a failure
+    // of the lifted loop reports it too.
+    std::string PhaseOneWitness =
+        Result.Join.Stats.Refuted ? Result.Join.Failure.Message : "";
     Result.Join = runJoinSynthesis(Work, /*AllowEmptyGuard=*/true, Result,
                                    joinDeadline());
     // A join the proof refutes fooled the bounded oracle: it is no join.
@@ -255,6 +280,8 @@ PipelineResult parsynt::parallelizeLoop(const Loop &L,
       else
         Result.Failure = {FailureKind::NotHomomorphic,
                           "lifting did not produce a joinable loop"};
+      if (!PhaseOneWitness.empty())
+        Result.Failure.Message += "; before lifting, " + PhaseOneWitness;
       // Keep the lifted loop's auxiliary figures for Table 1 even though
       // the runnable fallback is the original loop.
       Result.AuxCount = Work.auxiliaryCount();
@@ -281,8 +308,12 @@ PipelineResult parsynt::parallelizeLoop(const Loop &L,
       Loop Candidate = Work;
       if (!removeEquation(Candidate, *It))
         continue;
-      JoinResult Retry = runJoinSynthesis(Candidate, /*AllowEmptyGuard=*/true,
-                                          Result, joinDeadline());
+      // The accepted join's components that do not read the dropped
+      // auxiliary seed the retry; each still faces the retry's tests, its
+      // CEGIS validation and the proof gate.
+      JoinResult Retry = runJoinSynthesis(
+          Candidate, /*AllowEmptyGuard=*/true, Result, joinDeadline(),
+          keptComponents(Work, Result.Join.Components, *It));
       ProofReport RetryProof = proveJoin(Candidate, Retry);
       if (RetryProof.Verified) {
         Work = std::move(Candidate);
@@ -331,8 +362,10 @@ std::string PipelineResult::report() const {
     OS << "\n";
   }
   if (SeedsAccepted || RestrictionRetries)
-    OS << "  join searches skipped via trivial seeds: " << SeedsAccepted
+    OS << "  join searches skipped via seeds: " << SeedsAccepted
        << ", restricted-search retries: " << RestrictionRetries << "\n";
+  if (Refuted)
+    OS << "  join searches refuted by a witness: " << Refuted << "\n";
   if (!Failure.empty())
     OS << "  failure: " << Failure << "\n";
   if (SequentialFallback)

@@ -12,7 +12,8 @@
 /// it finds a join that passes the proof gate; finally the
 /// remove-redundancies step of Algorithm 1, realized as "drop an auxiliary
 /// and re-synthesize" — any auxiliary whose removal still leaves a
-/// synthesizable join is redundant.
+/// synthesizable join is redundant. The re-synthesis is seeded with the
+/// accepted join's components that do not read the dropped auxiliary.
 ///
 /// The IR verifier runs at every phase boundary, and every join search is
 /// guided by the dependence analysis (DESIGN.md §5b).
@@ -63,11 +64,16 @@ struct PipelineResult {
   /// Dependence classification of Final's state variables; empty when the
   /// input or its index rewrite fails verification.
   DependenceInfo Dependences;
-  /// Join components accepted from dependence-analysis seeds, i.e. join
-  /// searches skipped, summed over every synthesis call in the pipeline.
+  /// Join components accepted from seeds (dependence-analysis folds, or a
+  /// redundancy retry's components of the join accepted before it), i.e.
+  /// join searches skipped, summed over every synthesis call in the
+  /// pipeline.
   unsigned SeedsAccepted = 0;
   /// Dependence-restricted searches that had to be retried unrestricted.
   unsigned RestrictionRetries = 0;
+  /// Join synthesis calls that ended before any search because the
+  /// oracle's tests held a witness that no join exists.
+  unsigned Refuted = 0;
   double JoinSeconds = 0;  ///< total time in join synthesis
   double LiftSeconds = 0;  ///< total time in lifting
   double TotalSeconds = 0;

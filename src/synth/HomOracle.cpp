@@ -11,6 +11,7 @@
 #include "observe/Tracer.h"
 
 #include <algorithm>
+#include <numeric>
 #include <set>
 
 using namespace parsynt;
@@ -315,6 +316,30 @@ HomOracle::findCounterexample(const std::vector<ExprRef> &Join,
     }
   }
   CexSpan.attr("found", false);
+  return std::nullopt;
+}
+
+std::optional<JoinWitness> HomOracle::witness() const {
+  // Sorting the test indices by row brings equal rows together; within a
+  // run of equal rows, two tests with different expected states include a
+  // neighbouring pair that differs.
+  const size_t Width = Layout.width();
+  auto rowLess = [&](size_t A, size_t B) {
+    const int64_t *RowA = testRow(A);
+    auto [PA, PB] = std::mismatch(RowA, RowA + Width, testRow(B));
+    return PA != RowA + Width ? *PA < *PB : A < B;
+  };
+  std::vector<size_t> Order(Tests.size());
+  std::iota(Order.begin(), Order.end(), 0);
+  std::sort(Order.begin(), Order.end(), rowLess);
+  for (size_t K = 1; K < Order.size(); ++K) {
+    size_t A = Order[K - 1], B = Order[K];
+    if (!std::equal(testRow(A), testRow(A) + Width, testRow(B)))
+      continue;
+    for (size_t I = 0; I != L.Equations.size(); ++I)
+      if (Tests[A].Expected[I].raw() != Tests[B].Expected[I].raw())
+        return JoinWitness{A, B, I};
+  }
   return std::nullopt;
 }
 

@@ -40,6 +40,14 @@ struct JoinExample {
   SeqEnv LeftSeqs, RightSeqs;
 };
 
+/// Two tests whose join rows are equal (the same fE(x), fE(y) and
+/// parameters) but whose fE(x • y) differ in state variable Equation: every
+/// join maps both to one value, so no join passes both tests.
+struct JoinWitness {
+  size_t First = 0, Second = 0;
+  size_t Equation = 0;
+};
+
 /// Builds and extends the test set, and verifies candidate joins.
 class HomOracle {
 public:
@@ -76,6 +84,10 @@ public:
   /// the failing example, or nullopt if all \p Rounds pass.
   std::optional<JoinExample>
   findCounterexample(const std::vector<ExprRef> &Join, unsigned Rounds = 400);
+
+  /// A pair of tests no join can pass, or nullopt: the first conflict in
+  /// the order of the sorted join rows.
+  std::optional<JoinWitness> witness() const;
 
   /// Appends a (counter)example to the test set.
   void addTest(JoinExample Example);

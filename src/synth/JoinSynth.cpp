@@ -59,6 +59,41 @@ std::vector<int64_t> joinConstants(const Loop &L) {
   return {Result.begin(), Result.end()};
 }
 
+/// "x = [1, 0], y = [1]" for the one sequence of \p Ex ("s: x = ..., y =
+/// ...; t: ..." for several), then its parameters.
+std::string describeSplit(const JoinExample &Ex) {
+  auto list = [](const std::vector<Value> &Seq) {
+    std::string Out = "[";
+    for (size_t J = 0; J != Seq.size(); ++J)
+      Out += (J ? ", " : "") + Seq[J].str();
+    return Out + "]";
+  };
+  std::string Out;
+  for (const auto &[Name, X] : Ex.LeftSeqs) {
+    if (!Out.empty())
+      Out += "; ";
+    if (Ex.LeftSeqs.size() > 1)
+      Out += Name + ": ";
+    Out += "x = " + list(X) + ", y = " + list(Ex.RightSeqs.at(Name));
+  }
+  for (const auto &[Name, V] : Ex.Params)
+    Out += "; " + Name + " = " + V.str();
+  return Out;
+}
+
+/// The failure of a search refuted by \p W.
+std::string describeWitness(const Loop &L, const HomOracle &Oracle,
+                            const JoinWitness &W) {
+  const JoinExample &A = Oracle.tests()[W.First];
+  const JoinExample &B = Oracle.tests()[W.Second];
+  return "no join exists: the tests {" + describeSplit(A) + "} and {" +
+         describeSplit(B) +
+         "} have equal split states, but the join of state variable '" +
+         L.Equations[W.Equation].Name + "' must give " +
+         A.Expected[W.Equation].str() + " on one and " +
+         B.Expected[W.Equation].str() + " on the other";
+}
+
 /// Per-hole candidate pools grouped by term size for exact-weight search.
 struct HolePool {
   std::vector<std::vector<const Candidate *>> BySize; // index = size
@@ -506,6 +541,15 @@ JoinResult parsynt::synthesizeJoin(const Loop &L,
   const Deadline DL = Options.Timeout;
   auto OracleStart = std::chrono::steady_clock::now();
   HomOracle Oracle(L, DL);
+  // Every candidate must pass every test, so two tests that no join can
+  // both pass end the call before any search.
+  if (std::optional<JoinWitness> W = Oracle.witness()) {
+    Result.Stats.Refuted = true;
+    Result.Stats.TestsUsed = static_cast<unsigned>(Oracle.tests().size());
+    Result.Failure = {FailureKind::NotHomomorphic,
+                      describeWitness(L, Oracle, *W)};
+    Root.attr("refuted", true);
+  }
   Result.Stats.OracleNanos += nanosSince(OracleStart);
   std::vector<int64_t> Constants = joinConstants(L);
 
@@ -522,7 +566,8 @@ JoinResult parsynt::synthesizeJoin(const Loop &L,
     Result.Stats.ParallelCombinations += E.parallelCombinations() - Parallel;
   };
 
-  for (unsigned Round = 0; Round <= CegisRounds; ++Round) {
+  for (unsigned Round = 0; !Result.Stats.Refuted && Round <= CegisRounds;
+       ++Round) {
     Result.Stats.CegisIterations = Round;
     Result.Stats.TestsUsed = static_cast<unsigned>(Oracle.tests().size());
 
@@ -900,8 +945,11 @@ JoinResult parsynt::synthesizeJoin(const Loop &L,
   MetricsRegistry &M = MetricsRegistry::global();
   M.counter("synth.calls").inc();
   // CegisIterations is zero-based (0 = solved on the first round); the
-  // counter records rounds actually executed.
-  M.counter("synth.cegis.rounds").add(Result.Stats.CegisIterations + 1);
+  // counter records rounds actually executed, none for a refuted call.
+  if (Result.Stats.Refuted)
+    M.counter("synth.refuted").inc();
+  else
+    M.counter("synth.cegis.rounds").add(Result.Stats.CegisIterations + 1);
   M.counter("synth.sketch.assignments")
       .add(Result.Stats.SketchAssignmentsTried);
   M.counter("synth.candidates.enumerated")

@@ -15,10 +15,12 @@
 /// fresh random inputs and folds counterexamples back into the test set.
 ///
 /// Joins are synthesized per state variable (modularly), mirroring the
-/// modular per-variable proof decomposition of Section 7. A failed search
-/// stops at the first state variable it cannot join and names it in its
-/// failure; the pipeline answers a failure on the original loop by lifting
-/// it once (pipeline/Parallelizer.h).
+/// modular per-variable proof decomposition of Section 7. Two oracle tests
+/// that no join can both pass (HomOracle::witness) end the call before any
+/// search, and its failure names them. A failed search stops at the first
+/// state variable it cannot join and names it in its failure; the pipeline
+/// answers a failure on the original loop by lifting it once
+/// (pipeline/Parallelizer.h).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -43,8 +45,9 @@ struct JoinGuidance {
   /// Empty: natural equation order.
   std::vector<size_t> Order;
   /// Per equation: a ready-made join component (trivially-homomorphic
-  /// folds). A seed passing the oracle's tests is accepted without any
-  /// search; a failing seed falls back to the normal search.
+  /// folds, or a component of a join accepted before). A seed passing the
+  /// oracle's tests is accepted without any search; a failing seed falls
+  /// back to the normal search.
   std::map<std::string, ExprRef> Seeds;
   /// Per equation: the state variables whose split values its search may
   /// reference (the variable's dependence closure plus auxiliaries).
@@ -81,6 +84,9 @@ struct JoinStats {
   /// Equations whose join was accepted from a dependence-analysis seed
   /// without running any search.
   unsigned SeedsAccepted = 0;
+  /// True when the oracle's tests held a witness (HomOracle::witness) and
+  /// the call ended before any search.
+  bool Refuted = false;
   /// Equations whose dependence-restricted search failed and was retried
   /// over the full variable set.
   unsigned RestrictionRetries = 0;
@@ -112,7 +118,7 @@ struct JoinResult {
   JoinStats Stats;
   /// Structured failure (NotHomomorphic / BudgetExhausted / Timeout); a
   /// NotHomomorphic message names the first state variable no component was
-  /// found for.
+  /// found for, or, for a refuted call, the witness's two tests.
   FailureInfo Failure;
 };
 

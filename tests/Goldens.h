@@ -138,14 +138,14 @@ inline const JoinGolden Goldens[] = {
      "ok = (seen1_l ? (ok_l && aux0_r) : ok_r)\n"
      "seen1 = (seen1_l || seen1_r)\n"
      "aux0 = (aux0_l && aux0_r)\n",
-     43162, 634,
+     0, 0,
      0, 0, 1, 1},
     {"count-1's",
      "cnt = ((cnt_l + cnt_r) + ((prev1_l && aux1_r) ? -1 : 0))\n"
      "prev1 = ((_pos_r <= 0) ? prev1_l : prev1_r)\n"
      "_pos = (_pos_l + _pos_r)\n"
      "aux1 = (((aux1_r ? _pos_l : -1) == 0) ? true : aux1_l)\n",
-     8223180, 40755,
+     2184592, 40755,
      12000, 259621, 2, 1},
     {"line-sight",
      "vis = ((m_r == -1099511627776) ? vis_l : "

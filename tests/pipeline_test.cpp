@@ -108,6 +108,14 @@ TEST_P(PipelineSweep, MatchesPaperExpectations) {
     EXPECT_FALSE(Result.Success) << Result.report();
     EXPECT_TRUE(Result.AuxRequired);
     EXPECT_GE(Result.AuxDiscovered, 1u);
+    // Phase 1 is refuted by two of its oracle's tests, and the failure
+    // names them, in the report and in its --report json form.
+    EXPECT_EQ(Result.Refuted, 1u);
+    const std::string Witness = "before lifting, no join exists: the tests {x";
+    EXPECT_NE(Result.report().find(Witness), std::string::npos)
+        << Result.report();
+    EXPECT_NE(makeBenchmarkEntry(B.Name, Result).Failure.toJson().find(Witness),
+              std::string::npos);
     // Its Figure-8 kernel comes from the hand lifting, whose join must
     // discharge both proof obligations.
     std::optional<HandLifting> Hand = handLifting(B);

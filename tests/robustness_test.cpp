@@ -353,14 +353,15 @@ TEST(TimeoutPath, JoinBudgetOnMaxBlock1) {
 }
 
 TEST(TimeoutPath, JoinDeadlineExpiringMidSearchStopsIt) {
-  // 0*1* has no join without an auxiliary, so synthesis sweeps every sketch
-  // tier before failing. Whatever point of that sweep a deadline expires
-  // at, the whole search must unwind within a few hundred assignments, not
-  // just the frame that noticed the expiry. (Before the fix, the tier in
+  // atoi has no join without an auxiliary, and no two of the oracle's tests
+  // refute it, so synthesis sweeps every sketch tier before failing.
+  // Whatever point of that sweep a deadline expires at, the whole search
+  // must unwind within a few hundred assignments, not just the frame that
+  // noticed the expiry. (Before the fix, the tier in
   // progress ran to exhaustion: a 0.5 s budget took 7.3 s on a 4-core
   // x86-64 VM.) The smallest budget expires mid-search on any machine this
   // suite runs on; larger ones may let the sweep finish first.
-  Loop L = parseBenchmark(*findBenchmark("0*1*"));
+  Loop L = parseBenchmark(*findBenchmark("atoi"));
   for (double Budget : {0.02, 0.05, 0.1, 0.2, 0.5}) {
     JoinSynthOptions Options;
     Options.Timeout = Deadline::after(Budget);
@@ -433,16 +434,18 @@ TEST(SynthFaults, RejectionsForceRetriesButNotFailure) {
 TEST(SynthFaults, InducedDeadlineExpiryYieldsTimeout) {
   // No real budgets anywhere: the deadline.expire fault point alone must
   // drive the pipeline down the structured-timeout path. The polls are
-  // counted, so each expiry falls at a fixed place of the phase-1 join
-  // search: mts's early, 0*1*'s inside a pool-sized sketch sweep and
-  // line-sight's inside a pool-sized enumeration level, where the pool
-  // workers that notice it must unwind the whole search.
+  // counted, so each expiry falls at a fixed place of phase 1: mts's while
+  // the oracle's tests are built (their witness refutes the search, and the
+  // pipeline's own deadline check then stops it), atoi's inside a
+  // pool-sized sketch sweep and line-sight's inside a pool-sized
+  // enumeration level, where the pool workers that notice it must unwind
+  // the whole search.
   struct Case {
     const char *Name;
     const char *Fault;
   };
   for (const Case &C : {Case{"mts", "deadline.expire:after=40"},
-                        Case{"0*1*", "deadline.expire:after=1100"},
+                        Case{"atoi", "deadline.expire:after=1100"},
                         Case{"line-sight", "deadline.expire:after=600"}}) {
     SCOPED_TRACE(C.Name);
     Loop L = parseBenchmark(*findBenchmark(C.Name));

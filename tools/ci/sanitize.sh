@@ -26,7 +26,7 @@ JOBS="$(nproc 2>/dev/null || echo 4)"
 # search (the `deadline.expire` fault fires on every poll after the
 # given one) must unwind to a structured timeout: exit 3 exactly. The
 # polls are counted, not timed, so the expiry falls at the same place in
-# every build: after=1100 inside 0*1*'s sketch sweep of 108528
+# every build: after=1100 inside atoi's sketch sweep of 774630
 # assignments and after=600 inside line-sight's enumeration level of
 # 146631 combinations, both run by pool workers. A wall-clock budget
 # cannot pin that: an optimized build can finish a search inside any
@@ -42,7 +42,7 @@ chaos_smoke() {
          return 1 ;;
     esac
   done
-  for spec in '0*1*:1100' 'line-sight:600'; do
+  for spec in 'atoi:1100' 'line-sight:600'; do
     b="${spec%:*}"
     rc=0
     PARSYNT_FAULT="deadline.expire:after=${spec##*:}" \
@@ -107,9 +107,10 @@ cmake --build "${PREFIX}-tsan" -j "${JOBS}"
 # tests build, and the process-wide pool the join synthesizer runs its
 # enumeration levels and sketch sweeps on. Limit the TSan pass to the tests
 # that exercise them (a full synthesis sweep under TSan is prohibitively
-# slow). ParallelEnumerator / ParallelJoinSynth run the parallel join
-# search on mts, mts-p and line-sight under three pool schedules and
-# compare it with the sequential figures; EnumeratorStorage reads, on the
+# slow). ParallelEnumerator grows the pools of mts, mts-p and line-sight,
+# and ParallelJoinSynth runs the parallel join search on atoi and
+# line-sight, under three pool schedules, and both compare the result with
+# the sequential figures; EnumeratorStorage reads, on the
 # calling thread, the survivor columns pool workers wrote, and checks that
 # pool columns stay put while later levels grow. Two PipelineSweep cases run the
 # whole pipeline (join search, lift, join search on the lifted loop, proof)
