@@ -193,21 +193,6 @@ DependenceInfo parsynt::analyzeDependences(const Loop &L) {
       Adj[I].push_back(IndexOf.at(Read));
   }
 
-  // Transitive closure (self included) — the variables whose split values a
-  // join for this variable may need.
-  for (size_t I = 0; I != N; ++I) {
-    std::set<std::string> &Closure = Info.Vars[I].Closure;
-    std::vector<size_t> Work{I};
-    Closure.insert(Info.Vars[I].Name);
-    while (!Work.empty()) {
-      size_t V = Work.back();
-      Work.pop_back();
-      for (size_t W : Adj[V])
-        if (Closure.insert(Info.Vars[W].Name).second)
-          Work.push_back(W);
-    }
-  }
-
   // SCC decomposition in topological order.
   TarjanScc Tarjan(N, Adj);
   for (size_t SccId = 0; SccId != Tarjan.Components.size(); ++SccId) {
@@ -266,21 +251,6 @@ const VarDependence *DependenceInfo::find(const std::string &Name) const {
     if (V.Name == Name)
       return &V;
   return nullptr;
-}
-
-std::vector<size_t> DependenceInfo::synthesisOrder(const Loop &L) const {
-  std::vector<size_t> Order;
-  Order.reserve(L.Equations.size());
-  for (const std::vector<std::string> &Scc : Sccs)
-    for (const std::string &Name : Scc)
-      if (auto Idx = L.equationIndex(Name))
-        Order.push_back(*Idx);
-  // Equations missing from the analysis (never for analyses of the same
-  // loop) keep their natural position at the end.
-  for (size_t I = 0; I != L.Equations.size(); ++I)
-    if (std::find(Order.begin(), Order.end(), I) == Order.end())
-      Order.push_back(I);
-  return Order;
 }
 
 unsigned DependenceInfo::count(DepClass Class) const {

@@ -10,12 +10,11 @@
 /// in the spirit of the modular follow-up work (Farzan & Nicolet, "Modular
 /// Synthesis of Divide-and-Conquer Parallelism for Nested Loops"): variable
 /// v depends on w when v's update reads w. Strongly connected components of
-/// this graph (Tarjan) give the synthesis a modular decomposition — joins
-/// can be searched per-SCC in topological order, over only the variables an
-/// SCC actually depends on.
+/// this graph (Tarjan), in topological order, are reported by `parsynt
+/// --analyze`.
 ///
-/// Each variable is additionally classified on a small lattice that the
-/// pipeline uses to prune the search:
+/// Each variable is additionally classified on a small lattice, whose
+/// trivially-homomorphic folds seed the pipeline's join searches:
 ///
 ///   Constant        < IndependentFold < Conditional < PrefixDependent
 ///
@@ -62,9 +61,6 @@ struct VarDependence {
   DepClass Class = DepClass::PrefixDependent;
   /// State variables read by the update (self included when read).
   std::set<std::string> Reads;
-  /// Transitive dependence closure, self included — the only variables
-  /// whose split values a C(E)-style join for this variable can mention.
-  std::set<std::string> Closure;
   /// 0-based id of the variable's SCC in topological order.
   unsigned SccId = 0;
   bool SelfRecursive = false; ///< the update reads the variable itself
@@ -82,8 +78,6 @@ struct DependenceInfo {
   std::vector<std::vector<std::string>> Sccs;
 
   const VarDependence *find(const std::string &Name) const;
-  /// Equation indices reordered SCC-by-SCC in topological order.
-  std::vector<size_t> synthesisOrder(const Loop &L) const;
   /// Number of variables classified \p Class.
   unsigned count(DepClass Class) const;
   /// The classification table printed by `parsynt --analyze`.

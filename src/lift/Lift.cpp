@@ -546,6 +546,8 @@ LiftResult Lifter::run() {
                      return OtherReads(A) < OtherReads(B);
                    });
   std::map<std::string, std::vector<std::vector<ExprRef>>> PartsByEq;
+  NormalizeOptions NormOpts;
+  NormOpts.Timeout = Timeout;
   for (const Equation &Eq : OriginalEqs) {
     if (Eq.IsAuxiliary)
       continue; // the materialized position accumulator needs no lifting
@@ -563,20 +565,12 @@ LiftResult Lifter::run() {
     for (unsigned Step = 1; Step <= K; ++Step) {
       if (Timeout.expired())
         return normalizeTimedOut();
-      ExprRef Tau = FromUnknown.ValuesAtStep.at(Eq.Name)[Step];
-      // Canonical domain-specific normal forms first; the generic
-      // cost-directed search is the fallback.
-      ExprRef Ell = tropicalNormalize(Tau, Unknowns);
-      if (!Ell)
-        Ell = booleanNormalize(Tau, Unknowns);
-      if (!Ell) {
-        NormalizeOptions NormOpts;
-        NormOpts.Timeout = Timeout;
-        NormalizeStats NormStats;
-        Ell = normalizeExpr(Tau, Unknowns, NormOpts, &NormStats);
-        if (NormStats.TimedOut)
-          return normalizeTimedOut();
-      }
+      NormalizeStats NormStats;
+      ExprRef Ell =
+          normalizeUnfolding(FromUnknown.ValuesAtStep.at(Eq.Name)[Step],
+                             Unknowns, NormOpts, &NormStats);
+      if (NormStats.TimedOut)
+        return normalizeTimedOut();
       VerifierReport Report = verifyExpr(Ell, VerifyPhase::AfterNormalize,
                                          /*AllowUnknowns=*/true);
       if (!Report.ok()) {

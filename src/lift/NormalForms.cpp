@@ -476,3 +476,14 @@ ExprRef parsynt::booleanNormalize(const ExprRef &E,
   }
   return Result ? simplify(Result) : boolConst(true);
 }
+
+ExprRef parsynt::normalizeUnfolding(const ExprRef &Tau,
+                                    const std::set<std::string> &Unknowns,
+                                    const NormalizeOptions &Options,
+                                    NormalizeStats *Stats) {
+  if (ExprRef Ell = tropicalNormalize(Tau, Unknowns))
+    return Ell;
+  if (ExprRef Ell = booleanNormalize(Tau, Unknowns))
+    return Ell;
+  return normalizeExpr(Tau, Unknowns, Options, Stats);
+}

@@ -7,7 +7,8 @@
 ///
 /// \file
 /// Domain-specific canonical normal forms used by the lifter before falling
-/// back to the generic cost-directed rewriter.
+/// back to the generic cost-directed rewriter, and the lifter's choice
+/// among them (normalizeUnfolding).
 ///
 /// The paper's flagship benchmarks (mts, mps, mss) live in the tropical
 /// (max,+) semiring: their unfoldings are max-of-sums. tropicalNormalize
@@ -30,6 +31,7 @@
 #define PARSYNT_LIFT_NORMALFORMS_H
 
 #include "ir/Expr.h"
+#include "normalize/Normalizer.h"
 
 #include <set>
 #include <string>
@@ -48,6 +50,15 @@ ExprRef tropicalNormalize(const ExprRef &E,
 /// CNF would exceed the size cap.
 ExprRef booleanNormalize(const ExprRef &E,
                          const std::set<std::string> &Unknowns);
+
+/// The normal form the lifter collects parts from: the tropical form of
+/// \p Tau, else its boolean form, else the result of the Figure-6
+/// cost-directed search, which polls \p Options.Timeout and reports a
+/// timeout in \p Stats.
+ExprRef normalizeUnfolding(const ExprRef &Tau,
+                           const std::set<std::string> &Unknowns,
+                           const NormalizeOptions &Options = {},
+                           NormalizeStats *Stats = nullptr);
 
 } // namespace parsynt
 

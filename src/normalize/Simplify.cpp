@@ -61,7 +61,7 @@ ExprRef reduceBinary(BinaryOp Op, const ExprRef &L, const ExprRef &R) {
     if (isIntConst(R, 0))
       return L;
     if (isIntConst(L, 0))
-      return neg(R);
+      return simplify(neg(R));
     if (L == R)
       return intConst(0);
     break;
@@ -125,7 +125,9 @@ ExprRef reduceBinary(BinaryOp Op, const ExprRef &L, const ExprRef &R) {
 
 /// simplify() without the memo at the root: \p E rebuilt from its simplified
 /// children (the same node when none changes), with the identities applied
-/// at the root.
+/// at the root. A rewrite that builds a new root is simplified again, so the
+/// result is a fixpoint; each such rewrite shrinks the term, which bounds
+/// the recursion.
 ExprRef simplifyNode(const ExprRef &E) {
   switch (E->kind()) {
   case ExprKind::IntConst:
@@ -176,13 +178,13 @@ ExprRef simplifyNode(const ExprRef &E) {
     // ite(!c, a, b) -> ite(c, b, a)
     if (const auto *NotCond = dyn_cast<UnaryExpr>(Cond))
       if (NotCond->op() == UnaryOp::Not)
-        return IteExpr::get(NotCond->operand(), std::move(Else),
-                            std::move(Then));
+        return simplify(IteExpr::get(NotCond->operand(), std::move(Else),
+                                     std::move(Then)));
     // ite(c, true, false) -> c; ite(c, false, true) -> !c
     if (isBoolConst(Then, true) && isBoolConst(Else, false))
       return Cond;
     if (isBoolConst(Then, false) && isBoolConst(Else, true))
-      return notE(Cond);
+      return simplify(notE(Cond));
     return IteExpr::get(std::move(Cond), std::move(Then), std::move(Else));
   }
   }

@@ -23,7 +23,6 @@ BenchmarkEntry makeBenchmarkEntry(const std::string &Name,
   E.AuxDiscovered = Result.AuxDiscovered;
   E.SequentialFallback = Result.SequentialFallback;
   E.SeedsAccepted = Result.SeedsAccepted;
-  E.RestrictionRetries = Result.RestrictionRetries;
   E.JoinSeconds = Result.JoinSeconds;
   E.LiftSeconds = Result.LiftSeconds;
   E.ProofSeconds = Result.Proof.Seconds;
@@ -66,7 +65,6 @@ std::string RunReport::toJson() const {
     W.key("aux_discovered").number(E.AuxDiscovered);
     W.key("sequential_fallback").boolean(E.SequentialFallback);
     W.key("seeds_accepted").number(E.SeedsAccepted);
-    W.key("restriction_retries").number(E.RestrictionRetries);
     W.key("phase_seconds").beginObject();
     W.key("join").number(E.JoinSeconds);
     W.key("lift").number(E.LiftSeconds);

@@ -13,14 +13,14 @@
 ///
 ///   {
 ///     "schema": "parsynt-run-report",
-///     "version": 1,
+///     "version": 2,
 ///     "tool": "parsynt" | "table1" | "fig8",
 ///     "benchmarks": [{
 ///       "name": ..., "outcome": "success" | "failure",
 ///       "failure": {kind, message, source?},          // failures only
 ///       "aux_required": bool, "aux_count": n, "aux_discovered": n,
 ///       "sequential_fallback": bool,
-///       "seeds_accepted": n, "restriction_retries": n,
+///       "seeds_accepted": n,
 ///       "phase_seconds": {"join": s, "lift": s, "proof": s, "total": s},
 ///       "metrics": {counter: delta, ...},             // per-benchmark
 ///       "extra": {key: number, ...}                   // driver-specific
@@ -60,7 +60,6 @@ struct BenchmarkEntry {
   unsigned AuxDiscovered = 0;
   bool SequentialFallback = false;
   unsigned SeedsAccepted = 0;
-  unsigned RestrictionRetries = 0;
   double JoinSeconds = 0, LiftSeconds = 0, ProofSeconds = 0, TotalSeconds = 0;
   /// Per-benchmark counter deltas (see counterDeltas()).
   std::vector<std::pair<std::string, uint64_t>> Metrics;
@@ -71,7 +70,7 @@ struct BenchmarkEntry {
 /// A whole run. toJson() additionally snapshots the global metric
 /// registry and the fault injector at call time.
 struct RunReport {
-  static constexpr int Version = 1;
+  static constexpr int Version = 2;
   std::string Tool = "parsynt";
   std::vector<BenchmarkEntry> Benchmarks;
   std::string toJson() const;

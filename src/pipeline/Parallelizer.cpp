@@ -79,47 +79,22 @@ bool verifyAt(const Loop &L, VerifyPhase Phase, PipelineResult &Result) {
   return false;
 }
 
-/// Builds the synthesis guidance for \p L from its dependence analysis:
-/// SCC topological order, trivial-join seeds, and per-variable allowed
-/// sets (dependence closure plus all auxiliaries — lifted joins routinely
-/// reference auxiliaries the original update never reads, e.g. mts's join
-/// needs the lifted sum).
-JoinGuidance makeGuidance(const Loop &L, const DependenceInfo &Info) {
-  JoinGuidance Guidance;
-  Guidance.Order = Info.synthesisOrder(L);
-  std::set<std::string> Shared;
-  for (const Equation &Eq : L.Equations)
-    if (Eq.IsAuxiliary || Eq.Name == "_pos")
-      Shared.insert(Eq.Name);
-  for (const Equation &Eq : L.Equations) {
-    const VarDependence *V = Info.find(Eq.Name);
-    if (!V)
-      continue;
-    if (V->TrivialJoin)
-      Guidance.Seeds[Eq.Name] = V->TrivialJoin;
-    std::set<std::string> Allowed = V->Closure;
-    Allowed.insert(Eq.Name);
-    Allowed.insert(Shared.begin(), Shared.end());
-    Guidance.AllowedVars[Eq.Name] = std::move(Allowed);
-  }
-  return Guidance;
-}
-
-/// Runs join synthesis on \p W with dependence guidance, plus \p Seeds for
-/// the equations the guidance has none for, and folds the timing / seed
-/// statistics into \p Result.
+/// Runs join synthesis on \p W, seeded with the trivial joins of its
+/// dependence analysis plus \p Seeds for the equations it has none for, and
+/// folds the timing / seed statistics into \p Result.
 JoinResult runJoinSynthesis(const Loop &W, bool AllowEmptyGuard,
                             PipelineResult &Result, const Deadline &DL,
                             const std::map<std::string, ExprRef> &Seeds = {}) {
   JoinSynthOptions JoinOpts;
   JoinOpts.AllowEmptyGuard = AllowEmptyGuard;
-  JoinOpts.Guidance = makeGuidance(W, analyzeDependences(W));
-  JoinOpts.Guidance.Seeds.insert(Seeds.begin(), Seeds.end());
+  for (const VarDependence &V : analyzeDependences(W).Vars)
+    if (V.TrivialJoin)
+      JoinOpts.Seeds[V.Name] = V.TrivialJoin;
+  JoinOpts.Seeds.insert(Seeds.begin(), Seeds.end());
   JoinOpts.Timeout = DL;
   JoinResult Join = synthesizeJoin(W, JoinOpts);
   Result.JoinSeconds += Join.Stats.Seconds;
   Result.SeedsAccepted += Join.Stats.SeedsAccepted;
-  Result.RestrictionRetries += Join.Stats.RestrictionRetries;
   Result.Refuted += Join.Stats.Refuted;
   return Join;
 }
@@ -211,7 +186,6 @@ PipelineResult parsynt::parallelizeLoop(const Loop &L,
     Result.Final = Original;
     Result.Join.Success = false;
     Result.Join.Components.clear();
-    Result.Join.FromFallback.clear();
     Result.Proof = {};
     Result.SequentialFallback = true;
     Result.TotalSeconds = secondsSince(StartTime);
@@ -241,10 +215,6 @@ PipelineResult parsynt::parallelizeLoop(const Loop &L,
       return failSequential();
     }
     Result.AuxRequired = true;
-    if (!Options.TryLift) {
-      Result.Failure = Result.Join.Failure;
-      return failSequential();
-    }
 
     // Phase 2: one lift, one join search on the lifted loop, one proof.
     if (Overall.expired()) {
@@ -361,9 +331,8 @@ std::string PipelineResult::report() const {
         OS << " " << depClassName(C) << "=" << N;
     OS << "\n";
   }
-  if (SeedsAccepted || RestrictionRetries)
-    OS << "  join searches skipped via seeds: " << SeedsAccepted
-       << ", restricted-search retries: " << RestrictionRetries << "\n";
+  if (SeedsAccepted)
+    OS << "  join searches skipped via seeds: " << SeedsAccepted << "\n";
   if (Refuted)
     OS << "  join searches refuted by a witness: " << Refuted << "\n";
   if (!Failure.empty())

@@ -16,7 +16,7 @@
 /// accepted join's components that do not read the dropped auxiliary.
 ///
 /// The IR verifier runs at every phase boundary, and every join search is
-/// guided by the dependence analysis (DESIGN.md §5b).
+/// seeded with the trivial joins of the dependence analysis (DESIGN.md §5b).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -34,9 +34,6 @@
 namespace parsynt {
 
 struct PipelineOptions {
-  /// Lift when the original loop has no join; when off, the pipeline stops
-  /// after phase 1.
-  bool TryLift = true;
   /// Wall-clock budgets in seconds; 0 (the default) means unbounded. The
   /// whole-loop budget caps everything; the per-phase budgets additionally
   /// cap each join-synthesis / lift call, so a single runaway phase cannot
@@ -69,8 +66,6 @@ struct PipelineResult {
   /// join searches skipped, summed over every synthesis call in the
   /// pipeline.
   unsigned SeedsAccepted = 0;
-  /// Dependence-restricted searches that had to be retried unrestricted.
-  unsigned RestrictionRetries = 0;
   /// Join synthesis calls that ended before any search because the
   /// oracle's tests held a witness that no join exists.
   unsigned Refuted = 0;

@@ -18,9 +18,8 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <map>
-#include <memory>
 #include <numeric>
+#include <optional>
 #include <set>
 #include <sstream>
 
@@ -530,7 +529,6 @@ JoinResult parsynt::synthesizeJoin(const Loop &L,
   auto StartTime = std::chrono::steady_clock::now();
   JoinResult Result;
   Result.Components.resize(L.Equations.size());
-  Result.FromFallback.assign(L.Equations.size(), false);
 
   Span Root("synthesizeJoin", trace::Synth);
   Root.attr("loop", L.Name.empty() ? "<loop>" : L.Name);
@@ -587,11 +585,11 @@ JoinResult parsynt::synthesizeJoin(const Loop &L,
                                        RoundCandidatesBase);
     };
 
-    // Left-right and right-only candidate pools. Equations restricted by
-    // the dependence guidance draw from a pool over only their closure's
-    // split values; unrestricted equations share the full pool. Pools are
-    // initially sized for the sketch tiers and grown lazily to FreeMaxSize
-    // only if some equation needs the free-grammar fallback.
+    // Left-right and right-only candidate pools, shared by every equation
+    // of the round and built on its first search (a round whose equations
+    // all take seeds builds none). Pools are initially sized for the sketch
+    // tiers and grown lazily to FreeMaxSize only if some equation needs the
+    // free-grammar fallback.
     unsigned MaxLR = 1;
     unsigned MaxR = 1;
     for (const auto &[SizeLR, SizeR] : SketchTiers) {
@@ -603,49 +601,25 @@ JoinResult parsynt::synthesizeJoin(const Loop &L,
     MetricsRegistry::global().gauge("synth.sketch.max_lr").set(MaxLR);
     MetricsRegistry::global().gauge("synth.sketch.max_r").set(MaxR);
 
-    struct PoolGroup {
-      Enumerator ELR;
-      Enumerator ER;
-      PoolGroup(size_t NumTests, unsigned MaxLR, unsigned MaxR,
-                const Deadline &DL)
-          : ELR(NumTests, [&] {
-              EnumeratorOptions O;
-              O.MaxSize = MaxLR;
-              O.Timeout = DL;
-              return O;
-            }()),
-            ER(NumTests, [&] {
-              EnumeratorOptions O;
-              O.MaxSize = MaxR;
-              O.Timeout = DL;
-              return O;
-            }()) {}
-    };
-    // Allowed-set signature -> pool pair; "*" is the unrestricted group.
-    std::map<std::string, std::unique_ptr<PoolGroup>> Groups;
-    auto getGroup = [&](const std::set<std::string> *Allowed) -> PoolGroup & {
-      std::string Key = "*";
-      if (Allowed) {
-        Key.clear();
-        for (const std::string &Name : *Allowed)
-          Key += Name + ",";
-      }
-      auto It = Groups.find(Key);
-      if (It != Groups.end())
-        return *It->second;
-      auto G = std::make_unique<PoolGroup>(Oracle.tests().size(), MaxLR, MaxR,
-                                           DL);
+    std::optional<Enumerator> ELR, ER;
+    auto buildPools = [&] {
+      if (ELR)
+        return;
+      EnumeratorOptions O;
+      O.Timeout = DL;
+      O.MaxSize = MaxLR;
+      ELR.emplace(Oracle.tests().size(), O);
+      O.MaxSize = MaxR;
+      ER.emplace(Oracle.tests().size(), O);
       // Leaves take their values from the oracle's test rows; ??R holes
       // draw from every leaf but the left split values.
       auto leaf = [&](const ExprRef &E, bool RightToo) {
         std::vector<int64_t> Values = Oracle.column(E);
-        G->ELR.addLeaf(E, Values);
+        ELR->addLeaf(E, Values);
         if (RightToo)
-          G->ER.addLeaf(E, Values);
+          ER->addLeaf(E, Values);
       };
       for (const Equation &Eq : L.Equations) {
-        if (Allowed && !Allowed->count(Eq.Name))
-          continue;
         leaf(inputVar(splitName(Eq.Name, Side::Left), Eq.Ty), false);
         leaf(inputVar(splitName(Eq.Name, Side::Right), Eq.Ty), true);
       }
@@ -655,20 +629,15 @@ JoinResult parsynt::synthesizeJoin(const Loop &L,
         leaf(intConst(C), true);
       leaf(boolConst(true), true);
       leaf(boolConst(false), true);
-      grow(G->ELR);
-      grow(G->ER);
+      grow(*ELR);
+      grow(*ER);
       Result.Stats.EnumeratedCandidates +=
-          G->ELR.totalCandidates() + G->ER.totalCandidates();
-      return *Groups.emplace(Key, std::move(G)).first->second;
+          ELR->totalCandidates() + ER->totalCandidates();
     };
 
-    // Solve each equation modularly, SCC-by-SCC in dependence order when
-    // guidance provides one.
+    // Solve each equation modularly.
     bool AllSolved = true;
-    for (size_t Pos = 0; Pos != L.Equations.size(); ++Pos) {
-      size_t I = Pos < Options.Guidance.Order.size()
-                     ? Options.Guidance.Order[Pos]
-                     : Pos;
+    for (size_t I = 0; I != L.Equations.size(); ++I) {
       const Equation &Eq = L.Equations[I];
       ExprRef Component;
       bool Fallback = false;
@@ -689,37 +658,26 @@ JoinResult parsynt::synthesizeJoin(const Loop &L,
       // seed without searching if it matches every current test. (CEGIS
       // still validates the assembled join on fresh inputs, so a wrong
       // seed costs one round and then falls back to the search.)
-      auto SeedIt = Options.Guidance.Seeds.find(Eq.Name);
-      if (SeedIt != Options.Guidance.Seeds.end() && SeedIt->second) {
+      auto SeedIt = Options.Seeds.find(Eq.Name);
+      if (SeedIt != Options.Seeds.end() && SeedIt->second) {
         auto SeedStart = std::chrono::steady_clock::now();
         bool Matches = !Oracle.firstFailure(SeedIt->second, I);
         Result.Stats.OracleNanos += nanosSince(SeedStart);
         // Fault point: refuse a matching seed so the equation exercises the
         // full search path (PARSYNT_FAULT=synth.reject).
         if (Matches && !FaultInjector::fires("synth.reject")) {
-          Component = SeedIt->second;
+          Result.Components[I] = SeedIt->second;
           ++Result.Stats.SeedsAccepted;
-          Result.Components[I] = Component;
-          Result.FromFallback[I] = false;
           EqSpan.attr("seeded", true);
           continue;
         }
       }
+      buildPools();
 
-      // Only pre-search a restricted pool when the restriction genuinely
-      // shrinks the space (at most half the variables): a near-full
-      // "restriction" costs almost a full failed search before the
-      // unrestricted retry, which is pure waste on the hard equations.
-      const std::set<std::string> *Allowed = nullptr;
-      auto AllowIt = Options.Guidance.AllowedVars.find(Eq.Name);
-      if (AllowIt != Options.Guidance.AllowedVars.end() &&
-          AllowIt->second.size() * 2 <= L.Equations.size())
-        Allowed = &AllowIt->second;
-
-      // Searches sketch \p S tier by tier over \p G's pools. A non-null
-      // \p Guard is the fixed pool of the sketch's last hole; the hole
-      // sizes of every tier then reach at least the guard's size.
-      auto searchSketch = [&](const Sketch &S, PoolGroup &G,
+      // Searches sketch \p S tier by tier over the round's pools. A
+      // non-null \p Guard is the fixed pool of the sketch's last hole; the
+      // hole sizes of every tier then reach at least the guard's size.
+      auto searchSketch = [&](const Sketch &S,
                               const HolePool *Guard = nullptr) -> ExprRef {
         for (const auto &[SizeLR, SizeR] : SketchTiers) {
           std::vector<HolePool> Pools;
@@ -728,8 +686,8 @@ JoinResult parsynt::synthesizeJoin(const Loop &L,
             if (Guard && &H == &S.Holes.back())
               Pools.push_back(*Guard);
             else
-              Pools.push_back(H.RightOnly ? makePool(G.ER, H.Ty, SizeR)
-                                          : makePool(G.ELR, H.Ty, SizeLR));
+              Pools.push_back(H.RightOnly ? makePool(*ER, H.Ty, SizeR)
+                                          : makePool(*ELR, H.Ty, SizeLR));
           }
           unsigned MaxHoleSize = std::max(SizeLR, SizeR);
           if (Guard)
@@ -744,76 +702,48 @@ JoinResult parsynt::synthesizeJoin(const Loop &L,
         return nullptr;
       };
 
-      auto solveWith = [&](PoolGroup &G, bool Restricted) -> ExprRef {
-        Fallback = false;
-        Enumerator &ELR = G.ELR;
-        ExprRef Found;
+      if (Options.UseSketch)
+        Component = searchSketch(compileSketch(Eq));
 
-        if (Options.UseSketch)
-          Found = searchSketch(compileSketch(Eq), G);
+      if (!Component && Options.UseSketch && Eq.Ty == Type::Int) {
+        // Additive-correction sketch: v_l + v_r + ite(??LR, ??R, ??R).
+        // Counters over concatenations are almost-additive with a boundary
+        // correction (count-1's block merge at the seam); this variant
+        // reaches those joins with a three-hole search.
+        Sketch Corr;
+        Corr.Holes.push_back({"?c0", Type::Bool, /*RightOnly=*/false});
+        Corr.Holes.push_back({"?c1", Type::Int, /*RightOnly=*/true});
+        Corr.Holes.push_back({"?c2", Type::Int, /*RightOnly=*/true});
+        Corr.Body =
+            add(add(inputVar(splitName(Eq.Name, Side::Left), Type::Int),
+                    inputVar(splitName(Eq.Name, Side::Right), Type::Int)),
+                ite(inputVar("?c0", Type::Bool), inputVar("?c1", Type::Int),
+                    inputVar("?c2", Type::Int)));
+        Component = searchSketch(Corr);
+      }
 
-        if (!Found && Options.UseSketch && Eq.Ty == Type::Int) {
-          // Additive-correction sketch: v_l + v_r + ite(??LR, ??R, ??R).
-          // Counters over concatenations are almost-additive with a
-          // boundary correction (count-1's block merge at the seam); this
-          // variant reaches those joins with a three-hole search.
-          Sketch Corr;
-          Corr.Holes.push_back({"?c0", Type::Bool, /*RightOnly=*/false});
-          Corr.Holes.push_back({"?c1", Type::Int, /*RightOnly=*/true});
-          Corr.Holes.push_back({"?c2", Type::Int, /*RightOnly=*/true});
-          Corr.Body = add(add(inputVar(splitName(Eq.Name, Side::Left),
-                                       Type::Int),
-                              inputVar(splitName(Eq.Name, Side::Right),
-                                       Type::Int)),
-                          ite(inputVar("?c0", Type::Bool),
-                              inputVar("?c1", Type::Int),
-                              inputVar("?c2", Type::Int)));
-          Found = searchSketch(Corr, G);
+      if (!Component && Options.AllowFallback) {
+        // Free-grammar search: the expected output vector indexes straight
+        // into the enumerator's observational classes. Grow the pool to the
+        // fallback bound on first use.
+        if (ELR->options().MaxSize < FreeMaxSize) {
+          size_t Before = ELR->totalCandidates();
+          ELR->options().MaxSize = FreeMaxSize;
+          grow(*ELR);
+          Result.Stats.EnumeratedCandidates += ELR->totalCandidates() - Before;
         }
-
-        // The free-grammar fallback only runs unrestricted: growing and
-        // sweeping a pool to FreeMaxSize is the expensive tail of a failed
-        // search, and paying it twice (restricted, then again on the
-        // unrestricted retry) would double the cost of exactly the hard
-        // cases. The dependence restriction pays off in the sketch phase,
-        // where smaller hole pools shrink the assignment product.
-        if (!Found && Options.AllowFallback && !Restricted) {
-          // Free-grammar search: the expected output vector indexes
-          // straight into the enumerator's observational classes. Grow the
-          // pool to the fallback bound on first use.
-          if (ELR.options().MaxSize < FreeMaxSize) {
-            size_t Before = ELR.totalCandidates();
-            ELR.options().MaxSize = FreeMaxSize;
-            grow(ELR);
-            Result.Stats.EnumeratedCandidates +=
-                ELR.totalCandidates() - Before;
-          }
-          std::vector<int64_t> Target;
-          Target.reserve(Oracle.tests().size());
-          for (const JoinExample &Example : Oracle.tests())
-            Target.push_back(Example.Expected[I].raw());
-          if (const Candidate *C = ELR.findMatching(Eq.Ty, Target)) {
-            // Fault point: reject the free-grammar match
-            // (PARSYNT_FAULT=synth.reject).
-            if (!FaultInjector::fires("synth.reject")) {
-              Found = ELR.expr(*C);
-              Fallback = true;
-            }
+        std::vector<int64_t> Target;
+        Target.reserve(Oracle.tests().size());
+        for (const JoinExample &Example : Oracle.tests())
+          Target.push_back(Example.Expected[I].raw());
+        if (const Candidate *C = ELR->findMatching(Eq.Ty, Target)) {
+          // Fault point: reject the free-grammar match
+          // (PARSYNT_FAULT=synth.reject).
+          if (!FaultInjector::fires("synth.reject")) {
+            Component = ELR->expr(*C);
+            Fallback = true;
           }
         }
-        return Found;
-      };
-
-      if (Allowed)
-        Component = solveWith(getGroup(Allowed), /*Restricted=*/true);
-      if (!Component) {
-        // The dependence restriction is a heuristic; never let it change
-        // what is synthesizable. Retry over the full variable set.
-        if (Allowed) {
-          ++Result.Stats.RestrictionRetries;
-          EqSpan.attr("restriction_retry", true);
-        }
-        Component = solveWith(getGroup(nullptr), /*Restricted=*/false);
       }
 
       if (!Component && Options.UseSketch && Options.AllowEmptyGuard) {
@@ -852,7 +782,7 @@ JoinResult parsynt::synthesizeJoin(const Loop &L,
               ite(inputVar(GuardName, Type::Bool),
                   inputVar(splitName(Eq.Name, Side::Left), Eq.Ty),
                   Guarded.Body);
-          Component = searchSketch(Guarded, getGroup(nullptr), &Guard);
+          Component = searchSketch(Guarded, &Guard);
         }
       }
 
@@ -872,7 +802,6 @@ JoinResult parsynt::synthesizeJoin(const Loop &L,
         break;
       }
       Result.Components[I] = Component;
-      Result.FromFallback[I] = Fallback;
       EqSpan.attr("fallback", Fallback);
     }
 
@@ -955,8 +884,6 @@ JoinResult parsynt::synthesizeJoin(const Loop &L,
   M.counter("synth.candidates.enumerated")
       .add(Result.Stats.EnumeratedCandidates);
   M.counter("synth.seeds.accepted").add(Result.Stats.SeedsAccepted);
-  M.counter("synth.restriction.retries")
-      .add(Result.Stats.RestrictionRetries);
   // The search's split: phase wall times, and the work in enumeration
   // levels and sketch sweeps large enough to run on the task pool.
   M.counter("synth.join.enumerate_ns").add(Result.Stats.EnumerateNanos);

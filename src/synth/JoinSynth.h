@@ -31,31 +31,10 @@
 #include "support/Failure.h"
 
 #include <map>
-#include <set>
 #include <string>
 #include <vector>
 
 namespace parsynt {
-
-/// Dependence-derived guidance computed by the pipeline (see
-/// analysis/DependenceGraph.h). All fields are optional; an empty guidance
-/// reproduces the unguided search exactly.
-struct JoinGuidance {
-  /// Equation indices in synthesis order — SCC-by-SCC, dependencies first.
-  /// Empty: natural equation order.
-  std::vector<size_t> Order;
-  /// Per equation: a ready-made join component (trivially-homomorphic
-  /// folds, or a component of a join accepted before). A seed passing the
-  /// oracle's tests is accepted without any search; a failing seed falls
-  /// back to the normal search.
-  std::map<std::string, ExprRef> Seeds;
-  /// Per equation: the state variables whose split values its search may
-  /// reference (the variable's dependence closure plus auxiliaries).
-  /// Equations without an entry search over all variables. If a restricted
-  /// search fails, it is retried unrestricted, so guidance never changes
-  /// what is synthesizable — only how fast.
-  std::map<std::string, std::set<std::string>> AllowedVars;
-};
 
 /// Switches for the synthesis search. The search itself (hole-size tiers,
 /// free-grammar bound, assignment budget, CEGIS and validation rounds) is
@@ -68,8 +47,11 @@ struct JoinSynthOptions {
   /// loops so the Table-1 "parallelizable in original form" judgement
   /// matches the paper's sketch space).
   bool AllowEmptyGuard = true;
-  /// Dependence-derived ordering, seeds, and variable restrictions.
-  JoinGuidance Guidance;
+  /// Per equation: a ready-made join component (a trivially-homomorphic
+  /// fold from the dependence analysis, or a component of a join accepted
+  /// before). A seed passing the oracle's tests is accepted without any
+  /// search; a failing seed falls back to the normal search.
+  std::map<std::string, ExprRef> Seeds;
   /// Cooperative cancellation for the whole synthesis call (also handed to
   /// the oracle). On expiry the search unwinds with a Timeout failure.
   Deadline Timeout;
@@ -87,9 +69,6 @@ struct JoinStats {
   /// True when the oracle's tests held a witness (HomOracle::witness) and
   /// the call ended before any search.
   bool Refuted = false;
-  /// Equations whose dependence-restricted search failed and was retried
-  /// over the full variable set.
-  unsigned RestrictionRetries = 0;
   /// Combinations the enumerators evaluated or skipped, and the part of
   /// them in size levels large enough to run on the task pool.
   uint64_t EnumeratedCombinations = 0;
@@ -114,7 +93,6 @@ struct JoinStats {
 struct JoinResult {
   bool Success = false;
   std::vector<ExprRef> Components;
-  std::vector<bool> FromFallback; ///< per equation: free grammar used
   JoinStats Stats;
   /// Structured failure (NotHomomorphic / BudgetExhausted / Timeout); a
   /// NotHomomorphic message names the first state variable no component was

@@ -89,7 +89,7 @@ inline const JoinGolden Goldens[] = {
      "mts = max((mts_l + aux0_r), mts_r)\n"
      "aux0 = (aux0_l + aux0_r)\n"
      "aux1 = max(aux1_l, (aux0_l + aux1_r))\n",
-     41592, 31167,
+     42106, 24983,
      0, 0, 2, 1},
     {"mts-p",
      "mts = max((mts_l + sum_r), mts_r)\n"
@@ -97,7 +97,7 @@ inline const JoinGolden Goldens[] = {
      "pos = ((max((mts_l + sum_r), mts_r) == mts_r) ? (_pos_l + pos_r) : "
      "pos_l)\n"
      "_pos = (_pos_l + _pos_r)\n",
-     3576157, 26398,
+     42000, 23015,
      0, 0, 1, 0},
     {"mps-p",
      "sum = (sum_l + sum_r)\n"
@@ -145,7 +145,7 @@ inline const JoinGolden Goldens[] = {
      "prev1 = ((_pos_r <= 0) ? prev1_l : prev1_r)\n"
      "_pos = (_pos_l + _pos_r)\n"
      "aux1 = (((aux1_r ? _pos_l : -1) == 0) ? true : aux1_l)\n",
-     2184592, 40755,
+     4841363, 40055,
      12000, 259621, 2, 1},
     {"line-sight",
      "vis = ((m_r == -1099511627776) ? vis_l : "

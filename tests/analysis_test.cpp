@@ -198,7 +198,6 @@ TEST(Dependence, MpsIsPrefixDependentOnSum) {
   const VarDependence *Mps = Info.find("mps");
   ASSERT_NE(Mps, nullptr);
   EXPECT_TRUE(Mps->Reads.count("sum"));
-  EXPECT_TRUE(Mps->Closure.count("sum"));
   EXPECT_EQ(Mps->TrivialJoin, nullptr);
 }
 
@@ -238,21 +237,6 @@ TEST(Dependence, AdditiveFoldWithNonzeroInitIsNotSeeded) {
   DependenceInfo Info = analyzeDependences(L);
   EXPECT_EQ(classOf(Info, "acc"), DepClass::IndependentFold);
   EXPECT_EQ(Info.find("acc")->TrivialJoin, nullptr);
-}
-
-TEST(Dependence, SynthesisOrderPutsDependenciesFirst) {
-  Loop L = parseBenchmark(*findBenchmark("mps"));
-  DependenceInfo Info = analyzeDependences(L);
-  std::vector<size_t> Order = Info.synthesisOrder(L);
-  ASSERT_EQ(Order.size(), L.Equations.size());
-  size_t SumPos = 0, MpsPos = 0;
-  for (size_t Pos = 0; Pos != Order.size(); ++Pos) {
-    if (L.Equations[Order[Pos]].Name == "sum")
-      SumPos = Pos;
-    if (L.Equations[Order[Pos]].Name == "mps")
-      MpsPos = Pos;
-  }
-  EXPECT_LT(SumPos, MpsPos);
 }
 
 TEST(Dependence, SccTopologicalOrder) {

@@ -8,7 +8,6 @@
 #include "lift/Lift.h"
 #include "lift/NormalForms.h"
 #include "lift/Unfold.h"
-#include "normalize/Normalizer.h"
 #include "observe/Metrics.h"
 #include "suite/Benchmarks.h"
 #include "support/FaultInjector.h"
@@ -349,12 +348,8 @@ TEST_P(LiftFrameColumns, MatchTheReferenceFrameByFrame) {
     if (Eq.IsAuxiliary)
       continue;
     for (unsigned Step = 1; Step <= K; ++Step) {
-      ExprRef Tau = FromUnknown.ValuesAtStep.at(Eq.Name)[Step];
-      ExprRef Ell = tropicalNormalize(Tau, Unknowns);
-      if (!Ell)
-        Ell = booleanNormalize(Tau, Unknowns);
-      if (!Ell)
-        Ell = normalizeExpr(Tau, Unknowns);
+      ExprRef Ell = normalizeUnfolding(
+          FromUnknown.ValuesAtStep.at(Eq.Name)[Step], Unknowns);
       std::vector<ExprRef> Parts;
       unknownFreeSubterms(Ell, Parts);
       for (const ExprRef &Part : Parts)

@@ -47,6 +47,13 @@ TEST(Simplify, FoldsAndReduces) {
             "x");
   EXPECT_EQ(exprToString(simplify(le(inputVar("x"), inputVar("x")))), "true");
   EXPECT_EQ(exprToString(simplify(minE(inputVar("x"), inputVar("x")))), "x");
+  // A rewrite that builds a new root is simplified again: 0 - -(x) is
+  // -(-(x)) before the root is revisited, !y ? false : true is
+  // y ? true : false.
+  EXPECT_EQ(exprToString(simplify(sub(intConst(0), neg(inputVar("x"))))), "x");
+  EXPECT_EQ(exprToString(simplify(ite(notE(inputVar("y", Type::Bool)),
+                                      boolConst(false), boolConst(true)))),
+            "y");
 }
 
 /// The payload of a literal in parsynt::ops' representation (booleans as
@@ -92,7 +99,8 @@ TEST(Simplify, FoldsUnderTheSharedOperatorSemantics) {
         << A;
 }
 
-/// Property: simplification preserves semantics on random expressions.
+/// Property: simplification preserves semantics on random expressions, and
+/// its result is a fixpoint.
 class SimplifyProperty : public ::testing::TestWithParam<int> {};
 
 TEST_P(SimplifyProperty, PreservesSemantics) {
@@ -100,7 +108,9 @@ TEST_P(SimplifyProperty, PreservesSemantics) {
   for (int Round = 0; Round != 40; ++Round) {
     Type Ty = R.flip() ? Type::Int : Type::Bool;
     ExprRef E = randomExpr(R, 4, Ty, standardVars());
-    expectEquivalent(E, simplify(E), GetParam());
+    ExprRef S = simplify(E);
+    expectEquivalent(E, S, GetParam());
+    EXPECT_EQ(simplify(S), S) << exprToString(E) << " -> " << exprToString(S);
   }
 }
 

@@ -495,7 +495,7 @@ TEST(Report, RunReportSerializesSchemaEnvelope) {
 
   std::string J = Report.toJson();
   EXPECT_NE(J.find("\"schema\": \"parsynt-run-report\""), std::string::npos);
-  EXPECT_NE(J.find("\"version\": 1"), std::string::npos);
+  EXPECT_NE(J.find("\"version\": 2"), std::string::npos);
   EXPECT_NE(J.find("\"tool\": \"table1\""), std::string::npos);
   EXPECT_NE(J.find("\"outcome\": \"success\""), std::string::npos);
   EXPECT_NE(J.find("\"outcome\": \"failure\""), std::string::npos);

@@ -51,7 +51,7 @@ std::string faultSpec(const Schedule &S, const std::string &Extra = "") {
   return Spec;
 }
 
-/// Feeds \p Into the left-right leaves synthesis gives a join's pool group
+/// Feeds \p Into the leaves synthesis gives a join search's left-right pool
 /// for \p L: both split values of every state variable, the parameters, the
 /// loop's integer constants with 0 / 1 / -1, and the booleans.
 template <typename EnumeratorT>
@@ -96,7 +96,7 @@ void expectSamePools(const Enumerator &E, const ReferenceEnumerator &R,
   }
 }
 
-/// Grows both enumerators the way synthesis grows a pool group: to the
+/// Grows both enumerators the way synthesis grows its left-right pool: to the
 /// sketch tiers' size 5, then to the free grammar's size 7. Returns the
 /// integer pool's size after each step.
 std::vector<size_t> growAndCompare(const std::string &Benchmark,
@@ -146,7 +146,7 @@ TEST_P(ParallelEnumerator, CapFallingMidWaveMatchesReference) {
 }
 
 TEST(EnumeratorStorage, ExpressionsAreBuiltOnDemand) {
-  // Growing line-sight's pool group to the free grammar's size 7 keeps
+  // Growing line-sight's left-right pool to the free grammar's size 7 keeps
   // tens of thousands of candidates but interns no expression node; expr()
   // builds each one from its recipe, as the reference printed it.
   Loop L = parseBenchmark(*findBenchmark("line-sight"));

@@ -213,13 +213,4 @@ TEST(Pipeline, ReportIsInformative) {
   EXPECT_NE(Report.find("join:"), std::string::npos);
 }
 
-TEST(Pipeline, NoLiftOptionStopsEarly) {
-  PipelineOptions Opts;
-  Opts.TryLift = false;
-  Loop L = parseBenchmark(*findBenchmark("mts"));
-  PipelineResult Result = parallelizeLoop(L, Opts);
-  EXPECT_FALSE(Result.Success);
-  EXPECT_TRUE(Result.AuxRequired);
-}
-
 } // namespace

@@ -177,23 +177,20 @@ TEST(ProofCheck, WitnessesArePinned) {
 /// The pipeline's proof report is the check of the join it returns: a
 /// lifted loop's, the report of the redundancy-removal retry that was
 /// accepted last (line-sight drops two auxiliaries), and none at all for a
-/// sequential fallback.
+/// sequential fallback (max-block-1, whose lifted loop has no join).
 TEST(ProofCheck, PipelineReportsTheAcceptedJoinsProof) {
-  PipelineOptions NoLift;
-  NoLift.TryLift = false;
   struct Case {
     const char *Name;
-    PipelineOptions Options;
     bool Verified;
     size_t Redundant;
   };
-  const Case Cases[] = {{"mts", {}, true, 0},
-                        {"line-sight", {}, true, 2},
-                        {"mts", NoLift, false, 0}};
+  const Case Cases[] = {{"mts", true, 0},
+                        {"line-sight", true, 2},
+                        {"max-block-1", false, 0}};
   for (const Case &C : Cases) {
     SCOPED_TRACE(C.Name);
     PipelineResult Result =
-        parallelizeLoop(parseBenchmark(*findBenchmark(C.Name)), C.Options);
+        parallelizeLoop(parseBenchmark(*findBenchmark(C.Name)));
     size_t Redundant = 0;
     for (const std::string &Dropped : Result.DroppedAux)
       Redundant += Dropped.find("(redundant)") != std::string::npos;

@@ -44,7 +44,7 @@ import json, sys
 path, tool, min_benchmarks = sys.argv[1], sys.argv[2], int(sys.argv[3])
 doc = json.load(open(path))
 assert doc["schema"] == "parsynt-run-report", f"{path}: bad schema tag"
-assert doc["version"] == 1, f"{path}: unknown schema version"
+assert doc["version"] == 2, f"{path}: unknown schema version"
 assert doc["tool"] == tool, f"{path}: tool is {doc['tool']!r}, want {tool!r}"
 benches = doc["benchmarks"]
 assert len(benches) >= min_benchmarks, \
