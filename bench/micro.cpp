@@ -143,7 +143,7 @@ void BM_NormalizeMtsUnfolding(benchmark::State &State) {
   for (int Step = 1; Step <= State.range(0); ++Step)
     Tau = maxE(add(Tau, inputVar("s@" + std::to_string(Step))), intConst(0));
   for (auto _ : State) {
-    ExprRef Ell = normalizeExpr(Tau, {"mts@0"});
+    ExprRef Ell = normalizeExpr(Tau);
     benchmark::DoNotOptimize(Ell);
   }
 }
@@ -152,20 +152,18 @@ BENCHMARK(BM_NormalizeMtsUnfolding)->Arg(2)->Arg(3);
 // The path lifting actually takes through the generic normalizer. The
 // pipeline sends mts through tropicalNormalize; line-sight's vis
 // unfoldings at k = 3 fit neither canonical normal form, so they go to the
-// best-first search, and two of the three run to the 4000-expansion cap.
+// best-first search, and two of the three stop on the stall rule,
+// StallLimit expansions after their best form.
 void BM_NormalizeLineSightUnfolding(benchmark::State &State) {
   Loop L = materializeIndex(parseBenchmark(*findBenchmark("line-sight")));
   const unsigned K = 3;
   Unfolding U = unfoldLoop(L, K, /*FromUnknowns=*/true);
-  std::set<std::string> Unknowns;
-  for (const Equation &Eq : L.Equations)
-    Unknowns.insert(unknownName(Eq.Name));
   const std::vector<ExprRef> &Vis = U.ValuesAtStep.at("vis");
   uint64_t Expanded = 0;
   for (auto _ : State) {
     for (unsigned Step = 1; Step <= K; ++Step) {
       NormalizeStats Stats;
-      ExprRef Ell = normalizeExpr(Vis[Step], Unknowns, {}, &Stats);
+      ExprRef Ell = normalizeExpr(Vis[Step], {}, &Stats);
       benchmark::DoNotOptimize(Ell);
       Expanded += Stats.Expanded;
     }

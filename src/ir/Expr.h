@@ -167,8 +167,8 @@ public:
     /// simplify(this) once computed, unless it is this node (SelfSimple).
     ExprRef Simplified;
     bool SelfSimple = false;
-    /// exprCost(this, Names) for the unknown set of epoch CostEpoch (0: none).
-    uint32_t CostEpoch = 0;
+    /// exprCost(this) once computed (HasCost).
+    bool HasCost = false;
     ExprCost Cost;
   };
   Memo &memo() const { return Memos; }

@@ -143,35 +143,24 @@ bool parsynt::containsVar(const ExprRef &E, const std::string &Name) {
   return false;
 }
 
-/// CostV of \p E for the unknown set of \p Epoch: a node's unknowns sit one
-/// level deeper than its children's.
-static ExprCost costOf(const Expr *E, const std::set<std::string> &Names,
-                       uint32_t Epoch) {
+/// CostV of \p E: a node's unknowns sit one level deeper than its
+/// children's.
+static ExprCost costOf(const Expr *E) {
   Expr::Memo &M = E->memo();
-  if (M.CostEpoch == Epoch)
+  if (M.HasCost)
     return M.Cost;
   ExprCost Cost;
   if (const auto *V = dyn_cast<VarExpr>(E))
-    Cost.Occurrences = Names.count(V->name());
+    Cost.Occurrences = V->varClass() == VarClass::Unknown;
   for (const ExprRef &Child : children(ExprRef(E))) {
-    ExprCost C = costOf(Child.get(), Names, Epoch);
+    ExprCost C = costOf(Child.get());
     if (C.Occurrences)
       Cost.MaxDepth = std::max(Cost.MaxDepth, C.MaxDepth + 1);
     Cost.Occurrences += C.Occurrences;
   }
-  M.CostEpoch = Epoch;
+  M.HasCost = true;
   M.Cost = Cost;
   return Cost;
 }
 
-ExprCost parsynt::exprCost(const ExprRef &E,
-                           const std::set<std::string> &Names) {
-  // The memo is valid for one set: a new set starts a new epoch.
-  static std::set<std::string> EpochNames;
-  static uint32_t Epoch = 0;
-  if (Epoch == 0 || Names != EpochNames) {
-    EpochNames = Names;
-    ++Epoch;
-  }
-  return costOf(E.get(), Names, Epoch);
-}
+ExprCost parsynt::exprCost(const ExprRef &E) { return costOf(E.get()); }

@@ -69,9 +69,9 @@ bool containsVarClass(const ExprRef &E, VarClass Class);
 /// True if a variable with name \p Name occurs in \p E.
 bool containsVar(const ExprRef &E, const std::string &Name);
 
-/// Computes CostV(E) (ExprCost, ir/Expr.h) for the variable set \p Names.
-/// Memoized per node for the last set passed.
-ExprCost exprCost(const ExprRef &E, const std::set<std::string> &Names);
+/// Computes CostV(E) (ExprCost, ir/Expr.h) over the VarClass::Unknown
+/// variables of \p E. Memoized per node.
+ExprCost exprCost(const ExprRef &E);
 
 } // namespace parsynt
 

@@ -522,10 +522,6 @@ LiftResult Lifter::run() {
     return finish();
   }
 
-  std::set<std::string> Unknowns;
-  for (const Equation &Eq : Work.Equations)
-    Unknowns.insert(unknownName(Eq.Name));
-
   // Normalize every unfolding and collect candidate parts per step. The
   // normal forms depend only on the input equations, so they are computed
   // once and reused across fixpoint passes.
@@ -546,8 +542,6 @@ LiftResult Lifter::run() {
                      return OtherReads(A) < OtherReads(B);
                    });
   std::map<std::string, std::vector<std::vector<ExprRef>>> PartsByEq;
-  NormalizeOptions NormOpts;
-  NormOpts.Timeout = Timeout;
   for (const Equation &Eq : OriginalEqs) {
     if (Eq.IsAuxiliary)
       continue; // the materialized position accumulator needs no lifting
@@ -566,9 +560,8 @@ LiftResult Lifter::run() {
       if (Timeout.expired())
         return normalizeTimedOut();
       NormalizeStats NormStats;
-      ExprRef Ell =
-          normalizeUnfolding(FromUnknown.ValuesAtStep.at(Eq.Name)[Step],
-                             Unknowns, NormOpts, &NormStats);
+      ExprRef Ell = normalizeUnfolding(
+          FromUnknown.ValuesAtStep.at(Eq.Name)[Step], Timeout, &NormStats);
       if (NormStats.TimedOut)
         return normalizeTimedOut();
       VerifierReport Report = verifyExpr(Ell, VerifyPhase::AfterNormalize,

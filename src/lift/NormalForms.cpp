@@ -163,7 +163,7 @@ std::optional<MaxOfSums> toMaxOfSums(const ExprRef &E) {
 
 /// Rebuilds a term as an expression: unknown atoms first (deterministic
 /// order), then input atoms, then the constant.
-ExprRef termToExpr(const Term &T, const std::set<std::string> &Unknowns) {
+ExprRef termToExpr(const Term &T) {
   auto atomExpr = [](const std::pair<ExprRef, int64_t> &AtomCoeff) {
     const auto &[Atom, Coeff] = AtomCoeff;
     if (Coeff == 1)
@@ -176,16 +176,12 @@ ExprRef termToExpr(const Term &T, const std::set<std::string> &Unknowns) {
   auto append = [&](const ExprRef &Piece) {
     Result = Result ? add(Result, Piece) : Piece;
   };
-  for (const auto &[Key, AtomCoeff] : T.Atoms) {
-    const auto *V = dyn_cast<VarExpr>(AtomCoeff.first);
-    if (V && Unknowns.count(V->name()))
+  for (const auto &[Key, AtomCoeff] : T.Atoms)
+    if (containsVarClass(AtomCoeff.first, VarClass::Unknown))
       append(atomExpr(AtomCoeff));
-  }
-  for (const auto &[Key, AtomCoeff] : T.Atoms) {
-    const auto *V = dyn_cast<VarExpr>(AtomCoeff.first);
-    if (!V || !Unknowns.count(V->name()))
+  for (const auto &[Key, AtomCoeff] : T.Atoms)
+    if (!containsVarClass(AtomCoeff.first, VarClass::Unknown))
       append(atomExpr(AtomCoeff));
-  }
   if (!Result)
     return intConst(T.Constant);
   if (T.Constant != 0)
@@ -204,8 +200,7 @@ bool termLess(const Term &A, const Term &B) {
 
 } // namespace
 
-ExprRef parsynt::tropicalNormalize(const ExprRef &E,
-                                   const std::set<std::string> &Unknowns) {
+ExprRef parsynt::tropicalNormalize(const ExprRef &E) {
   if (E->type() != Type::Int)
     return nullptr;
   auto Terms = toMaxOfSums(E);
@@ -227,8 +222,7 @@ ExprRef parsynt::tropicalNormalize(const ExprRef &E,
     Term UnknownPart, Residual;
     Residual.Constant = T.Constant;
     for (const auto &[AtomKey, AtomCoeff] : T.Atoms) {
-      const auto *V = dyn_cast<VarExpr>(AtomCoeff.first);
-      if (V && Unknowns.count(V->name()))
+      if (containsVarClass(AtomCoeff.first, VarClass::Unknown))
         UnknownPart.Atoms.emplace(AtomKey, AtomCoeff);
       else
         Residual.Atoms.emplace(AtomKey, AtomCoeff);
@@ -247,14 +241,14 @@ ExprRef parsynt::tropicalNormalize(const ExprRef &E,
     std::sort(G.Residuals.begin(), G.Residuals.end(), termLess);
     ExprRef ResidualExpr;
     for (const Term &T : G.Residuals) {
-      ExprRef TE = termToExpr(T, Unknowns);
+      ExprRef TE = termToExpr(T);
       ResidualExpr = ResidualExpr ? maxE(ResidualExpr, TE) : TE;
     }
     if (G.UnknownPart.Atoms.empty()) {
       appendMax(ResidualExpr);
       continue;
     }
-    ExprRef UnknownExpr = termToExpr(G.UnknownPart, Unknowns);
+    ExprRef UnknownExpr = termToExpr(G.UnknownPart);
     appendMax(add(UnknownExpr, ResidualExpr));
   }
   return Result ? simplify(Result) : nullptr;
@@ -378,17 +372,9 @@ std::optional<Cnf> toCnf(const ExprRef &E, bool Negated) {
 
 } // namespace
 
-ExprRef parsynt::booleanNormalize(const ExprRef &E,
-                                  const std::set<std::string> &Unknowns) {
+ExprRef parsynt::booleanNormalize(const ExprRef &E) {
   if (E->type() != Type::Bool)
     return nullptr;
-
-  auto atomHasUnknown = [&](const ExprRef &Atom) {
-    for (const std::string &Name : collectAllVars(Atom))
-      if (Unknowns.count(Name))
-        return true;
-    return false;
-  };
 
   auto MaybeCnf = toCnf(simplify(E), /*Negated=*/false);
   if (!MaybeCnf)
@@ -399,7 +385,7 @@ ExprRef parsynt::booleanNormalize(const ExprRef &E,
   // arithmetic rewriter instead.
   for (const Clause &C : *MaybeCnf) {
     for (const auto &[K, L] : C.Literals)
-      if (atomHasUnknown(L.Atom) && !isa<VarExpr>(L.Atom))
+      if (containsVarClass(L.Atom, VarClass::Unknown) && !isa<VarExpr>(L.Atom))
         return nullptr;
   }
 
@@ -438,7 +424,7 @@ ExprRef parsynt::booleanNormalize(const ExprRef &E,
     ExprRef PureDisj;
     std::string PureKey;
     for (const auto &[K, L] : Clauses[I].Literals) {
-      if (atomHasUnknown(L.Atom)) {
+      if (containsVarClass(L.Atom, VarClass::Unknown)) {
         GroupKey += K + "|";
         Tentative.UnknownLits.push_back(L);
       } else {
@@ -478,12 +464,11 @@ ExprRef parsynt::booleanNormalize(const ExprRef &E,
 }
 
 ExprRef parsynt::normalizeUnfolding(const ExprRef &Tau,
-                                    const std::set<std::string> &Unknowns,
-                                    const NormalizeOptions &Options,
+                                    const Deadline &Timeout,
                                     NormalizeStats *Stats) {
-  if (ExprRef Ell = tropicalNormalize(Tau, Unknowns))
+  if (ExprRef Ell = tropicalNormalize(Tau))
     return Ell;
-  if (ExprRef Ell = booleanNormalize(Tau, Unknowns))
+  if (ExprRef Ell = booleanNormalize(Tau))
     return Ell;
-  return normalizeExpr(Tau, Unknowns, Options, Stats);
+  return normalizeExpr(Tau, Timeout, Stats);
 }

@@ -8,7 +8,8 @@
 /// \file
 /// Domain-specific canonical normal forms used by the lifter before falling
 /// back to the generic cost-directed rewriter, and the lifter's choice
-/// among them (normalizeUnfolding).
+/// among them (normalizeUnfolding). The unknowns are the term's
+/// VarClass::Unknown variables, as the unfolder builds them.
 ///
 /// The paper's flagship benchmarks (mts, mps, mss) live in the tropical
 /// (max,+) semiring: their unfoldings are max-of-sums. tropicalNormalize
@@ -33,31 +34,24 @@
 #include "ir/Expr.h"
 #include "normalize/Normalizer.h"
 
-#include <set>
-#include <string>
-
 namespace parsynt {
 
 /// Max-plus canonical form of an integer expression built from
 /// max/+/-/negation/multiplication-by-constant over leaves. Returns null if
 /// the expression uses operators outside the (max,+) fragment.
-ExprRef tropicalNormalize(const ExprRef &E,
-                          const std::set<std::string> &Unknowns);
+ExprRef tropicalNormalize(const ExprRef &E);
 
 /// CNF canonical form of a boolean expression with clause grouping by
 /// unknown literals. Returns null if the expression falls outside the
 /// supported fragment (some unknown occurs inside a composite atom) or the
 /// CNF would exceed the size cap.
-ExprRef booleanNormalize(const ExprRef &E,
-                         const std::set<std::string> &Unknowns);
+ExprRef booleanNormalize(const ExprRef &E);
 
 /// The normal form the lifter collects parts from: the tropical form of
 /// \p Tau, else its boolean form, else the result of the Figure-6
-/// cost-directed search, which polls \p Options.Timeout and reports a
-/// timeout in \p Stats.
-ExprRef normalizeUnfolding(const ExprRef &Tau,
-                           const std::set<std::string> &Unknowns,
-                           const NormalizeOptions &Options = {},
+/// cost-directed search, which polls \p Timeout and reports a timeout in
+/// \p Stats.
+ExprRef normalizeUnfolding(const ExprRef &Tau, const Deadline &Timeout = {},
                            NormalizeStats *Stats = nullptr);
 
 } // namespace parsynt

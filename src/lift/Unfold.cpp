@@ -11,8 +11,6 @@
 
 using namespace parsynt;
 
-std::string parsynt::unknownName(const std::string &Var) { return Var + "@0"; }
-
 std::string parsynt::stepInputName(const std::string &Seq, unsigned K) {
   return Seq + "@" + std::to_string(K);
 }
@@ -100,7 +98,7 @@ Unfolding parsynt::unfoldLoop(const Loop &L, unsigned K, bool FromUnknowns) {
 
   // Step 0: unknowns or initial values.
   for (const Equation &Eq : L.Equations) {
-    ExprRef Start = FromUnknowns ? unknownVar(unknownName(Eq.Name), Eq.Ty)
+    ExprRef Start = FromUnknowns ? unknownVar(Eq.Name + "@0", Eq.Ty)
                                  : Eq.Init;
     Result.ValuesAtStep[Eq.Name].push_back(simplify(Start));
   }

@@ -32,10 +32,6 @@
 
 namespace parsynt {
 
-/// Name of the symbolic unknown standing for state variable \p Var at the
-/// split point ("var@0").
-std::string unknownName(const std::string &Var);
-
 /// Name of the fresh input for sequence \p Seq read at (1-based) step \p K.
 std::string stepInputName(const std::string &Seq, unsigned K);
 

@@ -40,9 +40,7 @@ struct NodeWorse {
 
 } // namespace
 
-ExprRef parsynt::normalizeExpr(const ExprRef &E,
-                               const std::set<std::string> &Unknowns,
-                               const NormalizeOptions &Options,
+ExprRef parsynt::normalizeExpr(const ExprRef &E, const Deadline &Timeout,
                                NormalizeStats *Stats) {
   const std::vector<RewriteRule> &Rules = figure6Rules();
   ExprRef Start = simplify(E);
@@ -57,20 +55,17 @@ ExprRef parsynt::normalizeExpr(const ExprRef &E,
 
   std::priority_queue<Node, std::vector<Node>, NodeWorse> Frontier;
   std::unordered_set<ExprRef> Seen;
-  Frontier.push({Start, exprCost(Start, Unknowns), Start->size()});
+  Frontier.push({Start, exprCost(Start), Start->size()});
   Seen.insert(Start);
 
   Node Best = Frontier.top();
-  if (Stats) {
-    Stats->InitialCost = Best.Cost;
-    Stats->Expanded = 0;
-    Stats->Generated = 1;
-    Stats->TimedOut = false;
-  }
+  if (Stats)
+    *Stats = {};
 
-  unsigned Expanded = 0;
-  while (!Frontier.empty() && Expanded < Options.MaxExpansions) {
-    if (Options.Timeout.expired()) {
+  // BestAt is the expansion that found Best (0: the input itself).
+  unsigned Expanded = 0, BestAt = 0;
+  while (!Frontier.empty() && Expanded - BestAt < StallLimit) {
+    if (Timeout.expired()) {
       if (Stats)
         Stats->TimedOut = true;
       BatchSpan.attr("timed_out", true);
@@ -80,23 +75,21 @@ ExprRef parsynt::normalizeExpr(const ExprRef &E,
     Frontier.pop();
     ++Expanded;
     if (Current.Cost < Best.Cost ||
-        (Current.Cost == Best.Cost && Current.Size < Best.Size))
+        (Current.Cost == Best.Cost && Current.Size < Best.Size)) {
       Best = Current;
+      BestAt = Expanded;
+    }
     for (ExprRef &Neighbor : allRewrites(Current.E, Rules, &RuleHits)) {
       unsigned Size = Neighbor->size();
       if (Size > SizeCap || !Seen.insert(Neighbor).second)
         continue;
-      ExprCost Cost = exprCost(Neighbor, Unknowns);
-      if (Stats)
-        ++Stats->Generated;
+      ExprCost Cost = exprCost(Neighbor);
       Frontier.push({std::move(Neighbor), Cost, Size});
     }
   }
 
-  if (Stats) {
+  if (Stats)
     Stats->Expanded = Expanded;
-    Stats->FinalCost = Best.Cost;
-  }
 
   MetricsRegistry &M = MetricsRegistry::global();
   M.counter("normalize.calls").inc();
@@ -109,6 +102,7 @@ ExprRef parsynt::normalizeExpr(const ExprRef &E,
   }
   M.counter("normalize.rule_hits").add(TotalHits);
   BatchSpan.attr("expanded", uint64_t(Expanded));
+  BatchSpan.attr("best_at", uint64_t(BestAt));
   BatchSpan.attr("rule_hits", TotalHits);
   BatchSpan.attr("output_size", uint64_t(Best.E->size()));
   return Best.E;

@@ -10,10 +10,15 @@
 /// best-first search over single-step rewrites (Figure-6 rules) ordered by
 /// the CostV function of Definition 6.1 — lexicographically (max depth of
 /// the unknowns, number of unknown occurrences), tie-broken by term size.
-/// A closed set and a node budget keep the search finitary, as the paper
-/// prescribes. Terms are interned, so the closed set holds node handles
-/// compared by pointer, and no search node is ever printed or walked to
-/// test membership.
+/// The unknowns are the term's VarClass::Unknown variables. A closed set
+/// and a stall rule keep the search finitary: the search stops after
+/// StallLimit expansions in a row that do not improve the best (cost,
+/// size). Each improvement strictly lowers that triple of naturals in
+/// lexicographic order, which admits no infinite descending chain, so the
+/// search stops after finitely many improvements, each followed by at most
+/// StallLimit expansions. Terms are interned, so the closed set holds node
+/// handles compared by pointer, and no search node is ever printed or
+/// walked to test membership.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -25,37 +30,25 @@
 #include "normalize/Rules.h"
 #include "support/Deadline.h"
 
-#include <set>
-#include <string>
-
 namespace parsynt {
 
-/// Tuning knobs for the search; the defaults handle every benchmark in the
-/// paper's Table 1 comfortably.
-struct NormalizeOptions {
-  /// Maximum number of nodes popped from the frontier.
-  unsigned MaxExpansions = 4000;
-  /// Cooperative cancellation, polled once per expansion: when it expires
-  /// the search stops and returns the best form found so far. Unarmed by
-  /// default.
-  Deadline Timeout;
-};
+/// Expansions in a row that fail to improve the best form before the
+/// search gives up. The longest gap between two improvements over the
+/// Table-1 unfoldings is 524 expansions (count-1's step 3).
+constexpr unsigned StallLimit = 1024;
 
-/// Statistics reported by a normalization run (read by lifting and the
-/// ablation bench).
+/// Statistics reported by a normalization run (read by lifting).
 struct NormalizeStats {
   unsigned Expanded = 0;
-  unsigned Generated = 0;
-  ExprCost InitialCost;
-  ExprCost FinalCost;
-  /// True when Options.Timeout stopped the search.
+  /// True when the deadline stopped the search.
   bool TimedOut = false;
 };
 
-/// Returns the lowest-cost expression (w.r.t. \p Unknowns) reachable from
-/// \p E within the budget, together with search statistics.
-ExprRef normalizeExpr(const ExprRef &E, const std::set<std::string> &Unknowns,
-                      const NormalizeOptions &Options = {},
+/// Returns the lowest-cost expression reachable from \p E before the
+/// search stalls, the frontier empties or \p Timeout expires. The deadline
+/// is polled once per expansion; on expiry the best form found so far is
+/// returned.
+ExprRef normalizeExpr(const ExprRef &E, const Deadline &Timeout = {},
                       NormalizeStats *Stats = nullptr);
 
 } // namespace parsynt

@@ -596,8 +596,6 @@ JoinResult parsynt::synthesizeJoin(const Loop &L,
       MaxLR = std::max(MaxLR, SizeLR);
       MaxR = std::max(MaxR, SizeR);
     }
-    if (!Options.UseSketch)
-      MaxLR = std::max(MaxLR, FreeMaxSize);
     MetricsRegistry::global().gauge("synth.sketch.max_lr").set(MaxLR);
     MetricsRegistry::global().gauge("synth.sketch.max_r").set(MaxR);
 
@@ -702,10 +700,9 @@ JoinResult parsynt::synthesizeJoin(const Loop &L,
         return nullptr;
       };
 
-      if (Options.UseSketch)
-        Component = searchSketch(compileSketch(Eq));
+      Component = searchSketch(compileSketch(Eq));
 
-      if (!Component && Options.UseSketch && Eq.Ty == Type::Int) {
+      if (!Component && Eq.Ty == Type::Int) {
         // Additive-correction sketch: v_l + v_r + ite(??LR, ??R, ??R).
         // Counters over concatenations are almost-additive with a boundary
         // correction (count-1's block merge at the seam); this variant
@@ -722,7 +719,7 @@ JoinResult parsynt::synthesizeJoin(const Loop &L,
         Component = searchSketch(Corr);
       }
 
-      if (!Component && Options.AllowFallback) {
+      if (!Component) {
         // Free-grammar search: the expected output vector indexes straight
         // into the enumerator's observational classes. Grow the pool to the
         // fallback bound on first use.
@@ -746,7 +743,7 @@ JoinResult parsynt::synthesizeJoin(const Loop &L,
         }
       }
 
-      if (!Component && Options.UseSketch && Options.AllowEmptyGuard) {
+      if (!Component && Options.AllowEmptyGuard) {
         // Last resort: C(E) wrapped in an "empty right chunk" guard —
         // ite(<right state at init>, v_l, C(E)) — the homomorphism base
         // case fE(x • []) = fE(x) made syntactic. Joins that must

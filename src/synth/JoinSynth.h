@@ -40,8 +40,6 @@ namespace parsynt {
 /// free-grammar bound, assignment budget, CEGIS and validation rounds) is
 /// the fixed configuration of JoinSynth.cpp.
 struct JoinSynthOptions {
-  bool UseSketch = true;     ///< ablation: disable the C(E) sketch
-  bool AllowFallback = true; ///< ablation: disable the free fallback
   /// Enable the "empty right chunk" guarded sketch variant (an extension
   /// beyond the paper's C(E); the pipeline enables it only for lifted
   /// loops so the Table-1 "parallelizable in original form" judgement
@@ -57,7 +55,7 @@ struct JoinSynthOptions {
   Deadline Timeout;
 };
 
-/// Statistics for Table 1 and the ablation benches.
+/// Statistics for Table 1 and the benches.
 struct JoinStats {
   uint64_t SketchAssignmentsTried = 0;
   uint64_t EnumeratedCandidates = 0;

@@ -31,7 +31,10 @@ namespace test {
 /// enumeration order and the first match; rewriter changes must keep the
 /// Figure-6 search order and its closed set; so every field stays
 /// identical. (max-block-1 fails as in the paper: an empty join, the
-/// counters of the join search on its lifted loop.)
+/// counters of the join search on its lifted loop.) The normalize counters
+/// follow the Figure-6 search's stall rule (normalize/Normalizer.h): each
+/// search on balanced-(), count-1's, line-sight and max-block-1 stops
+/// StallLimit expansions after the one that found its normal form.
 struct JoinGolden {
   const char *Name;
   const char *Join;
@@ -133,7 +136,7 @@ inline const JoinGolden Goldens[] = {
      "bal = (bal_l && (ofs_l >= aux0_r))\n"
      "aux0 = max(aux0_l, (aux0_r - ofs_l))\n",
      42440, 10399,
-     20016, 369094, 1, 1},
+     5945, 107951, 1, 1},
     {"0*1*",
      "ok = (seen1_l ? (ok_l && aux0_r) : ok_r)\n"
      "seen1 = (seen1_l || seen1_r)\n"
@@ -146,13 +149,13 @@ inline const JoinGolden Goldens[] = {
      "_pos = (_pos_l + _pos_r)\n"
      "aux1 = (((aux1_r ? _pos_l : -1) == 0) ? true : aux1_l)\n",
      4841363, 40055,
-     12000, 259621, 2, 1},
+     3632, 85426, 2, 1},
     {"line-sight",
      "vis = ((m_r == -1099511627776) ? vis_l : "
      "(m_r >= (vis_r ? m_l : 1099511627776)))\n"
      "m = max(m_l, m_r)\n",
      46465, 23395,
-     8002, 116111, 0, 1},
+     2052, 23692, 0, 1},
     {"0after1",
      "res = ((res_l || res_r) || (seen1_l && aux0_r))\n"
      "seen1 = (seen1_l || seen1_r)\n"
@@ -162,7 +165,7 @@ inline const JoinGolden Goldens[] = {
     {"max-block-1",
      "",
      15138834, 40086,
-     20004, 344746, 4, 1},
+     5184, 83155, 4, 1},
 };
 
 inline const JoinGolden *goldenFor(const std::string &Name) {

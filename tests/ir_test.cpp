@@ -195,22 +195,32 @@ TEST(ExprOps, CostFunction) {
   ExprRef E = maxE(add(maxE(add(U, inputVar("a")), intConst(0)),
                        inputVar("b")),
                    intConst(0));
-  ExprCost Cost = exprCost(E, {"mts0"});
+  ExprCost Cost = exprCost(E);
   EXPECT_EQ(Cost.MaxDepth, 4u);
   EXPECT_EQ(Cost.Occurrences, 1u);
 
   // Rewritten with the unknown at depth 2, cost is strictly lower.
   ExprRef Better = maxE(add(U, add(inputVar("a"), inputVar("b"))),
                         maxE(add(inputVar("a"), inputVar("b")), intConst(0)));
-  EXPECT_TRUE(exprCost(Better, {"mts0"}) < Cost);
+  EXPECT_TRUE(exprCost(Better) < Cost);
 }
 
 TEST(ExprOps, MaxVarDepthAndOccurrences) {
   ExprRef U = unknownVar("u");
   ExprRef E = add(U, mul(U, intConst(2)));
-  EXPECT_EQ(exprCost(E, {"u"}).Occurrences, 2u);
-  EXPECT_EQ(exprCost(E, {"u"}).MaxDepth, 2u);
-  EXPECT_EQ(exprCost(E, {"missing"}).MaxDepth, 0u);
+  EXPECT_EQ(exprCost(E).Occurrences, 2u);
+  EXPECT_EQ(exprCost(E).MaxDepth, 2u);
+}
+
+TEST(ExprOps, CostCountsOnlyUnknownVariables) {
+  // CostV counts VarClass::Unknown variables, not spellings: a state
+  // variable and a step input spelled like an unknown count zero.
+  ExprRef E = add(stateVar("u"), mul(inputVar("u"), intConst(2)));
+  EXPECT_EQ(exprCost(E).Occurrences, 0u);
+  EXPECT_EQ(exprCost(E).MaxDepth, 0u);
+  ExprRef WithUnknown = add(E, unknownVar("u"));
+  EXPECT_EQ(exprCost(WithUnknown).Occurrences, 1u);
+  EXPECT_EQ(exprCost(WithUnknown).MaxDepth, 1u);
 }
 
 TEST(Loop, ValidationCatchesErrors) {

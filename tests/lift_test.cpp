@@ -88,9 +88,9 @@ TEST(TropicalNormalForm, GroupsUnknowns) {
   ExprRef U = unknownVar("u");
   ExprRef A = inputVar("a"), B = inputVar("b");
   ExprRef E = maxE(add(maxE(add(U, A), intConst(0)), B), intConst(0));
-  ExprRef NF = tropicalNormalize(E, {"u"});
+  ExprRef NF = tropicalNormalize(E);
   ASSERT_NE(NF, nullptr);
-  EXPECT_EQ(exprCost(NF, {"u"}).Occurrences, 1u);
+  EXPECT_EQ(exprCost(NF).Occurrences, 1u);
   expectEquivalent(E, NF);
 }
 
@@ -101,8 +101,8 @@ TEST(TropicalNormalForm, StableAcrossDepths) {
   auto X = [](int I) { return inputVar("s@" + std::to_string(I)); };
   ExprRef E2 = maxE(add(U, X(1)), add(U, add(X(1), X(2))));
   ExprRef E3 = maxE(E2, add(U, add(add(X(1), X(2)), X(3))));
-  ExprRef NF2 = tropicalNormalize(E2, {"u"});
-  ExprRef NF3 = tropicalNormalize(E3, {"u"});
+  ExprRef NF2 = tropicalNormalize(E2);
+  ExprRef NF3 = tropicalNormalize(E3);
   ASSERT_NE(NF2, nullptr);
   ASSERT_NE(NF3, nullptr);
   // NF2's residual part appears verbatim inside NF3. Strip the grouping
@@ -117,9 +117,8 @@ TEST(TropicalNormalForm, StableAcrossDepths) {
 
 TEST(TropicalNormalForm, RejectsForeignOperators) {
   ExprRef U = unknownVar("u");
-  EXPECT_EQ(tropicalNormalize(binary(BinaryOp::Div, U, intConst(2)), {"u"}),
-            nullptr);
-  EXPECT_EQ(tropicalNormalize(mul(U, U), {"u"}), nullptr);
+  EXPECT_EQ(tropicalNormalize(binary(BinaryOp::Div, U, intConst(2))), nullptr);
+  EXPECT_EQ(tropicalNormalize(mul(U, U)), nullptr);
 }
 
 TEST(BooleanNormalForm, GroupsClausesByUnknownLiteral) {
@@ -128,9 +127,9 @@ TEST(BooleanNormalForm, GroupsClausesByUnknownLiteral) {
   ExprRef A = eq(inputVar("s@1"), intConst(0));
   ExprRef B = eq(inputVar("s@2"), intConst(0));
   ExprRef E = andE(orE(notE(U), notE(A)), orE(notE(U), notE(B)));
-  ExprRef NF = booleanNormalize(E, {"u"});
+  ExprRef NF = booleanNormalize(E);
   ASSERT_NE(NF, nullptr);
-  EXPECT_EQ(exprCost(NF, {"u"}).Occurrences, 1u);
+  EXPECT_EQ(exprCost(NF).Occurrences, 1u);
   expectEquivalent(E, NF);
 }
 
@@ -138,7 +137,7 @@ TEST(BooleanNormalForm, ExpandsBooleanIte) {
   ExprRef U = unknownVar("u", Type::Bool);
   ExprRef C = eq(inputVar("s@1"), intConst(1));
   ExprRef E = ite(C, boolConst(true), U); // seen1-style update
-  ExprRef NF = booleanNormalize(E, {"u"});
+  ExprRef NF = booleanNormalize(E);
   ASSERT_NE(NF, nullptr);
   expectEquivalent(E, NF);
 }
@@ -147,7 +146,7 @@ TEST(BooleanNormalForm, RefusesCompositeUnknownAtoms) {
   // ofs@0 >= 0 has the unknown inside an arithmetic atom: the CNF grouping
   // cannot help, so the generic engine must be used instead.
   ExprRef E = ge(unknownVar("ofs@0"), intConst(0));
-  EXPECT_EQ(booleanNormalize(E, {"ofs@0"}), nullptr);
+  EXPECT_EQ(booleanNormalize(E), nullptr);
 }
 
 TEST(Lift, MtsDiscoversTheRunningSum) {
@@ -259,10 +258,11 @@ TEST(Lift, ExpiredDeadlineReportsTimeout) {
 }
 
 TEST(Lift, DeadlineIsPolledInsideNormalization) {
-  // max-block-1's unfoldings go to the generic normalizer, each search
-  // running to its 4000-expansion budget. Forcing the 100th deadline poll
-  // to report expiry must stop lifting inside the first such search, not
-  // after it.
+  // max-block-1's unfoldings go to the generic normalizer, where every
+  // search after a four-expansion first one runs past StallLimit
+  // expansions. Every expansion polls the deadline, so forcing the 100th
+  // poll to report expiry must stop lifting inside such a search, fewer
+  // than 100 expansions in all, not after it.
   MetricsRegistry &M = MetricsRegistry::global();
   uint64_t Before = M.counter("normalize.expanded").value();
   LiftResult R;
@@ -274,7 +274,8 @@ TEST(Lift, DeadlineIsPolledInsideNormalization) {
   EXPECT_EQ(R.Failure.Kind, FailureKind::Timeout) << R.Failure.str();
   EXPECT_NE(R.Failure.Message.find("normalizing"), std::string::npos)
       << R.Failure.str();
-  EXPECT_LT(Expanded, 4000u);
+  EXPECT_GT(Expanded, 0u);
+  EXPECT_LT(Expanded, 100u);
 }
 
 //===----------------------------------------------------------------------===//
@@ -341,15 +342,12 @@ TEST_P(LiftFrameColumns, MatchTheReferenceFrameByFrame) {
       expectReference(E);
 
   Unfolding FromUnknown = unfoldLoop(Work, K, /*FromUnknowns=*/true);
-  std::set<std::string> Unknowns;
-  for (const Equation &Eq : Work.Equations)
-    Unknowns.insert(unknownName(Eq.Name));
   for (const Equation &Eq : Work.Equations) {
     if (Eq.IsAuxiliary)
       continue;
     for (unsigned Step = 1; Step <= K; ++Step) {
-      ExprRef Ell = normalizeUnfolding(
-          FromUnknown.ValuesAtStep.at(Eq.Name)[Step], Unknowns);
+      ExprRef Ell =
+          normalizeUnfolding(FromUnknown.ValuesAtStep.at(Eq.Name)[Step]);
       std::vector<ExprRef> Parts;
       unknownFreeSubterms(Ell, Parts);
       for (const ExprRef &Part : Parts)

@@ -14,6 +14,8 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "lift/Unfold.h"
+#include "normalize/Normalizer.h"
 #include "observe/Metrics.h"
 #include "observe/PoolMetrics.h"
 #include "observe/Report.h"
@@ -344,6 +346,24 @@ TEST(TraceExport, PhaseAggregationCountsEntrySpansOnly) {
   EXPECT_EQ(Rows[1].Category, "oracle");
   EXPECT_EQ(Rows[1].WallNanos, 300u); // category boundary: an entry span
   EXPECT_EQ(Rows[1].SpanCount, 1u);
+}
+
+TEST(Tracer, NormalizeSpanRecordsWhereTheAnswerWasFound) {
+  // line-sight's step-3 vis unfolding improves once, at expansion 2; its
+  // span says so, and that the search ran StallLimit expansions past it.
+  Loop L = materializeIndex(parseBenchmark(*findBenchmark("line-sight")));
+  ExprRef Tau =
+      unfoldLoop(L, 3, /*FromUnknowns=*/true).ValuesAtStep.at("vis")[3];
+  TracingOn Scope;
+  normalizeExpr(Tau);
+  std::vector<TraceEvent> Events = Tracer::instance().drain();
+  const TraceEvent *Span = findByName(Events, "normalizeExpr");
+  ASSERT_NE(Span, nullptr);
+  std::map<std::string, std::string> Attrs;
+  for (const auto &A : Span->Attrs)
+    Attrs[A.Key] = A.Value;
+  EXPECT_EQ(Attrs["best_at"], "2");
+  EXPECT_EQ(Attrs["expanded"], std::to_string(2 + StallLimit));
 }
 
 //===----------------------------------------------------------------------===//
