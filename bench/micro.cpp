@@ -66,12 +66,10 @@ void BM_EnumeratorGrow(benchmark::State &State) {
   }
   size_t Kept = 0;
   for (auto _ : State) {
-    EnumeratorOptions Opts;
-    Opts.MaxSize = static_cast<unsigned>(State.range(0));
-    Enumerator E(Tests, Opts);
+    Enumerator E(Tests);
     for (size_t K = 0; K != Leaves.size(); ++K)
       E.addLeaf(Leaves[K], Columns[K]);
-    E.run();
+    E.growTo(static_cast<unsigned>(State.range(0)));
     benchmark::DoNotOptimize(E.totalCandidates());
     State.counters["candidates"] =
         static_cast<double>(E.totalCandidates());

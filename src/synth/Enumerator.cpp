@@ -143,6 +143,10 @@ Enumerator::Enumerator(size_t NumTests, EnumeratorOptions Options)
   assert(NumTests != 0 && "enumeration needs at least one test");
 }
 
+Enumerator::Enumerator(Enumerator &&) = default;
+Enumerator &Enumerator::operator=(Enumerator &&) = default;
+Enumerator::~Enumerator() = default;
+
 const Candidate *Enumerator::Pool::find(uint64_t Sig, const int64_t *Values,
                                         size_t &Slot) const {
   if (IndexSize == 0)
@@ -303,7 +307,7 @@ struct Enumerator::Level {
 };
 
 /// One chunk's buffers, allocated by the calling thread and reused across
-/// waves and levels. Slots sit on cache lines of their own.
+/// waves, levels and growTo() calls. Slots sit on cache lines of their own.
 struct alignas(64) Enumerator::ChunkSlot {
   /// The chunk's survivors in order: level index << 1 | (type is Bool),
   /// and their signatures.
@@ -505,15 +509,9 @@ void Enumerator::runChunk(const Level &L, uint64_t Begin, uint64_t End,
   }
 }
 
-void Enumerator::run() {
-  // Cooperative cancellation: an early return leaves BuiltSize at the last
-  // fully-built size, so the pool stays usable (and resumable) with every
-  // size completed so far.
+void Enumerator::growTo(unsigned MaxSize) {
   const Deadline &DL = Options.Timeout;
   std::atomic<bool> Expired{false};
-  // Two sets of chunk buffers: the chunks of one wave fill a set while this
-  // thread merges the previous wave's survivors from the other.
-  std::vector<ChunkSlot> Slots;
   std::vector<int64_t> Scratch(NumTests);
   TaskGroup Groups[2];
   size_t NumChunks[2] = {0, 0};
@@ -524,8 +522,9 @@ void Enumerator::run() {
             .count());
   };
 
-  for (unsigned Size = std::max(2u, BuiltSize + 1); Size <= Options.MaxSize;
-       ++Size) {
+  // Cooperative cancellation: an early return leaves BuiltSize at the last
+  // fully-built size.
+  for (unsigned Size = BuiltSize + 1; Size <= MaxSize; ++Size) {
     if (DL.expired())
       return;
     Level L = planLevel(Size);
@@ -624,8 +623,8 @@ void Enumerator::run() {
         break;
       Set = 1 - Set;
     }
+    BuiltSize = Size;
   }
-  BuiltSize = std::max(BuiltSize, Options.MaxSize);
 }
 
 std::vector<const Candidate *>

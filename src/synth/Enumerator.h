@@ -13,6 +13,12 @@
 /// term size, which realizes the paper's "expression depth d is gradually
 /// increased until a solution is found" as iterative deepening on size.
 ///
+/// A pool grows on demand: growTo(N) builds the size levels the pool lacks
+/// up to N, and nothing beyond it. A level's operands are all smaller, and
+/// the per-type cap fills in level order, so the candidates of size <= k
+/// are the same, in the same order, whether the pool stops at k or grows on;
+/// a caller may grow a pool in any steps and read it between them.
+///
 /// A candidate is its column, its term size and a recipe (a leaf's
 /// expression, or a shape and operator over operand candidates); the
 /// expression is built only when a caller asks for it (Enumerator::expr),
@@ -60,12 +66,10 @@ struct Candidate {
 
 /// Knobs bounding the enumeration.
 struct EnumeratorOptions {
-  /// Largest term size to build.
-  unsigned MaxSize = 7;
   /// Cap on retained candidates per type (observational classes).
   size_t MaxPerType = 20000;
-  /// Cooperative cancellation: run() stops early (keeping what was built)
-  /// once this expires. Unarmed by default.
+  /// Cooperative cancellation: growTo() stops early (keeping what was
+  /// built) once this expires. Unarmed by default.
   Deadline Timeout;
 };
 
@@ -83,17 +87,21 @@ struct EnumeratorOptions {
 class Enumerator {
 public:
   explicit Enumerator(size_t NumTests, EnumeratorOptions Options = {});
+  Enumerator(Enumerator &&);
+  Enumerator &operator=(Enumerator &&);
+  ~Enumerator();
 
   /// Registers leaf \p E (variable or constant; any expression works) with
   /// its raw value on every test. Leaves count with their real term size.
   void addLeaf(const ExprRef &E, const std::vector<int64_t> &Values);
 
-  /// Builds all candidates of size <= Options.MaxSize. Safe to call again
-  /// after raising MaxSize via options(); already-built sizes are kept, and
-  /// so are their columns, at the same addresses.
-  /// Stops early when Options.Timeout expires: the pool stays usable with
-  /// whatever sizes were completed.
-  void run();
+  /// Builds the candidates of every size up to \p MaxSize not built yet.
+  /// Already-built sizes are kept, and so are their columns, at the same
+  /// addresses. Stops early when Options.Timeout expires: the pool stays
+  /// usable with whatever sizes were completed.
+  void growTo(unsigned MaxSize);
+  /// The largest term size whose level is complete (1: the leaves only).
+  unsigned builtSize() const { return BuiltSize; }
 
   const std::vector<Candidate> &candidates(Type Ty) const {
     return pool(Ty).Cands;
@@ -112,7 +120,6 @@ public:
   /// recipe. Interns nodes: call it on the calling thread only.
   ExprRef expr(const Candidate &C) const;
 
-  EnumeratorOptions &options() { return Options; }
   size_t numTests() const { return NumTests; }
   size_t totalCandidates() const {
     return IntPool.Cands.size() + BoolPool.Cands.size();
@@ -206,8 +213,12 @@ private:
   /// Columns per slab of a pool, and per chunk's survivor buffer.
   size_t SlabColumns, KeptColumns;
   Pool IntPool, BoolPool;
-  /// Largest size already built.
-  unsigned BuiltSize = 0;
+  /// The chunks' buffers, two waves' worth, kept across growTo() calls: the
+  /// chunks of one wave fill one set while the calling thread merges the
+  /// previous wave's survivors from the other.
+  std::vector<ChunkSlot> Slots;
+  /// Largest size already built; the leaves are size 1.
+  unsigned BuiltSize = 1;
   uint64_t Combinations = 0;
   uint64_t ParallelCombinations = 0;
   uint64_t MergeNanos = 0;

@@ -551,15 +551,20 @@ JoinResult parsynt::synthesizeJoin(const Loop &L,
   Result.Stats.OracleNanos += nanosSince(OracleStart);
   std::vector<int64_t> Constants = joinConstants(L);
 
-  // Grows a candidate pool, charging its time and combinations to Stats.
-  auto grow = [&](Enumerator &E) {
+  // Grows a candidate pool to term size \p MaxSize, charging its time,
+  // combinations and new candidates to Stats.
+  auto grow = [&](Enumerator &E, unsigned MaxSize) {
+    if (E.builtSize() >= MaxSize)
+      return;
+    size_t Candidates = E.totalCandidates();
     uint64_t Combinations = E.combinations();
     uint64_t Parallel = E.parallelCombinations();
     uint64_t Merge = E.mergeNanos();
     auto Start = std::chrono::steady_clock::now();
-    E.run();
+    E.growTo(MaxSize);
     Result.Stats.EnumerateNanos += nanosSince(Start);
     Result.Stats.MergeNanos += E.mergeNanos() - Merge;
+    Result.Stats.EnumeratedCandidates += E.totalCandidates() - Candidates;
     Result.Stats.EnumeratedCombinations += E.combinations() - Combinations;
     Result.Stats.ParallelCombinations += E.parallelCombinations() - Parallel;
   };
@@ -575,9 +580,23 @@ JoinResult parsynt::synthesizeJoin(const Loop &L,
     Span RoundSpan("cegisRound", trace::Synth);
     RoundSpan.attr("round", uint64_t(Round));
     RoundSpan.attr("tests", uint64_t(Oracle.tests().size()));
+    // Left-right and right-only candidate pools, shared by every equation
+    // of the round and made of the leaves on its first search (a round whose
+    // equations all take seeds makes none). Each sketch tier grows them to
+    // its hole sizes, and the free grammar grows the left-right pool a level
+    // at a time until it matches: a pool holds only the levels some search
+    // of the round has read.
+    std::optional<Enumerator> ELR, ER;
     uint64_t RoundAssignmentsBase = Result.Stats.SketchAssignmentsTried;
     uint64_t RoundCandidatesBase = Result.Stats.EnumeratedCandidates;
     auto stampRound = [&](bool Solved) {
+      // The term sizes the round's pools reached (0: no pools were made).
+      const uint64_t LRSize = ELR ? ELR->builtSize() : 0;
+      const uint64_t RSize = ER ? ER->builtSize() : 0;
+      MetricsRegistry::global().gauge("synth.sketch.max_lr").set(LRSize);
+      MetricsRegistry::global().gauge("synth.sketch.max_r").set(RSize);
+      RoundSpan.attr("lr_size", LRSize);
+      RoundSpan.attr("r_size", RSize);
       RoundSpan.attr("solved", Solved);
       RoundSpan.attr("assignments", Result.Stats.SketchAssignmentsTried -
                                         RoundAssignmentsBase);
@@ -585,29 +604,12 @@ JoinResult parsynt::synthesizeJoin(const Loop &L,
                                        RoundCandidatesBase);
     };
 
-    // Left-right and right-only candidate pools, shared by every equation
-    // of the round and built on its first search (a round whose equations
-    // all take seeds builds none). Pools are initially sized for the sketch
-    // tiers and grown lazily to FreeMaxSize only if some equation needs the
-    // free-grammar fallback.
-    unsigned MaxLR = 1;
-    unsigned MaxR = 1;
-    for (const auto &[SizeLR, SizeR] : SketchTiers) {
-      MaxLR = std::max(MaxLR, SizeLR);
-      MaxR = std::max(MaxR, SizeR);
-    }
-    MetricsRegistry::global().gauge("synth.sketch.max_lr").set(MaxLR);
-    MetricsRegistry::global().gauge("synth.sketch.max_r").set(MaxR);
-
-    std::optional<Enumerator> ELR, ER;
     auto buildPools = [&] {
       if (ELR)
         return;
       EnumeratorOptions O;
       O.Timeout = DL;
-      O.MaxSize = MaxLR;
       ELR.emplace(Oracle.tests().size(), O);
-      O.MaxSize = MaxR;
       ER.emplace(Oracle.tests().size(), O);
       // Leaves take their values from the oracle's test rows; ??R holes
       // draw from every leaf but the left split values.
@@ -627,8 +629,6 @@ JoinResult parsynt::synthesizeJoin(const Loop &L,
         leaf(intConst(C), true);
       leaf(boolConst(true), true);
       leaf(boolConst(false), true);
-      grow(*ELR);
-      grow(*ER);
       Result.Stats.EnumeratedCandidates +=
           ELR->totalCandidates() + ER->totalCandidates();
     };
@@ -678,6 +678,8 @@ JoinResult parsynt::synthesizeJoin(const Loop &L,
       auto searchSketch = [&](const Sketch &S,
                               const HolePool *Guard = nullptr) -> ExprRef {
         for (const auto &[SizeLR, SizeR] : SketchTiers) {
+          grow(*ELR, SizeLR);
+          grow(*ER, SizeR);
           std::vector<HolePool> Pools;
           Pools.reserve(S.Holes.size());
           for (const Hole &H : S.Holes) {
@@ -721,25 +723,25 @@ JoinResult parsynt::synthesizeJoin(const Loop &L,
 
       if (!Component) {
         // Free-grammar search: the expected output vector indexes straight
-        // into the enumerator's observational classes. Grow the pool to the
-        // fallback bound on first use.
-        if (ELR->options().MaxSize < FreeMaxSize) {
-          size_t Before = ELR->totalCandidates();
-          ELR->options().MaxSize = FreeMaxSize;
-          grow(*ELR);
-          Result.Stats.EnumeratedCandidates += ELR->totalCandidates() - Before;
-        }
+        // into the enumerator's observational classes. Look it up in the
+        // pool as it stands, then grow the pool a level at a time up to the
+        // fallback bound, looking again after each. A column is kept once,
+        // so the first match is the match of the pool grown to the bound.
         std::vector<int64_t> Target;
         Target.reserve(Oracle.tests().size());
         for (const JoinExample &Example : Oracle.tests())
           Target.push_back(Example.Expected[I].raw());
-        if (const Candidate *C = ELR->findMatching(Eq.Ty, Target)) {
-          // Fault point: reject the free-grammar match
-          // (PARSYNT_FAULT=synth.reject).
-          if (!FaultInjector::fires("synth.reject")) {
-            Component = ELR->expr(*C);
-            Fallback = true;
-          }
+        const Candidate *C = ELR->findMatching(Eq.Ty, Target);
+        for (unsigned Size = ELR->builtSize() + 1; !C && Size <= FreeMaxSize;
+             ++Size) {
+          grow(*ELR, Size);
+          C = ELR->findMatching(Eq.Ty, Target);
+        }
+        // Fault point: reject the free-grammar match
+        // (PARSYNT_FAULT=synth.reject).
+        if (C && !FaultInjector::fires("synth.reject")) {
+          Component = ELR->expr(*C);
+          Fallback = true;
         }
       }
 

@@ -379,7 +379,7 @@ public:
     insert(E->type(), Values, [&] { return E; });
   }
 
-  void run() {
+  void growTo(unsigned MaxSize) {
     const BinaryOp IntOps[] = {BinaryOp::Add, BinaryOp::Sub, BinaryOp::Min,
                                BinaryOp::Max, BinaryOp::Mul, BinaryOp::Div,
                                BinaryOp::Lt,  BinaryOp::Le,  BinaryOp::Eq};
@@ -420,8 +420,7 @@ public:
       });
     };
 
-    for (unsigned Size = std::max(2u, BuiltSize + 1); Size <= Options.MaxSize;
-         ++Size) {
+    for (unsigned Size = BuiltSize + 1; Size <= MaxSize; ++Size) {
       for (size_t I : bucket(Type::Int, Size - 1)) {
         if (full(Type::Int))
           break;
@@ -461,7 +460,7 @@ public:
         }
       }
     }
-    BuiltSize = std::max(BuiltSize, Options.MaxSize);
+    BuiltSize = std::max(BuiltSize, MaxSize);
   }
 
   /// A kept candidate: its expression and its column.
@@ -470,7 +469,6 @@ public:
     std::vector<int64_t> Values;
   };
 
-  EnumeratorOptions &options() { return Options; }
   const std::vector<Entry> &candidates(Type Ty) const {
     return pool(Ty).Cands;
   }
@@ -515,7 +513,7 @@ private:
   EnumeratorOptions Options;
   Pool IntPool, BoolPool;
   std::vector<int64_t> Column;
-  unsigned BuiltSize = 0;
+  unsigned BuiltSize = 1;
 };
 
 } // namespace test

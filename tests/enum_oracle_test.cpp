@@ -60,8 +60,7 @@ TEST(Enumerator, BuildsBySizeWithDedup) {
   }
   Enumerator E = enumeratorOver(Envs, {inputVar("x"), inputVar("y"),
                                        intConst(0), inputVar("p", Type::Bool)});
-  E.options().MaxSize = 3;
-  E.run();
+  E.growTo(3);
   // x + 0 is observationally x: never kept as a separate class.
   for (const Candidate *C : E.candidatesUpTo(Type::Int, 3))
     EXPECT_NE(exprToString(E.expr(*C)), "(x + 0)");
@@ -74,8 +73,7 @@ TEST(Enumerator, BuildsBySizeWithDedup) {
 
   // Every retained candidate's cached column is its expression's value,
   // through size 5 (unary, binary and ite combinations of both types).
-  E.options().MaxSize = 5;
-  E.run();
+  E.growTo(5);
   for (Type Ty : {Type::Int, Type::Bool}) {
     for (const Candidate *C : E.candidatesUpTo(Ty, 5)) {
       ASSERT_EQ(E.numTests(), Envs.size());
@@ -91,8 +89,7 @@ TEST(Enumerator, BuildsBySizeWithDedup) {
 TEST(Enumerator, FindMatchingByValueVector) {
   std::vector<Env> Envs = smallEnvs();
   Enumerator E = enumeratorOver(Envs, {inputVar("x"), inputVar("y")});
-  E.options().MaxSize = 5;
-  E.run();
+  E.growTo(5);
   const Candidate *C = E.findMatching(
       Type::Int, column(maxE(inputVar("x"), inputVar("y")), Envs));
   ASSERT_NE(C, nullptr);
@@ -101,21 +98,25 @@ TEST(Enumerator, FindMatchingByValueVector) {
 
 TEST(Enumerator, IncrementalGrowth) {
   Enumerator E = enumeratorOver(smallEnvs(), {inputVar("x"), inputVar("y")});
-  E.options().MaxSize = 3;
-  E.run();
+  E.growTo(3);
   size_t After3 = E.totalCandidates();
-  E.options().MaxSize = 5;
-  E.run();
+  EXPECT_EQ(E.builtSize(), 3u);
+  E.growTo(5);
   EXPECT_GT(E.totalCandidates(), After3);
+  EXPECT_EQ(E.builtSize(), 5u);
+  // Growing to a size already built adds nothing.
+  const size_t After5 = E.totalCandidates();
+  E.growTo(4);
+  EXPECT_EQ(E.totalCandidates(), After5);
+  EXPECT_EQ(E.builtSize(), 5u);
 }
 
 TEST(Enumerator, RespectsCaps) {
   EnumeratorOptions Opts;
-  Opts.MaxSize = 7;
   Opts.MaxPerType = 50;
   Enumerator E = enumeratorOver(
       smallEnvs(), {inputVar("x"), inputVar("y"), intConst(1)}, Opts);
-  E.run();
+  E.growTo(7);
   EXPECT_LE(E.candidates(Type::Int).size(), 50u);
 }
 

@@ -105,17 +105,14 @@ std::vector<size_t> growAndCompare(const std::string &Benchmark,
   HomOracle Oracle(L);
   EnumeratorOptions Options;
   Options.MaxPerType = MaxPerType;
-  Options.MaxSize = 5;
   Enumerator E(Oracle.tests().size(), Options);
   ReferenceEnumerator R(Options);
   addJoinLeaves(L, Oracle, E);
   addJoinLeaves(L, Oracle, R);
   std::vector<size_t> IntPoolSizes;
   for (unsigned MaxSize : {5u, 7u}) {
-    E.options().MaxSize = MaxSize;
-    R.options().MaxSize = MaxSize;
-    E.run();
-    R.run();
+    E.growTo(MaxSize);
+    R.growTo(MaxSize);
     expectSamePools(E, R,
                     Benchmark + " up to size " + std::to_string(MaxSize));
     IntPoolSizes.push_back(E.candidates(Type::Int).size());
@@ -157,11 +154,11 @@ TEST(EnumeratorStorage, ExpressionsAreBuiltOnDemand) {
   addJoinLeaves(L, Oracle, E);
   addJoinLeaves(L, Oracle, R);
   const size_t NodesBefore = liveExprCount();
-  E.run();
+  E.growTo(7);
   const size_t NodesGrown = liveExprCount() - NodesBefore;
   EXPECT_GT(E.totalCandidates(), 10000u);
   EXPECT_LT(NodesGrown * 100, E.totalCandidates());
-  R.run();
+  R.growTo(7);
   for (Type Ty : {Type::Int, Type::Bool}) {
     const std::vector<Candidate> &Got = E.candidates(Ty);
     const auto &Want = R.candidates(Ty);
@@ -178,11 +175,9 @@ TEST(EnumeratorStorage, ColumnsStayPutWhenGrowing) {
   // the candidate arrays).
   Loop L = parseBenchmark(*findBenchmark("mts-p"));
   HomOracle Oracle(L);
-  EnumeratorOptions Options;
-  Options.MaxSize = 5;
-  Enumerator E(Oracle.tests().size(), Options);
+  Enumerator E(Oracle.tests().size());
   addJoinLeaves(L, Oracle, E);
-  E.run();
+  E.growTo(5);
   std::vector<const int64_t *> Pointers;
   std::vector<std::vector<int64_t>> Columns;
   for (Type Ty : {Type::Int, Type::Bool})
@@ -191,8 +186,7 @@ TEST(EnumeratorStorage, ColumnsStayPutWhenGrowing) {
       Columns.emplace_back(C.Values, C.Values + E.numTests());
     }
   const size_t Before = E.totalCandidates();
-  E.options().MaxSize = 7;
-  E.run();
+  E.growTo(7);
   ASSERT_GT(E.totalCandidates(), Before);
   size_t K = 0;
   for (Type Ty : {Type::Int, Type::Bool}) {
@@ -207,6 +201,45 @@ TEST(EnumeratorStorage, ColumnsStayPutWhenGrowing) {
     }
   }
   EXPECT_EQ(K, Pointers.size());
+}
+
+TEST(EnumeratorStorage, GrowingInStepsMatchesOneGrowth) {
+  // Join synthesis grows its left-right pool a sketch tier or a free-grammar
+  // level at a time. Each level is built from smaller ones only, so stopping
+  // at every step builds the very pool that one growth to size 7 builds:
+  // the same candidates, columns and sizes, in the same order.
+  for (const char *Benchmark : {"line-sight", "mts-p"}) {
+    Loop L = parseBenchmark(*findBenchmark(Benchmark));
+    HomOracle Oracle(L);
+    Enumerator Steps(Oracle.tests().size());
+    Enumerator Once(Oracle.tests().size());
+    addJoinLeaves(L, Oracle, Steps);
+    addJoinLeaves(L, Oracle, Once);
+    for (unsigned Size : {1u, 3u, 5u, 6u, 7u}) {
+      Steps.growTo(Size);
+      EXPECT_EQ(Steps.builtSize(), Size) << Benchmark;
+    }
+    Once.growTo(1);
+    Once.growTo(7);
+    EXPECT_EQ(Steps.combinations(), Once.combinations()) << Benchmark;
+    for (Type Ty : {Type::Int, Type::Bool}) {
+      const std::vector<Candidate> &Got = Steps.candidates(Ty);
+      const std::vector<Candidate> &Want = Once.candidates(Ty);
+      ASSERT_EQ(Got.size(), Want.size()) << Benchmark;
+      for (size_t I = 0; I != Want.size(); ++I) {
+        ASSERT_EQ(Got[I].Size, Want[I].Size)
+            << Benchmark << ": candidate " << I;
+        ASSERT_EQ(exprToString(Steps.expr(Got[I])),
+                  exprToString(Once.expr(Want[I])))
+            << Benchmark << ": candidate " << I;
+        ASSERT_EQ(std::vector<int64_t>(Got[I].Values,
+                                       Got[I].Values + Steps.numTests()),
+                  std::vector<int64_t>(Want[I].Values,
+                                       Want[I].Values + Once.numTests()))
+            << Benchmark << ": column of candidate " << I;
+      }
+    }
+  }
 }
 
 /// The figures of the sequential search for one synthesizeJoin call.

@@ -437,9 +437,10 @@ TEST(SynthFaults, InducedDeadlineExpiryYieldsTimeout) {
   // counted, so each expiry falls at a fixed place of phase 1: mts's while
   // the oracle's tests are built (their witness refutes the search, and the
   // pipeline's own deadline check then stops it), atoi's inside a
-  // pool-sized sketch sweep and line-sight's inside a pool-sized
-  // enumeration level, where the pool workers that notice it must unwind
-  // the whole search.
+  // pool-sized sketch sweep (weight 8, 774630 assignments) and
+  // line-sight's inside a pool-sized enumeration level (the free grammar's
+  // size 7, 146631 combinations), where the pool workers that notice it
+  // must unwind the whole search.
   struct Case {
     const char *Name;
     const char *Fault;

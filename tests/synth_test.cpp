@@ -7,8 +7,10 @@
 
 #include "frontend/Convert.h"
 #include "interp/Interp.h"
+#include "observe/Metrics.h"
 #include "support/Random.h"
 #include "synth/JoinSynth.h"
+#include "Goldens.h"
 #include "TestUtil.h"
 
 #include <gtest/gtest.h>
@@ -100,6 +102,51 @@ TEST(JoinSynth, MtsLiftedByHand) {
                      "mts-lifted");
   JoinResult Join = synthesizeJoin(L);
   expectJoinCorrect(L, Join);
+}
+
+/// The term size the left-right pool of \p Join's last CEGIS round reached.
+int64_t leftRightPoolSize() {
+  return MetricsRegistry::global().gauge("synth.sketch.max_lr").value();
+}
+
+TEST(JoinSynth, JoinsAmongTheLeavesEnumerateNothing) {
+  // The pools grow a sketch tier at a time: a join whose holes all take
+  // leaves is found at tier {1, 1}, before any size level is built.
+  for (const char *Name : {"mps-p", "mts"}) {
+    Loop L = mustParse(test::LiftedSources.at(Name), Name);
+    JoinResult Join = synthesizeJoin(L);
+    expectJoinCorrect(L, Join);
+    EXPECT_EQ(Join.Stats.EnumeratedCombinations, 0u) << Name;
+    EXPECT_GT(Join.Stats.EnumeratedCandidates, 0u) << Name;
+    EXPECT_EQ(leftRightPoolSize(), 1) << Name;
+  }
+}
+
+TEST(JoinSynth, FreeGrammarStopsAtItsFirstMatch) {
+  // Lifted is-sorted's prev has no sketch join; the free grammar matches it
+  // at size 6, so with sorted seeded (its join needs the empty-guard
+  // sketch, tried after the free grammar has grown to its bound) the
+  // left-right pool never builds its size-7 level.
+  Loop L = mustParse(test::LiftedSources.at("is-sorted"), "is-sorted");
+  const test::JoinGolden *Golden = test::goldenFor("is-sorted");
+  std::vector<ExprRef> GoldenJoin = test::parseJoin(L, Golden->Join);
+  JoinSynthOptions Options;
+  for (size_t I = 0; I != L.Equations.size(); ++I)
+    if (L.Equations[I].Name == "sorted")
+      Options.Seeds["sorted"] = GoldenJoin[I];
+  JoinResult Join = synthesizeJoin(L, Options);
+  expectJoinCorrect(L, Join);
+  EXPECT_EQ(Join.Stats.SeedsAccepted, 1u);
+  // The searched components are the pipeline's.
+  for (size_t I = 0; I != L.Equations.size(); ++I) {
+    const std::string Line = L.Equations[I].Name + " = " +
+                             exprToString(Join.Components[I]) + "\n";
+    if (L.Equations[I].Name != "sorted") {
+      EXPECT_NE(std::string(Golden->Join).find(Line), std::string::npos)
+          << Line;
+    }
+  }
+  EXPECT_EQ(leftRightPoolSize(), 6);
 }
 
 } // namespace

@@ -26,11 +26,11 @@ JOBS="$(nproc 2>/dev/null || echo 4)"
 # search (the `deadline.expire` fault fires on every poll after the
 # given one) must unwind to a structured timeout: exit 3 exactly. The
 # polls are counted, not timed, so the expiry falls at the same place in
-# every build: after=1100 inside atoi's sketch sweep of 774630
-# assignments and after=600 inside line-sight's enumeration level of
-# 146631 combinations, both run by pool workers. A wall-clock budget
-# cannot pin that: an optimized build can finish a search inside any
-# short one.
+# every build: after=1100 inside atoi's weight-8 sketch sweep of 774630
+# assignments and after=600 inside line-sight's size-7 enumeration level
+# (the free grammar's, 146631 combinations), both run by pool workers. A
+# wall-clock budget cannot pin that: an optimized build can finish a
+# search inside any short one.
 chaos_smoke() {
   local bin="$1" rc b spec
   for b in $("${bin}" --list | awk '{print $1}'); do
@@ -112,7 +112,8 @@ cmake --build "${PREFIX}-tsan" -j "${JOBS}"
 # line-sight, under three pool schedules, and both compare the result with
 # the sequential figures; EnumeratorStorage reads, on the
 # calling thread, the survivor columns pool workers wrote, and checks that
-# pool columns stay put while later levels grow. Two PipelineSweep cases run the
+# pool columns stay put while later levels grow and that a pool grown in
+# steps equals one grown at once. Two PipelineSweep cases run the
 # whole pipeline (join search, lift, join search on the lifted loop, proof)
 # on the shared pool: mts, and line-sight, whose lift normalizes with the
 # Figure-6 rewriter; the trailing space or end anchor keeps mts from also
