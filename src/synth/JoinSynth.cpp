@@ -638,7 +638,8 @@ JoinResult parsynt::synthesizeJoin(const Loop &L,
     for (size_t I = 0; I != L.Equations.size(); ++I) {
       const Equation &Eq = L.Equations[I];
       ExprRef Component;
-      bool Fallback = false;
+      // What solved the equation, for its span.
+      const char *Stage = "sketch";
 
       Span EqSpan("equation", trace::Synth);
       EqSpan.attr("name", Eq.Name);
@@ -666,7 +667,7 @@ JoinResult parsynt::synthesizeJoin(const Loop &L,
         if (Matches && !FaultInjector::fires("synth.reject")) {
           Result.Components[I] = SeedIt->second;
           ++Result.Stats.SeedsAccepted;
-          EqSpan.attr("seeded", true);
+          EqSpan.attr("stage", "seed");
           continue;
         }
       }
@@ -719,36 +720,36 @@ JoinResult parsynt::synthesizeJoin(const Loop &L,
                 ite(inputVar("?c0", Type::Bool), inputVar("?c1", Type::Int),
                     inputVar("?c2", Type::Int)));
         Component = searchSketch(Corr);
+        Stage = "correction";
       }
 
+      // Free-grammar search: the expected output vector indexes straight
+      // into the enumerator's observational classes. Look it up in the pool
+      // as the sketches left it; grow the pool only once the empty-guard
+      // sketch (when allowed), whose holes stay within the sketch tiers,
+      // has failed too.
+      std::vector<int64_t> Target;
+      const Candidate *Free = nullptr;
+      // Fault point: reject a free-grammar match (PARSYNT_FAULT=synth.reject).
+      auto acceptFree = [&] {
+        if (Free && !FaultInjector::fires("synth.reject")) {
+          Component = ELR->expr(*Free);
+          Stage = "free";
+          EqSpan.attr("free_size", uint64_t(Free->Size));
+        }
+      };
       if (!Component) {
-        // Free-grammar search: the expected output vector indexes straight
-        // into the enumerator's observational classes. Look it up in the
-        // pool as it stands, then grow the pool a level at a time up to the
-        // fallback bound, looking again after each. A column is kept once,
-        // so the first match is the match of the pool grown to the bound.
-        std::vector<int64_t> Target;
         Target.reserve(Oracle.tests().size());
         for (const JoinExample &Example : Oracle.tests())
           Target.push_back(Example.Expected[I].raw());
-        const Candidate *C = ELR->findMatching(Eq.Ty, Target);
-        for (unsigned Size = ELR->builtSize() + 1; !C && Size <= FreeMaxSize;
-             ++Size) {
-          grow(*ELR, Size);
-          C = ELR->findMatching(Eq.Ty, Target);
-        }
-        // Fault point: reject the free-grammar match
-        // (PARSYNT_FAULT=synth.reject).
-        if (C && !FaultInjector::fires("synth.reject")) {
-          Component = ELR->expr(*C);
-          Fallback = true;
-        }
+        Free = ELR->findMatching(Eq.Ty, Target);
+        acceptFree();
       }
 
       if (!Component && Options.AllowEmptyGuard) {
-        // Last resort: C(E) wrapped in an "empty right chunk" guard —
-        // ite(<right state at init>, v_l, C(E)) — the homomorphism base
-        // case fE(x • []) = fE(x) made syntactic. Joins that must
+        // The empty-guard sketch: C(E) wrapped in an "empty right chunk"
+        // guard — ite(<right state at init>, v_l, C(E)) — the homomorphism
+        // base case fE(x • []) = fE(x) made syntactic. Joins that must
         // special-case an empty divide (e.g. line-sight's visibility flag,
         // is-sorted's boundary test) live here. The guard hole draws from a
         // dedicated tiny pool: "w_r == <literal init>" for every state
@@ -782,7 +783,21 @@ JoinResult parsynt::synthesizeJoin(const Loop &L,
                   inputVar(splitName(Eq.Name, Side::Left), Eq.Ty),
                   Guarded.Body);
           Component = searchSketch(Guarded, &Guard);
+          Stage = "guard";
         }
+      }
+
+      if (!Component && !Free) {
+        // The free grammar's growth: a level at a time up to the fallback
+        // bound, looking again after each. A column is kept once, so the
+        // first match is the match of the pool grown to the bound (and a
+        // match refused above would be found again: growth is skipped).
+        for (unsigned Size = ELR->builtSize() + 1;
+             !Free && Size <= FreeMaxSize; ++Size) {
+          grow(*ELR, Size);
+          Free = ELR->findMatching(Eq.Ty, Target);
+        }
+        acceptFree();
       }
 
       if (!Component) {
@@ -801,7 +816,7 @@ JoinResult parsynt::synthesizeJoin(const Loop &L,
         break;
       }
       Result.Components[I] = Component;
-      EqSpan.attr("fallback", Fallback);
+      EqSpan.attr("stage", Stage);
     }
 
     if (!AllSolved) {

@@ -43,7 +43,9 @@ struct JoinSynthOptions {
   /// Enable the "empty right chunk" guarded sketch variant (an extension
   /// beyond the paper's C(E); the pipeline enables it only for lifted
   /// loops so the Table-1 "parallelizable in original form" judgement
-  /// matches the paper's sketch space).
+  /// matches the paper's sketch space). It is tried after the sketches and
+  /// a free-grammar lookup in the pool they built, and before the free
+  /// grammar grows that pool past the sketch tiers.
   bool AllowEmptyGuard = true;
   /// Per equation: a ready-made join component (a trivially-homomorphic
   /// fold from the dependence analysis, or a component of a join accepted

@@ -34,7 +34,11 @@ namespace test {
 /// searches read: the pools grow a sketch tier at a time, and the free
 /// grammar a level at a time up to its first match (synth/JoinSynth.cpp),
 /// so a join found among the leaves counts the leaves alone (hamming 13,
-/// mps-p 22). (max-block-1 fails as in the paper: an empty join, the
+/// mps-p 22). The empty-guard sketch runs before the free grammar grows the
+/// pool past the sketch tiers, so is-sorted's prev takes the guard's join
+/// (prev_r == MIN_INT, not the size-6 free-grammar prev_r <= MIN_INT, which
+/// fails on elements below MIN_INT), and line-sight's and count-1's final
+/// calls build no size-6 or size-7 level their guard joins never read. (max-block-1 fails as in the paper: an empty join, the
 /// counters of the join search on its lifted loop.) The normalize counters
 /// follow the Figure-6 search's stall rule (normalize/Normalizer.h): each
 /// search on balanced-(), count-1's, line-sight and max-block-1 stops
@@ -121,9 +125,9 @@ inline const JoinGolden Goldens[] = {
     {"is-sorted",
      "sorted = ((prev_r == -1099511627776) ? sorted_l : "
      "((sorted_l && sorted_r) && (prev_l <= aux0_r)))\n"
-     "prev = ((prev_r <= -1099511627776) ? prev_l : prev_r)\n"
+     "prev = ((prev_r == -1099511627776) ? prev_l : prev_r)\n"
      "aux0 = ((prev_l == -1099511627776) ? aux0_r : aux0_l)\n",
-     7429813, 57054,
+     7429817, 9502,
      1012, 7928, 1, 1},
     {"atoi",
      "res = ((res_l * aux0_r) + res_r)\n"
@@ -152,13 +156,13 @@ inline const JoinGolden Goldens[] = {
      "prev1 = ((_pos_r <= 0) ? prev1_l : prev1_r)\n"
      "_pos = (_pos_l + _pos_r)\n"
      "aux1 = (((aux1_r ? _pos_l : -1) == 0) ? true : aux1_l)\n",
-     4841363, 16092,
+     4851459, 16092,
      3632, 85426, 2, 1},
     {"line-sight",
      "vis = ((m_r == -1099511627776) ? vis_l : "
      "(m_r >= (vis_r ? m_l : 1099511627776)))\n"
      "m = max(m_l, m_r)\n",
-     46465, 23395,
+     46465, 1413,
      2052, 23692, 0, 1},
     {"0after1",
      "res = ((res_l || res_r) || (seen1_l && aux0_r))\n"

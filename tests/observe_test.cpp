@@ -28,6 +28,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <fstream>
@@ -364,6 +365,35 @@ TEST(Tracer, NormalizeSpanRecordsWhereTheAnswerWasFound) {
     Attrs[A.Key] = A.Value;
   EXPECT_EQ(Attrs["best_at"], "2");
   EXPECT_EQ(Attrs["expanded"], std::to_string(2 + StallLimit));
+}
+
+TEST(Tracer, EquationSpansSayWhichStageSolvedThem) {
+  // line-sight's original loop has no join for vis in the paper's space, so
+  // its equation span reads unsolved; on the lifted loop the empty-guard
+  // sketch solves vis, before the free grammar grows the pool past the
+  // sketch tiers; the redundancy retries take it as a seed.
+  Loop L = parseBenchmark(*findBenchmark("line-sight"));
+  TracingOn Scope;
+  ASSERT_TRUE(parallelizeLoop(L).Success);
+  std::vector<TraceEvent> Events = Tracer::instance().drain();
+  std::sort(Events.begin(), Events.end(),
+            [](const TraceEvent &A, const TraceEvent &B) {
+              return A.StartNs < B.StartNs;
+            });
+  std::vector<std::string> Stages;
+  for (const TraceEvent &E : Events) {
+    if (std::string(E.Name) != "equation")
+      continue;
+    std::map<std::string, std::string> Attrs;
+    for (const auto &A : E.Attrs)
+      Attrs[A.Key] = A.Value;
+    if (Attrs["name"] == "vis")
+      Stages.push_back(Attrs.count("stage") ? Attrs["stage"]
+                                            : "solved=" + Attrs["solved"]);
+  }
+  ASSERT_GE(Stages.size(), 2u);
+  EXPECT_EQ(Stages[0], "solved=false");
+  EXPECT_EQ(Stages[1], "guard");
 }
 
 //===----------------------------------------------------------------------===//

@@ -204,6 +204,39 @@ INSTANTIATE_TEST_SUITE_P(Table1, ProofSweep,
                          ::testing::Range<size_t>(0, allBenchmarks().size()),
                          sweepName);
 
+TEST(IsSortedJoin, HoldsOnElementsBelowMinInt) {
+  // is-sorted's prev join reads prev_r == MIN_INT, the initial value, as
+  // "the right block is empty". The size-6 free-grammar join it replaced,
+  // prev_r <= MIN_INT, read a block ending below MIN_INT as empty too, and
+  // kept the left block's prev: on [-2^42, -2^41, -2^41 - 5] in three
+  // blocks it ended with prev = -2^42, not the last element. (sorted is
+  // false either way: the loop compares the first element with MIN_INT.)
+  GoldenParallelization Golden =
+      goldenParallelization(*findBenchmark("is-sorted"));
+  const Loop &F = Golden.Final;
+  const int64_t Below = -(int64_t(1) << 41);
+  SeqEnv Seqs;
+  Seqs["s"] = {Value::ofInt(2 * Below), Value::ofInt(Below),
+               Value::ofInt(Below - 5)};
+  const StateTuple Expected = runLoop(F, Seqs);
+  const size_t Prev = F.findEquation("prev") - F.Equations.data();
+  ASSERT_EQ(Expected[Prev].asInt(), Below - 5);
+
+  std::string OldJoin = goldenFor("is-sorted")->Join;
+  const std::string PrevLine = "prev = ((prev_r == ";
+  ASSERT_NE(OldJoin.find(PrevLine), std::string::npos);
+  OldJoin.replace(OldJoin.find(PrevLine), PrevLine.size(),
+                  "prev = ((prev_r <= ");
+  // Grain 1: one block per element.
+  TaskPool Pool(2);
+  EXPECT_EQ(parallelRunLoop(F, Golden.Join, Seqs, Pool, /*Grain=*/1),
+            Expected);
+  EXPECT_EQ(parallelRunLoop(F, parseJoin(F, OldJoin), Seqs, Pool,
+                            /*Grain=*/1)[Prev]
+                .asInt(),
+            2 * Below);
+}
+
 TEST(Pipeline, ReportIsInformative) {
   Loop L = parseBenchmark(*findBenchmark("mts"));
   PipelineResult Result = parallelizeLoop(L);

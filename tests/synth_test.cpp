@@ -8,6 +8,7 @@
 #include "frontend/Convert.h"
 #include "interp/Interp.h"
 #include "observe/Metrics.h"
+#include "observe/Tracer.h"
 #include "support/Random.h"
 #include "synth/JoinSynth.h"
 #include "Goldens.h"
@@ -122,31 +123,66 @@ TEST(JoinSynth, JoinsAmongTheLeavesEnumerateNothing) {
   }
 }
 
+/// The "stage" and "free_size" attributes of the traced equation span of
+/// state variable \p Name.
+std::map<std::string, std::string> equationSpan(const std::string &Name) {
+  std::map<std::string, std::string> Attrs;
+  for (const TraceEvent &E : Tracer::instance().drain()) {
+    if (std::string(E.Name) != "equation")
+      continue;
+    std::map<std::string, std::string> Span;
+    for (const TraceAttr &A : E.Attrs)
+      Span[A.Key] = A.Value;
+    if (Span["name"] == Name)
+      Attrs = {{"stage", Span["stage"]}, {"free_size", Span["free_size"]}};
+  }
+  return Attrs;
+}
+
 TEST(JoinSynth, FreeGrammarStopsAtItsFirstMatch) {
-  // Lifted is-sorted's prev has no sketch join; the free grammar matches it
-  // at size 6, so with sorted seeded (its join needs the empty-guard
-  // sketch, tried after the free grammar has grown to its bound) the
+  // Lifted count-1's prev1 has no sketch join, none in the pool as the
+  // sketches left it (size 5) and no empty-guard join; the free grammar
+  // then grows the pool a level at a time and matches it at size 6, so the
   // left-right pool never builds its size-7 level.
-  Loop L = mustParse(test::LiftedSources.at("is-sorted"), "is-sorted");
-  const test::JoinGolden *Golden = test::goldenFor("is-sorted");
-  std::vector<ExprRef> GoldenJoin = test::parseJoin(L, Golden->Join);
-  JoinSynthOptions Options;
-  for (size_t I = 0; I != L.Equations.size(); ++I)
-    if (L.Equations[I].Name == "sorted")
-      Options.Seeds["sorted"] = GoldenJoin[I];
-  JoinResult Join = synthesizeJoin(L, Options);
+  Loop L = mustParse(test::LiftedSources.at("count-1's"), "count-1's");
+  const test::JoinGolden *Golden = test::goldenFor("count-1's");
+  Tracer::instance().reset();
+  Tracer::setEnabled(true);
+  JoinResult Join = synthesizeJoin(L);
+  Tracer::setEnabled(false);
   expectJoinCorrect(L, Join);
-  EXPECT_EQ(Join.Stats.SeedsAccepted, 1u);
-  // The searched components are the pipeline's.
+  // The components are the pipeline's.
   for (size_t I = 0; I != L.Equations.size(); ++I) {
     const std::string Line = L.Equations[I].Name + " = " +
                              exprToString(Join.Components[I]) + "\n";
-    if (L.Equations[I].Name != "sorted") {
-      EXPECT_NE(std::string(Golden->Join).find(Line), std::string::npos)
-          << Line;
-    }
+    EXPECT_NE(std::string(Golden->Join).find(Line), std::string::npos)
+        << Line;
   }
+  EXPECT_EQ(equationSpan("prev1"),
+            (std::map<std::string, std::string>{{"stage", "free"},
+                                                {"free_size", "6"}}));
   EXPECT_EQ(leftRightPoolSize(), 6);
+  Tracer::instance().reset();
+}
+
+TEST(JoinSynth, GuardSketchRunsBeforeFreeGrammarGrowth) {
+  // line-sight's vis has no sketch join and no free-grammar match up to
+  // size 5; the empty-guard sketch, whose holes stay within the sketch
+  // tiers, solves it before the free grammar grows the pool any further.
+  // Without the guard the free grammar grows the pool to its bound, size 7,
+  // and finds nothing.
+  Loop L = parseBenchmark(*findBenchmark("line-sight"));
+  JoinResult Guarded = synthesizeJoin(L);
+  expectJoinCorrect(L, Guarded);
+  EXPECT_EQ(joinToString(L, Guarded.Components),
+            test::goldenFor("line-sight")->Join);
+  EXPECT_EQ(leftRightPoolSize(), 5);
+
+  JoinSynthOptions Options;
+  Options.AllowEmptyGuard = false;
+  JoinResult Free = synthesizeJoin(L, Options);
+  EXPECT_FALSE(Free.Success);
+  EXPECT_EQ(leftRightPoolSize(), 7);
 }
 
 } // namespace
