@@ -98,9 +98,9 @@ namespace {
 
 /// The join search's split from the metric registry's synth counters:
 /// wall time in enumeration (and the serial in-order merge inside it),
-/// sketch evaluation and the oracle, and the
-/// share of combinations and assignments in work large enough to run on
-/// the task pool. Empty when no join search ran.
+/// sketch evaluation and the oracle, the share of combinations and
+/// assignments in work large enough to run on the task pool, and the bodies
+/// the sketch sweeps ran. Empty when no join search ran.
 std::string joinSearchSplit(const MetricsRegistry::Snapshot &Metrics) {
   auto Get = [&](const char *Name) { return Metrics.counterOr0(Name); };
   if (Get("synth.calls") == 0)
@@ -124,7 +124,7 @@ std::string joinSearchSplit(const MetricsRegistry::Snapshot &Metrics) {
   uint64_t Assignments = Get("synth.sketch.assignments");
   std::snprintf(Buf, sizeof(Buf),
                 "  %-28s %llu of %llu (%.1f%%)\n  %-28s %llu of %llu "
-                "(%.1f%%)\n",
+                "(%.1f%%)\n  %-28s %llu of %llu assignments (%.1f%%)\n",
                 "pool-sized combinations",
                 (unsigned long long)Get("synth.enum.combinations_parallel"),
                 (unsigned long long)Combinations,
@@ -132,7 +132,10 @@ std::string joinSearchSplit(const MetricsRegistry::Snapshot &Metrics) {
                 "pool-sized assignments",
                 (unsigned long long)Get("synth.sketch.assignments_parallel"),
                 (unsigned long long)Assignments,
-                Share(Get("synth.sketch.assignments_parallel"), Assignments));
+                Share(Get("synth.sketch.assignments_parallel"), Assignments),
+                "bodies run", (unsigned long long)Get("synth.sketch.evaluated"),
+                (unsigned long long)Assignments,
+                Share(Get("synth.sketch.evaluated"), Assignments));
   Out += Buf;
   return Out;
 }

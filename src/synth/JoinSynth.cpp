@@ -17,6 +17,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cassert>
 #include <chrono>
 #include <numeric>
 #include <optional>
@@ -138,12 +139,60 @@ uint64_t nanosSince(std::chrono::steady_clock::time_point Start) {
           .count());
 }
 
+/// A sketch compiled once for all its tiers against the oracle's tests. Per
+/// hole k, a program over holes 0..k and the other inputs: for the last
+/// hole the body, for the others the prefix condition of
+/// prefixConditions() when it can refute a prefix the previous one passed
+/// (DESIGN.md §5h, "Prefix refutation"). Every program reads one input
+/// layout: the holes, the body's other variables, then the target (which
+/// the body does not read), whose columns over the tests are built here.
+struct CompiledSketch {
+  CompiledSketch(const Sketch &S, const HomOracle &Oracle,
+                 size_t EquationIndex)
+      : S(S), NumTests(Oracle.tests().size()) {
+    // C(E) makes every leaf a hole, so a sketch has at least one.
+    assert(!S.Holes.empty() && "a sketch without holes");
+    const std::string TargetName = "?t";
+    std::vector<ExprRef> Conditions =
+        prefixConditions(S, inputVar(TargetName, S.Body->type()));
+    std::vector<std::string> Names;
+    for (const Hole &H : S.Holes)
+      Names.push_back(H.Name);
+    Checks.resize(S.Holes.size());
+    Checks.back().emplace(std::vector<ExprRef>{S.Body}, Names);
+    Names.push_back(TargetName);
+    for (size_t K = 0; K + 1 < S.Holes.size(); ++K)
+      if (Conditions[K] != boolConst(true) &&
+          (K == 0 || Conditions[K] != Conditions[K - 1]))
+        Checks[K].emplace(std::vector<ExprRef>{Conditions[K]}, Names);
+    for (size_t I = S.Holes.size(); I != Names.size(); ++I) {
+      std::vector<int64_t> &Column = Columns.emplace_back();
+      if (Names[I] == TargetName) {
+        for (const JoinExample &Example : Oracle.tests())
+          Column.push_back(Example.Expected[EquationIndex].raw());
+        continue;
+      }
+      const unsigned Slot = Oracle.layout().slot(Names[I]);
+      for (size_t T = 0; T != NumTests; ++T)
+        Column.push_back(Oracle.testRow(T)[Slot]);
+    }
+  }
+
+  const Sketch &S;
+  size_t NumTests;
+  /// Per hole: its program, or none when the prefix up to it needs no check
+  /// of its own.
+  std::vector<std::optional<CompiledExpr>> Checks;
+  /// The columns of the inputs after the holes.
+  std::vector<std::vector<int64_t>> Columns;
+};
+
 /// Exact-total-weight product search over the sketch's holes with early-exit
-/// evaluation against the expected outputs. The sketch body is compiled once
-/// per search: hole registers read the assigned candidate's cached value
-/// column, every other variable a column built here from the oracle's
-/// test rows, so checking an assignment does no lookups and no
-/// allocation and stops at the first failing test.
+/// evaluation against the expected outputs. Hole registers read the
+/// assigned candidate's cached value column, every other input a column of
+/// the compiled sketch, so checking an assignment does no lookups and no
+/// allocation and stops at the first failing test. A prefix of holes that
+/// its check refutes skips every assignment under it in one step.
 ///
 /// Each weight is one sweep over the assignments in a fixed sequential
 /// order. Counting the assignments under each first-hole candidate gives
@@ -154,24 +203,14 @@ uint64_t nanosSince(std::chrono::steady_clock::time_point Start) {
 /// per winner, so the join and every counter equal the sequential search's.
 class SketchSearch {
 public:
-  SketchSearch(const Sketch &S, std::vector<HolePool> Pools,
-               const HomOracle &Oracle, size_t EquationIndex,
+  SketchSearch(const CompiledSketch &P, std::vector<HolePool> Pools,
                uint64_t Budget, JoinStats &Stats, Deadline DL)
-      : S(S), Pools(std::move(Pools)), Budget(Budget), Stats(Stats), DL(DL),
-        NumTests(Oracle.tests().size()) {
-    // Inputs: the holes first, then the body's other variables.
-    std::vector<std::string> Names;
-    for (const Hole &H : S.Holes)
-      Names.push_back(H.Name);
-    Body = CompiledExpr({S.Body}, Names);
-    VarColumns.resize(Names.size() - S.Holes.size());
-    for (size_t V = 0; V != VarColumns.size(); ++V) {
-      unsigned Slot = Oracle.layout().slot(Names[S.Holes.size() + V]);
-      for (size_t T = 0; T != NumTests; ++T)
-        VarColumns[V].push_back(Oracle.testRow(T)[Slot]);
-    }
-    for (const JoinExample &Example : Oracle.tests())
-      Expected.push_back(Example.Expected[EquationIndex].raw());
+      : P(P), Pools(std::move(Pools)), Budget(Budget), Stats(Stats), DL(DL),
+        NumTests(P.NumTests), NumHoles(P.S.Holes.size()),
+        NumInputs(NumHoles + P.Columns.size()),
+        Target(P.Columns.back().data()) {
+    for (const std::optional<CompiledExpr> &Check : P.Checks)
+      Programs.push_back(Check ? &*Check : nullptr);
     Slots.resize(1);
     initSlot(Slots[0]);
   }
@@ -181,6 +220,7 @@ public:
     auto Start = std::chrono::steady_clock::now();
     ExprRef Found = search(MaxHoleSize);
     Stats.SketchAssignmentsTried += Tried;
+    Stats.SketchEvaluated += Evaluated;
     Stats.SketchNanos += nanosSince(Start);
     return Found;
   }
@@ -190,16 +230,20 @@ private:
   /// the others are made for the first parallel sweep. Slots, and the
   /// buffers every assignment writes, sit on cache lines of their own.
   struct alignas(64) TaskSlot {
-    std::vector<int64_t> Regs;
+    /// Per hole with a check: its program's registers.
+    std::vector<std::vector<int64_t>> Regs;
+    /// The order every check reads the tests in: most recently failing
+    /// first.
+    std::vector<size_t> Order;
     /// Per input register: its value column over the tests.
     std::vector<const int64_t *> Columns;
-    /// The order tests are checked in: most recently failing first.
-    std::vector<size_t> Order;
     std::vector<const Candidate *> Assignment;
     /// The task's first passing assignment and its sweep index.
     std::vector<const Candidate *> Winner;
     uint64_t WinnerIndex = NoIndex;
-    uint64_t Evaluated = 0;
+    /// In the current round: the assignments whose body the task ran, and
+    /// those of its chunks under the prefixes it refuted.
+    uint64_t Evaluated = 0, Skipped = 0;
     uint64_t Polls = 0;
   };
 
@@ -225,18 +269,11 @@ private:
   };
 
   ExprRef search(unsigned MaxHoleSize) {
-    size_t NumHoles = S.Holes.size();
-    if (NumHoles == 0) {
-      // Constant sketch (degenerate); just check the body.
-      return passes(Slots[0]) && !FaultInjector::fires("synth.reject")
-                 ? S.Body
-                 : nullptr;
-    }
     unsigned MinTotal = 0;
-    for (const HolePool &P : Pools) {
-      if (P.MinSize == 0)
+    for (const HolePool &Pool : Pools) {
+      if (Pool.MinSize == 0)
         return nullptr; // some hole has an empty pool
-      MinTotal += P.MinSize;
+      MinTotal += Pool.MinSize;
     }
     unsigned MaxTotal = static_cast<unsigned>(NumHoles) * MaxHoleSize;
     countLeaves(MaxTotal);
@@ -250,24 +287,29 @@ private:
   }
 
   void initSlot(TaskSlot &Slot) const {
-    // Spare capacity keeps each task's registers and test order off the
+    // Spare capacity keeps each task's registers and test orders off the
     // cache lines of the next task's.
-    Slot.Regs = Body.makeRegisters();
-    Slot.Regs.reserve(Slot.Regs.size() + 8);
-    Slot.Columns.assign(S.Holes.size(), nullptr);
-    for (const std::vector<int64_t> &Column : VarColumns)
-      Slot.Columns.push_back(Column.data());
+    Slot.Regs.resize(NumHoles);
+    for (size_t K = 0; K != NumHoles; ++K) {
+      if (!Programs[K])
+        continue;
+      Slot.Regs[K] = Programs[K]->makeRegisters();
+      Slot.Regs[K].reserve(Slot.Regs[K].size() + 8);
+    }
     Slot.Order.reserve(NumTests + 8);
     Slot.Order.resize(NumTests);
     std::iota(Slot.Order.begin(), Slot.Order.end(), size_t(0));
-    Slot.Assignment.assign(S.Holes.size(), nullptr);
-    Slot.Winner.assign(S.Holes.size(), nullptr);
+    Slot.Columns.assign(NumHoles, nullptr);
+    for (const std::vector<int64_t> &Column : P.Columns)
+      Slot.Columns.push_back(Column.data());
+    Slot.Assignment.assign(NumHoles, nullptr);
+    Slot.Winner.assign(NumHoles, nullptr);
   }
 
   /// The sizes hole \p H may take when it and the holes after it weigh
   /// \p Remaining in total (empty when Min > Max).
   std::pair<unsigned, unsigned> sizeRange(size_t H, unsigned Remaining) const {
-    const bool Last = H + 1 == Pools.size();
+    const bool Last = H + 1 == NumHoles;
     unsigned Max = Last ? Remaining
                         : (Remaining > MinRest[H] ? Remaining - MinRest[H] : 0);
     Max = std::min<unsigned>(Max, Pools[H].BySize.size() - 1);
@@ -279,7 +321,6 @@ private:
   /// Leaves[H][R]: the number of assignments of holes H.. weighing R,
   /// saturated (indices past the budget are never evaluated).
   void countLeaves(unsigned MaxTotal) {
-    size_t NumHoles = Pools.size();
     MinRest.assign(NumHoles, 0);
     for (size_t H = NumHoles - 1; H-- > 0;)
       MinRest[H] = MinRest[H + 1] + Pools[H + 1].MinSize;
@@ -297,22 +338,61 @@ private:
     }
   }
 
-  /// Evaluates the assignment in \p Slot on the tests.
-  bool passes(TaskSlot &Slot) const {
-    const size_t NumInputs = Slot.Columns.size();
-    for (size_t K = 0; K != NumTests; ++K) {
-      const size_t T = Slot.Order[K];
-      for (size_t I = 0; I != NumInputs; ++I)
-        Slot.Regs[I] = Slot.Columns[I][T];
-      if (Body.run(Slot.Regs.data()) != Expected[T]) {
-        // A test that refutes one assignment tends to refute its neighbours
-        // too: move it to the front. Acceptance needs every test to pass, so
-        // the order changes only how soon a miss is found.
-        std::rotate(Slot.Order.begin(), Slot.Order.begin() + K,
-                    Slot.Order.begin() + K + 1);
+  /// Runs the check of hole \p K over holes 0..K as assigned in \p Slot on
+  /// at most \p Tests tests: the body (Body: K is the last hole) must give
+  /// the target on each, a prefix condition must hold on each.
+  template <bool Body>
+  bool holds(TaskSlot &Slot, size_t K, uint64_t Tests) const {
+    const CompiledExpr &Check = *Programs[K];
+    int64_t *Regs = Slot.Regs[K].data();
+    size_t *Order = Slot.Order.data();
+    const int64_t *const *Columns = Slot.Columns.data();
+    const int64_t *Target = this->Target;
+    // The body reads every input but the target, a prefix condition the
+    // holes up to K and every input after the holes. (Locals: the register
+    // stores could alias the members.)
+    const size_t First = Body ? NumInputs - 1 : K + 1;
+    const size_t Rest = Body ? First : NumHoles, End = Body ? First : NumInputs;
+    Tests = std::min<uint64_t>(Tests, NumTests);
+    for (size_t J = 0; J != Tests; ++J) {
+      const size_t T = Order[J];
+      for (size_t I = 0; I != First; ++I)
+        Regs[I] = Columns[I][T];
+      for (size_t I = Rest; I != End; ++I)
+        Regs[I] = Columns[I][T];
+      const int64_t Value = Check.run(Regs);
+      if (Body ? Value != Target[T] : Value == 0) {
+        // A test that refutes one assignment (or prefix) tends to refute its
+        // neighbours too: move it to the front.
+        std::rotate(Order, Order + J, Order + J + 1);
         return false;
       }
     }
+    return true;
+  }
+
+  /// Counts one step (a body run or a prefix check) toward the deadline,
+  /// polled once per ~256 steps. Returns true once the search has expired;
+  /// expiry is latched for every task.
+  bool expired(TaskSlot &Slot) {
+    if ((++Slot.Polls & 255u) == 0 && DL.expired())
+      Expired.store(true, std::memory_order_relaxed);
+    return Expired.load(std::memory_order_relaxed);
+  }
+
+  /// True when the check of hole \p H refutes the prefix in \p Slot, whose
+  /// assignments hold the indices [Index, Next); those of them in the chunk
+  /// [From, To) count as skipped. The check reads at most Next - Index
+  /// tests: those assignments' bodies would read at least that many, so a
+  /// check never costs more than it can save, and a prefix with one
+  /// assignment is not checked at all. An expired search refutes nothing,
+  /// so the descent reaches visit(), which stops it.
+  bool refuted(TaskSlot &Slot, size_t H, uint64_t Index, uint64_t Next,
+               uint64_t From, uint64_t To) {
+    if (!Programs[H] || Next - Index < 2 || expired(Slot) ||
+        holds<false>(Slot, H, Next - Index))
+      return false;
+    Slot.Skipped += std::min(Next, To) - std::max(Index, From);
     return true;
   }
 
@@ -324,7 +404,7 @@ private:
   bool descend(TaskSlot &Slot, Round &Rd, size_t H, unsigned Remaining,
                uint64_t &Index, uint64_t From, uint64_t To) {
     auto [Min, Max] = sizeRange(H, Remaining);
-    const bool Last = H + 1 == Pools.size();
+    const bool Last = H + 1 == NumHoles;
     for (unsigned Size = Min; Size <= Max; ++Size) {
       const uint64_t Under = Last ? 1 : Leaves[H + 1][Remaining - Size];
       if (Under == 0)
@@ -340,8 +420,9 @@ private:
         Slot.Assignment[H] = C;
         Slot.Columns[H] = C->Values;
         if (Last ? visit(Slot, Rd, Index)
-                 : descend(Slot, Rd, H + 1, Remaining - Size, Index, From,
-                           To))
+                 : !refuted(Slot, H, Index, Next, From, To) &&
+                       descend(Slot, Rd, H + 1, Remaining - Size, Index,
+                               From, To))
           return true;
         Index = Next;
       }
@@ -352,14 +433,10 @@ private:
   /// Checks the complete assignment in \p Slot, which has index \p Index.
   /// Returns true when the task is done: it passed, or the search timed out.
   bool visit(TaskSlot &Slot, Round &Rd, uint64_t Index) {
-    // Deadline poll amortized over ~256 assignments; expiry is latched for
-    // every task.
-    if ((++Slot.Polls & 255u) == 0 && DL.expired())
-      Expired.store(true, std::memory_order_relaxed);
-    if (Expired.load(std::memory_order_relaxed))
+    if (expired(Slot))
       return true;
     ++Slot.Evaluated;
-    if (!passes(Slot))
+    if (!holds<true>(Slot, NumHoles - 1, NumTests))
       return false;
     Slot.Winner = Slot.Assignment;
     Slot.WinnerIndex = Index;
@@ -373,7 +450,6 @@ private:
   /// Claims chunks in increasing order until they start past the round's
   /// bound or the task finds a pass (no later chunk can beat it).
   void work(TaskSlot &Slot, Round &Rd) {
-    const size_t NumHoles = Pools.size();
     while (true) {
       uint64_t From = saturatingAdd(
           Rd.Resume, saturatingMul(Rd.Next.fetch_add(1), Rd.ChunkLen));
@@ -392,13 +468,17 @@ private:
         uint64_t Index = First.Start;
         if (Index >= std::min(To, Rd.Best.load(std::memory_order_relaxed)))
           break;
+        const uint64_t Next =
+            F + 1 == Firsts.size() ? Rd.Limit : Firsts[F + 1].Start;
         Slot.Assignment[0] = First.C;
         Slot.Columns[0] = First.C->Values;
         // With one hole, the first-hole candidates are the assignments.
-        bool Done = NumHoles == 1
-                        ? Index >= From && visit(Slot, Rd, Index)
-                        : descend(Slot, Rd, 1, Rd.Weight - First.Size, Index,
-                                  From, To);
+        bool Done =
+            NumHoles == 1
+                ? Index >= From && visit(Slot, Rd, Index)
+                : !refuted(Slot, 0, Index, Next, From, To) &&
+                      descend(Slot, Rd, 1, Rd.Weight - First.Size, Index,
+                              From, To);
         if (Slot.WinnerIndex != NoIndex)
           return;
         if (Done)
@@ -414,7 +494,7 @@ private:
     uint64_t Total = 0;
     auto [Min, Max] = sizeRange(0, W);
     for (unsigned Size = Min; Size <= Max; ++Size) {
-      uint64_t Under = Pools.size() == 1 ? 1 : Leaves[1][W - Size];
+      uint64_t Under = NumHoles == 1 ? 1 : Leaves[1][W - Size];
       if (Under == 0)
         continue;
       for (const Candidate *C : Pools[0].BySize[Size]) {
@@ -428,11 +508,11 @@ private:
     Rd.Limit = std::min(Total, Budget - Tried);
     const bool Parallel = Rd.Limit >= InlineAssignments;
     Rd.ChunkLen = Parallel ? ChunkAssignments : std::max<uint64_t>(Rd.Limit, 1);
-    uint64_t Evaluated = 0;
+    uint64_t Decided = 0;
     while (true) {
-      const TaskSlot *Winner = runRound(Rd, Parallel, Evaluated);
+      const TaskSlot *Winner = runRound(Rd, Parallel, Decided);
       if (Expired.load(std::memory_order_relaxed)) {
-        Tried += Evaluated;
+        Tried += Decided;
         return nullptr;
       }
       if (!Winner) {
@@ -457,7 +537,9 @@ private:
 
   /// Runs one round of a sweep: on the calling thread, or as one task per
   /// pool thread. Returns the slot holding the smallest-index pass, or null.
-  const TaskSlot *runRound(Round &Rd, bool Parallel, uint64_t &Evaluated) {
+  /// Adds the bodies the round ran to Evaluated, and the indices its tasks
+  /// decided (ran or skipped) to \p Decided.
+  const TaskSlot *runRound(Round &Rd, bool Parallel, uint64_t &Decided) {
     Rd.Next.store(0, std::memory_order_relaxed);
     Rd.Best.store(NoIndex, std::memory_order_relaxed);
     size_t NumTasks = 1;
@@ -468,7 +550,7 @@ private:
         initSlot(Slots.emplace_back());
       for (size_t T = 0; T != NumTasks; ++T) {
         Slots[T].WinnerIndex = NoIndex;
-        Slots[T].Evaluated = 0;
+        Slots[T].Evaluated = Slots[T].Skipped = 0;
       }
       TaskGroup Group;
       for (size_t T = 0; T != NumTasks; ++T) {
@@ -478,12 +560,14 @@ private:
       Workers.wait(Group);
     } else {
       Slots[0].WinnerIndex = NoIndex;
-      Slots[0].Evaluated = 0;
+      Slots[0].Evaluated = Slots[0].Skipped = 0;
       work(Slots[0], Rd);
     }
     const TaskSlot *Winner = nullptr;
     for (size_t T = 0; T != NumTasks; ++T) {
+      // Including any bodies a task ran past the winner.
       Evaluated += Slots[T].Evaluated;
+      Decided += Slots[T].Evaluated + Slots[T].Skipped;
       if (Slots[T].WinnerIndex != NoIndex &&
           (!Winner || Slots[T].WinnerIndex < Winner->WinnerIndex))
         Winner = &Slots[T];
@@ -493,28 +577,29 @@ private:
 
   ExprRef materialize(const std::vector<const Candidate *> &Assignment) const {
     Substitution Subst;
-    for (size_t H = 0; H != S.Holes.size(); ++H) {
+    for (size_t H = 0; H != P.S.Holes.size(); ++H) {
       const Enumerator *Source = Pools[H].Source;
-      Subst[S.Holes[H].Name] =
+      Subst[P.S.Holes[H].Name] =
           Source ? Source->expr(*Assignment[H]) : Assignment[H]->LeafExpr;
     }
-    return simplify(substitute(S.Body, Subst));
+    return simplify(substitute(P.S.Body, Subst));
   }
 
-  const Sketch &S;
+  const CompiledSketch &P;
   std::vector<HolePool> Pools;
   uint64_t Budget;
   JoinStats &Stats;
   Deadline DL;
-  size_t NumTests;
-  /// Assignments counted by this search; Budget bounds each search
-  /// independently, while Stats accumulates across searches.
+  size_t NumTests, NumHoles, NumInputs;
+  /// The target column, and per hole its program or null.
+  const int64_t *Target;
+  std::vector<const CompiledExpr *> Programs;
+  /// Assignments counted by this search, and the bodies it ran; Budget
+  /// bounds each search independently, while Stats accumulates across
+  /// searches.
   uint64_t Tried = 0;
+  uint64_t Evaluated = 0;
   std::atomic<bool> Expired{false};
-  CompiledExpr Body;
-  std::vector<std::vector<int64_t>> VarColumns;
-  /// The equation's expected output per test.
-  std::vector<int64_t> Expected;
   /// Per hole: the least total weight of the holes after it.
   std::vector<unsigned> MinRest;
   std::vector<std::vector<uint64_t>> Leaves;
@@ -588,6 +673,7 @@ JoinResult parsynt::synthesizeJoin(const Loop &L,
     // of the round has read.
     std::optional<Enumerator> ELR, ER;
     uint64_t RoundAssignmentsBase = Result.Stats.SketchAssignmentsTried;
+    uint64_t RoundEvaluatedBase = Result.Stats.SketchEvaluated;
     uint64_t RoundCandidatesBase = Result.Stats.EnumeratedCandidates;
     auto stampRound = [&](bool Solved) {
       // The term sizes the round's pools reached (0: no pools were made).
@@ -600,6 +686,8 @@ JoinResult parsynt::synthesizeJoin(const Loop &L,
       RoundSpan.attr("solved", Solved);
       RoundSpan.attr("assignments", Result.Stats.SketchAssignmentsTried -
                                         RoundAssignmentsBase);
+      RoundSpan.attr("evaluated",
+                     Result.Stats.SketchEvaluated - RoundEvaluatedBase);
       RoundSpan.attr("candidates", Result.Stats.EnumeratedCandidates -
                                        RoundCandidatesBase);
     };
@@ -673,11 +761,25 @@ JoinResult parsynt::synthesizeJoin(const Loop &L,
       }
       buildPools();
 
-      // Searches sketch \p S tier by tier over the round's pools. A
-      // non-null \p Guard is the fixed pool of the sketch's last hole; the
-      // hole sizes of every tier then reach at least the guard's size.
-      auto searchSketch = [&](const Sketch &S,
+      // Searches sketch \p S (named \p Kind in its span) tier by tier over
+      // the round's pools. A non-null \p Guard is the fixed pool of the
+      // sketch's last hole; the hole sizes of every tier then reach at least
+      // the guard's size.
+      auto searchSketch = [&](const Sketch &S, const char *Kind,
                               const HolePool *Guard = nullptr) -> ExprRef {
+        Span SearchSpan("sketchSearch", trace::Synth);
+        SearchSpan.attr("sketch", Kind);
+        const uint64_t AssignmentsBase = Result.Stats.SketchAssignmentsTried;
+        const uint64_t EvaluatedBase = Result.Stats.SketchEvaluated;
+        auto stamp = [&](ExprRef Found) {
+          SearchSpan.attr("solved", Found != nullptr);
+          SearchSpan.attr("assignments", Result.Stats.SketchAssignmentsTried -
+                                             AssignmentsBase);
+          SearchSpan.attr("evaluated",
+                          Result.Stats.SketchEvaluated - EvaluatedBase);
+          return Found;
+        };
+        const CompiledSketch Compiled(S, Oracle, I);
         for (const auto &[SizeLR, SizeR] : SketchTiers) {
           grow(*ELR, SizeLR);
           grow(*ER, SizeR);
@@ -693,17 +795,17 @@ JoinResult parsynt::synthesizeJoin(const Loop &L,
           unsigned MaxHoleSize = std::max(SizeLR, SizeR);
           if (Guard)
             MaxHoleSize = std::max(MaxHoleSize, Guard->MinSize);
-          SketchSearch Search(S, std::move(Pools), Oracle, I, ProductBudget,
+          SketchSearch Search(Compiled, std::move(Pools), ProductBudget,
                               Result.Stats, DL);
           if (ExprRef F = Search.run(MaxHoleSize))
-            return F;
+            return stamp(F);
           if (DL.expired())
-            return nullptr;
+            break;
         }
-        return nullptr;
+        return stamp(nullptr);
       };
 
-      Component = searchSketch(compileSketch(Eq));
+      Component = searchSketch(compileSketch(Eq), "plain");
 
       if (!Component && Eq.Ty == Type::Int) {
         // Additive-correction sketch: v_l + v_r + ite(??LR, ??R, ??R).
@@ -719,7 +821,7 @@ JoinResult parsynt::synthesizeJoin(const Loop &L,
                     inputVar(splitName(Eq.Name, Side::Right), Type::Int)),
                 ite(inputVar("?c0", Type::Bool), inputVar("?c1", Type::Int),
                     inputVar("?c2", Type::Int)));
-        Component = searchSketch(Corr);
+        Component = searchSketch(Corr, "correction");
         Stage = "correction";
       }
 
@@ -782,7 +884,7 @@ JoinResult parsynt::synthesizeJoin(const Loop &L,
               ite(inputVar(GuardName, Type::Bool),
                   inputVar(splitName(Eq.Name, Side::Left), Eq.Ty),
                   Guarded.Body);
-          Component = searchSketch(Guarded, &Guard);
+          Component = searchSketch(Guarded, "guard", &Guard);
           Stage = "guard";
         }
       }
@@ -895,6 +997,7 @@ JoinResult parsynt::synthesizeJoin(const Loop &L,
     M.counter("synth.cegis.rounds").add(Result.Stats.CegisIterations + 1);
   M.counter("synth.sketch.assignments")
       .add(Result.Stats.SketchAssignmentsTried);
+  M.counter("synth.sketch.evaluated").add(Result.Stats.SketchEvaluated);
   M.counter("synth.candidates.enumerated")
       .add(Result.Stats.EnumeratedCandidates);
   M.counter("synth.seeds.accepted").add(Result.Stats.SeedsAccepted);

@@ -60,6 +60,12 @@ struct JoinSynthOptions {
 /// Statistics for Table 1 and the benches.
 struct JoinStats {
   uint64_t SketchAssignmentsTried = 0;
+  /// Assignments whose body the sweeps ran. The rest of
+  /// SketchAssignmentsTried lie under prefixes a prefix check refuted
+  /// (DESIGN.md §5h, "Prefix refutation"). Not exact: pool tasks may run
+  /// bodies past the winner, and the tests a check reads depend on the
+  /// task's earlier failures.
+  uint64_t SketchEvaluated = 0;
   uint64_t EnumeratedCandidates = 0;
   unsigned CegisIterations = 0;
   unsigned TestsUsed = 0;

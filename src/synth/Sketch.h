@@ -50,6 +50,19 @@ Sketch compileSketch(const Equation &Eq);
 /// Renders the sketch with ??LR / ??R markers for display.
 std::string sketchToString(const Sketch &S);
 
+/// Prefix refutation: per hole k, a boolean term over holes 0..k, the
+/// body's other variables and \p Target (a variable of the body's type)
+/// that holds on every row where the body equals the target, whatever the
+/// holes after k hold. It is derived by pushing the target down through the
+/// body's operators: `+ - neg !` invert exactly (wrapping), an `ite` whose
+/// guard is known splits the rows between its branches (one with an
+/// unknown guard needs one of them), `max min && ||` with one known operand
+/// fix the other operand's target on the rows that need it, and a fully
+/// known subterm must equal its target. The last hole's term is
+/// `Body == Target`; the literal `true` refutes nothing. DESIGN.md §5h
+/// ("Prefix refutation") gives the soundness argument.
+std::vector<ExprRef> prefixConditions(const Sketch &S, const ExprRef &Target);
+
 } // namespace parsynt
 
 #endif // PARSYNT_SYNTH_SKETCH_H

@@ -434,20 +434,24 @@ TEST(SynthFaults, RejectionsForceRetriesButNotFailure) {
 TEST(SynthFaults, InducedDeadlineExpiryYieldsTimeout) {
   // No real budgets anywhere: the deadline.expire fault point alone must
   // drive the pipeline down the structured-timeout path. The polls are
-  // counted, so each expiry falls at a fixed place of phase 1: mts's while
-  // the oracle's tests are built (their witness refutes the search, and the
-  // pipeline's own deadline check then stops it), atoi's inside a
-  // pool-sized sketch sweep (weight 8, 774630 assignments) and
-  // line-sight's inside a pool-sized enumeration level (the free grammar's
-  // size 7, 146631 combinations), where the pool workers that notice it
-  // must unwind the whole search.
+  // counted, so each expiry falls at a fixed place: mts's while the
+  // oracle's tests are built (their witness refutes the search, and the
+  // pipeline's own deadline check then stops it); in phase 1, atoi's inside
+  // a pool-sized sketch sweep (weight 8, 774630 assignments, of a sketch
+  // with no prefix check) and line-sight's inside a pool-sized enumeration
+  // level (the free grammar's size 7, 146631 combinations); and in
+  // line-sight's phase 2, inside the pool-sized weight-8 sweep of aux0's
+  // additive-correction sketch, where refuted prefixes skip most
+  // assignments and the prefix checks are the steps that poll. The pool
+  // workers that notice it must unwind the whole search.
   struct Case {
     const char *Name;
     const char *Fault;
   };
   for (const Case &C : {Case{"mts", "deadline.expire:after=40"},
                         Case{"atoi", "deadline.expire:after=1100"},
-                        Case{"line-sight", "deadline.expire:after=600"}}) {
+                        Case{"line-sight", "deadline.expire:after=600"},
+                        Case{"line-sight", "deadline.expire:after=7000"}}) {
     SCOPED_TRACE(C.Name);
     Loop L = parseBenchmark(*findBenchmark(C.Name));
     FaultScope Scope(C.Fault);

@@ -7,10 +7,14 @@
 
 #include "frontend/Convert.h"
 #include "interp/Interp.h"
+#include "ir/ExprOps.h"
+#include "lift/Lift.h"
+#include "lift/Unfold.h"
 #include "observe/Metrics.h"
 #include "observe/Tracer.h"
 #include "support/Random.h"
 #include "synth/JoinSynth.h"
+#include "synth/Sketch.h"
 #include "Goldens.h"
 #include "TestUtil.h"
 
@@ -183,6 +187,98 @@ TEST(JoinSynth, GuardSketchRunsBeforeFreeGrammarGrowth) {
   JoinResult Free = synthesizeJoin(L, Options);
   EXPECT_FALSE(Free.Success);
   EXPECT_EQ(leftRightPoolSize(), 7);
+}
+
+TEST(PrefixConditions, HoldWhereverTheBodyMeetsItsTarget) {
+  // Soundness of prefix refutation: on any row where a sketch body equals
+  // its target, the condition of every hole prefix holds, whatever the
+  // holes hold, so a refuted prefix never hides a passing assignment. Each
+  // condition reads only its own prefix of the holes, and the last one is
+  // the whole check. Random bodies mix every operator (the inverted
+  // `+ - neg ! ite && || max min` and the rest) over five holes and two
+  // other variables; rows mix small values with the wrapping extremes.
+  const std::vector<std::pair<std::string, Type>> Vars = {
+      {"?h0", Type::Int}, {"?h1", Type::Bool}, {"?h2", Type::Int},
+      {"?h3", Type::Int}, {"?h4", Type::Bool}, {"x", Type::Int},
+      {"p", Type::Bool}};
+  Rng R(0x5eed);
+  for (unsigned Case = 0; Case != 400; ++Case) {
+    Sketch S;
+    for (size_t H = 0; H != 5; ++H)
+      S.Holes.push_back({Vars[H].first, Vars[H].second, false});
+    const Type Ty = R.flip() ? Type::Int : Type::Bool;
+    S.Body = test::randomExpr(R, 1 + Case % 4, Ty, Vars);
+    const ExprRef Target = inputVar("?t", Ty);
+    const std::vector<ExprRef> Conditions = prefixConditions(S, Target);
+    ASSERT_EQ(Conditions.size(), S.Holes.size());
+    EXPECT_EQ(Conditions.back(), eq(S.Body, Target));
+    for (size_t K = 0; K != Conditions.size(); ++K)
+      for (size_t Later = K + 1; Later != S.Holes.size(); ++Later)
+        EXPECT_FALSE(containsVar(Conditions[K], S.Holes[Later].Name))
+            << exprToString(Conditions[K]);
+    for (Env Row : test::sampleEnvs(Vars, 64, R)) {
+      for (auto &[Name, V] : Row)
+        if (V.type() == Type::Int && R.chance(1, 6))
+          V = Value::ofInt(R.flip() ? INT64_MIN : INT64_MAX);
+      Row["?t"] = test::evalExpr(S.Body, Row);
+      for (size_t K = 0; K != Conditions.size(); ++K)
+        ASSERT_EQ(test::evalExpr(Conditions[K], Row), Value::ofBool(true))
+            << "body " << exprToString(S.Body) << ", prefix of " << K + 1
+            << " holes: " << exprToString(Conditions[K]);
+    }
+  }
+}
+
+/// The traced sketchSearch spans of kind \p Kind, as (assignments,
+/// evaluated) pairs.
+std::vector<std::pair<uint64_t, uint64_t>>
+sketchSearchSpans(const std::string &Kind) {
+  std::vector<std::pair<uint64_t, uint64_t>> Searches;
+  for (const TraceEvent &E : Tracer::instance().drain()) {
+    if (std::string(E.Name) != "sketchSearch")
+      continue;
+    std::map<std::string, std::string> Span;
+    for (const TraceAttr &A : E.Attrs)
+      Span[A.Key] = A.Value;
+    if (Span["sketch"] == Kind)
+      Searches.emplace_back(std::stoull(Span["assignments"]),
+                            std::stoull(Span["evaluated"]));
+  }
+  return Searches;
+}
+
+TEST(JoinSynth, PrefixRefutationKeepsSweepIndices) {
+  // Lifted line-sight, as the pipeline's second phase searches it. aux0 and
+  // aux1 have no additive-correction join, so each correction search sweeps
+  // every tier to its end before the guard sketch solves them. The prefix
+  // checks skip nearly all of those assignments without running their
+  // bodies, but they skip whole index ranges: the sweeps' indices, and so
+  // the join and the assignment count, are those of running every body.
+  Loop L = liftLoop(materializeIndex(parseBenchmark(*findBenchmark(
+                        "line-sight"))))
+               .Lifted;
+  Tracer::instance().reset();
+  Tracer::setEnabled(true);
+  JoinResult Join = synthesizeJoin(L);
+  Tracer::setEnabled(false);
+  expectJoinCorrect(L, Join);
+  EXPECT_EQ(joinToString(L, Join.Components),
+            "vis = ((m_r == -1099511627776) ? vis_l : (aux0_r >= max(m_l, "
+            "m_r)))\n"
+            "m = max(m_l, m_r)\n"
+            "aux0 = ((m_r == -1099511627776) ? aux0_l : aux0_r)\n"
+            "aux1 = ((m_r == -1099511627776) ? aux1_l : max(m_l, aux1_r))\n");
+  // The figure of the search before prefix refutation.
+  EXPECT_EQ(Join.Stats.SketchAssignmentsTried, 6287603u);
+  EXPECT_LT(Join.Stats.SketchEvaluated, Join.Stats.SketchAssignmentsTried);
+  const auto Corrections = sketchSearchSpans("correction");
+  EXPECT_EQ(Corrections.size(), 2u);
+  for (const auto &[Assignments, Evaluated] : Corrections) {
+    EXPECT_EQ(Assignments, 2771526u);
+    EXPECT_LE(Evaluated * 100, Assignments * 7)
+        << Evaluated << " of " << Assignments << " bodies run";
+  }
+  Tracer::instance().reset();
 }
 
 } // namespace
