@@ -100,9 +100,9 @@ void BM_SketchSearchMts(benchmark::State &State) {
 }
 BENCHMARK(BM_SketchSearchMts)->Unit(benchmark::kMillisecond)->UseRealTime();
 
-// The proof gate on mts-p's lifted loop and join, synthesized once before
-// timing: 800 sampled state pairs, each with one base and six step
-// obligations.
+// The CEGIS validator, the proof check, on mts-p's lifted loop and join,
+// synthesized once before timing: 800 sampled state pairs, each with one
+// base and six step obligations.
 void BM_ProofCheck(benchmark::State &State) {
   PipelineResult P = parallelizeLoop(parseBenchmark(*findBenchmark("mts-p")));
   if (!P.Success) {
@@ -118,8 +118,8 @@ void BM_ProofCheck(benchmark::State &State) {
 }
 BENCHMARK(BM_ProofCheck)->Unit(benchmark::kMillisecond);
 
-// The oracle on mts's lifted loop: building the initial test set, then one
-// CEGIS validation of the synthesized join that passes all 400 rounds.
+// The oracle on mts's lifted loop: building the initial test set. (A CEGIS
+// round validates its join with the proof check, timed by BM_ProofCheck.)
 void BM_OracleBuild(benchmark::State &State) {
   PipelineResult P = parallelizeLoop(parseBenchmark(*findBenchmark("mts")));
   if (!P.Success) {
@@ -128,8 +128,6 @@ void BM_OracleBuild(benchmark::State &State) {
   }
   for (auto _ : State) {
     HomOracle Oracle(P.Final);
-    if (Oracle.findCounterexample(P.Join.Components, 400))
-      State.SkipWithError("mts's join has a counterexample");
     benchmark::DoNotOptimize(Oracle.tests().data());
   }
 }

@@ -70,7 +70,7 @@ int main(int argc, char **argv) {
     Entry.Extra.emplace_back("expected_success",
                              B.ExpectFullSuccess ? 1.0 : 0.0);
     if (R.Success)
-      Entry.Extra.emplace_back("proof_verified", R.Proof.Verified ? 1.0 : 0.0);
+      Entry.Extra.emplace_back("proof_verified", R.Join.Proof.Verified ? 1.0 : 0.0);
     Report.Benchmarks.push_back(std::move(Entry));
 
     char AuxCount[32];
@@ -92,7 +92,7 @@ int main(int argc, char **argv) {
     std::fprintf(HumanOut,
                  "%-12s | %-12s | %13.2f | %-13s | %10.2f | %10.3f | %s\n",
                  B.Name.c_str(), R.AuxRequired ? "yes" : "no", R.JoinSeconds,
-                 AuxCount, R.LiftSeconds, R.Proof.Seconds, Status);
+                 AuxCount, R.LiftSeconds, R.Join.Proof.Seconds, Status);
   }
 
   std::fprintf(HumanOut,

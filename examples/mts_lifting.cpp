@@ -74,10 +74,10 @@ int main() {
   std::printf("\n== join for the lifted loop ==\n%s",
               joinToString(Lift.Lifted, Join.Components).c_str());
 
-  // 4. Proof: the internal induction checker plus the Dafny artifact.
-  ProofReport Proof = checkHomomorphismProof(Lift.Lifted, Join.Components);
-  std::printf("\n%s\n", Proof.str().c_str());
+  // 4. Proof: the internal induction checker's report, from the CEGIS
+  //    round that accepted the join, plus the Dafny artifact.
+  std::printf("\n%s\n", Join.Proof.str().c_str());
   std::printf("\n== Figure-7 Dafny artifact ==\n%s",
               emitDafnyProof(Lift.Lifted, Join.Components).c_str());
-  return Proof.Verified ? 0 : 1;
+  return Join.Proof.Verified ? 0 : 1;
 }

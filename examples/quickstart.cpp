@@ -47,9 +47,9 @@ int main() {
   std::printf("== synthesized join ==\n%s\n",
               joinToString(Result.Final, Result.Join.Components).c_str());
 
-  // 3. The Section-7 proof obligations, checked by the pipeline before it
-  //    accepted the join.
-  std::printf("%s\n\n", Result.Proof.str().c_str());
+  // 3. The Section-7 proof obligations, checked by the join search before
+  //    it accepted the join.
+  std::printf("%s\n\n", Result.Join.Proof.str().c_str());
 
   // 4. Run the parallelized loop on real data.
   SeqEnv Seqs;

@@ -7,6 +7,8 @@
 
 #include "ir/ExprOps.h"
 
+#include <cstdlib>
+
 using namespace parsynt;
 
 ExprRef parsynt::substitute(const ExprRef &E, const Substitution &Subst) {
@@ -164,3 +166,15 @@ static ExprCost costOf(const Expr *E) {
 }
 
 ExprCost parsynt::exprCost(const ExprRef &E) { return costOf(E.get()); }
+
+std::vector<int64_t> parsynt::updateConstants(const Loop &L) {
+  std::set<int64_t> Constants;
+  for (const Equation &Eq : L.Equations) {
+    forEachNode(Eq.Update, [&](const ExprRef &Node) {
+      if (const auto *C = dyn_cast<IntConstExpr>(Node))
+        if (std::abs(C->value()) <= 1000)
+          Constants.insert(C->value());
+    });
+  }
+  return {Constants.begin(), Constants.end()};
+}

@@ -17,6 +17,7 @@
 #define PARSYNT_IR_EXPROPS_H
 
 #include "ir/Expr.h"
+#include "ir/Loop.h"
 
 #include <functional>
 #include <map>
@@ -72,6 +73,13 @@ bool containsVar(const ExprRef &E, const std::string &Name);
 /// Computes CostV(E) (ExprCost, ir/Expr.h) over the VarClass::Unknown
 /// variables of \p E. Memoized per node.
 ExprCost exprCost(const ExprRef &E);
+
+/// The integer constants of \p L's updates that are plausible element
+/// values (|c| <= 1000: sentinels and huge constants are not), sorted and
+/// deduplicated. The oracle's and the proof's element pools are built
+/// from them, so equality tests against characters or thresholds are
+/// exercised on both sides.
+std::vector<int64_t> updateConstants(const Loop &L);
 
 } // namespace parsynt
 

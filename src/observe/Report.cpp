@@ -25,7 +25,7 @@ BenchmarkEntry makeBenchmarkEntry(const std::string &Name,
   E.SeedsAccepted = Result.SeedsAccepted;
   E.JoinSeconds = Result.JoinSeconds;
   E.LiftSeconds = Result.LiftSeconds;
-  E.ProofSeconds = Result.Proof.Seconds;
+  E.ProofSeconds = Result.Join.Proof.Seconds;
   E.TotalSeconds = Result.TotalSeconds;
   return E;
 }

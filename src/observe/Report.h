@@ -77,8 +77,9 @@ struct RunReport {
 };
 
 /// Builds a report entry from a pipeline result. The proof phase is the
-/// pipeline's own check of the join it returns (0 when none was accepted;
-/// the schema's phase_seconds object always has all four keys).
+/// final CEGIS round's proof of the join it returns, so it is part of the
+/// join phase (0 when no join was accepted; the schema's phase_seconds
+/// object always has all four keys).
 BenchmarkEntry makeBenchmarkEntry(const std::string &Name,
                                   const PipelineResult &Result);
 

@@ -11,7 +11,6 @@
 #include "lift/Unfold.h"
 #include "observe/Metrics.h"
 #include "observe/Tracer.h"
-#include "proof/ProofCheck.h"
 
 #include <algorithm>
 #include <chrono>
@@ -48,19 +47,6 @@ bool removeEquation(Loop &L, const std::string &Name) {
     return false;
   L.Equations.erase(It);
   return true;
-}
-
-/// Acceptance gate: a synthesized join must additionally pass the
-/// Section-7 induction obligations over sampled reachable states. The
-/// bounded synthesis oracle can be fooled by coincidental agreements (the
-/// paper relies on its proof step for exactly this reason); the obligations
-/// quantify over single-step extensions and catch such joins cheaply.
-/// The report of the accepted join is the one PipelineResult::Proof
-/// carries; a failed search yields an unverified report with no checks.
-ProofReport proveJoin(const Loop &L, const JoinResult &Join) {
-  if (!Join.Success)
-    return {};
-  return checkHomomorphismProof(L, Join.Components);
 }
 
 /// Verifies \p L at pipeline phase \p Phase. On violation records the
@@ -124,9 +110,9 @@ PipelineResult parsynt::parallelizeLoop(const Loop &L,
   PipelineResult Result;
 
   // Root span of the whole run: every phase below (verify, analyze, join
-  // synthesis, lifting, proof, redundancy removal) nests under it. Outcome
-  // attributes are stamped when the result is final, whichever return path
-  // is taken.
+  // synthesis with its proofs, lifting, redundancy removal) nests under it.
+  // Outcome attributes are stamped when the result is final, whichever
+  // return path is taken.
   Span Root("parallelizeLoop", trace::Pipeline);
   Root.attr("loop", L.Name.empty() ? "<loop>" : L.Name);
   struct RootFinisher {
@@ -186,7 +172,7 @@ PipelineResult parsynt::parallelizeLoop(const Loop &L,
     Result.Final = Original;
     Result.Join.Success = false;
     Result.Join.Components.clear();
-    Result.Proof = {};
+    Result.Join.Proof = {};
     Result.SequentialFallback = true;
     Result.TotalSeconds = secondsSince(StartTime);
     return Result;
@@ -197,10 +183,9 @@ PipelineResult parsynt::parallelizeLoop(const Loop &L,
   // original form" means exactly the paper's C(E)+grammar space.
   Result.Join = runJoinSynthesis(Original, /*AllowEmptyGuard=*/false, Result,
                                  joinDeadline());
-  Result.Proof = proveJoin(Original, Result.Join);
   Loop Work = Original;
 
-  if (!Result.Proof.Verified) {
+  if (!Result.Join.Success) {
     // A timed-out phase 1 is not evidence that auxiliaries are required,
     // and every lifted loop is strictly larger than the original — its
     // join searches would time out too. Fail fast to honour the budget.
@@ -216,7 +201,7 @@ PipelineResult parsynt::parallelizeLoop(const Loop &L,
     }
     Result.AuxRequired = true;
 
-    // Phase 2: one lift, one join search on the lifted loop, one proof.
+    // Phase 2: one lift, one join search on the lifted loop.
     if (Overall.expired()) {
       Result.Failure = {FailureKind::Timeout,
                         "pipeline deadline expired during lifting"};
@@ -238,9 +223,7 @@ PipelineResult parsynt::parallelizeLoop(const Loop &L,
         Result.Join.Stats.Refuted ? Result.Join.Failure.Message : "";
     Result.Join = runJoinSynthesis(Work, /*AllowEmptyGuard=*/true, Result,
                                    joinDeadline());
-    // A join the proof refutes fooled the bounded oracle: it is no join.
-    Result.Proof = proveJoin(Work, Result.Join);
-    if (!Result.Proof.Verified) {
+    if (!Result.Join.Success) {
       // A lift that stopped on its node ceiling or its deadline explains
       // the failure better than the join search on what it lifted.
       if (!Lift.Failure.empty())
@@ -279,16 +262,14 @@ PipelineResult parsynt::parallelizeLoop(const Loop &L,
       if (!removeEquation(Candidate, *It))
         continue;
       // The accepted join's components that do not read the dropped
-      // auxiliary seed the retry; each still faces the retry's tests, its
-      // CEGIS validation and the proof gate.
+      // auxiliary seed the retry; each still faces the retry's tests and
+      // its CEGIS rounds' proofs.
       JoinResult Retry = runJoinSynthesis(
           Candidate, /*AllowEmptyGuard=*/true, Result, joinDeadline(),
           keptComponents(Work, Result.Join.Components, *It));
-      ProofReport RetryProof = proveJoin(Candidate, Retry);
-      if (RetryProof.Verified) {
+      if (Retry.Success) {
         Work = std::move(Candidate);
         Result.Join = std::move(Retry);
-        Result.Proof = std::move(RetryProof);
         Result.DroppedAux.push_back(*It + " (redundant)");
       }
     }

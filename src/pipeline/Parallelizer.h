@@ -9,14 +9,17 @@
 /// The end-to-end PARSYNT pipeline: join synthesis on the original loop
 /// (Section 4); if no join exists, one homomorphic lift (Section 6) followed
 /// by one join search on the lifted loop, which fails the pipeline unless
-/// it finds a join that passes the proof gate; finally the
+/// it finds a join; finally the
 /// remove-redundancies step of Algorithm 1, realized as "drop an auxiliary
 /// and re-synthesize" — any auxiliary whose removal still leaves a
 /// synthesizable join is redundant. The re-synthesis is seeded with the
 /// accepted join's components that do not read the dropped auxiliary.
 ///
-/// The IR verifier runs at every phase boundary, and every join search is
-/// seeded with the trivial joins of the dependence analysis (DESIGN.md §5b).
+/// Every join search proves the join it accepts (synth/JoinSynth.h), so
+/// the pipeline makes no proof call of its own: a result's proof report is
+/// Join.Proof. The IR verifier runs at every phase boundary, and every join
+/// search is seeded with the trivial joins of the dependence analysis
+/// (DESIGN.md §5b).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -25,7 +28,6 @@
 
 #include "analysis/DependenceGraph.h"
 #include "lift/Lift.h"
-#include "proof/ProofCheck.h"
 #include "synth/JoinSynth.h"
 
 #include <string>
@@ -49,10 +51,7 @@ struct PipelineResult {
   /// (Table 1's "Aux required?" row).
   bool AuxRequired = false;
   Loop Final;      ///< the loop actually parallelized (possibly lifted)
-  JoinResult Join; ///< join for Final
-  /// The Section-7 proof report of Join, from the check that accepted it;
-  /// unverified with zero checks when no join was accepted.
-  ProofReport Proof;
+  JoinResult Join; ///< join for Final, with its proof report
   unsigned AuxCount = 0;      ///< auxiliaries in Final (Table 1's "#Aux")
   unsigned AuxDiscovered = 0; ///< before redundancy removal
   bool IndexMaterialized = false;

@@ -32,17 +32,8 @@ constexpr uint64_t Seed = 0xBEEF;
 /// Element pool mirroring the oracle's: small values plus loop constants.
 std::vector<int64_t> elementPool(const Loop &L) {
   std::set<int64_t> Pool = {-2, -1, 0, 1, 2, 3, 7, -11};
-  for (const Equation &Eq : L.Equations) {
-    forEachNode(Eq.Update, [&](const ExprRef &Node) {
-      if (const auto *C = dyn_cast<IntConstExpr>(Node)) {
-        if (std::abs(C->value()) > 1000)
-          return;
-        Pool.insert(C->value());
-        Pool.insert(C->value() + 1);
-        Pool.insert(C->value() - 1);
-      }
-    });
-  }
+  for (int64_t C : updateConstants(L))
+    Pool.insert({C - 1, C, C + 1});
   return {Pool.begin(), Pool.end()};
 }
 
@@ -93,12 +84,12 @@ parsynt::checkHomomorphismProof(const Loop &L,
       StepRow(NumParams + NumSeqs), States((MaxPrefixLen + 1) * N),
       JoinRow(Layout.width());
 
-  // Reachable-state samples: the state after a random prefix, and the
-  // prefix length. States must be generated and compared under consistent
-  // parameter bindings, so parameters are drawn per sample pair (into both
-  // rows' leading words).
+  // Reachable-state samples: the state after a random prefix, the prefix
+  // in the row's chunk layout, and its length. States must be generated and
+  // compared under consistent parameter bindings, so parameters are drawn
+  // per sample pair (into both rows' leading words).
   struct Sample {
-    std::vector<int64_t> State;
+    std::vector<int64_t> State, Prefix;
     size_t PrefixLen = 0;
   };
   auto drawSample = [&](Sample &Out) {
@@ -108,6 +99,8 @@ parsynt::checkHomomorphismProof(const Loop &L,
         Row[NumParams + K * Len + I] = Pool[R.index(Pool.size())];
     Code.runRaw(Row.data(), Len, States.data(), Regs);
     Out.State.assign(States.begin() + Len * N, States.begin() + (Len + 1) * N);
+    Out.Prefix.assign(Row.begin() + NumParams,
+                      Row.begin() + NumParams + NumSeqs * Len);
     Out.PrefixLen = Len;
   };
   auto drawParams = [&]() {
@@ -133,10 +126,32 @@ parsynt::checkHomomorphismProof(const Loop &L,
   auto stateStr = [&](const std::vector<int64_t> &State) {
     return stateToString(L, rawToState(L, State.data()));
   };
+  // Fails the obligation with the split (U's prefix, Right).
   auto fail = [&](const char *Obligation, size_t Component,
-                  const std::string &Details) {
+                  const std::string &Details, const Sample &U,
+                  std::vector<int64_t> Right, size_t RightLen) {
+    ProofSplit Split{{Row.begin(), Row.begin() + NumParams}, U.Prefix,
+                     std::move(Right), U.PrefixLen, RightLen};
     Report.Failure = ProofFailure{Obligation, L.Equations[Component].Name,
-                                  Details};
+                                  Details, std::move(Split)};
+  };
+  // The chunks of x • y, for x and y in chunk layout.
+  auto concat = [&](const std::vector<int64_t> &X, size_t XLen,
+                    const int64_t *Y, size_t YLen) {
+    std::vector<int64_t> Out;
+    for (size_t K = 0; K != NumSeqs; ++K) {
+      Out.insert(Out.end(), X.begin() + K * XLen, X.begin() + (K + 1) * XLen);
+      Out.insert(Out.end(), Y + K * YLen, Y + (K + 1) * YLen);
+    }
+    return Out;
+  };
+  // fE of \p Chunks, Len elements per sequence, under the drawn parameters.
+  auto run = [&](const std::vector<int64_t> &Chunks, size_t Len) {
+    std::vector<int64_t> Whole(Row.begin(), Row.begin() + NumParams);
+    Whole.insert(Whole.end(), Chunks.begin(), Chunks.end());
+    std::vector<int64_t> Out((Len + 1) * N);
+    Code.runRaw(Whole.data(), Len, Out.data(), Regs);
+    return std::vector<int64_t>(Out.end() - N, Out.end());
   };
 
   Sample U, V;
@@ -156,7 +171,8 @@ parsynt::checkHomomorphismProof(const Loop &L,
       if (differs(I, Base[I], U.State[I])) {
         fail("base", I,
              "u = {" + stateStr(U.State) + "}, join(u, init) gave " +
-                 joinedStr(I, Base[I]));
+                 joinedStr(I, Base[I]),
+             U, {}, 0);
         break;
       }
     }
@@ -190,7 +206,16 @@ parsynt::checkHomomorphismProof(const Loop &L,
             OS << L.Sequences[K].Name << ":" << StepRow[NumParams + K] << " ";
           OS << "-> lhs " << joinedStr(I, Lhs[I]) << " vs rhs "
              << Value::ofRaw(L.Equations[I].Ty, Rhs[I]).str();
-          fail("step", I, OS.str());
+          // lhs is join(fE(x), fE(t' • a)): if it is fE(x • t' • a), the
+          // join is wrong on (x, t') instead.
+          const size_t TLen = V.PrefixLen + 1;
+          std::vector<int64_t> TA = concat(V.Prefix, V.PrefixLen,
+                                           StepRow.data() + NumParams, 1);
+          if (run(concat(U.Prefix, U.PrefixLen, TA.data(), TLen),
+                  U.PrefixLen + TLen) != Lhs)
+            fail("step", I, OS.str(), U, std::move(TA), TLen);
+          else
+            fail("step", I, OS.str(), U, V.Prefix, V.PrefixLen);
           break;
         }
       }

@@ -18,8 +18,11 @@
 /// prefixes and a over arbitrary elements. Together with fE(x) being the
 /// loop's own semantics, these two conditions imply
 /// fE(x • y) == fE(x) ⊙ fE(y) for all x, y by induction on |y| — the exact
-/// argument of the paper's Figure-7 lemmas. The companion DafnyEmit module
-/// produces the machine-checkable artifact for an external Dafny verifier.
+/// argument of the paper's Figure-7 lemmas. The check is the validator of
+/// join synthesis's CEGIS loop (synth/JoinSynth.h): a failed obligation
+/// carries a split (x, y) the join gets wrong, which becomes the next
+/// round's counterexample. The companion DafnyEmit module produces the
+/// machine-checkable artifact for an external Dafny verifier.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -35,11 +38,25 @@
 
 namespace parsynt {
 
+/// A split (x, y) of one input on which the join is wrong: fE(x • y) !=
+/// join(fE(x), fE(y)). Raw values (bools as 0/1) in HomOracle's chunk
+/// layout: element J of sequence K of x is Left[K * LeftLen + J].
+struct ProofSplit {
+  std::vector<int64_t> Params; ///< in declaration order
+  std::vector<int64_t> Left, Right;
+  size_t LeftLen = 0, RightLen = 0;
+};
+
 /// A failed obligation, with the witnessing values.
 struct ProofFailure {
   std::string Obligation; ///< "base" or "step"
   std::string StateVar;   ///< component that differed
   std::string Details;    ///< rendered witness
+  /// The input behind the witness, a homomorphism counterexample. With
+  /// u = fE(x): a base failure gives (x, []). A step failure with
+  /// v = fE(t') gives (x, t' • a) when the join is wrong there, and else
+  /// (x, t'): a join right on both would satisfy the step obligation.
+  ProofSplit Split;
 };
 
 struct ProofReport {

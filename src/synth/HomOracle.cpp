@@ -34,36 +34,19 @@ constexpr uint64_t Seed = 0x5eed;
 
 HomOracle::HomOracle(const Loop &L, Deadline Timeout)
     : L(L), Timeout(Timeout), Code(L), Layout(L), R(Seed) {
-  // Element pool: the exhaustive values plus every integer constant
-  // appearing in an update (and its neighbours), so equality tests against
-  // characters or thresholds are exercised on both sides.
+  // Element pool: the exhaustive values plus every constant of an update
+  // and its neighbours. The focused pool: exactly the constants the loop
+  // compares against (plus 0/1). Bit- and character-structured benchmarks
+  // need dense patterns (adjacent blocks of 1's, nested parentheses) that a
+  // diffuse pool produces too rarely to refute near-miss joins.
   std::set<int64_t> PoolSet(std::begin(ExhaustiveValues),
                             std::end(ExhaustiveValues));
-  for (const Equation &Eq : L.Equations) {
-    forEachNode(Eq.Update, [&](const ExprRef &Node) {
-      if (const auto *C = dyn_cast<IntConstExpr>(Node)) {
-        // Sentinels and huge constants are not plausible element values.
-        if (std::abs(C->value()) > 1000)
-          return;
-        PoolSet.insert(C->value());
-        PoolSet.insert(C->value() + 1);
-        PoolSet.insert(C->value() - 1);
-      }
-    });
+  std::set<int64_t> FocusedSet = {0, 1};
+  for (int64_t C : updateConstants(L)) {
+    PoolSet.insert({C - 1, C, C + 1});
+    FocusedSet.insert(C);
   }
   Pool.assign(PoolSet.begin(), PoolSet.end());
-  // The focused pool: exactly the constants the loop compares against
-  // (plus 0/1). Bit- and character-structured benchmarks need dense
-  // patterns (adjacent blocks of 1's, nested parentheses) that a diffuse
-  // pool produces too rarely to refute near-miss joins.
-  std::set<int64_t> FocusedSet = {0, 1};
-  for (const Equation &Eq : L.Equations) {
-    forEachNode(Eq.Update, [&](const ExprRef &Node) {
-      if (const auto *C = dyn_cast<IntConstExpr>(Node))
-        if (std::abs(C->value()) <= 1000)
-          FocusedSet.insert(C->value());
-    });
-  }
   Focused.assign(FocusedSet.begin(), FocusedSet.end());
   buildInitialTests();
 }
@@ -223,8 +206,8 @@ void HomOracle::buildInitialTests() {
   };
   Ex.Params = ParamDraws.front();
   // Stopping the test-set build early on deadline expiry is sound: the
-  // bounded specification just gets weaker, and accepted joins still face
-  // the CEGIS re-validation and the proof gate.
+  // bounded specification just gets weaker, and an accepted join still
+  // faces its CEGIS round's proof.
   for (const auto &LeftChunk : Chunks) {
     if (Timeout.expired())
       break;
@@ -281,44 +264,6 @@ HomOracle::firstFailure(const ExprRef &JoinComponent,
   return std::nullopt;
 }
 
-std::optional<JoinExample>
-HomOracle::findCounterexample(const std::vector<ExprRef> &Join,
-                              unsigned Rounds) {
-  assert(Join.size() == L.Equations.size() && "join arity mismatch");
-  Span CexSpan("findCounterexample", trace::Oracle);
-  CexSpan.attr("rounds", uint64_t(Rounds));
-  // Widen the value pool beyond the synthesis pool to catch coincidences.
-  std::vector<int64_t> Wide = Pool;
-  Wide.push_back(17);
-  Wide.push_back(-23);
-  Wide.push_back(100);
-  const CompiledJoin Joiner(Layout, Join);
-  std::vector<int64_t> JoinRegs = Joiner.makeRegisters();
-  const size_t N = L.Equations.size();
-  RawExample Ex(*this);
-  for (unsigned Round = 0; Round != Rounds; ++Round) {
-    // Deadline expiry returns "no counterexample found"; callers that care
-    // about the distinction re-check expired() — a timed-out validation
-    // must never be read as a passed one.
-    if (Timeout.expired())
-      return std::nullopt;
-    unsigned MaxLen = 1 + Round % 12;
-    drawRandom(MaxLen, Round % 2 ? Focused : Wide, Ex);
-    evaluate(Ex);
-    Joiner.eval(Ex.JoinRow.data(), JoinRegs.data());
-    for (size_t I = 0; I != N; ++I) {
-      if (Joiner.value(JoinRegs.data(), I) != Ex.expected(N)[I]) {
-        CexSpan.attr("found", true);
-        CexSpan.attr("at_round", uint64_t(Round));
-        MetricsRegistry::global().counter("oracle.counterexamples").inc();
-        return box(Ex);
-      }
-    }
-  }
-  CexSpan.attr("found", false);
-  return std::nullopt;
-}
-
 std::optional<JoinWitness> HomOracle::witness() const {
   // Sorting the test indices by row brings equal rows together; within a
   // run of equal rows, two tests with different expected states include a
@@ -343,9 +288,15 @@ std::optional<JoinWitness> HomOracle::witness() const {
   return std::nullopt;
 }
 
-void HomOracle::addTest(JoinExample Example) {
-  Rows.resize(Rows.size() + Layout.width());
-  Layout.writeRow(Example.Left, Example.Right, Example.Params,
-                  Rows.data() + Rows.size() - Layout.width());
-  Tests.push_back(std::move(Example));
+const JoinExample &HomOracle::addCounterexample(const ProofSplit &Split) {
+  RawExample Ex(*this);
+  Ex.Params = Split.Params;
+  Ex.Left = Split.Left;
+  Ex.Right = Split.Right;
+  Ex.LeftLen = Split.LeftLen;
+  Ex.RightLen = Split.RightLen;
+  evaluate(Ex);
+  keep(Ex);
+  MetricsRegistry::global().counter("oracle.counterexamples").inc();
+  return Tests.back();
 }

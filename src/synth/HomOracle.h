@@ -10,9 +10,10 @@
 /// accepted when fE(x • y) == fE(x) ⊙ fE(y) on all test sequences x, y of
 /// bounded length. Where the paper discharges this with a solver over
 /// symbolic bounded inputs, we evaluate it over an exhaustive small-domain
-/// enumeration plus randomized wide draws, and re-check synthesized joins on
-/// fresh inputs (the CEGIS counterexample loop). General correctness is then
-/// established by the Section-7 proof machinery, exactly as in the paper.
+/// enumeration plus randomized draws. The oracle does not validate joins
+/// itself: each CEGIS round checks its assembled join with the Section-7
+/// proof machinery (proof/ProofCheck.h), and the split behind a failed
+/// obligation comes back here as a new test (addCounterexample).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -21,6 +22,7 @@
 
 #include "interp/Interp.h"
 #include "ir/Loop.h"
+#include "proof/ProofCheck.h"
 #include "support/Deadline.h"
 #include "support/Random.h"
 
@@ -52,9 +54,9 @@ struct JoinWitness {
 class HomOracle {
 public:
   /// Builds the initial test set of \p L. \p Timeout is cooperative
-  /// cancellation: test-set construction and counterexample search stop
-  /// early when it expires (fewer tests is sound: the bounded spec just
-  /// gets weaker and the proof gate still decides).
+  /// cancellation: test-set construction stops early when it expires (fewer
+  /// tests is sound: the bounded spec just gets weaker and the proof still
+  /// decides).
   HomOracle(const Loop &L, Deadline Timeout = {});
 
   const Loop &loop() const { return L; }
@@ -79,18 +81,13 @@ public:
   std::optional<size_t> firstFailure(const ExprRef &JoinComponent,
                                      size_t EquationIndex) const;
 
-  /// Random search for a counterexample to the whole join on fresh inputs
-  /// (longer sequences and wider values than the synthesis tests). Returns
-  /// the failing example, or nullopt if all \p Rounds pass.
-  std::optional<JoinExample>
-  findCounterexample(const std::vector<ExprRef> &Join, unsigned Rounds = 400);
-
   /// A pair of tests no join can pass, or nullopt: the first conflict in
   /// the order of the sorted join rows.
   std::optional<JoinWitness> witness() const;
 
-  /// Appends a (counter)example to the test set.
-  void addTest(JoinExample Example);
+  /// Evaluates the split of a failed proof obligation and appends it to
+  /// the test set; returns the new test.
+  const JoinExample &addCounterexample(const ProofSplit &Split);
 
 private:
   /// One example in raw form, and the buffers that evaluate it; made once

@@ -39,8 +39,6 @@ constexpr unsigned FreeMaxSize = 7;
 constexpr uint64_t ProductBudget = 2000000;
 /// Maximum CEGIS iterations (counterexample rounds).
 constexpr unsigned CegisRounds = 10;
-/// Random rounds of the final validation.
-constexpr unsigned VerifyRounds = 400;
 
 /// Collects the small integer constants appearing in the loop (candidates
 /// for ??R fills), plus the universal 0 / 1 / -1.
@@ -742,9 +740,9 @@ JoinResult parsynt::synthesizeJoin(const Loop &L,
       }
 
       // Trivially-homomorphic variables: accept the dependence-analysis
-      // seed without searching if it matches every current test. (CEGIS
-      // still validates the assembled join on fresh inputs, so a wrong
-      // seed costs one round and then falls back to the search.)
+      // seed without searching if it matches every current test. (The
+      // round's proof still checks the assembled join, so a wrong seed
+      // costs one round: the next one's tests hold its counterexample.)
       auto SeedIt = Options.Seeds.find(Eq.Name);
       if (SeedIt != Options.Seeds.end() && SeedIt->second) {
         auto SeedStart = std::chrono::steady_clock::now();
@@ -807,7 +805,10 @@ JoinResult parsynt::synthesizeJoin(const Loop &L,
 
       Component = searchSketch(compileSketch(Eq), "plain");
 
-      if (!Component && Eq.Ty == Type::Int) {
+      // A sweep that saw the deadline expire ends the equation: no later
+      // stage starts (the correction and guard sketches, the free
+      // grammar's growth).
+      if (!Component && Eq.Ty == Type::Int && !DL.expired()) {
         // Additive-correction sketch: v_l + v_r + ite(??LR, ??R, ??R).
         // Counters over concatenations are almost-additive with a boundary
         // correction (count-1's block merge at the seam); this variant
@@ -848,7 +849,7 @@ JoinResult parsynt::synthesizeJoin(const Loop &L,
         acceptFree();
       }
 
-      if (!Component && Options.AllowEmptyGuard) {
+      if (!Component && Options.AllowEmptyGuard && !DL.expired()) {
         // The empty-guard sketch: C(E) wrapped in an "empty right chunk"
         // guard — ite(<right state at init>, v_l, C(E)) — the homomorphism
         // base case fE(x • []) = fE(x) made syntactic. Joins that must
@@ -889,7 +890,7 @@ JoinResult parsynt::synthesizeJoin(const Loop &L,
         }
       }
 
-      if (!Component && !Free) {
+      if (!Component && !Free && !DL.expired()) {
         // The free grammar's growth: a level at a time up to the fallback
         // bound, looking again after each. A column is kept once, so the
         // first match is the match of the pool grown to the bound (and a
@@ -927,52 +928,35 @@ JoinResult parsynt::synthesizeJoin(const Loop &L,
       break;
     }
 
-    // CEGIS validation on fresh inputs.
+    // CEGIS validation: the Section-7 proof of the assembled join. The
+    // proof does not poll the deadline, so a completed proof is a verdict.
     auto ValidateStart = std::chrono::steady_clock::now();
-    auto Cex = Oracle.findCounterexample(Result.Components, VerifyRounds);
+    ProofReport Proof = checkHomomorphismProof(L, Result.Components);
     Result.Stats.OracleNanos += nanosSince(ValidateStart);
     stampRound(true);
-    RoundSpan.attr("counterexample", Cex.has_value());
-    if (!Cex) {
-      // Soundness: a timed-out validation also reports "no counterexample
-      // found" — never promote that to Success.
-      if (DL.expired()) {
-        Result.Success = false;
-        Result.Failure = {FailureKind::Timeout,
-                          "join synthesis deadline expired during CEGIS "
-                          "validation of the assembled join"};
-        break;
-      }
+    RoundSpan.attr("counterexample", !Proof.Verified);
+    if (Proof.Verified) {
       Result.Success = true;
+      Result.Proof = std::move(Proof);
       Result.Failure.clear();
       break;
     }
+    const ProofFailure &Refutation = *Proof.Failure;
+    RoundSpan.attr("obligation", Refutation.Obligation);
     if (Round == CegisRounds) {
       Result.Success = false;
-      // Name the still-disagreeing equation: evaluate each component on the
-      // final counterexample, like the per-variable failure path does.
-      std::string Culprit;
-      StateTuple Joined = CompiledJoin(Oracle.layout(), Result.Components)
-                              .apply(Cex->Left, Cex->Right, Cex->Params);
-      for (size_t I = 0; I != Result.Components.size(); ++I) {
-        if (Joined[I] != Cex->Expected[I]) {
-          Culprit = L.Equations[I].Name;
-          break;
-        }
-      }
       std::ostringstream OS;
       OS << "CEGIS budget exhausted after " << CegisRounds
-         << " rounds";
-      if (!Culprit.empty())
-        OS << ": the join component for state variable '" << Culprit
-           << "' still disagrees with a fresh counterexample";
-      OS << " (" << Result.Stats.SketchAssignmentsTried
+         << " rounds: the join component for state variable '"
+         << Refutation.StateVar << "' still fails the "
+         << Refutation.Obligation << " obligation ("
+         << Result.Stats.SketchAssignmentsTried
          << " sketch assignments tried, budget " << ProductBudget
          << " per search, " << Oracle.tests().size() << " tests)";
       Result.Failure = {FailureKind::BudgetExhausted, OS.str()};
       break;
     }
-    Oracle.addTest(std::move(*Cex));
+    Oracle.addCounterexample(Refutation.Split);
   }
 
   Result.Stats.Seconds =

@@ -11,8 +11,10 @@
 /// holes with enumerated grammar expressions in increasing total weight;
 /// when the sketch space is exhausted the search is relaxed to the free
 /// Figure-4 grammar (the "un-constrain the compiled sketch" fallback of
-/// Sections 4.3/6.3). An outer CEGIS loop re-validates assembled joins on
-/// fresh random inputs and folds counterexamples back into the test set.
+/// Sections 4.3/6.3). An outer CEGIS loop checks each assembled join with
+/// the Section-7 proof obligations (proof/ProofCheck.h): a proved join is
+/// accepted with its proof report, and the split behind a failed
+/// obligation joins the oracle's tests for the next round.
 ///
 /// Joins are synthesized per state variable (modularly), mirroring the
 /// modular per-variable proof decomposition of Section 7. Two oracle tests
@@ -37,8 +39,8 @@
 namespace parsynt {
 
 /// Switches for the synthesis search. The search itself (hole-size tiers,
-/// free-grammar bound, assignment budget, CEGIS and validation rounds) is
-/// the fixed configuration of JoinSynth.cpp.
+/// free-grammar bound, assignment budget, CEGIS rounds) is the fixed
+/// configuration of JoinSynth.cpp.
 struct JoinSynthOptions {
   /// Enable the "empty right chunk" guarded sketch variant (an extension
   /// beyond the paper's C(E); the pipeline enables it only for lifted
@@ -50,7 +52,9 @@ struct JoinSynthOptions {
   /// Per equation: a ready-made join component (a trivially-homomorphic
   /// fold from the dependence analysis, or a component of a join accepted
   /// before). A seed passing the oracle's tests is accepted without any
-  /// search; a failing seed falls back to the normal search.
+  /// search; a failing seed falls back to the normal search, and so does a
+  /// seed whose join the round's proof refutes, once the counterexample
+  /// has joined the tests.
   std::map<std::string, ExprRef> Seeds;
   /// Cooperative cancellation for the whole synthesis call (also handed to
   /// the oracle). On expiry the search unwinds with a Timeout failure.
@@ -85,7 +89,7 @@ struct JoinStats {
   double Seconds = 0.0;
   /// Wall time of the search's phases: growing the candidate pools,
   /// sketch-hole evaluation, and the oracle (test building, seed checks,
-  /// CEGIS validation).
+  /// each round's proof).
   uint64_t EnumerateNanos = 0;
   uint64_t SketchNanos = 0;
   uint64_t OracleNanos = 0;
@@ -100,6 +104,9 @@ struct JoinResult {
   bool Success = false;
   std::vector<ExprRef> Components;
   JoinStats Stats;
+  /// The Section-7 proof report of the accepted join, from its CEGIS
+  /// round; unverified with no checks when the call fails.
+  ProofReport Proof;
   /// Structured failure (NotHomomorphic / BudgetExhausted / Timeout); a
   /// NotHomomorphic message names the first state variable no component was
   /// found for, or, for a refuted call, the witness's two tests.

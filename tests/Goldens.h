@@ -38,8 +38,11 @@ namespace test {
 /// pool past the sketch tiers, so is-sorted's prev takes the guard's join
 /// (prev_r == MIN_INT, not the size-6 free-grammar prev_r <= MIN_INT, which
 /// fails on elements below MIN_INT), and line-sight's and count-1's final
-/// calls build no size-6 or size-7 level their guard joins never read. (max-block-1 fails as in the paper: an empty join, the
-/// counters of the join search on its lifted loop.) The normalize counters
+/// calls build no size-6 or size-7 level their guard joins never read. A
+/// round's counterexample is the split behind its proof's failed
+/// obligation, so is-sorted's second round enumerates over that test.
+/// (max-block-1 fails as in the paper: an empty join, the counters of the
+/// join search on its lifted loop.) The normalize counters
 /// follow the Figure-6 search's stall rule (normalize/Normalizer.h): each
 /// search on balanced-(), count-1's, line-sight and max-block-1 stops
 /// StallLimit expansions after the one that found its normal form.
@@ -127,7 +130,7 @@ inline const JoinGolden Goldens[] = {
      "((sorted_l && sorted_r) && (prev_l <= aux0_r)))\n"
      "prev = ((prev_r == -1099511627776) ? prev_l : prev_r)\n"
      "aux0 = ((prev_l == -1099511627776) ? aux0_r : aux0_l)\n",
-     7429817, 9502,
+     7429817, 9481,
      1012, 7928, 1, 1},
     {"atoi",
      "res = ((res_l * aux0_r) + res_r)\n"

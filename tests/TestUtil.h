@@ -323,6 +323,32 @@ inline StateTuple referenceJoin(const Loop &L, const std::vector<ExprRef> &Join,
   return Result;
 }
 
+/// The join that keeps every left state: wrong for every loop whose state
+/// depends on its input.
+inline std::vector<ExprRef> leftOnlyJoin(const Loop &L) {
+  std::vector<ExprRef> Join;
+  for (const Equation &Eq : L.Equations)
+    Join.push_back(inputVar(splitName(Eq.Name, Side::Left), Eq.Ty));
+  return Join;
+}
+
+/// \p Join with every left and right operand exchanged: wrong for every
+/// join that is not symmetric.
+inline std::vector<ExprRef> swapSides(const Loop &L,
+                                      const std::vector<ExprRef> &Join) {
+  Substitution Swap;
+  for (const Equation &Eq : L.Equations) {
+    Swap[splitName(Eq.Name, Side::Left)] =
+        inputVar(splitName(Eq.Name, Side::Right), Eq.Ty);
+    Swap[splitName(Eq.Name, Side::Right)] =
+        inputVar(splitName(Eq.Name, Side::Left), Eq.Ty);
+  }
+  std::vector<ExprRef> Swapped;
+  for (const ExprRef &C : Join)
+    Swapped.push_back(substitute(C, Swap));
+  return Swapped;
+}
+
 /// The divide-and-conquer run of parallelRunLoop over the identical join
 /// tree, evaluated sequentially by the reference semantics. An empty join
 /// is the sequential fallback: plain fE.

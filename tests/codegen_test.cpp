@@ -125,18 +125,9 @@ TEST(EmittedPrograms, CompileInOneCall) {
     // The program's leaf() joins its lanes with the emitted join, so the
     // self-check compares parallel_run with the join-free run(): mts's join
     // with every left and right operand exchanged must fail it.
-    Substitution Swap;
-    for (const Equation &Eq : R.Final.Equations) {
-      Swap[splitName(Eq.Name, Side::Left)] =
-          inputVar(splitName(Eq.Name, Side::Right), Eq.Ty);
-      Swap[splitName(Eq.Name, Side::Right)] =
-          inputVar(splitName(Eq.Name, Side::Left), Eq.Ty);
-    }
-    std::vector<ExprRef> Wrong;
-    for (const ExprRef &C : R.Join)
-      Wrong.push_back(substitute(C, Swap));
     Programs.push_back({"mts_wrong_join",
-                        emitParallelCpp(R.Final, Wrong, Opts)});
+                        emitParallelCpp(R.Final, swapSides(R.Final, R.Join),
+                                        Opts)});
   }
 
   // p doubles until it wraps through INT64_MIN: negating it and dividing

@@ -176,15 +176,6 @@ void expectMatchesReference(const HomOracle &Oracle, const JoinExample &T,
   EXPECT_EQ(std::vector<int64_t>(Row, Row + Layout.width()), Boxed);
 }
 
-/// The join that keeps every left state: wrong for every loop whose state
-/// depends on its input.
-std::vector<ExprRef> leftOnlyJoin(const Loop &L) {
-  std::vector<ExprRef> Join;
-  for (const Equation &Eq : L.Equations)
-    Join.push_back(inputVar(splitName(Eq.Name, Side::Left), Eq.Ty));
-  return Join;
-}
-
 /// Every test is a point of the bounded specification: its states are the
 /// reference runs of its chunks and of their concatenation, on every
 /// Table-1 loop.
@@ -196,11 +187,11 @@ TEST(Oracle, SpecMatchesDefinition) {
     ASSERT_FALSE(Oracle.tests().empty());
     for (size_t T = 0; T != Oracle.tests().size(); ++T)
       expectMatchesReference(Oracle, Oracle.tests()[T], Oracle.testRow(T));
-    // A returned counterexample is built the same way.
-    std::optional<JoinExample> Cex =
-        Oracle.findCounterexample(leftOnlyJoin(L), 50);
-    ASSERT_TRUE(Cex.has_value());
-    Oracle.addTest(*Cex);
+    // A counterexample is built the same way: the split behind the proof's
+    // refutation of the left-only join.
+    ProofReport Proof = checkHomomorphismProof(L, leftOnlyJoin(L));
+    ASSERT_FALSE(Proof.Verified);
+    Oracle.addCounterexample(Proof.Failure->Split);
     size_t Last = Oracle.tests().size() - 1;
     expectMatchesReference(Oracle, Oracle.tests()[Last], Oracle.testRow(Last));
   }
@@ -211,12 +202,18 @@ TEST(Oracle, AcceptsCorrectRejectsWrong) {
                      "for (i = 0; i < |s|; i++) { sum = sum + s[i]; }");
   HomOracle Oracle(L);
   std::vector<ExprRef> Good = {add(inputVar("sum_l"), inputVar("sum_r"))};
-  EXPECT_FALSE(Oracle.findCounterexample(Good, 300).has_value());
+  EXPECT_TRUE(checkHomomorphismProof(L, Good).Verified);
   std::vector<ExprRef> Bad = {maxE(inputVar("sum_l"), inputVar("sum_r"))};
-  EXPECT_TRUE(Oracle.findCounterexample(Bad, 300).has_value());
+  ProofReport Refuted = checkHomomorphismProof(L, Bad);
+  ASSERT_FALSE(Refuted.Verified);
 
   EXPECT_FALSE(Oracle.firstFailure(Good[0], 0).has_value());
   EXPECT_TRUE(Oracle.firstFailure(Bad[0], 0).has_value());
+  // The refutation's split becomes a test the wrong join fails and the
+  // right one passes.
+  const JoinExample &Added = Oracle.addCounterexample(Refuted.Failure->Split);
+  EXPECT_NE(Oracle.column(Bad[0]).back(), Added.Expected[0].raw());
+  EXPECT_FALSE(Oracle.firstFailure(Good[0], 0).has_value());
 }
 
 /// FNV-1a over the raw payloads of \p Values.
@@ -241,21 +238,21 @@ uint64_t digest(uint64_t Hash, const JoinExample &T) {
 }
 
 /// The oracle's draws are part of its contract: the test set (and so every
-/// synthesized join and counter) and the counterexamples it returns are
-/// fixed by its seed. These digests pin them for loops with one and two
-/// sequences, with parameters, and with bool state.
+/// synthesized join and counter) is fixed by its seed, and a counterexample
+/// by the proof's own seed. These digests pin them for loops with one and
+/// two sequences, with parameters, and with bool state.
 TEST(Oracle, DrawsArePinned) {
   struct Pin {
     const char *Name;
     uint64_t Tests, Counterexample;
   };
   const Pin Pins[] = {
-      {"mts", 0x1cf235ff6deb061cull, 0x8b7201a374997501ull},
-      {"poly", 0xde9e7cf41f92a9cdull, 0xa73de96e08495abbull},
-      {"balanced-()", 0x2a70f63193d29142ull, 0xa964125d8e72d317ull},
-      {"line-sight", 0x73d064bfde5ee9b9ull, 0x31ed11fb5f65f311ull},
-      {"is-sorted", 0x006a9fcd2b864331ull, 0x31ed11fb5f65f311ull},
-      {"dot", 0x3bbba76234d716afull, 0xb28473fc877c5ca9ull},
+      {"mts", 0x1cf235ff6deb061cull, 0x674def7a2573705eull},
+      {"poly", 0xde9e7cf41f92a9cdull, 0xe442e6e02b6e6ab0ull},
+      {"balanced-()", 0x2a70f63193d29142ull, 0x7aa7a759e00966b6ull},
+      {"line-sight", 0x73d064bfde5ee9b9ull, 0x521d396b0e894033ull},
+      {"is-sorted", 0x006a9fcd2b864331ull, 0xb9f2424b2a5371ffull},
+      {"dot", 0x3bbba76234d716afull, 0x9ddc4b0ed8aca1e4ull},
   };
   const uint64_t Basis = 0xcbf29ce484222325ull;
   for (const Pin &P : Pins) {
@@ -271,23 +268,23 @@ TEST(Oracle, DrawsArePinned) {
     for (const JoinExample &T : Oracle.tests())
       Tests = digest(Tests, T);
     EXPECT_EQ(Tests, P.Tests);
-    std::optional<JoinExample> Cex =
-        Oracle.findCounterexample(leftOnlyJoin(L), 400);
-    ASSERT_TRUE(Cex.has_value());
-    EXPECT_EQ(digest(Basis, *Cex), P.Counterexample);
+    ProofReport Proof = checkHomomorphismProof(L, leftOnlyJoin(L));
+    ASSERT_FALSE(Proof.Verified);
+    EXPECT_EQ(digest(Basis, Oracle.addCounterexample(Proof.Failure->Split)),
+              P.Counterexample);
   }
-  // A passing validation draws all of its rounds: the counterexample after
-  // it depends on every one of them.
+  // The proof draws from its own seed, not the oracle's: a proof that
+  // passes first leaves the next refutation's counterexample unchanged.
   Loop Poly = parseBenchmark(*findBenchmark("poly"));
   HomOracle Oracle(Poly);
   auto v = [](const char *Name) { return inputVar(Name); };
   std::vector<ExprRef> Join = {add(v("res_l"), mul(v("res_r"), v("p_l"))),
                                mul(v("p_l"), v("p_r"))};
-  EXPECT_FALSE(Oracle.findCounterexample(Join, 400).has_value());
-  std::optional<JoinExample> Cex =
-      Oracle.findCounterexample(leftOnlyJoin(Poly), 400);
-  ASSERT_TRUE(Cex.has_value());
-  EXPECT_EQ(digest(Basis, *Cex), 0x69919ee4701432a5ull);
+  EXPECT_TRUE(checkHomomorphismProof(Poly, Join).Verified);
+  ProofReport Proof = checkHomomorphismProof(Poly, leftOnlyJoin(Poly));
+  ASSERT_FALSE(Proof.Verified);
+  EXPECT_EQ(digest(Basis, Oracle.addCounterexample(Proof.Failure->Split)),
+            Pins[1].Counterexample);
 }
 
 TEST(Oracle, ElementPoolContainsLoopConstants) {

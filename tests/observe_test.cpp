@@ -331,7 +331,7 @@ TEST(TraceExport, PhaseAggregationCountsEntrySpansOnly) {
   Inner.ParentId = 1;
   Events.push_back(Inner);
   TraceEvent Oracle;
-  Oracle.Name = "findCounterexample";
+  Oracle.Name = "buildInitialTests";
   Oracle.Category = "oracle";
   Oracle.StartNs = 200;
   Oracle.EndNs = 500;

@@ -129,8 +129,9 @@ TEST_P(PipelineSweep, MatchesPaperExpectations) {
 
   ASSERT_TRUE(Result.Success) << Result.report();
   EXPECT_EQ(Result.AuxRequired, B.ExpectAuxRequired) << Result.report();
-  // The pipeline's proof check accepted the synthesized join.
-  EXPECT_TRUE(Result.Proof.Verified) << B.Name << ": " << Result.Proof.str();
+  // The final CEGIS round's proof accepted the synthesized join.
+  EXPECT_TRUE(Result.Join.Proof.Verified)
+      << B.Name << ": " << Result.Join.Proof.str();
   if (B.ExpectedAux >= 0) {
     EXPECT_EQ(Result.AuxCount, static_cast<unsigned>(B.ExpectedAux))
         << Result.report();
@@ -187,7 +188,8 @@ INSTANTIATE_TEST_SUITE_P(Table1, PipelineSweep,
 
 /// Property sweep: every golden join passes the proof obligations on its
 /// final loop. No synthesis runs here: PipelineSweep checks that the
-/// pipeline synthesizes these joins and that its own proof accepted them.
+/// pipeline synthesizes these joins and that their CEGIS proofs accepted
+/// them.
 class ProofSweep : public ::testing::TestWithParam<size_t> {};
 
 TEST_P(ProofSweep, SynthesizedJoinsVerify) {

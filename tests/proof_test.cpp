@@ -9,6 +9,7 @@
 #include "proof/DafnyEmit.h"
 #include "proof/ProofCheck.h"
 #include "suite/Benchmarks.h"
+#include "Goldens.h"
 #include "TestUtil.h"
 
 #include <gtest/gtest.h>
@@ -174,10 +175,100 @@ TEST(ProofCheck, WitnessesArePinned) {
   }
 }
 
-/// The pipeline's proof report is the check of the join it returns: a
-/// lifted loop's, the report of the redundancy-removal retry that was
-/// accepted last (line-sight drops two auxiliaries), and none at all for a
-/// sequential fallback (max-block-1, whose lifted loop has no join).
+/// The sequences of \p Chunk, a proof split's chunk of \p Len elements per
+/// sequence, by name.
+SeqEnv chunkSeqs(const Loop &L, const std::vector<int64_t> &Chunk,
+                 size_t Len) {
+  SeqEnv Seqs;
+  for (size_t K = 0; K != L.Sequences.size(); ++K) {
+    std::vector<Value> &Seq = Seqs[L.Sequences[K].Name];
+    for (size_t J = 0; J != Len; ++J)
+      Seq.push_back(Value::ofInt(Chunk[K * Len + J]));
+  }
+  return Seqs;
+}
+
+/// A refutation's split is what CEGIS adds to the oracle's tests, so it
+/// must be a real counterexample: fE(x • y) != join(fE(x), fE(y)). Checked
+/// on every Table-1 join whose side-swapped or left-only variant the proof
+/// refutes, with the loop interpreter and the compiled join.
+TEST(ProofCheck, RefutationsCarryACounterexample) {
+  unsigned Refuted = 0, StepSplits = 0;
+  for (const Benchmark &B : allBenchmarks()) {
+    if (!B.ExpectFullSuccess)
+      continue;
+    SCOPED_TRACE(B.Name);
+    GoldenParallelization Golden = goldenParallelization(B);
+    const Loop &L = Golden.Final;
+    const CompiledJoin Identity(JoinLayout(L), Golden.Join);
+    for (const std::vector<ExprRef> &Wrong :
+         {swapSides(L, Golden.Join), leftOnlyJoin(L)}) {
+      ProofReport Report = checkHomomorphismProof(L, Wrong);
+      if (Report.Verified)
+        continue;
+      ++Refuted;
+      const ProofSplit &Split = Report.Failure->Split;
+      StepSplits += Report.Failure->Obligation == "step";
+      Env Params;
+      for (size_t P = 0; P != L.Params.size(); ++P)
+        Params[L.Params[P].Name] =
+            Value::ofRaw(L.Params[P].Ty, Split.Params[P]);
+      SeqEnv X = chunkSeqs(L, Split.Left, Split.LeftLen);
+      SeqEnv Y = chunkSeqs(L, Split.Right, Split.RightLen);
+      SeqEnv Whole = X;
+      for (auto &[Name, Values] : Whole)
+        Values.insert(Values.end(), Y[Name].begin(), Y[Name].end());
+      StateTuple Left = runLoop(L, X, Params), Right = runLoop(L, Y, Params);
+      StateTuple Expected = runLoop(L, Whole, Params);
+      EXPECT_NE(CompiledJoin(JoinLayout(L), Wrong).apply(Left, Right, Params),
+                Expected)
+          << Report.str();
+      // The golden join is right on it.
+      EXPECT_EQ(Identity.apply(Left, Right, Params), Expected);
+    }
+  }
+  // 35 refutations, every one by a failed step.
+  EXPECT_EQ(Refuted, 35u);
+  EXPECT_EQ(StepSplits, 35u);
+}
+
+/// Each way a split is resolved, on length's join made wrong on one right
+/// state, n_r == K: for K = 0 the base obligation fails and the split is
+/// (x, []); for K = 4 a step fails with v at K, and the split is (x, t');
+/// for K = 5 a step fails with step(v, a) at K, and the split is
+/// (x, t' • a). The join is wrong exactly when |y| = K.
+TEST(ProofCheck, SplitsFollowTheFailedObligation) {
+  Loop L = mustParse("n = 0;\nfor (i = 0; i < |s|; i++) { n = n + 1; }",
+                     "length");
+  auto v = [](const char *Name) { return inputVar(Name); };
+  struct Case {
+    int64_t K;
+    const char *Obligation;
+    const char *V;
+  };
+  for (const Case &C : {Case{0, "base", ""}, Case{4, "step", "v = {n=4}"},
+                        Case{5, "step", "v = {n=4}"}}) {
+    SCOPED_TRACE(C.K);
+    ExprRef Sum = add(v("n_l"), v("n_r"));
+    ProofReport Report = checkHomomorphismProof(
+        L, {ite(eq(v("n_r"), intConst(C.K)), add(Sum, intConst(1)), Sum)});
+    ASSERT_FALSE(Report.Verified);
+    EXPECT_EQ(Report.Failure->Obligation, C.Obligation);
+    EXPECT_NE(Report.Failure->Details.find(C.V), std::string::npos)
+        << Report.str();
+    const ProofSplit &Split = Report.Failure->Split;
+    EXPECT_EQ(Split.LeftLen, 10u);
+    EXPECT_EQ(Split.Left.size(), Split.LeftLen);
+    EXPECT_EQ(Split.RightLen, static_cast<size_t>(C.K));
+    EXPECT_EQ(Split.Right.size(), Split.RightLen);
+  }
+}
+
+/// The pipeline's proof report is the final CEGIS round's check of the join
+/// it returns: a lifted loop's, the report of the redundancy-removal retry
+/// that was accepted last (line-sight drops two auxiliaries), and none at
+/// all for a sequential fallback (max-block-1, whose lifted loop has no
+/// join).
 TEST(ProofCheck, PipelineReportsTheAcceptedJoinsProof) {
   struct Case {
     const char *Name;
@@ -197,17 +288,17 @@ TEST(ProofCheck, PipelineReportsTheAcceptedJoinsProof) {
     EXPECT_EQ(Redundant, C.Redundant) << Result.report();
     if (!C.Verified) {
       EXPECT_TRUE(Result.SequentialFallback);
-      EXPECT_FALSE(Result.Proof.Verified);
-      EXPECT_EQ(Result.Proof.BaseChecks, 0u);
-      EXPECT_EQ(Result.Proof.StepChecks, 0u);
+      EXPECT_FALSE(Result.Join.Proof.Verified);
+      EXPECT_EQ(Result.Join.Proof.BaseChecks, 0u);
+      EXPECT_EQ(Result.Join.Proof.StepChecks, 0u);
       continue;
     }
     ProofReport Fresh =
         checkHomomorphismProof(Result.Final, Result.Join.Components);
-    EXPECT_TRUE(Result.Proof.Verified) << Result.Proof.str();
-    EXPECT_EQ(Result.Proof.Verified, Fresh.Verified);
-    EXPECT_EQ(Result.Proof.BaseChecks, Fresh.BaseChecks);
-    EXPECT_EQ(Result.Proof.StepChecks, Fresh.StepChecks);
+    EXPECT_TRUE(Result.Join.Proof.Verified) << Result.Join.Proof.str();
+    EXPECT_EQ(Result.Join.Proof.Verified, Fresh.Verified);
+    EXPECT_EQ(Result.Join.Proof.BaseChecks, Fresh.BaseChecks);
+    EXPECT_EQ(Result.Join.Proof.StepChecks, Fresh.StepChecks);
   }
 }
 

@@ -15,6 +15,7 @@
 
 #include "codegen/EmitCpp.h"
 #include "observe/Metrics.h"
+#include "observe/Tracer.h"
 #include "pipeline/Parallelizer.h"
 #include "runtime/InterpReduce.h"
 #include "suite/Benchmarks.h"
@@ -460,6 +461,38 @@ TEST(SynthFaults, InducedDeadlineExpiryYieldsTimeout) {
     EXPECT_EQ(Result.Failure.Kind, FailureKind::Timeout) << Result.report();
     EXPECT_TRUE(Result.SequentialFallback);
   }
+}
+
+TEST(SynthFaults, ExpiredSweepEndsItsEquation) {
+  // A sweep that sees the deadline expire ends its equation: atoi's phase-1
+  // res expires inside the plain sketch's weight-8 sweep, and no later
+  // stage (the correction sketch, the free grammar's growth) starts after
+  // it, so its equation span holds one sketch search.
+  Loop L = parseBenchmark(*findBenchmark("atoi"));
+  FaultScope Scope("deadline.expire:after=1100");
+  Tracer::instance().reset();
+  Tracer::setEnabled(true);
+  PipelineResult Result = parallelizeLoop(L);
+  Tracer::setEnabled(false);
+  EXPECT_EQ(Result.Failure.Kind, FailureKind::Timeout) << Result.report();
+  std::vector<TraceEvent> Events = Tracer::instance().drain();
+  Tracer::instance().reset();
+  auto attrOf = [](const TraceEvent &E, const std::string &Key) {
+    for (const TraceAttr &A : E.Attrs)
+      if (A.Key == Key)
+        return A.Value;
+    return std::string();
+  };
+  std::vector<uint64_t> Unsolved;
+  for (const TraceEvent &E : Events)
+    if (std::string(E.Name) == "equation" && attrOf(E, "solved") == "false")
+      Unsolved.push_back(E.SpanId);
+  ASSERT_EQ(Unsolved.size(), 1u);
+  std::vector<std::string> Searches;
+  for (const TraceEvent &E : Events)
+    if (std::string(E.Name) == "sketchSearch" && E.ParentId == Unsolved[0])
+      Searches.push_back(attrOf(E, "sketch"));
+  EXPECT_EQ(Searches, std::vector<std::string>{"plain"});
 }
 
 //===----------------------------------------------------------------------===//

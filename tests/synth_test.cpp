@@ -189,6 +189,43 @@ TEST(JoinSynth, GuardSketchRunsBeforeFreeGrammarGrowth) {
   EXPECT_EQ(leftRightPoolSize(), 7);
 }
 
+TEST(JoinSynth, RefutedSeedBecomesATestAndTheSearchRecovers) {
+  // Lifted balanced-(), as the pipeline's second phase searches it: its
+  // first CEGIS round assembles a join whose bal
+  // compares the whole offset, not the left one, with the right chunk's
+  // prefix bound: it passes every initial test, and the proof refutes it.
+  // Planted as seeds, that join is accepted without any search. The
+  // round's proof refutes it, the split behind the failed obligation
+  // becomes a test the wrong bal fails, and the next round searches bal
+  // and proves the pipeline's join.
+  Loop L = liftLoop(materializeIndex(parseBenchmark(*findBenchmark(
+                        "balanced-()"))))
+               .Lifted;
+  const std::vector<ExprRef> Planted =
+      test::parseJoin(L, "ofs = (ofs_l + ofs_r)\n"
+                         "bal = (bal_l && ((ofs_l + ofs_r) >= aux0_r))\n"
+                         "aux0 = max(aux0_l, (aux0_r - ofs_l))\n");
+  HomOracle Oracle(L);
+  for (size_t I = 0; I != L.Equations.size(); ++I)
+    ASSERT_FALSE(Oracle.firstFailure(Planted[I], I).has_value());
+  ProofReport Refuted = checkHomomorphismProof(L, Planted);
+  ASSERT_FALSE(Refuted.Verified);
+  EXPECT_EQ(Refuted.Failure->StateVar, "bal");
+  const size_t Added = Oracle.tests().size();
+  Oracle.addCounterexample(Refuted.Failure->Split);
+  EXPECT_EQ(Oracle.firstFailure(Planted[1], 1), std::optional<size_t>(Added));
+
+  JoinSynthOptions Options;
+  for (size_t I = 0; I != L.Equations.size(); ++I)
+    Options.Seeds[L.Equations[I].Name] = Planted[I];
+  JoinResult Join = synthesizeJoin(L, Options);
+  expectJoinCorrect(L, Join);
+  EXPECT_TRUE(Join.Proof.Verified) << Join.Proof.str();
+  EXPECT_GE(Join.Stats.CegisIterations, 1u);
+  EXPECT_EQ(joinToString(L, Join.Components),
+            test::goldenFor("balanced-()")->Join);
+}
+
 TEST(PrefixConditions, HoldWhereverTheBodyMeetsItsTarget) {
   // Soundness of prefix refutation: on any row where a sketch body equals
   // its target, the condition of every hole prefix holds, whatever the

@@ -349,8 +349,8 @@ int run(int argc, char **argv, std::string &CurrentInput) {
                       : ExitSynthFailure);
   }
 
-  // The pipeline accepts only a join whose proof obligations hold.
-  std::fprintf(HumanOut, "%s\n", Result.Proof.str().c_str());
+  // The join search accepts only a join whose proof obligations hold.
+  std::fprintf(HumanOut, "%s\n", Result.Join.Proof.str().c_str());
   if (!DafnyPath.empty()) {
     std::ofstream Out(DafnyPath);
     Out << emitDafnyProof(Result.Final, Result.Join.Components);
