@@ -24,6 +24,7 @@ BenchmarkEntry makeBenchmarkEntry(const std::string &Name,
   E.SequentialFallback = Result.SequentialFallback;
   E.SeedsAccepted = Result.SeedsAccepted;
   E.JoinSeconds = Result.JoinSeconds;
+  E.FailedJoinSeconds = Result.FailedJoinSeconds;
   E.LiftSeconds = Result.LiftSeconds;
   E.ProofSeconds = Result.Join.Proof.Seconds;
   E.TotalSeconds = Result.TotalSeconds;
@@ -70,6 +71,7 @@ std::string RunReport::toJson() const {
     W.key("lift").number(E.LiftSeconds);
     W.key("proof").number(E.ProofSeconds);
     W.key("total").number(E.TotalSeconds);
+    W.key("failed_join").number(E.FailedJoinSeconds);
     W.endObject();
     W.key("metrics").beginObject();
     for (const auto &KV : E.Metrics)

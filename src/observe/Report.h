@@ -21,7 +21,8 @@
 ///       "aux_required": bool, "aux_count": n, "aux_discovered": n,
 ///       "sequential_fallback": bool,
 ///       "seeds_accepted": n,
-///       "phase_seconds": {"join": s, "lift": s, "proof": s, "total": s},
+///       "phase_seconds": {"join": s, "lift": s, "proof": s, "total": s,
+///                         "failed_join": s},           // part of join
 ///       "metrics": {counter: delta, ...},             // per-benchmark
 ///       "extra": {key: number, ...}                   // driver-specific
 ///     }],
@@ -61,6 +62,8 @@ struct BenchmarkEntry {
   bool SequentialFallback = false;
   unsigned SeedsAccepted = 0;
   double JoinSeconds = 0, LiftSeconds = 0, ProofSeconds = 0, TotalSeconds = 0;
+  /// The part of JoinSeconds in synthesis calls that found no join.
+  double FailedJoinSeconds = 0;
   /// Per-benchmark counter deltas (see counterDeltas()).
   std::vector<std::pair<std::string, uint64_t>> Metrics;
   /// Driver-specific numbers (fig8 speedups, element counts, ...).

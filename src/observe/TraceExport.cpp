@@ -99,8 +99,9 @@ namespace {
 /// The join search's split from the metric registry's synth counters:
 /// wall time in enumeration (and the serial in-order merge inside it),
 /// sketch evaluation and the oracle, the share of combinations and
-/// assignments in work large enough to run on the task pool, and the bodies
-/// the sketch sweeps ran. Empty when no join search ran.
+/// assignments in work large enough to run on the task pool, the bodies
+/// the sketch sweeps ran, and the combinations the scans of the free
+/// grammar's last level walked. Empty when no join search ran.
 std::string joinSearchSplit(const MetricsRegistry::Snapshot &Metrics) {
   auto Get = [&](const char *Name) { return Metrics.counterOr0(Name); };
   if (Get("synth.calls") == 0)
@@ -136,6 +137,10 @@ std::string joinSearchSplit(const MetricsRegistry::Snapshot &Metrics) {
                 "bodies run", (unsigned long long)Get("synth.sketch.evaluated"),
                 (unsigned long long)Assignments,
                 Share(Get("synth.sketch.evaluated"), Assignments));
+  Out += Buf;
+  std::snprintf(Buf, sizeof(Buf), "  %-28s %llu combinations\n",
+                "last-level scan",
+                (unsigned long long)Get("synth.enum.scanned"));
   Out += Buf;
   return Out;
 }

@@ -80,6 +80,8 @@ JoinResult runJoinSynthesis(const Loop &W, bool AllowEmptyGuard,
   JoinOpts.Timeout = DL;
   JoinResult Join = synthesizeJoin(W, JoinOpts);
   Result.JoinSeconds += Join.Stats.Seconds;
+  if (!Join.Success)
+    Result.FailedJoinSeconds += Join.Stats.Seconds;
   Result.SeedsAccepted += Join.Stats.SeedsAccepted;
   Result.Refuted += Join.Stats.Refuted;
   return Join;

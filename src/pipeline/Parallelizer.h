@@ -69,6 +69,8 @@ struct PipelineResult {
   /// oracle's tests held a witness that no join exists.
   unsigned Refuted = 0;
   double JoinSeconds = 0;  ///< total time in join synthesis
+  /// The part of JoinSeconds in synthesis calls that found no join.
+  double FailedJoinSeconds = 0;
   double LiftSeconds = 0;  ///< total time in lifting
   double TotalSeconds = 0;
   /// Structured failure (see support/Failure.h); empty on success.

@@ -274,13 +274,29 @@ struct Enumerator::Block {
     D[1] = 0;
     ++D[0];
   }
+  /// Pairs: the operator of the combination at \p D.
+  BinaryOp op(const Digits &D) const {
+    return Kind == Candidate::IntPair ? IntOps[D[2]] : BoolOps[D[2]];
+  }
+  /// The type of the combination at \p D.
+  Type type(const Digits &D) const {
+    switch (Kind) {
+    case Candidate::Neg:
+    case Candidate::IntIte:
+      return Type::Int;
+    case Candidate::IntPair:
+      return resultType(op(D));
+    default:
+      return Type::Bool;
+    }
+  }
   /// The recipe of the combination at \p D, of term size \p Size.
   Candidate recipe(const Digits &D, unsigned Size) const {
     Candidate C;
     C.Size = Size;
     C.Kind = Kind;
     if (Kind == Candidate::IntPair || Kind == Candidate::BoolPair)
-      C.Op = Kind == Candidate::IntPair ? IntOps[D[2]] : BoolOps[D[2]];
+      C.Op = op(D);
     for (size_t I = 0; I != 3 && Operands[I]; ++I)
       C.Operands[I] = static_cast<uint32_t>(Operands[I][D[I]]);
     return C;
@@ -393,33 +409,20 @@ Enumerator::Level Enumerator::planLevel(unsigned Size) {
 
 bool Enumerator::skipped(const Level &L, const Block &B,
                          const Digits &D) const {
-  switch (B.Kind) {
-  case Candidate::Leaf: // blocks hold combinations only
-    break;
-  case Candidate::Neg:
-  case Candidate::IntIte:
-    return L.Full[0];
-  case Candidate::Not:
-  case Candidate::BoolIte:
-    return L.Full[1];
-  case Candidate::IntPair:
-  case Candidate::BoolPair: {
-    BinaryOp Op = B.Kind == Candidate::IntPair ? IntOps[D[2]] : BoolOps[D[2]];
-    if (L.Full[resultType(Op) == Type::Bool])
-      return true;
-    // The mirrored order of a commutative operator evaluates to the same
-    // column as the earlier one, which was kept, was a twin, or met a full
-    // pool: it can never be kept.
-    return commutative(Op) &&
-           (B.MirrorAlwaysEarlier || (B.SameSize && D[1] < D[0]));
-  }
-  }
-  return false;
+  if (L.Full[B.type(D) == Type::Bool])
+    return true;
+  if (B.Kind != Candidate::IntPair && B.Kind != Candidate::BoolPair)
+    return false;
+  // The mirrored order of a commutative operator evaluates to the same
+  // column as the earlier one, which was kept, was a twin, or met a full
+  // pool: it can never be kept.
+  return commutative(B.op(D)) &&
+         (B.MirrorAlwaysEarlier || (B.SameSize && D[1] < D[0]));
 }
 
-Type Enumerator::evaluate(const Block &B, const Digits &D, int64_t *Out,
-                          uint64_t &Sig) const {
-  const size_t N = NumTests;
+template <typename ApplyFn>
+Type Enumerator::dispatch(const Block &B, const Digits &D,
+                          ApplyFn Apply) const {
   auto column = [&](const Pool &P, size_t Digit) {
     return P.Cands[B.Operands[Digit][D[Digit]]].Values;
   };
@@ -427,36 +430,65 @@ Type Enumerator::evaluate(const Block &B, const Digits &D, int64_t *Out,
   case Candidate::Leaf:
     break;
   case Candidate::Neg:
-    Sig = fillColumn(Out, N, [](int64_t V) { return ops::neg(V); },
-                     column(IntPool, 0));
+    Apply([](int64_t V) { return ops::neg(V); }, column(IntPool, 0));
     return Type::Int;
   case Candidate::Not:
-    Sig = fillColumn(Out, N, [](int64_t V) { return ops::logicalNot(V); },
-                     column(BoolPool, 0));
+    Apply([](int64_t V) { return ops::logicalNot(V); }, column(BoolPool, 0));
     return Type::Bool;
   case Candidate::IntPair:
   case Candidate::BoolPair: {
     const Pool &P = B.Kind == Candidate::IntPair ? IntPool : BoolPool;
-    BinaryOp Op = B.Kind == Candidate::IntPair ? IntOps[D[2]] : BoolOps[D[2]];
     const int64_t *Lhs = column(P, 0);
     const int64_t *Rhs = column(P, 1);
-    Sig = ops::visitBinary(
-        Op, [&](auto F) { return fillColumn(Out, N, F, Lhs, Rhs); });
-    return resultType(Op);
+    ops::visitBinary(B.op(D), [&](auto F) { Apply(F, Lhs, Rhs); });
+    return B.type(D);
   }
   case Candidate::IntIte:
   case Candidate::BoolIte: {
     const Pool &P = B.Kind == Candidate::IntIte ? IntPool : BoolPool;
-    Sig = fillColumn(
-        Out, N,
+    Apply(
         [](int64_t Cond, int64_t Then, int64_t Else) {
           return Cond ? Then : Else;
         },
         column(BoolPool, 0), column(P, 1), column(P, 2));
-    return B.Kind == Candidate::IntIte ? Type::Int : Type::Bool;
+    return B.type(D);
   }
   }
   return Type::Int;
+}
+
+Type Enumerator::evaluate(const Block &B, const Digits &D, int64_t *Out,
+                          uint64_t &Sig) const {
+  return dispatch(B, D, [&](auto F, const auto *...Operands) {
+    Sig = fillColumn(Out, NumTests, F, Operands...);
+  });
+}
+
+bool Enumerator::nextLevelHas(Type Ty, const std::vector<int64_t> &Target) {
+  assert(Target.size() == NumTests && "one value per test");
+  const Deadline &DL = Options.Timeout;
+  if (full(Ty) || DL.expired())
+    return false;
+  // L.Full stays false: Ty's pool is not full, and the other type's
+  // combinations are not evaluated.
+  const Level L = planLevel(BuiltSize + 1);
+  for (const Block &B : L.Blocks) {
+    Digits D = B.digits(0);
+    for (uint64_t K = 0; K != B.count(); ++K, B.advance(D)) {
+      if ((++Scanned & 255u) == 0 && DL.expired())
+        return false;
+      if (B.type(D) != Ty || skipped(L, B, D))
+        continue;
+      bool Hit = true;
+      dispatch(B, D, [&](auto F, const auto *...Operands) {
+        for (size_t T = 0; Hit && T != NumTests; ++T)
+          Hit = F(Operands[T]...) == Target[T];
+      });
+      if (Hit)
+        return true;
+    }
+  }
+  return false;
 }
 
 void Enumerator::runChunk(const Level &L, uint64_t Begin, uint64_t End,

@@ -17,7 +17,9 @@
 /// up to N, and nothing beyond it. A level's operands are all smaller, and
 /// the per-type cap fills in level order, so the candidates of size <= k
 /// are the same, in the same order, whether the pool stops at k or grows on;
-/// a caller may grow a pool in any steps and read it between them.
+/// a caller may grow a pool in any steps and read it between them. A
+/// caller that needs a level only to look one column up can ask first
+/// whether the level has it (nextLevelHas), without building it.
 ///
 /// A candidate is its column, its term size and a recipe (a leaf's
 /// expression, or a shape and operator over operand candidates); the
@@ -103,6 +105,17 @@ public:
   /// The largest term size whose level is complete (1: the leaves only).
   unsigned builtSize() const { return BuiltSize; }
 
+  /// True when the next size level has a combination of type \p Ty whose
+  /// column is the raw \p Target, decided without building the level: its
+  /// combinations are walked in growTo's order and those of type \p Ty
+  /// compared with \p Target a test at a time, storing nothing. Every
+  /// candidate the level could keep is such a combination, so false proves
+  /// that findMatching would miss after growTo(builtSize() + 1). False too
+  /// when the type's pool is full (the level could add it nothing) or when
+  /// Options.Timeout has expired or expires during the scan; true does not
+  /// promise a match (the cap may drop it).
+  bool nextLevelHas(Type Ty, const std::vector<int64_t> &Target);
+
   const std::vector<Candidate> &candidates(Type Ty) const {
     return pool(Ty).Cands;
   }
@@ -132,6 +145,8 @@ public:
   uint64_t parallelCombinations() const { return ParallelCombinations; }
   /// Wall time the calling thread spent merging survivors into the pools.
   uint64_t mergeNanos() const { return MergeNanos; }
+  /// Combinations nextLevelHas walked; schedule-independent too.
+  uint64_t scanned() const { return Scanned; }
 
 private:
   struct Block;
@@ -185,6 +200,10 @@ private:
   /// True when the combination cannot change the pool: its type was full
   /// when the wave began, or it mirrors an earlier commutative one.
   bool skipped(const Level &L, const Block &B, const Digits &D) const;
+  /// Calls \p Apply(F, Columns...) with the combination's elementwise
+  /// operation F and its operand columns; returns its type.
+  template <typename ApplyFn>
+  Type dispatch(const Block &B, const Digits &D, ApplyFn Apply) const;
   /// Evaluates a combination into \p Out; returns its type and, in \p Sig,
   /// the signature of its column.
   Type evaluate(const Block &B, const Digits &D, int64_t *Out,
@@ -222,6 +241,7 @@ private:
   uint64_t Combinations = 0;
   uint64_t ParallelCombinations = 0;
   uint64_t MergeNanos = 0;
+  uint64_t Scanned = 0;
 };
 
 } // namespace parsynt

@@ -667,8 +667,9 @@ JoinResult parsynt::synthesizeJoin(const Loop &L,
     // of the round and made of the leaves on its first search (a round whose
     // equations all take seeds makes none). Each sketch tier grows them to
     // its hole sizes, and the free grammar grows the left-right pool a level
-    // at a time until it matches: a pool holds only the levels some search
-    // of the round has read.
+    // at a time until it matches, building its last level only when a scan
+    // finds a match there: a pool holds only the levels some search of the
+    // round has read.
     std::optional<Enumerator> ELR, ER;
     uint64_t RoundAssignmentsBase = Result.Stats.SketchAssignmentsTried;
     uint64_t RoundEvaluatedBase = Result.Stats.SketchEvaluated;
@@ -895,8 +896,22 @@ JoinResult parsynt::synthesizeJoin(const Loop &L,
         // bound, looking again after each. A column is kept once, so the
         // first match is the match of the pool grown to the bound (and a
         // match refused above would be found again: growth is skipped).
+        // The last level is no operand of any other and is looked up once:
+        // a scan decides it first, and a miss, which proves that the level
+        // holds no match, leaves it unbuilt.
+        auto lastLevelHas = [&] {
+          const uint64_t Scanned = ELR->scanned();
+          auto Start = std::chrono::steady_clock::now();
+          const bool Hit = ELR->nextLevelHas(Eq.Ty, Target);
+          Result.Stats.EnumerateNanos += nanosSince(Start);
+          Result.Stats.ScannedCombinations += ELR->scanned() - Scanned;
+          EqSpan.attr("free_scan", Hit ? "hit" : "miss");
+          return Hit;
+        };
         for (unsigned Size = ELR->builtSize() + 1;
-             !Free && Size <= FreeMaxSize; ++Size) {
+             !Free && Size <= FreeMaxSize &&
+             (Size < FreeMaxSize || lastLevelHas());
+             ++Size) {
           grow(*ELR, Size);
           Free = ELR->findMatching(Eq.Ty, Target);
         }
@@ -995,6 +1010,7 @@ JoinResult parsynt::synthesizeJoin(const Loop &L,
       .add(Result.Stats.EnumeratedCombinations);
   M.counter("synth.enum.combinations_parallel")
       .add(Result.Stats.ParallelCombinations);
+  M.counter("synth.enum.scanned").add(Result.Stats.ScannedCombinations);
   M.counter("synth.sketch.assignments_parallel")
       .add(Result.Stats.ParallelAssignments);
   M.histogram("synth.join.millis")

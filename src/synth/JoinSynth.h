@@ -83,6 +83,10 @@ struct JoinStats {
   /// them in size levels large enough to run on the task pool.
   uint64_t EnumeratedCombinations = 0;
   uint64_t ParallelCombinations = 0;
+  /// Combinations the free grammar's scans of its last level walked
+  /// (Enumerator::nextLevelHas); a level decided by a miss is never built,
+  /// so they are not in EnumeratedCombinations.
+  uint64_t ScannedCombinations = 0;
   /// The part of SketchAssignmentsTried in sweeps large enough to run on
   /// the task pool.
   uint64_t ParallelAssignments = 0;

@@ -13,7 +13,9 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <climits>
+#include <set>
 
 using namespace parsynt;
 using namespace parsynt::test;
@@ -118,6 +120,135 @@ TEST(Enumerator, RespectsCaps) {
       smallEnvs(), {inputVar("x"), inputVar("y"), intConst(1)}, Opts);
   E.growTo(7);
   EXPECT_LE(E.candidates(Type::Int).size(), 50u);
+}
+
+/// The operators the enumerator combines, per operand type.
+const std::vector<BinaryOp> &operatorsOver(Type Ty) {
+  static const std::vector<BinaryOp> Int = {
+      BinaryOp::Add, BinaryOp::Sub, BinaryOp::Min, BinaryOp::Max, BinaryOp::Mul,
+      BinaryOp::Div, BinaryOp::Lt,  BinaryOp::Le,  BinaryOp::Eq};
+  static const std::vector<BinaryOp> Bool = {BinaryOp::And, BinaryOp::Or};
+  return Ty == Type::Int ? Int : Bool;
+}
+
+/// Per type (Int, Bool), the columns of every combination of term size \p
+/// Size over the candidates of \p E, both operand orders included, as the
+/// interpreter evaluates their expressions on \p Envs.
+std::array<std::set<std::vector<int64_t>>, 2>
+levelColumns(const Enumerator &E, unsigned Size, const std::vector<Env> &Envs) {
+  auto bucket = [&](Type Ty, unsigned S) {
+    std::vector<ExprRef> Exprs;
+    for (const Candidate *C : E.candidatesUpTo(Ty, S))
+      if (C->Size == S)
+        Exprs.push_back(E.expr(*C));
+    return Exprs;
+  };
+  std::vector<ExprRef> Level;
+  for (const ExprRef &A : bucket(Type::Int, Size - 1))
+    Level.push_back(neg(A));
+  for (const ExprRef &A : bucket(Type::Bool, Size - 1))
+    Level.push_back(notE(A));
+  for (Type Ty : {Type::Int, Type::Bool}) {
+    for (unsigned SizeA = 1; SizeA + 2 <= Size; ++SizeA)
+      for (const ExprRef &A : bucket(Ty, SizeA))
+        for (const ExprRef &B : bucket(Ty, Size - 1 - SizeA))
+          for (BinaryOp Op : operatorsOver(Ty))
+            Level.push_back(binary(Op, A, B));
+    for (unsigned SizeC = 1; SizeC + 3 <= Size; ++SizeC)
+      for (unsigned SizeT = 1; SizeC + SizeT + 2 <= Size; ++SizeT)
+        for (const ExprRef &C : bucket(Type::Bool, SizeC))
+          for (const ExprRef &T : bucket(Ty, SizeT))
+            for (const ExprRef &F : bucket(Ty, Size - 1 - SizeC - SizeT))
+              Level.push_back(ite(C, T, F));
+  }
+  std::array<std::set<std::vector<int64_t>>, 2> Columns;
+  for (const ExprRef &X : Level)
+    Columns[X->type() == Type::Bool].insert(column(X, Envs));
+  return Columns;
+}
+
+TEST(Enumerator, NextLevelScanNeverMissesAMatch) {
+  // Random leaf sets of both types over a few tests; targets from the next
+  // level's combinations (built or dropped as twins), from the pool, and
+  // perturbed from both. The scan reports a hit exactly when some
+  // combination of the next level evaluates to the target, so growing the
+  // level never finds a target the pool lacked where the scan missed; the
+  // scan builds nothing.
+  uint64_t Hits = 0, Misses = 0;
+  for (uint64_t Seed = 1; Seed <= 16; ++Seed) {
+    Rng R(Seed);
+    std::vector<std::pair<std::string, Type>> Vars;
+    for (int I = 0, N = int(R.intIn(1, 3)); I != N; ++I)
+      Vars.push_back({"x" + std::to_string(I), Type::Int});
+    for (int I = 0, N = int(R.intIn(1, 2)); I != N; ++I)
+      Vars.push_back({"p" + std::to_string(I), Type::Bool});
+    const std::vector<Env> Envs = sampleEnvs(Vars, 8 + R.intIn(0, 8), R);
+    std::vector<ExprRef> Leaves = {intConst(R.intIn(-2, 2))};
+    for (const auto &[Name, Ty] : Vars)
+      Leaves.push_back(inputVar(Name, Ty));
+    const unsigned Built = static_cast<unsigned>(R.intIn(2, 4));
+    SCOPED_TRACE("seed " + std::to_string(Seed) + ", level " +
+                 std::to_string(Built + 1));
+
+    Enumerator E = enumeratorOver(Envs, Leaves);
+    E.growTo(Built);
+    Enumerator Grown = enumeratorOver(Envs, Leaves);
+    Grown.growTo(Built + 1);
+    const auto Level = levelColumns(E, Built + 1, Envs);
+    const size_t Candidates = E.totalCandidates();
+
+    for (Type Ty : {Type::Int, Type::Bool}) {
+      // Up to 24 targets drawn from each source, and each one perturbed.
+      std::vector<std::vector<int64_t>> Targets;
+      auto draw = [&](const std::vector<std::vector<int64_t>> &From) {
+        for (int I = 0; I != 24 && !From.empty(); ++I)
+          Targets.push_back(From[R.intIn(0, int64_t(From.size()) - 1)]);
+      };
+      draw({Level[Ty == Type::Bool].begin(), Level[Ty == Type::Bool].end()});
+      std::vector<std::vector<int64_t>> InPool;
+      for (const Candidate &C : E.candidates(Ty))
+        InPool.emplace_back(C.Values, C.Values + E.numTests());
+      draw(InPool);
+      for (size_t I = 0, N = Targets.size(); I != N; ++I) {
+        std::vector<int64_t> Perturbed = Targets[I];
+        int64_t &V = Perturbed[R.intIn(0, int64_t(Perturbed.size()) - 1)];
+        V = Ty == Type::Bool ? !V : V + R.intIn(1, 3);
+        Targets.push_back(std::move(Perturbed));
+      }
+      for (const std::vector<int64_t> &Target : Targets) {
+        const bool Hit = E.nextLevelHas(Ty, Target);
+        EXPECT_EQ(Hit, Level[Ty == Type::Bool].count(Target) != 0)
+            << (Ty == Type::Int ? "int" : "bool") << " target";
+        if (!E.findMatching(Ty, Target) && Grown.findMatching(Ty, Target)) {
+          EXPECT_TRUE(Hit) << "a false miss";
+        }
+        ++(Hit ? Hits : Misses);
+      }
+    }
+    EXPECT_EQ(E.builtSize(), Built);
+    EXPECT_EQ(E.totalCandidates(), Candidates);
+    EXPECT_GT(E.scanned(), 0u);
+  }
+  EXPECT_GT(Hits, 0u);
+  EXPECT_GT(Misses, 0u);
+}
+
+TEST(Enumerator, NextLevelScanMissesWhenThePoolIsFull) {
+  // A full pool takes nothing from the next level: the scan reports a
+  // miss, walking nothing, for a target that level does evaluate to.
+  std::vector<Env> Envs = smallEnvs();
+  EnumeratorOptions Opts;
+  Opts.MaxPerType = 2;
+  Enumerator E = enumeratorOver(
+      Envs, {inputVar("x"), inputVar("y"), inputVar("p", Type::Bool)}, Opts);
+  ASSERT_EQ(E.candidates(Type::Int).size(), 2u);
+  const std::vector<int64_t> Target = column(neg(inputVar("x")), Envs);
+  EXPECT_EQ(levelColumns(E, 2, Envs)[0].count(Target), 1u);
+  EXPECT_FALSE(E.nextLevelHas(Type::Int, Target));
+  EXPECT_EQ(E.scanned(), 0u);
+  // The other type's pool is not full, so its level is scanned.
+  EXPECT_TRUE(
+      E.nextLevelHas(Type::Bool, column(notE(inputVar("p", Type::Bool)), Envs)));
 }
 
 TEST(Sketch, CompilationFollowsC) {

@@ -468,6 +468,35 @@ TEST(Metrics, PipelineRunPublishesSynthesisCounters) {
   EXPECT_GE(deltaOf("analysis.verify.passes"), 1u);
 }
 
+TEST(Metrics, FailedSearchesAreTimedAndTheirLastLevelScanned) {
+  // line-sight's phase-1 search (the original loop, with no empty-guard
+  // sketch) fails after its free grammar scans the size-7 level, 146631
+  // combinations, and misses. Its time is the run's failed-join time, a
+  // part of the join time, also in the run report; sum's seeded search
+  // does not fail.
+  MetricsRegistry &M = MetricsRegistry::global();
+  MetricsRegistry::Snapshot Before = M.snapshot();
+  PipelineResult R =
+      parallelizeLoop(parseBenchmark(*findBenchmark("line-sight")));
+  ASSERT_TRUE(R.Success);
+  MetricsRegistry::Snapshot After = M.snapshot();
+  EXPECT_EQ(After.counterOr0("synth.enum.scanned") -
+                Before.counterOr0("synth.enum.scanned"),
+            146631u);
+  EXPECT_GT(R.FailedJoinSeconds, 0.0);
+  EXPECT_LT(R.FailedJoinSeconds, R.JoinSeconds);
+  EXPECT_NE(phaseReport().find("last-level scan"), std::string::npos);
+
+  RunReport Report;
+  Report.Benchmarks.push_back(makeBenchmarkEntry("line-sight", R));
+  EXPECT_EQ(Report.Benchmarks[0].FailedJoinSeconds, R.FailedJoinSeconds);
+  EXPECT_NE(Report.toJson().find("\"failed_join\""), std::string::npos);
+
+  PipelineResult Sum = parallelizeLoop(parseBenchmark(*findBenchmark("sum")));
+  ASSERT_TRUE(Sum.Success);
+  EXPECT_EQ(Sum.FailedJoinSeconds, 0.0);
+}
+
 //===----------------------------------------------------------------------===//
 // Pool stats through the registry (the one-code-path satellite).
 //===----------------------------------------------------------------------===//

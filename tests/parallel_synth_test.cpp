@@ -250,8 +250,9 @@ struct Expected {
   uint64_t EnumeratedCandidates;
   unsigned CegisIterations;
   unsigned TestsUsed;
-  /// Schedule-independent split counters of the parallel search.
-  uint64_t Combinations, ParallelCombinations, ParallelAssignments;
+  /// Schedule-independent split counters of the parallel search, and the
+  /// combinations the free grammar's last-level scans walked.
+  uint64_t Combinations, ParallelCombinations, ParallelAssignments, Scanned;
   /// The search space: with the empty-guard sketch (lifted loops), or the
   /// paper's C(E) and free grammar alone (original loops).
   bool AllowEmptyGuard = true;
@@ -276,6 +277,7 @@ void expectStats(const JoinResult &R, const Loop &L, const Expected &X) {
       << X.Benchmark;
   EXPECT_EQ(R.Stats.ParallelAssignments, X.ParallelAssignments)
       << X.Benchmark;
+  EXPECT_EQ(R.Stats.ScannedCombinations, X.Scanned) << X.Benchmark;
   // The caller's in-order merge is a part of the enumeration's wall time.
   EXPECT_GT(R.Stats.MergeNanos, 0u) << X.Benchmark;
   EXPECT_LE(R.Stats.MergeNanos, R.Stats.EnumerateNanos) << X.Benchmark;
@@ -287,21 +289,25 @@ TEST_P(ParallelJoinSynth, JoinsAndStatsMatchSequentialSearch) {
   // The original loops, before lifting: atoi has no join for its value and
   // no witness in the oracle's tests, so its failing search runs every
   // sweep, those of its last tiers capped at the 2,000,000-assignment
-  // budget, and grows its pool through pool-sized levels. line-sight's vis
-  // takes the empty-guard sketch, tried before the free grammar grows the
-  // pool past the sketch tiers, so no level is pool-sized; without the
-  // guard (the pipeline's search on an original loop) the free grammar
-  // grows the pool to size 7 and finds nothing. The figures are the
-  // sequential search's.
+  // budget, and grows its pool through a pool-sized level (size 6).
+  // line-sight's vis takes the empty-guard sketch, tried before the free
+  // grammar grows the pool past the sketch tiers, so no level is
+  // pool-sized; without the guard (the pipeline's search on an original
+  // loop) the free grammar grows the pool to size 6 and finds nothing. In
+  // both failing searches the scan of the free grammar's last level (size
+  // 7: 328327 and 146631 combinations) misses, so that level is never
+  // built (building it took the counts to 363188 and 174076 combinations
+  // and 25429 and 23395 candidates). The figures are the sequential
+  // search's.
   const Expected Cases[] = {
-      {"atoi", "res = <unsolved>\n", 9399527, 25429, 0, 233, 363188, 361661,
-       9317636},
+      {"atoi", "res = <unsolved>\n", 9399527, 5280, 0, 233, 34861, 33334,
+       9317636, 328327},
       {"line-sight",
        "vis = ((m_r == -1099511627776) ? vis_l : (m_r >= (vis_r ? m_l : "
        "1099511627776)))\nm = max(m_l, m_r)\n",
-       46466, 1413, 0, 233, 7871, 0, 23348},
-      {"line-sight", "vis = <unsolved>\nm = <unsolved>\n", 37391, 23395, 0,
-       233, 174076, 166205, 23348, /*AllowEmptyGuard=*/false},
+       46466, 1413, 0, 233, 7871, 0, 23348, 0},
+      {"line-sight", "vis = <unsolved>\nm = <unsolved>\n", 37391, 4597, 0,
+       233, 27445, 19574, 23348, 146631, /*AllowEmptyGuard=*/false},
   };
   FaultScope Scope(faultSpec(GetParam()));
   for (const Expected &X : Cases) {
@@ -316,7 +322,7 @@ TEST_P(ParallelJoinSynth, RejectedWinnersResumeTheSweep) {
   // line-sight's refused winners lie in sweeps that run on the pool, which
   // the larger share of pool-sized assignments shows (70044 vs 23348).
   const Expected X = {"line-sight", "vis = <unsolved>\nm = <unsolved>\n",
-                      112173, 23395, 0, 233, 174076, 166205, 70044};
+                      112173, 4597, 0, 233, 27445, 19574, 70044, 146631};
   FaultScope Scope(faultSpec(GetParam(), "synth.reject:limit=3"));
   Loop L = parseBenchmark(*findBenchmark(X.Benchmark));
   expectStats(synthesize(L, X), L, X);

@@ -439,8 +439,10 @@ TEST(SynthFaults, InducedDeadlineExpiryYieldsTimeout) {
   // oracle's tests are built (their witness refutes the search, and the
   // pipeline's own deadline check then stops it); in phase 1, atoi's inside
   // a pool-sized sketch sweep (weight 8, 774630 assignments, of a sketch
-  // with no prefix check) and line-sight's inside a pool-sized enumeration
-  // level (the free grammar's size 7, 146631 combinations); and in
+  // with no prefix check), line-sight's after=300 inside a pool-sized
+  // enumeration level (the free grammar's size 6, 19574 combinations) and
+  // its after=600 inside the calling thread's scan of the free grammar's
+  // last level (size 7, 146631 combinations, polled every 256); and in
   // line-sight's phase 2, inside the pool-sized weight-8 sweep of aux0's
   // additive-correction sketch, where refuted prefixes skip most
   // assignments and the prefix checks are the steps that poll. The pool
@@ -451,6 +453,7 @@ TEST(SynthFaults, InducedDeadlineExpiryYieldsTimeout) {
   };
   for (const Case &C : {Case{"mts", "deadline.expire:after=40"},
                         Case{"atoi", "deadline.expire:after=1100"},
+                        Case{"line-sight", "deadline.expire:after=300"},
                         Case{"line-sight", "deadline.expire:after=600"},
                         Case{"line-sight", "deadline.expire:after=7000"}}) {
     SCOPED_TRACE(C.Name);

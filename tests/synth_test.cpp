@@ -127,8 +127,8 @@ TEST(JoinSynth, JoinsAmongTheLeavesEnumerateNothing) {
   }
 }
 
-/// The "stage" and "free_size" attributes of the traced equation span of
-/// state variable \p Name.
+/// The "stage", "free_size" and "free_scan" attributes the traced equation
+/// span of state variable \p Name has.
 std::map<std::string, std::string> equationSpan(const std::string &Name) {
   std::map<std::string, std::string> Attrs;
   for (const TraceEvent &E : Tracer::instance().drain()) {
@@ -137,8 +137,12 @@ std::map<std::string, std::string> equationSpan(const std::string &Name) {
     std::map<std::string, std::string> Span;
     for (const TraceAttr &A : E.Attrs)
       Span[A.Key] = A.Value;
-    if (Span["name"] == Name)
-      Attrs = {{"stage", Span["stage"]}, {"free_size", Span["free_size"]}};
+    if (Span["name"] != Name)
+      continue;
+    Attrs.clear();
+    for (const char *Key : {"stage", "free_size", "free_scan"})
+      if (Span.count(Key))
+        Attrs[Key] = Span[Key];
   }
   return Attrs;
 }
@@ -147,7 +151,7 @@ TEST(JoinSynth, FreeGrammarStopsAtItsFirstMatch) {
   // Lifted count-1's prev1 has no sketch join, none in the pool as the
   // sketches left it (size 5) and no empty-guard join; the free grammar
   // then grows the pool a level at a time and matches it at size 6, so the
-  // left-right pool never builds its size-7 level.
+  // left-right pool never builds its size-7 level, nor scans it.
   Loop L = mustParse(test::LiftedSources.at("count-1's"), "count-1's");
   const test::JoinGolden *Golden = test::goldenFor("count-1's");
   Tracer::instance().reset();
@@ -173,8 +177,9 @@ TEST(JoinSynth, GuardSketchRunsBeforeFreeGrammarGrowth) {
   // line-sight's vis has no sketch join and no free-grammar match up to
   // size 5; the empty-guard sketch, whose holes stay within the sketch
   // tiers, solves it before the free grammar grows the pool any further.
-  // Without the guard the free grammar grows the pool to its bound, size 7,
-  // and finds nothing.
+  // Without the guard the free grammar grows the pool to size 6 and finds
+  // nothing; the scan of its last level, size 7, walks all 146631
+  // combinations, misses, and leaves the level unbuilt.
   Loop L = parseBenchmark(*findBenchmark("line-sight"));
   JoinResult Guarded = synthesizeJoin(L);
   expectJoinCorrect(L, Guarded);
@@ -184,9 +189,16 @@ TEST(JoinSynth, GuardSketchRunsBeforeFreeGrammarGrowth) {
 
   JoinSynthOptions Options;
   Options.AllowEmptyGuard = false;
+  Tracer::instance().reset();
+  Tracer::setEnabled(true);
   JoinResult Free = synthesizeJoin(L, Options);
+  Tracer::setEnabled(false);
   EXPECT_FALSE(Free.Success);
-  EXPECT_EQ(leftRightPoolSize(), 7);
+  EXPECT_EQ(equationSpan("vis"),
+            (std::map<std::string, std::string>{{"free_scan", "miss"}}));
+  EXPECT_EQ(Free.Stats.ScannedCombinations, 146631u);
+  EXPECT_EQ(leftRightPoolSize(), 6);
+  Tracer::instance().reset();
 }
 
 TEST(JoinSynth, RefutedSeedBecomesATestAndTheSearchRecovers) {

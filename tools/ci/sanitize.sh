@@ -27,12 +27,15 @@ JOBS="$(nproc 2>/dev/null || echo 4)"
 # given one) must unwind to a structured timeout: exit 3 exactly. The
 # polls are counted, not timed, so the expiry falls at the same place in
 # every build: after=1100 inside atoi's weight-8 sketch sweep of 774630
-# assignments, after=600 inside line-sight's size-7 enumeration level
-# (the free grammar's, 146631 combinations) and after=7000 inside the
+# assignments, after=300 inside line-sight's size-6 enumeration level
+# (the free grammar's, 19574 combinations) and after=7000 inside the
 # weight-8 sweep of line-sight's lifted aux0 additive-correction sketch,
 # whose prefix checks skip most assignments and poll in their place, all
-# run by pool workers. A wall-clock budget cannot pin that: an optimized
-# build can finish a search inside any short one.
+# run by pool workers; and after=600 inside the calling thread's scan of
+# line-sight's size-7 level (the free grammar's last, 146631
+# combinations), which leaves the level unbuilt. A wall-clock budget
+# cannot pin that: an optimized build can finish a search inside any
+# short one.
 chaos_smoke() {
   local bin="$1" rc b spec
   for b in $("${bin}" --list | awk '{print $1}'); do
@@ -44,7 +47,8 @@ chaos_smoke() {
          return 1 ;;
     esac
   done
-  for spec in 'atoi:1100' 'line-sight:600' 'line-sight:7000'; do
+  for spec in 'atoi:1100' 'line-sight:300' 'line-sight:600' \
+              'line-sight:7000'; do
     b="${spec%:*}"
     rc=0
     PARSYNT_FAULT="deadline.expire:after=${spec##*:}" \
