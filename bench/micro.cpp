@@ -13,6 +13,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "interp/Interp.h"
+#include "ir/ExprOps.h"
 #include "lift/Unfold.h"
 #include "normalize/Normalizer.h"
 #include "pipeline/Parallelizer.h"
@@ -100,23 +101,80 @@ void BM_SketchSearchMts(benchmark::State &State) {
 }
 BENCHMARK(BM_SketchSearchMts)->Unit(benchmark::kMillisecond)->UseRealTime();
 
-// The CEGIS validator, the proof check, on mts-p's lifted loop and join,
-// synthesized once before timing: 800 sampled state pairs, each with one
-// base and six step obligations.
-void BM_ProofCheck(benchmark::State &State) {
-  PipelineResult P = parallelizeLoop(parseBenchmark(*findBenchmark("mts-p")));
-  if (!P.Success) {
-    State.SkipWithError("mts-p did not parallelize");
+/// \p Name's lifted loop and join, synthesized once before timing.
+PipelineResult parallelized(benchmark::State &State, const char *Name) {
+  PipelineResult P = parallelizeLoop(parseBenchmark(*findBenchmark(Name)));
+  if (!P.Success)
+    State.SkipWithError("the loop did not parallelize");
+  return P;
+}
+
+// The CEGIS validator, the proof check, on a verified join: 800 sampled
+// state pairs, each with one base and six step obligations. mts-p's lifted
+// loop has four state variables; sum's has one.
+void BM_ProofCheck(benchmark::State &State, const char *Name) {
+  PipelineResult P = parallelized(State, Name);
+  if (!P.Success)
     return;
-  }
   for (auto _ : State) {
     ProofReport R = checkHomomorphismProof(P.Final, P.Join.Components);
     if (!R.Verified)
-      State.SkipWithError("mts-p's join failed its proof");
+      State.SkipWithError("the join failed its proof");
     benchmark::DoNotOptimize(R);
   }
 }
-BENCHMARK(BM_ProofCheck)->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_ProofCheck, mts_p, "mts-p")
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_ProofCheck, sum, "sum")->Unit(benchmark::kMicrosecond);
+
+// The accepted joins of perfbench's quick-loops workload, each proved once
+// per iteration: the proof share of a quick-loops pass, whose per-call
+// fixed costs dominate.
+void BM_ProofCheckQuickLoops(benchmark::State &State) {
+  std::vector<PipelineResult> Loops;
+  for (const char *Name :
+       {"sum", "min", "max", "average", "hamming", "length", "2nd-min", "mps",
+        "mps-p", "poly", "dropwhile"}) {
+    Loops.push_back(parallelized(State, Name));
+    if (!Loops.back().Success)
+      return;
+  }
+  for (auto _ : State)
+    for (const PipelineResult &P : Loops) {
+      ProofReport R = checkHomomorphismProof(P.Final, P.Join.Components);
+      if (!R.Verified)
+        State.SkipWithError("a join failed its proof");
+      benchmark::DoNotOptimize(R);
+    }
+}
+BENCHMARK(BM_ProofCheckQuickLoops)->Unit(benchmark::kMicrosecond);
+
+// The proof check's early exit: mts's join with every left and right
+// operand exchanged fails a step obligation of the first sampled pair, so
+// this times the fixed costs (compiling the loop and the join) and one
+// rendered witness.
+void BM_ProofCheckRefuted(benchmark::State &State) {
+  PipelineResult P = parallelized(State, "mts");
+  if (!P.Success)
+    return;
+  Substitution Swap;
+  for (const Equation &Eq : P.Final.Equations) {
+    Swap[splitName(Eq.Name, Side::Left)] =
+        inputVar(splitName(Eq.Name, Side::Right), Eq.Ty);
+    Swap[splitName(Eq.Name, Side::Right)] =
+        inputVar(splitName(Eq.Name, Side::Left), Eq.Ty);
+  }
+  std::vector<ExprRef> Swapped;
+  for (const ExprRef &C : P.Join.Components)
+    Swapped.push_back(substitute(C, Swap));
+  for (auto _ : State) {
+    ProofReport R = checkHomomorphismProof(P.Final, Swapped);
+    if (R.Verified || R.BaseChecks != 1)
+      State.SkipWithError("the swapped join was not refuted at once");
+    benchmark::DoNotOptimize(R);
+  }
+}
+BENCHMARK(BM_ProofCheckRefuted)->Unit(benchmark::kMicrosecond);
 
 // The oracle on mts's lifted loop: building the initial test set. (A CEGIS
 // round validates its join with the proof check, timed by BM_ProofCheck.)

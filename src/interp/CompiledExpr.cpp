@@ -59,6 +59,14 @@ std::vector<int64_t> CompiledExpr::makeRegisters() const {
   return Regs;
 }
 
+LaneFile CompiledExpr::makeLaneFile(size_t Lanes) const {
+  LaneFile Regs{Lanes,
+                std::vector<int64_t>((FirstTemp + Code.size()) * Lanes)};
+  for (size_t C = 0; C != Constants.size(); ++C)
+    std::fill_n(Regs.row(NumInputs + C), Lanes, Constants[C]);
+  return Regs;
+}
+
 uint32_t
 CompiledExpr::lower(const ExprRef &E, const std::vector<std::string> &Inputs,
                     std::vector<std::pair<const Expr *, uint32_t>> &Done) {
@@ -138,4 +146,37 @@ int64_t CompiledExpr::run(int64_t *Regs) const {
     ++Out;
   }
   return Results.empty() ? 0 : Regs[Results.front()];
+}
+
+// The per-instruction loops run on contiguous rows, and each clone inlines
+// every operator's loop (flatten), so the AVX2 clone does four lanes of
+// most operators per instruction.
+PARSYNT_LANE_CLONES __attribute__((flatten))
+void CompiledExpr::runLanes(LaneFile &Regs, size_t Active) const {
+  assert(Active <= Regs.Lanes && "more active lanes than the file holds");
+  int64_t *Out = Regs.row(FirstTemp);
+  for (const Instr &I : Code) {
+    const int64_t *A = Regs.row(I.A), *B = Regs.row(I.B), *C = Regs.row(I.C);
+    switch (I.Op) {
+    case Opcode::Neg:
+      for (size_t J = 0; J != Active; ++J)
+        Out[J] = ops::neg(A[J]);
+      break;
+    case Opcode::Not:
+      for (size_t J = 0; J != Active; ++J)
+        Out[J] = ops::logicalNot(A[J]);
+      break;
+    case Opcode::Ite:
+      for (size_t J = 0; J != Active; ++J)
+        Out[J] = ops::select(A[J] != 0, B[J], C[J]);
+      break;
+    default:
+      ops::visitBinary(static_cast<BinaryOp>(I.Op), [&](auto F) {
+        for (size_t J = 0; J != Active; ++J)
+          Out[J] = F(A[J], B[J]);
+      });
+      break;
+    }
+    Out += Regs.Lanes;
+  }
 }

@@ -24,6 +24,12 @@
 /// only the loop index as a subscript). A program is immutable: threads
 /// share it, each with its own register file.
 ///
+/// The lane mode runs the same program on many independent inputs at once
+/// (DESIGN.md §5f): a LaneFile holds one row of lanes per register,
+/// register-major, and runLanes() executes each instruction down its rows
+/// with the operator's OpSemantics function object, so the operator switch
+/// runs once per instruction instead of once per input.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef PARSYNT_INTERP_COMPILEDEXPR_H
@@ -36,6 +42,17 @@
 #include <vector>
 
 namespace parsynt {
+
+/// A register file of lanes for CompiledExpr::runLanes(): register R of
+/// lane J is Data[R * Lanes + J], so an instruction reads and writes
+/// contiguous rows.
+struct LaneFile {
+  size_t Lanes = 0;
+  std::vector<int64_t> Data;
+
+  int64_t *row(size_t Reg) { return Data.data() + Reg * Lanes; }
+  const int64_t *row(size_t Reg) const { return Data.data() + Reg * Lanes; }
+};
 
 class CompiledExpr {
 public:
@@ -60,6 +77,20 @@ public:
   /// The raw value of root \p Root after run() on \p Regs.
   int64_t result(const int64_t *Regs, size_t Root) const {
     return Regs[Results[Root]];
+  }
+
+  /// A lane file for runLanes() with \p Lanes lanes: inputs zeroed,
+  /// constants loaded in every lane.
+  LaneFile makeLaneFile(size_t Lanes) const;
+
+  /// Evaluates the program on lanes [0, Active) of \p Regs (inputs written
+  /// by the caller, input I in row I), each lane as run() would on its own
+  /// register file.
+  void runLanes(LaneFile &Regs, size_t Active) const;
+
+  /// The row of root \p Root's lanes after runLanes() on \p Regs.
+  const int64_t *resultLanes(const LaneFile &Regs, size_t Root) const {
+    return Regs.row(Results[Root]);
   }
 
 private:

@@ -8,6 +8,7 @@
 #include "interp/Interp.h"
 
 #include <algorithm>
+#include <numeric>
 #include <sstream>
 
 using namespace parsynt;
@@ -105,19 +106,6 @@ void CompiledLoop::initRaw(const int64_t *Params, int64_t *Out,
     Out[I] = Init.result(Regs.Init.data(), I);
 }
 
-void CompiledLoop::stepRaw(const int64_t *State, const int64_t *Row,
-                           int64_t Index, int64_t *Out,
-                           Registers &Regs) const {
-  const size_t N = Types.size();
-  int64_t *R = Regs.Update.data();
-  std::copy_n(State, N, R);
-  R[N] = Index;
-  std::copy_n(Row, ParamNames.size() + SeqNames.size(), R + N + 1);
-  Update.run(R);
-  for (size_t I = 0; I != N; ++I)
-    Out[I] = Update.result(R, I);
-}
-
 void CompiledLoop::runRaw(const int64_t *Row, size_t Length, int64_t *Out,
                           Registers &Regs) const {
   const size_t N = Types.size(), NumParams = ParamNames.size();
@@ -135,6 +123,85 @@ void CompiledLoop::runRaw(const int64_t *Row, size_t Length, int64_t *Out,
     for (size_t I = 0; I != N; ++I)
       Out[I] = Update.result(R, I);
   }
+}
+
+void CompiledLoop::initLanes(LaneRegisters &Regs) const {
+  const size_t N = Types.size(), Lanes = Regs.Update.Lanes;
+  for (size_t P = 0; P != ParamNames.size(); ++P)
+    std::copy_n(paramLanes(Regs, P), Lanes, Regs.Init.row(N + 1 + P));
+  Init.runLanes(Regs.Init, Lanes);
+  for (size_t I = 0; I != N; ++I)
+    std::copy_n(Init.resultLanes(Regs.Init, I), Lanes, stateLanes(Regs, I));
+}
+
+void CompiledLoop::runLanes(const int64_t *Rows, size_t RowStride,
+                            const size_t *Lengths,
+                            LaneRegisters &Regs) const {
+  const size_t N = Types.size(), NumParams = ParamNames.size(),
+               Lanes = Regs.Update.Lanes;
+  // Order the lanes longest first (a stable counting sort): Running[J], the
+  // number of lanes longer than J, is then the prefix of Order that
+  // iteration J runs.
+  const size_t MaxLen =
+      Lanes ? *std::max_element(Lengths, Lengths + Lanes) : 0;
+  std::vector<size_t> &Order = Regs.Order, &Running = Regs.Running;
+  Running.assign(MaxLen + 1, 0);
+  for (size_t J = 0; J != Lanes; ++J)
+    ++Running[Lengths[J]];
+  // Each length's first position: the count of the longer lanes.
+  std::exclusive_scan(Running.rbegin(), Running.rend(), Running.rbegin(),
+                      size_t(0));
+  Order.resize(Lanes);
+  for (size_t J = 0; J != Lanes; ++J)
+    Order[Running[Lengths[J]]++] = J;
+  // Each length's start moved to the next one's: Running[Len] now counts
+  // the lanes of length >= Len, so Running[J + 1] of them run iteration J.
+  for (size_t P = 0; P != NumParams; ++P) {
+    int64_t *Row = paramLanes(Regs, P);
+    for (size_t Q = 0; Q != Lanes; ++Q)
+      Row[Q] = Rows[Order[Q] * RowStride + P];
+  }
+  initLanes(Regs);
+  // An update that is another state variable's bare read (a = b) has that
+  // state row for its result: such results go through the scratch rows, so
+  // that none is overwritten before it is read.
+  bool ResultsInState = false;
+  for (size_t I = 0; I != N; ++I)
+    ResultsInState |= nextLanes(Regs, I) < stateLanes(Regs, N);
+  Regs.Scratch.resize(std::max<size_t>(N, 1) * Lanes);
+  int64_t *Index = indexLanes(Regs);
+  for (size_t J = 0; J != MaxLen; ++J) {
+    const size_t Active = Running[J + 1];
+    std::fill_n(Index, Active, static_cast<int64_t>(J));
+    for (size_t K = 0; K != SeqNames.size(); ++K) {
+      int64_t *Elements = elementLanes(Regs, K);
+      for (size_t Q = 0; Q != Active; ++Q) {
+        const size_t Lane = Order[Q];
+        Elements[Q] =
+            Rows[Lane * RowStride + NumParams + K * Lengths[Lane] + J];
+      }
+    }
+    Update.runLanes(Regs.Update, Active);
+    if (ResultsInState) {
+      for (size_t I = 0; I != N; ++I)
+        std::copy_n(nextLanes(Regs, I), Active, &Regs.Scratch[I * Lanes]);
+      for (size_t I = 0; I != N; ++I)
+        std::copy_n(&Regs.Scratch[I * Lanes], Active, stateLanes(Regs, I));
+      continue;
+    }
+    for (size_t I = 0; I != N; ++I)
+      std::copy_n(nextLanes(Regs, I), Active, stateLanes(Regs, I));
+  }
+  // Back to lane order: the states and the parameters.
+  auto unsort = [&](int64_t *Row) {
+    for (size_t Q = 0; Q != Lanes; ++Q)
+      Regs.Scratch[Order[Q]] = Row[Q];
+    std::copy_n(Regs.Scratch.begin(), Lanes, Row);
+  };
+  for (size_t I = 0; I != N; ++I)
+    unsort(stateLanes(Regs, I));
+  for (size_t P = 0; P != NumParams; ++P)
+    unsort(paramLanes(Regs, P));
 }
 
 StateTuple CompiledLoop::iterate(const StateTuple &State,

@@ -50,6 +50,12 @@ using StateTuple = std::vector<Value>;
 /// order (all of one sequence, then all of the next). They write raw states
 /// (equation order, bools as 0/1) and run in a caller-owned register file,
 /// so a caller that samples many inputs allocates nothing per sample.
+///
+/// The lane calls do the same for many inputs at once, one per lane of a
+/// LaneRegisters (interp/CompiledExpr.h's lane mode). The caller writes the
+/// update program's input rows in place (stateLanes() and the rows after
+/// it, in the loop layout's order) and reads the results from the state
+/// rows or nextLanes().
 class CompiledLoop {
 public:
   explicit CompiledLoop(const Loop &L);
@@ -73,16 +79,55 @@ public:
   /// The raw initial state under the raw parameters \p Params (declaration
   /// order), written to \p Out.
   void initRaw(const int64_t *Params, int64_t *Out, Registers &Regs) const;
-  /// One iteration at index \p Index from the raw state \p State, on a row
-  /// of length 1 (the parameters, then one element per sequence); writes the
-  /// next state to \p Out, which may be \p State.
-  void stepRaw(const int64_t *State, const int64_t *Row, int64_t Index,
-               int64_t *Out, Registers &Regs) const;
   /// fE over a row of \p Length elements per sequence: writes the raw
   /// state after 0..Length iterations to \p Out, one state per iteration
   /// count.
   void runRaw(const int64_t *Row, size_t Length, int64_t *Out,
               Registers &Regs) const;
+
+  /// The lane files of the lane calls, one per program, and runLanes()'
+  /// scratch. Make one per lane count and reuse it across calls.
+  struct LaneRegisters {
+    LaneFile Init, Update;
+    std::vector<size_t> Order, Running;
+    std::vector<int64_t> Scratch;
+  };
+  LaneRegisters makeLaneRegisters(size_t Lanes) const {
+    return {Init.makeLaneFile(Lanes), Update.makeLaneFile(Lanes), {}, {}, {}};
+  }
+  /// The input rows of the update program: state variable \p I, the loop
+  /// index, parameter \p P, and the current element of sequence \p K.
+  int64_t *stateLanes(LaneRegisters &Regs, size_t I) const {
+    return Regs.Update.row(I);
+  }
+  int64_t *indexLanes(LaneRegisters &Regs) const {
+    return Regs.Update.row(Types.size());
+  }
+  int64_t *paramLanes(LaneRegisters &Regs, size_t P) const {
+    return Regs.Update.row(Types.size() + 1 + P);
+  }
+  int64_t *elementLanes(LaneRegisters &Regs, size_t K) const {
+    return Regs.Update.row(Types.size() + 1 + ParamNames.size() + K);
+  }
+  /// initRaw on every lane: the initial state under the parameter rows,
+  /// written to the state rows.
+  void initLanes(LaneRegisters &Regs) const;
+  /// One iteration on every lane, from the state rows at the index row
+  /// over the parameter and element rows; component \p I of the next
+  /// states is nextLanes(Regs, I).
+  void stepLanes(LaneRegisters &Regs) const {
+    Update.runLanes(Regs.Update, Regs.Update.Lanes);
+  }
+  const int64_t *nextLanes(const LaneRegisters &Regs, size_t I) const {
+    return Update.resultLanes(Regs.Update, I);
+  }
+  /// runRaw's final state on every lane: lane J runs Lengths[J] iterations
+  /// of the row at Rows + J * RowStride from its initial state, and ends
+  /// with that state in its state rows and its parameters in its parameter
+  /// rows. A lane stops at its own length: lanes are run longest first, so
+  /// iteration J runs only the lanes that reach it.
+  void runLanes(const int64_t *Rows, size_t RowStride, const size_t *Lengths,
+                LaneRegisters &Regs) const;
 
 private:
   /// Runs the iterations [Begin, End) from \p State; Columns[K] points at
@@ -107,6 +152,14 @@ public:
   size_t width() const { return Names.size(); }
   /// The register of \p Name (asserted to exist).
   unsigned slot(const std::string &Name) const;
+  /// The register of state variable \p I's split state on side \p S.
+  unsigned stateSlot(size_t I, Side S) const {
+    return static_cast<unsigned>(2 * I + (S == Side::Right));
+  }
+  /// The register of parameter \p P.
+  unsigned paramSlot(size_t P) const {
+    return static_cast<unsigned>(2 * NumStates + P);
+  }
   /// Writes the row of split states \p Left, \p Right under \p Params to
   /// \p Out.
   void writeRow(const StateTuple &Left, const StateTuple &Right,
@@ -133,6 +186,16 @@ public:
   /// The raw value of expression \p K after eval().
   int64_t value(const int64_t *Regs, size_t K) const {
     return Code.result(Regs, K);
+  }
+  /// A lane file for evalLanes(): row S holds layout slot S of each lane.
+  LaneFile makeLaneFile(size_t Lanes) const {
+    return Code.makeLaneFile(Lanes);
+  }
+  /// eval() on every lane of \p Regs, whose layout rows the caller wrote.
+  void evalLanes(LaneFile &Regs) const { Code.runLanes(Regs, Regs.Lanes); }
+  /// The row of expression \p K's lanes after evalLanes().
+  const int64_t *valueLanes(const LaneFile &Regs, size_t K) const {
+    return Code.resultLanes(Regs, K);
   }
   /// The joined state of \p Left and \p Right under \p Params.
   StateTuple apply(const StateTuple &Left, const StateTuple &Right,

@@ -11,8 +11,8 @@
 #include "observe/Tracer.h"
 #include "support/Random.h"
 
+#include <algorithm>
 #include <chrono>
-#include <set>
 #include <sstream>
 
 using namespace parsynt;
@@ -28,14 +28,36 @@ constexpr unsigned MaxPrefixLen = 10;
 /// Elements per (u, v) pair tried in the step obligation.
 constexpr unsigned ElementsPerPair = 6;
 constexpr uint64_t Seed = 0xBEEF;
+/// The samples of each chunk evaluated in lanes, in order; the last width
+/// repeats until every sample is drawn. The first chunks are short, so a
+/// join refuted by its first samples, as most wrong joins are, evaluates
+/// few past its failure; the wide ones spread each program run's dispatch
+/// over many samples.
+constexpr size_t ChunkWidths[] = {1, 3, 12, 48, 64};
 
 /// Element pool mirroring the oracle's: small values plus loop constants.
+/// Sorted and deduplicated, as the draws index it.
 std::vector<int64_t> elementPool(const Loop &L) {
-  std::set<int64_t> Pool = {-2, -1, 0, 1, 2, 3, 7, -11};
+  std::vector<int64_t> Pool = {-11, -2, -1, 0, 1, 2, 3, 7};
   for (int64_t C : updateConstants(L))
-    Pool.insert({C - 1, C, C + 1});
-  return {Pool.begin(), Pool.end()};
+    Pool.insert(Pool.end(), {C - 1, C, C + 1});
+  std::sort(Pool.begin(), Pool.end());
+  Pool.erase(std::unique(Pool.begin(), Pool.end()), Pool.end());
+  return Pool;
 }
+
+/// The draws of a chunk of Width samples. Sample S's u and v are prefix
+/// rows S and Width + S in CompiledLoop's row layout (its parameters, then
+/// each sequence's prefix) with lengths Lengths[S] and Lengths[Width + S];
+/// element K of its step element E is Elements[(E * NumSeqs + K) * Width +
+/// S].
+struct Chunk {
+  size_t Width = 0, RowWidth = 0;
+  std::vector<int64_t> Rows, Elements;
+  std::vector<size_t> Lengths;
+
+  const int64_t *row(size_t R) const { return Rows.data() + R * RowWidth; }
+};
 
 } // namespace
 
@@ -46,13 +68,16 @@ parsynt::checkHomomorphismProof(const Loop &L,
   ProofReport Report;
   Span ProofSpan("checkHomomorphismProof", trace::Proof);
   ProofSpan.attr("loop", L.Name.empty() ? "<loop>" : L.Name);
+  uint64_t Lanes = 0;
   struct ProofFinisher {
     Span &S;
     const ProofReport &R;
+    const uint64_t &Lanes;
     ~ProofFinisher() {
       S.attr("verified", R.Verified);
       S.attr("base_checks", R.BaseChecks);
       S.attr("step_checks", R.StepChecks);
+      S.attr("lanes", Lanes);
       if (R.Failure)
         S.attr("obligation", R.Failure->Obligation);
       MetricsRegistry &M = MetricsRegistry::global();
@@ -64,163 +89,240 @@ parsynt::checkHomomorphismProof(const Loop &L,
       M.histogram("proof.millis").observe(
           static_cast<uint64_t>(R.Seconds * 1e3));
     }
-  } Finish{ProofSpan, Report};
+  } Finish{ProofSpan, Report, Lanes};
   Rng R(Seed);
   std::vector<int64_t> Pool = elementPool(L);
   const CompiledLoop Code(L);
   const JoinLayout Layout(L);
   const CompiledJoin Joiner(Layout, Join);
 
-  // Every sample lives in raw rows (bools as 0/1) and every obligation runs
-  // in these register files; values are boxed only to render a witness.
+  // Every sample lives in raw rows (bools as 0/1); values are boxed only to
+  // render a witness.
   const size_t N = L.Equations.size(), NumParams = L.Params.size(),
                NumSeqs = L.Sequences.size();
   assert(Join.size() == N && "one join component per state variable");
-  CompiledLoop::Registers Regs = Code.makeRegisters();
-  std::vector<int64_t> JoinRegs = Joiner.makeRegisters();
-  // A sample's row: the parameters, then each sequence's prefix. The step
-  // row is the same parameters and one element per sequence.
-  std::vector<int64_t> Row(NumParams + NumSeqs * MaxPrefixLen),
-      StepRow(NumParams + NumSeqs), States((MaxPrefixLen + 1) * N),
-      JoinRow(Layout.width());
-
-  // Reachable-state samples: the state after a random prefix, the prefix
-  // in the row's chunk layout, and its length. States must be generated and
-  // compared under consistent parameter bindings, so parameters are drawn
-  // per sample pair (into both rows' leading words).
-  struct Sample {
-    std::vector<int64_t> State, Prefix;
-    size_t PrefixLen = 0;
-  };
-  auto drawSample = [&](Sample &Out) {
-    size_t Len = static_cast<size_t>(R.intIn(0, MaxPrefixLen));
-    for (size_t K = 0; K != NumSeqs; ++K)
-      for (size_t I = 0; I != Len; ++I)
-        Row[NumParams + K * Len + I] = Pool[R.index(Pool.size())];
-    Code.runRaw(Row.data(), Len, States.data(), Regs);
-    Out.State.assign(States.begin() + Len * N, States.begin() + (Len + 1) * N);
-    Out.Prefix.assign(Row.begin() + NumParams,
-                      Row.begin() + NumParams + NumSeqs * Len);
-    Out.PrefixLen = Len;
-  };
-  auto drawParams = [&]() {
-    for (size_t P = 0; P != NumParams; ++P)
-      Row[P] = StepRow[P] =
-          L.Params[P].Ty == Type::Int ? R.intIn(-3, 3) : R.flip();
-  };
-  // join(Left, Right) under the drawn parameters, into \p Out.
-  auto join = [&](const int64_t *Left, const int64_t *Right, int64_t *Out) {
-    Layout.writeRow(Left, Right, Row.data(), JoinRow.data());
-    Joiner.eval(JoinRow.data(), JoinRegs.data());
-    for (size_t I = 0; I != N; ++I)
-      Out[I] = Joiner.value(JoinRegs.data(), I);
-  };
   // A join component equals a state value when both its type and its
   // payload do.
   auto differs = [&](size_t I, int64_t Joined, int64_t Stepped) {
     return Join[I]->type() != L.Equations[I].Ty || Joined != Stepped;
   };
-  auto joinedStr = [&](size_t I, int64_t Raw) {
-    return Value::ofRaw(Join[I]->type(), Raw).str();
+
+  // Draws a chunk's samples in the sampler's order: per sample, the
+  // parameters (shared by u and v: states are generated and compared under
+  // one binding), u's prefix length and elements, v's, then the step
+  // elements.
+  Chunk C;
+  C.RowWidth = NumParams + NumSeqs * MaxPrefixLen;
+  auto drawChunk = [&](size_t Width) {
+    C.Width = Width;
+    C.Rows.resize(2 * Width * C.RowWidth);
+    C.Lengths.resize(2 * Width);
+    C.Elements.resize(ElementsPerPair * NumSeqs * Width);
+    for (size_t S = 0; S != Width; ++S) {
+      int64_t *U = C.Rows.data() + S * C.RowWidth,
+              *V = C.Rows.data() + (Width + S) * C.RowWidth;
+      for (size_t P = 0; P != NumParams; ++P)
+        U[P] = V[P] = L.Params[P].Ty == Type::Int ? R.intIn(-3, 3) : R.flip();
+      for (size_t Row : {S, Width + S}) {
+        int64_t *Prefix = C.Rows.data() + Row * C.RowWidth + NumParams;
+        size_t Len = static_cast<size_t>(R.intIn(0, MaxPrefixLen));
+        C.Lengths[Row] = Len;
+        for (size_t K = 0; K != NumSeqs; ++K)
+          for (size_t I = 0; I != Len; ++I)
+            Prefix[K * Len + I] = Pool[R.index(Pool.size())];
+      }
+      for (size_t E = 0; E != ElementsPerPair; ++E)
+        for (size_t K = 0; K != NumSeqs; ++K)
+          C.Elements[(E * NumSeqs + K) * Width + S] =
+              Pool[R.index(Pool.size())];
+    }
   };
+
+  // The chunk's first failure in sample order, with the values that render
+  // it. Obligation 0 is the base, 1 + E the step with element E.
+  struct Witness {
+    size_t Sample = 0, Component = 0;
+    unsigned Obligation = 0;
+    std::vector<int64_t> U, V, Lhs, Rhs;
+  } Wit;
+
+  // Evaluates a chunk's obligations in lanes, in the sampler's order, until
+  // the first failure in sample order is known; returns its sample, or the
+  // chunk's width if every obligation holds. The loop's lanes are u
+  // (0..Width) and v (Width..2 Width) for the prefix runs, then join(u, v)
+  // and v for the steps: lane S steps join(u, v) at index |x| + |t'|, lane
+  // Width + S steps v at its own local position |t'| (the loops in this
+  // model read the index only through the materialized position
+  // accumulator, so any index yields the same result; the local one is
+  // used for fidelity). The join's lanes are the samples, u on the left.
+  CompiledLoop::LaneRegisters Steps;
+  LaneFile Joins;
+  auto evaluateChunk = [&]() {
+    const size_t W = C.Width;
+    if (Joins.Lanes != W) {
+      Steps = Code.makeLaneRegisters(2 * W);
+      Joins = Joiner.makeLaneFile(W);
+    }
+    auto joined = [&](size_t I) { return Joiner.valueLanes(Joins, I); };
+    auto left = [&](size_t I) {
+      return Joins.row(Layout.stateSlot(I, Side::Left));
+    };
+    // The lowest sample that failed so far: only the samples below it can
+    // still fail first. A component that differs below it moves it down;
+    // the first component to do so on a sample is the one the sample fails
+    // on, as every earlier one was checked on it.
+    size_t Lowest = W;
+    // Checks the joined rows against the \p Expected rows; true once the
+    // first sample has failed, when no later obligation can matter.
+    auto check = [&](unsigned Obligation, auto Expected) {
+      for (size_t I = 0; I != N; ++I) {
+        const int64_t *Lhs = joined(I), *Rhs = Expected(I);
+        size_t S = 0;
+        while (S != Lowest && !differs(I, Lhs[S], Rhs[S]))
+          ++S;
+        if (S == Lowest)
+          continue;
+        Lowest = S;
+        Wit.Sample = S;
+        Wit.Component = I;
+        Wit.Obligation = Obligation;
+        for (std::vector<int64_t> *Values :
+             {&Wit.U, &Wit.V, &Wit.Lhs, &Wit.Rhs})
+          Values->resize(N);
+        for (size_t J = 0; J != N; ++J) {
+          Wit.U[J] = left(J)[S];
+          Wit.V[J] = Code.stateLanes(Steps, J)[W + S];
+          Wit.Lhs[J] = joined(J)[S];
+          Wit.Rhs[J] = Expected(J)[S];
+        }
+      }
+      return Lowest == 0;
+    };
+    // The initial states, for the base obligation's right side.
+    for (size_t P = 0; P != NumParams; ++P) {
+      int64_t *Params = Code.paramLanes(Steps, P);
+      for (size_t J = 0; J != 2 * W; ++J)
+        Params[J] = C.row(J)[P];
+      std::copy_n(Params, W, Joins.row(Layout.paramSlot(P)));
+    }
+    Code.initLanes(Steps);
+    for (size_t I = 0; I != N; ++I)
+      std::copy_n(Code.stateLanes(Steps, I), W,
+                  Joins.row(Layout.stateSlot(I, Side::Right)));
+    Code.runLanes(C.Rows.data(), C.RowWidth, C.Lengths.data(), Steps);
+    // Base: join(u, init) == u.
+    for (size_t I = 0; I != N; ++I)
+      std::copy_n(Code.stateLanes(Steps, I), W, left(I));
+    Joiner.evalLanes(Joins);
+    if (check(0, left))
+      return Lowest;
+    // join(u, v), the right side's state.
+    for (size_t I = 0; I != N; ++I)
+      std::copy_n(Code.stateLanes(Steps, I) + W, W,
+                  Joins.row(Layout.stateSlot(I, Side::Right)));
+    Joiner.evalLanes(Joins);
+    for (size_t I = 0; I != N; ++I)
+      std::copy_n(joined(I), W, Code.stateLanes(Steps, I));
+    int64_t *Index = Code.indexLanes(Steps);
+    for (size_t S = 0; S != W; ++S) {
+      Index[S] = static_cast<int64_t>(C.Lengths[S] + C.Lengths[W + S]);
+      Index[W + S] = static_cast<int64_t>(C.Lengths[W + S]);
+    }
+    // Step: join(u, step(v, a)) == step(join(u, v), a).
+    auto stepped = [&](size_t I) { return Code.nextLanes(Steps, I); };
+    for (unsigned E = 0; E != ElementsPerPair; ++E) {
+      for (size_t K = 0; K != NumSeqs; ++K) {
+        const int64_t *A = C.Elements.data() + (E * NumSeqs + K) * W;
+        int64_t *Elements = Code.elementLanes(Steps, K);
+        std::copy_n(A, W, Elements);
+        std::copy_n(A, W, Elements + W);
+      }
+      Code.stepLanes(Steps);
+      for (size_t I = 0; I != N; ++I)
+        std::copy_n(stepped(I) + W, W,
+                    Joins.row(Layout.stateSlot(I, Side::Right)));
+      Joiner.evalLanes(Joins);
+      if (check(E + 1, stepped))
+        break;
+    }
+    return Lowest;
+  };
+
+  // Renders the witness of a failed obligation as the report's failure.
   auto stateStr = [&](const std::vector<int64_t> &State) {
     return stateToString(L, rawToState(L, State.data()));
   };
-  // Fails the obligation with the split (U's prefix, Right).
-  auto fail = [&](const char *Obligation, size_t Component,
-                  const std::string &Details, const Sample &U,
-                  std::vector<int64_t> Right, size_t RightLen) {
-    ProofSplit Split{{Row.begin(), Row.begin() + NumParams}, U.Prefix,
-                     std::move(Right), U.PrefixLen, RightLen};
-    Report.Failure = ProofFailure{Obligation, L.Equations[Component].Name,
-                                  Details, std::move(Split)};
-  };
-  // The chunks of x • y, for x and y in chunk layout.
-  auto concat = [&](const std::vector<int64_t> &X, size_t XLen,
-                    const int64_t *Y, size_t YLen) {
-    std::vector<int64_t> Out;
+  auto render = [&]() {
+    const size_t S = Wit.Sample, I = Wit.Component;
+    const int64_t *Params = C.row(S), *X = Params + NumParams,
+                  *T = C.row(C.Width + S) + NumParams;
+    const size_t XLen = C.Lengths[S], TLen = C.Lengths[C.Width + S];
+    const std::string Joined =
+        Value::ofRaw(Join[I]->type(), Wit.Lhs[I]).str();
+    // Fails the obligation with the split (x, Right).
+    auto fail = [&](const char *Obligation, const std::string &Details,
+                    std::vector<int64_t> Right, size_t RightLen) {
+      ProofSplit Split{{Params, Params + NumParams},
+                       {X, X + NumSeqs * XLen},
+                       std::move(Right),
+                       XLen,
+                       RightLen};
+      Report.Failure = ProofFailure{Obligation, L.Equations[I].Name, Details,
+                                    std::move(Split)};
+    };
+    if (Wit.Obligation == 0) {
+      fail("base",
+           "u = {" + stateStr(Wit.U) + "}, join(u, init) gave " + Joined, {},
+           0);
+      return;
+    }
+    const unsigned E = Wit.Obligation - 1;
+    std::vector<int64_t> A(NumSeqs);
+    for (size_t K = 0; K != NumSeqs; ++K)
+      A[K] = C.Elements[(E * NumSeqs + K) * C.Width + S];
+    std::ostringstream OS;
+    OS << "u = {" << stateStr(Wit.U) << "}, v = {" << stateStr(Wit.V)
+       << "}, a = ";
+    for (size_t K = 0; K != NumSeqs; ++K)
+      OS << L.Sequences[K].Name << ":" << A[K] << " ";
+    OS << "-> lhs " << Joined << " vs rhs "
+       << Value::ofRaw(L.Equations[I].Ty, Wit.Rhs[I]).str();
+    // The chunks of t' • a, and of x • t' • a, in chunk layout.
+    std::vector<int64_t> TA, Whole(Params, Params + NumParams);
     for (size_t K = 0; K != NumSeqs; ++K) {
-      Out.insert(Out.end(), X.begin() + K * XLen, X.begin() + (K + 1) * XLen);
-      Out.insert(Out.end(), Y + K * YLen, Y + (K + 1) * YLen);
+      TA.insert(TA.end(), T + K * TLen, T + (K + 1) * TLen);
+      TA.push_back(A[K]);
+      Whole.insert(Whole.end(), X + K * XLen, X + (K + 1) * XLen);
+      Whole.insert(Whole.end(), TA.end() - TLen - 1, TA.end());
     }
-    return Out;
+    // lhs is join(fE(x), fE(t' • a)): if it is fE(x • t' • a), the join is
+    // wrong on (x, t') instead.
+    const size_t WholeLen = XLen + TLen + 1;
+    std::vector<int64_t> States((WholeLen + 1) * N);
+    CompiledLoop::Registers Regs = Code.makeRegisters();
+    Code.runRaw(Whole.data(), WholeLen, States.data(), Regs);
+    if (!std::equal(Wit.Lhs.begin(), Wit.Lhs.end(), States.end() - N))
+      fail("step", OS.str(), std::move(TA), TLen + 1);
+    else
+      fail("step", OS.str(), {T, T + NumSeqs * TLen}, TLen);
   };
-  // fE of \p Chunks, Len elements per sequence, under the drawn parameters.
-  auto run = [&](const std::vector<int64_t> &Chunks, size_t Len) {
-    std::vector<int64_t> Whole(Row.begin(), Row.begin() + NumParams);
-    Whole.insert(Whole.end(), Chunks.begin(), Chunks.end());
-    std::vector<int64_t> Out((Len + 1) * N);
-    Code.runRaw(Whole.data(), Len, Out.data(), Regs);
-    return std::vector<int64_t>(Out.end() - N, Out.end());
-  };
 
-  Sample U, V;
-  std::vector<int64_t> Init(N), Base(N), StepV(N), Lhs(N), JoinedUV(N),
-      Rhs(N);
-  for (unsigned Sampled = 0; Sampled != StateSamples && !Report.Failure;
-       ++Sampled) {
-    drawParams();
-    drawSample(U);
-    drawSample(V);
-    Code.initRaw(Row.data(), Init.data(), Regs);
-
-    // Base: join(u, init) == u.
-    join(U.State.data(), Init.data(), Base.data());
-    ++Report.BaseChecks;
-    for (size_t I = 0; I != N; ++I) {
-      if (differs(I, Base[I], U.State[I])) {
-        fail("base", I,
-             "u = {" + stateStr(U.State) + "}, join(u, init) gave " +
-                 joinedStr(I, Base[I]),
-             U, {}, 0);
-        break;
-      }
-    }
-    if (Report.Failure)
-      break;
-
-    // Step: join(u, step(v, a)) == step(join(u, v), a). The element index
-    // seen by the step is v's own local position (|t'|); the loops in this
-    // model read the index only through the materialized position
-    // accumulator, so any index value yields the same result — the local
-    // one is used for fidelity. The joined state stands for the run over
-    // x • t'; its step index is |x| + |t'|.
-    join(U.State.data(), V.State.data(), JoinedUV.data());
-    const int64_t Index = static_cast<int64_t>(V.PrefixLen);
-    const int64_t JoinedIndex =
-        static_cast<int64_t>(U.PrefixLen + V.PrefixLen);
-    for (unsigned EIdx = 0; EIdx != ElementsPerPair; ++EIdx) {
-      for (size_t K = 0; K != NumSeqs; ++K)
-        StepRow[NumParams + K] = Pool[R.index(Pool.size())];
-      Code.stepRaw(V.State.data(), StepRow.data(), Index, StepV.data(), Regs);
-      join(U.State.data(), StepV.data(), Lhs.data());
-      Code.stepRaw(JoinedUV.data(), StepRow.data(), JoinedIndex, Rhs.data(),
-                   Regs);
-      ++Report.StepChecks;
-      for (size_t I = 0; I != N; ++I) {
-        if (differs(I, Lhs[I], Rhs[I])) {
-          std::ostringstream OS;
-          OS << "u = {" << stateStr(U.State) << "}, v = {"
-             << stateStr(V.State) << "}, a = ";
-          for (size_t K = 0; K != NumSeqs; ++K)
-            OS << L.Sequences[K].Name << ":" << StepRow[NumParams + K] << " ";
-          OS << "-> lhs " << joinedStr(I, Lhs[I]) << " vs rhs "
-             << Value::ofRaw(L.Equations[I].Ty, Rhs[I]).str();
-          // lhs is join(fE(x), fE(t' • a)): if it is fE(x • t' • a), the
-          // join is wrong on (x, t') instead.
-          const size_t TLen = V.PrefixLen + 1;
-          std::vector<int64_t> TA = concat(V.Prefix, V.PrefixLen,
-                                           StepRow.data() + NumParams, 1);
-          if (run(concat(U.Prefix, U.PrefixLen, TA.data(), TLen),
-                  U.PrefixLen + TLen) != Lhs)
-            fail("step", I, OS.str(), U, std::move(TA), TLen);
-          else
-            fail("step", I, OS.str(), U, V.Prefix, V.PrefixLen);
-          break;
-        }
-      }
-      if (Report.Failure)
-        break;
+  for (size_t Chunks = 0, Drawn = 0; Drawn != StateSamples && !Report.Failure;
+       ++Chunks) {
+    const size_t Width =
+        std::min(ChunkWidths[std::min(Chunks, std::size(ChunkWidths) - 1)],
+                 StateSamples - Drawn);
+    drawChunk(Width);
+    const size_t Passed = evaluateChunk();
+    Lanes += Width;
+    Drawn += Width;
+    Report.BaseChecks += Passed;
+    Report.StepChecks += ElementsPerPair * Passed;
+    if (Passed != Width) {
+      // The failing sample's own checks, up to its failed one.
+      ++Report.BaseChecks;
+      Report.StepChecks += Wit.Obligation;
+      render();
     }
   }
 

@@ -9,7 +9,9 @@
 // the counters of the search that found it, and the final loop it joins.
 // PipelineSweep checks that the pipeline returns exactly these; the tests
 // that only need a parallelized loop (ProofSweep, the emitted programs)
-// take it from here instead of synthesizing it again.
+// take it from here instead of synthesizing it again. The proof reports of
+// the golden joins and of two wrong variants of each are written down too
+// (Table1ReportsArePinned).
 //
 //===----------------------------------------------------------------------===//
 
@@ -271,6 +273,186 @@ inline std::vector<ExprRef> parseJoin(const Loop &L, const std::string &Join) {
   }
   return Components;
 }
+
+/// The proof report of every Table-1 loop's golden join and of two wrong
+/// variants of it: the join with its sides swapped (swapSides) and the
+/// join that keeps the left state (leftOnlyJoin), checked on the final
+/// loop. A row without an obligation is verified by all 800 sampled state
+/// pairs (800 base and 4800 step checks); a refuted row holds the failed
+/// obligation, its state variable, the rendered witness, the checks run up
+/// to and including the failing one and the lengths of the failure's split.
+/// The proof's sampler must keep its draw order and its first failure, so
+/// every field stays identical when its evaluation changes.
+struct ProofGolden {
+  const char *Name;
+  const char *Variant; ///< "golden", "swapped" or "left-only"
+  const char *Obligation = nullptr;
+  const char *StateVar = nullptr;
+  const char *Details = nullptr;
+  uint64_t BaseChecks = 800, StepChecks = 4800;
+  size_t LeftLen = 0, RightLen = 0;
+};
+
+inline const ProofGolden ProofGoldens[] = {
+    {"sum", "golden"},
+    {"sum", "swapped"},
+    {"sum", "left-only", "step", "sum",
+     "u = {sum=-24}, v = {sum=-12}, a = s:1 -> lhs -24 vs rhs -23",
+     1, 1, 10, 5},
+    {"min", "golden"},
+    {"min", "swapped"},
+    {"min", "left-only", "step", "m",
+     "u = {m=1099511627776}, v = {m=0}, a = s:2 -> lhs 1099511627776 vs rhs 2",
+     2, 7, 0, 4},
+    {"max", "golden"},
+    {"max", "swapped"},
+    {"max", "left-only", "step", "m",
+     "u = {m=3}, v = {m=1}, a = s:7 -> lhs 3 vs rhs 7",
+     1, 5, 10, 5},
+    {"average", "golden"},
+    {"average", "swapped"},
+    {"average", "left-only", "step", "sum",
+     "u = {sum=-24, cnt=10}, v = {sum=-12, cnt=4}, a = s:1 -> lhs -24 vs rhs "
+     "-23",
+     1, 1, 10, 5},
+    {"hamming", "golden"},
+    {"hamming", "swapped"},
+    {"hamming", "left-only", "step", "ham",
+     "u = {ham=9}, v = {ham=4}, a = s:2 t:1 -> lhs 9 vs rhs 10",
+     1, 2, 10, 5},
+    {"length", "golden"},
+    {"length", "swapped"},
+    {"length", "left-only", "step", "len",
+     "u = {len=10}, v = {len=4}, a = s:1 -> lhs 10 vs rhs 11",
+     1, 1, 10, 5},
+    {"2nd-min", "golden"},
+    {"2nd-min", "swapped"},
+    {"2nd-min", "left-only", "step", "m",
+     "u = {m2=1099511627776, m=1099511627776}, v = {m2=2, m=0}, a = s:2 -> "
+     "lhs 1099511627776 vs rhs 2",
+     2, 7, 0, 4},
+    {"mps", "golden"},
+    {"mps", "swapped", "step", "mps",
+     "u = {sum=-13, mps=7}, v = {sum=23, mps=23}, a = s:3 -> lhs 33 vs rhs 30",
+     3, 13, 5, 7},
+    {"mps", "left-only", "step", "sum",
+     "u = {sum=-24, mps=3}, v = {sum=-12, mps=1}, a = s:1 -> lhs -24 vs rhs "
+     "-23",
+     1, 1, 10, 5},
+    {"mts", "golden"},
+    {"mts", "swapped", "step", "mts",
+     "u = {mts=0, aux0=-24}, v = {mts=0, aux0=-12}, a = s:1 -> lhs 0 vs rhs 1",
+     1, 1, 10, 5},
+    {"mts", "left-only", "step", "mts",
+     "u = {mts=0, aux0=-24}, v = {mts=0, aux0=-12}, a = s:1 -> lhs 0 vs rhs 1",
+     1, 1, 10, 5},
+    {"mss", "golden"},
+    {"mss", "swapped", "step", "mss",
+     "u = {mss=3, mts=0, aux1=3, aux0=-24}, v = {mss=1, mts=0, aux1=1, "
+     "aux0=-12}, a = s:1 -> lhs 4 vs rhs 3",
+     1, 1, 10, 5},
+    {"mss", "left-only", "step", "mts",
+     "u = {mss=3, mts=0, aux1=3, aux0=-24}, v = {mss=1, mts=0, aux1=1, "
+     "aux0=-12}, a = s:1 -> lhs 0 vs rhs 1",
+     1, 1, 10, 5},
+    {"mts-p", "golden"},
+    {"mts-p", "swapped", "step", "mts",
+     "u = {mts=0, sum=-24, pos=10, _pos=10}, v = {mts=0, sum=-12, pos=4, "
+     "_pos=4}, a = s:1 -> lhs 0 vs rhs 1",
+     1, 1, 10, 5},
+    {"mts-p", "left-only", "step", "mts",
+     "u = {mts=0, sum=-24, pos=10, _pos=10}, v = {mts=0, sum=-12, pos=4, "
+     "_pos=4}, a = s:1 -> lhs 0 vs rhs 1",
+     1, 1, 10, 5},
+    {"mps-p", "golden"},
+    {"mps-p", "swapped", "step", "mps",
+     "u = {sum=-13, mps=7, pos=2, _pos=5}, v = {sum=23, mps=23, pos=6, "
+     "_pos=6}, a = s:3 -> lhs 33 vs rhs 30",
+     3, 13, 5, 7},
+    {"mps-p", "left-only", "step", "sum",
+     "u = {sum=-24, mps=3, pos=2, _pos=10}, v = {sum=-12, mps=1, pos=1, "
+     "_pos=4}, a = s:1 -> lhs -24 vs rhs -23",
+     1, 1, 10, 5},
+    {"poly", "golden"},
+    {"poly", "swapped", "step", "res",
+     "u = {res=-297, p=81}, v = {res=-13, p=27}, a = s:-11 -> lhs -24367 vs "
+     "rhs -32089",
+     1, 1, 4, 4},
+    {"poly", "left-only", "step", "res",
+     "u = {res=-297, p=81}, v = {res=-13, p=27}, a = s:-11 -> lhs -297 vs rhs "
+     "-1188",
+     1, 1, 4, 4},
+    {"is-sorted", "golden"},
+    {"is-sorted", "swapped", "step", "prev",
+     "u = {sorted=false, aux0=0, prev=-11}, v = {sorted=false, aux0=1, "
+     "prev=0}, a = s:1 -> lhs -11 vs rhs 1",
+     1, 1, 10, 5},
+    {"is-sorted", "left-only", "step", "prev",
+     "u = {sorted=false, aux0=0, prev=-11}, v = {sorted=false, aux0=1, "
+     "prev=0}, a = s:1 -> lhs -11 vs rhs 1",
+     1, 1, 10, 5},
+    {"atoi", "golden"},
+    {"atoi", "swapped", "step", "res",
+     "u = {res=-50230522229, aux0=10000000000}, v = {res=-44545, aux0=10000}, "
+     "a = s:7 -> lhs -4454960230522229 vs rhs -4455002305222331",
+     1, 1, 10, 5},
+    {"atoi", "left-only", "step", "res",
+     "u = {res=-50230522229, aux0=10000000000}, v = {res=-44545, aux0=10000}, "
+     "a = s:7 -> lhs -50230522229 vs rhs -502305222331",
+     1, 1, 10, 5},
+    {"dropwhile", "golden"},
+    {"dropwhile", "swapped", "step", "cnt",
+     "u = {cnt=0, _pos=5}, v = {cnt=6, _pos=6}, a = s:3 -> lhs 7 vs rhs 6",
+     3, 13, 5, 7},
+    {"dropwhile", "left-only", "step", "_pos",
+     "u = {cnt=0, _pos=10}, v = {cnt=1, _pos=4}, a = s:1 -> lhs 10 vs rhs 11",
+     1, 1, 10, 5},
+    {"balanced-()", "golden"},
+    {"balanced-()", "swapped", "step", "aux0",
+     "u = {aux0=10, ofs=-10, bal=false}, v = {aux0=4, ofs=-4, bal=false}, a = "
+     "s:40 -> lhs 13 vs rhs 14",
+     1, 2, 10, 5},
+    {"balanced-()", "left-only", "step", "aux0",
+     "u = {aux0=10, ofs=-10, bal=false}, v = {aux0=4, ofs=-4, bal=false}, a = "
+     "s:2 -> lhs 10 vs rhs 11",
+     1, 1, 10, 5},
+    {"0*1*", "golden"},
+    {"0*1*", "swapped", "step", "ok",
+     "u = {ok=true, seen1=true, aux0=false}, v = {ok=true, seen1=false, "
+     "aux0=true}, a = s:0 -> lhs true vs rhs false",
+     8, 43, 10, 2},
+    {"0*1*", "left-only", "step", "seen1",
+     "u = {ok=true, seen1=false, aux0=false}, v = {ok=false, seen1=true, "
+     "aux0=false}, a = s:1 -> lhs false vs rhs true",
+     1, 1, 10, 5},
+    {"count-1's", "golden"},
+    {"count-1's", "swapped", "step", "prev1",
+     "u = {cnt=0, prev1=false, aux1=false, _pos=10}, v = {cnt=1, prev1=false, "
+     "aux1=true, _pos=4}, a = s:1 -> lhs false vs rhs true",
+     1, 1, 10, 5},
+    {"count-1's", "left-only", "step", "cnt",
+     "u = {cnt=0, prev1=false, aux1=false, _pos=10}, v = {cnt=1, prev1=false, "
+     "aux1=true, _pos=4}, a = s:1 -> lhs 0 vs rhs 1",
+     1, 1, 10, 5},
+    {"line-sight", "golden"},
+    {"line-sight", "swapped", "step", "vis",
+     "u = {vis=false, m=3}, v = {vis=false, m=1}, a = s:3 -> lhs false vs rhs "
+     "true",
+     1, 2, 10, 5},
+    {"line-sight", "left-only", "step", "vis",
+     "u = {vis=false, m=3}, v = {vis=false, m=1}, a = s:3 -> lhs false vs rhs "
+     "true",
+     1, 2, 10, 5},
+    {"0after1", "golden"},
+    {"0after1", "swapped", "step", "res",
+     "u = {res=false, seen1=true, aux0=true}, v = {res=false, seen1=false, "
+     "aux0=false}, a = s:0 -> lhs false vs rhs true",
+     8, 43, 10, 2},
+    {"0after1", "left-only", "step", "seen1",
+     "u = {res=false, seen1=false, aux0=true}, v = {res=true, seen1=true, "
+     "aux0=true}, a = s:1 -> lhs false vs rhs true",
+     1, 1, 10, 5},
+};
 
 /// \p B's final loop and golden join, parsed without synthesizing.
 struct GoldenParallelization {

@@ -179,9 +179,9 @@ TEST(Enumerator, NextLevelScanNeverMissesAMatch) {
     Rng R(Seed);
     std::vector<std::pair<std::string, Type>> Vars;
     for (int I = 0, N = int(R.intIn(1, 3)); I != N; ++I)
-      Vars.push_back({"x" + std::to_string(I), Type::Int});
+      Vars.push_back({std::string("x") + std::to_string(I), Type::Int});
     for (int I = 0, N = int(R.intIn(1, 2)); I != N; ++I)
-      Vars.push_back({"p" + std::to_string(I), Type::Bool});
+      Vars.push_back({std::string("p") + std::to_string(I), Type::Bool});
     const std::vector<Env> Envs = sampleEnvs(Vars, 8 + R.intIn(0, 8), R);
     std::vector<ExprRef> Leaves = {intConst(R.intIn(-2, 2))};
     for (const auto &[Name, Ty] : Vars)

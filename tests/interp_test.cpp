@@ -214,6 +214,45 @@ TEST(CompiledExpr, AgreesWithEvalExprOnRandomExpressions) {
   }
 }
 
+/// The lane mode runs the same programs: on random well-typed expressions
+/// over every operator, with edge values (division by 0 and by -1,
+/// INT64_MIN, wrapping + and *), every lane of runLanes() equals run() on
+/// that lane's inputs. Widths 1, 3 and 64 cover the vector loops' remainder
+/// and a file run on fewer lanes than it holds.
+TEST(CompiledExpr, LanesAgreeWithRunOnRandomExpressions) {
+  Rng R(0x1a9e);
+  for (unsigned Case = 0; Case != 300; ++Case) {
+    Type Ty = Case % 2 ? Type::Bool : Type::Int;
+    ExprRef E = randomExpr(R, Ty, 1 + Case % 6);
+    std::vector<std::string> Inputs = {"x", "y", "z", "p", "q"};
+    CompiledExpr Code({E}, Inputs);
+    std::vector<int64_t> Regs = Code.makeRegisters();
+    for (size_t Width : {1, 3, 64}) {
+      const size_t Active = Case % 3 ? Width : Width - Width / 4;
+      LaneFile Lanes = Code.makeLaneFile(Width);
+      std::vector<std::vector<int64_t>> Points(Active);
+      for (std::vector<int64_t> &Point : Points) {
+        for (size_t I = 0; I != 3; ++I)
+          Point.push_back(R.chance(2, 3)
+                              ? EdgeValues[R.index(EdgeValues.size())]
+                              : R.intIn(-100, 100));
+        for (size_t I = 3; I != 5; ++I)
+          Point.push_back(R.flip());
+      }
+      for (size_t J = 0; J != Active; ++J)
+        for (size_t I = 0; I != 5; ++I)
+          Lanes.row(I)[J] = Points[J][I];
+      Code.runLanes(Lanes, Active);
+      for (size_t J = 0; J != Active; ++J) {
+        std::copy(Points[J].begin(), Points[J].end(), Regs.begin());
+        ASSERT_EQ(Code.resultLanes(Lanes, 0)[J], Code.run(Regs.data()))
+            << exprToString(E) << " at case " << Case << ", lane " << J
+            << " of " << Width;
+      }
+    }
+  }
+}
+
 TEST(CompiledExpr, SharedSubtreesAndBareLeaves) {
   // One program, several roots over one register file: a root sharing a
   // subtree with another, a bare input and a bare constant.
@@ -283,29 +322,131 @@ TEST(CompiledLoop, RawRunMatchesTheReferenceAfterEveryIteration) {
             << " iterations";
     }
 
-    // initRaw and stepRaw take the same row format, one element per
-    // sequence; stepping the reference's state J at index J gives state
-    // J + 1.
+    // initRaw reads the same row's parameters.
     std::vector<int64_t> Raw(N);
     Code.initRaw(Row.data(), Raw.data(), Regs);
     EXPECT_EQ(Raw, std::vector<int64_t>(States.begin(), States.begin() + N))
         << B.Name;
-    std::vector<int64_t> StepRow(Row.begin(), Row.begin() + L.Params.size());
-    StepRow.resize(L.Params.size() + L.Sequences.size());
-    for (size_t J = 0; J != Length; ++J) {
-      for (size_t K = 0; K != L.Sequences.size(); ++K)
-        StepRow[L.Params.size() + K] = Row[L.Params.size() + K * Length + J];
-      const int64_t *Before = States.data() + J * N;
-      Code.stepRaw(Before, StepRow.data(), static_cast<int64_t>(J),
-                   Raw.data(), Regs);
-      StateTuple Expected =
-          referenceRunRange(L, rawToState(L, Before), Seqs,
-                            static_cast<int64_t>(J),
-                            static_cast<int64_t>(J + 1), Params);
+  }
+}
+
+TEST(CompiledLoop, LaneCallsMatchTheRawCalls) {
+  // runLanes gives every lane runRaw's final state for that lane's own
+  // length, 0 to 10 (every length occurs at width 64), and leaves the
+  // parameters in lane order; stepLanes matches the reference's iteration
+  // and initLanes matches initRaw, lane by lane.
+  Rng R(0x1a9f);
+  const size_t MaxLength = 10;
+  for (const Benchmark &B : allBenchmarks()) {
+    Loop L = parseBenchmark(B);
+    const size_t N = L.Equations.size(), NumParams = L.Params.size(),
+                 NumSeqs = L.Sequences.size();
+    const size_t RowWidth = NumParams + NumSeqs * MaxLength;
+    std::vector<int64_t> Pool = {-1, 0, 1, 2};
+    for (int64_t C : updateConstants(L))
+      Pool.insert(Pool.end(), {C - 1, C});
+    CompiledLoop Code(L);
+    CompiledLoop::Registers Regs = Code.makeRegisters();
+    for (size_t Width : {1, 3, 64}) {
+      SCOPED_TRACE(B.Name + " at width " + std::to_string(Width));
+      std::vector<int64_t> Rows(Width * RowWidth);
+      std::vector<size_t> Lengths(Width);
+      for (size_t J = 0; J != Width; ++J) {
+        int64_t *Row = Rows.data() + J * RowWidth;
+        Lengths[J] = Width == 64 ? J % (MaxLength + 1)
+                                 : static_cast<size_t>(R.intIn(0, 10));
+        for (size_t P = 0; P != NumParams; ++P)
+          Row[P] = L.Params[P].Ty == Type::Int ? R.intIn(-3, 3) : R.flip();
+        for (size_t K = 0; K != NumSeqs; ++K)
+          for (size_t I = 0; I != Lengths[J]; ++I)
+            Row[NumParams + K * Lengths[J] + I] =
+                L.Sequences[K].ElemTy == Type::Int
+                    ? Pool[R.index(Pool.size())]
+                    : R.flip();
+      }
+      CompiledLoop::LaneRegisters Lanes = Code.makeLaneRegisters(Width);
+      Code.runLanes(Rows.data(), RowWidth, Lengths.data(), Lanes);
+      std::vector<int64_t> States((MaxLength + 1) * N), Raw(N);
+      for (size_t J = 0; J != Width; ++J) {
+        const int64_t *Row = Rows.data() + J * RowWidth;
+        Code.runRaw(Row, Lengths[J], States.data(), Regs);
+        for (size_t I = 0; I != N; ++I)
+          EXPECT_EQ(Code.stateLanes(Lanes, I)[J],
+                    States[Lengths[J] * N + I])
+              << L.Equations[I].Name << " in lane " << J << " of length "
+              << Lengths[J];
+        for (size_t P = 0; P != NumParams; ++P)
+          EXPECT_EQ(Code.paramLanes(Lanes, P)[J], Row[P]);
+      }
+
+      // Step every lane's final state at index Lengths[J] on one more
+      // element; the reference runs that iteration over the lane's prefix
+      // and the element.
+      std::vector<int64_t> Before(N * Width), Elements(Width * NumSeqs);
       for (size_t I = 0; I != N; ++I)
-        EXPECT_EQ(Raw[I], Expected[I].raw())
-            << B.Name << ": " << L.Equations[I].Name << " stepped at " << J;
+        std::copy_n(Code.stateLanes(Lanes, I), Width, &Before[I * Width]);
+      for (size_t J = 0; J != Width; ++J) {
+        for (size_t K = 0; K != NumSeqs; ++K)
+          Code.elementLanes(Lanes, K)[J] = Elements[J * NumSeqs + K] =
+              L.Sequences[K].ElemTy == Type::Int ? Pool[R.index(Pool.size())]
+                                                 : R.flip();
+        Code.indexLanes(Lanes)[J] = static_cast<int64_t>(Lengths[J]);
+      }
+      Code.stepLanes(Lanes);
+      for (size_t J = 0; J != Width; ++J) {
+        const int64_t *Row = Rows.data() + J * RowWidth;
+        Env Params;
+        for (size_t P = 0; P != NumParams; ++P)
+          Params[L.Params[P].Name] = Value::ofRaw(L.Params[P].Ty, Row[P]);
+        SeqEnv Seqs;
+        for (size_t K = 0; K != NumSeqs; ++K) {
+          std::vector<Value> &Seq = Seqs[L.Sequences[K].Name];
+          for (size_t I = 0; I != Lengths[J]; ++I)
+            Seq.push_back(Value::ofRaw(L.Sequences[K].ElemTy,
+                                       Row[NumParams + K * Lengths[J] + I]));
+          Seq.push_back(Value::ofRaw(L.Sequences[K].ElemTy,
+                                     Elements[J * NumSeqs + K]));
+        }
+        StateTuple State;
+        for (size_t I = 0; I != N; ++I)
+          State.push_back(
+              Value::ofRaw(L.Equations[I].Ty, Before[I * Width + J]));
+        const int64_t Len = static_cast<int64_t>(Lengths[J]);
+        StateTuple Expected =
+            referenceRunRange(L, State, Seqs, Len, Len + 1, Params);
+        for (size_t I = 0; I != N; ++I)
+          EXPECT_EQ(Code.nextLanes(Lanes, I)[J], Expected[I].raw())
+              << L.Equations[I].Name << " stepped in lane " << J;
+      }
+
+      Code.initLanes(Lanes);
+      for (size_t J = 0; J != Width; ++J) {
+        Code.initRaw(Rows.data() + J * RowWidth, Raw.data(), Regs);
+        for (size_t I = 0; I != N; ++I)
+          EXPECT_EQ(Code.stateLanes(Lanes, I)[J], Raw[I])
+              << L.Equations[I].Name << " initial in lane " << J;
+      }
     }
+  }
+}
+
+TEST(CompiledLoop, LanePrefixRunIsSimultaneous) {
+  // a and b swap: each update's result is the other's state row, which the
+  // lane run must not overwrite before reading it.
+  Loop L;
+  L.Name = "swap";
+  L.Sequences.push_back({"s", Type::Int});
+  L.Equations = {{"a", Type::Int, intConst(1), stateVar("b"), false},
+                 {"b", Type::Int, intConst(2), stateVar("a"), false}};
+  ASSERT_TRUE(verifyLoop(L, VerifyPhase::AfterFrontend).ok());
+  CompiledLoop Code(L);
+  CompiledLoop::LaneRegisters Lanes = Code.makeLaneRegisters(4);
+  const size_t Lengths[] = {3, 0, 2, 1};
+  std::vector<int64_t> Rows(4 * 3, 0);
+  Code.runLanes(Rows.data(), 3, Lengths, Lanes);
+  for (size_t J = 0; J != 4; ++J) {
+    EXPECT_EQ(Code.stateLanes(Lanes, 0)[J], Lengths[J] % 2 ? 2 : 1) << J;
+    EXPECT_EQ(Code.stateLanes(Lanes, 1)[J], Lengths[J] % 2 ? 1 : 2) << J;
   }
 }
 

@@ -5,6 +5,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "observe/Tracer.h"
 #include "pipeline/Parallelizer.h"
 #include "proof/DafnyEmit.h"
 #include "proof/ProofCheck.h"
@@ -173,6 +174,75 @@ TEST(ProofCheck, WitnessesArePinned) {
     EXPECT_EQ(C.Report.BaseChecks, C.BaseChecks);
     EXPECT_EQ(C.Report.StepChecks, C.StepChecks);
   }
+}
+
+/// Every Table-1 proof report, verified or refuted, as recorded in
+/// ProofGoldens: the golden join and its side-swapped and left-only
+/// variants on each final loop. The report pins the sampler's draw order
+/// and its first failure across the whole stream, as WitnessesArePinned
+/// does for the refutations further in.
+TEST(ProofCheck, Table1ReportsArePinned) {
+  size_t Checked = 0;
+  for (const Benchmark &B : allBenchmarks()) {
+    if (!B.ExpectFullSuccess)
+      continue;
+    GoldenParallelization Golden = goldenParallelization(B);
+    const Loop &L = Golden.Final;
+    const std::pair<const char *, std::vector<ExprRef>> Variants[] = {
+        {"golden", Golden.Join},
+        {"swapped", swapSides(L, Golden.Join)},
+        {"left-only", leftOnlyJoin(L)}};
+    for (const auto &[Variant, Join] : Variants) {
+      SCOPED_TRACE(B.Name + ", " + Variant);
+      const ProofGolden *Expected = nullptr;
+      for (const ProofGolden &G : ProofGoldens)
+        if (B.Name == G.Name && std::string(Variant) == G.Variant)
+          Expected = &G;
+      ASSERT_NE(Expected, nullptr) << "no proof golden";
+      ++Checked;
+      ProofReport Report = checkHomomorphismProof(L, Join);
+      EXPECT_EQ(Report.BaseChecks, Expected->BaseChecks);
+      EXPECT_EQ(Report.StepChecks, Expected->StepChecks);
+      if (!Expected->Obligation) {
+        EXPECT_TRUE(Report.Verified) << Report.str();
+        continue;
+      }
+      ASSERT_FALSE(Report.Verified);
+      EXPECT_EQ(Report.Failure->Obligation, Expected->Obligation);
+      EXPECT_EQ(Report.Failure->StateVar, Expected->StateVar);
+      EXPECT_EQ(Report.Failure->Details, Expected->Details);
+      EXPECT_EQ(Report.Failure->Split.LeftLen, Expected->LeftLen);
+      EXPECT_EQ(Report.Failure->Split.RightLen, Expected->RightLen);
+    }
+  }
+  EXPECT_EQ(Checked, std::size(ProofGoldens));
+}
+
+/// The proof's span counts the samples it evaluated in lanes, including
+/// those its chunk evaluated past the first failure: all 800 when the join
+/// verifies; the first three chunks (1 + 3 + 12 samples) for 2nd-min's
+/// novice join, refuted by its eighth sample.
+TEST(ProofCheck, SpanCountsTheLanesEvaluated) {
+  Tracer::instance().reset();
+  Tracer::setEnabled(true);
+  Loop SecondMin = parseBenchmark(*findBenchmark("2nd-min"));
+  auto v = [](const char *Name) { return inputVar(Name); };
+  ProofReport Verified = checkHomomorphismProof(
+      sumLoop(), {add(inputVar("sum_l"), inputVar("sum_r"))});
+  ProofReport Refuted = checkHomomorphismProof(
+      SecondMin, {minE(v("m2_l"), v("m2_r")), minE(v("m_l"), v("m_r"))});
+  Tracer::setEnabled(false);
+  std::vector<TraceEvent> Events = Tracer::instance().drain();
+  Tracer::instance().reset();
+  ASSERT_TRUE(Verified.Verified);
+  ASSERT_EQ(Refuted.BaseChecks, 8u);
+  std::vector<std::string> Lanes;
+  for (const TraceEvent &E : Events)
+    if (std::string(E.Name) == "checkHomomorphismProof")
+      for (const TraceAttr &A : E.Attrs)
+        if (A.Key == "lanes")
+          Lanes.push_back(A.Value);
+  EXPECT_EQ(Lanes, (std::vector<std::string>{"800", "16"}));
 }
 
 /// The sequences of \p Chunk, a proof split's chunk of \p Len elements per

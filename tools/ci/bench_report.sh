@@ -4,7 +4,8 @@
 # parsynt-run-report schema, and archives them at the repository root as
 # BENCH_table1.json and BENCH_fig8.json. Then builds the standalone
 # perfbench project in Release and requires a short quick-loops run of
-# the repository benchmark to report a correct result.
+# the repository benchmark to report a correct result and a whole proof
+# sample count.
 #
 # Usage: tools/ci/bench_report.sh [build-dir] [baseline]
 #   (default build dir: build-bench). baseline: the perfbench output of
@@ -18,7 +19,7 @@
 set -euo pipefail
 
 if [[ "${1:-}" == -* ]]; then
-  sed -n '2,17p' "$0" | sed 's/^# \{0,1\}//'
+  sed -n '2,18p' "$0" | sed 's/^# \{0,1\}//'
   exit 2
 fi
 
@@ -84,8 +85,18 @@ import json, sys
 path = sys.argv[1]
 result = json.loads(open(path).read().strip().splitlines()[-1])
 assert result["correct"] is True, f"{path}: perfbench quick-loops is not correct"
+# Every proof of the workload verifies, so each checks all 800 sampled state
+# pairs with one base and six step obligations: a proof sampler that drops
+# or repeats a sample breaks these counts.
+base = result["metrics"]["proof.base_checks"]["value"]
+step = result["metrics"]["proof.step_checks"]["value"]
+assert base > 0 and base % 800 == 0, \
+    f"{path}: proof.base_checks {base} is not a positive multiple of 800"
+assert step == 6 * base, \
+    f"{path}: proof.step_checks {step} is not 6 x proof.base_checks {base}"
 print(f"{path}: perfbench quick-loops correct "
-      f"({result['attempted']} operations)")
+      f"({result['attempted']} operations, {base:.0f} base + {step:.0f} "
+      f"step proof checks)")
 EOF
 
 if [[ -n "${2:-}" ]]; then
