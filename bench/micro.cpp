@@ -14,6 +14,7 @@
 
 #include "interp/Interp.h"
 #include "ir/ExprOps.h"
+#include "lift/Lift.h"
 #include "lift/Unfold.h"
 #include "normalize/Normalizer.h"
 #include "pipeline/Parallelizer.h"
@@ -100,6 +101,32 @@ void BM_SketchSearchMts(benchmark::State &State) {
       static_cast<double>(Assignments), benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_SketchSearchMts)->Unit(benchmark::kMillisecond)->UseRealTime();
+
+// The sweeps at scale: lifted line-sight's join search, as the pipeline's
+// second phase runs it. vis's plain sketch and aux0's and aux1's
+// additive-correction sketches sweep every tier before the guard sketch
+// solves them: 6.29 M assignments, most under refuted prefixes. sketch_ms
+// is the sweeps' share of each search.
+void BM_SketchSearchLineSight(benchmark::State &State) {
+  Loop L = liftLoop(materializeIndex(parseBenchmark(
+                        *findBenchmark("line-sight"))))
+               .Lifted;
+  uint64_t Assignments = 0, SketchNanos = 0;
+  for (auto _ : State) {
+    JoinResult R = synthesizeJoin(L);
+    if (!R.Success)
+      State.SkipWithError("lifted line-sight has a join");
+    Assignments += R.Stats.SketchAssignmentsTried;
+    SketchNanos += R.Stats.SketchNanos;
+  }
+  State.counters["assignments/s"] = benchmark::Counter(
+      static_cast<double>(Assignments), benchmark::Counter::kIsRate);
+  State.counters["sketch_ms"] = static_cast<double>(SketchNanos) / 1e6 /
+                                static_cast<double>(State.iterations());
+}
+BENCHMARK(BM_SketchSearchLineSight)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 /// \p Name's lifted loop and join, synthesized once before timing.
 PipelineResult parallelized(benchmark::State &State, const char *Name) {

@@ -100,8 +100,9 @@ namespace {
 /// wall time in enumeration (and the serial in-order merge inside it),
 /// sketch evaluation and the oracle, the share of combinations and
 /// assignments in work large enough to run on the task pool, the bodies
-/// the sketch sweeps ran, and the combinations the scans of the free
-/// grammar's last level walked. Empty when no join search ran.
+/// the sketch sweeps ran with the mean lanes of their runLanes() calls, and
+/// the combinations the scans of the free grammar's last level walked.
+/// Empty when no join search ran.
 std::string joinSearchSplit(const MetricsRegistry::Snapshot &Metrics) {
   auto Get = [&](const char *Name) { return Metrics.counterOr0(Name); };
   if (Get("synth.calls") == 0)
@@ -111,7 +112,7 @@ std::string joinSearchSplit(const MetricsRegistry::Snapshot &Metrics) {
                        static_cast<double>(Total)
                  : 0.0;
   };
-  char Buf[256];
+  char Buf[512];
   std::string Out = "join search split:\n";
   std::snprintf(Buf, sizeof(Buf),
                 "  %-28s %10.3f ms\n  %-28s %10.3f ms\n  %-28s %10.3f ms\n"
@@ -123,9 +124,11 @@ std::string joinSearchSplit(const MetricsRegistry::Snapshot &Metrics) {
   Out += Buf;
   uint64_t Combinations = Get("synth.enum.combinations");
   uint64_t Assignments = Get("synth.sketch.assignments");
+  uint64_t LaneRuns = Get("synth.sketch.lane_runs");
   std::snprintf(Buf, sizeof(Buf),
                 "  %-28s %llu of %llu (%.1f%%)\n  %-28s %llu of %llu "
-                "(%.1f%%)\n  %-28s %llu of %llu assignments (%.1f%%)\n",
+                "(%.1f%%)\n  %-28s %llu of %llu assignments (%.1f%%), "
+                "%.1f lanes per run\n",
                 "pool-sized combinations",
                 (unsigned long long)Get("synth.enum.combinations_parallel"),
                 (unsigned long long)Combinations,
@@ -136,7 +139,10 @@ std::string joinSearchSplit(const MetricsRegistry::Snapshot &Metrics) {
                 Share(Get("synth.sketch.assignments_parallel"), Assignments),
                 "bodies run", (unsigned long long)Get("synth.sketch.evaluated"),
                 (unsigned long long)Assignments,
-                Share(Get("synth.sketch.evaluated"), Assignments));
+                Share(Get("synth.sketch.evaluated"), Assignments),
+                LaneRuns ? static_cast<double>(Get("synth.sketch.lanes")) /
+                               static_cast<double>(LaneRuns)
+                         : 0.0);
   Out += Buf;
   std::snprintf(Buf, sizeof(Buf), "  %-28s %llu combinations\n",
                 "last-level scan",

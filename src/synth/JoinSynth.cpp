@@ -10,16 +10,13 @@
 #include "normalize/Simplify.h"
 #include "observe/Metrics.h"
 #include "observe/Tracer.h"
-#include "runtime/SharedPool.h"
 #include "support/FaultInjector.h"
 #include "synth/Enumerator.h"
 #include "synth/Sketch.h"
+#include "synth/SketchSearch.h"
 
 #include <algorithm>
-#include <atomic>
-#include <cassert>
 #include <chrono>
-#include <numeric>
 #include <optional>
 #include <set>
 #include <sstream>
@@ -35,7 +32,8 @@ constexpr std::pair<unsigned, unsigned> SketchTiers[] = {
     {1, 1}, {3, 2}, {3, 3}, {5, 3}};
 /// Term-size bound of the free-grammar fallback.
 constexpr unsigned FreeMaxSize = 7;
-/// Cap on sketch hole assignments evaluated per equation per tier.
+/// Cap on the assignments one sketch search counts at one tier (an Int
+/// equation runs up to three searches per tier: plain, correction, guard).
 constexpr uint64_t ProductBudget = 2000000;
 /// Maximum CEGIS iterations (counterexample rounds).
 constexpr unsigned CegisRounds = 10;
@@ -92,518 +90,12 @@ std::string describeWitness(const Loop &L, const HomOracle &Oracle,
          B.Expected[W.Equation].str() + " on the other";
 }
 
-/// Per-hole candidate pools grouped by term size for exact-weight search.
-struct HolePool {
-  std::vector<std::vector<const Candidate *>> BySize; // index = size
-  unsigned MinSize = 0;
-  /// The enumerator whose candidates these are; null for a pool of leaves.
-  const Enumerator *Source = nullptr;
-};
-
-HolePool makePool(const Enumerator &E, Type Ty, unsigned MaxSize) {
-  HolePool Pool;
-  Pool.Source = &E;
-  Pool.BySize.resize(MaxSize + 1);
-  for (const Candidate *C : E.candidatesUpTo(Ty, MaxSize))
-    Pool.BySize[C->Size].push_back(C);
-  for (unsigned S = 1; S <= MaxSize; ++S) {
-    if (!Pool.BySize[S].empty()) {
-      Pool.MinSize = S;
-      break;
-    }
-  }
-  return Pool;
-}
-
-/// Sketch assignments per chunk of a parallel weight sweep.
-constexpr uint64_t ChunkAssignments = 4096;
-/// Sweeps with fewer assignments (after the budget cap) run as one chunk on
-/// the calling thread.
-constexpr uint64_t InlineAssignments = 16384;
-constexpr uint64_t NoIndex = UINT64_MAX;
-
-uint64_t saturatingAdd(uint64_t A, uint64_t B) {
-  return A > NoIndex - B ? NoIndex : A + B;
-}
-uint64_t saturatingMul(uint64_t A, uint64_t B) {
-  uint64_t R = 0;
-  return __builtin_mul_overflow(A, B, &R) ? NoIndex : R;
-}
-
 uint64_t nanosSince(std::chrono::steady_clock::time_point Start) {
   return static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now() - Start)
           .count());
 }
-
-/// A sketch compiled once for all its tiers against the oracle's tests. Per
-/// hole k, a program over holes 0..k and the other inputs: for the last
-/// hole the body, for the others the prefix condition of
-/// prefixConditions() when it can refute a prefix the previous one passed
-/// (DESIGN.md §5h, "Prefix refutation"). Every program reads one input
-/// layout: the holes, the body's other variables, then the target (which
-/// the body does not read), whose columns over the tests are built here.
-struct CompiledSketch {
-  CompiledSketch(const Sketch &S, const HomOracle &Oracle,
-                 size_t EquationIndex)
-      : S(S), NumTests(Oracle.tests().size()) {
-    // C(E) makes every leaf a hole, so a sketch has at least one.
-    assert(!S.Holes.empty() && "a sketch without holes");
-    const std::string TargetName = "?t";
-    std::vector<ExprRef> Conditions =
-        prefixConditions(S, inputVar(TargetName, S.Body->type()));
-    std::vector<std::string> Names;
-    for (const Hole &H : S.Holes)
-      Names.push_back(H.Name);
-    Checks.resize(S.Holes.size());
-    Checks.back().emplace(std::vector<ExprRef>{S.Body}, Names);
-    Names.push_back(TargetName);
-    for (size_t K = 0; K + 1 < S.Holes.size(); ++K)
-      if (Conditions[K] != boolConst(true) &&
-          (K == 0 || Conditions[K] != Conditions[K - 1]))
-        Checks[K].emplace(std::vector<ExprRef>{Conditions[K]}, Names);
-    for (size_t I = S.Holes.size(); I != Names.size(); ++I) {
-      std::vector<int64_t> &Column = Columns.emplace_back();
-      if (Names[I] == TargetName) {
-        for (const JoinExample &Example : Oracle.tests())
-          Column.push_back(Example.Expected[EquationIndex].raw());
-        continue;
-      }
-      const unsigned Slot = Oracle.layout().slot(Names[I]);
-      for (size_t T = 0; T != NumTests; ++T)
-        Column.push_back(Oracle.testRow(T)[Slot]);
-    }
-  }
-
-  const Sketch &S;
-  size_t NumTests;
-  /// Per hole: its program, or none when the prefix up to it needs no check
-  /// of its own.
-  std::vector<std::optional<CompiledExpr>> Checks;
-  /// The columns of the inputs after the holes.
-  std::vector<std::vector<int64_t>> Columns;
-};
-
-/// Exact-total-weight product search over the sketch's holes with early-exit
-/// evaluation against the expected outputs. Hole registers read the
-/// assigned candidate's cached value column, every other input a column of
-/// the compiled sketch, so checking an assignment does no lookups and no
-/// allocation and stops at the first failing test. A prefix of holes that
-/// its check refutes skips every assignment under it in one step.
-///
-/// Each weight is one sweep over the assignments in a fixed sequential
-/// order. Counting the assignments under each first-hole candidate gives
-/// every assignment its sequential index, so a large sweep is cut into
-/// index ranges that tasks on the shared pool claim in increasing order. The
-/// winner is the passing assignment with the smallest index, the budget caps
-/// the index, and the calling thread polls the synth.reject fault point once
-/// per winner, so the join and every counter equal the sequential search's.
-class SketchSearch {
-public:
-  SketchSearch(const CompiledSketch &P, std::vector<HolePool> Pools,
-               uint64_t Budget, JoinStats &Stats, Deadline DL)
-      : P(P), Pools(std::move(Pools)), Budget(Budget), Stats(Stats), DL(DL),
-        NumTests(P.NumTests), NumHoles(P.S.Holes.size()),
-        NumInputs(NumHoles + P.Columns.size()),
-        Target(P.Columns.back().data()) {
-    for (const std::optional<CompiledExpr> &Check : P.Checks)
-      Programs.push_back(Check ? &*Check : nullptr);
-    Slots.resize(1);
-    initSlot(Slots[0]);
-  }
-
-  /// Runs the search; returns the filled-in join component, or null.
-  ExprRef run(unsigned MaxHoleSize) {
-    auto Start = std::chrono::steady_clock::now();
-    ExprRef Found = search(MaxHoleSize);
-    Stats.SketchAssignmentsTried += Tried;
-    Stats.SketchEvaluated += Evaluated;
-    Stats.SketchNanos += nanosSince(Start);
-    return Found;
-  }
-
-private:
-  /// One task's evaluation state. Slot 0 belongs to the calling thread;
-  /// the others are made for the first parallel sweep. Slots, and the
-  /// buffers every assignment writes, sit on cache lines of their own.
-  struct alignas(64) TaskSlot {
-    /// Per hole with a check: its program's registers.
-    std::vector<std::vector<int64_t>> Regs;
-    /// The order every check reads the tests in: most recently failing
-    /// first.
-    std::vector<size_t> Order;
-    /// Per input register: its value column over the tests.
-    std::vector<const int64_t *> Columns;
-    std::vector<const Candidate *> Assignment;
-    /// The task's first passing assignment and its sweep index.
-    std::vector<const Candidate *> Winner;
-    uint64_t WinnerIndex = NoIndex;
-    /// In the current round: the assignments whose body the task ran, and
-    /// those of its chunks under the prefixes it refuted.
-    uint64_t Evaluated = 0, Skipped = 0;
-    uint64_t Polls = 0;
-  };
-
-  /// A first-hole candidate of the current sweep and the sweep index of the
-  /// first assignment under it.
-  struct FirstHole {
-    const Candidate *C;
-    unsigned Size;
-    uint64_t Start;
-  };
-
-  /// What the tasks of one round of a sweep share. Chunks tile the indices
-  /// [Resume, Limit): indices below Resume were decided by an earlier round
-  /// of the sweep, and indices from Limit on are past the budget or the
-  /// sweep.
-  struct Round {
-    unsigned Weight;
-    uint64_t Resume, Limit, ChunkLen;
-    /// The next chunk to claim.
-    std::atomic<uint64_t> Next{0};
-    /// The smallest passing index any task has found so far.
-    std::atomic<uint64_t> Best{NoIndex};
-  };
-
-  ExprRef search(unsigned MaxHoleSize) {
-    unsigned MinTotal = 0;
-    for (const HolePool &Pool : Pools) {
-      if (Pool.MinSize == 0)
-        return nullptr; // some hole has an empty pool
-      MinTotal += Pool.MinSize;
-    }
-    unsigned MaxTotal = static_cast<unsigned>(NumHoles) * MaxHoleSize;
-    countLeaves(MaxTotal);
-    ExprRef Found;
-    for (unsigned W = MinTotal; W <= MaxTotal && !Found &&
-                                !Expired.load(std::memory_order_relaxed) &&
-                                Tried < Budget;
-         ++W)
-      Found = sweep(W);
-    return Found;
-  }
-
-  void initSlot(TaskSlot &Slot) const {
-    // Spare capacity keeps each task's registers and test orders off the
-    // cache lines of the next task's.
-    Slot.Regs.resize(NumHoles);
-    for (size_t K = 0; K != NumHoles; ++K) {
-      if (!Programs[K])
-        continue;
-      Slot.Regs[K] = Programs[K]->makeRegisters();
-      Slot.Regs[K].reserve(Slot.Regs[K].size() + 8);
-    }
-    Slot.Order.reserve(NumTests + 8);
-    Slot.Order.resize(NumTests);
-    std::iota(Slot.Order.begin(), Slot.Order.end(), size_t(0));
-    Slot.Columns.assign(NumHoles, nullptr);
-    for (const std::vector<int64_t> &Column : P.Columns)
-      Slot.Columns.push_back(Column.data());
-    Slot.Assignment.assign(NumHoles, nullptr);
-    Slot.Winner.assign(NumHoles, nullptr);
-  }
-
-  /// The sizes hole \p H may take when it and the holes after it weigh
-  /// \p Remaining in total (empty when Min > Max).
-  std::pair<unsigned, unsigned> sizeRange(size_t H, unsigned Remaining) const {
-    const bool Last = H + 1 == NumHoles;
-    unsigned Max = Last ? Remaining
-                        : (Remaining > MinRest[H] ? Remaining - MinRest[H] : 0);
-    Max = std::min<unsigned>(Max, Pools[H].BySize.size() - 1);
-    unsigned Min = Last ? std::max(Pools[H].MinSize, Remaining)
-                        : Pools[H].MinSize;
-    return {Min, Max};
-  }
-
-  /// Leaves[H][R]: the number of assignments of holes H.. weighing R,
-  /// saturated (indices past the budget are never evaluated).
-  void countLeaves(unsigned MaxTotal) {
-    MinRest.assign(NumHoles, 0);
-    for (size_t H = NumHoles - 1; H-- > 0;)
-      MinRest[H] = MinRest[H + 1] + Pools[H + 1].MinSize;
-    Leaves.assign(NumHoles + 1, std::vector<uint64_t>(MaxTotal + 1, 0));
-    Leaves[NumHoles][0] = 1;
-    for (size_t H = NumHoles; H-- > 0;) {
-      for (unsigned R = 0; R <= MaxTotal; ++R) {
-        auto [Min, Max] = sizeRange(H, R);
-        uint64_t N = 0;
-        for (unsigned Size = Min; Size <= Max && Size <= R; ++Size)
-          N = saturatingAdd(N, saturatingMul(Pools[H].BySize[Size].size(),
-                                             Leaves[H + 1][R - Size]));
-        Leaves[H][R] = N;
-      }
-    }
-  }
-
-  /// Runs the check of hole \p K over holes 0..K as assigned in \p Slot on
-  /// at most \p Tests tests: the body (Body: K is the last hole) must give
-  /// the target on each, a prefix condition must hold on each.
-  template <bool Body>
-  bool holds(TaskSlot &Slot, size_t K, uint64_t Tests) const {
-    const CompiledExpr &Check = *Programs[K];
-    int64_t *Regs = Slot.Regs[K].data();
-    size_t *Order = Slot.Order.data();
-    const int64_t *const *Columns = Slot.Columns.data();
-    const int64_t *Target = this->Target;
-    // The body reads every input but the target, a prefix condition the
-    // holes up to K and every input after the holes. (Locals: the register
-    // stores could alias the members.)
-    const size_t First = Body ? NumInputs - 1 : K + 1;
-    const size_t Rest = Body ? First : NumHoles, End = Body ? First : NumInputs;
-    Tests = std::min<uint64_t>(Tests, NumTests);
-    for (size_t J = 0; J != Tests; ++J) {
-      const size_t T = Order[J];
-      for (size_t I = 0; I != First; ++I)
-        Regs[I] = Columns[I][T];
-      for (size_t I = Rest; I != End; ++I)
-        Regs[I] = Columns[I][T];
-      const int64_t Value = Check.run(Regs);
-      if (Body ? Value != Target[T] : Value == 0) {
-        // A test that refutes one assignment (or prefix) tends to refute its
-        // neighbours too: move it to the front.
-        std::rotate(Order, Order + J, Order + J + 1);
-        return false;
-      }
-    }
-    return true;
-  }
-
-  /// Counts one step (a body run or a prefix check) toward the deadline,
-  /// polled once per ~256 steps. Returns true once the search has expired;
-  /// expiry is latched for every task.
-  bool expired(TaskSlot &Slot) {
-    if ((++Slot.Polls & 255u) == 0 && DL.expired())
-      Expired.store(true, std::memory_order_relaxed);
-    return Expired.load(std::memory_order_relaxed);
-  }
-
-  /// True when the check of hole \p H refutes the prefix in \p Slot, whose
-  /// assignments hold the indices [Index, Next); those of them in the chunk
-  /// [From, To) count as skipped. The check reads at most Next - Index
-  /// tests: those assignments' bodies would read at least that many, so a
-  /// check never costs more than it can save, and a prefix with one
-  /// assignment is not checked at all. An expired search refutes nothing,
-  /// so the descent reaches visit(), which stops it.
-  bool refuted(TaskSlot &Slot, size_t H, uint64_t Index, uint64_t Next,
-               uint64_t From, uint64_t To) {
-    if (!Programs[H] || Next - Index < 2 || expired(Slot) ||
-        holds<false>(Slot, H, Next - Index))
-      return false;
-    Slot.Skipped += std::min(Next, To) - std::max(Index, From);
-    return true;
-  }
-
-  /// Visits the assignments of holes H.. weighing \p Remaining whose indices
-  /// lie in [From, To), in sequential order; \p Index is the index of the
-  /// first assignment under this call. Returns true when the task is done
-  /// with the chunk: a pass was found, the bound was reached, or the search
-  /// timed out.
-  bool descend(TaskSlot &Slot, Round &Rd, size_t H, unsigned Remaining,
-               uint64_t &Index, uint64_t From, uint64_t To) {
-    auto [Min, Max] = sizeRange(H, Remaining);
-    const bool Last = H + 1 == NumHoles;
-    for (unsigned Size = Min; Size <= Max; ++Size) {
-      const uint64_t Under = Last ? 1 : Leaves[H + 1][Remaining - Size];
-      if (Under == 0)
-        continue;
-      for (const Candidate *C : Pools[H].BySize[Size]) {
-        if (Index >= std::min(To, Rd.Best.load(std::memory_order_relaxed)))
-          return true;
-        uint64_t Next = saturatingAdd(Index, Under);
-        if (Next <= From) {
-          Index = Next; // before the chunk
-          continue;
-        }
-        Slot.Assignment[H] = C;
-        Slot.Columns[H] = C->Values;
-        if (Last ? visit(Slot, Rd, Index)
-                 : !refuted(Slot, H, Index, Next, From, To) &&
-                       descend(Slot, Rd, H + 1, Remaining - Size, Index,
-                               From, To))
-          return true;
-        Index = Next;
-      }
-    }
-    return false;
-  }
-
-  /// Checks the complete assignment in \p Slot, which has index \p Index.
-  /// Returns true when the task is done: it passed, or the search timed out.
-  bool visit(TaskSlot &Slot, Round &Rd, uint64_t Index) {
-    if (expired(Slot))
-      return true;
-    ++Slot.Evaluated;
-    if (!holds<true>(Slot, NumHoles - 1, NumTests))
-      return false;
-    Slot.Winner = Slot.Assignment;
-    Slot.WinnerIndex = Index;
-    uint64_t Best = Rd.Best.load(std::memory_order_relaxed);
-    while (Index < Best && !Rd.Best.compare_exchange_weak(
-                               Best, Index, std::memory_order_relaxed))
-      ;
-    return true;
-  }
-
-  /// Claims chunks in increasing order until they start past the round's
-  /// bound or the task finds a pass (no later chunk can beat it).
-  void work(TaskSlot &Slot, Round &Rd) {
-    while (true) {
-      uint64_t From = saturatingAdd(
-          Rd.Resume, saturatingMul(Rd.Next.fetch_add(1), Rd.ChunkLen));
-      if (From >= std::min(Rd.Limit, Rd.Best.load(std::memory_order_relaxed)) ||
-          Expired.load(std::memory_order_relaxed))
-        return;
-      uint64_t To = std::min(Rd.Limit, saturatingAdd(From, Rd.ChunkLen));
-      // The first-hole candidate holding index From.
-      size_t F = std::upper_bound(Firsts.begin(), Firsts.end(), From,
-                                  [](uint64_t Key, const FirstHole &First) {
-                                    return Key < First.Start;
-                                  }) -
-                 Firsts.begin() - 1;
-      for (; F != Firsts.size(); ++F) {
-        const FirstHole &First = Firsts[F];
-        uint64_t Index = First.Start;
-        if (Index >= std::min(To, Rd.Best.load(std::memory_order_relaxed)))
-          break;
-        const uint64_t Next =
-            F + 1 == Firsts.size() ? Rd.Limit : Firsts[F + 1].Start;
-        Slot.Assignment[0] = First.C;
-        Slot.Columns[0] = First.C->Values;
-        // With one hole, the first-hole candidates are the assignments.
-        bool Done =
-            NumHoles == 1
-                ? Index >= From && visit(Slot, Rd, Index)
-                : !refuted(Slot, 0, Index, Next, From, To) &&
-                      descend(Slot, Rd, 1, Rd.Weight - First.Size, Index,
-                              From, To);
-        if (Slot.WinnerIndex != NoIndex)
-          return;
-        if (Done)
-          break;
-      }
-    }
-  }
-
-  /// The first passing assignment of weight \p W (in sequential order) that
-  /// the synth.reject fault point lets through, or null.
-  ExprRef sweep(unsigned W) {
-    Firsts.clear();
-    uint64_t Total = 0;
-    auto [Min, Max] = sizeRange(0, W);
-    for (unsigned Size = Min; Size <= Max; ++Size) {
-      uint64_t Under = NumHoles == 1 ? 1 : Leaves[1][W - Size];
-      if (Under == 0)
-        continue;
-      for (const Candidate *C : Pools[0].BySize[Size]) {
-        Firsts.push_back({C, Size, Total});
-        Total = saturatingAdd(Total, Under);
-      }
-    }
-    Round Rd;
-    Rd.Weight = W;
-    Rd.Resume = 0;
-    Rd.Limit = std::min(Total, Budget - Tried);
-    const bool Parallel = Rd.Limit >= InlineAssignments;
-    Rd.ChunkLen = Parallel ? ChunkAssignments : std::max<uint64_t>(Rd.Limit, 1);
-    uint64_t Decided = 0;
-    while (true) {
-      const TaskSlot *Winner = runRound(Rd, Parallel, Decided);
-      if (Expired.load(std::memory_order_relaxed)) {
-        Tried += Decided;
-        return nullptr;
-      }
-      if (!Winner) {
-        Tried += Rd.Limit;
-        if (Parallel)
-          Stats.ParallelAssignments += Rd.Limit;
-        return nullptr;
-      }
-      const uint64_t Index = Winner->WinnerIndex;
-      // Fault point: force rejection of an otherwise-accepted candidate to
-      // exercise the search's failure tail (PARSYNT_FAULT=synth.reject).
-      if (FaultInjector::fires("synth.reject")) {
-        Rd.Resume = Index + 1;
-        continue;
-      }
-      Tried += Index + 1;
-      if (Parallel)
-        Stats.ParallelAssignments += Index + 1;
-      return materialize(Winner->Winner);
-    }
-  }
-
-  /// Runs one round of a sweep: on the calling thread, or as one task per
-  /// pool thread. Returns the slot holding the smallest-index pass, or null.
-  /// Adds the bodies the round ran to Evaluated, and the indices its tasks
-  /// decided (ran or skipped) to \p Decided.
-  const TaskSlot *runRound(Round &Rd, bool Parallel, uint64_t &Decided) {
-    Rd.Next.store(0, std::memory_order_relaxed);
-    Rd.Best.store(NoIndex, std::memory_order_relaxed);
-    size_t NumTasks = 1;
-    if (Parallel) {
-      TaskPool &Workers = sharedTaskPool();
-      NumTasks = Workers.threadCount();
-      while (Slots.size() < NumTasks)
-        initSlot(Slots.emplace_back());
-      for (size_t T = 0; T != NumTasks; ++T) {
-        Slots[T].WinnerIndex = NoIndex;
-        Slots[T].Evaluated = Slots[T].Skipped = 0;
-      }
-      TaskGroup Group;
-      for (size_t T = 0; T != NumTasks; ++T) {
-        TaskSlot *Slot = &Slots[T];
-        Workers.spawn(Group, [this, Slot, &Rd] { work(*Slot, Rd); });
-      }
-      Workers.wait(Group);
-    } else {
-      Slots[0].WinnerIndex = NoIndex;
-      Slots[0].Evaluated = Slots[0].Skipped = 0;
-      work(Slots[0], Rd);
-    }
-    const TaskSlot *Winner = nullptr;
-    for (size_t T = 0; T != NumTasks; ++T) {
-      // Including any bodies a task ran past the winner.
-      Evaluated += Slots[T].Evaluated;
-      Decided += Slots[T].Evaluated + Slots[T].Skipped;
-      if (Slots[T].WinnerIndex != NoIndex &&
-          (!Winner || Slots[T].WinnerIndex < Winner->WinnerIndex))
-        Winner = &Slots[T];
-    }
-    return Winner;
-  }
-
-  ExprRef materialize(const std::vector<const Candidate *> &Assignment) const {
-    Substitution Subst;
-    for (size_t H = 0; H != P.S.Holes.size(); ++H) {
-      const Enumerator *Source = Pools[H].Source;
-      Subst[P.S.Holes[H].Name] =
-          Source ? Source->expr(*Assignment[H]) : Assignment[H]->LeafExpr;
-    }
-    return simplify(substitute(P.S.Body, Subst));
-  }
-
-  const CompiledSketch &P;
-  std::vector<HolePool> Pools;
-  uint64_t Budget;
-  JoinStats &Stats;
-  Deadline DL;
-  size_t NumTests, NumHoles, NumInputs;
-  /// The target column, and per hole its program or null.
-  const int64_t *Target;
-  std::vector<const CompiledExpr *> Programs;
-  /// Assignments counted by this search, and the bodies it ran; Budget
-  /// bounds each search independently, while Stats accumulates across
-  /// searches.
-  uint64_t Tried = 0;
-  uint64_t Evaluated = 0;
-  std::atomic<bool> Expired{false};
-  /// Per hole: the least total weight of the holes after it.
-  std::vector<unsigned> MinRest;
-  std::vector<std::vector<uint64_t>> Leaves;
-  std::vector<FirstHole> Firsts;
-  std::vector<TaskSlot> Slots;
-};
 
 } // namespace
 
@@ -759,6 +251,12 @@ JoinResult parsynt::synthesizeJoin(const Loop &L,
         }
       }
       buildPools();
+      // The equation's expected outputs over the tests: what a sketch body
+      // and a free-grammar candidate must give.
+      std::vector<int64_t> Target;
+      Target.reserve(Oracle.tests().size());
+      for (const JoinExample &Example : Oracle.tests())
+        Target.push_back(Example.Expected[I].raw());
 
       // Searches sketch \p S (named \p Kind in its span) tier by tier over
       // the round's pools. A non-null \p Guard is the fixed pool of the
@@ -770,15 +268,29 @@ JoinResult parsynt::synthesizeJoin(const Loop &L,
         SearchSpan.attr("sketch", Kind);
         const uint64_t AssignmentsBase = Result.Stats.SketchAssignmentsTried;
         const uint64_t EvaluatedBase = Result.Stats.SketchEvaluated;
+        const uint64_t LaneRunsBase = Result.Stats.SketchLaneRuns;
+        const uint64_t TMPBase = Result.Stats.SketchNanos;
         auto stamp = [&](ExprRef Found) {
           SearchSpan.attr("solved", Found != nullptr);
           SearchSpan.attr("assignments", Result.Stats.SketchAssignmentsTried -
                                              AssignmentsBase);
           SearchSpan.attr("evaluated",
                           Result.Stats.SketchEvaluated - EvaluatedBase);
+          SearchSpan.attr("lane_runs",
+                          Result.Stats.SketchLaneRuns - LaneRunsBase);
+          SearchSpan.attr("TMP_sketch_ns", Result.Stats.SketchNanos - TMPBase);
           return Found;
         };
-        const CompiledSketch Compiled(S, Oracle, I);
+        const CompiledSketch Compiled(
+            S, Oracle.tests().size(),
+            [&](const std::string &Name) {
+              const unsigned Slot = Oracle.layout().slot(Name);
+              std::vector<int64_t> Column;
+              for (size_t T = 0; T != Oracle.tests().size(); ++T)
+                Column.push_back(Oracle.testRow(T)[Slot]);
+              return Column;
+            },
+            Target);
         for (const auto &[SizeLR, SizeR] : SketchTiers) {
           grow(*ELR, SizeLR);
           grow(*ER, SizeR);
@@ -794,9 +306,10 @@ JoinResult parsynt::synthesizeJoin(const Loop &L,
           unsigned MaxHoleSize = std::max(SizeLR, SizeR);
           if (Guard)
             MaxHoleSize = std::max(MaxHoleSize, Guard->MinSize);
-          SketchSearch Search(Compiled, std::move(Pools), ProductBudget,
-                              Result.Stats, DL);
-          if (ExprRef F = Search.run(MaxHoleSize))
+          if (ExprRef F = runSketchSearch(Compiled, std::move(Pools),
+                                          MaxHoleSize, ProductBudget,
+                                          Result.Stats, DL)
+                              .Component)
             return stamp(F);
           if (DL.expired())
             break;
@@ -832,7 +345,6 @@ JoinResult parsynt::synthesizeJoin(const Loop &L,
       // as the sketches left it; grow the pool only once the empty-guard
       // sketch (when allowed), whose holes stay within the sketch tiers,
       // has failed too.
-      std::vector<int64_t> Target;
       const Candidate *Free = nullptr;
       // Fault point: reject a free-grammar match (PARSYNT_FAULT=synth.reject).
       auto acceptFree = [&] {
@@ -843,9 +355,6 @@ JoinResult parsynt::synthesizeJoin(const Loop &L,
         }
       };
       if (!Component) {
-        Target.reserve(Oracle.tests().size());
-        for (const JoinExample &Example : Oracle.tests())
-          Target.push_back(Example.Expected[I].raw());
         Free = ELR->findMatching(Eq.Ty, Target);
         acceptFree();
       }
@@ -997,6 +506,8 @@ JoinResult parsynt::synthesizeJoin(const Loop &L,
   M.counter("synth.sketch.assignments")
       .add(Result.Stats.SketchAssignmentsTried);
   M.counter("synth.sketch.evaluated").add(Result.Stats.SketchEvaluated);
+  M.counter("synth.sketch.lane_runs").add(Result.Stats.SketchLaneRuns);
+  M.counter("synth.sketch.lanes").add(Result.Stats.SketchLanes);
   M.counter("synth.candidates.enumerated")
       .add(Result.Stats.EnumeratedCandidates);
   M.counter("synth.seeds.accepted").add(Result.Stats.SeedsAccepted);

@@ -64,12 +64,17 @@ struct JoinSynthOptions {
 /// Statistics for Table 1 and the benches.
 struct JoinStats {
   uint64_t SketchAssignmentsTried = 0;
-  /// Assignments whose body the sweeps ran. The rest of
-  /// SketchAssignmentsTried lie under prefixes a prefix check refuted
-  /// (DESIGN.md §5h, "Prefix refutation"). Not exact: pool tasks may run
-  /// bodies past the winner, and the tests a check reads depend on the
-  /// task's earlier failures.
+  /// Assignments whose body the sweeps ran, one per lane of a body block
+  /// (DESIGN.md §5h, "Lane sweep"). The rest of SketchAssignmentsTried lie
+  /// under prefixes a prefix check refuted ("Prefix refutation"). Not
+  /// exact: a block's lanes past the winner run too, pool tasks may run
+  /// bodies past it, and the tests a check reads depend on the task's
+  /// earlier failures.
   uint64_t SketchEvaluated = 0;
+  /// The sweeps' runLanes() calls (one per block and test read, bodies and
+  /// prefix checks alike) and the lanes they ran; not exact either.
+  uint64_t SketchLaneRuns = 0;
+  uint64_t SketchLanes = 0;
   uint64_t EnumeratedCandidates = 0;
   unsigned CegisIterations = 0;
   unsigned TestsUsed = 0;

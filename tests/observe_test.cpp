@@ -485,7 +485,9 @@ TEST(Metrics, FailedSearchesAreTimedAndTheirLastLevelScanned) {
             146631u);
   EXPECT_GT(R.FailedJoinSeconds, 0.0);
   EXPECT_LT(R.FailedJoinSeconds, R.JoinSeconds);
-  EXPECT_NE(phaseReport().find("last-level scan"), std::string::npos);
+  const std::string Split = phaseReport();
+  EXPECT_NE(Split.find("last-level scan"), std::string::npos);
+  EXPECT_NE(Split.find("lanes per run"), std::string::npos);
 
   RunReport Report;
   Report.Benchmarks.push_back(makeBenchmarkEntry("line-sight", R));

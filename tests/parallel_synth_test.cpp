@@ -8,18 +8,24 @@
 // The join search runs its large enumeration levels and sketch sweeps on the
 // shared task pool. These tests pin its results to the sequential search:
 // candidate pools equal the reference enumeration candidate by candidate,
-// and joins and counters equal the figures of the sequential search. Every
-// case runs under three schedules made with the existing fault points: the
-// default, every spawn degraded to an inline call on the calling thread
-// (pool.alloc), and every third steal attempt failing (pool.steal).
+// joins and counters equal the figures of the sequential search, and the
+// lane sweep over random sketches picks the winner that a brute-force sweep
+// in index order picks. Every case runs under three schedules made with the
+// existing fault points: the default, every spawn degraded to an inline call
+// on the calling thread (pool.alloc), and every third steal attempt failing
+// (pool.steal).
 //
 //===----------------------------------------------------------------------===//
 
 #include "TestUtil.h"
+#include "ir/ExprOps.h"
+#include "normalize/Simplify.h"
 #include "suite/Benchmarks.h"
 #include "support/FaultInjector.h"
+#include "support/Random.h"
 #include "synth/HomOracle.h"
 #include "synth/JoinSynth.h"
+#include "synth/SketchSearch.h"
 
 #include <gtest/gtest.h>
 
@@ -329,6 +335,231 @@ TEST_P(ParallelJoinSynth, RejectedWinnersResumeTheSweep) {
   EXPECT_EQ(FaultInjector::instance().fireCount("synth.reject"), 3u);
 }
 
+//===----------------------------------------------------------------------===//
+// The lane sweep against a brute-force sweep in index order.
+//===----------------------------------------------------------------------===//
+
+/// One random sweep: a sketch, its tests, leaf pools and a budget.
+struct SweepCase {
+  Sketch S;
+  std::vector<Env> Rows;
+  std::vector<int64_t> Target;
+  /// Per hole: its candidates, whose columns live in Columns.
+  std::vector<std::vector<Candidate>> Candidates;
+  std::vector<std::vector<int64_t>> Columns;
+  unsigned MaxHoleSize = 3;
+  uint64_t Budget = 0;
+  unsigned Rejections = 0;
+
+  std::vector<HolePool> pools() const {
+    std::vector<HolePool> Pools;
+    for (const std::vector<Candidate> &Cands : Candidates) {
+      HolePool &Pool = Pools.emplace_back();
+      Pool.BySize.resize(MaxHoleSize + 1);
+      for (const Candidate &C : Cands)
+        Pool.BySize[C.Size].push_back(&C);
+      for (unsigned Size = MaxHoleSize; Size >= 1; --Size)
+        if (!Pool.BySize[Size].empty())
+          Pool.MinSize = Size;
+    }
+    return Pools;
+  }
+
+  /// The raw value of the body on row \p T under \p Assignment, by the
+  /// tree-walking reference.
+  int64_t eval(const std::vector<const Candidate *> &Assignment,
+               size_t T) const {
+    Env Row = Rows[T];
+    for (size_t H = 0; H != S.Holes.size(); ++H) {
+      const int64_t V = Assignment[H]->Values[T];
+      Row[S.Holes[H].Name] = S.Holes[H].Ty == Type::Int ? Value::ofInt(V)
+                                                        : Value::ofBool(V);
+    }
+    return test::evalExpr(S.Body, Row).raw();
+  }
+};
+
+SweepCase randomSweepCase(Rng &R, unsigned Case) {
+  SweepCase C;
+  const std::vector<std::pair<std::string, Type>> Others = {{"x", Type::Int},
+                                                            {"p", Type::Bool}};
+  const size_t NumHoles = 1 + Case % 4;
+  // Every fourth case is large enough for the sweeps to run on the pool.
+  const bool Large = NumHoles >= 3 && Case % 8 >= 4;
+  std::vector<std::pair<std::string, Type>> Vars;
+  for (size_t H = 0; H != NumHoles; ++H) {
+    const Type Ty = R.chance(2, 3) ? Type::Int : Type::Bool;
+    C.S.Holes.push_back({"?h" + std::to_string(H), Ty, false});
+    Vars.emplace_back(C.S.Holes.back().Name, Ty);
+  }
+  Vars.insert(Vars.end(), Others.begin(), Others.end());
+  const Type BodyTy = R.flip() ? Type::Int : Type::Bool;
+  // Bodies that read every hole, as C(E)'s do, where a few draws find one.
+  for (unsigned Try = 0; Try != 20; ++Try) {
+    C.S.Body = test::randomExpr(R, 2 + R.index(2), BodyTy, Vars);
+    bool All = true;
+    for (const Hole &H : C.S.Holes)
+      All = All && containsVar(C.S.Body, H.Name);
+    if (All)
+      break;
+  }
+  const size_t NumTests = 1 + R.index(6);
+  for (size_t T = 0; T != NumTests; ++T)
+    C.Rows.push_back({{"x", Value::ofInt(R.chance(1, 8) ? INT64_MIN
+                                                        : R.intIn(-2, 2))},
+                      {"p", Value::ofBool(R.flip())}});
+  // Leaf candidates: small expressions over x and p with their columns.
+  C.Candidates.resize(NumHoles);
+  C.Columns.reserve(NumHoles * 150);
+  for (size_t H = 0; H != NumHoles; ++H) {
+    const size_t Count =
+        Large ? 60 + R.index(91) : (R.chance(1, 12) ? 0 : R.index(41));
+    for (size_t K = 0; K != Count; ++K) {
+      Candidate &Cand = C.Candidates[H].emplace_back();
+      Cand.LeafExpr = test::randomExpr(R, R.index(2), C.S.Holes[H].Ty, Others);
+      Cand.Size = 1 + static_cast<unsigned>(R.index(C.MaxHoleSize));
+      std::vector<int64_t> &Column = C.Columns.emplace_back();
+      for (const Env &Row : C.Rows)
+        Column.push_back(test::evalExpr(Cand.LeafExpr, Row).raw());
+      Cand.Values = Column.data();
+    }
+  }
+  // Mostly a target some assignment meets, so that sweeps find passes.
+  std::vector<const Candidate *> Planted;
+  for (const std::vector<Candidate> &Cands : C.Candidates)
+    if (!Cands.empty())
+      Planted.push_back(&Cands[R.index(Cands.size())]);
+  for (size_t T = 0; T != NumTests; ++T)
+    C.Target.push_back(Planted.size() == NumHoles && R.chance(3, 4)
+                           ? C.eval(Planted, T)
+                       : BodyTy == Type::Int ? R.intIn(-2, 2)
+                                             : R.intIn(0, 1));
+  // Budgets from a few assignments (cutting inside a lane block) to more
+  // than a small case has.
+  C.Budget = Large ? 20000 + R.index(40000)
+                   : (R.flip() ? 1 + R.index(300) : 2000000);
+  C.Rejections = R.chance(1, 3) ? 1 + static_cast<unsigned>(R.index(3)) : 0;
+  return C;
+}
+
+/// The brute-force sweep: every assignment of each weight in index order,
+/// each checked on every row with the reference evaluator; the first
+/// Rejections passes are refused, as synth.reject refuses them.
+struct BruteForce {
+  explicit BruteForce(const SweepCase &C)
+      : C(C), Pools(C.pools()), Assignment(C.S.Holes.size()),
+        Rejections(C.Rejections) {}
+
+  const SweepCase &C;
+  std::vector<HolePool> Pools;
+  std::vector<const Candidate *> Assignment;
+  unsigned Rejections;
+  uint64_t Tried = 0, Limit = 0, Count = 0;
+  std::vector<const Candidate *> Winner;
+
+  /// Visits the assignments of holes H.. weighing \p Remaining; true when
+  /// the sweep is done (a winner, or the budget).
+  bool visit(size_t H, unsigned Remaining) {
+    if (H == C.S.Holes.size()) {
+      if (Remaining != 0)
+        return false;
+      if (Count == Limit)
+        return true;
+      const uint64_t Index = Count++;
+      for (size_t T = 0; T != C.Rows.size(); ++T)
+        if (C.eval(Assignment, T) != C.Target[T])
+          return false;
+      if (Rejections) {
+        --Rejections;
+        return false;
+      }
+      Winner = Assignment;
+      Tried += Index + 1;
+      return true;
+    }
+    for (unsigned Size = 1; Size <= Remaining && Size <= C.MaxHoleSize;
+         ++Size)
+      for (const Candidate *Cand : Pools[H].BySize[Size]) {
+        Assignment[H] = Cand;
+        if (visit(H + 1, Remaining - Size))
+          return true;
+      }
+    return false;
+  }
+
+  void run() {
+    unsigned MinTotal = 0;
+    for (const HolePool &Pool : Pools) {
+      if (Pool.MinSize == 0)
+        return;
+      MinTotal += Pool.MinSize;
+    }
+    const unsigned MaxTotal =
+        static_cast<unsigned>(C.S.Holes.size()) * C.MaxHoleSize;
+    for (unsigned W = MinTotal; W <= MaxTotal && Tried < C.Budget; ++W) {
+      Limit = C.Budget - Tried;
+      Count = 0;
+      if (visit(0, W))
+        if (!Winner.empty())
+          return;
+      Tried += Count;
+    }
+  }
+};
+
+class SketchSweep : public ::testing::TestWithParam<Schedule> {};
+
+TEST_P(SketchSweep, MatchesABruteForceSweepInIndexOrder) {
+  // Random sketches with 1-4 holes (bodies over every operator, `+ - neg !
+  // ite && || max min * / >= == <`) over random leaf pools of 0-150
+  // candidates: the lane sweep's winner, its component and its assignment
+  // count are those of checking every assignment in index order with the
+  // tree-walking reference, with budgets that cut inside lane blocks and
+  // refused winners that resume inside them.
+  Rng R(0x5ee9);
+  unsigned Won = 0, Parallel = 0, Rejected = 0;
+  for (unsigned Case = 0; Case != 48; ++Case) {
+    const SweepCase C = randomSweepCase(R, Case);
+    SCOPED_TRACE("case " + std::to_string(Case) + ": " +
+                 exprToString(C.S.Body));
+    BruteForce Want(C);
+    Want.run();
+    const std::string Rejections =
+        C.Rejections ? "synth.reject:limit=" + std::to_string(C.Rejections)
+                     : "";
+    FaultScope Scope(faultSpec(GetParam(), Rejections));
+    CompiledSketch Compiled(
+        C.S, C.Rows.size(),
+        [&](const std::string &Name) {
+          std::vector<int64_t> Column;
+          for (const Env &Row : C.Rows)
+            Column.push_back(Row.at(Name).raw());
+          return Column;
+        },
+        C.Target);
+    JoinStats Stats;
+    SketchMatch Got = runSketchSearch(Compiled, C.pools(), C.MaxHoleSize,
+                                      C.Budget, Stats, Deadline());
+    EXPECT_EQ(Stats.SketchAssignmentsTried, Want.Tried);
+    ASSERT_EQ(Got.Component != nullptr, !Want.Winner.empty());
+    Parallel += Stats.ParallelAssignments != 0;
+    Rejected += FaultInjector::instance().fireCount("synth.reject") != 0;
+    if (!Got.Component)
+      continue;
+    ++Won;
+    EXPECT_EQ(Got.Assignment, Want.Winner);
+    Substitution Subst;
+    for (size_t H = 0; H != C.S.Holes.size(); ++H)
+      Subst[C.S.Holes[H].Name] = Want.Winner[H]->LeafExpr;
+    EXPECT_EQ(exprToString(Got.Component),
+              exprToString(simplify(substitute(C.S.Body, Subst))));
+  }
+  // The cases reached what they are for.
+  EXPECT_GE(Won, 10u);
+  EXPECT_GE(Parallel, 3u);
+  EXPECT_GE(Rejected, 5u);
+}
+
 std::string scheduleName(const ::testing::TestParamInfo<Schedule> &Info) {
   return Info.param.Name;
 }
@@ -336,6 +567,8 @@ std::string scheduleName(const ::testing::TestParamInfo<Schedule> &Info) {
 INSTANTIATE_TEST_SUITE_P(Schedules, ParallelEnumerator,
                          ::testing::ValuesIn(Schedules), scheduleName);
 INSTANTIATE_TEST_SUITE_P(Schedules, ParallelJoinSynth,
+                         ::testing::ValuesIn(Schedules), scheduleName);
+INSTANTIATE_TEST_SUITE_P(Schedules, SketchSweep,
                          ::testing::ValuesIn(Schedules), scheduleName);
 
 } // namespace

@@ -330,4 +330,42 @@ TEST(JoinSynth, PrefixRefutationKeepsSweepIndices) {
   Tracer::instance().reset();
 }
 
+TEST(JoinSynth, SweepsCountTheirLaneRuns) {
+  // The search on lifted mts-p sweeps its sketches in lane blocks: each
+  // runLanes() call of a sweep counts once, in synth.sketch.lane_runs and
+  // in its sketchSearch span, and runs 1 to 64 lanes (synth.sketch.lanes).
+  Loop L = liftLoop(materializeIndex(parseBenchmark(*findBenchmark("mts-p"))))
+               .Lifted;
+  MetricsRegistry &M = MetricsRegistry::global();
+  const MetricsRegistry::Snapshot Before = M.snapshot();
+  Tracer::instance().reset();
+  Tracer::setEnabled(true);
+  JoinResult Join = synthesizeJoin(L);
+  Tracer::setEnabled(false);
+  ASSERT_TRUE(Join.Success);
+  const MetricsRegistry::Snapshot After = M.snapshot();
+  auto delta = [&](const char *Name) {
+    return After.counterOr0(Name) - Before.counterOr0(Name);
+  };
+  EXPECT_EQ(delta("synth.sketch.lane_runs"), Join.Stats.SketchLaneRuns);
+  EXPECT_EQ(delta("synth.sketch.lanes"), Join.Stats.SketchLanes);
+  EXPECT_GT(Join.Stats.SketchLaneRuns, 0u);
+  EXPECT_GE(Join.Stats.SketchLanes, Join.Stats.SketchLaneRuns);
+  EXPECT_LE(Join.Stats.SketchLanes, 64 * Join.Stats.SketchLaneRuns);
+  uint64_t SpanRuns = 0;
+  for (const TraceEvent &E : Tracer::instance().drain()) {
+    if (std::string(E.Name) != "sketchSearch")
+      continue;
+    bool Found = false;
+    for (const TraceAttr &A : E.Attrs)
+      if (A.Key == "lane_runs") {
+        SpanRuns += std::stoull(A.Value);
+        Found = true;
+      }
+    EXPECT_TRUE(Found);
+  }
+  EXPECT_EQ(SpanRuns, Join.Stats.SketchLaneRuns);
+  Tracer::instance().reset();
+}
+
 } // namespace

@@ -116,7 +116,10 @@ cmake --build "${PREFIX}-tsan" -j "${JOBS}"
 # slow). ParallelEnumerator grows the pools of mts, mts-p and line-sight,
 # and ParallelJoinSynth runs the parallel join search on atoi and
 # line-sight, under three pool schedules, and both compare the result with
-# the sequential figures; EnumeratorStorage reads, on the
+# the sequential figures; SketchSweep runs random lane sweeps, some large
+# enough for the pool, under the same schedules (each task checks its
+# blocks in lane files of its own slot, which a shared one would race on);
+# EnumeratorStorage reads, on the
 # calling thread, the survivor columns pool workers wrote, and checks that
 # pool columns stay put while later levels grow and that a pool grown in
 # steps equals one grown at once. Two PipelineSweep cases run the
@@ -141,7 +144,7 @@ cmake --build "${PREFIX}-tsan" -j "${JOBS}"
 TSAN_OPTIONS=halt_on_error=1 \
   ctest --test-dir "${PREFIX}-tsan" --output-on-failure -j "${JOBS}" \
   --no-tests=error \
-  -R '^(TaskPool|ParallelReduce|SequentialReduce|InterpReduce|EmitCpp|AllKernels/KernelSweep\.ParallelMatchesSequential|Table1/PipelineSweep\.MatchesPaperExpectations/(mts|line_sight)( |$)|Tracer|TracerOff|TraceExport|Metrics|PoolMetrics|Report|Schedules/ParallelEnumerator|Schedules/ParallelJoinSynth|EnumeratorStorage)'
+  -R '^(TaskPool|ParallelReduce|SequentialReduce|InterpReduce|EmitCpp|AllKernels/KernelSweep\.ParallelMatchesSequential|Table1/PipelineSweep\.MatchesPaperExpectations/(mts|line_sight)( |$)|Tracer|TracerOff|TraceExport|Metrics|PoolMetrics|Report|Schedules/ParallelEnumerator|Schedules/ParallelJoinSynth|Schedules/SketchSweep|EnumeratorStorage)'
 # Scheduler smoke under TSan as well (all 22 kernels through the pool).
 PARSYNT_FIG8_ELEMS=200000 TSAN_OPTIONS=halt_on_error=1 \
   "${PREFIX}-tsan/bench/fig8" --stats > /dev/null
